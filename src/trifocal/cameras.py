@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 
 from . import linalg
-from .tensor import Tensor333
+from .tensor import Tensor333, _scalar_from_json
 
 
 class InvalidCameraError(ValueError):
@@ -153,17 +152,11 @@ def random_triple(rng: random.Random, bound=9, max_tries=100) -> CameraTriple:
 
 # --- (de)serialization ------------------------------------------------------
 
-def _scalar_from_json(x):
-    if isinstance(x, str):
-        num, _, den = x.partition("/")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    return int(x)
-
-
 def camera_from_json_obj(data) -> Camera:
-    if not isinstance(data, list) or len(data) != 3 or any(len(r) != 4 for r in data):
+    if not (isinstance(data, list) and len(data) == 3
+            and all(isinstance(r, list) and len(r) == 4 for r in data)):
         raise ValueError("camera JSON must be a 3x4 nested array")
-    return Camera([[ _scalar_from_json(x) for x in row] for row in data])
+    return Camera([[_scalar_from_json(x) for x in row] for row in data])
 
 
 def triple_from_json(text: str) -> CameraTriple:

@@ -385,7 +385,7 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
                     new_certs.append(cert)
         scan.rows.append((lab, rep.kronecker(*lab), hw.dim, report.multiplicity, len(new_certs)))
         for cert in new_certs:
-            scan.modules.append(DiscoveredModule(d, lab, cert, rep.module_span(cert, p=p)))
+            scan.modules.append(DiscoveredModule(d, lab, cert, rep.module_span(cert)))
         if progress:
             progress("degree %d: label %d/%d %r vanishing %d new %d"
                      % (d, idx + 1, len(labels), lab, report.multiplicity, len(new_certs)))

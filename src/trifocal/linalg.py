@@ -349,15 +349,18 @@ def kernel_basis_int(sparse_rows, ncols, expected_dim=None):
         used = []
         residues = None  # kernel entries as CRT residues
         modulus = 1
-        ref_free = None
+        ref_pivots = None
         lifted = None
         for p in _WORK_PRIMES:
             pivots, free, basis = kernel_mod_p(dense_mod(p), p)
-            if ref_free is None:
-                ref_free = free
-            elif free != ref_free:
-                # a prime saw a different rank profile: restart from this one
-                used, residues, modulus, ref_free = [], None, 1, free
+            # The rational rank profile has the most pivots, earliest first;
+            # a prime dividing some minor sees fewer or later pivots.  Skip
+            # such a prime, and restart only when a better profile shows up.
+            if ref_pivots is not None and pivots != ref_pivots:
+                if (-len(pivots), pivots) > (-len(ref_pivots), ref_pivots):
+                    continue
+                used, residues, modulus = [], None, 1
+            ref_pivots = pivots
             used.append(p)
             if residues is None:
                 residues = basis.astype(object)

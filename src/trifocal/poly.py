@@ -12,12 +12,14 @@ c_ij = T[i][j][3] in 1-based notation.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations
 from math import gcd
 
 from .scalars import Fp
-from .tensor import Tensor333
+from .tensor import Tensor333, perm_sign
 
 N_VARS = 27
 
@@ -69,6 +71,13 @@ class Poly:
         if one_based:
             i, j, k = i - 1, j - 1, k - 1
         return cls({(var_index(i, j, k),): 1})
+
+    @classmethod
+    def _wrap(cls, terms):
+        """A Poly that takes ownership of `terms` (no zero coefficients)."""
+        p = cls.__new__(cls)
+        p.terms = terms
+        return p
 
     @classmethod
     def constant(cls, c):
@@ -180,20 +189,19 @@ class Poly:
         coefficient (graded-lex leading monomial)."""
         if not self.terms:
             return Poly()
-        den = 1
-        for c in self.terms.values():
-            f = Fraction(c)
-            den = den * f.denominator // gcd(den, f.denominator)
-        ints = {m: int(Fraction(c) * den) for m, c in self.terms.items()}
-        g = 0
-        for c in ints.values():
-            g = gcd(g, abs(c))
-        if g > 1:
-            ints = {m: c // g for m, c in ints.items()}
-        lead = min(ints)
-        if ints[lead] < 0:
-            ints = {m: -c for m, c in ints.items()}
-        return Poly(ints)
+        terms = self.terms
+        if not all(type(c) is int for c in terms.values()):
+            den = 1
+            for c in terms.values():
+                f = Fraction(c)
+                den = den * f.denominator // gcd(den, f.denominator)
+            terms = {m: int(Fraction(c) * den) for m, c in terms.items()}
+        g = gcd(*terms.values())
+        if terms[min(terms)] < 0:
+            g = -g
+        if g == 1:
+            return Poly._wrap(dict(terms))
+        return Poly._wrap({m: c // g for m, c in terms.items()})
 
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
@@ -242,28 +250,46 @@ def monomials_of_degree(d):
 # ---------------------------------------------------------------------------
 # raising / lowering operators (one gl(3) copy per tensor factor)
 
+@lru_cache(maxsize=None)
+def _shift_map(axis, to_idx, from_idx):
+    """Variable v -> the variable with factor-`axis` index from_idx replaced
+    by to_idx, or -1 where v's index in that factor is not from_idx."""
+    ax = "ABC".index(axis)
+    out = []
+    for v in range(N_VARS):
+        ijk = list(var_ijk(v))
+        if ijk[ax] == from_idx:
+            ijk[ax] = to_idx
+            out.append(var_index(*ijk))
+        else:
+            out.append(-1)
+    return tuple(out)
+
+
 def apply_shift(axis, to_idx, from_idx, f: Poly) -> Poly:
     """The derivation sum_rest T[to,rest] * d/dT[from,rest] on poly f
     (indices 0-based within the chosen factor)."""
-    ax = {"A": 0, "B": 1, "C": 2}[axis]
-    out = Poly()
+    vmap = _shift_map(axis, to_idx, from_idx)
+    out = {}
     for mono, coeff in f.terms.items():
-        seen = set()
+        prev = -1
         for pos, v in enumerate(mono):
-            if v in seen:
+            if v == prev:
                 continue
-            seen.add(v)
-            ijk = list(var_ijk(v))
-            if ijk[ax] != from_idx:
+            prev = v
+            w = vmap[v]
+            if w < 0:
                 continue
-            mult = mono.count(v)
-            ijk[ax] = to_idx
-            w = var_index(*ijk)
-            new = list(mono)
-            new.remove(v)
-            new.append(w)
-            out.add_term(tuple(sorted(new)), coeff * mult)
-    return out
+            # replace one copy of v by w, keeping the monomial sorted
+            rest = mono[:pos] + mono[pos + 1:]
+            k = bisect(rest, w)
+            new = rest[:k] + (w,) + rest[k:]
+            c = out.get(new, 0) + coeff * mono.count(v)
+            if c:
+                out[new] = c
+            else:
+                del out[new]
+    return Poly._wrap(out)
 
 
 def lower(axis, r, s, f: Poly) -> Poly:
@@ -312,11 +338,7 @@ def m3_with_x_monomials(axis):
     list of ((e1,e2,e3), Poly) with e the exponent of (x1,x2,x3)."""
     buckets = {e: Poly() for e in _X_MONOMIALS}
     for sigma in permutations(range(3)):
-        sign = 1
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if sigma[a] > sigma[b]:
-                    sign = -sign
+        sign = perm_sign(sigma)
         for s1 in range(3):
             for s2 in range(3):
                 for s3 in range(3):
@@ -348,14 +370,9 @@ def det_slice_poly(axis, index):
     (equals the x_index^3 coefficient of the axis pencil determinant)."""
     out = Poly()
     for sigma in permutations(range(3)):
-        sign = 1
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if sigma[a] > sigma[b]:
-                    sign = -sign
         mono = tuple(sorted(_pencil_entry_vars(axis, r, sigma[r])[index - 1]
                             for r in range(3)))
-        out.add_term(mono, sign)
+        out.add_term(mono, perm_sign(sigma))
     return out
 
 
@@ -398,44 +415,50 @@ def format_poly(f: Poly) -> str:
 
 
 def _parse_var(token: str) -> int:
-    token = token.strip()
-    if token.startswith("T"):
-        bits = token.split("_")
-        if len(bits) != 4:
-            raise ValueError("bad variable %r" % token)
-        i, j, k = (int(b) for b in bits[1:])
-        return var_index(i - 1, j - 1, k - 1)
-    letter, digits = token[0], token[1:]
-    if letter in "abc" and len(digits) == 2 and digits.isdigit():
-        i, j = int(digits[0]), int(digits[1])
-        k = "abc".index(letter) + 1
-        return var_index(i - 1, j - 1, k - 1)
-    raise ValueError("bad variable %r" % token)
+    bits = token.split("_")
+    if len(bits) == 4 and bits[0] == "T":
+        ijk = bits[1:]
+    elif len(token) == 3 and token[0] in "abc":
+        ijk = [token[1], token[2], str("abc".index(token[0]) + 1)]
+    else:
+        raise ValueError("bad variable %r" % token)
+    if any(x not in ("1", "2", "3") for x in ijk):
+        raise ValueError("bad variable %r" % token)
+    i, j, k = (int(x) - 1 for x in ijk)
+    return var_index(i, j, k)
 
 
 def parse_poly(text: str) -> Poly:
-    """Parse 'c*T_1_2_3^2*a11 - ...' (T_i_j_k or letter a/b/c names)."""
-    text = text.replace("-", "+-").replace(" ", "").replace("\n", "")
+    """Parse 'c*T_1_2_3^2*a11 - ...' (T_i_j_k or letter a/b/c names).
+
+    Coefficients are integers or p/q, exponents nonnegative integers.
+    Anything else (a negative or fractional exponent, a dangling sign or
+    operator, an unknown variable) raises ValueError.
+    """
+    chunks = "".join(text.split()).replace("-", "+-").split("+")
+    if chunks[0] == "" and len(chunks) > 1:
+        del chunks[0]  # a leading sign
     out = Poly()
-    for chunk in text.split("+"):
-        if not chunk:
-            continue
+    for chunk in chunks:
         coeff = 1
         if chunk.startswith("-"):
             coeff = -1
             chunk = chunk[1:]
+        if not chunk:
+            raise ValueError("empty term (dangling sign) in %r" % (text,))
         mono = []
         for factor in chunk.split("*"):
-            if not factor:
-                continue
-            base, _, exp = factor.partition("^")
-            e = int(exp) if exp else 1
-            if base.replace("/", "").lstrip("-").isdigit():
-                num, _, den = base.partition("/")
-                c = Fraction(int(num), int(den)) if den else int(num)
-                coeff = coeff * c ** e
-            else:
+            base, caret, exp = factor.partition("^")
+            if not base or (caret and not exp.isdigit()):
+                raise ValueError("bad factor %r" % (factor,))
+            e = int(exp) if caret else 1
+            num, slash, den = base.partition("/")
+            if not num.isdigit():
                 mono.extend([_parse_var(base)] * e)
+            elif slash and not (den.isdigit() and int(den)):
+                raise ValueError("bad coefficient %r" % (base,))
+            else:
+                coeff = coeff * (Fraction(int(num), int(den)) if slash else int(num)) ** e
         out.add_term(tuple(sorted(mono)), coeff)
     return out
 

@@ -1,5 +1,5 @@
-"""Symmetric-group characters, Kronecker multiplicities and highest
-weight spaces.
+"""Symmetric-group characters, Kronecker multiplicities, highest
+weight spaces and the modules they generate.
 
 Partitions are weakly decreasing tuples of positive ints.  A label is a
 triple of partitions of the same degree; it names the GL(3)^3-module
@@ -8,15 +8,26 @@ multiplicity of a label is the Kronecker coefficient, computed from S_d
 characters via the Murnaghan-Nakayama rule; the matching highest weight
 space is realized concretely as the joint kernel of the six raising
 operators on one torus weight space.
+
+A highest weight vector h of weight (lam, mu, nu) generates a copy of
+S_lam x S_mu x S_nu.  Its basis comes from per-factor lowering-word trees:
+words w in the two lowering operators of one gl(3) factor such that the
+w.v_lam form a basis of S_lam(C^3), found once per partition on a small
+one-factor model.  The products w_A w_B w_C h are then a basis of the
+module, so a span needs no elimination and no prime (Fulton-Harris,
+Representation Theory, Section 15).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
 
 from . import linalg, poly
-from .poly import LOWERING, RAISING, Poly, apply_shift
+from .poly import LOWERING, RAISING, Poly, apply_shift, var_index
+from .tensor import perm_sign
 
 MAX_DEGREE = 9  # the search bound: no new generators exist above this
 
@@ -194,62 +205,84 @@ def hw_space(label) -> HWSpace:
     return HWSpace(label, weight, monomials, basis)
 
 
-def module_span(h: Poly, p=101, fallback_prime=32003):
-    """Basis of the irreducible module generated by a highest weight
-    vector: close h under the six lowering operators.
+def _leading_minor(k) -> Poly:
+    """det of the top-left k x k block of the slice T[i][j][0]."""
+    out = Poly()
+    for sigma in permutations(range(k)):
+        out.add_term(tuple(sorted(var_index(r, sigma[r], 0) for r in range(k))),
+                     perm_sign(sigma))
+    return out
 
-    Independence is decided modulo p (a dependent-looking candidate is
-    simply not added; completeness is enforced by comparing against the
-    Weyl dimension product, retrying at a second prime if short).
+
+@lru_cache(maxsize=None)
+def lowering_tree(lam):
+    """Lowering words whose images of a highest weight vector of weight
+    lam form a basis of S_lam(C^3).
+
+    Returned as nodes (parent, (to, frm)): node 0 is the root (parent
+    None), node n is the lowering operator (to, frm) applied to node
+    `parent` < n.  The words are found by closing the one-factor model
+    Delta_1^(l1-l2) Delta_12^(l2-l3) Delta_123^l3 (leading minors of
+    T[i][j][0]) under the two A-lowering operators, one weight at a time,
+    keeping each image that is independent of the ones kept before it.
+    """
+    l1, l2, l3 = _pad(lam)
+    v = Poly.constant(1)
+    for k, e in ((1, l1 - l2), (2, l2 - l3), (3, l3)):
+        for _ in range(e):
+            v = v * _leading_minor(k)
+    nodes = [(None, None)]
+    level = [(0, v)]  # (node id, model vector) of the newest nodes
+    while level:
+        # images of one level, grouped by weight; different weights are
+        # independent, so only images of equal weight are compared
+        by_weight = {}
+        for parent, f in level:
+            for ax, to, frm in LOWERING:
+                if ax != "A":
+                    continue
+                img = apply_shift("A", to, frm, f)
+                if not img.is_zero():
+                    by_weight.setdefault(img.weight(), []).append((parent, (to, frm), img))
+        level = []
+        for cands in by_weight.values():
+            cols = sorted({m for _, _, img in cands for m in img.terms})
+            kept = []
+            for parent, op, img in cands:
+                row = [Fraction(img.terms.get(m, 0)) for m in cols]
+                if linalg.rank(kept + [row]) > len(kept):
+                    kept.append(row)
+                    level.append((len(nodes), img))
+                    nodes.append((parent, op))
+    if len(nodes) != weyl_dim(lam):
+        raise ConsistencyError("lowering tree of %r has %d nodes, expected %d"
+                               % (lam, len(nodes), weyl_dim(lam)))
+    return tuple(nodes)
+
+
+def module_span(h: Poly):
+    """Basis of the irreducible module generated by a highest weight
+    vector h of weight (lam, mu, nu): the vectors w_A w_B w_C h for the
+    lowering words of lowering_tree(lam), (mu) and (nu) acting on the
+    A, B and C factors.  Each vector is one lowering operator applied to
+    an earlier one, then content-normalized; h itself comes first.
     """
     w = h.weight()
-    lam, mu, nu = (tuple(sorted(c, reverse=True)) for c in w)
-    if (_pad(lam), _pad(mu), _pad(nu)) != w:
+    if w is None:
+        raise ValueError("module_span needs a nonzero highest weight vector")
+    parts = tuple(tuple(sorted(c, reverse=True)) for c in w)
+    if tuple(_pad(c) for c in parts) != w:
         raise ValueError("module_span needs a dominant-weight vector, got weight %r" % (w,))
-    expected = weyl_dim(lam) * weyl_dim(mu) * weyl_dim(nu)
-    for prime in (p, fallback_prime):
-        basis = _close_under_lowering(h, prime, expected)
-        if len(basis) == expected:
-            return basis
-    raise ConsistencyError(
-        "module span of weight %r closed at %d elements, expected %d"
-        % (w, len(basis), expected))
-
-
-def _close_under_lowering(h, p, limit):
-    echelon = {}  # pivot monomial -> reduced row (dict mono -> residue mod p)
-
-    def try_add(f: Poly):
-        row = {m: c % p for m, c in f.terms.items() if c % p}
-        while row:
-            lead = min(row)
-            piv = echelon.get(lead)
-            if piv is None:
-                inv = pow(row[lead], -1, p)
-                row = {m: (c * inv) % p for m, c in row.items()}
-                echelon[lead] = row
-                return True
-            factor = row[lead]
-            for m, c in piv.items():
-                acc = (row.get(m, 0) - factor * c) % p
-                if acc:
-                    row[m] = acc
-                else:
-                    row.pop(m, None)
-        return False
-
-    basis = []
-    queue = [h.content_normalized()]
-    try_add(queue[0])
-    basis.append(queue[0])
-    while queue and len(basis) < limit + 1:
-        f = queue.pop()
-        for ax, to, frm in LOWERING:
-            img = apply_shift(ax, to, frm, f)
-            if img.is_zero():
-                continue
-            if try_add(img):
-                img = img.content_normalized()
-                basis.append(img)
-                queue.append(img)
+    if not poly.is_highest_weight(h):
+        raise ValueError("module_span needs a highest weight vector")
+    basis = [h.content_normalized()]
+    for axis, part in zip("ABC", parts):
+        tree = lowering_tree(tuple(x for x in part if x))
+        grown = []
+        for root in basis:
+            span = [root]
+            for parent, (to, frm) in tree[1:]:
+                span.append(apply_shift(axis, to, frm, span[parent]).content_normalized())
+            grown.extend(span)
+        basis = grown
     return basis

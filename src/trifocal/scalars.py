@@ -8,7 +8,7 @@ is 101 and can be overridden everywhere a prime appears.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 DEFAULT_PRIME = 101
 SECOND_PRIME = 32003
@@ -130,7 +130,7 @@ def rational_reconstruction(a: int, m: int) -> Fraction | None:
     a %= m
     if a == 0:
         return Fraction(0)
-    bound = int((m // 2) ** 0.5)
+    bound = isqrt(m // 2)
     r0, r1 = m, a
     s0, s1 = 0, 1
     while r1 > bound:

@@ -121,6 +121,16 @@ def pencil(t: Tensor333, axis: str):
     return [slice_of(t, axis, s) for s in (1, 2, 3)]
 
 
+def perm_sign(sigma):
+    """Sign of a permutation of range(n), by counting inversions."""
+    sign = 1
+    for a in range(len(sigma)):
+        for b in range(a + 1, len(sigma)):
+            if sigma[a] > sigma[b]:
+                sign = -sign
+    return sign
+
+
 # --- small polynomials in the pencil variables x1, x2, x3 -----------------
 
 def _poly3_mul(p, q):
@@ -150,7 +160,7 @@ def pencil_det(slices):
     """Determinant of the symbolic pencil, as {(e1,e2,e3): coeff}."""
     total = {}
     for sigma in permutations(range(3)):
-        sign = _perm_sign(sigma)
+        sign = perm_sign(sigma)
         term = {(0, 0, 0): sign}
         for r in range(3):
             term = _poly3_mul(term, _entry_form(slices, r, sigma[r]))
@@ -163,15 +173,6 @@ def pencil_det(slices):
             else:
                 total[e] = acc
     return total
-
-
-def _perm_sign(sigma):
-    sign = 1
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if sigma[a] > sigma[b]:
-                sign = -sign
-    return sign
 
 
 def pencil_rank(slices) -> int:
@@ -282,12 +283,17 @@ def _scalar_to_json(x):
 
 
 def _scalar_from_json(x):
+    """An exact scalar from a JSON integer or a "p/q" string.  Floats and
+    booleans are rejected rather than truncated or read as 0/1."""
     if isinstance(x, str):
         num, _, den = x.partition("/")
-        return Fraction(int(num), int(den)) if den else Fraction(int(num))
-    if isinstance(x, (int,)):
+        try:
+            return Fraction(int(num), int(den)) if den else Fraction(int(num))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError("bad rational entry %r" % (x,)) from exc
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
-    raise ValueError("tensor entries must be integers or 'p/q' strings, got %r" % (x,))
+    raise ValueError("entries must be integers or 'p/q' strings, got %r" % (x,))
 
 
 def tensor_to_json(t: Tensor333) -> str:
@@ -297,9 +303,9 @@ def tensor_to_json(t: Tensor333) -> str:
 
 def tensor_from_json(text: str) -> Tensor333:
     data = json.loads(text)
-    if (not isinstance(data, list) or len(data) != 3
-            or any(len(p) != 3 for p in data)
-            or any(len(row) != 3 for p in data for row in p)):
+    if not (isinstance(data, list) and len(data) == 3
+            and all(isinstance(p, list) and len(p) == 3 for p in data)
+            and all(isinstance(row, list) and len(row) == 3 for p in data for row in p)):
         raise ValueError("tensor JSON must be a nested 3x3x3 array")
     return Tensor333([[[_scalar_from_json(data[i][j][k]) for k in range(3)]
                        for j in range(3)] for i in range(3)])

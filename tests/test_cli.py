@@ -35,7 +35,33 @@ def test_check_malformed_input(tmp_path, capsys):
     assert main(["check", path]) == 2
     path2 = write(tmp_path, "bad2.json", "[[1,2],[3,4]]")
     assert main(["check", path2]) == 2
+    # a scalar where a nested array belongs
+    path3 = write(tmp_path, "bad3.json", "[1,2,3]")
+    assert main(["check", path3]) == 2
+    path4 = write(tmp_path, "bad4.json",
+                  json.dumps([[[1, 2, 3]] * 3] * 2 + [[[1, 2, 3], [1, 2, 3], 5]]))
+    assert main(["check", path4]) == 2
     assert main(["check", str(tmp_path / "missing.json")]) == 2
+
+
+def test_check_rejects_float_bool_and_bad_rational_entries(tmp_path, capsys):
+    for bad in (2.5, True, "1/0"):
+        entries = json.loads(tensor_to_json(catalog()["trifocal"].tensor))
+        entries[0][1][2] = bad
+        path = write(tmp_path, "t.json", json.dumps(entries))
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_from_cameras_rejects_float_bool_and_bad_rational_entries(tmp_path, capsys):
+    ct = random_triple(random.Random(74))
+    for bad in (2.7, True, "1/0"):
+        a1 = [list(r) for r in ct.a1.m]
+        a1[1][3] = bad
+        cams = write(tmp_path, "cams.json",
+                     json.dumps({"A1": a1, "A2": ct.a2.m, "A3": ct.a3.m}))
+        assert main(["from-cameras", cams]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_from_cameras_pipeline(tmp_path, capsys):

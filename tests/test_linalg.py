@@ -198,11 +198,37 @@ def test_kernel_basis_int_certified():
         assert sum(c * v[i] for i, c in r.items()) == 0
 
 
+def test_kernel_basis_int_skips_primes_where_rank_drops():
+    # every second work prime divides the second row, so the rank drops
+    # from 2 to 1 there; the kernel entries need three good primes to lift
+    P = linalg._WORK_PRIMES
+    q = P[0] * P[2] * P[4] * P[6] * P[8]
+    a, b = 3 ** 25 + 4, 5 ** 17 - 2
+    rows = [{0: 1, 2: a}, {1: q, 2: b * q}]
+    assert linalg.kernel_basis_int(rows, 3) == [[a, b, -1]]
+
+
 def test_rational_reconstruction_roundtrip():
     p = 1073741789
     for f in (Fraction(0), Fraction(3, 7), Fraction(-22, 5), Fraction(104)):
         a = (f.numerator * pow(f.denominator, -1, p)) % p
         assert rational_reconstruction(a, p) == f
+
+
+def test_rational_reconstruction_beyond_float_range():
+    m = 2 ** 1100 + 1
+    for f in (Fraction(3, 7), Fraction(-22, 5), Fraction(2 ** 500, 3 ** 300)):
+        a = (f.numerator * pow(f.denominator, -1, m)) % m
+        assert rational_reconstruction(a, m) == f
+
+
+def test_rational_reconstruction_perfect_square_bound():
+    # m // 2 = k^2 - 1, so the bound is k - 1; a float sqrt rounds it to k
+    k = 2 ** 40
+    m = 2 * k * k - 1
+    assert rational_reconstruction(k - 1, m) == k - 1
+    assert rational_reconstruction(m - (k - 1), m) == -(k - 1)
+    assert rational_reconstruction(k, m) is None
 
 
 def test_sparse_matrix_invariants():

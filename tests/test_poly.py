@@ -167,13 +167,21 @@ def test_witness_g_structure():
 
 
 def test_text_format_roundtrip():
-    f = f_determinant()
-    assert parse_poly(format_poly(f)) == f
-    g = witness_g()
-    assert parse_poly(format_poly(g)) == g
+    hw5 = rep.hw_space(((2, 2, 1), (2, 2, 1), (3, 1, 1))).basis[0]
+    for f in [f_determinant(), witness_g(), *s3_m3(), *rep.module_span(hw5)[::9]]:
+        assert parse_poly(format_poly(f)) == f
     assert parse_poly("2*T_1_1_1^2 - 1/2*T_2_2_2") == Poly({
         (var_index(0, 0, 0), var_index(0, 0, 0)): 2,
         (var_index(1, 1, 1),): Fraction(-1, 2)})
+    assert parse_poly("-a11 + 3 * b12^0") == Poly({(var_index(0, 0, 0),): -1, (): 3})
+
+
+@pytest.mark.parametrize("text", [
+    "a11^-1", "a11^1.5", "a11^", "a11 -", "- ", "a11 + - b11", "+", "",
+    "a11**b11", "2*", "1/0*a11", "T_4_1_1", "a00", "d11", "2.5*a11"])
+def test_parse_poly_rejects_malformed_text(text):
+    with pytest.raises(ValueError):
+        parse_poly(text)
 
 
 def test_json_terms():

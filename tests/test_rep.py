@@ -4,10 +4,11 @@ from math import factorial
 
 import pytest
 
-from trifocal import rep
+from trifocal import linalg, rep
 from trifocal.poly import Poly, det_slice_poly, f_determinant, is_highest_weight
-from trifocal.rep import (all_labels, class_size, hw_space, kronecker,
-                          mn_character, module_span, partitions, weyl_dim)
+from trifocal.rep import (MAX_DEGREE, all_labels, class_size, hw_space, kronecker,
+                          lowering_tree, mn_character, module_span, partitions,
+                          partitions_max_parts, weyl_dim)
 
 
 def cycle_type(perm):
@@ -193,6 +194,53 @@ def test_module_span_defining_representation():
 def test_module_span_needs_dominant_weight():
     with pytest.raises(ValueError):
         module_span(Poly.variable(2, 1, 1, one_based=True))
+
+
+def test_module_span_needs_highest_weight_vector():
+    # dominant weight ((1,1,0),(1,1,0),(1,1,0)), but raising T_2_2_2 is nonzero
+    t111 = Poly.variable(1, 1, 1, one_based=True)
+    t222 = Poly.variable(2, 2, 2, one_based=True)
+    with pytest.raises(ValueError, match="highest weight"):
+        module_span(t111 * t222)
+    with pytest.raises(ValueError):
+        module_span(Poly())
+
+
+def test_lowering_tree_sizes():
+    for d in range(MAX_DEGREE + 1):
+        for lam in partitions_max_parts(d, 3):
+            tree = lowering_tree(lam)
+            assert len(tree) == weyl_dim(lam), lam
+            assert tree[0] == (None, None)
+            assert all(parent < n for n, (parent, _) in enumerate(tree) if n)
+
+
+def test_degree5_module_spans_are_bases_closed_under_operators(discovery5):
+    import numpy as np
+    from trifocal.poly import LOWERING, RAISING, apply_shift
+    p = linalg._WORK_PRIMES[0]
+    modules = discovery5.scans[5].modules
+    assert sorted(m.dim for m in modules) == [27, 54]
+    for m in modules:
+        span = m.basis
+        cols = {}
+        for f in span:
+            for mono in f.terms:
+                cols.setdefault(mono, len(cols))
+
+        def rank(polys):
+            a = np.zeros((len(polys), len(cols)), dtype=np.int64)
+            for i, f in enumerate(polys):
+                for mono, c in f.terms.items():
+                    a[i, cols[mono]] = c % p
+            return linalg.rank_mod_p(a, p)
+
+        # rank over F_p is a lower bound for the rank over Q
+        assert rank(span) == len(span) == rep.label_dim(m.label)
+        for ax, to, frm in LOWERING + RAISING:
+            images = [apply_shift(ax, to, frm, f) for f in span]
+            assert all(mono in cols for g in images for mono in g.terms)
+            assert rank(span + images) == len(span), (m.label, ax, to, frm)
 
 
 def test_module_span_closed_under_operators():
