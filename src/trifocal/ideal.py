@@ -6,19 +6,41 @@ so each question decomposes into small independent weight blocks, and an
 exact rank over F_p per block answers it.  Exact-over-Q statements
 (vanishing certificates) are produced from rational kernels of evaluation
 matrices at integer points and re-verified by direct evaluation.
+
+The rank sweep is folded by the Weyl group S3^3 of coordinate
+permutations.  A degree whose generators all came from
+GradedGeneratorSet.add_module (rep.module_span of a highest weight vector)
+spans a GL(3)^3-stable space over Q, and so does every slice of the ideal
+above it.  Permutation matrices lie in GL(3, Q)^3 and map the weight block
+w onto the block sigma(w) (Fulton-Harris, Representation Theory, on the
+Weyl group acting on weights), so rank_Q(w) = rank_Q(sigma w).  When every
+degree <= d is module-built the sweep ranks only the dominant block of
+each orbit and counts it |S3^3 . w| times; otherwise G is trivial.  A
+witness f folds by G_f = {sigma in G : sigma(f) in Q^x f}, checked exactly,
+the sigma that also permute the blocks of the ideal plus (f).  Since
+rank_p(w) <= rank_Q(w) = rank_Q(sigma w), a folded total is a lower bound
+on the dimension over Q, as the unfolded sum is; for G = {id} it is that sum.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import permutations, product
+
 import numpy as np
 
 from . import linalg, rep
-from .poly import Poly, mono_mul, mono_weight, monomials_of_degree, weight_space_basis
+from .poly import (Poly, mono_mul, mono_weight, var_ijk, var_index,
+                   weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, random_orbit_point
 
 DEFAULT_DEGREE_CAP = 6
 HARD_DEGREE_CAP = 7
+
+# S3^3 as (sigma_A, sigma_B, sigma_C); sigma sends T_ijk to T_sA(i)sB(j)sC(k)
+WEYL = tuple(product(permutations(range(3)), repeat=3))
+IDENTITY = (WEYL[0],)
 
 
 class DegreeCapError(ValueError):
@@ -33,36 +55,54 @@ def _check_cap(d, cap):
 
 
 class GradedGeneratorSet:
-    """Homogeneous generators bucketed by degree."""
+    """Homogeneous, weight-homogeneous generators bucketed by degree and
+    indexed by weight.  A degree is module-built while all of its
+    generators came from add_module."""
 
     def __init__(self, by_degree=None):
         self.by_degree = {}
-        if by_degree:
-            for d, polys in by_degree.items():
-                self.add(d, polys)
+        self._tables = {}   # degree -> weight_table(degree)
+        self._modules = {}  # degree -> module-built
+        for d, polys in (by_degree or {}).items():
+            self.add(d, polys)
 
-    def add(self, degree, polys):
+    def _file(self, degree, polys, weigh):
+        # a fresh index, so a rejected generator leaves the set unchanged
+        index = {w: list(fs) for w, fs in self._tables.get(degree, (None, []))[1]}
         for f in polys:
             if f.degree() != degree:
                 raise ValueError("generator of degree %s filed under %d" % (f.degree(), degree))
+            index.setdefault(weigh(f), []).append(f)
+        items = list(index.items())
+        self._tables[degree] = (
+            np.array([sum(w, ()) for w, _ in items], dtype=np.int64).reshape(-1, 9), items)
         self.by_degree.setdefault(degree, []).extend(polys)
+
+    def add(self, degree, polys):
+        """Add plain generators; their degree stops being module-built."""
+        self._file(degree, polys, Poly.weight)
+        self._modules[degree] = False
+
+    def add_module(self, hw: Poly):
+        """Add the module rep.module_span(hw) of a highest weight vector
+        and return its basis."""
+        basis = rep.module_span(hw)
+        # lowering operators keep each basis vector weight-homogeneous
+        self._file(hw.degree(), basis, lambda f: mono_weight(next(iter(f.terms))))
+        self._modules.setdefault(hw.degree(), True)
+        return basis
 
     def degrees(self):
         return sorted(self.by_degree)
 
-    def polys(self, degree):
-        return self.by_degree.get(degree, [])
+    def weight_table(self, degree):
+        """The generator weights of one degree as a k x 9 array, and the
+        matching [(weight, generators)] list."""
+        return self._tables[degree]
 
-    def below(self, d):
-        return GradedGeneratorSet({e: list(ps) for e, ps in self.by_degree.items() if e < d})
-
-    def with_extra(self, degree, polys):
-        g = GradedGeneratorSet({e: list(ps) for e, ps in self.by_degree.items()})
-        g.add(degree, polys)
-        return g
-
-    def counts(self):
-        return {d: len(ps) for d, ps in sorted(self.by_degree.items())}
+    def symmetry_group(self, d):
+        """S3^3 when every degree <= d is module-built, else {id}."""
+        return WEYL if all(m for e, m in self._modules.items() if e <= d) else IDENTITY
 
 
 # ---------------------------------------------------------------------------
@@ -72,187 +112,202 @@ def _product_row(gen: Poly, mult):
     return {mono_mul(m, mult): c for m, c in gen.terms.items()}
 
 
-def slice_rows_by_weight(gens: GradedGeneratorSet, d):
-    """All monomial-times-generator rows of the degree-d slice, grouped by
-    torus weight.  Rows are sparse {monomial: int} dicts."""
-    groups = {}
+def _minus(w, v):
+    return tuple(tuple(a - b for a, b in zip(x, y)) for x, y in zip(w, v))
+
+
+# a degree-7 sweep over generators of degree >= 3 meets under 5000 keys
+@lru_cache(maxsize=8192)
+def _multipliers(n, weight):
+    return tuple(weight_space_basis(n, weight))
+
+
+def _rows_at(gens: GradedGeneratorSet, d, weight, top):
+    """Degree-d product rows of the given weight from generators of degree
+    at most top; one multiplier basis per generator weight."""
+    rows = []
+    flat = np.array(sum(weight, ()), dtype=np.int64)
     for e in gens.degrees():
-        if e > d:
+        if e > min(d, top):
             continue
-        for g in gens.polys(e):
-            for mult in monomials_of_degree(d - e):
-                row = _product_row(g, mult)
-                w = mono_weight(next(iter(row)))
-                groups.setdefault(w, []).append(row)
+        table, items = gens.weight_table(e)
+        for i in np.nonzero((table <= flat).all(axis=1))[0]:
+            wg, polys = items[i]
+            for mult in _multipliers(d - e, _minus(weight, wg)):
+                rows.extend(_product_row(g, mult) for g in polys)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _contents(n):
+    """Index contents (x, y, z), x + y + z = n, of one factor in degree n."""
+    return tuple((x, y, n - x - y) for x in range(n, -1, -1) for y in range(n - x, -1, -1))
+
+
+def _shifted_weights(w, n):
+    """Weights of degree-n multiples of a weight-w polynomial; every
+    content triple is the weight of some monomial."""
+    return {tuple(tuple(a + b for a, b in zip(slot, c)) for slot, c in zip(w, cs))
+            for cs in product(_contents(n), repeat=3)}
+
+
+def _slice_weights(gens: GradedGeneratorSet, d):
+    """Weights of the nonempty blocks of the degree-d slice."""
+    out = set()
+    for e in gens.degrees():
+        if e <= d:
+            for wg, _ in gens.weight_table(e)[1]:
+                out |= _shifted_weights(wg, d - e)
+    return out
+
+
+def slice_rows_by_weight(gens: GradedGeneratorSet, d, weights=None):
+    """Monomial-times-generator rows of the degree-d slice grouped by torus
+    weight, {weight: rows}, for the requested weights (default: all) whose
+    block is nonempty.  Rows are sparse {monomial: int} dicts."""
+    groups = {}
+    for w in _slice_weights(gens, d) if weights is None else weights:
+        rows = _rows_at(gens, d, w, d)
+        if rows:
+            groups[w] = rows
     return groups
 
 
 def rows_in_weight_block(gens: GradedGeneratorSet, d, weight, strict_below=True):
     """Degree-d product rows with a prescribed weight (one block only)."""
-    rows = []
-    for e in gens.degrees():
-        if e > d or (strict_below and e == d):
-            continue
-        for g in gens.polys(e):
-            wg = g.weight()
-            delta = tuple(tuple(a - b for a, b in zip(wt, wgt))
-                          for wt, wgt in zip(weight, wg))
-            if any(x < 0 for slot in delta for x in slot):
-                continue
-            for mult in weight_space_basis(d - e, delta):
-                rows.append(_product_row(g, mult))
-    return rows
+    return _rows_at(gens, d, weight, d - 1 if strict_below else d)
 
 
-def _block_echelon(rows, p):
-    """Echelon object over F_p spanning the given sparse rows."""
-    cols = {}
-    for r in rows:
-        for m in r:
-            if m not in cols:
-                cols[m] = len(cols)
-    ech = linalg.Echelon(len(cols), p)
-    if not rows:
-        return ech, cols
-    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
+def _block_matrix(rows, p, extra=()):
+    """Rows mod p as a dense array over the block's monomial columns, plus
+    columns for the extra monomials."""
+    cols, ri, ci, vals = {}, [], [], []
     for i, r in enumerate(rows):
         for m, c in r.items():
-            a[i, cols[m]] = c % p
-    # bulk forward elimination, then seed the echelon with the survivors
-    m_, n_ = a.shape
-    rk = 0
-    for c in range(n_):
-        if rk == m_:
-            break
-        nz = np.nonzero(a[rk:, c])[0]
-        if nz.size == 0:
-            continue
-        i = rk + int(nz[0])
-        if i != rk:
-            a[[rk, i], c:] = a[[i, rk], c:]
-        inv = pow(int(a[rk, c]), -1, p)
-        a[rk, c:] = (a[rk, c:] * inv) % p
-        below = a[rk + 1:, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            a[rk + 1 + hit, c:] = (a[rk + 1 + hit, c:] - np.outer(below[hit], a[rk, c:])) % p
-        rk += 1
-    for i in range(rk):
-        lead = int(np.nonzero(a[i])[0][0])
-        ech.lead[lead] = len(ech.rows)
-        ech.rows.append(a[i])
+            ri.append(i)
+            ci.append(cols.setdefault(m, len(cols)))
+            vals.append(c % p)
+    for m in extra:
+        cols.setdefault(m, len(cols))
+    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    a[ri, ci] = vals
+    return a, cols
+
+
+def _block_echelon(rows, p, extra=()):
+    """Echelon object over F_p spanning the given sparse rows; the extra
+    monomials get columns too."""
+    a, cols = _block_matrix(rows, p, extra)
+    ech = linalg.Echelon(len(cols), p)
+    for row in linalg.echelon_mod_p(a, p):
+        ech.lead[int(np.nonzero(row)[0][0])] = len(ech.rows)
+        ech.rows.append(row)
     return ech, cols
 
 
 def _poly_vector(f: Poly, cols, p):
     v = np.zeros(len(cols), dtype=np.int64)
-    missing = object()
     for m, c in f.terms.items():
-        idx = cols.get(m, missing)
-        if idx is missing:
-            return None  # monomial outside the block's column span
-        v[idx] = c % p
+        v[cols[m]] = c % p
     return v
 
 
-def ideal_dim_in_degree(gens: GradedGeneratorSet, d, p=DEFAULT_PRIME,
-                        cap=DEFAULT_DEGREE_CAP, progress=None) -> int:
-    """Dimension of the degree-d slice of the generated ideal, as the sum
-    of weight-block ranks over F_p."""
-    _check_cap(d, cap)
-    if not is_prime(p):
-        raise ValueError("%d is not prime" % p)
-    groups = slice_rows_by_weight(gens, d)
-    total = 0
-    for i, (w, rows) in enumerate(groups.items()):
-        ech, _ = _block_echelon(rows, p)
-        total += ech.rank
-        if progress and (i + 1) % 2000 == 0:
-            progress("degree %d: %d/%d weight blocks" % (d, i + 1, len(groups)))
-    return total
+# ---------------------------------------------------------------------------
+# the folded rank sweep
+
+def stabiliser(group, f: Poly):
+    """The sigma in group with sigma(f) a rational multiple of f."""
+    m0 = next(iter(f.terms))
+    out = []
+    for sigma in group:
+        vmap = [var_index(*(s[x] for s, x in zip(sigma, var_ijk(v)))) for v in range(27)]
+        g = {tuple(sorted(vmap[v] for v in m)): c for m, c in f.terms.items()}
+        if g.keys() == f.terms.keys() and all(
+                g[m] * f.terms[m0] == c * g[m0] for m, c in f.terms.items()):
+            out.append(sigma)
+    return tuple(out)
 
 
-def hilbert_quotient(gens: GradedGeneratorSet, d, p=DEFAULT_PRIME,
-                     cap=DEFAULT_DEGREE_CAP, progress=None) -> int:
-    if d == 0:
-        return 1
-    return rep.ambient_dimension(d) - ideal_dim_in_degree(gens, d, p=p, cap=cap,
-                                                          progress=progress)
+def _canonical(group, w):
+    """The largest weight in the orbit of w: the dominant one for S3^3."""
+    if group is WEYL:
+        return tuple(tuple(sorted(slot, reverse=True)) for slot in w)
+    return max(tuple(tuple(slot[i] for i in s) for slot, s in zip(w, sigma))
+               for sigma in group)
+
+
+def _fold(group, weights):
+    """{orbit representative: number of the given weights in its orbit}."""
+    reps = {}
+    for w in weights:
+        r = _canonical(group, w)
+        reps[r] = reps.get(r, 0) + 1
+    return reps
+
+
+def _rank(rows, p):
+    return linalg.rank_mod_p(_block_matrix(rows, p)[0], p)
 
 
 def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRIME,
                            cap=DEFAULT_DEGREE_CAP, progress=None):
-    """Quotient dimensions in degree d for the base ideal and for each
-    base+witness ideal, sharing the per-block base echelon.
+    """Quotient dimensions in degree d of the base ideal and of each
+    base+witness ideal: F_p ranks of weight blocks, one bulk elimination
+    per block, folded by gens.symmetry_group(d) and by each witness's
+    stabiliser in it (see the module docstring).
 
     witnesses: list of homogeneous weight-homogeneous polynomials.
     Returns (base_quotient, [witness_quotients]).
     """
     _check_cap(d, cap)
-    base_groups = slice_rows_by_weight(gens, d)
-    ext_groups = []
-    for wpoly in witnesses:
-        e = wpoly.degree()
-        g = {}
-        if e <= d:
-            for mult in monomials_of_degree(d - e):
-                row = _product_row(wpoly, mult)
-                w = mono_weight(next(iter(row)))
-                g.setdefault(w, []).append(row)
-        ext_groups.append(g)
-    weights = set(base_groups)
-    for g in ext_groups:
-        weights.update(g)
-    base_total = 0
-    ext_totals = [0] * len(ext_groups)
-    for i, w in enumerate(sorted(weights)):
-        rows = base_groups.get(w, [])
-        ext_rows = [g.get(w, []) for g in ext_groups]
-        cols = {}
-        for r in rows:
-            for m in r:
-                cols.setdefault(m, len(cols))
-        for er in ext_rows:
-            for r in er:
-                for m in r:
-                    cols.setdefault(m, len(cols))
-        ech = linalg.Echelon(len(cols), p)
-        for r in rows:
-            v = np.zeros(len(cols), dtype=np.int64)
-            for m, c in r.items():
-                v[cols[m]] = c % p
-            ech.add(v)
-        base_total += ech.rank
-        for j, er in enumerate(ext_rows):
-            if not er:
-                ext_totals[j] += ech.rank
-                continue
-            fork = ech.fork()
-            for r in er:
-                v = np.zeros(len(cols), dtype=np.int64)
-                for m, c in r.items():
-                    v[cols[m]] = c % p
-                fork.add(v)
-            ext_totals[j] += fork.rank
-        if progress and (i + 1) % 2000 == 0:
-            progress("degree %d: %d/%d weight blocks" % (d, i + 1, len(weights)))
+    if not is_prime(p):
+        raise ValueError("%d is not prime" % p)
+    group = gens.symmetry_group(d)
+    base = _fold(group, _slice_weights(gens, d))
+    folds = []  # (witness, degree, weight, stabiliser, {representative: orbit size})
+    for f in witnesses:
+        e, wf, stab = f.degree(), f.weight(), stabiliser(group, f)
+        folds.append((f, e, wf, stab, _fold(stab, _shifted_weights(wf, d - e)) if e <= d else {}))
+    groups = slice_rows_by_weight(gens, d, set(base).union(*(fd[4] for fd in folds)))
+    ranks = {w: _rank(groups[w], p) for w in base}
+    base_dim = sum(n * ranks[w] for w, n in base.items())
+    ext_dims = []
+    for f, e, wf, _, wit in folds:
+        # a block with witness rows trades its base rank for the joint rank
+        total = base_dim
+        for w, n in wit.items():
+            rows = groups.get(w, []) + [_product_row(f, m)
+                                        for m in _multipliers(d - e, _minus(w, wf))]
+            total += n * (_rank(rows, p) - ranks.get(_canonical(group, w), 0))
+        ext_dims.append(total)
+    if progress:
+        progress("degree %d: ranked %d of %d nonempty weight blocks, |G| = %d" % (
+            d, len(base), sum(base.values()), len(group)) + "".join(
+            "; witness %d: %d of %d, |G_w| = %d" % (j + 1, len(wit), sum(wit.values()), len(stab))
+            for j, (_, _, _, stab, wit) in enumerate(folds)))
     amb = rep.ambient_dimension(d)
-    return amb - base_total, [amb - t for t in ext_totals]
+    return amb - base_dim, [amb - t for t in ext_dims]
+
+
+def ideal_dim_in_degree(gens: GradedGeneratorSet, d, p=DEFAULT_PRIME,
+                        cap=DEFAULT_DEGREE_CAP, progress=None) -> int:
+    """Dimension over F_p of the degree-d slice of the generated ideal:
+    the witness-free sweep."""
+    return rep.ambient_dimension(d) - hilbert_quotient(gens, d, p, cap, progress)
+
+
+def hilbert_quotient(gens: GradedGeneratorSet, d, p=DEFAULT_PRIME,
+                     cap=DEFAULT_DEGREE_CAP, progress=None) -> int:
+    return hilbert_with_witnesses(gens, [], d, p=p, cap=cap, progress=progress)[0]
 
 
 def minimal_generator_test(h: Poly, gens: GradedGeneratorSet, p=DEFAULT_PRIME) -> bool:
     """True iff h lies in the degree slice generated by the lower-degree
     part of gens (restricted to h's weight block); True means h is NOT a
     minimal generator."""
-    d = h.degree()
-    w = h.weight()
-    rows = rows_in_weight_block(gens, d, w, strict_below=True)
-    ech, cols = _block_echelon(rows, p)
-    for m in h.terms:
-        if m not in cols:
-            return False
-    v = _poly_vector(h, cols, p)
-    return not ech.fork().add(v)
+    rows = rows_in_weight_block(gens, h.degree(), h.weight(), strict_below=True)
+    ech, cols = _block_echelon(rows, p, extra=h.terms)
+    return not ech.add(_poly_vector(h, cols, p))
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +406,13 @@ class DegreeScan:
     def new_generator_count(self):
         return sum(m.dim for m in self.modules)
 
-    def new_labels(self):
-        return [m.label for m in self.modules]
-
 
 def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
                 p=DEFAULT_PRIME, oversample=2, progress=None) -> DegreeScan:
     """One pass of the minimal-generator search in degree d: for every
     isotypic label, find the vanishing hw subspace and sort its
-    certificates into old (inside the lower-degree ideal slice) and new."""
+    certificates into old (inside the lower-degree ideal slice) and new.
+    Each new certificate's module is added to gens (add_module)."""
     scan = DegreeScan(d)
     labels = [lab for lab in rep.all_labels(d) if rep.kronecker(*lab) > 0]
     for idx, lab in enumerate(labels):
@@ -368,24 +421,13 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
         new_certs = []
         if report.multiplicity:
             rows = rows_in_weight_block(gens, d, hw.weight, strict_below=True)
-            ech, cols = _block_echelon(rows, p)
-            for cert in report.certificates:
-                for m in cert.terms:
-                    cols.setdefault(m, len(cols))
-            if len(cols) > ech.ncols:
-                grown = linalg.Echelon(len(cols), p)
-                for row in ech.rows:
-                    v = np.zeros(len(cols), dtype=np.int64)
-                    v[:len(row)] = row
-                    grown.add(v)
-                ech = grown
-            for cert in report.certificates:
-                v = _poly_vector(cert, cols, p)
-                if ech.add(v):
-                    new_certs.append(cert)
+            ech, cols = _block_echelon(rows, p, extra=[m for cert in report.certificates
+                                                        for m in cert.terms])
+            new_certs = [cert for cert in report.certificates
+                         if ech.add(_poly_vector(cert, cols, p))]
         scan.rows.append((lab, rep.kronecker(*lab), hw.dim, report.multiplicity, len(new_certs)))
         for cert in new_certs:
-            scan.modules.append(DiscoveredModule(d, lab, cert, rep.module_span(cert)))
+            scan.modules.append(DiscoveredModule(d, lab, cert, gens.add_module(cert)))
         if progress:
             progress("degree %d: label %d/%d %r vanishing %d new %d"
                      % (d, idx + 1, len(labels), lab, report.multiplicity, len(new_certs)))
@@ -417,9 +459,6 @@ def discover(max_degree, nf: Tensor333, seed=2024, p=DEFAULT_PRIME,
         scan = scan_degree(d, disc.gens, nf, seed + 1000 * d, p=p,
                            oversample=oversample, progress=progress)
         disc.scans[d] = scan
-        new = [f for m in scan.modules for f in m.basis]
-        if new:
-            disc.gens.add(d, new)
     return disc
 
 

@@ -188,8 +188,9 @@ def _check_machine_prime(p):
         raise ValueError("prime %d too large for int64 elimination" % p)
 
 
-def rank_mod_p(rows_array, p) -> int:
-    """Rank of an integer matrix mod p; forward elimination, in place."""
+def echelon_mod_p(rows_array, p):
+    """Forward elimination mod p: the nonzero rows of a row echelon form,
+    each with leading entry 1, in order of their leading columns."""
     _check_machine_prime(p)
     a = np.ascontiguousarray(rows_array, dtype=np.int64) % p
     m, n = a.shape
@@ -210,12 +211,17 @@ def rank_mod_p(rows_array, p) -> int:
         if hit.size:
             a[r + 1 + hit, c:] = (a[r + 1 + hit, c:] - np.outer(below[hit], a[r, c:])) % p
         r += 1
-    return r
+    return a[:r]
+
+
+def rank_mod_p(rows_array, p) -> int:
+    """Rank of an integer matrix mod p."""
+    return len(echelon_mod_p(rows_array, p))
 
 
 class Echelon:
-    """Incremental row echelon mod p; supports cheap forking for rank
-    extensions (base ideal rows first, then candidate rows)."""
+    """Incremental row echelon mod p: base rows first, then candidate
+    rows that are kept only when independent."""
 
     def __init__(self, ncols, p):
         _check_machine_prime(p)
@@ -245,12 +251,6 @@ class Echelon:
     @property
     def rank(self):
         return len(self.rows)
-
-    def fork(self):
-        e = Echelon(self.ncols, self.p)
-        e.rows = list(self.rows)
-        e.lead = dict(self.lead)
-        return e
 
 
 def rref_mod_p(rows_array, p):

@@ -154,6 +154,14 @@ def test_hilbert_low_cap(capsys):
     assert payload["hilbert_quotient"] == {"1": 27, "2": 378, "3": 3644, "4": 27135}
 
 
+def test_hilbert_progress_reports_each_degree(capsys):
+    assert main(["hilbert", "--degree-cap", "3", "--progress"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["degree 1: ranked 0 of 0 nonempty weight blocks, |G| = 216",
+                   "degree 2: ranked 0 of 0 nonempty weight blocks, |G| = 216",
+                   "degree 3: ranked 3 of 10 nonempty weight blocks, |G| = 216"]
+
+
 def test_nzd_verdict_at_low_cap(capsys):
     assert main(["nzd", "--witness", "f", "--degree-cap", "5", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

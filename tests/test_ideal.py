@@ -7,7 +7,7 @@ from trifocal.ideal import (DegreeCapError, GradedGeneratorSet,
                             scan_degree, slice_rows_by_weight, vanishing_subspace)
 from trifocal.linalg import SparseMatrix
 from trifocal.orbits import skew_tensor
-from trifocal.poly import Poly, f_determinant, m3_generators, witness_g
+from trifocal.poly import Poly, det_slice_poly, f_determinant, m3_generators, witness_g
 from trifocal.tensor import random_orbit_point
 
 
@@ -53,6 +53,64 @@ def test_weight_blocking_is_lossless(m3_set):
             for m, c in r.items():
                 sp[i, cols[m]] = c % 101
         assert sp.rank(p=101) == ideal_dim_in_degree(m3_set, d)
+
+
+def test_module_set_matches_plain_m3_set(m3_set):
+    """The module of one highest weight vector spans the 10 cubics; its
+    folded sweeps give the plain set's H(1..6) and NZD values for f, g."""
+    module_set = GradedGeneratorSet()
+    basis = module_set.add_module(det_slice_poly("C", 1))
+    assert ideal_dim_in_degree(GradedGeneratorSet({3: basis + m3_set.by_degree[3]}), 3) == 10
+    assert module_set.symmetry_group(6) is ideal.WEYL
+    assert m3_set.symmetry_group(6) is ideal.IDENTITY
+    witnesses = [f_determinant(), witness_g()]
+    for d in range(1, 7):
+        assert (ideal.hilbert_with_witnesses(module_set, witnesses, d)
+                == ideal.hilbert_with_witnesses(m3_set, witnesses, d))
+
+
+def test_plain_generator_turns_folding_off():
+    gens = GradedGeneratorSet()
+    basis = gens.add_module(det_slice_poly("C", 1))
+    x = Poly.variable(1, 1, 1, one_based=True)
+    y = Poly.variable(2, 3, 1, one_based=True)
+    gens.add(4, [x * x * y * y])
+    assert gens.symmetry_group(3) is ideal.WEYL
+    assert gens.symmetry_group(4) is ideal.IDENTITY
+    plain = GradedGeneratorSet({3: basis, 4: [x * x * y * y]})
+    for d in (4, 5):
+        assert hilbert_quotient(gens, d) == hilbert_quotient(plain, d)
+    # a module added to a degree that already holds plain generators
+    late = GradedGeneratorSet({2: [x * y]})
+    late.add_module(x * x)
+    assert late.symmetry_group(2) is ideal.IDENTITY
+
+
+def test_witness_stabiliser_orders():
+    assert len(ideal.stabiliser(ideal.WEYL, f_determinant())) == 72
+    assert len(ideal.stabiliser(ideal.WEYL, witness_g())) == 8
+    assert ideal.stabiliser(ideal.IDENTITY, witness_g()) == ideal.IDENTITY
+
+
+@pytest.mark.parametrize("p", [91, 100])
+def test_sweeps_reject_non_prime_modulus(p):
+    gens = GradedGeneratorSet({3: m3_generators("A")})
+    f = det_slice_poly("A", 1)
+    with pytest.raises(ValueError, match="not prime"):
+        graded_nonzerodivisor_check(gens, f, cap=4, p=p)
+    with pytest.raises(ValueError, match="not prime"):
+        ideal.hilbert_with_witnesses(gens, [f], 4, p=p)
+
+
+@pytest.mark.slow
+def test_folded_sweep_matches_unfolded_on_discovery6(discovery6):
+    plain = GradedGeneratorSet(discovery6.gens.by_degree)
+    assert discovery6.gens.symmetry_group(6) is ideal.WEYL
+    assert plain.symmetry_group(6) is ideal.IDENTITY
+    witnesses = [f_determinant(), witness_g()]
+    for d in range(1, 7):
+        assert (ideal.hilbert_with_witnesses(discovery6.gens, witnesses, d, p=101)
+                == ideal.hilbert_with_witnesses(plain, witnesses, d, p=101))
 
 
 def test_two_primes_agree(m3_set):
