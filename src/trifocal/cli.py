@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from . import ideal, orbits, rep
+from . import ideal, linalg, orbits
 from .cameras import (DegenerateConfigurationError, trifocal_from_cameras,
                       triple_from_json)
 from .ideal import (DegreeCapError, discover, graded_nonzerodivisor_check,
@@ -27,6 +27,10 @@ SCHEMA = "trifocal-report/1"
 
 class RunConfig:
     def __init__(self, prime=DEFAULT_PRIME, seed=2024, degree_cap=6, oversample=2):
+        # checked first: is_prime trial-divides, for hours on a 61-bit prime
+        if prime > linalg.MACHINE_PRIME_BOUND:
+            raise ValueError("--prime must be at most %d, got %d"
+                             % (linalg.MACHINE_PRIME_BOUND, prime))
         if not is_prime(prime):
             raise ValueError("--prime must be prime, got %d" % prime)
         if degree_cap > ideal.HARD_DEGREE_CAP:

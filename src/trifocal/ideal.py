@@ -194,17 +194,6 @@ def _block_matrix(rows, p, extra=()):
     return a, cols
 
 
-def _block_echelon(rows, p, extra=()):
-    """Echelon object over F_p spanning the given sparse rows; the extra
-    monomials get columns too."""
-    a, cols = _block_matrix(rows, p, extra)
-    ech = linalg.Echelon(len(cols), p)
-    for row in linalg.echelon_mod_p(a, p):
-        ech.lead[int(np.nonzero(row)[0][0])] = len(ech.rows)
-        ech.rows.append(row)
-    return ech, cols
-
-
 def _poly_vector(f: Poly, cols, p):
     v = np.zeros(len(cols), dtype=np.int64)
     for m, c in f.terms.items():
@@ -246,7 +235,7 @@ def _fold(group, weights):
 
 
 def _rank(rows, p):
-    return linalg.rank_mod_p(_block_matrix(rows, p)[0], p)
+    return len(linalg.rref_mod_p(_block_matrix(rows, p)[0], p)[1])
 
 
 def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRIME,
@@ -260,6 +249,7 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
     Returns (base_quotient, [witness_quotients]).
     """
     _check_cap(d, cap)
+    linalg._check_machine_prime(p)  # before is_prime, which trial-divides
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
     group = gens.symmetry_group(d)
@@ -306,8 +296,8 @@ def minimal_generator_test(h: Poly, gens: GradedGeneratorSet, p=DEFAULT_PRIME) -
     part of gens (restricted to h's weight block); True means h is NOT a
     minimal generator."""
     rows = rows_in_weight_block(gens, h.degree(), h.weight(), strict_below=True)
-    ech, cols = _block_echelon(rows, p, extra=h.terms)
-    return not ech.add(_poly_vector(h, cols, p))
+    a, cols = _block_matrix(rows, p, extra=h.terms)
+    return not linalg.Echelon(a, p).add(_poly_vector(h, cols, p))
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +411,9 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
         new_certs = []
         if report.multiplicity:
             rows = rows_in_weight_block(gens, d, hw.weight, strict_below=True)
-            ech, cols = _block_echelon(rows, p, extra=[m for cert in report.certificates
-                                                        for m in cert.terms])
+            a, cols = _block_matrix(rows, p, extra=[m for cert in report.certificates
+                                                    for m in cert.terms])
+            ech = linalg.Echelon(a, p)
             new_certs = [cert for cert in report.certificates
                          if ech.add(_poly_vector(cert, cols, p))]
         scan.rows.append((lab, rep.kronecker(*lab), hw.dim, report.multiplicity, len(new_certs)))

@@ -1,9 +1,10 @@
-"""Dense and sparse exact linear algebra over Q and F_p.
+"""Exact linear algebra over Q and F_p.
 
-Dense matrices are plain lists of lists holding ints, Fractions or Fp
-elements; everything is exact, nothing here touches floating point.
-The modular kernel/rank routines are numpy-backed (int64 arithmetic mod a
-prime) because they sit on the hot path of every graded-ideal rank sweep.
+Dense matrices over Q are plain lists of lists holding ints or Fractions;
+everything there is exact, nothing touches floating point.  Over F_p there
+is one elimination kernel, rref_mod_p (numpy int64 arithmetic mod a prime
+below MACHINE_PRIME_BOUND): ranks, the incremental Echelon and the modular
+kernels behind the certified integer kernels are all read off its output.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from math import gcd
 
 import numpy as np
 
-from .scalars import Fp, crt_pair, is_prime, rational_reconstruction
+from .scalars import crt_pair, rational_reconstruction
 
 # primes just below 2**30: residues multiply without overflowing int64
 _WORK_PRIMES = [1073741789, 1073741783, 1073741741, 1073741723, 1073741719,
@@ -107,19 +108,6 @@ def kernel_basis(m):
     return basis
 
 
-def solve(m, rhs):
-    """One exact solution of m x = rhs, or None if inconsistent."""
-    rows, cols = dims(m)
-    aug = [list(m[i]) + [rhs[i]] for i in range(rows)]
-    a, pivots = _rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for i, pc in enumerate(pivots):
-        x[pc] = a[i][cols]
-    return x
-
-
 def det(m):
     """Exact determinant. Bareiss for int entries, elimination otherwise."""
     rows, cols = dims(m)
@@ -169,31 +157,26 @@ def _det_bareiss(a):
     return sign * a[n - 1][n - 1]
 
 
-def minor(m, row_set, col_set):
-    rows, cols = dims(m)
-    row_set, col_set = list(row_set), list(col_set)
-    if len(row_set) != len(col_set):
-        raise ValueError("minor needs equally many rows and columns")
-    if any(r < 0 or r >= rows for r in row_set) or any(c < 0 or c >= cols for c in col_set):
-        raise ValueError("minor index out of range")
-    return det([[m[r][c] for c in col_set] for r in row_set])
-
-
 # ---------------------------------------------------------------------------
 # modular (numpy) elimination
 
+# residues below this bound multiply inside int64
+MACHINE_PRIME_BOUND = (1 << 31) - 1
+
+
 def _check_machine_prime(p):
-    # residues multiply inside int64 only for p below 2^31
-    if p > (1 << 31) - 1:
+    if p > MACHINE_PRIME_BOUND:
         raise ValueError("prime %d too large for int64 elimination" % p)
 
 
-def echelon_mod_p(rows_array, p):
-    """Forward elimination mod p: the nonzero rows of a row echelon form,
-    each with leading entry 1, in order of their leading columns."""
+def rref_mod_p(rows_array, p):
+    """Reduced row echelon form of an integer matrix mod p.  Returns (the
+    nonzero rows, each with a leading 1 in a column that is zero in every
+    other row, the list of those pivot columns)."""
     _check_machine_prime(p)
     a = np.ascontiguousarray(rows_array, dtype=np.int64) % p
     m, n = a.shape
+    pivots = []
     r = 0
     for c in range(n):
         if r == m:
@@ -201,34 +184,31 @@ def echelon_mod_p(rows_array, p):
         nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
+        # rows r.. are zero left of c, so only columns c.. change
         i = r + int(nz[0])
         if i != r:
             a[[r, i], c:] = a[[i, r], c:]
         inv = pow(int(a[r, c]), -1, p)
         a[r, c:] = (a[r, c:] * inv) % p
-        below = a[r + 1:, c]
-        hit = np.nonzero(below)[0]
+        col = a[:, c].copy()
+        col[r] = 0
+        hit = np.nonzero(col)[0]
         if hit.size:
-            a[r + 1 + hit, c:] = (a[r + 1 + hit, c:] - np.outer(below[hit], a[r, c:])) % p
+            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
+        pivots.append(c)
         r += 1
-    return a[:r]
-
-
-def rank_mod_p(rows_array, p) -> int:
-    """Rank of an integer matrix mod p."""
-    return len(echelon_mod_p(rows_array, p))
+    return a[:r], pivots
 
 
 class Echelon:
-    """Incremental row echelon mod p: base rows first, then candidate
-    rows that are kept only when independent."""
+    """Row echelon mod p of some base rows that grows by independent
+    candidate rows."""
 
-    def __init__(self, ncols, p):
-        _check_machine_prime(p)
-        self.ncols = ncols
+    def __init__(self, rows_array, p):
+        a, pivots = rref_mod_p(rows_array, p)
         self.p = p
-        self.rows = []
-        self.lead = {}
+        self.rows = list(a)
+        self.lead = {c: i for i, c in enumerate(pivots)}
 
     def add(self, v) -> bool:
         """Reduce v against the echelon; absorb it if independent."""
@@ -247,50 +227,6 @@ class Echelon:
                 self.rows.append(v)
                 return True
             v = (v - v[l] * self.rows[j]) % p
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
-def rref_mod_p(rows_array, p):
-    """Full RREF mod p. Returns (reduced array, pivot column list)."""
-    a = np.ascontiguousarray(rows_array, dtype=np.int64) % p
-    m, n = a.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            a[hit] = (a[hit] - np.outer(col[hit], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
-
-
-def kernel_mod_p(rows_array, p):
-    """Kernel basis mod p: (pivots, free cols, basis rows as int64 array)."""
-    a, pivots = rref_mod_p(rows_array, p)
-    n = rows_array.shape[1]
-    free = [c for c in range(n) if c not in set(pivots)]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for bi, f in enumerate(free):
-        basis[bi, f] = 1
-        for i, pc in enumerate(pivots):
-            basis[bi, pc] = (-int(a[i, f])) % p
-    return pivots, free, basis
 
 
 def _primitive_int_vector(fracs):
@@ -352,7 +288,12 @@ def kernel_basis_int(sparse_rows, ncols, expected_dim=None):
         ref_pivots = None
         lifted = None
         for p in _WORK_PRIMES:
-            pivots, free, basis = kernel_mod_p(dense_mod(p), p)
+            a, pivots = rref_mod_p(dense_mod(p), p)
+            # free columns get the identity, pivot columns minus the RREF
+            free = np.setdiff1d(np.arange(ncols), pivots)
+            basis = np.zeros((len(free), ncols), dtype=np.int64)
+            basis[np.arange(len(free)), free] = 1
+            basis[:, pivots] = (-a[:, free] % p).T
             # The rational rank profile has the most pivots, earliest first;
             # a prime dividing some minor sees fewer or later pivots.  Skip
             # such a prime, and restart only when a better profile shows up.
@@ -411,64 +352,3 @@ def _verify_kernel(rows, vectors):
             if sum(val * v[c] for c, val in r.items()) != 0:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# sparse matrices
-
-class SparseMatrix:
-    """COO-style sparse matrix; stored scalars are nonzero, keys unique."""
-
-    def __init__(self, nrows, ncols, entries=None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {}
-        if entries:
-            for (r, c), v in (entries.items() if isinstance(entries, dict) else entries):
-                self[r, c] = v
-
-    def __setitem__(self, key, v):
-        r, c = key
-        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-            raise IndexError(key)
-        if v == 0 or (isinstance(v, Fp) and not v):
-            self.entries.pop(key, None)
-        else:
-            self.entries[key] = v
-
-    def __getitem__(self, key):
-        return self.entries.get(key, 0)
-
-    @property
-    def nnz(self):
-        return len(self.entries)
-
-    def rank(self, p=None) -> int:
-        """Exact rank.  Rational entries are only accepted while the matrix
-        is small; large sparse work must happen over a prime field."""
-        has_fp = any(isinstance(v, Fp) for v in self.entries.values())
-        if has_fp:
-            ps = {v.p for v in self.entries.values() if isinstance(v, Fp)}
-            if len(ps) > 1:
-                raise ValueError("mixed primes in sparse matrix")
-            p = ps.pop()
-        if p is None:
-            if self.nrows * self.ncols > 250_000:
-                raise ValueError(
-                    "rational sparse rank at %dx%d is not supported: use prime field"
-                    % (self.nrows, self.ncols))
-            dense = [[Fraction(self[r, c]) for c in range(self.ncols)]
-                     for r in range(self.nrows)]
-            return rank(dense)
-        if not is_prime(p):
-            raise ValueError("%d is not prime" % p)
-        ech = Echelon(self.ncols, p)
-        by_row = {}
-        for (r, c), v in self.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        for r in sorted(by_row):
-            vec = np.zeros(self.ncols, dtype=np.int64)
-            for c, v in by_row[r]:
-                vec[c] = (v.val if isinstance(v, Fp) else int(v)) % p
-            ech.add(vec)
-        return ech.rank

@@ -13,8 +13,8 @@ import random
 
 from . import linalg
 from .poly import m3_generators
-from .tensor import (Tensor333, act, frank, pencil, permute_factors, prank,
-                     random_group_element)
+from .tensor import (Tensor333, _linear_form, _poly3_mul, act, frank, pencil,
+                     permute_factors, prank, random_group_element)
 
 # M3 evaluated per axis: axis X vanishing <=> det of the X-pencil is identically 0
 _M3_BY_AXIS = {ax: m3_generators(ax) for ax in "ABC"}
@@ -266,30 +266,6 @@ def _group18(t):
     return (_GROUP18_GA, [[1, 0, 0], [0, t, 0], [0, 0, 1]], linalg.identity(3))
 
 
-def _p3(coeffs):
-    # linear form as a trivariate dict {(e1,e2,e3): c}
-    out = {}
-    for s, c in enumerate(coeffs):
-        if c:
-            e = [0, 0, 0]
-            e[s] = 1
-            out[tuple(e)] = c
-    return out
-
-
-def _p3_mul(p, q):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            acc = out.get(e, 0) + ca * cb
-            if acc == 0:
-                out.pop(e, None)
-            else:
-                out[e] = acc
-    return out
-
-
 def _subst_a3(form):
     """Substitute a3 -> a2^2/a1 into a linear-form dict; returns the
     numerator over the denominator a1."""
@@ -347,11 +323,12 @@ def degeneration_check(name: str, samples=(1, 2, 3)) -> bool:
                     return False
         # row 3: substitute a3 and rescale by -a1/a2; compare after clearing
         for k in range(3):
-            form = _p3([limit_pencil[s][2][k] for s in range(3)])
+            form = _linear_form([limit_pencil[s][2][k] for s in range(3)])
             num = _subst_a3(form)                    # over a1
-            num = _p3_mul(num, _p3([-1, 0, 0]))      # times -a1, over a1*a2
-            target_form = _p3([target_pencil[s][2][k] for s in range(3)])
-            cleared = _p3_mul(target_form, _p3_mul(_p3([1, 0, 0]), _p3([0, 1, 0])))
+            num = _poly3_mul(num, _linear_form([-1, 0, 0]))  # times -a1, over a1*a2
+            target_form = _linear_form([target_pencil[s][2][k] for s in range(3)])
+            cleared = _poly3_mul(target_form, _poly3_mul(_linear_form([1, 0, 0]),
+                                                         _linear_form([0, 1, 0])))
             if num != cleared:
                 return False
         return True

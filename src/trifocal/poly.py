@@ -15,10 +15,9 @@ from __future__ import annotations
 from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 from math import gcd
 
-from .scalars import Fp
 from .tensor import Tensor333, perm_sign
 
 N_VARS = 27
@@ -159,12 +158,6 @@ class Poly:
 
     def evaluate(self, t: Tensor333):
         flat = t.entries_flat()
-        has_fp = any(isinstance(x, Fp) for x in flat)
-        has_q = any(isinstance(x, Fraction) for x in flat)
-        coeff_fp = any(isinstance(c, Fp) for c in self.terms.values())
-        coeff_q = any(isinstance(c, Fraction) for c in self.terms.values())
-        if (has_fp and coeff_q) or (has_q and coeff_fp):
-            raise ValueError("scalar field mismatch between polynomial and tensor")
         total = 0
         for mono, coeff in self.terms.items():
             v = coeff
@@ -241,10 +234,6 @@ def weight_space_basis(d, weight):
             acc.pop()
     rec(0, list(wa), list(wb), list(wc), d, [])
     return sorted(out)
-
-
-def monomials_of_degree(d):
-    return combinations_with_replacement(range(N_VARS), d)
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +390,14 @@ def format_poly(f: Poly) -> str:
             e = mono.count(v)
             factors.append(var_name(v) + ("^%d" % e if e > 1 else ""))
         body = "*".join(factors) if factors else "1"
-        c = Fraction(coeff) if not isinstance(coeff, Fp) else coeff
+        c = Fraction(coeff)
         if c == 1 and factors:
             parts.append("+ " + body)
         elif c == -1 and factors:
             parts.append("- " + body)
         else:
-            sign = "- " if (not isinstance(c, Fp) and c < 0) else "+ "
-            mag = -c if (not isinstance(c, Fp) and c < 0) else c
-            parts.append(sign + str(mag) + "*" + body)
+            sign = "- " if c < 0 else "+ "
+            parts.append(sign + str(abs(c)) + "*" + body)
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else text
 
@@ -460,28 +448,6 @@ def parse_poly(text: str) -> Poly:
             else:
                 coeff = coeff * (Fraction(int(num), int(den)) if slash else int(num)) ** e
         out.add_term(tuple(sorted(mono)), coeff)
-    return out
-
-
-def poly_to_json_terms(f: Poly):
-    out = []
-    for mono in sorted(f.terms, key=lambda m: (-len(m), m)):
-        c = f.terms[mono]
-        cf = Fraction(c)
-        cval = int(cf) if cf.denominator == 1 else "%d/%d" % (cf.numerator, cf.denominator)
-        out.append({"coeff": cval, "vars": [list(x + 1 for x in var_ijk(v)) for v in mono]})
-    return out
-
-
-def poly_from_json_terms(terms) -> Poly:
-    out = Poly()
-    for term in terms:
-        c = term["coeff"]
-        if isinstance(c, str):
-            num, _, den = c.partition("/")
-            c = Fraction(int(num), int(den)) if den else int(num)
-        mono = tuple(sorted(var_index(i - 1, j - 1, k - 1) for i, j, k in term["vars"]))
-        out.add_term(mono, c)
     return out
 
 

@@ -1,8 +1,9 @@
-"""Exact scalars: arbitrary-precision rationals and prime-field elements.
+"""Exact scalars: arbitrary-precision rationals and the prime-field helpers.
 
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator).  Prime-field values are ``Fp`` instances; the default prime
-is 101 and can be overridden everywhere a prime appears.
+denominator).  Residues mod a prime are plain ints; the default prime is
+101 and can be overridden everywhere a prime appears.  Lifting modular
+results back to Q goes through crt_pair and rational_reconstruction.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 DEFAULT_PRIME = 101
-SECOND_PRIME = 32003
 
 
 def is_prime(n: int) -> bool:
@@ -25,93 +25,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-class Fp:
-    """Residue mod p, stored in [0, p)."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val, p=DEFAULT_PRIME):
-        if isinstance(val, Fp):
-            if val.p != p:
-                raise ValueError("mixed primes %d and %d" % (val.p, p))
-            val = val.val
-        elif isinstance(val, Fraction):
-            num, den = val.numerator, val.denominator
-            if den % p == 0:
-                raise ZeroDivisionError("denominator divisible by %d" % p)
-            val = num * pow(den, -1, p)
-        self.val = val % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise ValueError("mixed primes %d and %d" % (self.p, other.p))
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Fp(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Fp(self.val + o.val, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Fp(self.val - o.val, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Fp(o.val - self.val, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Fp(self.val * o.val, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Fp(self.val * pow(o.val, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Fp(o.val * pow(self.val, -1, self.p), self.p)
-
-    def __neg__(self):
-        return Fp(-self.val, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return "Fp(%d, p=%d)" % (self.val, self.p)
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
@@ -144,14 +57,3 @@ def rational_reconstruction(a: int, m: int) -> Fraction | None:
     if s1 < 0:
         r1, s1 = -r1, -s1
     return Fraction(r1, s1)
-
-
-def next_primes(start: int, count: int) -> list[int]:
-    """The first `count` primes >= start, skipping nothing else."""
-    out = []
-    n = max(2, start)
-    while len(out) < count:
-        if is_prime(n):
-            out.append(n)
-        n += 1
-    return out

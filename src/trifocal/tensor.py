@@ -146,14 +146,14 @@ def _poly3_mul(p, q):
     return out
 
 
+def _linear_form(coeffs):
+    """c1*x1 + c2*x2 + c3*x3 as {(e1,e2,e3): c}."""
+    return {tuple(1 if s == i else 0 for i in range(3)): c
+            for s, c in enumerate(coeffs) if c != 0}
+
+
 def _entry_form(slices, r, c):
-    f = {}
-    for s in range(3):
-        v = slices[s][r][c]
-        if v != 0:
-            e = tuple(1 if s == i else 0 for i in range(3))
-            f[e] = v
-    return f
+    return _linear_form([slices[s][r][c] for s in range(3)])
 
 
 def pencil_det(slices):

@@ -1,6 +1,10 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
+import trifocal
 from trifocal.cameras import random_triple
 from trifocal.cli import main
 from trifocal.orbits import catalog
@@ -178,6 +182,18 @@ def test_nzd_bad_witness_file(tmp_path, capsys):
 
 def test_nzd_invalid_prime(capsys):
     assert main(["nzd", "--witness", "f", "--prime", "100"]) == 2
+
+
+def test_huge_prime_rejected_without_primality_test():
+    # trial division would run for hours on the Mersenne prime 2^61 - 1;
+    # a subprocess with a timeout turns that hang into a failure
+    argv = ["hilbert", "--prime", str(2 ** 61 - 1)]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trifocal.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from trifocal.cli import main; sys.exit(main(%r))" % argv],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert "at most %d" % (2 ** 31 - 1) in proc.stderr
 
 
 def test_catalog_listing(capsys):

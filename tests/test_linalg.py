@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 
+import numpy as np
 import pytest
 
 from trifocal import linalg
-from trifocal.linalg import SparseMatrix
-from trifocal.scalars import Fp, rational_reconstruction
+from trifocal.scalars import rational_reconstruction
 
 
 def det_cofactor(m):
@@ -24,6 +23,27 @@ def det_cofactor(m):
 
 def random_matrix(rng, rows, cols, bound=9):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+
+
+def schoolbook_rank_mod(m, p):
+    """Independent oracle: schoolbook elimination mod p on Python ints."""
+    a = [[x % p for x in row] for row in m]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = pow(a[r][c], -1, p)
+        for i in range(r + 1, len(a)):
+            f = a[i][c] * inv
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+def rref_rank(m, p):
+    return len(linalg.rref_mod_p(np.array(m, dtype=np.int64), p)[1])
 
 
 def test_rank_identity_and_zero():
@@ -94,22 +114,7 @@ def test_det_nonzero_iff_full_rank():
         assert (linalg.det(m) != 0) == (linalg.rank(m) == n)
 
 
-def test_minor_of_rank3_4x9_vanishes():
-    rng = random.Random(5)
-    left = random_matrix(rng, 4, 3)
-    right = random_matrix(rng, 3, 9)
-    m = linalg.mat_mul(left, right)  # rank <= 3
-    assert linalg.rank(m) == 3
-    for cols in list(combinations(range(9), 4))[:40]:
-        assert linalg.minor(m, range(4), cols) == 0
-
-
 def test_minor_validation():
-    m = linalg.identity(3)
-    with pytest.raises(ValueError):
-        linalg.minor(m, [0, 1], [0])
-    with pytest.raises(ValueError):
-        linalg.minor(m, [0, 5], [0, 1])
     with pytest.raises(ValueError):
         linalg.det([[1, 2, 3], [4, 5, 6]])
 
@@ -123,9 +128,7 @@ def test_rank_mod_p_vs_rational():
     for _ in range(total):
         m = random_matrix(rng, rng.randint(2, 6), rng.randint(2, 6), bound=50)
         rq = linalg.rank(m)
-        sp = SparseMatrix(len(m), len(m[0]),
-                          {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v})
-        rp = sp.rank(p=101)
+        rp = rref_rank(m, 101)
         if rq == rp:
             agree += 1
         else:
@@ -135,8 +138,7 @@ def test_rank_mod_p_vs_rational():
 
 def test_sparse_identity_rank():
     n = 1000
-    sp = SparseMatrix(n, n, {(i, i): 1 for i in range(n)})
-    assert sp.rank(p=101) == n
+    assert rref_rank(np.eye(n, dtype=np.int64), 101) == n
 
 
 def test_sparse_outer_product_rank():
@@ -151,10 +153,7 @@ def test_sparse_outer_product_rank():
             for i in range(n):
                 for j in range(n):
                     m[i][j] = (m[i][j] + u[i] * v[j]) % p
-        dense_rank = linalg.rank([[Fp(x, p) for x in row] for row in m])
-        sp = SparseMatrix(n, n, {(i, j): v for i, row in enumerate(m)
-                                 for j, v in enumerate(row) if v})
-        assert sp.rank(p=p) == dense_rank == r
+        assert rref_rank(m, p) == schoolbook_rank_mod(m, p) == r
 
 
 def test_sparse_agrees_with_dense_up_to_50():
@@ -167,27 +166,30 @@ def test_sparse_agrees_with_dense_up_to_50():
             for j in range(n):
                 if rng.random() < density:
                     entries[(i, j)] = rng.randint(1, p - 1)
-        sp = SparseMatrix(n, n, dict(entries))
-        dense = [[Fp(entries.get((i, j), 0), p) for j in range(n)] for i in range(n)]
-        assert sp.rank(p=p) == linalg.rank(dense)
+        dense = [[entries.get((i, j), 0) for j in range(n)] for i in range(n)]
+        assert rref_rank(dense, p) == schoolbook_rank_mod(dense, p)
 
 
-def test_sparse_rational_rejected_when_huge():
-    sp = SparseMatrix(1000, 1000, {(0, 0): Fraction(1, 2)})
-    with pytest.raises(ValueError, match="prime field"):
-        sp.rank()
-
-
-def test_sparse_rational_ok_when_small():
-    sp = SparseMatrix(3, 3, {(0, 0): Fraction(1, 2), (1, 1): 1})
-    assert sp.rank() == 2
-
-
-def test_solve():
-    m = [[1, 2], [3, 5]]
-    x = linalg.solve(m, [5, 13])
-    assert linalg.mat_vec(m, x) == [5, 13]
-    assert linalg.solve([[1, 1], [1, 1]], [0, 1]) is None
+def test_rref_mod_p_is_reduced_and_matches_echelon_add():
+    rng = random.Random(9)
+    for p in (2, 101, linalg._WORK_PRIMES[0]):
+        for _ in range(40):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            # low-rank products as well as full random matrices
+            k = rng.randint(1, 4)
+            m = np.array(random_matrix(rng, rows, k), dtype=np.int64) @ np.array(
+                random_matrix(rng, k, cols), dtype=np.int64)
+            a, pivots = linalg.rref_mod_p(m, p)
+            assert a.shape == (len(pivots), cols)
+            assert pivots == sorted(set(pivots))
+            for i, c in enumerate(pivots):
+                assert not a[i, :c].any() and a[i, c] == 1
+                assert a[:, c].tolist() == [int(j == i) for j in range(len(pivots))]
+            assert len(pivots) == schoolbook_rank_mod(m.tolist(), p)
+            ech = linalg.Echelon(np.zeros((0, cols), dtype=np.int64), p)
+            assert sum(ech.add(row) for row in m) == len(pivots)
+    with pytest.raises(ValueError, match="too large"):
+        linalg.rref_mod_p(np.eye(2, dtype=np.int64), 2 ** 31 + 11)
 
 
 def test_kernel_basis_int_certified():
@@ -229,17 +231,3 @@ def test_rational_reconstruction_perfect_square_bound():
     assert rational_reconstruction(k - 1, m) == k - 1
     assert rational_reconstruction(m - (k - 1), m) == -(k - 1)
     assert rational_reconstruction(k, m) is None
-
-
-def test_sparse_matrix_invariants():
-    sp = SparseMatrix(3, 3)
-    sp[0, 0] = 5
-    sp[0, 0] = 0  # storing zero deletes the entry
-    assert sp.nnz == 0
-    sp[1, 2] = 7
-    sp[1, 2] = 9  # keys stay unique
-    assert sp.nnz == 1 and sp[1, 2] == 9
-    with pytest.raises(IndexError):
-        sp[3, 0] = 1
-    with pytest.raises(ValueError):
-        sp.rank(p=100)

@@ -8,8 +8,8 @@ from trifocal.orbits import skew_tensor, trifocal_normal_form
 from trifocal.poly import (Poly, apply_shift, det_slice_poly, f_determinant,
                            format_poly, is_highest_weight, lower, m3_generators,
                            m3_with_x_monomials, mono_weight, parse_poly,
-                           poly_to_json_terms, raise_op, s3_m3, var_index,
-                           weight_space_basis, witness_g)
+                           raise_op, s3_m3, var_index, weight_space_basis,
+                           witness_g)
 from trifocal.tensor import Tensor333, random_orbit_point
 
 
@@ -182,23 +182,3 @@ def test_text_format_roundtrip():
 def test_parse_poly_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         parse_poly(text)
-
-
-def test_json_terms():
-    from trifocal.poly import poly_from_json_terms
-    f = Poly({(var_index(0, 0, 0),): Fraction(1, 2)})
-    assert poly_to_json_terms(f) == [{"coeff": "1/2", "vars": [[1, 1, 1]]}]
-    g = witness_g()
-    assert poly_from_json_terms(poly_to_json_terms(g)) == g
-
-
-def test_evaluate_field_mismatch_rejected():
-    from trifocal.scalars import Fp
-    f = Poly({(var_index(0, 0, 0),): Fp(3, 101)})
-    t = Tensor333.from_terms([(Fraction(1, 2), 1, 1, 1)])
-    with pytest.raises(ValueError, match="field"):
-        f.evaluate(t)
-    # integer coefficients are field-agnostic on prime-field tensors
-    g = Poly.variable(1, 1, 1, one_based=True)
-    tp = Tensor333.from_terms([(Fp(5, 101), 1, 1, 1)])
-    assert g.evaluate(tp) == Fp(5, 101)
