@@ -168,6 +168,7 @@ def cmd_nzd(args) -> int:
         w = witness_g()
     else:
         w = parse_poly(_read_file(args.witness))
+    ideal.check_witness(w)  # before the discovery run, not after it
     progress = (lambda msg: print(msg, file=sys.stderr)) if args.progress else None
     disc = discover(min(cfg.degree_cap, 6), orbits.trifocal_normal_form(),
                     seed=cfg.seed, p=cfg.prime, oversample=cfg.oversample)

@@ -30,7 +30,7 @@ from itertools import permutations, product
 import numpy as np
 
 from . import linalg, rep
-from .poly import (Poly, mono_mul, mono_weight, var_ijk, var_index,
+from .poly import (Poly, mono_mul, mono_weight, permuted, variable_map,
                    weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, random_orbit_point
@@ -63,6 +63,7 @@ class GradedGeneratorSet:
         self.by_degree = {}
         self._tables = {}   # degree -> weight_table(degree)
         self._modules = {}  # degree -> module-built
+        self._ranks = {}    # (degree, p, group) -> {representative: block rank}
         for d, polys in (by_degree or {}).items():
             self.add(d, polys)
 
@@ -77,6 +78,7 @@ class GradedGeneratorSet:
         self._tables[degree] = (
             np.array([sum(w, ()) for w, _ in items], dtype=np.int64).reshape(-1, 9), items)
         self.by_degree.setdefault(degree, []).extend(polys)
+        self._ranks.clear()
 
     def add(self, degree, polys):
         """Add plain generators; their degree stops being module-built."""
@@ -209,8 +211,7 @@ def stabiliser(group, f: Poly):
     m0 = next(iter(f.terms))
     out = []
     for sigma in group:
-        vmap = [var_index(*(s[x] for s, x in zip(sigma, var_ijk(v)))) for v in range(27)]
-        g = {tuple(sorted(vmap[v] for v in m)): c for m, c in f.terms.items()}
+        g = permuted(f, variable_map(sigma=sigma)).terms
         if g.keys() == f.terms.keys() and all(
                 g[m] * f.terms[m0] == c * g[m0] for m, c in f.terms.items()):
             out.append(sigma)
@@ -238,6 +239,14 @@ def _rank(rows, p):
     return len(linalg.rref_mod_p(_block_matrix(rows, p)[0], p)[1])
 
 
+def check_witness(f: Poly):
+    """(degree, weight) of a witness; ValueError unless f is nonzero,
+    homogeneous and weight-homogeneous."""
+    if f.is_zero():
+        raise ValueError("the witness is the zero polynomial")
+    return f.degree(), f.weight()
+
+
 def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRIME,
                            cap=DEFAULT_DEGREE_CAP, progress=None):
     """Quotient dimensions in degree d of the base ideal and of each
@@ -256,10 +265,14 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
     base = _fold(group, _slice_weights(gens, d))
     folds = []  # (witness, degree, weight, stabiliser, {representative: orbit size})
     for f in witnesses:
-        e, wf, stab = f.degree(), f.weight(), stabiliser(group, f)
+        (e, wf), stab = check_witness(f), stabiliser(group, f)
         folds.append((f, e, wf, stab, _fold(stab, _shifted_weights(wf, d - e)) if e <= d else {}))
-    groups = slice_rows_by_weight(gens, d, set(base).union(*(fd[4] for fd in folds)))
-    ranks = {w: _rank(groups[w], p) for w in base}
+    # base block ranks are memoised on gens until it gains generators
+    ranks = gens._ranks.get((d, p, group))
+    groups = slice_rows_by_weight(gens, d, set(base if ranks is None else ()).union(
+        *(fd[4] for fd in folds)))
+    if ranks is None:
+        ranks = gens._ranks[d, p, group] = {w: _rank(groups[w], p) for w in base}
     base_dim = sum(n * ranks[w] for w, n in base.items())
     ext_dims = []
     for f, e, wf, _, wit in folds:
@@ -471,8 +484,7 @@ def graded_nonzerodivisor_check(gens: GradedGeneratorSet, f: Poly, cap=DEFAULT_D
     """Degree-capped Hilbert-series identity: f is certified a
     non-zero-divisor up to the cap iff for all d <= cap
     H(base+f, d) = H(base, d) - H(base, d - deg f)."""
-    e = f.degree()
-    f.weight()  # raises unless weight-homogeneous
+    e, _ = check_witness(f)
     H = {0: 1}
     Hf = {0: 1}
     for d in range(1, cap + 1):

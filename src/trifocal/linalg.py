@@ -260,12 +260,7 @@ def kernel_basis_int(sparse_rows, ncols, expected_dim=None):
 
     all_rows = [r for r in sparse_rows if r]
     if not all_rows:
-        basis = []
-        for f in range(ncols):
-            v = [0] * ncols
-            v[f] = 1
-            basis.append(v)
-        return basis
+        return identity(ncols)
 
     sample_size = ncols + 64
     rng = _random.Random(0xC0FFEE)

@@ -200,6 +200,19 @@ class Poly:
         return "Poly(%s)" % format_poly(self)
 
 
+def permuted(f: Poly, vmap) -> Poly:
+    """f with each variable v replaced by vmap[v], for a permutation vmap
+    of the 27 variables; monomials stay sorted."""
+    return Poly._wrap({tuple(sorted([vmap[v] for v in m])): c for m, c in f.terms.items()})
+
+
+def variable_map(perm=(0, 1, 2), sigma=((0, 1, 2),) * 3):
+    """T_x -> T_y with y[b] = sigma[b][x[perm[b]]]: factor perm[b] becomes
+    factor b, whose indices sigma[b] then permutes (a Weyl group element)."""
+    return tuple(var_index(*(s[var_ijk(v)[a]] for s, a in zip(sigma, perm)))
+                 for v in range(N_VARS))
+
+
 # ---------------------------------------------------------------------------
 # torus weights, weight spaces
 
@@ -296,12 +309,8 @@ LOWERING = tuple((ax, to, frm) for ax in "ABC" for to, frm in ((1, 0), (2, 1)))
 RAISING = tuple((ax, to, frm) for ax in "ABC" for to, frm in ((0, 1), (1, 2)))
 
 
-def apply_all(ops, f: Poly):
-    return [apply_shift(ax, to, frm, f) for ax, to, frm in ops]
-
-
 def is_highest_weight(f: Poly) -> bool:
-    return all(g.is_zero() for g in apply_all(RAISING, f))
+    return all(apply_shift(ax, to, frm, f).is_zero() for ax, to, frm in RAISING)
 
 
 # ---------------------------------------------------------------------------

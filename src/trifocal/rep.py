@@ -16,6 +16,15 @@ w.v_lam form a basis of S_lam(C^3), found once per partition on a small
 one-factor model.  The products w_A w_B w_C h are then a basis of the
 module, so a span needs no elimination and no prime (Fulton-Harris,
 Representation Theory, Section 15).
+
+Highest weight spaces are computed once per orbit of labels under the
+permutations of the three tensor factors.  Relabelling the factors is a
+permutation of the 27 variables that carries the operator E_rs of factor
+a to E_rs of the factor a lands in, so it conjugates the six raising
+operators onto themselves and maps the weight space and hw space of
+(lam, mu, nu) onto those of the permuted label.  The variety is not
+symmetric under it (the degree-5 generators single out C), so vanishing
+on the orbit is still tested label by label.
 """
 
 from __future__ import annotations
@@ -173,18 +182,35 @@ class HWSpace:
 
 @lru_cache(maxsize=None)
 def hw_space(label) -> HWSpace:
-    """Highest weight space for a label, with exact integer basis vectors.
+    """Highest weight space for a label, with exact integer basis vectors:
+    the kernel of the sorted label mapped by the factor permutation (module
+    docstring), re-reduced to the identity on the last independent
+    monomials (the free columns of the label's own kernel RREF, by matroid
+    duality), so bit for bit what _hw_kernel(label) gives.  A dimension
+    other than the Kronecker coefficient raises ConsistencyError."""
+    canon = tuple(sorted(label))
+    hw = _hw_kernel(canon)
+    if kronecker(*label) != hw.dim:
+        raise ConsistencyError("hw space of %r has dimension %d" % (label, hw.dim))
+    if canon == label:
+        return hw
+    # factor b of the label is factor perm[b] of the sorted label
+    perm = next(s for s in permutations(range(3)) if tuple(canon[a] for a in s) == label)
+    vmap = poly.variable_map(perm)
+    monomials = sorted(tuple(sorted(vmap[v] for v in m)) for m in hw.monomials)
+    mapped = [poly.permuted(g, vmap).terms for g in hw.basis]
+    rows = [[t.get(m, 0) for m in reversed(monomials)] for t in mapped]
+    basis = [Poly({m: c for m, c in zip(monomials, row[::-1]) if c}).content_normalized()
+             for row in reversed(linalg._rref(rows)[0])]
+    return HWSpace(label, tuple(_pad(lam) for lam in label), monomials, basis)
 
-    The kernel dimension is asserted against the Kronecker coefficient;
-    a mismatch raises ConsistencyError (it would indicate an operator
-    convention bug, not bad input).
-    """
-    lam, mu, nu = label
-    d = sum(lam)
-    expected = kronecker(lam, mu, nu)
-    weight = (_pad(lam), _pad(mu), _pad(nu))
-    monomials = poly.weight_space_basis(d, weight)
-    col = {m: i for i, m in enumerate(monomials)}
+
+@lru_cache(maxsize=None)
+def _hw_kernel(label) -> HWSpace:
+    """The joint kernel of the six raising operators on the label's weight
+    space, an integer kernel lifted by linalg.kernel_basis_int."""
+    weight = tuple(_pad(lam) for lam in label)
+    monomials = poly.weight_space_basis(sum(label[0]), weight)
     rows = {}
     for ci, mono in enumerate(monomials):
         f = Poly({mono: 1})
@@ -194,14 +220,11 @@ def hw_space(label) -> HWSpace:
                 rows.setdefault((op_id, tmono), {})[ci] = coeff
     try:
         vectors = linalg.kernel_basis_int(rows.values(), len(monomials),
-                                          expected_dim=expected)
+                                          expected_dim=kronecker(*label))
     except ArithmeticError as exc:
-        raise ConsistencyError(
-            "hw space of %r: %s" % (label, exc)) from exc
-    basis = []
-    for v in vectors:
-        f = Poly({monomials[i]: c for i, c in enumerate(v) if c})
-        basis.append(f.content_normalized())
+        raise ConsistencyError("hw space of %r: %s" % (label, exc)) from exc
+    basis = [Poly({monomials[i]: c for i, c in enumerate(v) if c}).content_normalized()
+             for v in vectors]
     return HWSpace(label, weight, monomials, basis)
 
 

@@ -180,6 +180,19 @@ def test_nzd_bad_witness_file(tmp_path, capsys):
     assert main(["nzd", "--witness", bad, "--degree-cap", "3"]) == 2
 
 
+def test_nzd_rejects_zero_and_mixed_weight_witness_before_discovery(tmp_path, capsys,
+                                                                   monkeypatch):
+    def no_discovery(*args, **kwargs):
+        raise AssertionError("discover ran before the witness was checked")
+    monkeypatch.setattr("trifocal.cli.discover", no_discovery)
+    zero = write(tmp_path, "zero.txt", "0\n")
+    assert main(["nzd", "--witness", zero]) == 2
+    assert "zero polynomial" in capsys.readouterr().err
+    mixed = write(tmp_path, "mixed.txt", "T_1_1_1 + T_2_2_2\n")
+    assert main(["nzd", "--witness", mixed]) == 2
+    assert "weight-homogeneous" in capsys.readouterr().err
+
+
 def test_nzd_invalid_prime(capsys):
     assert main(["nzd", "--witness", "f", "--prime", "100"]) == 2
 

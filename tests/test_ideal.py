@@ -92,6 +92,38 @@ def test_witness_stabiliser_orders():
     assert ideal.stabiliser(ideal.IDENTITY, witness_g()) == ideal.IDENTITY
 
 
+def test_base_rank_memo_matches_fresh_sweeps():
+    def fresh(*hws):
+        gens = GradedGeneratorSet()
+        for h in hws:
+            gens.add_module(h)
+        return gens
+    cubic = det_slice_poly("C", 1)
+    gens = fresh(cubic)
+    witnesses = [f_determinant(), witness_g()]
+    hs = [hilbert_quotient(gens, d) for d in range(1, 6)]
+    memo = dict(gens._ranks)
+    assert set(memo) == {(d, 101, ideal.WEYL) for d in range(1, 6)}
+    tables = [graded_nonzerodivisor_check(gens, w, cap=5).table for w in witnesses]
+    assert gens._ranks == memo  # the NZD sweeps reused the Hilbert ranks
+    assert hs == [hilbert_quotient(fresh(cubic), d) for d in range(1, 6)]
+    assert tables == [graded_nonzerodivisor_check(fresh(cubic), w, cap=5).table
+                      for w in witnesses]
+    # a new module keeps the group S3^3 but must not see the old ranks
+    gens.add_module(witness_g())
+    assert gens._ranks == {}
+    assert hilbert_quotient(gens, 5) == hilbert_quotient(fresh(cubic, witness_g()), 5)
+    gens.add(4, [witness_g()])
+    assert gens._ranks == {}
+
+
+def test_zero_witness_rejected(m3_set):
+    with pytest.raises(ValueError, match="zero"):
+        ideal.hilbert_with_witnesses(m3_set, [Poly()], 4)
+    with pytest.raises(ValueError, match="zero"):
+        graded_nonzerodivisor_check(m3_set, Poly(), cap=4)
+
+
 @pytest.mark.parametrize("p", [91, 100])
 def test_sweeps_reject_non_prime_modulus(p):
     gens = GradedGeneratorSet({3: m3_generators("A")})

@@ -260,3 +260,16 @@ def test_module_span_closed_under_operators():
             assert all(m in monos for m in img.terms)
             extra = rows + [[Fraction(img.terms.get(m, 0)) for m in monos]]
             assert linalg.rank(extra) == base_rank
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_hw_space_fold_matches_direct_kernel(d):
+    """The factor-permutation fold reproduces each label's own kernel bit
+    for bit: same monomials, weight and basis terms, in the same order."""
+    for lab in all_labels(d):
+        if kronecker(*lab) == 0:
+            continue
+        hw, ref = hw_space(lab), rep._hw_kernel(lab)
+        assert (hw.label, hw.weight, hw.monomials) == (ref.label, ref.weight, ref.monomials), lab
+        assert [list(b.terms.items()) for b in hw.basis] == [
+            list(b.terms.items()) for b in ref.basis], lab
