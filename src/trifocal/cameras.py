@@ -3,7 +3,10 @@
 A camera is a full-rank 3x4 matrix with exact entries.  A triple of
 cameras produces a 3x3x3 tensor through signed 4x4 minors of the stacked
 4x9 matrix (one row from each of the first two cameras, two rows from the
-third).  ``transfer_geometric`` performs the synthetic projective
+third), each expanded by Laplace along its first two rows into products
+of 2x2 minors, so integer cameras give an integer tensor with no division.
+Focal points are the signed maximal minors of a camera, made primitive.
+``transfer_geometric`` performs the synthetic projective
 construction (back-project two image lines, intersect the planes, image
 the space line into the third view); it is the oracle that pins down the
 sign convention of the minor formula.
@@ -39,65 +42,66 @@ class Camera:
             raise InvalidCameraError("camera must be 3x4, got %dx%d" % (rows, cols))
         self.m = [list(r) for r in m]
 
-    def rank(self):
-        return linalg.rank(self.m)
-
-    def row(self, i):
-        return self.m[i]
-
     def __eq__(self, other):
         return isinstance(other, Camera) and self.m == other.m
 
 
 def focal_point(a: Camera):
-    """Kernel of the camera matrix: the center of projection in P^3."""
-    if a.rank() != 3:
+    """Kernel of the camera matrix, the center of projection in P^3: its
+    signed maximal minors, as a primitive integer vector whose first
+    nonzero entry is positive.  They are all zero exactly when the camera
+    is rank-deficient."""
+    minors = [(-1) ** j * linalg.det([r[:j] + r[j + 1:] for r in a.m]) for j in range(4)]
+    if not any(minors):
         raise InvalidCameraError("camera is rank-deficient")
-    ker = linalg.kernel_basis(a.m)
-    return ker[0]
-
-
-def _proportional(u, v):
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u[i] * v[j] - u[j] * v[i] != 0:
-                return False
-    return True
+    return linalg._primitive_int_vector(minors)
 
 
 class CameraTriple:
     def __init__(self, a1: Camera, a2: Camera, a3: Camera):
-        for a in (a1, a2, a3):
-            if a.rank() != 3:
-                raise DegenerateConfigurationError("rank-deficient camera in triple")
-        f1, f2, f3 = focal_point(a1), focal_point(a2), focal_point(a3)
-        if (_proportional(f1, f2) or _proportional(f1, f3) or _proportional(f2, f3)):
+        try:
+            centers = {tuple(focal_point(a)) for a in (a1, a2, a3)}
+        except InvalidCameraError as exc:
+            raise DegenerateConfigurationError("rank-deficient camera in triple") from exc
+        # primitive sign-fixed centers are proportional only when equal; two
+        # distinct centers f, g already make the nine camera rows span Q^4
+        # (they span the hyperplanes f-perp and g-perp)
+        if len(centers) < 3:
             raise DegenerateConfigurationError("two cameras share a focal point")
-        stacked = [[a.m[r][c] for a in (a1, a2, a3) for r in range(3)] for c in range(4)]
-        if linalg.rank(stacked) != 4:
-            raise DegenerateConfigurationError("stacked 4x9 camera matrix is rank-deficient")
         self.a1, self.a2, self.a3 = a1, a2, a3
 
     def cameras(self):
         return (self.a1, self.a2, self.a3)
 
 
-# sign pairing a C-index k with the complementary ordered pair of third-camera rows
-_COMPLEMENT = {0: ((1, 2), 1), 1: ((0, 2), -1), 2: ((0, 1), 1)}
+# the column pairs (p, q) of a Laplace expansion of a 4x4 determinant along
+# its first two rows, and their signs (-1)^(p + q + 1); the pair
+# complementary to _PAIRS[s] is _PAIRS[5 - s]
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_SIGNS = (1, -1, 1, 1, -1, 1)
+
+
+def _minors2(u, v):
+    """The 2x2 minors of the rows u, v, one per column pair of _PAIRS."""
+    return [u[p] * v[q] - u[q] * v[p] for p, q in _PAIRS]
 
 
 def trifocal_from_cameras(ct: CameraTriple) -> Tensor333:
     """T_ijk = sign(k) * det of [row i of A1; row j of A2; the two rows of A3
-    complementary to k].  Defined up to a global scale."""
+    complementary to k], with sign(k) = (-1)^k.  Defined up to a global
+    scale.  Each 4x4 determinant is a Laplace expansion along its first two
+    rows: sum over column pairs S of sign(S) * minor(S) * minor(complement)."""
     a1, a2, a3 = ct.cameras()
-    t = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    lower = []
     for k in range(3):
-        (c, d), sign = _COMPLEMENT[k]
-        for i in range(3):
-            for j in range(3):
-                m = [a1.row(i), a2.row(j), a3.row(c), a3.row(d)]
-                t[i][j][k] = sign * linalg.det(m)
+        m = _minors2(*(r for c, r in enumerate(a3.m) if c != k))
+        lower.append([(-1) ** k * _SIGNS[s] * m[5 - s] for s in range(6)])
+    t = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            upper = _minors2(a1.m[i], a2.m[j])
+            for k in range(3):
+                t[i][j][k] = sum(x * y for x, y in zip(upper, lower[k]))
     out = Tensor333(t)
     if out.is_zero():
         raise DegenerateConfigurationError("camera triple produced the zero tensor")

@@ -269,9 +269,10 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
         folds.append((f, e, wf, stab, _fold(stab, _shifted_weights(wf, d - e)) if e <= d else {}))
     # base block ranks are memoised on gens until it gains generators
     ranks = gens._ranks.get((d, p, group))
-    groups = slice_rows_by_weight(gens, d, set(base if ranks is None else ()).union(
+    memo = ranks is not None
+    groups = slice_rows_by_weight(gens, d, set(() if memo else base).union(
         *(fd[4] for fd in folds)))
-    if ranks is None:
+    if not memo:
         ranks = gens._ranks[d, p, group] = {w: _rank(groups[w], p) for w in base}
     base_dim = sum(n * ranks[w] for w, n in base.items())
     ext_dims = []
@@ -284,8 +285,9 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
             total += n * (_rank(rows, p) - ranks.get(_canonical(group, w), 0))
         ext_dims.append(total)
     if progress:
-        progress("degree %d: ranked %d of %d nonempty weight blocks, |G| = %d" % (
-            d, len(base), sum(base.values()), len(group)) + "".join(
+        progress("degree %d: ranked %d of %d nonempty weight blocks%s, |G| = %d" % (
+            d, 0 if memo else len(base), sum(base.values()),
+            " (%d from the memo)" % len(base) if memo else "", len(group)) + "".join(
             "; witness %d: %d of %d, |G_w| = %d" % (j + 1, len(wit), sum(wit.values()), len(stab))
             for j, (_, _, _, stab, wit) in enumerate(folds)))
     amb = rep.ambient_dimension(d)

@@ -1,16 +1,19 @@
 """Exact linear algebra over Q and F_p.
 
 Dense matrices over Q are plain lists of lists holding ints or Fractions;
-everything there is exact, nothing touches floating point.  Over F_p there
-is one elimination kernel, rref_mod_p (numpy int64 arithmetic mod a prime
-below MACHINE_PRIME_BOUND): ranks, the incremental Echelon and the modular
-kernels behind the certified integer kernels are all read off its output.
+everything there is exact, nothing touches floating point.  Ranks and
+determinants clear each row's denominators and run fraction-free (Bareiss)
+elimination over Z; only the rational kernels go through a Fraction RREF.
+Over F_p there is one elimination kernel, rref_mod_p (numpy int64
+arithmetic mod a prime below MACHINE_PRIME_BOUND): ranks, the incremental
+Echelon and the modular kernels behind the certified integer kernels are
+all read off its output.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -24,8 +27,9 @@ _WORK_PRIMES = [1073741789, 1073741783, 1073741741, 1073741723, 1073741719,
 def dims(m):
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    if any(len(r) != cols for r in m):
-        raise ValueError("ragged matrix")
+    for r in m:
+        if len(r) != cols:
+            raise ValueError("ragged matrix")
     return rows, cols
 
 
@@ -54,17 +58,9 @@ def mat_vec(m, v):
     return [sum(m[i][j] * v[j] for j in range(c)) for i in range(r)]
 
 
-def _to_field(m):
-    """Copy, promoting ints to Fraction so division is exact."""
-    out = []
-    for row in m:
-        out.append([Fraction(x) if isinstance(x, int) else x for x in row])
-    return out
-
-
 def _rref(m):
-    """In-place RREF on a field-valued copy. Returns (rank, pivot cols)."""
-    a = _to_field(m)
+    """RREF of a Fraction copy of m. Returns (the RREF, pivot cols)."""
+    a = [[Fraction(x) for x in row] for row in m]
     rows, cols = dims(a)
     pivots = []
     r = 0
@@ -86,11 +82,53 @@ def _rref(m):
     return a, pivots
 
 
+def _integer_rows(m):
+    """Copy of m with each row scaled by the lcm of its denominators: an
+    integer matrix of the same rank.  Returns (rows, product of the scales)."""
+    out, scale = [], 1
+    for row in m:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
+        den = lcm(*[x.denominator for x in row])
+        out.append([int(x * den) for x in row])
+        scale *= den
+    return out, scale
+
+
+def _bareiss(a):
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place:
+    each division by the previous pivot is exact, so every entry stays an
+    integer (a minor of the input).  Returns (rank, sign of the row
+    swaps, last pivot); the last pivot of a square matrix of full rank is
+    its determinant up to that sign."""
+    rows, cols = dims(a)
+    r, sign, prev = 0, 1, 1
+    for c in range(cols):
+        for pr in range(r, rows):
+            if a[pr][c]:
+                break
+        else:
+            continue
+        if pr != r:
+            a[r], a[pr] = a[pr], a[r]
+            sign = -sign
+        top = a[r]
+        piv = top[c]
+        for i in range(r + 1, rows):
+            f = a[i][c]
+            a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = piv
+        r += 1
+        if r == rows:
+            break
+    return r, sign, prev
+
+
 def rank(m) -> int:
-    if not m:
-        return 0
-    _, pivots = _rref(m)
-    return len(pivots)
+    """Rank over Q of a matrix of ints and Fractions, by Bareiss
+    elimination on its row-scaled integer copy."""
+    return _bareiss(_integer_rows(m)[0])[0] if m else 0
 
 
 def kernel_basis(m):
@@ -109,52 +147,20 @@ def kernel_basis(m):
 
 
 def det(m):
-    """Exact determinant. Bareiss for int entries, elimination otherwise."""
+    """Exact determinant: cofactors for 3x3, otherwise Bareiss elimination
+    on the row-scaled integer copy; a Fraction when entries have
+    denominators."""
     rows, cols = dims(m)
     if rows != cols:
         raise ValueError("determinant of a %dx%d matrix" % (rows, cols))
-    n = rows
-    if n == 0:
-        return 1
-    if all(isinstance(x, int) for row in m for x in row):
-        return _det_bareiss([list(r) for r in m])
-    a = _to_field(m)
-    sign = 1
-    result = None
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
-            return a[0][0] * 0
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            sign = -sign
-        piv = a[c][c]
-        result = piv if result is None else result * piv
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / piv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return result if sign > 0 else -result
-
-
-def _det_bareiss(a):
-    # fraction-free elimination; all divisions are exact over Z
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pr = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pr is None:
-                return 0
-            a[k], a[pr] = a[pr], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    if rows == 3:  # cofactors, exact for any entries
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    a, scale = _integer_rows(m)
+    r, sign, last = _bareiss(a)
+    if r < rows:
+        return 0
+    return sign * last if scale == 1 else Fraction(sign * last, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,8 @@ from __future__ import annotations
 import random
 
 from . import linalg
-from .poly import m3_generators
-from .tensor import (Tensor333, _linear_form, _poly3_mul, act, frank, pencil,
-                     permute_factors, prank, random_group_element)
-
-# M3 evaluated per axis: axis X vanishing <=> det of the X-pencil is identically 0
-_M3_BY_AXIS = {ax: m3_generators(ax) for ax in "ABC"}
+from .tensor import (Tensor333, act, frank, pencil, pencil_rank, permute_factors,
+                     prank, random_group_element)
 
 
 def decode_triples(codes) -> Tensor333:
@@ -150,7 +146,10 @@ class Signature:
 
 
 def m3_vanishes(t: Tensor333, axis) -> bool:
-    return all(f.evaluate(t) == 0 for f in _M3_BY_AXIS[axis])
+    """Do the 10 cubics of the axis vanish at t?  They are the coefficients
+    of the determinant of the axis pencil, so they do exactly when the
+    pencil's rank is below 3."""
+    return pencil_rank(pencil(t, axis)) < 3
 
 
 def signature(t: Tensor333, modules=None) -> Signature:
@@ -195,9 +194,14 @@ def is_trifocal(t: Tensor333, permutation_tolerant=False, randomize=False, seed=
     """Rank-based membership test: P-Rank must be exactly (3,3,2) (any
     permutation if permutation_tolerant) and F-Rank exactly (3,3,3).
 
-    Returns (verdict, reason).  The optional random coordinate change is
-    kept for fidelity with the randomized variant of the test; the
-    symbolic ranks make it unnecessary for exactness.
+    Returns (verdict, reason).  Both ranks are exact and deterministic:
+    the flattening ranks come from fraction-free integer elimination, and
+    each pencil rank is the largest numeric rank of the pencil at the 10
+    lattice points a + b + c = 3, which are unisolvent for cubics (Chung
+    and Yao, SIAM J. Numer. Anal. 14(4), 1977), so no minor of degree <= 3
+    can vanish at all of them without vanishing identically.  The optional
+    random coordinate change is kept for fidelity with the randomized
+    variant of the test; it changes neither rank.
     """
     s = t
     if randomize:
@@ -264,6 +268,27 @@ _GROUP18_GA = [[0, 0, 1], [0, -1, 0], [1, 0, 0]]
 
 def _group18(t):
     return (_GROUP18_GA, [[1, 0, 0], [0, t, 0], [0, 0, 1]], linalg.identity(3))
+
+
+# small polynomials in the pencil variables, as {(e1, e2, e3): coeff}
+
+def _poly3_mul(p, q):
+    out = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
+            c = out.get(e, 0) + ca * cb
+            if c == 0:
+                out.pop(e, None)
+            else:
+                out[e] = c
+    return out
+
+
+def _linear_form(coeffs):
+    """c1*x1 + c2*x2 + c3*x3 as {(e1,e2,e3): c}."""
+    return {tuple(1 if s == i else 0 for i in range(3)): c
+            for s, c in enumerate(coeffs) if c != 0}
 
 
 def _subst_a3(form):

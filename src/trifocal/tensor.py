@@ -5,6 +5,10 @@ slice/decode helpers speak 1-based indices to match the usual T_ijk
 labeling.  The last index plays the role of the output (third image) in
 the line-transfer picture, so the letter slices are a_ij = T[i][j][0],
 b_ij = T[i][j][1], c_ij = T[i][j][2].
+
+Both rank invariants are computed over the integers: the flattening ranks
+by fraction-free elimination (linalg.rank), the pencil ranks by exact
+numeric ranks of the pencil at 10 lattice points (see pencil_rank).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 from . import linalg
 
@@ -131,77 +135,35 @@ def perm_sign(sigma):
     return sign
 
 
-# --- small polynomials in the pencil variables x1, x2, x3 -----------------
-
-def _poly3_mul(p, q):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            c = out.get(e, 0) + ca * cb
-            if c == 0:
-                out.pop(e, None)
-            else:
-                out[e] = c
-    return out
-
-
-def _linear_form(coeffs):
-    """c1*x1 + c2*x2 + c3*x3 as {(e1,e2,e3): c}."""
-    return {tuple(1 if s == i else 0 for i in range(3)): c
-            for s, c in enumerate(coeffs) if c != 0}
-
-
-def _entry_form(slices, r, c):
-    return _linear_form([slices[s][r][c] for s in range(3)])
-
-
-def pencil_det(slices):
-    """Determinant of the symbolic pencil, as {(e1,e2,e3): coeff}."""
-    total = {}
-    for sigma in permutations(range(3)):
-        sign = perm_sign(sigma)
-        term = {(0, 0, 0): sign}
-        for r in range(3):
-            term = _poly3_mul(term, _entry_form(slices, r, sigma[r]))
-            if not term:
-                break
-        for e, c in term.items():
-            acc = total.get(e, 0) + c
-            if acc == 0:
-                total.pop(e, None)
-            else:
-                total[e] = acc
-    return total
+# the points (a, b, c) with a + b + c = 3: no nonzero cubic form in three
+# variables vanishes at all of them, and x1 + x2 + x3 is 3 on each
+_LATTICE3 = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
 
 
 def pencil_rank(slices) -> int:
-    """Rank of the pencil over the rational function field in x1,x2,x3,
-    found by expanding all minors symbolically."""
-    if pencil_det(slices):
-        return 3
-    for rows in ((0, 1), (0, 2), (1, 2)):
-        for cols in ((0, 1), (0, 2), (1, 2)):
-            a = _entry_form(slices, rows[0], cols[0])
-            b = _entry_form(slices, rows[1], cols[1])
-            c = _entry_form(slices, rows[0], cols[1])
-            d = _entry_form(slices, rows[1], cols[0])
-            m = _poly3_mul(a, b)
-            for e, coeff in _poly3_mul(c, d).items():
-                acc = m.get(e, 0) - coeff
-                if acc == 0:
-                    m.pop(e, None)
-                else:
-                    m[e] = acc
-            if m:
-                return 2
-    if any(slices[s][r][c] != 0 for s in range(3) for r in range(3) for c in range(3)):
-        return 1
-    return 0
+    """Rank of the pencil x1*S1 + x2*S2 + x3*S3 over the rational function
+    field in x1, x2, x3: the largest rank of the numeric matrices
+    a*S1 + b*S2 + c*S3 over the 10 points of _LATTICE3.
+
+    Exact: a k x k minor of the pencil is a form of degree k <= 3, and
+    times (x1 + x2 + x3)^(3 - k) it is a cubic, where that factor is
+    3^(3 - k) != 0 at every point.  The 10 points are unisolvent for cubics
+    (Chung and Yao, SIAM J. Numer. Anal. 14(4), 1977), so a minor that
+    vanishes at all of them is zero."""
+    s1, s2, s3 = slices
+    best = 0
+    for a, b, c in _LATTICE3:
+        m = [[a * x + b * y + c * z for x, y, z in zip(r1, r2, r3)]
+             for r1, r2, r3 in zip(s1, s2, s3)]
+        if linalg.det(m):
+            return 3
+        if best < 2:
+            best = max(best, linalg.rank(m))
+    return best
 
 
 def prank(t: Tensor333):
-    """Triple of symbolic pencil ranks (A, B, C directions)."""
+    """Triple of pencil ranks (A, B, C directions)."""
     return tuple(pencil_rank(pencil(t, ax)) for ax in AXES)
 
 

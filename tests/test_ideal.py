@@ -4,7 +4,7 @@ import pytest
 from trifocal import ideal, linalg, rep
 from trifocal.ideal import (DegreeCapError, GradedGeneratorSet,
                             graded_nonzerodivisor_check, hilbert_quotient,
-                            ideal_dim_in_degree, minimal_generator_test,
+                            hilbert_with_witnesses, ideal_dim_in_degree, minimal_generator_test,
                             scan_degree, slice_rows_by_weight, vanishing_subspace)
 from trifocal.orbits import skew_tensor
 from trifocal.poly import Poly, det_slice_poly, f_determinant, m3_generators, witness_g
@@ -115,6 +115,22 @@ def test_base_rank_memo_matches_fresh_sweeps():
     assert hilbert_quotient(gens, 5) == hilbert_quotient(fresh(cubic, witness_g()), 5)
     gens.add(4, [witness_g()])
     assert gens._ranks == {}
+
+
+def test_progress_counts_memoised_base_ranks():
+    gens = GradedGeneratorSet()
+    gens.add_module(det_slice_poly("C", 1))
+    lines = []
+    for _ in range(2):
+        hilbert_with_witnesses(gens, [f_determinant()], 4, progress=lines.append)
+    first, second = lines
+    assert first.startswith("degree 4: ranked ")
+    assert "from the memo" not in first and int(first.split()[3]) > 0
+    ranked = int(first.split()[3])
+    assert second.startswith("degree 4: ranked 0 of ")
+    assert "(%d from the memo)" % ranked in second
+    # the witness blocks are ranked afresh in both sweeps
+    assert first.split("; ")[1] == second.split("; ")[1]
 
 
 def test_zero_witness_rejected(m3_set):

@@ -7,7 +7,7 @@ from trifocal import linalg
 from trifocal.orbits import skew_tensor, sub_generic, trifocal_normal_form, trifocal_slices_form
 from trifocal.poly import m3_with_x_monomials
 from trifocal.tensor import (Tensor333, act, contract, flattening, frank, pencil,
-                             pencil_det, permute_factors, prank,
+                             permute_factors, prank,
                              random_group_element, random_orbit_point, slice_of,
                              tensor_from_json, tensor_to_json)
 
@@ -150,11 +150,16 @@ def test_prank_c_detects_exactly_the_cubic_vanishing():
         cases.append(Tensor333([[[rng.randint(-4, 4) for _ in range(3)]
                                  for _ in range(3)] for _ in range(3)]))
     for t in cases:
-        det_coeffs = pencil_det(pencil(t, "C"))
-        assert (prank(t)[2] < 3) == (not det_coeffs)
-        # the symbolic det coefficients are the evaluated cubic generators
-        for e, f in m3_with_x_monomials("C"):
-            assert f.evaluate(t) == det_coeffs.get(e, 0)
+        cubics = [(e, f.evaluate(t)) for e, f in m3_with_x_monomials("C")]
+        assert (prank(t)[2] < 3) == (not any(v for _, v in cubics))
+        # the evaluated cubic generators are the coefficients of the pencil
+        # determinant: check it at a few points x
+        s1, s2, s3 = pencil(t, "C")
+        for x in ((1, 0, 0), (2, -1, 3), (-4, 5, 7)):
+            m = [[x[0] * a + x[1] * b + x[2] * c for a, b, c in zip(r1, r2, r3)]
+                 for r1, r2, r3 in zip(s1, s2, s3)]
+            assert linalg.det(m) == sum(v * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]
+                                        for e, v in cubics)
 
 
 def test_contract_bilinear_and_rank_one():
