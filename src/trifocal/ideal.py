@@ -5,7 +5,9 @@ slices and all membership questions are homogeneous for the torus grading,
 so each question decomposes into small independent weight blocks, and an
 exact rank over F_p per block answers it.  Exact-over-Q statements
 (vanishing certificates) are produced from rational kernels of evaluation
-matrices at integer points and re-verified by direct evaluation.
+matrices at integer points and re-verified at fresh points, all values
+from poly.evaluate_points (residues mod machine primes, CRT-lifted under
+an explicit bound, so exact; see the poly docstring).
 
 The rank sweep is folded by the Weyl group S3^3 of coordinate
 permutations.  A degree whose generators all came from
@@ -30,7 +32,7 @@ from itertools import permutations, product
 import numpy as np
 
 from . import linalg, rep
-from .poly import (Poly, mono_mul, mono_weight, permuted, variable_map,
+from .poly import (Poly, evaluate_points, mono_mul, mono_weight, permuted, variable_map,
                    weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, random_orbit_point
@@ -328,23 +330,9 @@ class VanishingReport:
 
 
 def evaluate_batch(polys, point: Tensor333):
-    """Exact values of several polynomials at one integer tensor; monomial
-    values are shared across the batch."""
-    flat = point.entries_flat()
-    cache = {}
-    out = []
-    for f in polys:
-        total = 0
-        for mono, coeff in f.terms.items():
-            v = cache.get(mono)
-            if v is None:
-                v = 1
-                for idx in mono:
-                    v *= flat[idx]
-                cache[mono] = v
-            total += coeff * v
-        out.append(total)
-    return out
+    """Exact values of several polynomials at one tensor (see
+    poly.evaluate_points)."""
+    return evaluate_points(polys, [point])[0]
 
 
 def trifocal_points(nf: Tensor333, seed, count):
@@ -365,7 +353,7 @@ def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed, oversample=2) -> Va
     for attempt in range(2):
         base = seed + attempt * 10_000
         pts = trifocal_points(nf, base, npts)
-        mat = [evaluate_batch(hw.basis, pt) for pt in pts]
+        mat = evaluate_points(hw.basis, pts)
         kernel = linalg.kernel_basis(mat)
         certs = []
         for vec in kernel:
@@ -375,8 +363,7 @@ def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed, oversample=2) -> Va
                     f = f + basis_poly.scale(coeff)
             certs.append(f.content_normalized())
         fresh = trifocal_points(nf, base + npts, npts)
-        ok = all(all(v == 0 for v in evaluate_batch(certs, pt)) for pt in fresh) if certs else True
-        if ok:
+        if not any(map(any, evaluate_points(certs, fresh))):
             return VanishingReport(hw.label, len(certs), certs)
     raise ArithmeticError(
         "inconsistent vanishing kernel for label %r after resampling" % (hw.label,))

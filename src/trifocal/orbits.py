@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 from . import linalg
+from .poly import evaluate_points
 from .tensor import (Tensor333, act, frank, pencil, pencil_rank, permute_factors,
                      prank, random_group_element)
 
@@ -163,7 +164,7 @@ def signature(t: Tensor333, modules=None) -> Signature:
         m5 = True
         m6 = {}
         for mod in modules:
-            vanishes = all(f.evaluate(t) == 0 for f in mod.basis)
+            vanishes = not any(evaluate_points(mod.basis, [t])[0])
             if mod.degree == 5:
                 m5 = m5 and vanishes
             elif mod.degree == 6:
@@ -400,10 +401,9 @@ SEPARATION_CLAIMS = {
 def m6_separates(modules, rep_name: str) -> bool:
     """Does the claimed degree-6 module have a basis element that is
     nonzero on the named boundary representative?"""
-    from .ideal import evaluate_batch
     label = SEPARATION_CLAIMS[rep_name]
     t = boundary_orbit_reps()[rep_name]
     for mod in modules:
         if mod.degree == 6 and mod.label == label:
-            return any(v != 0 for v in evaluate_batch(mod.basis, t))
+            return any(evaluate_points(mod.basis, [t])[0])
     raise ValueError("no degree-6 module with label %r among the given modules" % (label,))

@@ -8,6 +8,17 @@ care about is weight-homogeneous: the triple of index contents
 
 The letter aliases follow a_ij = T[i][j][1], b_ij = T[i][j][2],
 c_ij = T[i][j][3] in 1-based notation.
+
+Evaluation is exact, through one kernel, evaluate_points.  Each value is
+computed modulo machine primes (below linalg.MACHINE_PRIME_BOUND) and
+lifted by CRT to the symmetric range, with primes taken until their
+product exceeds 2 * L1(f) * max|x|^deg >= 2|f(x)|: larger entries cost
+more primes, never a wrong value.  Fraction entries are cleared by a
+common denominator D, f_e(x) = f_e(D x) / D^e on each degree-e part;
+entries and coefficients that are not ints or Fractions (floats, bools)
+raise TypeError.  The monomials and integer coefficients of a polynomial
+are packed into numpy arrays on first use and cached on it until
+add_term changes it (_pack).
 """
 
 from __future__ import annotations
@@ -16,8 +27,12 @@ from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm, prod
 
+import numpy as np
+
+from .linalg import MACHINE_PRIME_BOUND
+from .scalars import is_prime
 from .tensor import Tensor333, perm_sign
 
 N_VARS = 27
@@ -57,10 +72,11 @@ def mono_weight(mono):
 class Poly:
     """Sparse exact polynomial; never stores zero coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_packed")
 
     def __init__(self, terms=None):
         self.terms = {}
+        self._packed = None
         if terms:
             for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 self.add_term(mono, coeff)
@@ -76,6 +92,7 @@ class Poly:
         """A Poly that takes ownership of `terms` (no zero coefficients)."""
         p = cls.__new__(cls)
         p.terms = terms
+        p._packed = None
         return p
 
     @classmethod
@@ -85,6 +102,7 @@ class Poly:
     def add_term(self, mono, coeff):
         if coeff == 0:
             return
+        self._packed = None
         mono = tuple(mono)
         acc = self.terms.get(mono, 0) + coeff
         if acc == 0:
@@ -157,14 +175,7 @@ class Poly:
         return ws.pop()
 
     def evaluate(self, t: Tensor333):
-        flat = t.entries_flat()
-        total = 0
-        for mono, coeff in self.terms.items():
-            v = coeff
-            for idx in mono:
-                v = v * flat[idx]
-            total = total + v
-        return total
+        return evaluate_points([self], [t])[0][0]
 
     def derivative(self, v: int):
         out = Poly()
@@ -211,6 +222,121 @@ def variable_map(perm=(0, 1, 2), sigma=((0, 1, 2),) * 3):
     factor b, whose indices sigma[b] then permutes (a Weyl group element)."""
     return tuple(var_index(*(s[var_ijk(v)[a]] for s, a in zip(sigma, perm)))
                  for v in range(N_VARS))
+
+
+# ---------------------------------------------------------------------------
+# exact evaluation (see the module docstring)
+
+PAD = N_VARS      # a 28th variable: 1, or D at a point with denominator D
+_BASE = N_VARS + 1
+_PRIMES = []      # machine primes, largest first, found on demand
+
+
+def _exact(xs, what):
+    """(xs as a list, whether one is a Fraction); TypeError unless each
+    is an int or a Fraction."""
+    xs = list(xs)
+    kinds = set(map(type, xs))
+    if not kinds <= {int, Fraction}:
+        bad = next(x for x in xs if type(x) not in (int, Fraction))
+        raise TypeError("%s %r is not an int or a Fraction" % (what, bad))
+    return xs, Fraction in kinds
+
+
+def _pack(f: Poly):
+    """f's terms as (codes, integer coefficients, their L1 norm, common
+    denominator, degree), cached on f until add_term.  Row i of codes is
+    monomial i as chunks (a*28 + b)*28 + c of three variable indices,
+    padded by PAD."""
+    if f._packed is not None:
+        return f._packed
+    terms = f.terms
+    coeffs, fractions = _exact(terms.values(), "coefficient")
+    den = lcm(*(Fraction(c).denominator for c in coeffs)) if fractions else 1
+    coeffs = [int(c * den) for c in coeffs] if fractions else coeffs
+    l1 = sum(map(abs, coeffs))
+    deg = max(map(len, terms), default=0)
+    width, pad = 3 * max(1, -(-deg // 3)), bytes([PAD])
+    v = np.frombuffer(b"".join([bytes(m).ljust(width, pad) for m in terms]), dtype=np.uint8)
+    # below 2^31 a coefficient times a residue fits int64; larger ones are
+    # reduced mod each prime first
+    f._packed = (v.reshape(len(terms), width // 3, 3) @ np.array([_BASE ** 2, _BASE, 1], np.int32),
+                 np.array(coeffs, dtype=np.int64 if l1 < 1 << 31 else object), l1, den, deg)
+    return f._packed
+
+
+def _primes_above(bound):
+    """The fewest machine primes, largest first, with product > bound."""
+    out, m = [], 1
+    while m <= bound:
+        if len(out) == len(_PRIMES):
+            q = _PRIMES[-1] - 2 if _PRIMES else MACHINE_PRIME_BOUND
+            while pow(2, q - 1, q) != 1 or not is_prime(q):   # a Fermat test first
+                q -= 2
+            _PRIMES.append(q)
+        out.append(_PRIMES[len(out)])
+        m *= out[-1]
+    return out
+
+
+def _residues(idx, cube, coef, starts, ys, primes):
+    """The values mod each prime, indexed [prime, point, polynomial].  The
+    rows of idx index each term's factors in the entries ys, or in their
+    28^3 products when cube is set."""
+    ps = np.array(primes, dtype=np.int64)[:, None, None]
+    t = (np.array(ys, dtype=object) % ps).astype(np.int64)
+    if cube:
+        t2 = (t[..., :, None] * t[..., None, :] % ps[..., None]).reshape(*t.shape[:2], -1)
+        t = (t2[..., :, None] * t[..., None, :] % ps[..., None]).reshape(*t.shape[:2], -1)
+    if coef.dtype == object:
+        coef = (coef % ps[:, 0]).astype(np.int64)[:, None, :]
+    v = t.take(idx[0], axis=2) * coef
+    v += ps << 31   # a multiple of p that makes v >= 0: a negative remainder is slow
+    v %= ps
+    for i in idx[1:]:
+        v *= t.take(i, axis=2)
+        v %= ps
+    return np.add.reduceat(v, starts, axis=2) % ps
+
+
+def evaluate_points(polys, points):
+    """Exact values [[f(t) for f in polys] for t in points] at Tensor333
+    points: ints, or Fractions where a denominator remains."""
+    packs = [_pack(f) for f in polys]
+    live = [j for j, pk in enumerate(packs) if pk[2]]
+    out = [[0] * len(packs) for _ in points]
+    if not live or not out:
+        return out
+    codes, coefs, l1s, dens, degs = zip(*(packs[j] for j in live))
+    k = max(c.shape[1] for c in codes)
+    codes = np.concatenate([c if c.shape[1] == k else np.pad(  # 28^3 - 1: three pads
+        c, ((0, 0), (0, k - c.shape[1])), constant_values=_BASE ** 3 - 1) for c in codes])
+    coef = np.concatenate(coefs)
+    starts = np.cumsum([0] + [len(c) for c in coefs[:-1]])
+    # one table lookup per chunk when there are more terms than products
+    cube = len(codes) > _BASE ** 3
+    idx = codes.T if cube else np.hstack(np.unravel_index(codes, (_BASE,) * 3)).T
+    rows = []
+    for t in points:
+        x, fractions = _exact(t.entries_flat(), "tensor entry")
+        d = lcm(*(Fraction(e).denominator for e in x)) if fractions else 1
+        rows.append([int(e * d) for e in x] + [d] if fractions else x + [1])
+    scales = [y[-1] ** (3 * k) for y in rows]
+    # |f(D x) * D^pads| <= L1 * max|y|^(degree, or the width with pads)
+    deg = max(degs)
+    primes = _primes_above(2 * max(l1s) * max(
+        max(map(abs, y)) ** (deg if y[-1] == 1 else 3 * k) for y in rows))
+    m = prod(primes)
+    basis = [m // p * pow(m // p, -1, p) for p in primes]
+    step = max(1, (1 << 20) // (len(codes) * len(primes)))   # about 8 MB per int64 temporary
+    for i0 in range(0, len(rows), step):
+        res = _residues(idx, cube, coef, starts, rows[i0:i0 + step], primes)
+        lifted = sum(r.astype(object) * e for r, e in zip(res, basis)) % m
+        for i, vals in enumerate(np.where(lifted > m // 2, lifted - m, lifted).tolist(), i0):
+            for j, g, den in zip(live, vals, dens):
+                q = den * scales[i]
+                out[i][j] = g // q if g % q == 0 else Fraction(g, q)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,167 @@
+"""The exact evaluation kernel (poly.evaluate_points) against the per-term
+dict loop it replaced, kept here as the oracle."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from trifocal import ideal, poly
+from trifocal.linalg import MACHINE_PRIME_BOUND
+from trifocal.orbits import skew_tensor
+from trifocal.poly import Poly, evaluate_points, s3_m3, witness_g
+from trifocal.scalars import is_prime
+from trifocal.tensor import Tensor333
+
+
+# --- oracle --------------------------------------------------------------------
+
+def oracle(polys, t):
+    """Values of the polynomials at t, one product per term."""
+    flat = t.entries_flat()
+    out = []
+    for f in polys:
+        total = 0
+        for mono, coeff in f.terms.items():
+            v = coeff
+            for idx in mono:
+                v = v * flat[idx]
+            total = total + v
+        out.append(total)
+    return out
+
+
+def random_poly(rng, degrees, cmax, fractions=False, nterms=25):
+    f = Poly()
+    for _ in range(nterms):
+        mono = tuple(sorted(rng.randrange(27) for _ in range(rng.choice(degrees))))
+        c = rng.randint(-cmax, cmax)
+        f.add_term(mono, Fraction(c, rng.randint(1, 60)) if fractions else c)
+    return f
+
+
+def random_tensor(rng, entry):
+    return Tensor333([[[entry() for _ in range(3)] for _ in range(3)] for _ in range(3)])
+
+
+def sample_polys(seed):
+    rng = random.Random(seed)
+    return [
+        Poly(),
+        Poly.constant(-7),
+        random_poly(rng, (0, 1, 2, 3, 4), 50),          # not homogeneous
+        random_poly(rng, (7,), 10),
+        random_poly(rng, (6,), 1 << 80),
+        random_poly(rng, (2, 5), 100, fractions=True),
+        random_poly(rng, (1, 7), 1 << 80, fractions=True),
+        Poly({(3,) * 7: 5}),                             # |value| = L1 * |x|^7 at equal entries
+        Poly({(4,) * 7: -3}),
+        witness_g(),
+    ] + s3_m3()
+
+
+def sample_points(seed):
+    rng = random.Random(seed)
+    near = 1 << 70
+    return [
+        random_tensor(rng, lambda: rng.randint(-9, 9)),
+        random_tensor(rng, lambda: rng.randint(-300, 300)),
+        random_tensor(rng, lambda: rng.choice((-1, 1)) * rng.randint(near - 99, near)),
+        Tensor333([[[near - 1] * 3] * 3] * 3),
+        Tensor333([[[-(near + 3)] * 3] * 3] * 3),
+        random_tensor(rng, lambda: Fraction(rng.randint(-20, 20), rng.randint(1, 9))),
+        random_tensor(rng, lambda: Fraction(rng.randint(-1 << 40, 1 << 40), rng.randint(1, 1 << 30))),
+    ]
+
+
+# --- kernel against the oracle --------------------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernel_equals_oracle(seed):
+    polys, points = sample_polys(seed), sample_points(100 + seed)
+    got = evaluate_points(polys, points)
+    assert len(got) == len(points)
+    for t, vals in zip(points, got):
+        want = oracle(polys, t)
+        assert vals == want
+        assert any(v < 0 for v in want) and any(v > 0 for v in want)
+        assert all(type(v) is int for v, w in zip(vals, want) if type(w) is int)
+
+
+def test_batch_of_one_and_single_poly_agree_with_the_batch():
+    polys, points = sample_polys(5), sample_points(6)
+    got = evaluate_points(polys, points)
+    for t, vals in zip(points, got):
+        assert ideal.evaluate_batch(polys, t) == vals
+        assert [f.evaluate(t) for f in polys] == vals
+
+
+def test_empty_inputs():
+    t = sample_points(0)[0]
+    assert evaluate_points([], [t, t]) == [[], []]
+    assert evaluate_points(sample_polys(0), []) == []
+    assert ideal.evaluate_batch([Poly(), Poly()], t) == [0, 0]
+    assert Poly().evaluate(t) == 0
+    assert Poly.constant(Fraction(3, 4)).evaluate(t) == Fraction(3, 4)
+
+
+def test_prime_count_follows_the_bound(monkeypatch):
+    counts = []
+    primes_above = poly._primes_above
+
+    def counting(bound):
+        out = primes_above(bound)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(poly, "_primes_above", counting)
+    polys = sample_polys(3)[:4]   # coefficients below 2^10, degree <= 7
+    small, _, big = sample_points(4)[:3]
+    assert evaluate_points(polys, [small]) == [oracle(polys, small)]
+    assert evaluate_points(polys, [big]) == [oracle(polys, big)]
+    assert counts[0] <= 2 < counts[1]
+
+
+def test_primes_are_machine_primes():
+    primes = poly._primes_above(1 << 200)
+    assert len(set(primes)) == len(primes) == 7
+    assert all(p <= MACHINE_PRIME_BOUND and is_prime(p) for p in primes)
+
+
+# --- the packed form ------------------------------------------------------------
+
+def test_add_term_after_evaluation_drops_the_pack():
+    t = sample_points(7)[0]
+    f = Poly({(0, 1): 2, (5,): -1})
+    before = f.evaluate(t)
+    f.add_term((13, 13, 26), 4)
+    assert f.evaluate(t) == oracle([f], t)[0] != before
+    f.add_term((13, 13, 26), -4)
+    assert f.evaluate(t) == before
+
+
+def test_floats_and_bools_are_rejected():
+    t = sample_points(8)[0]
+    f = Poly({(0, 1): 2})
+    for bad in (0.5, 2.0, True):
+        entries = [[list(row) for row in plane] for plane in t.t]
+        entries[0][0][1] = bad
+        with pytest.raises(TypeError):
+            f.evaluate(Tensor333(entries))
+        with pytest.raises(TypeError):
+            ideal.evaluate_batch([f], Tensor333(entries))
+        with pytest.raises(TypeError):   # add_term would turn True into 1
+            Poly._wrap({(0,): bad, (1,): 1}).evaluate(t)
+
+
+# --- the discovered generators ---------------------------------------------------
+
+@pytest.mark.slow
+def test_discovered_generators_equal_the_oracle(discovery6, trifocal_nf):
+    gens = [f for m in discovery6.modules() for f in m.basis]
+    points = [skew_tensor()] + ideal.trifocal_points(trifocal_nf, 4242, 2)
+    got = evaluate_points(gens, points)
+    for t, vals in zip(points, got):
+        assert vals == oracle(gens, t)
+    assert sum(v != 0 for v in got[0]) == 155
+    assert not any(got[1]) and not any(got[2])
