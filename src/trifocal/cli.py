@@ -52,6 +52,18 @@ def _config(args) -> RunConfig:
                      degree_cap=args.degree_cap, oversample=args.oversample)
 
 
+def _progress(args):
+    return (lambda msg: print(msg, file=sys.stderr)) if args.progress else None
+
+
+def _discover(cfg, degree=None, progress=None):
+    """discover() on the trifocal normal form, by default through degree
+    min(cap, 6), which holds every minimal generator."""
+    return discover(min(cfg.degree_cap, 6) if degree is None else degree,
+                    orbits.trifocal_normal_form(), seed=cfg.seed, p=cfg.prime,
+                    oversample=cfg.oversample, progress=progress)
+
+
 def _emit(args, payload, text_lines):
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -91,9 +103,7 @@ def cmd_classify(args) -> int:
     t = tensor_from_json(_read_file(args.tensor))
     modules = None
     if args.with_modules:
-        disc = discover(min(6, cfg.degree_cap), orbits.trifocal_normal_form(),
-                        seed=cfg.seed, p=cfg.prime, oversample=cfg.oversample)
-        modules = disc.modules()
+        modules = _discover(cfg).modules()
     sig = orbits.signature(t, modules=modules)
     verdict, reason = orbits.is_trifocal(t, permutation_tolerant=args.permutation_tolerant)
     component = orbits.classify_component(t)
@@ -114,9 +124,7 @@ def cmd_discover(args) -> int:
     cfg = _config(args)
     if args.degree > cfg.degree_cap:
         raise DegreeCapError("--degree %d exceeds --degree-cap %d" % (args.degree, cfg.degree_cap))
-    progress = (lambda msg: print(msg, file=sys.stderr)) if args.progress else None
-    disc = discover(args.degree, orbits.trifocal_normal_form(), seed=cfg.seed,
-                    p=cfg.prime, oversample=cfg.oversample, progress=progress)
+    disc = _discover(cfg, args.degree, _progress(args))
     inventory = []
     label_table = []
     for d in sorted(disc.scans):
@@ -147,13 +155,11 @@ def cmd_discover(args) -> int:
 
 def cmd_hilbert(args) -> int:
     cfg = _config(args)
-    progress = (lambda msg: print(msg, file=sys.stderr)) if args.progress else None
-    disc = discover(min(cfg.degree_cap, 6), orbits.trifocal_normal_form(),
-                    seed=cfg.seed, p=cfg.prime, oversample=cfg.oversample)
+    disc = _discover(cfg)
     table = {}
     for d in range(1, cfg.degree_cap + 1):
         table[d] = hilbert_quotient(disc.gens, d, p=cfg.prime, cap=cfg.degree_cap,
-                                    progress=progress)
+                                    progress=_progress(args))
     payload = {"schema": SCHEMA, "config": cfg.to_dict(),
                "hilbert_quotient": {str(d): v for d, v in table.items()}}
     _emit(args, payload, ["H(%d) = %d" % (d, v) for d, v in table.items()])
@@ -169,11 +175,8 @@ def cmd_nzd(args) -> int:
     else:
         w = parse_poly(_read_file(args.witness))
     ideal.check_witness(w)  # before the discovery run, not after it
-    progress = (lambda msg: print(msg, file=sys.stderr)) if args.progress else None
-    disc = discover(min(cfg.degree_cap, 6), orbits.trifocal_normal_form(),
-                    seed=cfg.seed, p=cfg.prime, oversample=cfg.oversample)
-    report = graded_nonzerodivisor_check(disc.gens, w, cap=cfg.degree_cap,
-                                         p=cfg.prime, progress=progress)
+    report = graded_nonzerodivisor_check(_discover(cfg).gens, w, cap=cfg.degree_cap,
+                                         p=cfg.prime, progress=_progress(args))
     payload = {"schema": SCHEMA, "config": cfg.to_dict(),
                "witness_degree": report.witness_degree,
                "non_zero_divisor": bool(report),

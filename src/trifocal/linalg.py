@@ -5,9 +5,10 @@ everything there is exact, nothing touches floating point.  Ranks and
 determinants clear each row's denominators and run fraction-free (Bareiss)
 elimination over Z; only the rational kernels go through a Fraction RREF.
 Over F_p there is one elimination kernel, rref_mod_p (numpy int64
-arithmetic mod a prime below MACHINE_PRIME_BOUND): ranks, the incremental
+arithmetic mod a prime up to MACHINE_PRIME_BOUND): ranks, the incremental
 Echelon and the modular kernels behind the certified integer kernels are
-all read off its output.
+all read off its output.  machine_prime supplies the primes of every
+multi-prime computation, the integer kernels and exact evaluation.
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .scalars import crt_pair, rational_reconstruction
-
-# primes just below 2**30: residues multiply without overflowing int64
-_WORK_PRIMES = [1073741789, 1073741783, 1073741741, 1073741723, 1073741719,
-                1073741717, 1073741689, 1073741671, 1073741663, 1073741651]
+from .scalars import is_prime, rational_reconstruction
 
 
 def dims(m):
@@ -168,6 +165,17 @@ def det(m):
 
 # residues below this bound multiply inside int64
 MACHINE_PRIME_BOUND = (1 << 31) - 1
+_MACHINE_PRIMES = []   # largest first, found on demand
+
+
+def machine_prime(i):
+    """The i-th largest prime <= MACHINE_PRIME_BOUND, counting from 0."""
+    while len(_MACHINE_PRIMES) <= i:
+        q = _MACHINE_PRIMES[-1] - 2 if _MACHINE_PRIMES else MACHINE_PRIME_BOUND
+        while pow(2, q - 1, q) != 1 or not is_prime(q):   # a Fermat test first
+            q -= 2
+        _MACHINE_PRIMES.append(q)
+    return _MACHINE_PRIMES[i]
 
 
 def _check_machine_prime(p):
@@ -255,83 +263,58 @@ def _primitive_int_vector(fracs):
 def kernel_basis_int(sparse_rows, ncols, expected_dim=None):
     """Exact integer kernel of an integer matrix given as sparse rows.
 
-    Each row is a dict {col: int}.  Works modulo machine primes, lifts by
-    CRT + rational reconstruction, and verifies the lifted vectors against
-    the exact rows, so the result is certified regardless of prime luck.
-    The modular elimination runs on a row sample when there are many more
-    rows than columns; the exact verification is always against all rows.
-    Returns a list of primitive integer vectors (python lists).
+    Each row is a dict {col: int}.  For each of up to 10 machine primes,
+    every nonzero row, in the given order, is reduced mod p and eliminated
+    by rref_mod_p in blocks of ncols // 2 rows, each block stacked under
+    the echelon form so far.  The rank is at most ncols, so no dense array
+    exceeds 1.5 * ncols rows; all rows in one array (4752 x 1152 for the
+    largest degree-6 hw space) would raise peak memory by a quarter.  A
+    prime with fewer or later pivots than the best seen is skipped.  The
+    modular kernels are combined by CRT, lifted by rational reconstruction
+    and verified against every exact row, so the result is certified
+    whatever the primes.  Returns primitive integer vectors (python lists)
+    with a positive leading entry; ArithmeticError when no lift verifies
+    or the dimension is not expected_dim.
     """
-    import random as _random
-
-    all_rows = [r for r in sparse_rows if r]
-    if not all_rows:
+    rows = [r for r in sparse_rows if r]
+    if not rows:
         return identity(ncols)
-
-    sample_size = ncols + 64
-    rng = _random.Random(0xC0FFEE)
-    if len(all_rows) > sample_size:
-        rows = rng.sample(all_rows, sample_size)
-    else:
-        rows = all_rows
-
-    def dense_mod(p):
-        a = np.zeros((len(rows), ncols), dtype=np.int64)
-        for i, r in enumerate(rows):
-            for c, v in r.items():
-                a[i, c] = v % p
-        return a
-
-    for _attempt in range(4):
-        used = []
-        residues = None  # kernel entries as CRT residues
-        modulus = 1
-        ref_pivots = None
-        lifted = None
-        for p in _WORK_PRIMES:
-            a, pivots = rref_mod_p(dense_mod(p), p)
-            # free columns get the identity, pivot columns minus the RREF
-            free = np.setdiff1d(np.arange(ncols), pivots)
-            basis = np.zeros((len(free), ncols), dtype=np.int64)
-            basis[np.arange(len(free)), free] = 1
-            basis[:, pivots] = (-a[:, free] % p).T
-            # The rational rank profile has the most pivots, earliest first;
-            # a prime dividing some minor sees fewer or later pivots.  Skip
-            # such a prime, and restart only when a better profile shows up.
-            if ref_pivots is not None and pivots != ref_pivots:
-                if (-len(pivots), pivots) > (-len(ref_pivots), ref_pivots):
-                    continue
-                used, residues, modulus = [], None, 1
-            ref_pivots = pivots
-            used.append(p)
-            if residues is None:
-                residues = basis.astype(object)
-                modulus = p
-            else:
-                for idx in np.ndindex(residues.shape):
-                    residues[idx], _ = crt_pair(int(residues[idx]) % modulus, modulus,
-                                                int(basis[idx]), p)
-                modulus *= p
-            lifted = _try_lift(residues, modulus)
-            if lifted is None:
+    step = max(1, ncols // 2)
+    residues, modulus, ref_pivots = None, 1, None   # kernel entries mod modulus
+    for p in map(machine_prime, range(10)):
+        a, pivots = np.zeros((0, ncols), dtype=np.int64), []
+        for i0 in range(0, len(rows), step):
+            block = rows[i0:i0 + step]
+            a = np.vstack([a, np.zeros((len(block), ncols), dtype=np.int64)])
+            for i, r in enumerate(block, len(a) - len(block)):
+                for c, v in r.items():
+                    a[i, c] = v % p   # entries can exceed int64
+            a, pivots = rref_mod_p(a, p)
+        # free columns get the identity, pivot columns minus the RREF
+        free = np.setdiff1d(np.arange(ncols), pivots)
+        basis = np.zeros((len(free), ncols), dtype=np.int64)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, pivots] = (-a[:, free] % p).T
+        # The rational rank profile has the most pivots, earliest first; a
+        # prime dividing some minor sees fewer or later pivots.  Skip such a
+        # prime, and restart only when a better profile shows up.
+        if ref_pivots is not None and pivots != ref_pivots:
+            if (-len(pivots), pivots) > (-len(ref_pivots), ref_pivots):
                 continue
-            if _verify_kernel(all_rows, lifted):
-                if expected_dim is not None and len(lifted) != expected_dim:
-                    raise ArithmeticError(
-                        "kernel dimension %d != expected %d" % (len(lifted), expected_dim))
-                return lifted
-            lifted = None
-            if len(rows) < len(all_rows):
-                break  # sample too thin: verified false, enlarge below
-        if len(rows) == len(all_rows):
-            raise ArithmeticError(
-                "integer kernel did not stabilize over %d primes" % len(used))
-        sample_size *= 2
-        if len(all_rows) > sample_size:
-            rows = rng.sample(all_rows, sample_size)
+            residues = None
+        ref_pivots = pivots
+        if residues is None:
+            residues, modulus = basis.astype(object), p
         else:
-            rows = all_rows
-    raise ArithmeticError("integer kernel computation failed to converge")
+            residues = residues + modulus * ((basis - residues) * pow(modulus, -1, p) % p)
+            modulus *= p
+        lifted = _try_lift(residues, modulus)
+        if lifted is not None and _verify_kernel(rows, lifted):
+            if expected_dim is not None and len(lifted) != expected_dim:
+                raise ArithmeticError(
+                    "kernel dimension %d != expected %d" % (len(lifted), expected_dim))
+            return lifted
+    raise ArithmeticError("integer kernel did not stabilize over 10 primes")
 
 
 def _try_lift(residues, modulus):

@@ -13,8 +13,8 @@ import random
 
 from . import linalg
 from .poly import evaluate_points
-from .tensor import (Tensor333, act, frank, pencil, pencil_rank, permute_factors,
-                     prank, random_group_element)
+from .tensor import (_LATTICE3, Tensor333, act, frank, pencil, pencil_rank,
+                     permute_factors, prank, random_group_element)
 
 
 def decode_triples(codes) -> Tensor333:
@@ -271,44 +271,6 @@ def _group18(t):
     return (_GROUP18_GA, [[1, 0, 0], [0, t, 0], [0, 0, 1]], linalg.identity(3))
 
 
-# small polynomials in the pencil variables, as {(e1, e2, e3): coeff}
-
-def _poly3_mul(p, q):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            c = out.get(e, 0) + ca * cb
-            if c == 0:
-                out.pop(e, None)
-            else:
-                out[e] = c
-    return out
-
-
-def _linear_form(coeffs):
-    """c1*x1 + c2*x2 + c3*x3 as {(e1,e2,e3): c}."""
-    return {tuple(1 if s == i else 0 for i in range(3)): c
-            for s, c in enumerate(coeffs) if c != 0}
-
-
-def _subst_a3(form):
-    """Substitute a3 -> a2^2/a1 into a linear-form dict; returns the
-    numerator over the denominator a1."""
-    num = {}
-    for e, c in form.items():
-        if e == (0, 0, 1):
-            ne = (0, 2, 0)  # a2^2, denominator a1
-        else:
-            ne = (e[0] + 1, e[1], e[2])  # multiplied through by a1
-        acc = num.get(ne, 0) + c
-        if acc == 0:
-            num.pop(ne, None)
-        else:
-            num[ne] = acc
-    return num
-
-
 def degeneration_check(name: str, samples=(1, 2, 3)) -> bool:
     """Replay the explicit limit constructions landing on the boundary
     orbits 17 and 18.
@@ -320,8 +282,8 @@ def degeneration_check(name: str, samples=(1, 2, 3)) -> bool:
     orbit18: the row-scaled skew family whose t -> 0 limit L has a zero
     second row; then the documented substitution chain (set a3 = a2^2/a1
     and rescale the third row by -a1/a2) must turn L into the row-cycled
-    orbit-18 representative, verified as cross-multiplied polynomial
-    identities over the rational function field.
+    orbit-18 representative, verified as cross-multiplied cubic-form
+    identities at the 10 points of tensor._LATTICE3.
     """
     F = skew_tensor()
     if name == "orbit17":
@@ -347,16 +309,17 @@ def degeneration_check(name: str, samples=(1, 2, 3)) -> bool:
             for k in range(3):
                 if any(limit_pencil[s][j][k] != target_pencil[s][j][k] for s in range(3)):
                     return False
-        # row 3: substitute a3 and rescale by -a1/a2; compare after clearing
+        # row 3: with L and T the linear forms of limit and target, setting
+        # a3 = a2^2/a1 and rescaling by -a1/a2 must give T; cleared of
+        # a1*a2, the cubic forms -a1*L(a1^2, a1*a2, a2^2) and a1*a2*T agree,
+        # checked at the points of _LATTICE3 (unisolvent for cubics)
         for k in range(3):
-            form = _linear_form([limit_pencil[s][2][k] for s in range(3)])
-            num = _subst_a3(form)                    # over a1
-            num = _poly3_mul(num, _linear_form([-1, 0, 0]))  # times -a1, over a1*a2
-            target_form = _linear_form([target_pencil[s][2][k] for s in range(3)])
-            cleared = _poly3_mul(target_form, _poly3_mul(_linear_form([1, 0, 0]),
-                                                         _linear_form([0, 1, 0])))
-            if num != cleared:
-                return False
+            l1, l2, l3 = (limit_pencil[s][2][k] for s in range(3))
+            t1, t2, t3 = (target_pencil[s][2][k] for s in range(3))
+            for a1, a2, a3 in _LATTICE3:
+                if -a1 * (l1 * a1 * a1 + l2 * a1 * a2 + l3 * a2 * a2) != \
+                        a1 * a2 * (t1 * a1 + t2 * a2 + t3 * a3):
+                    return False
         return True
     raise ValueError("unknown degeneration target %r" % (name,))
 

@@ -10,10 +10,10 @@ The letter aliases follow a_ij = T[i][j][1], b_ij = T[i][j][2],
 c_ij = T[i][j][3] in 1-based notation.
 
 Evaluation is exact, through one kernel, evaluate_points.  Each value is
-computed modulo machine primes (below linalg.MACHINE_PRIME_BOUND) and
-lifted by CRT to the symmetric range, with primes taken until their
-product exceeds 2 * L1(f) * max|x|^deg >= 2|f(x)|: larger entries cost
-more primes, never a wrong value.  Fraction entries are cleared by a
+computed modulo machine primes (linalg.machine_prime) and lifted by CRT
+to the symmetric range, with primes taken until their product exceeds
+2 * L1(f) * max|x|^deg >= 2|f(x)|: larger entries cost more primes,
+never a wrong value.  Fraction entries are cleared by a
 common denominator D, f_e(x) = f_e(D x) / D^e on each degree-e part;
 entries and coefficients that are not ints or Fractions (floats, bools)
 raise TypeError.  The monomials and integer coefficients of a polynomial
@@ -31,8 +31,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
-from .linalg import MACHINE_PRIME_BOUND
-from .scalars import is_prime
+from .linalg import machine_prime
 from .tensor import Tensor333, perm_sign
 
 N_VARS = 27
@@ -229,7 +228,6 @@ def variable_map(perm=(0, 1, 2), sigma=((0, 1, 2),) * 3):
 
 PAD = N_VARS      # a 28th variable: 1, or D at a point with denominator D
 _BASE = N_VARS + 1
-_PRIMES = []      # machine primes, largest first, found on demand
 
 
 def _exact(xs, what):
@@ -269,12 +267,7 @@ def _primes_above(bound):
     """The fewest machine primes, largest first, with product > bound."""
     out, m = [], 1
     while m <= bound:
-        if len(out) == len(_PRIMES):
-            q = _PRIMES[-1] - 2 if _PRIMES else MACHINE_PRIME_BOUND
-            while pow(2, q - 1, q) != 1 or not is_prime(q):   # a Fermat test first
-                q -= 2
-            _PRIMES.append(q)
-        out.append(_PRIMES[len(out)])
+        out.append(machine_prime(len(out)))
         m *= out[-1]
     return out
 

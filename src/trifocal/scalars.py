@@ -2,8 +2,8 @@
 
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
 denominator).  Residues mod a prime are plain ints; the default prime is
-101 and can be overridden everywhere a prime appears.  Lifting modular
-results back to Q goes through crt_pair and rational_reconstruction.
+101 and can be overridden everywhere a prime appears.  Modular kernel
+entries, combined by CRT, come back to Q through rational_reconstruction.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Combine residues r1 mod m1 and r2 mod m2 (coprime moduli)."""
-    inv = pow(m1, -1, m2)
-    t = ((r2 - r1) * inv) % m2
-    return r1 + m1 * t, m1 * m2
 
 
 def rational_reconstruction(a: int, m: int) -> Fraction | None:

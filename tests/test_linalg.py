@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ def test_sparse_agrees_with_dense_up_to_50():
 
 def test_rref_mod_p_is_reduced_and_matches_echelon_add():
     rng = random.Random(9)
-    for p in (2, 101, linalg._WORK_PRIMES[0]):
+    for p in (2, 101, linalg.machine_prime(0)):
         for _ in range(40):
             rows, cols = rng.randint(1, 9), rng.randint(1, 9)
             # low-rank products as well as full random matrices
@@ -201,13 +202,37 @@ def test_kernel_basis_int_certified():
 
 
 def test_kernel_basis_int_skips_primes_where_rank_drops():
-    # every second work prime divides the second row, so the rank drops
+    # every second machine prime divides the second row, so the rank drops
     # from 2 to 1 there; the kernel entries need three good primes to lift
-    P = linalg._WORK_PRIMES
-    q = P[0] * P[2] * P[4] * P[6] * P[8]
+    q = prod(map(linalg.machine_prime, range(0, 10, 2)))
     a, b = 3 ** 25 + 4, 5 ** 17 - 2
     rows = [{0: 1, 2: a}, {1: q, 2: b * q}]
     assert linalg.kernel_basis_int(rows, 3) == [[a, b, -1]]
+
+
+# 10 columns: blocks of 5 rows, so 3 rows fit one block, 10 fill two, 11
+# spill into a third, and 300 rows are 60 blocks
+@pytest.mark.parametrize("nrows", [1, 3, 10, 11, 300])
+@pytest.mark.parametrize("huge", [False, True])
+def test_kernel_basis_int_streams_every_row_in_blocks(monkeypatch, nrows, huge):
+    rng = random.Random(10 * nrows + huge)
+    ncols, rank = 10, min(nrows, 6)
+    base = random_matrix(rng, rank, ncols)
+    rows = []
+    while len(rows) < nrows:
+        coef = [rng.randint(-3, 3) for _ in base]
+        row = [sum(c * b[j] for c, b in zip(coef, base)) for j in range(ncols)]
+        if any(row):
+            # a factor beyond int64 scales a row and leaves the kernel alone
+            f = rng.randint(2 ** 64, 2 ** 80) if huge else 1
+            rows.append({j: f * x for j, x in enumerate(row) if x})
+    calls = []
+    rref = linalg.rref_mod_p
+    monkeypatch.setattr(linalg, "rref_mod_p", lambda a, p: calls.append(p) or rref(a, p))
+    got = linalg.kernel_basis_int(rows, ncols)
+    dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
+    assert got == [linalg._primitive_int_vector(v) for v in linalg.kernel_basis(dense)]
+    assert got and all(calls.count(p) == -(-nrows // 5) for p in calls)
 
 
 def test_rational_reconstruction_roundtrip():

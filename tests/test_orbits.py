@@ -141,6 +141,17 @@ def test_degeneration_orbit18():
     assert degeneration_check("orbit18") is True
 
 
+def test_degeneration_orbit18_rejects_a_perturbed_row_3(monkeypatch):
+    # the row cycle of the check makes index j = 1 of the representative
+    # row 3 of the target, the row compared after the substitution chain
+    rep = orbits.orbit18_rep()
+    for i in range(1, 4):
+        for k in range(1, 4):
+            bumped = rep + Tensor333.from_terms([(1, i, 1, k)])
+            monkeypatch.setattr(orbits, "orbit18_rep", lambda: bumped)
+            assert degeneration_check("orbit18") is False, (i, k)
+
+
 def test_degeneration_unknown_name():
     with pytest.raises(ValueError):
         degeneration_check("orbit99")

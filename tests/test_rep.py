@@ -218,7 +218,7 @@ def test_lowering_tree_sizes():
 def test_degree5_module_spans_are_bases_closed_under_operators(discovery5):
     import numpy as np
     from trifocal.poly import LOWERING, RAISING, apply_shift
-    p = linalg._WORK_PRIMES[0]
+    p = linalg.machine_prime(0)
     modules = discovery5.scans[5].modules
     assert sorted(m.dim for m in modules) == [27, 54]
     for m in modules:
