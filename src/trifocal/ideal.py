@@ -22,6 +22,8 @@ witness f folds by G_f = {sigma in G : sigma(f) in Q^x f}, checked exactly,
 the sigma that also permute the blocks of the ideal plus (f).  Since
 rank_p(w) <= rank_Q(w) = rank_Q(sigma w), a folded total is a lower bound
 on the dimension over Q, as the unfolded sum is; for G = {id} it is that sum.
+The base fold is memoised per (degree, G) next to the base ranks, and a
+stabiliser per (G, witness terms); a fold walks each orbit once.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ class GradedGeneratorSet:
         self._tables = {}   # degree -> weight_table(degree)
         self._modules = {}  # degree -> module-built
         self._ranks = {}    # (degree, p, group) -> {representative: block rank}
+        self._folds = {}    # (degree, group) -> _fold of the slice weights
         for d, polys in (by_degree or {}).items():
             self.add(d, polys)
 
@@ -81,6 +84,7 @@ class GradedGeneratorSet:
             np.array([sum(w, ()) for w, _ in items], dtype=np.int64).reshape(-1, 9), items)
         self.by_degree.setdefault(degree, []).extend(polys)
         self._ranks.clear()
+        self._folds.clear()
 
     def add(self, degree, polys):
         """Add plain generators; their degree stops being module-built."""
@@ -210,6 +214,12 @@ def _poly_vector(f: Poly, cols, p):
 
 def stabiliser(group, f: Poly):
     """The sigma in group with sigma(f) a rational multiple of f."""
+    return _stabiliser(group, frozenset(f.terms.items()))
+
+
+@lru_cache(maxsize=64)
+def _stabiliser(group, terms):
+    f = Poly._wrap(dict(terms))
     m0 = next(iter(f.terms))
     out = []
     for sigma in group:
@@ -220,20 +230,25 @@ def stabiliser(group, f: Poly):
     return tuple(out)
 
 
+def _image(sigma, w):
+    return tuple(tuple(slot[i] for i in s) for slot, s in zip(w, sigma))
+
+
 def _canonical(group, w):
     """The largest weight in the orbit of w: the dominant one for S3^3."""
     if group is WEYL:
         return tuple(tuple(sorted(slot, reverse=True)) for slot in w)
-    return max(tuple(tuple(slot[i] for i in s) for slot, s in zip(w, sigma))
-               for sigma in group)
+    return max(_image(sigma, w) for sigma in group)
 
 
 def _fold(group, weights):
-    """{orbit representative: number of the given weights in its orbit}."""
-    reps = {}
+    """{orbit representative (_canonical): number of the weights in it}, one walk per orbit."""
+    weights, seen, reps = set(weights), set(), {}
     for w in weights:
-        r = _canonical(group, w)
-        reps[r] = reps.get(r, 0) + 1
+        if w not in seen:
+            orbit = {_image(sigma, w) for sigma in group}
+            seen |= orbit
+            reps[max(orbit)] = len(orbit & weights)
     return reps
 
 
@@ -264,7 +279,9 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
     group = gens.symmetry_group(d)
-    base = _fold(group, _slice_weights(gens, d))
+    base = gens._folds.get((d, group))
+    if base is None:
+        base = gens._folds[d, group] = _fold(group, _slice_weights(gens, d))
     folds = []  # (witness, degree, weight, stabiliser, {representative: orbit size})
     for f in witnesses:
         (e, wf), stab = check_witness(f), stabiliser(group, f)

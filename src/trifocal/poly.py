@@ -19,11 +19,20 @@ entries and coefficients that are not ints or Fractions (floats, bools)
 raise TypeError.  The monomials and integer coefficients of a polynomial
 are packed into numpy arrays on first use and cached on it until
 add_term changes it (_pack).
+
+The raising and lowering operators act on batches of terms (pack_terms):
+an n x width uint8 array of sorted variable indices, rows of lower degree
+padded by HOLE, and per term a polynomial id and a coefficient.  A shift
+(shift_batch) replaces each matching position, re-sorts the rows and
+merges like terms by a key, the id above five bits per variable, whose
+order is tuple order (int64, or objects where that would overflow).
+Coefficients are int64 while L1 * width < 2^62, so no product by a
+multiplicity and no merge overflows; objects otherwise.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -230,6 +239,12 @@ PAD = N_VARS      # a 28th variable: 1, or D at a point with denominator D
 _BASE = N_VARS + 1
 
 
+def _mono_rows(monos, width, pad):
+    """The monomials as an n x width uint8 array, each row padded by pad."""
+    return np.frombuffer(b"".join([bytes(m).ljust(width, pad) for m in monos]),
+                         dtype=np.uint8).reshape(len(monos), width)
+
+
 def _exact(xs, what):
     """(xs as a list, whether one is a Fraction); TypeError unless each
     is an int or a Fraction."""
@@ -254,11 +269,11 @@ def _pack(f: Poly):
     coeffs = [int(c * den) for c in coeffs] if fractions else coeffs
     l1 = sum(map(abs, coeffs))
     deg = max(map(len, terms), default=0)
-    width, pad = 3 * max(1, -(-deg // 3)), bytes([PAD])
-    v = np.frombuffer(b"".join([bytes(m).ljust(width, pad) for m in terms]), dtype=np.uint8)
+    width = 3 * max(1, -(-deg // 3))
+    v = _mono_rows(terms, width, bytes([PAD])).reshape(len(terms), width // 3, 3)
     # below 2^31 a coefficient times a residue fits int64; larger ones are
     # reduced mod each prime first
-    f._packed = (v.reshape(len(terms), width // 3, 3) @ np.array([_BASE ** 2, _BASE, 1], np.int32),
+    f._packed = (v @ np.array([_BASE ** 2, _BASE, 1], np.int32),
                  np.array(coeffs, dtype=np.int64 if l1 < 1 << 31 else object), l1, den, deg)
     return f._packed
 
@@ -371,57 +386,84 @@ def weight_space_basis(d, weight):
 # ---------------------------------------------------------------------------
 # raising / lowering operators (one gl(3) copy per tensor factor)
 
+HOLE = 31   # pads the rows of lower-degree monomials: sorts last in a row, no shift moves it
+
+
+def pack_terms(polys):
+    """The terms of polys as one batch (rows, ids, coeffs), those of
+    polys[i] with id i (module docstring)."""
+    monos = [m for f in polys for m in f.terms]
+    coeffs = [c for f in polys for c in f.terms.values()]
+    width = max(1, max(map(len, monos), default=0))   # a constant is one HOLE
+    small = all(type(c) is int for c in coeffs) and sum(map(abs, coeffs)) < 1 << 62
+    coeffs = np.array(coeffs, dtype=np.int64 if small else object)
+    ids = np.repeat(np.arange(len(polys)), list(map(len, polys)))
+    return _mono_rows(monos, width, bytes([HOLE])), ids, coeffs
+
+
+def unpack_terms(batch, n):
+    """The batch as n Polys, polynomial i made of the terms with id i
+    (ids ascending, as shift_batch leaves them)."""
+    rows, ids, coeffs = batch
+    monos, coeffs = list(struct.iter_unpack("%dB" % rows.shape[1], rows.tobytes())), coeffs.tolist()
+    for i in np.flatnonzero(rows[:, -1] == HOLE).tolist():   # below the full degree
+        monos[i] = monos[i][:monos[i].index(HOLE)]
+    bounds = np.searchsorted(ids, np.arange(n + 1)).tolist()
+    return [Poly._wrap(dict(zip(monos[a:b], coeffs[a:b]))) for a, b in zip(bounds, bounds[1:])]
+
+
 @lru_cache(maxsize=None)
-def _shift_map(axis, to_idx, from_idx):
-    """Variable v -> the variable with factor-`axis` index from_idx replaced
-    by to_idx, or -1 where v's index in that factor is not from_idx."""
-    ax = "ABC".index(axis)
-    out = []
-    for v in range(N_VARS):
-        ijk = list(var_ijk(v))
-        if ijk[ax] == from_idx:
-            ijk[ax] = to_idx
-            out.append(var_index(*ijk))
-        else:
-            out.append(-1)
-    return tuple(out)
+def _shift_tables(axis, to_idx, from_idx):
+    """(hit, image) over the row values: hit[v] when v's factor-`axis`
+    index is from_idx, image[v] the variable with it set to to_idx."""
+    ax, ijk = "ABC".index(axis), np.array([var_ijk(v) for v in range(HOLE + 1)])
+    hit = (ijk[:, ax] == from_idx) & (np.arange(HOLE + 1) < N_VARS)
+    ijk[hit, ax] = to_idx
+    return hit, (ijk @ (9, 3, 1)).astype(np.uint8)
+
+
+def _run_starts(a):
+    """The indices where a run of equal entries of a starts."""
+    return np.flatnonzero(np.diff(a, prepend=a[:1] - 1))
+
+
+def shift_batch(axis, to_idx, from_idx, batch):
+    """apply_shift on every polynomial of a batch at once; the result is
+    sorted by id, then by monomial in tuple order (module docstring)."""
+    rows, ids, coeffs = batch
+    hit, image = _shift_tables(axis, to_idx, from_idx)
+    width = rows.shape[1]
+    if coeffs.dtype != object and int(np.abs(coeffs).sum()) * width >= 1 << 62:
+        coeffs = coeffs.astype(object)   # the dtype rule (module docstring)
+    t, pos = np.nonzero(hit[rows])
+    new = rows[t]
+    new[np.arange(len(t)), pos] = image[rows[t, pos]]
+    new.sort(axis=1)
+    ids = ids[t]
+    # five bits per variable, v + 1 or 0 for HOLE: shorter monomials first
+    key = ids.astype(np.int64 if 5 * width + int(ids.max(initial=0)).bit_length() < 63 else object)
+    for col in ((new + 1) & 31).T.astype(key.dtype):
+        key = key << 5 | col
+    order = np.argsort(key)
+    starts = _run_starts(key[order])
+    sums = np.add.reduceat(coeffs[t][order], starts)
+    keep = order[starts[sums != 0]]
+    return new[keep], ids[keep], sums[sums != 0]
+
+
+def normalize_batch(batch):
+    """Poly.content_normalized on each polynomial of an integer batch from
+    shift_batch, whose first term is its smallest monomial."""
+    rows, ids, coeffs = batch
+    starts = _run_starts(ids)   # a one-term reduceat is the term itself, sign and all
+    g = np.abs(np.gcd.reduceat(coeffs, starts)) * np.sign(coeffs[starts])
+    return rows, ids, coeffs // np.repeat(g, np.diff(np.r_[starts, len(ids)]))
 
 
 def apply_shift(axis, to_idx, from_idx, f: Poly) -> Poly:
     """The derivation sum_rest T[to,rest] * d/dT[from,rest] on poly f
     (indices 0-based within the chosen factor)."""
-    vmap = _shift_map(axis, to_idx, from_idx)
-    out = {}
-    for mono, coeff in f.terms.items():
-        prev = -1
-        for pos, v in enumerate(mono):
-            if v == prev:
-                continue
-            prev = v
-            w = vmap[v]
-            if w < 0:
-                continue
-            # replace one copy of v by w, keeping the monomial sorted
-            rest = mono[:pos] + mono[pos + 1:]
-            k = bisect(rest, w)
-            new = rest[:k] + (w,) + rest[k:]
-            c = out.get(new, 0) + coeff * mono.count(v)
-            if c:
-                out[new] = c
-            else:
-                del out[new]
-    return Poly._wrap(out)
-
-
-def lower(axis, r, s, f: Poly) -> Poly:
-    """Lowering: moves one unit of `axis` content from slot s to slot r
-    (1-based, r > s moves the weight down in dominance order)."""
-    return apply_shift(axis, r - 1, s - 1, f)
-
-
-def raise_op(axis, r, s, f: Poly) -> Poly:
-    """Raising: the transposed index pair (moves content from r up to s)."""
-    return apply_shift(axis, s - 1, r - 1, f)
+    return unpack_terms(shift_batch(axis, to_idx, from_idx, pack_terms([f])), 1)[0]
 
 
 LOWERING = tuple((ax, to, frm) for ax in "ABC" for to, frm in ((1, 0), (2, 1)))

@@ -92,6 +92,42 @@ def test_witness_stabiliser_orders():
     assert ideal.stabiliser(ideal.IDENTITY, witness_g()) == ideal.IDENTITY
 
 
+def test_stabiliser_memo_matches_fresh_computation():
+    fresh = ideal._stabiliser.__wrapped__
+    f = f_determinant()
+    assert ideal.stabiliser(ideal.WEYL, f) == fresh(ideal.WEYL, frozenset(f.terms.items()))
+    # one coefficient doubled: no longer a multiple of any image of f
+    g = f.copy()
+    g.add_term(next(iter(f.terms)), next(iter(f.terms.values())))
+    assert ideal.stabiliser(ideal.WEYL, g) == fresh(ideal.WEYL, frozenset(g.terms.items()))
+    assert len(ideal.stabiliser(ideal.WEYL, g)) < len(ideal.stabiliser(ideal.WEYL, f))
+
+
+def test_orbit_walk_fold_matches_per_weight_fold():
+    gens = GradedGeneratorSet()
+    gens.add_module(det_slice_poly("C", 1))
+    groups = [ideal.WEYL, ideal.IDENTITY, ideal.stabiliser(ideal.WEYL, f_determinant()),
+              ideal.stabiliser(ideal.WEYL, witness_g())]
+    for d in range(1, 7):
+        weights = ideal._slice_weights(gens, d)
+        for ws in (weights, set(sorted(weights)[::3])):   # and a subset, not a union of orbits
+            for group in groups:
+                ref = {}
+                for w in ws:
+                    r = max(ideal._image(sigma, w) for sigma in group)
+                    ref[r] = ref.get(r, 0) + 1
+                assert ideal._fold(group, ws) == ref, (d, len(group))
+
+
+def test_base_fold_memo_is_cleared_with_the_ranks():
+    gens = GradedGeneratorSet()
+    gens.add_module(det_slice_poly("C", 1))
+    hilbert_quotient(gens, 4)
+    assert set(gens._folds) == {(4, ideal.WEYL)}
+    gens.add_module(witness_g())
+    assert gens._folds == {}
+
+
 def test_base_rank_memo_matches_fresh_sweeps():
     def fresh(*hws):
         gens = GradedGeneratorSet()

@@ -6,9 +6,9 @@ import pytest
 from trifocal import linalg, rep
 from trifocal.orbits import skew_tensor, trifocal_normal_form
 from trifocal.poly import (Poly, apply_shift, det_slice_poly, f_determinant,
-                           format_poly, is_highest_weight, lower, m3_generators,
+                           format_poly, is_highest_weight, m3_generators,
                            m3_with_x_monomials, mono_weight, parse_poly, permuted,
-                           raise_op, s3_m3, var_index, variable_map,
+                           s3_m3, var_index, variable_map,
                            weight_space_basis, witness_g)
 from trifocal.tensor import Tensor333, permute_factors, random_orbit_point
 
@@ -91,13 +91,14 @@ def test_raising_annihilates_f():
 
 def test_lowering_single_variable():
     t111 = Poly.variable(1, 1, 1, one_based=True)
-    assert lower("A", 2, 1, t111) == Poly.variable(2, 1, 1, one_based=True)
-    assert raise_op("A", 2, 1, Poly.variable(2, 1, 1, one_based=True)) == t111
+    # lowering moves A-content from slot 1 to slot 2, raising moves it back
+    assert apply_shift("A", 1, 0, t111) == Poly.variable(2, 1, 1, one_based=True)
+    assert apply_shift("A", 0, 1, Poly.variable(2, 1, 1, one_based=True)) == t111
 
 
 def test_operator_weight_shift():
     f = f_determinant()
-    g = lower("A", 2, 1, f)
+    g = apply_shift("A", 1, 0, f)
     (wa, wb, wc) = g.weight()
     assert wa == (2, 1, 0)
     assert wb == f.weight()[1] and wc == f.weight()[2]

@@ -1,0 +1,158 @@
+"""The batch shift kernel against the dict-of-tuples loop it replaced.
+
+dict_apply_shift and dict_module_span are the former poly.apply_shift and
+rep.module_span, kept here as oracles.
+"""
+
+import random
+from bisect import bisect
+from fractions import Fraction
+from itertools import permutations
+
+import pytest
+
+from trifocal import poly, rep
+from trifocal.poly import (N_VARS, Poly, apply_shift, f_determinant, var_index, var_ijk,
+                           witness_g)
+
+SHIFTS = [(ax, to, frm) for ax in "ABC" for to, frm in permutations(range(3), 2)]
+
+
+def _shift_map(axis, to_idx, from_idx):
+    ax = "ABC".index(axis)
+    out = []
+    for v in range(N_VARS):
+        ijk = list(var_ijk(v))
+        if ijk[ax] == from_idx:
+            ijk[ax] = to_idx
+            out.append(var_index(*ijk))
+        else:
+            out.append(-1)
+    return out
+
+
+def dict_apply_shift(axis, to_idx, from_idx, f):
+    vmap = _shift_map(axis, to_idx, from_idx)
+    out = {}
+    for mono, coeff in f.terms.items():
+        prev = -1
+        for pos, v in enumerate(mono):
+            if v == prev:
+                continue
+            prev = v
+            w = vmap[v]
+            if w < 0:
+                continue
+            rest = mono[:pos] + mono[pos + 1:]
+            k = bisect(rest, w)
+            new = rest[:k] + (w,) + rest[k:]
+            c = out.get(new, 0) + coeff * mono.count(v)
+            if c:
+                out[new] = c
+            else:
+                del out[new]
+    return Poly(out)
+
+
+def dict_module_span(h):
+    parts = tuple(tuple(sorted(c, reverse=True)) for c in h.weight())
+    basis = [h.content_normalized()]
+    for axis, part in zip("ABC", parts):
+        tree = rep.lowering_tree(tuple(x for x in part if x))
+        grown = []
+        for root in basis:
+            span = [root]
+            for parent, (to, frm) in tree[1:]:
+                span.append(dict_apply_shift(axis, to, frm, span[parent]).content_normalized())
+            grown.extend(span)
+        basis = grown
+    return basis
+
+
+def _random_poly(rng, degrees, nterms, coeff):
+    f = Poly()
+    for _ in range(nterms):
+        mono = tuple(sorted(rng.randrange(N_VARS) for _ in range(rng.choice(degrees))))
+        f.add_term(mono, coeff(rng))
+    return f
+
+
+def _cases():
+    rng = random.Random(2718)
+    small = lambda r: r.randint(-9, 9)
+    cases = [Poly(), Poly.constant(5)]
+    cases += [_random_poly(rng, [d], 30, small) for d in range(8)]
+    cases += [_random_poly(rng, range(8), 60, small)]                            # mixed degrees
+    # 5 * 13 bits: object keys; these two would share an int64 key
+    cases += [_random_poly(rng, [13], 20, small), Poly({(0,) + (26,) * 12: 1, (16,) + (26,) * 12: 2})]
+    cases += [_random_poly(rng, [3, 5], 30, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 7)))]
+    cases += [_random_poly(rng, [4], 30, lambda r: r.choice([-1, 1]) * r.getrandbits(70))]
+    cases += [_random_poly(rng, [6], 20, lambda r: r.choice([-1, 1]) << 60)]
+    cases += [Poly({(0,) * 6: 3 << 60})]   # L1 < 2^62 <= L1 * 6: its image overflows int64
+    return cases
+
+
+@pytest.mark.parametrize("axis, to, frm", SHIFTS)
+def test_shift_matches_dict_loop(axis, to, frm):
+    for f in _cases():
+        assert apply_shift(axis, to, frm, f) == dict_apply_shift(axis, to, frm, f), f
+
+
+def test_shift_cancels_to_zero():
+    # raising operators annihilate highest weight vectors term by term
+    for f in (f_determinant(), witness_g()):
+        for to, frm in ((0, 1), (1, 2)):
+            for axis in "ABC":
+                assert dict_apply_shift(axis, to, frm, f).is_zero()
+                assert apply_shift(axis, to, frm, f).is_zero()
+    # a 2x2 minor: both terms map to T_1_1_1 T_1_1_2 and cancel
+    f = Poly({(var_index(0, 0, 0), var_index(1, 0, 1)): 1,
+              (var_index(0, 0, 1), var_index(1, 0, 0)): -1})
+    assert dict_apply_shift("A", 0, 1, f).is_zero()
+    assert apply_shift("A", 0, 1, f).is_zero()
+
+
+def test_shift_keeps_exact_coefficient_types():
+    f = Poly({(0, 9): Fraction(1, 3), (9, 9): 2 ** 80})
+    g = apply_shift("A", 0, 1, f)
+    assert g == dict_apply_shift("A", 0, 1, f)
+    assert g.terms[(0, 0)] == Fraction(1, 3) and g.terms[(0, 9)] == 2 ** 81
+
+
+def test_chained_shifts_leave_int64_before_it_overflows():
+    # L1 * width < 2^62 at the start; the second shift's input is past it
+    f = Poly({(0,) * 6: 1 << 58})
+    batch, g = poly.pack_terms([f]), f
+    for _ in range(4):
+        batch, g = poly.shift_batch("A", 1, 0, batch), dict_apply_shift("A", 1, 0, g)
+        assert poly.unpack_terms(batch, 1) == [g]
+    assert g.terms[(0, 0, 9, 9, 9, 9)] == 360 << 58
+
+
+def test_normalize_batch_matches_content_normalized():
+    rng = random.Random(31)
+    polys = [Poly({(0, 9): -4}), Poly({(3, 4): 6, (1, 2): -9}), Poly({(5,): -(3 << 70)}),
+             Poly({(1, 1): 1 << 70, (0, 2): -(1 << 69)}), Poly({(2,): 7})]
+    polys += [_random_poly(rng, [4], 12, lambda r: r.choice([-6, -4, 2, 8, 12])) for _ in range(9)]
+    polys = [Poly(sorted(f.terms.items())) for f in polys]   # terms in shift_batch's order
+    for group in (polys[:2], polys[2:4], polys):   # int64 and object coefficients
+        batch = poly.normalize_batch(poly.pack_terms(group))
+        assert poly.unpack_terms(batch, len(group)) == [f.content_normalized() for f in group]
+
+
+def _same_span(h):
+    new, old = rep.module_span(h), dict_module_span(h)
+    assert new == old   # the same vectors in the same order
+
+
+def test_module_span_matches_dict_loop():
+    _same_span(f_determinant())
+    _same_span(witness_g())
+
+
+@pytest.mark.slow
+def test_module_spans_match_dict_loop_on_discovery6(discovery6):
+    modules = discovery6.modules()
+    assert len(modules) == 12
+    for m in modules:
+        _same_span(m.hw_vector)
