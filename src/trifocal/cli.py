@@ -33,8 +33,8 @@ class RunConfig:
                              % (linalg.MACHINE_PRIME_BOUND, prime))
         if not is_prime(prime):
             raise ValueError("--prime must be prime, got %d" % prime)
-        if degree_cap > ideal.HARD_DEGREE_CAP:
-            raise ValueError("--degree-cap is limited to %d" % ideal.HARD_DEGREE_CAP)
+        if not 1 <= degree_cap <= ideal.HARD_DEGREE_CAP:
+            raise ValueError("--degree-cap must be in 1..%d" % ideal.HARD_DEGREE_CAP)
         if oversample < 1:
             raise ValueError("--oversample must be at least 1")
         self.prime = prime
@@ -122,8 +122,8 @@ def cmd_classify(args) -> int:
 
 def cmd_discover(args) -> int:
     cfg = _config(args)
-    if args.degree > cfg.degree_cap:
-        raise DegreeCapError("--degree %d exceeds --degree-cap %d" % (args.degree, cfg.degree_cap))
+    if not 1 <= args.degree <= cfg.degree_cap:
+        raise DegreeCapError("--degree must be in 1..%d (--degree-cap)" % cfg.degree_cap)
     disc = _discover(cfg, args.degree, _progress(args))
     inventory = []
     label_table = []

@@ -261,20 +261,16 @@ def _primitive_int_vector(fracs):
 
 
 def kernel_basis_int(sparse_rows, ncols, expected_dim=None):
-    """Exact integer kernel of an integer matrix given as sparse rows.
-
-    Each row is a dict {col: int}.  For each of up to 10 machine primes,
-    every nonzero row, in the given order, is reduced mod p and eliminated
-    by rref_mod_p in blocks of ncols // 2 rows, each block stacked under
-    the echelon form so far.  The rank is at most ncols, so no dense array
-    exceeds 1.5 * ncols rows; all rows in one array (4752 x 1152 for the
-    largest degree-6 hw space) would raise peak memory by a quarter.  A
-    prime with fewer or later pivots than the best seen is skipped.  The
-    modular kernels are combined by CRT, lifted by rational reconstruction
-    and verified against every exact row, so the result is certified
-    whatever the primes.  Returns primitive integer vectors (python lists)
-    with a positive leading entry; ArithmeticError when no lift verifies
-    or the dimension is not expected_dim.
+    """Exact integer kernel of an integer matrix given as sparse rows
+    {col: int}: the oracle of the highest weight space tests.  Each of up
+    to 10 machine primes eliminates the rows with rref_mod_p in blocks of
+    ncols // 2 under the echelon so far; a prime with fewer or later
+    pivots than the best seen is skipped.  The modular kernels are joined
+    by CRT, lifted by rational reconstruction and verified against every
+    row.  Returns primitive integer vectors with a positive leading entry;
+    ArithmeticError when no lift verifies or the dimension is not
+    expected_dim.  The library no longer calls it; it stays while the
+    benchmark's tracer resolves it (and rational_reconstruction) by name.
     """
     rows = [r for r in sparse_rows if r]
     if not rows:
@@ -308,31 +304,14 @@ def kernel_basis_int(sparse_rows, ncols, expected_dim=None):
         else:
             residues = residues + modulus * ((basis - residues) * pow(modulus, -1, p) % p)
             modulus *= p
-        lifted = _try_lift(residues, modulus)
-        if lifted is not None and _verify_kernel(rows, lifted):
+        lifted = [[rational_reconstruction(int(x), modulus) for x in v] for v in residues]
+        if any(None in v for v in lifted):
+            continue
+        lifted = [_primitive_int_vector(v) for v in lifted]
+        if all(sum(val * v[c] for c, val in r.items()) == 0 for v in lifted for r in rows):
             if expected_dim is not None and len(lifted) != expected_dim:
                 raise ArithmeticError(
                     "kernel dimension %d != expected %d" % (len(lifted), expected_dim))
             return lifted
     raise ArithmeticError("integer kernel did not stabilize over 10 primes")
 
-
-def _try_lift(residues, modulus):
-    vecs = []
-    for row in residues:
-        fr = []
-        for x in row:
-            f = rational_reconstruction(int(x), modulus)
-            if f is None:
-                return None
-            fr.append(f)
-        vecs.append(_primitive_int_vector(fr))
-    return vecs
-
-
-def _verify_kernel(rows, vectors):
-    for v in vectors:
-        for r in rows:
-            if sum(val * v[c] for c, val in r.items()) != 0:
-                return False
-    return True

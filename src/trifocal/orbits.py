@@ -156,17 +156,16 @@ def m3_vanishes(t: Tensor333, axis) -> bool:
 def signature(t: Tensor333, modules=None) -> Signature:
     """Invariant fingerprint.  modules, when given, is an iterable of
     discovered generator modules (degree, label, basis) used to fill the
-    degree-5/6 vanishing flags."""
+    degree-5/6 vanishing flags; m5 stays None without a degree-5 module."""
     m3v = tuple(m3_vanishes(t, ax) for ax in "ABC")
     m5 = None
     m6 = None
     if modules is not None:
-        m5 = True
         m6 = {}
         for mod in modules:
             vanishes = not any(evaluate_points(mod.basis, [t])[0])
             if mod.degree == 5:
-                m5 = m5 and vanishes
+                m5 = vanishes if m5 is None else m5 and vanishes
             elif mod.degree == 6:
                 m6[mod.label] = vanishes
     return Signature(frank(t), prank(t), m3v, m5, m6)

@@ -225,11 +225,10 @@ def permuted(f: Poly, vmap) -> Poly:
     return Poly._wrap({tuple(sorted([vmap[v] for v in m])): c for m, c in f.terms.items()})
 
 
-def variable_map(perm=(0, 1, 2), sigma=((0, 1, 2),) * 3):
-    """T_x -> T_y with y[b] = sigma[b][x[perm[b]]]: factor perm[b] becomes
-    factor b, whose indices sigma[b] then permutes (a Weyl group element)."""
-    return tuple(var_index(*(s[var_ijk(v)[a]] for s, a in zip(sigma, perm)))
-                 for v in range(N_VARS))
+def variable_map(sigma=((0, 1, 2),) * 3):
+    """T_x -> T_y with y[a] = sigma[a][x[a]]: each factor's indices
+    permuted by sigma (a Weyl group element)."""
+    return tuple(var_index(*(s[i] for s, i in zip(sigma, var_ijk(v)))) for v in range(N_VARS))
 
 
 # ---------------------------------------------------------------------------
@@ -432,23 +431,29 @@ def shift_batch(axis, to_idx, from_idx, batch):
     sorted by id, then by monomial in tuple order (module docstring)."""
     rows, ids, coeffs = batch
     hit, image = _shift_tables(axis, to_idx, from_idx)
-    width = rows.shape[1]
-    if coeffs.dtype != object and int(np.abs(coeffs).sum()) * width >= 1 << 62:
+    if coeffs.dtype != object and int(np.abs(coeffs).sum()) * rows.shape[1] >= 1 << 62:
         coeffs = coeffs.astype(object)   # the dtype rule (module docstring)
     t, pos = np.nonzero(hit[rows])
     new = rows[t]
     new[np.arange(len(t)), pos] = image[rows[t, pos]]
     new.sort(axis=1)
-    ids = ids[t]
+    return merge_terms((new, ids[t], coeffs[t]))
+
+
+def merge_terms(batch):
+    """The batch with like terms added up and zero sums dropped, sorted by
+    id, then by monomial in tuple order; its rows must be sorted."""
+    rows, ids, coeffs = batch
     # five bits per variable, v + 1 or 0 for HOLE: shorter monomials first
-    key = ids.astype(np.int64 if 5 * width + int(ids.max(initial=0)).bit_length() < 63 else object)
-    for col in ((new + 1) & 31).T.astype(key.dtype):
+    key = ids.astype(np.int64 if 5 * rows.shape[1] + int(ids.max(initial=0)).bit_length() < 63
+                     else object)
+    for col in ((rows + 1) & 31).T.astype(key.dtype):
         key = key << 5 | col
     order = np.argsort(key)
     starts = _run_starts(key[order])
-    sums = np.add.reduceat(coeffs[t][order], starts)
+    sums = np.add.reduceat(coeffs[order], starts)
     keep = order[starts[sums != 0]]
-    return new[keep], ids[keep], sums[sums != 0]
+    return rows[keep], ids[keep], sums[sums != 0]
 
 
 def normalize_batch(batch):

@@ -5,9 +5,28 @@ Partitions are weakly decreasing tuples of positive ints.  A label is a
 triple of partitions of the same degree; it names the GL(3)^3-module
 S_lam(A) x S_mu(B) x S_nu(C*) inside the degree-d coordinate ring.  The
 multiplicity of a label is the Kronecker coefficient, computed from S_d
-characters via the Murnaghan-Nakayama rule; the matching highest weight
-space is realized concretely as the joint kernel of the six raising
-operators on one torus weight space.
+characters via the Murnaghan-Nakayama rule.
+
+Highest weight vectors come from tableau triples (Fulton-Harris,
+Representation Theory, Sections 4 and 15; Landsberg, Tensors: Geometry
+and Applications, ch. 6).  Tableaux T_A, T_B, T_C of shapes lam, mu, nu
+on the positions 1..d give
+
+    P = sum over sigma_X in C(T_X) of sgn(sigma_A sigma_B sigma_C)
+        prod_p T[row_A(sigma_A p), row_B(sigma_B p), row_C(sigma_C p)],
+
+C(T_X) the column group and row_X(p) the row of p in T_X.  P symmetrizes
+a tensor whose X part has a wedge e_0 ^ ... ^ e_(h-1) per column of height
+h, which raising operators kill: P is zero or a hw vector of weight
+(lam, mu, nu), and the standard triples span the hw space.  Relabelling
+the positions by g in S_d maps the triple to (gT_A, gT_B, gT_C) and fixes
+P, so one T_A suffices: T_B, T_C then run over all fillings, which Garnir
+relations reduce to standard ones.  hw_space fixes the column-reading
+T_A, runs through standard pairs (T_B, T_C) from the row-reading ones on
+(about four candidates per basis vector through degree 7), and keeps each
+one independent mod a prime p of those kept, up to the Kronecker
+coefficient k.  That is exact for any p: a k x k minor nonzero mod p is
+nonzero, and k independent vectors of a k-dimensional space are a basis.
 
 A highest weight vector h of weight (lam, mu, nu) generates a copy of
 S_lam x S_mu x S_nu.  Its basis comes from per-factor lowering-word trees:
@@ -17,28 +36,19 @@ one-factor model.  The products w_A w_B w_C h are then a basis of the
 module, so a span needs no elimination and no prime (Fulton-Harris,
 Representation Theory, Section 15).  Each tree node is one
 poly.shift_batch call on all the vectors one factor's tree lowers.
-
-Highest weight spaces are computed once per orbit of labels under the
-permutations of the three tensor factors.  Relabelling the factors is a
-permutation of the 27 variables that carries the operator E_rs of factor
-a to E_rs of the factor a lands in, so it conjugates the six raising
-operators onto themselves and maps the weight space and hw space of
-(lam, mu, nu) onto those of the permuted label.  The variety is not
-symmetric under it (the degree-5 generators single out C), so vanishing
-on the orbit is still tested label by label.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import factorial
+from itertools import islice, permutations, product
+from math import factorial, prod
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg, poly
-from .poly import LOWERING, RAISING, Poly, apply_shift, var_index
+from .poly import LOWERING, Poly, apply_shift, var_index
 from .tensor import perm_sign
 
 MAX_DEGREE = 9  # the search bound: no new generators exist above this
@@ -161,22 +171,18 @@ def completeness_defect(d) -> int:
 
 
 # ---------------------------------------------------------------------------
-# highest weight spaces
+# highest weight spaces (module docstring)
 
 def _pad(lam):
     return tuple(lam) + (0,) * (3 - len(lam))
 
 
-class HWSpace:
-    """Basis of the joint raising-operator kernel on one weight space."""
+class HWSpace(NamedTuple):
+    """Integer basis of the highest weight space of one label."""
 
-    __slots__ = ("label", "weight", "monomials", "basis")
-
-    def __init__(self, label, weight, monomials, basis):
-        self.label = label
-        self.weight = weight
-        self.monomials = monomials
-        self.basis = basis
+    label: tuple
+    weight: tuple
+    basis: list
 
     @property
     def dim(self):
@@ -184,55 +190,71 @@ class HWSpace:
 
 
 @lru_cache(maxsize=None)
-def hw_space(label) -> HWSpace:
-    """Highest weight space for a label, with exact integer basis vectors:
-    the kernel of the sorted label mapped by the factor permutation (module
-    docstring), re-reduced to the identity on the last independent
-    monomials (the free columns of the label's own kernel RREF, by matroid
-    duality), so bit for bit what _hw_kernel(label) gives.  A dimension
-    other than the Kronecker coefficient raises ConsistencyError."""
-    canon = tuple(sorted(label))
-    hw = _hw_kernel(canon)
-    if kronecker(*label) != hw.dim:
-        raise ConsistencyError("hw space of %r has dimension %d" % (label, hw.dim))
-    if canon == label:
-        return hw
-    # factor b of the label is factor perm[b] of the sorted label
-    perm = next(s for s in permutations(range(3)) if tuple(canon[a] for a in s) == label)
-    vmap = poly.variable_map(perm)
-    monomials = sorted(tuple(sorted(vmap[v] for v in m)) for m in hw.monomials)
-    mapped = [poly.permuted(g, vmap).terms for g in hw.basis]
-    rows = [[t.get(m, 0) for m in reversed(monomials)] for t in mapped]
-    basis = [Poly({m: c for m, c in zip(monomials, row[::-1]) if c}).content_normalized()
-             for row in reversed(linalg._rref(rows)[0])]
-    return HWSpace(label, tuple(_pad(lam) for lam in label), monomials, basis)
+def standard_tableaux(lam):
+    """The standard tableaux of the padded shape lam as row words (the rows
+    of 1, 2, ..., d): row-reading first, column-reading last."""
+    out = [] if any(lam) else [()]
+    for r in (2, 1, 0):   # d ends a row whose last box is a corner
+        if lam[r] > (lam[r + 1] if r < 2 else 0):
+            out += [w + (r,) for w in standard_tableaux(lam[:r] + (lam[r] - 1,) + lam[r + 1:])]
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _hw_kernel(label) -> HWSpace:
-    """The joint kernel of the six raising operators on the label's weight
-    space, an integer kernel lifted by linalg.kernel_basis_int."""
-    weight = tuple(_pad(lam) for lam in label)
-    monomials = poly.weight_space_basis(sum(label[0]), weight)
-    columns = poly.pack_terms([Poly._wrap({m: 1}) for m in monomials])   # id = column
-    rows = []
-    for ax, to, frm in RAISING:
-        images, cols, coeffs = poly.shift_batch(ax, to, frm, columns)
-        _, row_of = np.unique(images, axis=0, return_inverse=True)   # one row per image monomial
-        block = [{} for _ in range(row_of.max(initial=-1) + 1)]
-        for r, c, v in zip(row_of.ravel().tolist(), cols.tolist(), coeffs.tolist()):
-            block[r][c] = v
-        rows += block
-    # by first column (stable): kernel_basis_int runs about 15% faster
-    rows.sort(key=lambda r: next(iter(r)))
-    try:
-        vectors = linalg.kernel_basis_int(rows, len(monomials),
-                                          expected_dim=kronecker(*label))
-    except ArithmeticError as exc:
-        raise ConsistencyError("hw space of %r: %s" % (label, exc)) from exc
-    basis = [Poly({monomials[i]: c for i, c in enumerate(v) if c}).content_normalized()
-             for v in vectors]
-    return HWSpace(label, weight, monomials, basis)
+def _column_group(word):
+    """(signs, rows) over the column group of the tableau with row word
+    `word`: rows[n, p] is the row of sigma_n(p), signs[n] the sign of sigma_n."""
+    # column c: the positions with c earlier ones in their row, top row first
+    columns = [[p for p, r in enumerate(word) if word[:p].count(r) == c]
+               for c in range(word.count(0))]
+    signs, rows = [], []
+    for perms in product(*(permutations(range(len(c))) for c in columns)):
+        rows.append(np.zeros(len(word), np.uint8))
+        for c, perm in zip(columns, perms):
+            rows[-1][c] = perm
+        signs.append(prod(map(perm_sign, perms)))
+    return np.array(signs, dtype=np.int64), np.array(rows)
+
+
+def _tableau_polys(ta, pairs):
+    """P of (T_A, T_B, T_C) for each (T_B, T_C) in pairs (module docstring)."""
+    (sa, ra), signs, rows = _column_group(ta), [], []
+    for (sb, rb), (sc, rc) in (map(_column_group, pair) for pair in pairs):
+        monos = 9 * ra[:, None, None] + 3 * rb[None, :, None] + rc[None, None, :]
+        rows.append(np.sort(monos.reshape(-1, ra.shape[1]), axis=1))
+        signs.append((sa[:, None, None] * sb[None, :, None] * sc[None, None, :]).ravel())
+    ids = np.repeat(np.arange(len(pairs)), list(map(len, signs)))
+    batch = poly.merge_terms((np.concatenate(rows), ids, np.concatenate(signs)))
+    return poly.unpack_terms(batch, len(pairs))
+
+
+def _independent(polys):
+    """The indices of the polys independent mod machine_prime(0) of the
+    ones before them, hence over Q (module docstring)."""
+    p = linalg.machine_prime(0)
+    rows, ids, coeffs = poly.pack_terms(polys)
+    _, row_of = np.unique(rows, axis=0, return_inverse=True)   # one row per monomial
+    a = np.zeros((row_of.max(initial=-1) + 1, len(polys)), dtype=np.int64)
+    a[row_of.ravel(), ids] = coeffs % p
+    return linalg.rref_mod_p(a, p)[1]   # the pivot columns
+
+
+@lru_cache(maxsize=None)
+def hw_space(label) -> HWSpace:
+    """Highest weight space of a label from tableau polynomials, expanded
+    in chunks of doubling size (module docstring).  A dimension other than
+    the Kronecker coefficient raises ConsistencyError."""
+    k, weight = kronecker(*label), tuple(_pad(lam) for lam in label)
+    ta = standard_tableaux(weight[0])[-1]
+    pairs = product(standard_tableaux(weight[1]), standard_tableaux(weight[2]))
+    basis, size = [], k
+    while len(basis) < k and (chunk := list(islice(pairs, size))):
+        polys = basis + _tableau_polys(ta, chunk)
+        basis, size = [polys[j] for j in _independent(polys)], 2 * size
+    if len(basis) != k:
+        raise ConsistencyError("hw space of %r has dimension %d, expected %d"
+                               % (label, len(basis), k))
+    return HWSpace(label, weight, [f.content_normalized() for f in basis])
 
 
 def _leading_minor(k) -> Poly:
@@ -276,14 +298,9 @@ def lowering_tree(lam):
                     by_weight.setdefault(img.weight(), []).append((parent, (to, frm), img))
         level = []
         for cands in by_weight.values():
-            cols = sorted({m for _, _, img in cands for m in img.terms})
-            kept = []
-            for parent, op, img in cands:
-                row = [Fraction(img.terms.get(m, 0)) for m in cols]
-                if linalg.rank(kept + [row]) > len(kept):
-                    kept.append(row)
-                    level.append((len(nodes), img))
-                    nodes.append((parent, op))
+            for j in _independent([img for _, _, img in cands]):
+                level.append((len(nodes), cands[j][2]))
+                nodes.append(cands[j][:2])
     if len(nodes) != weyl_dim(lam):
         raise ConsistencyError("lowering tree of %r has %d nodes, expected %d"
                                % (lam, len(nodes), weyl_dim(lam)))

@@ -120,6 +120,17 @@ def test_classify_with_modules(tmp_path, capsys):
     assert payload["signature"]["m5_vanishing"] is False
 
 
+def test_classify_with_modules_below_degree_5_reports_no_m5(tmp_path, capsys):
+    # the C-axis cubics already reject sub332; with no degree-5 module
+    # evaluated there is no degree-5 verdict to report
+    path = write(tmp_path, "s.json", tensor_to_json(catalog()["sub332"].tensor))
+    assert main(["classify", path, "--with-modules", "--degree-cap", "4", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "m5_vanishing" not in payload["signature"]
+    assert payload["signature"]["m3_axis_vanishing"]["C"] is False
+    assert payload["is_trifocal"] is False
+
+
 def test_discover_degree3(capsys):
     assert main(["discover", "--degree", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -150,6 +161,22 @@ def test_discover_other_seed_and_prime(capsys):
 def test_discover_rejects_over_cap(capsys):
     assert main(["discover", "--degree", "7", "--degree-cap", "6"]) == 2
     assert main(["discover", "--degree", "9", "--degree-cap", "9"]) == 2
+
+
+def test_discover_rejects_degree_below_one(capsys):
+    for degree in ("0", "-2"):
+        assert main(["discover", "--degree", degree]) == 2
+        assert "--degree must be in 1..6" in capsys.readouterr().err
+
+
+def test_degree_cap_below_one_checks_nothing_and_is_rejected(capsys):
+    # a cap below 1 ranks no degree, so a verdict or table would be vacuous
+    for argv in (["nzd", "--witness", "f"], ["hilbert"], ["discover", "--degree", "1"]):
+        for cap in ("0", "-3"):
+            assert main(argv + ["--degree-cap", cap]) == 2, (argv, cap)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--degree-cap must be in 1..7" in captured.err
 
 
 def test_hilbert_low_cap(capsys):

@@ -77,6 +77,15 @@ def test_signature_with_modules(discovery5):
     assert d["m3_axis_vanishing"] == {"A": False, "B": False, "C": True}
 
 
+def test_signature_without_degree5_modules_has_no_m5(discovery5):
+    cubics = [m for m in discovery5.modules() if m.degree == 3]
+    assert cubics
+    sig = signature(sub_generic((3, 3, 2)), modules=cubics)
+    assert sig.m5_vanishing is None
+    assert sig.m3_axis_vanishing[2] is False
+    assert "m5_vanishing" not in sig.to_dict()
+
+
 def test_classification_examples():
     rng = random.Random(61)
     ct = random_triple(rng)

@@ -2,10 +2,11 @@ import random
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 
-from trifocal import linalg, rep
-from trifocal.poly import Poly, det_slice_poly, f_determinant, is_highest_weight
+from trifocal import linalg, poly, rep
+from trifocal.poly import RAISING, Poly, det_slice_poly, f_determinant, is_highest_weight
 from trifocal.rep import (MAX_DEGREE, all_labels, class_size, hw_space, kronecker,
                           lowering_tree, mn_character, module_span, partitions,
                           partitions_max_parts, weyl_dim)
@@ -262,14 +263,60 @@ def test_module_span_closed_under_operators():
             assert linalg.rank(extra) == base_rank
 
 
+def _hw_kernel(label):
+    """The joint kernel of the six raising operators on the label's weight
+    space, an integer kernel lifted by linalg.kernel_basis_int: the oracle
+    for hw_space."""
+    weight = tuple(rep._pad(lam) for lam in label)
+    monomials = poly.weight_space_basis(sum(label[0]), weight)
+    columns = poly.pack_terms([Poly._wrap({m: 1}) for m in monomials])   # id = column
+    rows = []
+    for ax, to, frm in RAISING:
+        images, cols, coeffs = poly.shift_batch(ax, to, frm, columns)
+        _, row_of = np.unique(images, axis=0, return_inverse=True)   # one row per image monomial
+        block = [{} for _ in range(row_of.max(initial=-1) + 1)]
+        for r, c, v in zip(row_of.ravel().tolist(), cols.tolist(), coeffs.tolist()):
+            block[r][c] = v
+        rows += block
+    # by first column (stable): kernel_basis_int runs about 15% faster
+    rows.sort(key=lambda r: next(iter(r)))
+    vectors = linalg.kernel_basis_int(rows, len(monomials), expected_dim=kronecker(*label))
+    return [Poly({monomials[i]: c for i, c in enumerate(v) if c}).content_normalized()
+            for v in vectors]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
-def test_hw_space_fold_matches_direct_kernel(d):
-    """The factor-permutation fold reproduces each label's own kernel bit
-    for bit: same monomials, weight and basis terms, in the same order."""
+def test_hw_space_spans_oracle_kernel(d):
+    """The tableau basis spans the raising-operator kernel: both have
+    Kronecker many vectors, and stacked they still have exact rank k."""
     for lab in all_labels(d):
-        if kronecker(*lab) == 0:
+        k = kronecker(*lab)
+        if k == 0:
             continue
-        hw, ref = hw_space(lab), rep._hw_kernel(lab)
-        assert (hw.label, hw.weight, hw.monomials) == (ref.label, ref.weight, ref.monomials), lab
-        assert [list(b.terms.items()) for b in hw.basis] == [
-            list(b.terms.items()) for b in ref.basis], lab
+        hw, ref = hw_space(lab), _hw_kernel(lab)
+        assert hw.label == lab and hw.dim == len(ref) == k, lab
+        monos = sorted({m for f in hw.basis + ref for m in f.terms})
+        rows = [[f.terms.get(m, 0) for m in monos] for f in hw.basis + ref]
+        assert linalg.rank(rows[:k]) == linalg.rank(rows) == k, lab
+
+
+def test_hw_spaces_degree_7():
+    """Every degree-7 label, which no kernel test reaches: Kronecker many
+    independent vectors of the label's weight, each of highest weight."""
+    labels = [lab for lab in all_labels(7) if kronecker(*lab)]
+    assert len(labels) == 308
+    for lab in labels:
+        hw = hw_space(lab)
+        assert hw.dim == kronecker(*lab), lab
+        assert hw.weight == tuple(rep._pad(x) for x in lab), lab
+        assert rep._independent(hw.basis) == list(range(hw.dim)), lab
+        assert all(f.weight() == hw.weight and is_highest_weight(f) for f in hw.basis), lab
+
+
+def test_standard_tableaux_counts_and_order():
+    # hook length formula: 5 standard tableaux of shape (3, 2), 16 of (3, 2, 1)
+    assert rep.standard_tableaux((3, 2, 0)) == (
+        (0, 0, 0, 1, 1), (0, 0, 1, 0, 1), (0, 1, 0, 0, 1), (0, 0, 1, 1, 0), (0, 1, 0, 1, 0))
+    assert len(rep.standard_tableaux((3, 2, 1))) == 16
+    assert len(rep.standard_tableaux((3, 2, 2))) == 21
+    assert rep.standard_tableaux((0, 0, 0)) == ((),)
