@@ -4,7 +4,7 @@ Everything here avoids Groebner bases: the generator sets, their degree
 slices and all membership questions are homogeneous for the torus grading,
 so each question decomposes into small independent weight blocks, and an
 exact rank over F_p per block answers it.  Exact-over-Q statements
-(vanishing certificates) are produced from rational kernels of evaluation
+(vanishing certificates) are produced from integer kernels of evaluation
 matrices at integer points and re-verified at fresh points, all values
 from poly.evaluate_points (residues mod machine primes, CRT-lifted under
 an explicit bound, so exact; see the poly docstring).
@@ -360,8 +360,9 @@ def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed, oversample=2) -> Va
     """Sub-hw-space vanishing on the orbit closure of nf.
 
     Evaluates the hw basis at oversample*dim random orbit points, takes the
-    exact rational kernel, and re-verifies every certificate on a fresh
-    batch (resampling once before declaring a hard failure).
+    certified integer kernel of the row-scaled values, and re-verifies every
+    certificate on a fresh batch, resampling once (also when the kernel does
+    not lift: the true one is a few bits wide) before a hard failure.
     """
     m = hw.dim
     if m == 0:
@@ -370,15 +371,14 @@ def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed, oversample=2) -> Va
     for attempt in range(2):
         base = seed + attempt * 10_000
         pts = trifocal_points(nf, base, npts)
-        mat = evaluate_points(hw.basis, pts)
-        kernel = linalg.kernel_basis(mat)
-        certs = []
-        for vec in kernel:
-            f = Poly()
-            for coeff, basis_poly in zip(vec, hw.basis):
-                if coeff:
-                    f = f + basis_poly.scale(coeff)
-            certs.append(f.content_normalized())
+        rows = linalg._integer_rows(evaluate_points(hw.basis, pts))[0]
+        try:
+            kernel = linalg.kernel_basis_int(
+                [{c: x for c, x in enumerate(r) if x} for r in rows], m)
+        except ArithmeticError:
+            continue
+        certs = [sum((f.scale(c) for c, f in zip(v, hw.basis)), Poly()).content_normalized()
+                 for v in kernel]
         fresh = trifocal_points(nf, base + npts, npts)
         if not any(map(any, evaluate_points(certs, fresh))):
             return VanishingReport(hw.label, len(certs), certs)

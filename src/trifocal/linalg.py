@@ -262,15 +262,15 @@ def _primitive_int_vector(fracs):
 
 def kernel_basis_int(sparse_rows, ncols, expected_dim=None):
     """Exact integer kernel of an integer matrix given as sparse rows
-    {col: int}: the oracle of the highest weight space tests.  Each of up
-    to 10 machine primes eliminates the rows with rref_mod_p in blocks of
-    ncols // 2 under the echelon so far; a prime with fewer or later
-    pivots than the best seen is skipped.  The modular kernels are joined
-    by CRT, lifted by rational reconstruction and verified against every
-    row.  Returns primitive integer vectors with a positive leading entry;
-    ArithmeticError when no lift verifies or the dimension is not
-    expected_dim.  The library no longer calls it; it stays while the
-    benchmark's tracer resolves it (and rational_reconstruction) by name.
+    {col: int}, for ideal.vanishing_subspace and the hw-space test oracle.
+    Each of up to 10 machine primes eliminates the rows with rref_mod_p in
+    blocks of ncols // 2 under the echelon so far; a prime with fewer or
+    later pivots than the best seen is skipped.  The modular kernels are
+    joined by CRT, lifted by rational reconstruction (which needs small
+    entries in the reduced kernel basis, not in the matrix) and verified
+    against every row.  Returns primitive integer vectors with a positive
+    leading entry; ArithmeticError when no lift verifies or the dimension
+    is not expected_dim.
     """
     rows = [r for r in sparse_rows if r]
     if not rows:

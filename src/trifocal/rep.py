@@ -241,9 +241,9 @@ def _independent(polys):
 
 @lru_cache(maxsize=None)
 def hw_space(label) -> HWSpace:
-    """Highest weight space of a label from tableau polynomials, expanded
-    in chunks of doubling size (module docstring).  A dimension other than
-    the Kronecker coefficient raises ConsistencyError."""
+    """Highest weight space of a label from tableau polynomials, expanded in
+    chunks of doubling size (module docstring).  Fewer than kronecker(label)
+    independent ones, or more in one chunk, raise ConsistencyError."""
     k, weight = kronecker(*label), tuple(_pad(lam) for lam in label)
     ta = standard_tableaux(weight[0])[-1]
     pairs = product(standard_tableaux(weight[1]), standard_tableaux(weight[2]))

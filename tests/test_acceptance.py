@@ -142,6 +142,9 @@ def test_criterion_5_representation_cross_checks(discovery6, capsys):
             k = rep.kronecker(*lab)
             if k == 0:
                 continue
+            # hw_space stops at k vectors, so this bounds its dimension from
+            # below; from above only test_rep's raising-operator kernel
+            # oracle (d <= 6) and completeness_defect, which checks k
             assert rep.hw_space(lab).dim == k, lab
             checked += 1
     for lab in M6_EXPECTED:

@@ -218,6 +218,24 @@ def test_vanishing_multiplicities_degree3(trifocal_nf):
     assert report2.multiplicity == 0
 
 
+def test_vanishing_kernel_that_does_not_lift_resamples(trifocal_nf, monkeypatch):
+    hw = rep.hw_space(((1, 1, 1), (1, 1, 1), (3,)))
+    lift, calls = linalg.kernel_basis_int, []
+
+    def fails_first(rows, ncols, failures=1):
+        calls.append(ncols)
+        if len(calls) <= failures:
+            raise ArithmeticError("integer kernel did not stabilize over 10 primes")
+        return lift(rows, ncols)
+    monkeypatch.setattr(linalg, "kernel_basis_int", fails_first)
+    assert vanishing_subspace(hw, trifocal_nf, seed=101).multiplicity == 1
+    assert len(calls) == 2
+    calls.clear()
+    monkeypatch.setattr(linalg, "kernel_basis_int", lambda r, n: fails_first(r, n, failures=2))
+    with pytest.raises(ArithmeticError, match="after resampling"):
+        vanishing_subspace(hw, trifocal_nf, seed=101)
+
+
 def test_certificates_vanish_exactly(discovery5, trifocal_nf):
     certs = [m.hw_vector for m in discovery5.modules()]
     assert certs
