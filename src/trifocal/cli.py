@@ -3,8 +3,8 @@
 Subcommands: check, from-cameras, discover, hilbert, nzd, classify,
 catalog.  Every command is deterministic given (--prime, --seed); JSON
 reports embed the configuration and a schema tag.  Exit codes: 0 success
-(for `check`: the tensor is trifocal), 1 negative verdict, 2 bad input or
-an exceeded degree cap.
+(for `check`: the tensor is trifocal), 1 negative verdict or a modular
+certificate that failed to verify, 2 bad input or an exceeded degree cap.
 """
 
 from __future__ import annotations
@@ -267,9 +267,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, DegreeCapError, DegenerateConfigurationError,
-            json.JSONDecodeError) as exc:
+            json.JSONDecodeError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ArithmeticError) else 2
 
 
 if __name__ == "__main__":

@@ -253,7 +253,8 @@ def _fold(group, weights):
 
 
 def _rank(rows, p):
-    return len(linalg.rref_mod_p(_block_matrix(rows, p)[0], p)[1])
+    a = _block_matrix(rows, p)[0]   # rank A = rank A^T: eliminate the short side
+    return len(linalg.rref_mod_p(a.T if len(a) < a.shape[1] else a, p)[1])
 
 
 def check_witness(f: Poly):

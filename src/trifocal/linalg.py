@@ -7,8 +7,10 @@ elimination over Z; only the rational kernels go through a Fraction RREF.
 Over F_p there is one elimination kernel, rref_mod_p (numpy int64
 arithmetic mod a prime up to MACHINE_PRIME_BOUND): ranks, the incremental
 Echelon and the modular kernels behind the certified integer kernels are
-all read off its output.  machine_prime supplies the primes of every
-multi-prime computation, the integer kernels and exact evaluation.
+all read off its output.  It reduces late: k row updates keep every entry in
+(-k(p-1)^2, p), and it reduces before k(p-1)^2 + p would pass 2^62; for
+p <= 2^31 - 1 that holds at k = 1, so int64 never overflows.  machine_prime
+supplies the primes of multi-prime computations and exact evaluation.
 """
 
 from __future__ import annotations
@@ -32,20 +34,6 @@ def dims(m):
 
 def identity(n, one=1):
     return [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(m):
-    r, c = dims(m)
-    return [[m[i][j] for i in range(r)] for j in range(c)]
-
-
-def mat_mul(a, b):
-    ra, ca = dims(a)
-    rb, cb = dims(b)
-    if ca != rb:
-        raise ValueError("shape mismatch %dx%d * %dx%d" % (ra, ca, rb, cb))
-    return [[sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb)]
-            for i in range(ra)]
 
 
 def mat_vec(m, v):
@@ -186,32 +174,40 @@ def _check_machine_prime(p):
 def rref_mod_p(rows_array, p):
     """Reduced row echelon form of an integer matrix mod p.  Returns (the
     nonzero rows, each with a leading 1 in a column that is zero in every
-    other row, the list of those pivot columns)."""
+    other row, the list of those pivot columns).  Each pivot reduces its row
+    and column, the rest is reduced every k updates for the largest k with
+    k(p-1)^2 + p <= 2^62; p <= 2^31 - 1 gives k >= 1, so int64 never overflows."""
     _check_machine_prime(p)
     a = np.ascontiguousarray(rows_array, dtype=np.int64) % p
     m, n = a.shape
+    limit = ((1 << 62) - p) // (p - 1) ** 2   # 1 for p near 2^31
     pivots = []
-    r = 0
+    r = k = 0   # k: updates since every entry was last in [0, p)
     for c in range(n):
         if r == m:
             break
+        if k:
+            a[:, c] %= p
         nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
-        # rows r.. are zero left of c, so only columns c.. change
+        # rows r.. are zero left of c mod p, so only columns c.. change
         i = r + int(nz[0])
         if i != r:
             a[[r, i], c:] = a[[i, r], c:]
         inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = (a[r, c:] * inv) % p
+        a[r, c:] = (a[r, c:] % p if k else a[r, c:]) * inv % p
         col = a[:, c].copy()
         col[r] = 0
         hit = np.nonzero(col)[0]
         if hit.size:
-            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
+            a[hit, c:] -= np.outer(col[hit], a[r, c:])
+            k = (k + 1) % limit
+            if not k:
+                a[:, c + 1:] %= p
         pivots.append(c)
         r += 1
-    return a[:r], pivots
+    return a[:r] % p, pivots
 
 
 class Echelon:

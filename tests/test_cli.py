@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import trifocal
+from trifocal import ideal
 from trifocal.cameras import random_triple
 from trifocal.cli import main
 from trifocal.orbits import catalog
@@ -161,6 +162,15 @@ def test_discover_other_seed_and_prime(capsys):
 def test_discover_rejects_over_cap(capsys):
     assert main(["discover", "--degree", "7", "--degree-cap", "6"]) == 2
     assert main(["discover", "--degree", "9", "--degree-cap", "9"]) == 2
+
+
+def test_discover_vanishing_failure_is_one_error_line(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ArithmeticError("inconsistent vanishing kernel for label ((3,),)")
+    monkeypatch.setattr(ideal, "vanishing_subspace", fail)
+    assert main(["discover", "--degree", "3"]) == 1   # 2 is for malformed input
+    assert capsys.readouterr().err == (
+        "error: inconsistent vanishing kernel for label ((3,),)\n")
 
 
 def test_discover_rejects_degree_below_one(capsys):

@@ -55,6 +55,22 @@ def test_weight_blocking_is_lossless(m3_set):
         assert len(linalg.rref_mod_p(a, 101)[1]) == ideal_dim_in_degree(m3_set, d)
 
 
+def test_short_side_rank_matches_row_elimination(m3_set):
+    """_rank eliminates the short side of a block.  Every block of degrees 4
+    and 5 (all wide) and its transpose, given as rows keyed by row index (all
+    tall), has the rank of its untransposed elimination."""
+    sides = set()
+    for d in (4, 5):
+        for rows in slice_rows_by_weight(m3_set, d).values():
+            cols = ideal._block_matrix(rows, 101)[1]
+            flipped = [{i: r[m] for i, r in enumerate(rows) if m in r} for m in cols]
+            for block in (rows, flipped):
+                b = ideal._block_matrix(block, 101)[0]
+                sides.add(np.sign(b.shape[0] - b.shape[1]))
+                assert ideal._rank(block, 101) == len(linalg.rref_mod_p(b, 101)[1])
+    assert {-1, 1} <= sides   # wide and tall blocks both occur
+
+
 def test_module_set_matches_plain_m3_set(m3_set):
     """The module of one highest weight vector spans the 10 cubics; its
     folded sweeps give the plain set's H(1..6) and NZD values for f, g."""

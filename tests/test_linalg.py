@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trifocal import linalg
-from trifocal.scalars import rational_reconstruction
+from trifocal.scalars import is_prime, rational_reconstruction
 
 
 def det_cofactor(m):
@@ -43,6 +43,11 @@ def schoolbook_rank_mod(m, p):
     return r
 
 
+def transpose(m):
+    """Oracle: the transpose of a matrix given as a list of rows."""
+    return [list(col) for col in zip(*m)]
+
+
 def rref_rank(m, p):
     return len(linalg.rref_mod_p(np.array(m, dtype=np.int64), p)[1])
 
@@ -65,7 +70,7 @@ def test_rank_equals_rank_of_transpose():
     rng = random.Random(1)
     for _ in range(25):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), bound=4)
-        assert linalg.rank(m) == linalg.rank(linalg.transpose(m))
+        assert linalg.rank(m) == linalg.rank(transpose(m))
 
 
 def test_kernel_identity_block():
@@ -171,6 +176,74 @@ def test_sparse_agrees_with_dense_up_to_50():
         assert rref_rank(dense, p) == schoolbook_rank_mod(dense, p)
 
 
+def assert_rref(a, pivots, m, p):
+    """a, pivots is a reduced row echelon form mod p of m, of its rank."""
+    assert a.shape == (len(pivots), m.shape[1]) and a.dtype == np.int64
+    assert ((0 <= a) & (a < p)).all()
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert not a[i, :c].any() and a[i, c] == 1
+        assert a[:, c].tolist() == [int(j == i) for j in range(len(pivots))]
+    assert len(pivots) == schoolbook_rank_mod(m.tolist(), p)
+
+
+def rref_reduce_every_update(rows_array, p):
+    """Oracle: rref_mod_p as it was before delayed reduction, every row
+    update reduced mod p at once."""
+    a = np.ascontiguousarray(rows_array, dtype=np.int64) % p
+    m, n = a.shape
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i], c:] = a[[i, r], c:]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r, c:] = (a[r, c:] * inv) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        hit = np.nonzero(col)[0]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+# a prime just below 2^30: four row updates fit below 2^62 between two
+# reductions, so a block of 40 rows is reduced several times
+PRIME_BELOW_2_30 = (1 << 30) - 35
+
+
+@pytest.mark.parametrize("p", [101, 32003, linalg.machine_prime(0), PRIME_BELOW_2_30])
+def test_delayed_reduction_matches_reducing_every_update(p):
+    q = PRIME_BELOW_2_30
+    assert is_prime(q) and ((1 << 62) - q) // (q - 1) ** 2 == 4
+    near = (1 << 62) // p   # multiples of p that bring an entry near +-2^62
+    rng = random.Random(p)
+    for trial in range(12):
+        if trial < 2:   # 40 x 60 and 40 x 40 of full rank: 40 pivots
+            rows, cols = 40, 60 - 20 * trial
+            k = min(rows, cols)
+        else:
+            rows, cols = rng.randint(1, 40), rng.randint(1, 60)
+            k = rng.randint(1, min(rows, cols))
+        # rank k mod p, then shifted by multiples of p, some close to +-2^62
+        low = np.array(random_matrix(rng, rows, k, bound=p - 1), dtype=object).dot(
+            np.array(random_matrix(rng, k, cols, bound=p - 1), dtype=object)) % p
+        m = np.array([[x + p * rng.choice((rng.randint(-near, near), near - 1, 1 - near))
+                       for x in row] for row in low], dtype=np.int64)
+        a, pivots = linalg.rref_mod_p(m, p)
+        assert_rref(a, pivots, m, p)
+        want, want_pivots = rref_reduce_every_update(m, p)
+        assert pivots == want_pivots and np.array_equal(a, want)
+
+
 def test_rref_mod_p_is_reduced_and_matches_echelon_add():
     rng = random.Random(9)
     for p in (2, 101, linalg.machine_prime(0)):
@@ -181,12 +254,7 @@ def test_rref_mod_p_is_reduced_and_matches_echelon_add():
             m = np.array(random_matrix(rng, rows, k), dtype=np.int64) @ np.array(
                 random_matrix(rng, k, cols), dtype=np.int64)
             a, pivots = linalg.rref_mod_p(m, p)
-            assert a.shape == (len(pivots), cols)
-            assert pivots == sorted(set(pivots))
-            for i, c in enumerate(pivots):
-                assert not a[i, :c].any() and a[i, c] == 1
-                assert a[:, c].tolist() == [int(j == i) for j in range(len(pivots))]
-            assert len(pivots) == schoolbook_rank_mod(m.tolist(), p)
+            assert_rref(a, pivots, m, p)
             ech = linalg.Echelon(np.zeros((0, cols), dtype=np.int64), p)
             assert sum(ech.add(row) for row in m) == len(pivots)
     with pytest.raises(ValueError, match="too large"):
