@@ -24,6 +24,16 @@ rank_p(w) <= rank_Q(w) = rank_Q(sigma w), a folded total is a lower bound
 on the dimension over Q, as the unfolded sum is; for G = {id} it is that sum.
 The base fold is memoised per (degree, G) next to the base ranks, and a
 stabiliser per (G, witness terms); a fold walks each orbit once.
+
+Blocks are built from packed terms with no per-term Python.  Generators
+are filed per weight as uint8 rows of sorted variables, each generator
+as its integer multiple with content 1 (the same ideal, nothing to
+truncate mod p).  A product row is a generator's rows beside a
+multiplier, sorted; a monomial's key has five bits per variable
+(poly.mono_keys, 35 at degree 7) and the columns are np.unique of the
+keys.  Witness multiples and certificates are rows of the same blocks.
+A column permutation changes no rank and no Echelon.add verdict, so
+key order serves as well as order of first appearance.
 """
 
 from __future__ import annotations
@@ -34,8 +44,8 @@ from itertools import permutations, product
 import numpy as np
 
 from . import linalg, rep
-from .poly import (Poly, evaluate_points, mono_mul, mono_weight, permuted, variable_map,
-                   weight_space_basis)
+from .poly import (Poly, evaluate_points, integer_terms, mono_keys, mono_weight, permuted,
+                   variable_map, weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, random_orbit_point
 
@@ -72,13 +82,20 @@ class GradedGeneratorSet:
         for d, polys in (by_degree or {}).items():
             self.add(d, polys)
 
-    def _file(self, degree, polys, weigh):
+    def _file(self, degree, polys):
         # a fresh index, so a rejected generator leaves the set unchanged
-        index = {w: list(fs) for w, fs in self._tables.get(degree, (None, []))[1]}
-        for f in polys:
-            if f.degree() != degree:
-                raise ValueError("generator of degree %s filed under %d" % (f.degree(), degree))
-            index.setdefault(weigh(f), []).append(f)
+        index = dict(self._tables.get(degree, (None, []))[1])
+        rows, ids, coeffs = integer_terms(polys, degree)
+        bounds = np.searchsorted(ids, np.arange(len(polys) + 1))
+        groups = {}   # a generator's weight is that of its first term
+        for i, m in enumerate(rows[bounds[:-1]].tolist()):
+            groups.setdefault(mono_weight(m), []).append(i)
+        for w, gs in groups.items():
+            take = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in gs])
+            old = index.get(w, (rows[:0], ids[:0], coeffs[:0], 0))
+            new = np.repeat(np.arange(old[3], old[3] + len(gs)), np.diff(bounds)[gs])
+            index[w] = (np.concatenate([old[0], rows[take]]), np.concatenate([old[1], new]),
+                        np.concatenate([old[2], coeffs[take]]), old[3] + len(gs))
         items = list(index.items())
         self._tables[degree] = (
             np.array([sum(w, ()) for w, _ in items], dtype=np.int64).reshape(-1, 9), items)
@@ -88,15 +105,20 @@ class GradedGeneratorSet:
 
     def add(self, degree, polys):
         """Add plain generators; their degree stops being module-built."""
-        self._file(degree, polys, Poly.weight)
+        polys = list(polys)
+        for f in polys:
+            if f.degree() != degree:
+                raise ValueError("generator of degree %s filed under %d" % (f.degree(), degree))
+            f.weight()   # raises unless f is weight-homogeneous
+        self._file(degree, polys)
         self._modules[degree] = False
 
     def add_module(self, hw: Poly):
         """Add the module rep.module_span(hw) of a highest weight vector
         and return its basis."""
         basis = rep.module_span(hw)
-        # lowering operators keep each basis vector weight-homogeneous
-        self._file(hw.degree(), basis, lambda f: mono_weight(next(iter(f.terms))))
+        # lowering operators keep each basis vector homogeneous and weight-homogeneous
+        self._file(hw.degree(), basis)
         self._modules.setdefault(hw.degree(), True)
         return basis
 
@@ -105,7 +127,8 @@ class GradedGeneratorSet:
 
     def weight_table(self, degree):
         """The generator weights of one degree as a k x 9 array, and the
-        matching [(weight, generators)] list."""
+        matching [(weight, (rows, ids, coeffs, count))] list: the terms of
+        that weight's generators (poly.integer_terms) and their number."""
         return self._tables[degree]
 
     def symmetry_group(self, d):
@@ -116,8 +139,23 @@ class GradedGeneratorSet:
 # ---------------------------------------------------------------------------
 # degree slices as weight-blocked rows
 
-def _product_row(gen: Poly, mult):
-    return {mono_mul(m, mult): c for m, c in gen.terms.items()}
+class Block:
+    """Product rows as terms: per term the key of its monomial, its row and
+    its coefficient; len() is the number of rows, + stacks two blocks."""
+
+    __slots__ = ("keys", "rows", "coeffs", "n")
+    _none = np.zeros(0, np.int64)
+
+    def __init__(self, keys=_none, rows=_none, coeffs=_none, n=0):
+        self.keys, self.rows, self.coeffs, self.n = keys, rows, coeffs, n
+
+    def __len__(self):
+        return self.n
+
+    def __add__(self, other):
+        return Block(np.concatenate([self.keys, other.keys]),
+                     np.concatenate([self.rows, other.rows + self.n]),
+                     np.concatenate([self.coeffs, other.coeffs]), self.n + other.n)
 
 
 def _minus(w, v):
@@ -127,23 +165,30 @@ def _minus(w, v):
 # a degree-7 sweep over generators of degree >= 3 meets under 5000 keys
 @lru_cache(maxsize=8192)
 def _multipliers(n, weight):
-    return tuple(weight_space_basis(n, weight))
+    """The degree-n monomials of a weight as a k x n uint8 array."""
+    basis = weight_space_basis(n, weight)
+    return np.array(basis, dtype=np.uint8).reshape(len(basis), n)
 
 
-def _rows_at(gens: GradedGeneratorSet, d, weight, top):
-    """Degree-d product rows of the given weight from generators of degree
-    at most top; one multiplier basis per generator weight."""
-    rows = []
+def _block(gens, d, weight, top, witness=None):
+    """The Block of degree-d product rows of the given weight from the
+    generators of degree at most top, or from one witness (degree, weight,
+    terms): by degree, then by generator weight, multiplier and generator."""
     flat = np.array(sum(weight, ()), dtype=np.int64)
-    for e in gens.degrees():
-        if e > min(d, top):
-            continue
-        table, items = gens.weight_table(e)
-        for i in np.nonzero((table <= flat).all(axis=1))[0]:
-            wg, polys = items[i]
-            for mult in _multipliers(d - e, _minus(weight, wg)):
-                rows.extend(_product_row(g, mult) for g in polys)
-    return rows
+    groups = [witness] if witness else [
+        (e,) + items[i] for e in gens.degrees() if e <= min(d, top)
+        for table, items in [gens.weight_table(e)] for i in np.flatnonzero((table <= flat).all(1))]
+    parts, n = [(np.zeros((0, d), np.uint8), Block._none, Block._none)], 0
+    for e, wg, (rows, ids, coeffs, count) in groups:
+        mult = _multipliers(d - e, _minus(weight, wg))
+        k, t = len(mult), len(rows)
+        parts.append((np.concatenate([np.broadcast_to(rows, (k, t, e)), np.broadcast_to(
+            mult[:, None], (k, t, d - e))], axis=2).reshape(k * t, d),
+            (n + count * np.arange(k)[:, None] + ids).ravel(), np.tile(coeffs, k)))
+        n += k * count
+    rows, at, coeffs = (np.concatenate(x) for x in zip(*parts))
+    rows.sort(axis=1)
+    return Block(mono_keys(rows), at, coeffs, n)
 
 
 @lru_cache(maxsize=None)
@@ -171,42 +216,36 @@ def _slice_weights(gens: GradedGeneratorSet, d):
 
 def slice_rows_by_weight(gens: GradedGeneratorSet, d, weights=None):
     """Monomial-times-generator rows of the degree-d slice grouped by torus
-    weight, {weight: rows}, for the requested weights (default: all) whose
-    block is nonempty.  Rows are sparse {monomial: int} dicts."""
+    weight, {weight: Block}, for the requested weights (default: all)
+    whose block is nonempty."""
     groups = {}
     for w in _slice_weights(gens, d) if weights is None else weights:
-        rows = _rows_at(gens, d, w, d)
+        rows = _block(gens, d, w, d)
         if rows:
             groups[w] = rows
     return groups
 
 
 def rows_in_weight_block(gens: GradedGeneratorSet, d, weight, strict_below=True):
-    """Degree-d product rows with a prescribed weight (one block only)."""
-    return _rows_at(gens, d, weight, d - 1 if strict_below else d)
+    """The Block of degree-d product rows with a prescribed weight."""
+    return _block(gens, d, weight, d - 1 if strict_below else d)
 
 
-def _block_matrix(rows, p, extra=()):
-    """Rows mod p as a dense array over the block's monomial columns, plus
-    columns for the extra monomials."""
-    cols, ri, ci, vals = {}, [], [], []
-    for i, r in enumerate(rows):
-        for m, c in r.items():
-            ri.append(i)
-            ci.append(cols.setdefault(m, len(cols)))
-            vals.append(c % p)
-    for m in extra:
-        cols.setdefault(m, len(cols))
-    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    a[ri, ci] = vals
-    return a, cols
+def _block_matrix(block: Block, p):
+    """The block mod p as a dense array, its columns in key order."""
+    cols, col_of = np.unique(block.keys, return_inverse=True)
+    a = np.zeros((len(block), len(cols)), dtype=np.int64)
+    a[block.rows, col_of] = block.coeffs % p
+    return a
 
 
-def _poly_vector(f: Poly, cols, p):
-    v = np.zeros(len(cols), dtype=np.int64)
-    for m, c in f.terms.items():
-        v[cols[m]] = c % p
-    return v
+def _independent_of(block: Block, polys, d, weight, p):
+    """For each of the degree-d polys of the weight in turn, whether it is
+    independent mod p of the block's rows and of the polys before it."""
+    a = _block_matrix(block + _block(None, d, weight, d, (
+        d, weight, integer_terms(polys, d) + (len(polys),))), p)
+    ech = linalg.Echelon(a[:len(block)], p)
+    return [ech.add(x) for x in a[len(block):]]
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +291,8 @@ def _fold(group, weights):
     return reps
 
 
-def _rank(rows, p):
-    a = _block_matrix(rows, p)[0]   # rank A = rank A^T: eliminate the short side
+def _rank(block: Block, p):
+    a = _block_matrix(block, p)   # rank A = rank A^T: eliminate the short side
     return len(linalg.rref_mod_p(a.T if len(a) < a.shape[1] else a, p)[1])
 
 
@@ -298,11 +337,10 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
     ext_dims = []
     for f, e, wf, _, wit in folds:
         # a block with witness rows trades its base rank for the joint rank
-        total = base_dim
+        total, terms = base_dim, (e, wf, integer_terms([f], e) + (1,))
         for w, n in wit.items():
-            rows = groups.get(w, []) + [_product_row(f, m)
-                                        for m in _multipliers(d - e, _minus(w, wf))]
-            total += n * (_rank(rows, p) - ranks.get(_canonical(group, w), 0))
+            block = groups.get(w, Block()) + _block(gens, d, w, d, terms)
+            total += n * (_rank(block, p) - ranks.get(_canonical(group, w), 0))
         ext_dims.append(total)
     if progress:
         progress("degree %d: ranked %d of %d nonempty weight blocks%s, |G| = %d" % (
@@ -326,15 +364,6 @@ def hilbert_quotient(gens: GradedGeneratorSet, d, p=DEFAULT_PRIME,
     return hilbert_with_witnesses(gens, [], d, p=p, cap=cap, progress=progress)[0]
 
 
-def minimal_generator_test(h: Poly, gens: GradedGeneratorSet, p=DEFAULT_PRIME) -> bool:
-    """True iff h lies in the degree slice generated by the lower-degree
-    part of gens (restricted to h's weight block); True means h is NOT a
-    minimal generator."""
-    rows = rows_in_weight_block(gens, h.degree(), h.weight(), strict_below=True)
-    a, cols = _block_matrix(rows, p, extra=h.terms)
-    return not linalg.Echelon(a, p).add(_poly_vector(h, cols, p))
-
-
 # ---------------------------------------------------------------------------
 # vanishing on the variety
 
@@ -342,14 +371,11 @@ class VanishingReport:
     __slots__ = ("label", "multiplicity", "certificates")
 
     def __init__(self, label, multiplicity, certificates):
-        self.label = label
-        self.multiplicity = multiplicity
-        self.certificates = certificates
+        self.label, self.multiplicity, self.certificates = label, multiplicity, certificates
 
 
 def evaluate_batch(polys, point: Tensor333):
-    """Exact values of several polynomials at one tensor (see
-    poly.evaluate_points)."""
+    """Exact values of several polynomials at one tensor (evaluate_points)."""
     return evaluate_points(polys, [point])[0]
 
 
@@ -394,10 +420,7 @@ class DiscoveredModule:
     __slots__ = ("degree", "label", "hw_vector", "basis")
 
     def __init__(self, degree, label, hw_vector, basis):
-        self.degree = degree
-        self.label = label
-        self.hw_vector = hw_vector
-        self.basis = basis
+        self.degree, self.label, self.hw_vector, self.basis = degree, label, hw_vector, basis
 
     @property
     def dim(self):
@@ -430,12 +453,9 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
         report = vanishing_subspace(hw, nf, seed + 7919 * idx, oversample=oversample)
         new_certs = []
         if report.multiplicity:
-            rows = rows_in_weight_block(gens, d, hw.weight, strict_below=True)
-            a, cols = _block_matrix(rows, p, extra=[m for cert in report.certificates
-                                                    for m in cert.terms])
-            ech = linalg.Echelon(a, p)
-            new_certs = [cert for cert in report.certificates
-                         if ech.add(_poly_vector(cert, cols, p))]
+            block = rows_in_weight_block(gens, d, hw.weight, strict_below=True)
+            new_certs = [cert for cert, new in zip(report.certificates, _independent_of(
+                block, report.certificates, d, hw.weight, p)) if new]
         scan.rows.append((lab, rep.kronecker(*lab), hw.dim, report.multiplicity, len(new_certs)))
         for cert in new_certs:
             scan.modules.append(DiscoveredModule(d, lab, cert, gens.add_module(cert)))
@@ -447,11 +467,8 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
 
 class Discovery:
     def __init__(self, nf, seed, prime):
-        self.nf = nf
-        self.seed = seed
-        self.prime = prime
-        self.scans = {}
-        self.gens = GradedGeneratorSet()
+        self.nf, self.seed, self.prime = nf, seed, prime
+        self.scans, self.gens = {}, GradedGeneratorSet()
 
     def counts(self):
         return {d: s.new_generator_count for d, s in sorted(self.scans.items())}
@@ -467,9 +484,8 @@ def discover(max_degree, nf: Tensor333, seed=2024, p=DEFAULT_PRIME,
     _check_cap(max_degree, HARD_DEGREE_CAP)
     disc = Discovery(nf, seed, p)
     for d in range(1, max_degree + 1):
-        scan = scan_degree(d, disc.gens, nf, seed + 1000 * d, p=p,
-                           oversample=oversample, progress=progress)
-        disc.scans[d] = scan
+        disc.scans[d] = scan_degree(d, disc.gens, nf, seed + 1000 * d, p=p,
+                                    oversample=oversample, progress=progress)
     return disc
 
 
@@ -478,9 +494,8 @@ def discover(max_degree, nf: Tensor333, seed=2024, p=DEFAULT_PRIME,
 
 class NZDReport:
     def __init__(self, witness_degree, table, failing_degree):
-        self.witness_degree = witness_degree
-        self.table = table  # d -> (expected, actual)
-        self.failing_degree = failing_degree
+        # table: d -> (expected, actual)
+        self.witness_degree, self.table, self.failing_degree = witness_degree, table, failing_degree
 
     def __bool__(self):
         return self.failing_degree is None
@@ -492,18 +507,8 @@ def graded_nonzerodivisor_check(gens: GradedGeneratorSet, f: Poly, cap=DEFAULT_D
     non-zero-divisor up to the cap iff for all d <= cap
     H(base+f, d) = H(base, d) - H(base, d - deg f)."""
     e, _ = check_witness(f)
-    H = {0: 1}
-    Hf = {0: 1}
+    H, Hf = {0: 1}, {0: 1}
     for d in range(1, cap + 1):
-        base_q, (ext_q,) = hilbert_with_witnesses(gens, [f], d, p=p, cap=cap,
-                                                  progress=progress)
-        H[d] = base_q
-        Hf[d] = ext_q
-    table = {}
-    failing = None
-    for d in range(1, cap + 1):
-        expected = H[d] - (H[d - e] if d - e >= 0 else 0)
-        table[d] = (expected, Hf[d])
-        if expected != Hf[d] and failing is None:
-            failing = d
-    return NZDReport(e, table, failing)
+        H[d], (Hf[d],) = hilbert_with_witnesses(gens, [f], d, p=p, cap=cap, progress=progress)
+    table = {d: (H[d] - H.get(d - e, 0), Hf[d]) for d in range(1, cap + 1)}
+    return NZDReport(e, table, next((d for d, (x, y) in table.items() if x != y), None))

@@ -323,13 +323,6 @@ def degeneration_check(name: str, samples=(1, 2, 3)) -> bool:
     raise ValueError("unknown degeneration target %r" % (name,))
 
 
-def closure_frank_obstruction(t: Tensor333, bound) -> bool:
-    """True when the flattening ranks already rule out membership in the
-    closed set of tensors with F-Rank <= bound (closures only shrink
-    flattening ranks, so exceeding the bound is a certificate)."""
-    return any(a > b for a, b in zip(frank(t), bound))
-
-
 def boundary_orbit_reps():
     """The boundary representatives used in the separation checks, keyed
     by their customary primed names.

@@ -18,16 +18,23 @@ common denominator D, f_e(x) = f_e(D x) / D^e on each degree-e part;
 entries and coefficients that are not ints or Fractions (floats, bools)
 raise TypeError.  The monomials and integer coefficients of a polynomial
 are packed into numpy arrays on first use and cached on it until
-add_term changes it (_pack).
+add_term changes it (_pack): each monomial as int32 chunk codes
+(a*28 + b)*28 + c of three variable indices, padded by PAD.
 
 The raising and lowering operators act on batches of terms (pack_terms):
 an n x width uint8 array of sorted variable indices, rows of lower degree
 padded by HOLE, and per term a polynomial id and a coefficient.  A shift
 (shift_batch) replaces each matching position, re-sorts the rows and
-merges like terms by a key, the id above five bits per variable, whose
-order is tuple order (int64, or objects where that would overflow).
-Coefficients are int64 while L1 * width < 2^62, so no product by a
-multiplicity and no merge overflows; objects otherwise.
+merges like terms by a key (mono_keys), the id above five bits per
+variable, whose order is tuple order (int64, or objects where that would
+overflow).  Coefficients are int64 while L1 * width < 2^62, so no product
+by a multiplicity and no merge overflows; objects otherwise.
+
+Packs and batches are one encoding: unpack_terms gives the Polys of an
+int64 batch only packs coded from its rows, their terms dicts built on
+first read, and pack_terms and integer_terms decode packs.  So a lowered
+module vector goes from the shift to ideal's weight blocks and to
+evaluation without a dict.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -60,68 +67,64 @@ def var_name(v: int) -> str:
     return "T_%d_%d_%d" % (i + 1, j + 1, k + 1)
 
 
-def mono_mul(m1, m2):
-    return tuple(sorted(m1 + m2))
-
-
 def mono_weight(mono):
     """((A-content), (B-content), (C-content)) of a monomial."""
-    wa = [0, 0, 0]
-    wb = [0, 0, 0]
-    wc = [0, 0, 0]
+    w = [[0, 0, 0] for _ in range(3)]
     for v in mono:
-        i, j, k = var_ijk(v)
-        wa[i] += 1
-        wb[j] += 1
-        wc[k] += 1
-    return (tuple(wa), tuple(wb), tuple(wc))
+        for slot, i in zip(w, var_ijk(v)):
+            slot[i] += 1
+    return tuple(map(tuple, w))
 
 
 class Poly:
-    """Sparse exact polynomial; never stores zero coefficients."""
+    """Sparse exact polynomial; never stores zero coefficients.  A Poly from
+    unpack_terms holds only its pack until its terms are first read."""
 
-    __slots__ = ("terms", "_packed")
+    __slots__ = ("_terms", "_packed")
 
     def __init__(self, terms=None):
-        self.terms = {}
-        self._packed = None
+        self._terms, self._packed = {}, None
         if terms:
             for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 self.add_term(mono, coeff)
 
-    @classmethod
-    def variable(cls, i, j, k, one_based=False):
-        if one_based:
-            i, j, k = i - 1, j - 1, k - 1
-        return cls({(var_index(i, j, k),): 1})
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = _unpacked(_code_rows(self._packed[0]), self._packed[1])
+        return self._terms
 
     @classmethod
-    def _wrap(cls, terms):
-        """A Poly that takes ownership of `terms` (no zero coefficients)."""
+    def variable(cls, i, j, k, one_based=False):
+        o = 1 if one_based else 0
+        return cls({(var_index(i - o, j - o, k - o),): 1})
+
+    @classmethod
+    def _wrap(cls, terms, packed=None):
+        """A Poly that takes ownership of `terms` (no zero coefficients), or
+        with terms None of an integer pack (_pack)."""
         p = cls.__new__(cls)
-        p.terms = terms
-        p._packed = None
+        p._terms, p._packed = terms, packed
         return p
 
     @classmethod
     def constant(cls, c):
-        return cls({(): c}) if c != 0 else cls()
+        return cls({(): c})   # c = 0 adds no term
 
     def add_term(self, mono, coeff):
         if coeff == 0:
             return
+        terms = self.terms   # before the pack goes
         self._packed = None
         mono = tuple(mono)
-        acc = self.terms.get(mono, 0) + coeff
+        acc = terms.get(mono, 0) + coeff
         if acc == 0:
-            self.terms.pop(mono, None)
+            terms.pop(mono, None)
         else:
-            self.terms[mono] = acc
+            terms[mono] = acc
 
     def copy(self):
-        p = Poly()
-        p.terms = dict(self.terms)
-        return p
+        return Poly._wrap(dict(self.terms))
 
     def is_zero(self):
         return not self.terms
@@ -139,18 +142,13 @@ class Poly:
         return p
 
     def __sub__(self, other):
-        p = self.copy()
-        for m, c in other.terms.items():
-            p.add_term(m, -c)
-        return p
+        return self + -other
 
     def __neg__(self):
         return Poly({m: -c for m, c in self.terms.items()})
 
     def scale(self, c):
-        if c == 0:
-            return Poly()
-        return Poly({m: c * v for m, v in self.terms.items()})
+        return Poly({m: c * v for m, v in self.terms.items()})   # c = 0 adds no term
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -158,7 +156,7 @@ class Poly:
         out = Poly()
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                out.add_term(mono_mul(m1, m2), c1 * c2)
+                out.add_term(sorted(m1 + m2), c1 * c2)
         return out
 
     __rmul__ = __mul__
@@ -166,21 +164,11 @@ class Poly:
     def degree(self):
         """Common degree of the monomials; None for the zero polynomial,
         an error if the polynomial is not homogeneous."""
-        degs = {len(m) for m in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("polynomial is not homogeneous")
-        return degs.pop()
+        return _common(map(len, self.terms), "homogeneous")
 
     def weight(self):
         """The common weight; raises if the polynomial mixes weights."""
-        ws = {mono_weight(m) for m in self.terms}
-        if not ws:
-            return None
-        if len(ws) > 1:
-            raise ValueError("polynomial is not weight-homogeneous")
-        return ws.pop()
+        return _common(map(mono_weight, self.terms), "weight-homogeneous")
 
     def evaluate(self, t: Tensor333):
         return evaluate_points([self], [t])[0][0]
@@ -188,12 +176,9 @@ class Poly:
     def derivative(self, v: int):
         out = Poly()
         for mono, coeff in self.terms.items():
-            e = mono.count(v)
-            if e == 0:
-                continue
-            reduced = list(mono)
-            reduced.remove(v)
-            out.add_term(tuple(reduced), coeff * e)
+            if v in mono:
+                i = mono.index(v)
+                out.add_term(mono[:i] + mono[i + 1:], coeff * mono.count(v))
         return out
 
     def content_normalized(self):
@@ -219,6 +204,14 @@ class Poly:
         return "Poly(%s)" % format_poly(self)
 
 
+def _common(xs, what):
+    """The one value of xs, None if there is none; ValueError if several."""
+    xs = set(xs)
+    if len(xs) > 1:
+        raise ValueError("polynomial is not %s" % what)
+    return xs.pop() if xs else None
+
+
 def permuted(f: Poly, vmap) -> Poly:
     """f with each variable v replaced by vmap[v], for a permutation vmap
     of the 27 variables; monomials stay sorted."""
@@ -238,12 +231,6 @@ PAD = N_VARS      # a 28th variable: 1, or D at a point with denominator D
 _BASE = N_VARS + 1
 
 
-def _mono_rows(monos, width, pad):
-    """The monomials as an n x width uint8 array, each row padded by pad."""
-    return np.frombuffer(b"".join([bytes(m).ljust(width, pad) for m in monos]),
-                         dtype=np.uint8).reshape(len(monos), width)
-
-
 def _exact(xs, what):
     """(xs as a list, whether one is a Fraction); TypeError unless each
     is an int or a Fraction."""
@@ -255,26 +242,63 @@ def _exact(xs, what):
     return xs, Fraction in kinds
 
 
+def _row_codes(rows):
+    """uint8 rows of variable indices padded by PAD as int32 chunk codes
+    (a*28 + b)*28 + c of three variables each, the last chunk padded."""
+    k = max(1, -(-rows.shape[1] // 3))
+    v = np.pad(rows, ((0, 0), (0, 3 * k - rows.shape[1])), constant_values=PAD)
+    return v.reshape(len(v), k, 3) @ np.array([_BASE ** 2, _BASE, 1], np.int32)
+
+
+def _code_rows(codes):
+    """The uint8 rows, padded by PAD, of chunk codes."""
+    v = np.stack([codes // _BASE ** 2, codes // _BASE % _BASE, codes % _BASE], axis=2)
+    return v.reshape(len(codes), 3 * codes.shape[1]).astype(np.uint8)
+
+
+def _chunks(codes, k):
+    """codes cut, or padded by chunks of three pads, to k chunks."""
+    return codes if codes.shape[1] == k else np.pad(
+        codes[:, :k], ((0, 0), (0, max(0, k - codes.shape[1]))), constant_values=_BASE ** 3 - 1)
+
+
+def _packed(codes, coeffs, den, deg):
+    """A pack (_pack).  Below 2^31 a coefficient times a residue fits int64;
+    larger ones are reduced mod each prime first."""
+    l1 = sum(map(abs, coeffs.tolist()))
+    return codes, coeffs.astype(np.int64 if l1 < 1 << 31 else object), l1, den, deg
+
+
 def _pack(f: Poly):
     """f's terms as (codes, integer coefficients, their L1 norm, common
     denominator, degree), cached on f until add_term.  Row i of codes is
-    monomial i as chunks (a*28 + b)*28 + c of three variable indices,
-    padded by PAD."""
-    if f._packed is not None:
-        return f._packed
-    terms = f.terms
-    coeffs, fractions = _exact(terms.values(), "coefficient")
-    den = lcm(*(Fraction(c).denominator for c in coeffs)) if fractions else 1
-    coeffs = [int(c * den) for c in coeffs] if fractions else coeffs
-    l1 = sum(map(abs, coeffs))
-    deg = max(map(len, terms), default=0)
-    width = 3 * max(1, -(-deg // 3))
-    v = _mono_rows(terms, width, bytes([PAD])).reshape(len(terms), width // 3, 3)
-    # below 2^31 a coefficient times a residue fits int64; larger ones are
-    # reduced mod each prime first
-    f._packed = (v @ np.array([_BASE ** 2, _BASE, 1], np.int32),
-                 np.array(coeffs, dtype=np.int64 if l1 < 1 << 31 else object), l1, den, deg)
+    monomial i in chunk codes (_row_codes)."""
+    if f._packed is None:
+        coeffs, fractions = _exact(f.terms.values(), "coefficient")
+        den = lcm(*(Fraction(c).denominator for c in coeffs)) if fractions else 1
+        deg = max(map(len, f.terms), default=0)
+        rows = np.frombuffer(b"".join([bytes(m).ljust(deg, bytes([PAD])) for m in f.terms]),
+                             dtype=np.uint8).reshape(len(f.terms), deg)
+        f._packed = _packed(_row_codes(rows), np.array([int(c * den) for c in coeffs], dtype=object),
+                            den, deg)
     return f._packed
+
+
+def _unpacked(rows, coeffs):
+    """{monomial: coefficient} of rows padded by PAD."""
+    monos = list(struct.iter_unpack("%dB" % rows.shape[1], rows.tobytes()))
+    for i in np.flatnonzero(rows[:, -1] == PAD).tolist():   # below the full width
+        monos[i] = monos[i][:monos[i].index(PAD)]
+    return dict(zip(monos, coeffs.tolist()))
+
+
+def integer_terms(polys, degree):
+    """pack_terms of degree-`degree` polys, with the coefficients of each
+    one's integer multiple with content 1 (denominators cleared, then
+    divided by their gcd)."""
+    rows, ids, _ = pack_terms(polys)
+    coeffs = np.concatenate([np.empty(0, np.int64)] + [_pack(f)[1] for f in polys])
+    return rows[:, :degree], ids, coeffs // np.gcd.reduceat(coeffs, _run_starts(ids))[ids]
 
 
 def _primes_above(bound):
@@ -316,8 +340,7 @@ def evaluate_points(polys, points):
         return out
     codes, coefs, l1s, dens, degs = zip(*(packs[j] for j in live))
     k = max(c.shape[1] for c in codes)
-    codes = np.concatenate([c if c.shape[1] == k else np.pad(  # 28^3 - 1: three pads
-        c, ((0, 0), (0, k - c.shape[1])), constant_values=_BASE ** 3 - 1) for c in codes])
+    codes = np.concatenate([_chunks(c, k) for c in codes])
     coef = np.concatenate(coefs)
     starts = np.cumsum([0] + [len(c) for c in coefs[:-1]])
     # one table lookup per chunk when there are more terms than products
@@ -390,25 +413,31 @@ HOLE = 31   # pads the rows of lower-degree monomials: sorts last in a row, no s
 
 def pack_terms(polys):
     """The terms of polys as one batch (rows, ids, coeffs), those of
-    polys[i] with id i (module docstring)."""
-    monos = [m for f in polys for m in f.terms]
-    coeffs = [c for f in polys for c in f.terms.values()]
-    width = max(1, max(map(len, monos), default=0))   # a constant is one HOLE
-    small = all(type(c) is int for c in coeffs) and sum(map(abs, coeffs)) < 1 << 62
-    coeffs = np.array(coeffs, dtype=np.int64 if small else object)
-    ids = np.repeat(np.arange(len(polys)), list(map(len, polys)))
-    return _mono_rows(monos, width, bytes([HOLE])), ids, coeffs
+    polys[i] with id i (module docstring), decoded from their packs."""
+    packs = [_pack(f) for f in polys]
+    width = max([1] + [pk[4] for pk in packs])   # a constant is one HOLE
+    k = -(-width // 3)
+    rows = _code_rows(np.concatenate([np.empty((0, k), np.int32)] + [
+        _chunks(pk[0], k) for pk in packs]))[:, :width]
+    rows[rows == PAD] = HOLE
+    if any(pk[3] > 1 for pk in packs) or sum(pk[2] for pk in packs) >= 1 << 62:
+        coeffs = np.array([c for f in polys for c in f.terms.values()], dtype=object)
+    else:
+        coeffs = np.concatenate([np.empty(0, np.int64)] + [pk[1] for pk in packs]).astype(np.int64)
+    return rows, np.repeat(np.arange(len(polys)), [len(pk[1]) for pk in packs]), coeffs
 
 
 def unpack_terms(batch, n):
     """The batch as n Polys, polynomial i made of the terms with id i
-    (ids ascending, as shift_batch leaves them)."""
+    (ids ascending, as shift_batch leaves them).  Those of an int64 batch
+    hold only their packs (_pack), coded from the same rows."""
     rows, ids, coeffs = batch
-    monos, coeffs = list(struct.iter_unpack("%dB" % rows.shape[1], rows.tobytes())), coeffs.tolist()
-    for i in np.flatnonzero(rows[:, -1] == HOLE).tolist():   # below the full degree
-        monos[i] = monos[i][:monos[i].index(HOLE)]
+    rows = np.where(rows == HOLE, PAD, rows)
+    codes, degs = _row_codes(rows), (rows != PAD).sum(axis=1)
     bounds = np.searchsorted(ids, np.arange(n + 1)).tolist()
-    return [Poly._wrap(dict(zip(monos[a:b], coeffs[a:b]))) for a, b in zip(bounds, bounds[1:])]
+    return [Poly._wrap(_unpacked(rows[a:b], coeffs[a:b])) if coeffs.dtype == object else
+            Poly._wrap(None, _packed(codes[a:b].copy(), coeffs[a:b], 1, int(degs[a:b].max(initial=0))))
+            for a, b in zip(bounds, bounds[1:])]
 
 
 @lru_cache(maxsize=None)
@@ -440,15 +469,22 @@ def shift_batch(axis, to_idx, from_idx, batch):
     return merge_terms((new, ids[t], coeffs[t]))
 
 
+def mono_keys(rows, lead=None):
+    """An integer key per row: five bits per variable, v + 1 or 0 for HOLE,
+    below the bits of lead (an int64 or object array) when given.  The
+    order of the keys is tuple order, shorter monomials first."""
+    key = np.zeros(len(rows), np.int64) if lead is None else lead
+    for col in ((rows + 1) & 31).T.astype(key.dtype):
+        key = key << 5 | col
+    return key
+
+
 def merge_terms(batch):
     """The batch with like terms added up and zero sums dropped, sorted by
     id, then by monomial in tuple order; its rows must be sorted."""
     rows, ids, coeffs = batch
-    # five bits per variable, v + 1 or 0 for HOLE: shorter monomials first
-    key = ids.astype(np.int64 if 5 * rows.shape[1] + int(ids.max(initial=0)).bit_length() < 63
-                     else object)
-    for col in ((rows + 1) & 31).T.astype(key.dtype):
-        key = key << 5 | col
+    key = mono_keys(rows, ids.astype(np.int64 if 5 * rows.shape[1] + int(
+        ids.max(initial=0)).bit_length() < 63 else object))
     order = np.argsort(key)
     starts = _run_starts(key[order])
     sums = np.add.reduceat(coeffs[order], starts)
@@ -488,13 +524,9 @@ _X_MONOMIALS = [(3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
 
 def _pencil_entry_vars(axis, r, c):
     """Variable indices of the three x-coefficients of pencil entry (r,c)."""
-    if axis == "A":
-        return [var_index(s, r, c) for s in range(3)]
-    if axis == "B":
-        return [var_index(r, s, c) for s in range(3)]
-    if axis == "C":
-        return [var_index(r, c, s) for s in range(3)]
-    raise ValueError("axis must be A, B or C")
+    if axis not in ("A", "B", "C"):
+        raise ValueError("axis must be A, B or C")
+    return [var_index(*((s, r, c), (r, s, c), (r, c, s))["ABC".index(axis)]) for s in range(3)]
 
 
 def m3_with_x_monomials(axis):
@@ -502,16 +534,9 @@ def m3_with_x_monomials(axis):
     list of ((e1,e2,e3), Poly) with e the exponent of (x1,x2,x3)."""
     buckets = {e: Poly() for e in _X_MONOMIALS}
     for sigma in permutations(range(3)):
-        sign = perm_sign(sigma)
-        for s1 in range(3):
-            for s2 in range(3):
-                for s3 in range(3):
-                    e = [0, 0, 0]
-                    e[s1] += 1; e[s2] += 1; e[s3] += 1
-                    mono = tuple(sorted((_pencil_entry_vars(axis, 0, sigma[0])[s1],
-                                         _pencil_entry_vars(axis, 1, sigma[1])[s2],
-                                         _pencil_entry_vars(axis, 2, sigma[2])[s3])))
-                    buckets[tuple(e)].add_term(mono, sign)
+        for s in product(range(3), repeat=3):   # s[r]: the x picked in row r
+            mono = sorted(_pencil_entry_vars(axis, r, sigma[r])[s[r]] for r in range(3))
+            buckets[tuple(map(s.count, range(3)))].add_term(mono, perm_sign(sigma))
     return [(e, buckets[e]) for e in _X_MONOMIALS]
 
 
@@ -519,14 +544,6 @@ def m3_generators(axis):
     """The 10 homogeneous cubics: coefficients (on x-monomials) of the
     determinant of the axis pencil."""
     return [p for _, p in m3_with_x_monomials(axis)]
-
-
-def s3_m3():
-    """All 30 pencil-determinant cubics over the three axes."""
-    out = []
-    for ax in "ABC":
-        out.extend(m3_generators(ax))
-    return out
 
 
 def det_slice_poly(axis, index):
@@ -555,24 +572,11 @@ def format_poly(f: Poly) -> str:
         return "0"
     parts = []
     for mono in sorted(f.terms, key=lambda m: (-len(m), m)):
-        coeff = f.terms[mono]
-        factors = []
-        seen = []
-        for v in mono:
-            if v in seen:
-                continue
-            seen.append(v)
-            e = mono.count(v)
-            factors.append(var_name(v) + ("^%d" % e if e > 1 else ""))
-        body = "*".join(factors) if factors else "1"
-        c = Fraction(coeff)
-        if c == 1 and factors:
-            parts.append("+ " + body)
-        elif c == -1 and factors:
-            parts.append("- " + body)
-        else:
-            sign = "- " if c < 0 else "+ "
-            parts.append(sign + str(abs(c)) + "*" + body)
+        body = "*".join(var_name(v) + ("^%d" % mono.count(v) if mono.count(v) > 1 else "")
+                        for v in sorted(set(mono))) or "1"
+        c = Fraction(f.terms[mono])
+        parts.append(("- " if c < 0 else "+ ") + (body if abs(c) == 1 and mono else
+                                                   "%s*%s" % (abs(c), body)))
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else text
 

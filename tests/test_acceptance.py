@@ -6,11 +6,15 @@ criteria name them.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+import trifocal
 from trifocal import ideal, orbits, rep
 from trifocal.cameras import random_triple, trifocal_from_cameras
 from trifocal.cli import main
@@ -187,6 +191,35 @@ def test_stretch_hilbert_degree7(discovery6, capsys):
     assert value == 3942162
     with capsys.disabled():
         print("STRETCH: PASS - Hilbert quotient at degree 7 = %d" % value)
+
+
+@pytest.mark.slow
+def test_stretch_discover_degree7(capsys):
+    """Not an acceptance gate: the minimal-generator search through degree
+    7 at the default seed finds no degree-7 generator.  It runs in its own
+    process, so that the wall time and peak RSS it prints are its own."""
+    # ru_maxrss survives exec and so would report pytest's own peak; on Linux
+    # VmHWM is the peak of the new process image alone
+    code = ("import json, resource, time\n"
+            "from trifocal import ideal, orbits\n"
+            "t = time.perf_counter()\n"
+            "counts = ideal.discover(7, orbits.trifocal_normal_form(), seed=2024).counts()\n"
+            "seconds = time.perf_counter() - t\n"
+            "try:\n"
+            "    rss = next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+            "               if line.startswith('VmHWM:')) / 1024\n"
+            "except OSError:\n"
+            "    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+            "print(json.dumps({'counts': counts, 'seconds': seconds, 'rss_mb': rss}))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trifocal.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=900)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout)
+    assert run["counts"] == {"1": 0, "2": 0, "3": 10, "4": 0, "5": 81, "6": 1980, "7": 0}
+    with capsys.disabled():
+        print("STRETCH: PASS - discover(7) finds 10/81/1980/0 in degrees 3/5/6/7 "
+              "(%.1fs, peak RSS %.0f MB)" % (run["seconds"], run["rss_mb"]))
 
 
 def test_criterion_7_degeneration_replay(capsys):

@@ -230,6 +230,18 @@ def test_nzd_rejects_zero_and_mixed_weight_witness_before_discovery(tmp_path, ca
     assert "weight-homogeneous" in capsys.readouterr().err
 
 
+def test_nzd_rational_witness_gives_the_integer_table(tmp_path, capsys):
+    # 1/2 * T_1_1_1 generates what T_1_1_1 does; its coefficient was once
+    # truncated to 0 mod p, which left the witness out of the ideal
+    tables = []
+    for name, text in (("w.txt", "T_1_1_1\n"), ("half.txt", "1/2*T_1_1_1\n")):
+        path = write(tmp_path, name, text)
+        assert main(["nzd", "--witness", path, "--degree-cap", "3", "--json"]) == 0
+        tables.append(json.loads(capsys.readouterr().out)["table"])
+    assert tables[0] == tables[1]
+    assert tables[1]["3"] == {"expected": 3266, "actual": 3266}
+
+
 def test_nzd_invalid_prime(capsys):
     assert main(["nzd", "--witness", "f", "--prime", "100"]) == 2
 

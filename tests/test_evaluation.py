@@ -4,12 +4,13 @@ dict loop it replaced, kept here as the oracle."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from trifocal import ideal, poly
+from trifocal import ideal, poly, rep
 from trifocal.linalg import MACHINE_PRIME_BOUND
 from trifocal.orbits import skew_tensor
-from trifocal.poly import Poly, evaluate_points, s3_m3, witness_g
+from trifocal.poly import Poly, evaluate_points, m3_generators, witness_g
 from trifocal.scalars import is_prime
 from trifocal.tensor import Tensor333
 
@@ -57,7 +58,7 @@ def sample_polys(seed):
         Poly({(3,) * 7: 5}),                             # |value| = L1 * |x|^7 at equal entries
         Poly({(4,) * 7: -3}),
         witness_g(),
-    ] + s3_m3()
+    ] + [g for ax in "ABC" for g in m3_generators(ax)]
 
 
 def sample_points(seed):
@@ -138,6 +139,27 @@ def test_add_term_after_evaluation_drops_the_pack():
     assert f.evaluate(t) == oracle([f], t)[0] != before
     f.add_term((13, 13, 26), -4)
     assert f.evaluate(t) == before
+
+
+def test_module_span_packs_match_fresh_packs(discovery5, trifocal_nf):
+    """module_span's lowered vectors hold only the packs unpack_terms made
+    from the batch rows: the packs of the same polynomials made afresh from
+    their terms, with the same values; add_term drops them."""
+    points = [skew_tensor()] + ideal.trifocal_points(trifocal_nf, 77, 2)
+    for m in discovery5.scans[5].modules:
+        basis = rep.module_span(m.hw_vector)
+        assert all(f._terms is None for f in basis[1:])   # basis[0] is h, content-normalized
+        fresh = [Poly(f.terms) for f in basis]
+        for a, b in zip(map(poly._pack, basis), map(poly._pack, fresh)):
+            assert np.array_equal(a[0], b[0]) and a[0].dtype == b[0].dtype
+            assert np.array_equal(a[1], b[1]) and a[1].dtype == b[1].dtype and a[2:] == b[2:]
+        assert evaluate_points(basis, points) == evaluate_points(fresh, points) \
+            == [oracle(fresh, t) for t in points]
+    f = basis[-1]   # the generators vanish at orbit points; f minus a term does not
+    m0, c0 = next(iter(f.terms.items()))
+    f.add_term(m0, -c0)
+    assert f._packed is None and m0 not in f.terms
+    assert f.evaluate(points[1]) == oracle([f], points[1])[0] != 0
 
 
 def test_floats_and_bools_are_rejected():

@@ -1,13 +1,18 @@
+import random
+from fractions import Fraction
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
-from trifocal import ideal, linalg, rep
+from trifocal import ideal, linalg, poly, rep
 from trifocal.ideal import (DegreeCapError, GradedGeneratorSet,
                             graded_nonzerodivisor_check, hilbert_quotient,
-                            hilbert_with_witnesses, ideal_dim_in_degree, minimal_generator_test,
-                            scan_degree, slice_rows_by_weight, vanishing_subspace)
+                            hilbert_with_witnesses, ideal_dim_in_degree, scan_degree,
+                            slice_rows_by_weight, vanishing_subspace)
 from trifocal.orbits import skew_tensor
-from trifocal.poly import Poly, det_slice_poly, f_determinant, m3_generators, witness_g
+from trifocal.poly import (Poly, det_slice_poly, f_determinant, integer_terms, m3_generators,
+                           weight_space_basis, witness_g)
 from trifocal.tensor import random_orbit_point
 
 
@@ -39,36 +44,160 @@ def test_degree_cap_enforced(m3_set):
     ideal._check_cap(7, cap=7)
 
 
+# --- the dict product-row builder, the oracle of the packed blocks ----------------
+
+def dict_groups(gens):
+    """{degree: [(weight, generators)]}, weights in order of filing."""
+    out = {}
+    for e, polys in gens.by_degree.items():
+        groups = {}
+        for f in polys:
+            groups.setdefault(f.weight(), []).append(f)
+        out[e] = list(groups.items())
+    return out
+
+
+def dict_rows(groups, d, weight, top):
+    """Degree-d product rows {monomial: coefficient} of the weight from
+    generators of degree at most top: by degree, generator weight,
+    multiplier, then generator."""
+    rows = []
+    for e in sorted(groups):
+        for wg, polys in groups[e] if e <= min(d, top) else ():
+            rest = ideal._minus(weight, wg)
+            if min(map(min, rest)) >= 0:
+                for mult in weight_space_basis(d - e, rest):
+                    rows.extend({tuple(sorted(m + mult)): c for m, c in g.terms.items()} for g in polys)
+    return rows
+
+
+def dict_block_matrix(rows, p):
+    """The rows mod p over their monomials in order of first appearance."""
+    cols, ri, ci, vals = {}, [], [], []
+    for i, r in enumerate(rows):
+        for m, c in r.items():
+            ri.append(i)
+            ci.append(cols.setdefault(m, len(cols)))
+            vals.append(c % p)
+    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    a[ri, ci] = vals
+    return a, list(cols)
+
+
+def assert_same_block(block, rows, p=101):
+    """The packed block is the oracle matrix up to a column permutation,
+    with the same rows in the same order; returns the oracle matrix."""
+    a, keys = ideal._block_matrix(block, p), np.unique(block.keys)
+    b, monos = dict_block_matrix(rows, p)
+    assert len(block) == len(rows) and a.shape == b.shape
+    want = poly.mono_keys(np.array(monos, dtype=np.uint8).reshape(len(monos), -1 if monos else 0))
+    at = np.searchsorted(keys, want)
+    assert len(set(at.tolist())) == len(at) and np.array_equal(keys[at], want)
+    assert np.array_equal(a[:, at], b)
+    return b
+
+
+def minimal_generator_test(h, gens, p=101):
+    """True iff h lies in the degree slice generated by the lower-degree
+    part of gens, the test scan_degree makes: True means h is NOT a
+    minimal generator."""
+    block = ideal.rows_in_weight_block(gens, h.degree(), h.weight(), strict_below=True)
+    return not ideal._independent_of(block, [h], h.degree(), h.weight(), p)[0]
+
+
 def test_weight_blocking_is_lossless(m3_set):
-    """Blocked rank sum equals the rank of the unblocked matrix."""
+    """Blocked rank sum equals the rank of the unblocked matrix: all packed
+    blocks of a degree stacked into one, over the union of their columns."""
     for d in (3, 4):
-        groups = slice_rows_by_weight(m3_set, d)
-        rows = [r for rws in groups.values() for r in rws]
-        cols = {}
-        for r in rows:
-            for m in r:
-                cols.setdefault(m, len(cols))
-        a = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        for i, r in enumerate(rows):
-            for m, c in r.items():
-                a[i, cols[m]] = c % 101
+        whole = sum(slice_rows_by_weight(m3_set, d).values(), ideal.Block())
+        a = ideal._block_matrix(whole, 101)
         assert len(linalg.rref_mod_p(a, 101)[1]) == ideal_dim_in_degree(m3_set, d)
 
 
 def test_short_side_rank_matches_row_elimination(m3_set):
-    """_rank eliminates the short side of a block.  Every block of degrees 4
-    and 5 (all wide) and its transpose, given as rows keyed by row index (all
-    tall), has the rank of its untransposed elimination."""
-    sides = set()
-    for d in (4, 5):
-        for rows in slice_rows_by_weight(m3_set, d).values():
-            cols = ideal._block_matrix(rows, 101)[1]
-            flipped = [{i: r[m] for i, r in enumerate(rows) if m in r} for m in cols]
-            for block in (rows, flipped):
-                b = ideal._block_matrix(block, 101)[0]
-                sides.add(np.sign(b.shape[0] - b.shape[1]))
-                assert ideal._rank(block, 101) == len(linalg.rref_mod_p(b, 101)[1])
+    """_rank eliminates the short side of a block.  Every block of degrees
+    3-5 equals the oracle matrix up to a column permutation; it (all wide
+    from degree 4) and its transpose, a Block keyed by row index (all tall),
+    have the rank of the oracle matrix's row elimination."""
+    groups, sides = dict_groups(m3_set), set()
+    for d in (3, 4, 5):
+        for w, block in slice_rows_by_weight(m3_set, d).items():
+            b = assert_same_block(block, dict_rows(groups, d, w, d))
+            col_of = np.unique(block.keys, return_inverse=True)[1]
+            flipped = ideal.Block(block.rows.astype(np.int64), col_of, block.coeffs, b.shape[1])
+            for blk, want in ((block, b), (flipped, b.T)):
+                sides.add(np.sign(len(blk) - ideal._block_matrix(blk, 101).shape[1]))
+                assert ideal._rank(blk, 101) == len(linalg.rref_mod_p(want, 101)[1])
     assert {-1, 1} <= sides   # wide and tall blocks both occur
+
+
+def test_packed_blocks_equal_dict_rows():
+    """Two cubic modules that share weights, so that their weight groups
+    merge, and two plain quartics: blocks of the whole slice and strictly
+    below it."""
+    gens = GradedGeneratorSet()
+    gens.add_module(det_slice_poly("C", 1))
+    gens.add_module(f_determinant())
+    x, y, z = (Poly.variable(*v, one_based=True) for v in ((1, 1, 1), (2, 3, 1), (3, 2, 2)))
+    gens.add(4, [x * x * y * y, x * y * z * z])
+    groups = dict_groups(gens)
+    for d in (3, 4, 5):   # at 5 every generator lies below d, and groups meet several multipliers
+        for w, block in slice_rows_by_weight(gens, d).items():
+            assert_same_block(block, dict_rows(groups, d, w, d))
+            if d < 5:
+                assert_same_block(ideal.rows_in_weight_block(gens, d, w),
+                                  dict_rows(groups, d, w, d - 1))
+
+
+@pytest.mark.slow
+def test_packed_blocks_equal_dict_rows_on_discovery6(discovery6):
+    """The degree-6 base blocks that the folded sweep ranks, and the f and
+    g witness blocks, against the dict rows."""
+    gens, groups = discovery6.gens, dict_groups(discovery6.gens)
+    weights = ideal._fold(ideal.WEYL, ideal._slice_weights(gens, 6))
+    blocks = slice_rows_by_weight(gens, 6, weights)
+    for w in weights:
+        assert_same_block(blocks[w], dict_rows(groups, 6, w, 6))
+    for f in (f_determinant(), witness_g()):
+        e, wf = ideal.check_witness(f)
+        witness = (e, wf, integer_terms([f], e) + (1,))
+        wit = ideal._fold(ideal.stabiliser(ideal.WEYL, f), ideal._shifted_weights(wf, 6 - e))
+        blocks = slice_rows_by_weight(gens, 6, wit)
+        for w in wit:
+            rest = ideal._minus(w, wf)
+            packed = blocks.get(w, ideal.Block()) + ideal._block(gens, 6, w, 6, witness)
+            assert_same_block(packed, dict_rows(groups, 6, w, 6) + [
+                {tuple(sorted(m + mult)): c for m, c in f.terms.items()}
+                for mult in weight_space_basis(6 - e, rest)])
+
+
+def test_mono_keys_are_in_tuple_order_without_collisions():
+    rng = random.Random(12)
+    monos = sorted({tuple(sorted(rng.randrange(27) for _ in range(7))) for _ in range(3000)}
+                   | {(0,) * 7, (25,) + (26,) * 6, (26,) * 7})
+    keys = poly.mono_keys(np.array(monos, dtype=np.uint8))
+    assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
+    # every degree-7 monomial that uses variable 26, the largest, in 35 bits
+    rows = np.array(list(combinations_with_replacement(range(27), 6)), dtype=np.uint8)
+    keys = poly.mono_keys(np.hstack([rows, np.full((len(rows), 1), 26, np.uint8)]))
+    assert len(np.unique(keys)) == len(rows) == 906192 and keys.max() < 1 << 35
+
+
+def test_rational_and_non_primitive_generators_give_the_integer_ranks(m3_set):
+    """Each generator is filed as its integer multiple with content 1, so
+    f/2, -f/3 and 101 f span what f spans, also at p = 101."""
+    cubics = m3_set.by_degree[3]
+    for c in (Fraction(1, 2), Fraction(-1, 3), 101):
+        scaled = GradedGeneratorSet({3: [f.scale(c) for f in cubics]})
+        for d in (3, 4):
+            assert hilbert_quotient(scaled, d) == hilbert_quotient(m3_set, d)
+    x = Poly.variable(1, 1, 1, one_based=True)
+    xy = x * Poly.variable(2, 2, 2, one_based=True)   # one term: 1/2 once truncated to 0
+    for d in (3, 4):
+        assert (hilbert_with_witnesses(m3_set, [x.scale(Fraction(1, 2))], d)
+                == hilbert_with_witnesses(m3_set, [x], d))
+        assert (hilbert_quotient(GradedGeneratorSet({2: [xy.scale(Fraction(1, 2))]}), d)
+                == hilbert_quotient(GradedGeneratorSet({2: [xy]}), d))
 
 
 def test_module_set_matches_plain_m3_set(m3_set):

@@ -9,6 +9,7 @@ from bisect import bisect
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from trifocal import poly, rep
@@ -127,6 +128,19 @@ def test_chained_shifts_leave_int64_before_it_overflows():
         batch, g = poly.shift_batch("A", 1, 0, batch), dict_apply_shift("A", 1, 0, g)
         assert poly.unpack_terms(batch, 1) == [g]
     assert g.terms[(0, 0, 9, 9, 9, 9)] == 360 << 58
+
+
+def test_unpacked_polys_pack_back_to_their_batch():
+    """unpack_terms gives an int64 batch's Polys only packs, and pack_terms
+    reads them: the batch comes back unchanged, int64 or object."""
+    cases = [f for f in _cases() if f.terms]
+    for group in (cases[:9], cases):
+        batch = poly.pack_terms(group)
+        polys = poly.unpack_terms(batch, len(group))
+        assert all(f._terms is None for f in polys) == (batch[2].dtype != object)
+        again = poly.pack_terms(polys)
+        assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(batch, again))
+        assert polys == group
 
 
 def test_normalize_batch_matches_content_normalized():
