@@ -135,23 +135,21 @@ def transfer_geometric(ct: CameraTriple, l1, l2):
     return l3
 
 
-def random_camera(rng: random.Random, bound=9, max_tries=100) -> Camera:
-    for _ in range(max_tries):
+def random_camera(rng: random.Random, bound=9) -> Camera:
+    while True:
         m = [[rng.randint(-bound, bound) for _ in range(4)] for _ in range(3)]
         if linalg.rank(m) == 3:
             return Camera(m)
-    raise RuntimeError("could not sample a full-rank camera")
 
 
-def random_triple(rng: random.Random, bound=9, max_tries=100) -> CameraTriple:
-    for _ in range(max_tries):
+def random_triple(rng: random.Random, bound=9) -> CameraTriple:
+    while True:
         try:
             return CameraTriple(random_camera(rng, bound),
                                 random_camera(rng, bound),
                                 random_camera(rng, bound))
         except DegenerateConfigurationError:
             continue
-    raise RuntimeError("could not sample a valid camera triple")
 
 
 # --- (de)serialization ------------------------------------------------------

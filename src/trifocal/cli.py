@@ -22,11 +22,11 @@ from .poly import f_determinant, parse_poly, witness_g
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import tensor_from_json, tensor_to_json
 
-SCHEMA = "trifocal-report/1"
+SCHEMA = "trifocal-report/2"
 
 
 class RunConfig:
-    def __init__(self, prime=DEFAULT_PRIME, seed=2024, degree_cap=6, oversample=2):
+    def __init__(self, prime, seed, degree_cap):
         # checked first: is_prime trial-divides, for hours on a 61-bit prime
         if prime > linalg.MACHINE_PRIME_BOUND:
             raise ValueError("--prime must be at most %d, got %d"
@@ -35,21 +35,17 @@ class RunConfig:
             raise ValueError("--prime must be prime, got %d" % prime)
         if not 1 <= degree_cap <= ideal.HARD_DEGREE_CAP:
             raise ValueError("--degree-cap must be in 1..%d" % ideal.HARD_DEGREE_CAP)
-        if oversample < 1:
-            raise ValueError("--oversample must be at least 1")
         self.prime = prime
         self.seed = seed
         self.degree_cap = degree_cap
-        self.oversample = oversample
 
     def to_dict(self):
         return {"prime": self.prime, "seed": self.seed,
-                "degree_cap": self.degree_cap, "oversample": self.oversample}
+                "degree_cap": self.degree_cap}
 
 
 def _config(args) -> RunConfig:
-    return RunConfig(prime=args.prime, seed=args.seed,
-                     degree_cap=args.degree_cap, oversample=args.oversample)
+    return RunConfig(args.prime, args.seed, args.degree_cap)
 
 
 def _progress(args):
@@ -61,7 +57,7 @@ def _discover(cfg, degree=None, progress=None):
     min(cap, 6), which holds every minimal generator."""
     return discover(min(cfg.degree_cap, 6) if degree is None else degree,
                     orbits.trifocal_normal_form(), seed=cfg.seed, p=cfg.prime,
-                    oversample=cfg.oversample, progress=progress)
+                    progress=progress)
 
 
 def _emit(args, payload, text_lines):
@@ -83,8 +79,7 @@ def _read_file(path):
 def cmd_check(args) -> int:
     cfg = _config(args)
     t = tensor_from_json(_read_file(args.tensor))
-    verdict, reason = orbits.is_trifocal(t, permutation_tolerant=args.permutation_tolerant,
-                                         randomize=args.randomize, seed=cfg.seed)
+    verdict, reason = orbits.is_trifocal(t, permutation_tolerant=args.permutation_tolerant)
     payload = {"schema": SCHEMA, "config": cfg.to_dict(),
                "is_trifocal": verdict, "reason": reason}
     _emit(args, payload, ["trifocal: %s" % verdict, "reason: %s" % reason])
@@ -208,7 +203,6 @@ def _add_common(sp):
     sp.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     sp.add_argument("--seed", type=int, default=2024)
     sp.add_argument("--degree-cap", type=int, default=6, dest="degree_cap")
-    sp.add_argument("--oversample", type=int, default=2)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--progress", action="store_true")
 
@@ -221,7 +215,6 @@ def build_parser():
     sp = sub.add_parser("check", help="rank-based trifocal membership test")
     sp.add_argument("tensor")
     sp.add_argument("--permutation-tolerant", action="store_true", dest="permutation_tolerant")
-    sp.add_argument("--randomize", action="store_true")
     _add_common(sp)
     sp.set_defaults(func=cmd_check)
 

@@ -226,9 +226,10 @@ def slice_rows_by_weight(gens: GradedGeneratorSet, d, weights=None):
     return groups
 
 
-def rows_in_weight_block(gens: GradedGeneratorSet, d, weight, strict_below=True):
-    """The Block of degree-d product rows with a prescribed weight."""
-    return _block(gens, d, weight, d - 1 if strict_below else d)
+def rows_in_weight_block(gens: GradedGeneratorSet, d, weight):
+    """The Block of degree-d product rows with a prescribed weight from the
+    generators of degree below d."""
+    return _block(gens, d, weight, d - 1)
 
 
 def _block_matrix(block: Block, p):
@@ -274,10 +275,9 @@ def _image(sigma, w):
 
 
 def _canonical(group, w):
-    """The largest weight in the orbit of w: the dominant one for S3^3."""
-    if group is WEYL:
-        return tuple(tuple(sorted(slot, reverse=True)) for slot in w)
-    return max(_image(sigma, w) for sigma in group)
+    """The largest weight in the orbit of w under WEYL (the dominant one) or
+    IDENTITY (w itself)."""
+    return tuple(tuple(sorted(slot, reverse=True)) for slot in w) if group is WEYL else w
 
 
 def _fold(group, weights):
@@ -383,18 +383,19 @@ def trifocal_points(nf: Tensor333, seed, count):
     return [random_orbit_point(nf, seed + i) for i in range(count)]
 
 
-def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed, oversample=2) -> VanishingReport:
+def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed) -> VanishingReport:
     """Sub-hw-space vanishing on the orbit closure of nf.
 
-    Evaluates the hw basis at oversample*dim random orbit points, takes the
+    Evaluates the hw basis at 2 * dim random orbit points, takes the
     certified integer kernel of the row-scaled values, and re-verifies every
-    certificate on a fresh batch, resampling once (also when the kernel does
-    not lift: the true one is a few bits wide) before a hard failure.
+    certificate at 2 * dim fresh points, resampling once (also when the
+    kernel does not lift: the true one is a few bits wide) before a hard
+    failure.
     """
     m = hw.dim
     if m == 0:
         return VanishingReport(hw.label, 0, [])
-    npts = max(oversample * m, m + 1)
+    npts = 2 * m
     for attempt in range(2):
         base = seed + attempt * 10_000
         pts = trifocal_points(nf, base, npts)
@@ -441,7 +442,7 @@ class DegreeScan:
 
 
 def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
-                p=DEFAULT_PRIME, oversample=2, progress=None) -> DegreeScan:
+                p=DEFAULT_PRIME, progress=None) -> DegreeScan:
     """One pass of the minimal-generator search in degree d: for every
     isotypic label, find the vanishing hw subspace and sort its
     certificates into old (inside the lower-degree ideal slice) and new.
@@ -450,10 +451,10 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
     labels = [lab for lab in rep.all_labels(d) if rep.kronecker(*lab) > 0]
     for idx, lab in enumerate(labels):
         hw = rep.hw_space(lab)
-        report = vanishing_subspace(hw, nf, seed + 7919 * idx, oversample=oversample)
+        report = vanishing_subspace(hw, nf, seed + 7919 * idx)
         new_certs = []
         if report.multiplicity:
-            block = rows_in_weight_block(gens, d, hw.weight, strict_below=True)
+            block = rows_in_weight_block(gens, d, hw.weight)
             new_certs = [cert for cert, new in zip(report.certificates, _independent_of(
                 block, report.certificates, d, hw.weight, p)) if new]
         scan.rows.append((lab, rep.kronecker(*lab), hw.dim, report.multiplicity, len(new_certs)))
@@ -478,14 +479,13 @@ class Discovery:
 
 
 def discover(max_degree, nf: Tensor333, seed=2024, p=DEFAULT_PRIME,
-             oversample=2, progress=None) -> Discovery:
+             progress=None) -> Discovery:
     """Run the minimal-generator search through max_degree, accumulating
     the generator set degree by degree."""
     _check_cap(max_degree, HARD_DEGREE_CAP)
     disc = Discovery(nf, seed, p)
     for d in range(1, max_degree + 1):
-        disc.scans[d] = scan_degree(d, disc.gens, nf, seed + 1000 * d, p=p,
-                                    oversample=oversample, progress=progress)
+        disc.scans[d] = scan_degree(d, disc.gens, nf, seed + 1000 * d, p=p, progress=progress)
     return disc
 
 

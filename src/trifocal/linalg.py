@@ -32,8 +32,8 @@ def dims(m):
     return rows, cols
 
 
-def identity(n, one=1):
-    return [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_vec(m, v):
@@ -256,7 +256,7 @@ def _primitive_int_vector(fracs):
     return ints
 
 
-def kernel_basis_int(sparse_rows, ncols, expected_dim=None):
+def kernel_basis_int(sparse_rows, ncols):
     """Exact integer kernel of an integer matrix given as sparse rows
     {col: int}, for ideal.vanishing_subspace and the hw-space test oracle.
     Each of up to 10 machine primes eliminates the rows with rref_mod_p in
@@ -265,8 +265,7 @@ def kernel_basis_int(sparse_rows, ncols, expected_dim=None):
     joined by CRT, lifted by rational reconstruction (which needs small
     entries in the reduced kernel basis, not in the matrix) and verified
     against every row.  Returns primitive integer vectors with a positive
-    leading entry; ArithmeticError when no lift verifies or the dimension
-    is not expected_dim.
+    leading entry; ArithmeticError when no lift verifies.
     """
     rows = [r for r in sparse_rows if r]
     if not rows:
@@ -305,9 +304,6 @@ def kernel_basis_int(sparse_rows, ncols, expected_dim=None):
             continue
         lifted = [_primitive_int_vector(v) for v in lifted]
         if all(sum(val * v[c] for c, val in r.items()) == 0 for v in lifted for r in rows):
-            if expected_dim is not None and len(lifted) != expected_dim:
-                raise ArithmeticError(
-                    "kernel dimension %d != expected %d" % (len(lifted), expected_dim))
             return lifted
     raise ArithmeticError("integer kernel did not stabilize over 10 primes")
 

@@ -62,36 +62,26 @@ def orbit18_rep() -> Tensor333:
     return Tensor333.from_terms([(1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 1, 2), (1, 2, 2, 3)])
 
 
-def sub_generic(pattern, seed=1, bound=5) -> Tensor333:
-    """Generic point of a subspace variety: random integers supported on a
-    coordinate subspace of the given (p,q,r) shape, then a random
-    coordinate change."""
+def sub_generic(pattern, seed=1) -> Tensor333:
+    """Generic point of a subspace variety: random integers in [-5, 5]
+    supported on a coordinate subspace of the given (p,q,r) shape, then a
+    random coordinate change."""
     p, q, r = pattern
     rng = random.Random(seed)
-    entries = [[[rng.randint(-bound, bound) if (i < p and j < q and k < r) else 0
+    entries = [[[rng.randint(-5, 5) if (i < p and j < q and k < r) else 0
                  for k in range(3)] for j in range(3)] for i in range(3)]
-    base = Tensor333(entries)
-    g = random_group_element(rng, bound=bound)
-    return act(g, base, check=False)
+    return act(random_group_element(rng), Tensor333(entries), check=False)
 
 
 class NormalForm:
-    __slots__ = ("name", "tensor", "family", "provenance")
+    __slots__ = ("name", "tensor", "provenance")
 
-    def __init__(self, name, tensor=None, family=None, provenance=""):
-        self.name = name
-        self.tensor = tensor
-        self.family = family
-        self.provenance = provenance
-
-    def at(self, *args, **kwargs) -> Tensor333:
-        if self.family is None:
-            return self.tensor
-        return self.family(*args, **kwargs)
+    def __init__(self, name, tensor, provenance):
+        self.name, self.tensor, self.provenance = name, tensor, provenance
 
 
 def catalog():
-    """Named normal forms; family entries take parameters via .at()."""
+    """The named normal forms, {name: NormalForm}."""
     forms = [
         NormalForm("trifocal", trifocal_normal_form(),
                    provenance="four-term normal form of a general trifocal tensor"),
@@ -103,13 +93,13 @@ def catalog():
                    provenance="a1(b1 c2 + b2 c1) + a2(b1 c3 + b3 c1)"),
         NormalForm("orbit18", orbit18_rep(),
                    provenance="a1(b1 c1 + b2 c2) + a2(b1 c2 + b2 c3)"),
-        NormalForm("skew", skew_tensor(), family=skew_tensor,
+        NormalForm("skew", skew_tensor(),
                    provenance="scaled Levi-Civita tensor; every pencil skew-symmetric"),
-        NormalForm("sub233", sub_generic((2, 3, 3)), family=lambda seed=1: sub_generic((2, 3, 3), seed),
+        NormalForm("sub233", sub_generic((2, 3, 3)),
                    provenance="generic point of the 2x3x3 subspace variety"),
-        NormalForm("sub323", sub_generic((3, 2, 3)), family=lambda seed=1: sub_generic((3, 2, 3), seed),
+        NormalForm("sub323", sub_generic((3, 2, 3)),
                    provenance="generic point of the 3x2x3 subspace variety"),
-        NormalForm("sub332", sub_generic((3, 3, 2)), family=lambda seed=1: sub_generic((3, 3, 2), seed),
+        NormalForm("sub332", sub_generic((3, 3, 2)),
                    provenance="generic point of the 3x3x2 subspace variety"),
     ]
     return {nf.name: nf for nf in forms}
@@ -157,7 +147,7 @@ def signature(t: Tensor333, modules=None) -> Signature:
     """Invariant fingerprint.  modules, when given, is an iterable of
     discovered generator modules (degree, label, basis) used to fill the
     degree-5/6 vanishing flags; m5 stays None without a degree-5 module."""
-    m3v = tuple(m3_vanishes(t, ax) for ax in "ABC")
+    pr = prank(t)   # an axis's cubics vanish exactly when its pencil rank is below 3
     m5 = None
     m6 = None
     if modules is not None:
@@ -168,7 +158,7 @@ def signature(t: Tensor333, modules=None) -> Signature:
                 m5 = vanishes if m5 is None else m5 and vanishes
             elif mod.degree == 6:
                 m6[mod.label] = vanishes
-    return Signature(frank(t), prank(t), m3v, m5, m6)
+    return Signature(frank(t), pr, tuple(r < 3 for r in pr), m5, m6)
 
 
 COMPONENTS = ("Sub233", "Sub323", "Trifocal", "PRank222", "NotInVM3")
@@ -190,24 +180,19 @@ def classify_component(t: Tensor333) -> str:
     return "Trifocal"
 
 
-def is_trifocal(t: Tensor333, permutation_tolerant=False, randomize=False, seed=0):
+def is_trifocal(t: Tensor333, permutation_tolerant=False):
     """Rank-based membership test: P-Rank must be exactly (3,3,2) (any
     permutation if permutation_tolerant) and F-Rank exactly (3,3,3).
 
-    Returns (verdict, reason).  Both ranks are exact and deterministic:
+    Returns (verdict, reason).  Both ranks are exact, deterministic and
+    invariant under GL(3)^3, so the test needs no random coordinate change:
     the flattening ranks come from fraction-free integer elimination, and
     each pencil rank is the largest numeric rank of the pencil at the 10
     lattice points a + b + c = 3, which are unisolvent for cubics (Chung
     and Yao, SIAM J. Numer. Anal. 14(4), 1977), so no minor of degree <= 3
-    can vanish at all of them without vanishing identically.  The optional
-    random coordinate change is kept for fidelity with the randomized
-    variant of the test; it changes neither rank.
+    can vanish at all of them without vanishing identically.
     """
-    s = t
-    if randomize:
-        rng = random.Random(seed)
-        s = act(random_group_element(rng), t, check=False)
-    pr = prank(s)
+    pr = prank(t)
     if permutation_tolerant:
         ok = sorted(pr) == [2, 3, 3]
     else:
@@ -220,7 +205,7 @@ def is_trifocal(t: Tensor333, permutation_tolerant=False, randomize=False, seed=
         else:
             reason = "P-Rank %r: below (3,3,2)" % (pr,)
         return False, reason
-    fr = frank(s)
+    fr = frank(t)
     if fr != (3, 3, 3):
         return False, "F-Rank %r: below (3,3,3)" % (fr,)
     return True, "P-Rank %r and F-Rank (3, 3, 3)" % (pr,)
@@ -240,7 +225,8 @@ def _tensor_from_pencil_a(entries) -> Tensor333:
 
 
 def _is_skew_class(t: Tensor333) -> bool:
-    return prank(t) == (2, 2, 2) and all(m3_vanishes(t, ax) for ax in "ABC")
+    # pencil ranks (2, 2, 2) already make every axis's cubics vanish
+    return prank(t) == (2, 2, 2)
 
 
 def _family17(z) -> Tensor333:

@@ -23,7 +23,7 @@ add_term changes it (_pack): each monomial as int32 chunk codes
 
 The raising and lowering operators act on batches of terms (pack_terms):
 an n x width uint8 array of sorted variable indices, rows of lower degree
-padded by HOLE, and per term a polynomial id and a coefficient.  A shift
+padded by PAD, and per term a polynomial id and a coefficient.  A shift
 (shift_batch) replaces each matching position, re-sorts the rows and
 merges like terms by a key (mono_keys), the id above five bits per
 variable, whose order is tuple order (int64, or objects where that would
@@ -408,18 +408,14 @@ def weight_space_basis(d, weight):
 # ---------------------------------------------------------------------------
 # raising / lowering operators (one gl(3) copy per tensor factor)
 
-HOLE = 31   # pads the rows of lower-degree monomials: sorts last in a row, no shift moves it
-
-
 def pack_terms(polys):
     """The terms of polys as one batch (rows, ids, coeffs), those of
     polys[i] with id i (module docstring), decoded from their packs."""
     packs = [_pack(f) for f in polys]
-    width = max([1] + [pk[4] for pk in packs])   # a constant is one HOLE
+    width = max([1] + [pk[4] for pk in packs])   # a constant is one PAD
     k = -(-width // 3)
     rows = _code_rows(np.concatenate([np.empty((0, k), np.int32)] + [
         _chunks(pk[0], k) for pk in packs]))[:, :width]
-    rows[rows == PAD] = HOLE
     if any(pk[3] > 1 for pk in packs) or sum(pk[2] for pk in packs) >= 1 << 62:
         coeffs = np.array([c for f in polys for c in f.terms.values()], dtype=object)
     else:
@@ -432,7 +428,6 @@ def unpack_terms(batch, n):
     (ids ascending, as shift_batch leaves them).  Those of an int64 batch
     hold only their packs (_pack), coded from the same rows."""
     rows, ids, coeffs = batch
-    rows = np.where(rows == HOLE, PAD, rows)
     codes, degs = _row_codes(rows), (rows != PAD).sum(axis=1)
     bounds = np.searchsorted(ids, np.arange(n + 1)).tolist()
     return [Poly._wrap(_unpacked(rows[a:b], coeffs[a:b])) if coeffs.dtype == object else
@@ -444,8 +439,8 @@ def unpack_terms(batch, n):
 def _shift_tables(axis, to_idx, from_idx):
     """(hit, image) over the row values: hit[v] when v's factor-`axis`
     index is from_idx, image[v] the variable with it set to to_idx."""
-    ax, ijk = "ABC".index(axis), np.array([var_ijk(v) for v in range(HOLE + 1)])
-    hit = (ijk[:, ax] == from_idx) & (np.arange(HOLE + 1) < N_VARS)
+    ax, ijk = "ABC".index(axis), np.array([var_ijk(v) for v in range(PAD + 1)])
+    hit = (ijk[:, ax] == from_idx) & (np.arange(PAD + 1) < N_VARS)
     ijk[hit, ax] = to_idx
     return hit, (ijk @ (9, 3, 1)).astype(np.uint8)
 
@@ -470,11 +465,11 @@ def shift_batch(axis, to_idx, from_idx, batch):
 
 
 def mono_keys(rows, lead=None):
-    """An integer key per row: five bits per variable, v + 1 or 0 for HOLE,
+    """An integer key per row: five bits per variable, v + 1 or 0 for PAD,
     below the bits of lead (an int64 or object array) when given.  The
     order of the keys is tuple order, shorter monomials first."""
     key = np.zeros(len(rows), np.int64) if lead is None else lead
-    for col in ((rows + 1) & 31).T.astype(key.dtype):
+    for col in ((rows + 1) % _BASE).T.astype(key.dtype):
         key = key << 5 | col
     return key
 

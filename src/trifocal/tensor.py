@@ -218,13 +218,12 @@ def permute_factors(t: Tensor333, times=1) -> Tensor333:
     return out
 
 
-def random_group_element(rng: random.Random, bound=5, max_tries=200):
-    for _ in range(max_tries):
+def random_group_element(rng: random.Random, bound=5):
+    while True:
         g = tuple([[rng.randint(-bound, bound) for _ in range(3)] for _ in range(3)]
                   for _ in range(3))
         if all(linalg.det(m) != 0 for m in g):
             return g
-    raise RuntimeError("could not sample an invertible group element")
 
 
 def random_orbit_point(nf: Tensor333, seed, bound=5) -> Tensor333:

@@ -31,7 +31,7 @@ def test_check_rejects_skew_with_reason(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["is_trifocal"] is False
     assert "P-Rank" in payload["reason"]
-    assert payload["schema"] == "trifocal-report/1"
+    assert payload["schema"] == "trifocal-report/2"
     assert payload["config"]["prime"] == 101
 
 
@@ -155,8 +155,7 @@ def test_discover_other_seed_and_prime(capsys):
                  "--prime", "32003", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["new_generators_by_degree"]["3"] == 10
-    assert payload["config"] == {"prime": 32003, "seed": 9,
-                                 "degree_cap": 6, "oversample": 2}
+    assert payload["config"] == {"prime": 32003, "seed": 9, "degree_cap": 6}
 
 
 def test_discover_rejects_over_cap(capsys):

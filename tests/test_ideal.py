@@ -101,7 +101,7 @@ def minimal_generator_test(h, gens, p=101):
     """True iff h lies in the degree slice generated by the lower-degree
     part of gens, the test scan_degree makes: True means h is NOT a
     minimal generator."""
-    block = ideal.rows_in_weight_block(gens, h.degree(), h.weight(), strict_below=True)
+    block = ideal.rows_in_weight_block(gens, h.degree(), h.weight())
     return not ideal._independent_of(block, [h], h.degree(), h.weight(), p)[0]
 
 

@@ -49,7 +49,6 @@ def test_catalog_contents_and_signatures():
     assert frank(cat["sub233"].tensor) == (2, 3, 3)
     assert frank(cat["sub323"].tensor) == (3, 2, 3)
     assert frank(cat["sub332"].tensor) == (3, 3, 2)
-    assert cat["skew"].at(7) == skew_tensor(7)
     with pytest.raises(ValueError):
         skew_tensor(0)
 
@@ -99,13 +98,17 @@ def test_classification_examples():
 
 
 def test_classification_is_action_invariant():
+    """Component and is_trifocal verdict survive any invertible coordinate
+    change, so the membership test needs no random one of its own."""
     rng = random.Random(62)
     for nf_name in ("trifocal", "skew", "sub233", "orbit17"):
         t = catalog()[nf_name].tensor
-        expected = classify_component(t)
+        expected = classify_component(t), is_trifocal(t)[0]
+        assert expected[1] is (nf_name == "trifocal")
         for _ in range(10):
             g = random_group_element(rng, bound=3)
-            assert classify_component(act(g, t, check=False)) == expected
+            moved = act(g, t, check=False)
+            assert (classify_component(moved), is_trifocal(moved)[0]) == expected
 
 
 def test_is_trifocal_verdicts():
@@ -132,14 +135,6 @@ def test_is_trifocal_permutation_tolerance():
     assert not ok and "wrong direction" in reason
     ok, _ = is_trifocal(t, permutation_tolerant=True)
     assert ok
-
-
-def test_is_trifocal_randomized_variant():
-    t = trifocal_normal_form()
-    ok, _ = is_trifocal(t, randomize=True, seed=3)
-    assert ok
-    ok, _ = is_trifocal(skew_tensor(), randomize=True, seed=3)
-    assert not ok
 
 
 def test_degeneration_orbit17():

@@ -280,7 +280,8 @@ def _hw_kernel(label):
         rows += block
     # by first column (stable): kernel_basis_int runs about 15% faster
     rows.sort(key=lambda r: next(iter(r)))
-    vectors = linalg.kernel_basis_int(rows, len(monomials), expected_dim=kronecker(*label))
+    vectors = linalg.kernel_basis_int(rows, len(monomials))
+    assert len(vectors) == kronecker(*label)
     return [Poly({monomials[i]: c for i, c in enumerate(v) if c}).content_normalized()
             for v in vectors]
 
