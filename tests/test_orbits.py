@@ -98,17 +98,13 @@ def test_classification_examples():
 
 
 def test_classification_is_action_invariant():
-    """Component and is_trifocal verdict survive any invertible coordinate
-    change, so the membership test needs no random one of its own."""
     rng = random.Random(62)
     for nf_name in ("trifocal", "skew", "sub233", "orbit17"):
         t = catalog()[nf_name].tensor
-        expected = classify_component(t), is_trifocal(t)[0]
-        assert expected[1] is (nf_name == "trifocal")
+        expected = classify_component(t)
         for _ in range(10):
             g = random_group_element(rng, bound=3)
-            moved = act(g, t, check=False)
-            assert (classify_component(moved), is_trifocal(moved)[0]) == expected
+            assert classify_component(act(g, t, check=False)) == expected
 
 
 def test_is_trifocal_verdicts():
@@ -135,6 +131,16 @@ def test_is_trifocal_permutation_tolerance():
     assert not ok and "wrong direction" in reason
     ok, _ = is_trifocal(t, permutation_tolerant=True)
     assert ok
+
+
+def test_is_trifocal_randomized_variant():
+    """The verdict survives a random coordinate change, so is_trifocal
+    needs no random one of its own."""
+    rng = random.Random(3)
+    for t, expected in ((trifocal_normal_form(), True), (skew_tensor(), False)):
+        for _ in range(10):
+            moved = act(random_group_element(rng), t, check=False)
+            assert is_trifocal(moved)[0] is expected
 
 
 def test_degeneration_orbit17():
