@@ -44,8 +44,8 @@ from itertools import permutations, product
 import numpy as np
 
 from . import linalg, rep
-from .poly import (Poly, evaluate_points, integer_terms, mono_keys, mono_weight, permuted,
-                   variable_map, weight_space_basis)
+from .poly import (Poly, evaluate_points, integer_terms, mono_keys, mono_weight, normalized,
+                   pack_terms, permuted, term_matrix, variable_map, weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, random_orbit_point
 
@@ -157,6 +157,10 @@ class Block:
                      np.concatenate([self.rows, other.rows + self.n]),
                      np.concatenate([self.coeffs, other.coeffs]), self.n + other.n)
 
+    def matrix(self, p):
+        """The block mod p as a dense array, its columns in key order."""
+        return term_matrix(self.keys, self.rows, self.coeffs, self.n, p)
+
 
 def _minus(w, v):
     return tuple(tuple(a - b for a, b in zip(x, y)) for x, y in zip(w, v))
@@ -232,19 +236,11 @@ def rows_in_weight_block(gens: GradedGeneratorSet, d, weight):
     return _block(gens, d, weight, d - 1)
 
 
-def _block_matrix(block: Block, p):
-    """The block mod p as a dense array, its columns in key order."""
-    cols, col_of = np.unique(block.keys, return_inverse=True)
-    a = np.zeros((len(block), len(cols)), dtype=np.int64)
-    a[block.rows, col_of] = block.coeffs % p
-    return a
-
-
 def _independent_of(block: Block, polys, d, weight, p):
     """For each of the degree-d polys of the weight in turn, whether it is
     independent mod p of the block's rows and of the polys before it."""
-    a = _block_matrix(block + _block(None, d, weight, d, (
-        d, weight, integer_terms(polys, d) + (len(polys),))), p)
+    a = (block + _block(None, d, weight, d, (
+        d, weight, integer_terms(polys, d) + (len(polys),)))).matrix(p)
     ech = linalg.Echelon(a[:len(block)], p)
     return [ech.add(x) for x in a[len(block):]]
 
@@ -292,7 +288,7 @@ def _fold(group, weights):
 
 
 def _rank(block: Block, p):
-    a = _block_matrix(block, p)   # rank A = rank A^T: eliminate the short side
+    a = block.matrix(p)   # rank A = rank A^T: eliminate the short side
     return len(linalg.rref_mod_p(a.T if len(a) < a.shape[1] else a, p)[1])
 
 
@@ -383,6 +379,18 @@ def trifocal_points(nf: Tensor333, seed, count):
     return [random_orbit_point(nf, seed + i) for i in range(count)]
 
 
+def _combinations(kernel, polys):
+    """sum_i v[i] * polys[i], content-normalized, for each integer vector v
+    of the kernel: the terms tiled once per vector, as one batch."""
+    rows, ids, coeffs = pack_terms(polys)
+    k = np.array(kernel, dtype=object).reshape(len(kernel), len(polys))[:, ids]
+    c = (k * coeffs).ravel()   # objects; int64 below L1 2^62, as in shift_batch
+    if np.abs(c).sum() < 1 << 62:
+        c = c.astype(np.int64)
+    return normalized((np.tile(rows, (len(k), 1)), np.repeat(np.arange(len(k)), len(ids)), c),
+                      len(k))
+
+
 def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed) -> VanishingReport:
     """Sub-hw-space vanishing on the orbit closure of nf.
 
@@ -405,8 +413,7 @@ def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed) -> VanishingReport:
                 [{c: x for c, x in enumerate(r) if x} for r in rows], m)
         except ArithmeticError:
             continue
-        certs = [sum((f.scale(c) for c, f in zip(v, hw.basis)), Poly()).content_normalized()
-                 for v in kernel]
+        certs = _combinations(kernel, hw.basis)
         fresh = trifocal_points(nf, base + npts, npts)
         if not any(map(any, evaluate_points(certs, fresh))):
             return VanishingReport(hw.label, len(certs), certs)

@@ -16,9 +16,9 @@ to the symmetric range, with primes taken until their product exceeds
 never a wrong value.  Fraction entries are cleared by a
 common denominator D, f_e(x) = f_e(D x) / D^e on each degree-e part;
 entries and coefficients that are not ints or Fractions (floats, bools)
-raise TypeError.  The monomials and integer coefficients of a polynomial
-are packed into numpy arrays on first use and cached on it until
-add_term changes it (_pack): each monomial as int32 chunk codes
+raise TypeError.  A Poly never changes, so the monomials and integer
+coefficients of a polynomial are packed into numpy arrays on first use
+and kept on it (_pack): each monomial as int32 chunk codes
 (a*28 + b)*28 + c of three variable indices, padded by PAD.
 
 The raising and lowering operators act on batches of terms (pack_terms):
@@ -32,9 +32,11 @@ by a multiplicity and no merge overflows; objects otherwise.
 
 Packs and batches are one encoding: unpack_terms gives the Polys of an
 int64 batch only packs coded from its rows, their terms dicts built on
-first read, and pack_terms and integer_terms decode packs.  So a lowered
-module vector goes from the shift to ideal's weight blocks and to
-evaluation without a dict.
+first read, and pack_terms and integer_terms decode packs.  So a
+tableau polynomial, a hw-space basis vector, a vanishing certificate and
+a lowered module vector go from their batch to ideal's weight blocks and
+to evaluation without a dict; content_normalized is one batch too
+(normalized).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -77,27 +79,26 @@ def mono_weight(mono):
 
 
 class Poly:
-    """Sparse exact polynomial; never stores zero coefficients.  A Poly from
-    unpack_terms holds only its pack until its terms are first read."""
+    """Sparse exact polynomial; never stores zero coefficients, never
+    changes.  A Poly from unpack_terms holds only its pack until its terms
+    are first read."""
 
     __slots__ = ("_terms", "_packed")
 
-    def __init__(self, terms=None):
-        self._terms, self._packed = {}, None
-        if terms:
-            for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                self.add_term(mono, coeff)
+    def __init__(self, terms=()):
+        """The sum of (monomial, coefficient) pairs (or a dict of them), like
+        terms added up and zero sums dropped."""
+        acc = {}
+        for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
+            mono = tuple(mono)
+            acc[mono] = acc.get(mono, 0) + coeff
+        self._terms, self._packed = {m: c for m, c in acc.items() if c != 0}, None
 
     @property
     def terms(self):
         if self._terms is None:
             self._terms = _unpacked(_code_rows(self._packed[0]), self._packed[1])
         return self._terms
-
-    @classmethod
-    def variable(cls, i, j, k, one_based=False):
-        o = 1 if one_based else 0
-        return cls({(var_index(i - o, j - o, k - o),): 1})
 
     @classmethod
     def _wrap(cls, terms, packed=None):
@@ -111,21 +112,6 @@ class Poly:
     def constant(cls, c):
         return cls({(): c})   # c = 0 adds no term
 
-    def add_term(self, mono, coeff):
-        if coeff == 0:
-            return
-        terms = self.terms   # before the pack goes
-        self._packed = None
-        mono = tuple(mono)
-        acc = terms.get(mono, 0) + coeff
-        if acc == 0:
-            terms.pop(mono, None)
-        else:
-            terms[mono] = acc
-
-    def copy(self):
-        return Poly._wrap(dict(self.terms))
-
     def is_zero(self):
         return not self.terms
 
@@ -136,10 +122,7 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __add__(self, other):
-        p = self.copy()
-        for m, c in other.terms.items():
-            p.add_term(m, c)
-        return p
+        return Poly([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
         return self + -other
@@ -153,11 +136,8 @@ class Poly:
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
-        out = Poly()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                out.add_term(sorted(m1 + m2), c1 * c2)
-        return out
+        return Poly((sorted(m1 + m2), c1 * c2) for m1, c1 in self.terms.items()
+                    for m2, c2 in other.terms.items())
 
     __rmul__ = __mul__
 
@@ -173,32 +153,10 @@ class Poly:
     def evaluate(self, t: Tensor333):
         return evaluate_points([self], [t])[0][0]
 
-    def derivative(self, v: int):
-        out = Poly()
-        for mono, coeff in self.terms.items():
-            if v in mono:
-                i = mono.index(v)
-                out.add_term(mono[:i] + mono[i + 1:], coeff * mono.count(v))
-        return out
-
     def content_normalized(self):
-        """Integer-coefficient scale with content 1 and positive leading
-        coefficient (graded-lex leading monomial)."""
-        if not self.terms:
-            return Poly()
-        terms = self.terms
-        if not all(type(c) is int for c in terms.values()):
-            den = 1
-            for c in terms.values():
-                f = Fraction(c)
-                den = den * f.denominator // gcd(den, f.denominator)
-            terms = {m: int(Fraction(c) * den) for m, c in terms.items()}
-        g = gcd(*terms.values())
-        if terms[min(terms)] < 0:
-            g = -g
-        if g == 1:
-            return Poly._wrap(dict(terms))
-        return Poly._wrap({m: c // g for m, c in terms.items()})
+        """The integer multiple with content 1 whose coefficient on the
+        smallest monomial in tuple order is positive."""
+        return normalized(integer_terms([self], _pack(self)[4]), 1)[0]
 
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
@@ -271,8 +229,8 @@ def _packed(codes, coeffs, den, deg):
 
 def _pack(f: Poly):
     """f's terms as (codes, integer coefficients, their L1 norm, common
-    denominator, degree), cached on f until add_term.  Row i of codes is
-    monomial i in chunk codes (_row_codes)."""
+    denominator, degree), cached on f.  Row i of codes is monomial i in
+    chunk codes (_row_codes)."""
     if f._packed is None:
         coeffs, fractions = _exact(f.terms.values(), "coefficient")
         den = lcm(*(Fraction(c).denominator for c in coeffs)) if fractions else 1
@@ -467,7 +425,8 @@ def shift_batch(axis, to_idx, from_idx, batch):
 def mono_keys(rows, lead=None):
     """An integer key per row: five bits per variable, v + 1 or 0 for PAD,
     below the bits of lead (an int64 or object array) when given.  The
-    order of the keys is tuple order, shorter monomials first."""
+    order of the keys is tuple order: a monomial sorts before its
+    extensions."""
     key = np.zeros(len(rows), np.int64) if lead is None else lead
     for col in ((rows + 1) % _BASE).T.astype(key.dtype):
         key = key << 5 | col
@@ -489,11 +448,26 @@ def merge_terms(batch):
 
 def normalize_batch(batch):
     """Poly.content_normalized on each polynomial of an integer batch from
-    shift_batch, whose first term is its smallest monomial."""
+    merge_terms, whose first term is its smallest monomial."""
     rows, ids, coeffs = batch
     starts = _run_starts(ids)   # a one-term reduceat is the term itself, sign and all
     g = np.abs(np.gcd.reduceat(coeffs, starts)) * np.sign(coeffs[starts])
     return rows, ids, coeffs // np.repeat(g, np.diff(np.r_[starts, len(ids)]))
+
+
+def normalized(batch, n):
+    """The n polynomials of an integer batch with sorted rows, each summed
+    and content-normalized: merge_terms, normalize_batch, unpack_terms."""
+    return unpack_terms(normalize_batch(merge_terms(batch)), n)
+
+
+def term_matrix(keys, at, coeffs, n, p):
+    """Terms as a dense n x k array mod p, one column per distinct key
+    (mono_keys) in key order: term t puts coeffs[t] at row at[t]."""
+    cols, col_of = np.unique(keys, return_inverse=True)
+    a = np.zeros((n, len(cols)), dtype=np.int64)
+    a[at, col_of] = coeffs % p
+    return a
 
 
 def apply_shift(axis, to_idx, from_idx, f: Poly) -> Poly:
@@ -527,12 +501,12 @@ def _pencil_entry_vars(axis, r, c):
 def m3_with_x_monomials(axis):
     """The symbolic pencil determinant for an axis, split by x-monomial:
     list of ((e1,e2,e3), Poly) with e the exponent of (x1,x2,x3)."""
-    buckets = {e: Poly() for e in _X_MONOMIALS}
+    buckets = {e: [] for e in _X_MONOMIALS}
     for sigma in permutations(range(3)):
         for s in product(range(3), repeat=3):   # s[r]: the x picked in row r
             mono = sorted(_pencil_entry_vars(axis, r, sigma[r])[s[r]] for r in range(3))
-            buckets[tuple(map(s.count, range(3)))].add_term(mono, perm_sign(sigma))
-    return [(e, buckets[e]) for e in _X_MONOMIALS]
+            buckets[tuple(map(s.count, range(3)))].append((mono, perm_sign(sigma)))
+    return [(e, Poly(buckets[e])) for e in _X_MONOMIALS]
 
 
 def m3_generators(axis):
@@ -544,12 +518,8 @@ def m3_generators(axis):
 def det_slice_poly(axis, index):
     """det of a single 1-based coordinate slice as a cubic Poly
     (equals the x_index^3 coefficient of the axis pencil determinant)."""
-    out = Poly()
-    for sigma in permutations(range(3)):
-        mono = tuple(sorted(_pencil_entry_vars(axis, r, sigma[r])[index - 1]
-                            for r in range(3)))
-        out.add_term(mono, perm_sign(sigma))
-    return out
+    return Poly((sorted(_pencil_entry_vars(axis, r, sigma[r])[index - 1] for r in range(3)),
+                 perm_sign(sigma)) for sigma in permutations(range(3)))
 
 
 def f_determinant():
@@ -600,7 +570,7 @@ def parse_poly(text: str) -> Poly:
     chunks = "".join(text.split()).replace("-", "+-").split("+")
     if chunks[0] == "" and len(chunks) > 1:
         del chunks[0]  # a leading sign
-    out = Poly()
+    terms = []
     for chunk in chunks:
         coeff = 1
         if chunk.startswith("-"):
@@ -621,8 +591,8 @@ def parse_poly(text: str) -> Poly:
                 raise ValueError("bad coefficient %r" % (base,))
             else:
                 coeff = coeff * (Fraction(int(num), int(den)) if slash else int(num)) ** e
-        out.add_term(tuple(sorted(mono)), coeff)
-    return out
+        terms.append((sorted(mono), coeff))
+    return Poly(terms)
 
 
 def witness_g() -> Poly:

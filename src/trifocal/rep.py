@@ -233,10 +233,8 @@ def _independent(polys):
     ones before them, hence over Q (module docstring)."""
     p = linalg.machine_prime(0)
     rows, ids, coeffs = poly.pack_terms(polys)
-    _, row_of = np.unique(rows, axis=0, return_inverse=True)   # one row per monomial
-    a = np.zeros((row_of.max(initial=-1) + 1, len(polys)), dtype=np.int64)
-    a[row_of.ravel(), ids] = coeffs % p
-    return linalg.rref_mod_p(a, p)[1]   # the pivot columns
+    a = poly.term_matrix(poly.mono_keys(rows), ids, coeffs, len(polys), p)
+    return linalg.rref_mod_p(a.T, p)[1]   # the pivot columns, one row per monomial
 
 
 @lru_cache(maxsize=None)
@@ -254,16 +252,13 @@ def hw_space(label) -> HWSpace:
     if len(basis) != k:
         raise ConsistencyError("hw space of %r has dimension %d, expected %d"
                                % (label, len(basis), k))
-    return HWSpace(label, weight, [f.content_normalized() for f in basis])
+    return HWSpace(label, weight, poly.normalized(poly.pack_terms(basis), k))
 
 
 def _leading_minor(k) -> Poly:
     """det of the top-left k x k block of the slice T[i][j][0]."""
-    out = Poly()
-    for sigma in permutations(range(k)):
-        out.add_term(tuple(sorted(var_index(r, sigma[r], 0) for r in range(k))),
-                     perm_sign(sigma))
-    return out
+    return Poly((sorted(var_index(r, sigma[r], 0) for r in range(k)), perm_sign(sigma))
+                for sigma in permutations(range(k)))
 
 
 @lru_cache(maxsize=None)

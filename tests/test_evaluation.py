@@ -33,12 +33,12 @@ def oracle(polys, t):
 
 
 def random_poly(rng, degrees, cmax, fractions=False, nterms=25):
-    f = Poly()
+    terms = {}
     for _ in range(nterms):
         mono = tuple(sorted(rng.randrange(27) for _ in range(rng.choice(degrees))))
         c = rng.randint(-cmax, cmax)
-        f.add_term(mono, Fraction(c, rng.randint(1, 60)) if fractions else c)
-    return f
+        terms[mono] = terms.get(mono, 0) + (Fraction(c, rng.randint(1, 60)) if fractions else c)
+    return Poly(terms)
 
 
 def random_tensor(rng, entry):
@@ -131,24 +131,14 @@ def test_primes_are_machine_primes():
 
 # --- the packed form ------------------------------------------------------------
 
-def test_add_term_after_evaluation_drops_the_pack():
-    t = sample_points(7)[0]
-    f = Poly({(0, 1): 2, (5,): -1})
-    before = f.evaluate(t)
-    f.add_term((13, 13, 26), 4)
-    assert f.evaluate(t) == oracle([f], t)[0] != before
-    f.add_term((13, 13, 26), -4)
-    assert f.evaluate(t) == before
-
-
 def test_module_span_packs_match_fresh_packs(discovery5, trifocal_nf):
     """module_span's lowered vectors hold only the packs unpack_terms made
     from the batch rows: the packs of the same polynomials made afresh from
-    their terms, with the same values; add_term drops them."""
+    their terms, with the same values."""
     points = [skew_tensor()] + ideal.trifocal_points(trifocal_nf, 77, 2)
     for m in discovery5.scans[5].modules:
         basis = rep.module_span(m.hw_vector)
-        assert all(f._terms is None for f in basis[1:])   # basis[0] is h, content-normalized
+        assert all(f._terms is None for f in basis)
         fresh = [Poly(f.terms) for f in basis]
         for a, b in zip(map(poly._pack, basis), map(poly._pack, fresh)):
             assert np.array_equal(a[0], b[0]) and a[0].dtype == b[0].dtype
@@ -157,9 +147,9 @@ def test_module_span_packs_match_fresh_packs(discovery5, trifocal_nf):
             == [oracle(fresh, t) for t in points]
     f = basis[-1]   # the generators vanish at orbit points; f minus a term does not
     m0, c0 = next(iter(f.terms.items()))
-    f.add_term(m0, -c0)
-    assert f._packed is None and m0 not in f.terms
-    assert f.evaluate(points[1]) == oracle([f], points[1])[0] != 0
+    g = f - Poly({m0: c0})
+    assert m0 not in g.terms and len(g) == len(f) - 1
+    assert g.evaluate(points[1]) == oracle([g], points[1])[0] != 0
 
 
 def test_floats_and_bools_are_rejected():
@@ -172,7 +162,7 @@ def test_floats_and_bools_are_rejected():
             f.evaluate(Tensor333(entries))
         with pytest.raises(TypeError):
             ideal.evaluate_batch([f], Tensor333(entries))
-        with pytest.raises(TypeError):   # add_term would turn True into 1
+        with pytest.raises(TypeError):   # Poly() would turn True into 1
             Poly._wrap({(0,): bad, (1,): 1}).evaluate(t)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -12,7 +13,7 @@ from trifocal.ideal import (DegreeCapError, GradedGeneratorSet,
                             slice_rows_by_weight, vanishing_subspace)
 from trifocal.orbits import skew_tensor
 from trifocal.poly import (Poly, det_slice_poly, f_determinant, integer_terms, m3_generators,
-                           weight_space_basis, witness_g)
+                           parse_poly, weight_space_basis, witness_g)
 from trifocal.tensor import random_orbit_point
 
 
@@ -87,7 +88,7 @@ def dict_block_matrix(rows, p):
 def assert_same_block(block, rows, p=101):
     """The packed block is the oracle matrix up to a column permutation,
     with the same rows in the same order; returns the oracle matrix."""
-    a, keys = ideal._block_matrix(block, p), np.unique(block.keys)
+    a, keys = block.matrix(p), np.unique(block.keys)
     b, monos = dict_block_matrix(rows, p)
     assert len(block) == len(rows) and a.shape == b.shape
     want = poly.mono_keys(np.array(monos, dtype=np.uint8).reshape(len(monos), -1 if monos else 0))
@@ -110,7 +111,7 @@ def test_weight_blocking_is_lossless(m3_set):
     blocks of a degree stacked into one, over the union of their columns."""
     for d in (3, 4):
         whole = sum(slice_rows_by_weight(m3_set, d).values(), ideal.Block())
-        a = ideal._block_matrix(whole, 101)
+        a = whole.matrix(101)
         assert len(linalg.rref_mod_p(a, 101)[1]) == ideal_dim_in_degree(m3_set, d)
 
 
@@ -126,7 +127,7 @@ def test_short_side_rank_matches_row_elimination(m3_set):
             col_of = np.unique(block.keys, return_inverse=True)[1]
             flipped = ideal.Block(block.rows.astype(np.int64), col_of, block.coeffs, b.shape[1])
             for blk, want in ((block, b), (flipped, b.T)):
-                sides.add(np.sign(len(blk) - ideal._block_matrix(blk, 101).shape[1]))
+                sides.add(np.sign(len(blk) - blk.matrix(101).shape[1]))
                 assert ideal._rank(blk, 101) == len(linalg.rref_mod_p(want, 101)[1])
     assert {-1, 1} <= sides   # wide and tall blocks both occur
 
@@ -138,7 +139,7 @@ def test_packed_blocks_equal_dict_rows():
     gens = GradedGeneratorSet()
     gens.add_module(det_slice_poly("C", 1))
     gens.add_module(f_determinant())
-    x, y, z = (Poly.variable(*v, one_based=True) for v in ((1, 1, 1), (2, 3, 1), (3, 2, 2)))
+    x, y, z = map(parse_poly, ("T_1_1_1", "T_2_3_1", "T_3_2_2"))
     gens.add(4, [x * x * y * y, x * y * z * z])
     groups = dict_groups(gens)
     for d in (3, 4, 5):   # at 5 every generator lies below d, and groups meet several multipliers
@@ -191,8 +192,8 @@ def test_rational_and_non_primitive_generators_give_the_integer_ranks(m3_set):
         scaled = GradedGeneratorSet({3: [f.scale(c) for f in cubics]})
         for d in (3, 4):
             assert hilbert_quotient(scaled, d) == hilbert_quotient(m3_set, d)
-    x = Poly.variable(1, 1, 1, one_based=True)
-    xy = x * Poly.variable(2, 2, 2, one_based=True)   # one term: 1/2 once truncated to 0
+    x = parse_poly("T_1_1_1")
+    xy = x * parse_poly("T_2_2_2")   # one term: 1/2 once truncated to 0
     for d in (3, 4):
         assert (hilbert_with_witnesses(m3_set, [x.scale(Fraction(1, 2))], d)
                 == hilbert_with_witnesses(m3_set, [x], d))
@@ -217,8 +218,8 @@ def test_module_set_matches_plain_m3_set(m3_set):
 def test_plain_generator_turns_folding_off():
     gens = GradedGeneratorSet()
     basis = gens.add_module(det_slice_poly("C", 1))
-    x = Poly.variable(1, 1, 1, one_based=True)
-    y = Poly.variable(2, 3, 1, one_based=True)
+    x = parse_poly("T_1_1_1")
+    y = parse_poly("T_2_3_1")
     gens.add(4, [x * x * y * y])
     assert gens.symmetry_group(3) is ideal.WEYL
     assert gens.symmetry_group(4) is ideal.IDENTITY
@@ -242,8 +243,8 @@ def test_stabiliser_memo_matches_fresh_computation():
     f = f_determinant()
     assert ideal.stabiliser(ideal.WEYL, f) == fresh(ideal.WEYL, frozenset(f.terms.items()))
     # one coefficient doubled: no longer a multiple of any image of f
-    g = f.copy()
-    g.add_term(next(iter(f.terms)), next(iter(f.terms.values())))
+    m0, c0 = next(iter(f.terms.items()))
+    g = Poly({**f.terms, m0: 2 * c0})
     assert ideal.stabiliser(ideal.WEYL, g) == fresh(ideal.WEYL, frozenset(g.terms.items()))
     assert len(ideal.stabiliser(ideal.WEYL, g)) < len(ideal.stabiliser(ideal.WEYL, f))
 
@@ -381,6 +382,32 @@ def test_vanishing_kernel_that_does_not_lift_resamples(trifocal_nf, monkeypatch)
         vanishing_subspace(hw, trifocal_nf, seed=101)
 
 
+def test_discovery_keeps_its_polynomials_packed(trifocal_nf):
+    """Tableau expansion, hw-space normalisation, vanishing certificates and
+    module spans all stay on packs: no basis vector builds a term dict."""
+    disc = ideal.discover(5, trifocal_nf, seed=2024)
+    basis = [f for m in disc.modules() for f in m.basis]
+    assert len(basis) == 91 and all(f._terms is None for f in basis)
+    # fresh hw spaces: the cached ones are read by other tests
+    hws = [rep.hw_space.__wrapped__(lab) for d in range(1, 6) for lab in rep.all_labels(d)
+           if rep.kronecker(*lab)]
+    for i, hw in enumerate(hws):
+        vanishing_subspace(hw, trifocal_nf, seed=500 + i)
+    vectors = [f for hw in hws for f in hw.basis]
+    assert len(vectors) == 127 and all(f._terms is None for f in vectors)
+
+
+@pytest.mark.slow
+def test_discovered_bases_hash(discovery6):
+    """Every basis vector of the 12 degree-6 discovery modules, in order,
+    pinned by the sha256 of its sorted terms."""
+    h = hashlib.sha256()
+    for m in discovery6.modules():
+        for f in m.basis:
+            h.update(repr(sorted(f.terms.items())).encode())
+    assert h.hexdigest()[:16] == "1cb987188ddf877c"
+
+
 def test_certificates_vanish_exactly(discovery5, trifocal_nf):
     certs = [m.hw_vector for m in discovery5.modules()]
     assert certs
@@ -441,8 +468,8 @@ def test_m5_does_not_vanish_on_skew(discovery5):
 
 
 def test_toy_zero_divisor_detected():
-    x = Poly.variable(1, 1, 1, one_based=True)
-    y = Poly.variable(2, 2, 2, one_based=True)
+    x = parse_poly("T_1_1_1")
+    y = parse_poly("T_2_2_2")
     toy = GradedGeneratorSet({2: [x * y]})
     report = graded_nonzerodivisor_check(toy, x, cap=4)
     assert not report
@@ -452,9 +479,9 @@ def test_toy_zero_divisor_detected():
 
 
 def test_toy_non_zero_divisor():
-    x = Poly.variable(1, 1, 1, one_based=True)
-    y = Poly.variable(2, 2, 2, one_based=True)
-    z = Poly.variable(3, 3, 3, one_based=True)
+    x = parse_poly("T_1_1_1")
+    y = parse_poly("T_2_2_2")
+    z = parse_poly("T_3_3_3")
     toy = GradedGeneratorSet({2: [x * y]})
     report = graded_nonzerodivisor_check(toy, z, cap=4)
     assert bool(report)
@@ -462,8 +489,8 @@ def test_toy_non_zero_divisor():
 
 
 def test_nzd_requires_weight_homogeneous():
-    x = Poly.variable(1, 1, 1, one_based=True)
-    y = Poly.variable(2, 2, 2, one_based=True)
+    x = parse_poly("T_1_1_1")
+    y = parse_poly("T_2_2_2")
     with pytest.raises(ValueError):
         graded_nonzerodivisor_check(GradedGeneratorSet(), x + y, cap=2)
 

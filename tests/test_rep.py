@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from trifocal import linalg, poly, rep
-from trifocal.poly import RAISING, Poly, det_slice_poly, f_determinant, is_highest_weight
+from trifocal.poly import (RAISING, Poly, det_slice_poly, f_determinant, is_highest_weight,
+                           parse_poly)
 from trifocal.rep import (MAX_DEGREE, all_labels, class_size, hw_space, kronecker,
                           lowering_tree, mn_character, module_span, partitions,
                           partitions_max_parts, weyl_dim)
@@ -148,7 +149,7 @@ def test_weyl_dim_values():
 def test_hw_space_degree_one():
     hw = hw_space(((1,), (1,), (1,)))
     assert hw.dim == 1
-    assert hw.basis[0] == Poly.variable(1, 1, 1, one_based=True)
+    assert hw.basis[0] == parse_poly("T_1_1_1")
 
 
 def test_hw_space_cubic_lines():
@@ -186,7 +187,7 @@ def test_hw_basis_is_weight_homogeneous_and_primitive():
 
 
 def test_module_span_defining_representation():
-    span = module_span(Poly.variable(1, 1, 1, one_based=True))
+    span = module_span(parse_poly("T_1_1_1"))
     assert len(span) == 27
     monos = {m for p in span for m in p.terms}
     assert len(monos) == 27
@@ -194,13 +195,13 @@ def test_module_span_defining_representation():
 
 def test_module_span_needs_dominant_weight():
     with pytest.raises(ValueError):
-        module_span(Poly.variable(2, 1, 1, one_based=True))
+        module_span(parse_poly("T_2_1_1"))
 
 
 def test_module_span_needs_highest_weight_vector():
     # dominant weight ((1,1,0),(1,1,0),(1,1,0)), but raising T_2_2_2 is nonzero
-    t111 = Poly.variable(1, 1, 1, one_based=True)
-    t222 = Poly.variable(2, 2, 2, one_based=True)
+    t111 = parse_poly("T_1_1_1")
+    t222 = parse_poly("T_2_2_2")
     with pytest.raises(ValueError, match="highest weight"):
         module_span(t111 * t222)
     with pytest.raises(ValueError):

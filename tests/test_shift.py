@@ -1,18 +1,21 @@
 """The batch shift kernel against the dict-of-tuples loop it replaced.
 
-dict_apply_shift and dict_module_span are the former poly.apply_shift and
-rep.module_span, kept here as oracles.
+dict_apply_shift, dict_module_span and dict_content_normalized are the
+former poly.apply_shift, rep.module_span and Poly.content_normalized,
+kept here as oracles, with the dict sum that formed the vanishing
+certificates.
 """
 
 import random
 from bisect import bisect
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import numpy as np
 import pytest
 
-from trifocal import poly, rep
+from trifocal import ideal, linalg, poly, rep
 from trifocal.poly import (N_VARS, Poly, apply_shift, f_determinant, var_index, var_ijk,
                            witness_g)
 
@@ -55,27 +58,45 @@ def dict_apply_shift(axis, to_idx, from_idx, f):
     return Poly(out)
 
 
+def dict_content_normalized(f):
+    if not f.terms:
+        return Poly()
+    terms = f.terms
+    if not all(type(c) is int for c in terms.values()):
+        den = 1
+        for c in terms.values():
+            q = Fraction(c)
+            den = den * q.denominator // gcd(den, q.denominator)
+        terms = {m: int(Fraction(c) * den) for m, c in terms.items()}
+    g = gcd(*terms.values())
+    if terms[min(terms)] < 0:
+        g = -g
+    if g == 1:
+        return Poly(terms)
+    return Poly({m: c // g for m, c in terms.items()})
+
+
 def dict_module_span(h):
     parts = tuple(tuple(sorted(c, reverse=True)) for c in h.weight())
-    basis = [h.content_normalized()]
+    basis = [dict_content_normalized(h)]
     for axis, part in zip("ABC", parts):
         tree = rep.lowering_tree(tuple(x for x in part if x))
         grown = []
         for root in basis:
             span = [root]
             for parent, (to, frm) in tree[1:]:
-                span.append(dict_apply_shift(axis, to, frm, span[parent]).content_normalized())
+                span.append(dict_content_normalized(dict_apply_shift(axis, to, frm, span[parent])))
             grown.extend(span)
         basis = grown
     return basis
 
 
 def _random_poly(rng, degrees, nterms, coeff):
-    f = Poly()
+    terms = {}
     for _ in range(nterms):
         mono = tuple(sorted(rng.randrange(N_VARS) for _ in range(rng.choice(degrees))))
-        f.add_term(mono, coeff(rng))
-    return f
+        terms[mono] = terms.get(mono, 0) + coeff(rng)
+    return Poly(terms)
 
 
 def _cases():
@@ -144,14 +165,24 @@ def test_unpacked_polys_pack_back_to_their_batch():
 
 
 def test_normalize_batch_matches_content_normalized():
+    """content_normalized, and normalize_batch on a batch of several, give
+    the dict oracle's polynomials; the sign comes from the smallest
+    monomial in tuple order, wherever it sits in the terms."""
     rng = random.Random(31)
     polys = [Poly({(0, 9): -4}), Poly({(3, 4): 6, (1, 2): -9}), Poly({(5,): -(3 << 70)}),
-             Poly({(1, 1): 1 << 70, (0, 2): -(1 << 69)}), Poly({(2,): 7})]
+             Poly({(1, 1): 1 << 70, (0, 2): -(1 << 69)}), Poly({(2,): 7}), Poly(),
+             Poly({(0, 1): -(1 << 64), (2, 2): 3 << 66, (0, 0): 9 << 63})]
     polys += [_random_poly(rng, [4], 12, lambda r: r.choice([-6, -4, 2, 8, 12])) for _ in range(9)]
-    polys = [Poly(sorted(f.terms.items())) for f in polys]   # terms in shift_batch's order
-    for group in (polys[:2], polys[2:4], polys):   # int64 and object coefficients
-        batch = poly.normalize_batch(poly.pack_terms(group))
-        assert poly.unpack_terms(batch, len(group)) == [f.content_normalized() for f in group]
+    polys += [_random_poly(rng, [3], 8, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 7)))
+              for _ in range(3)]
+    polys += [Poly({(4, 5): Fraction(-3, 4), (4,): Fraction(9, 2), (): 6})]   # not homogeneous
+    for f in polys:
+        assert f.content_normalized() == dict_content_normalized(f), f
+    integral = [f for f in polys if all(type(c) is int for c in f.terms.values())]
+    for group in (integral[:2], integral[2:4], integral):   # int64 and object coefficients
+        batch = poly.merge_terms(poly.pack_terms(group))
+        assert poly.unpack_terms(poly.normalize_batch(batch), len(group)) == [
+            dict_content_normalized(f) for f in group]
 
 
 def _same_span(h):
@@ -170,3 +201,31 @@ def test_module_spans_match_dict_loop_on_discovery6(discovery6):
     assert len(modules) == 12
     for m in modules:
         _same_span(m.hw_vector)
+
+
+def dict_combination(v, polys):
+    return dict_content_normalized(sum((f.scale(c) for c, f in zip(v, polys)), Poly()))
+
+
+def test_certificates_equal_the_dict_sum(trifocal_nf, monkeypatch):
+    """The degree-5 vanishing certificates, one packed integer combination
+    of the hw basis per kernel vector, are the dict sums."""
+    lift, kernels = linalg.kernel_basis_int, []
+    monkeypatch.setattr(linalg, "kernel_basis_int", lambda r, n: kernels.append(lift(r, n)) or kernels[-1])
+    seen = 0
+    for i, lab in enumerate(lab for lab in rep.all_labels(5) if rep.kronecker(*lab)):
+        hw = rep.hw_space(lab)
+        report = ideal.vanishing_subspace(hw, trifocal_nf, seed=7000 + 7919 * i)
+        assert report.certificates == [dict_combination(v, hw.basis) for v in kernels[-1]], lab
+        seen += report.multiplicity
+    assert seen >= 3
+
+
+def test_combinations_leave_int64_before_it_overflows():
+    polys = [Poly({(0, 1): 3, (2, 2): -5}), Poly({(0, 1): 1 << 40, (1, 1): 7}),
+             Poly({(0, 1): -2, (1, 2): 4})]
+    for kernel in ([], [[1, 2, 3]], [[2, 0, -4], [0, 1, 1 << 20]],   # int64
+                   [[1 << 21, 0, 0], [0, 1 << 22, 5]],              # L1 just past 2^62
+                   [[3 << 70, 1 << 64, -(1 << 80)]], [[1 << 40, -3, 1]]):
+        certs = ideal._combinations(kernel, polys)
+        assert certs == [dict_combination(v, polys) for v in kernel], kernel
