@@ -153,8 +153,7 @@ def cmd_hilbert(args) -> int:
     disc = _discover(cfg)
     table = {}
     for d in range(1, cfg.degree_cap + 1):
-        table[d] = hilbert_quotient(disc.gens, d, p=cfg.prime, cap=cfg.degree_cap,
-                                    progress=_progress(args))
+        table[d] = hilbert_quotient(disc.gens, d, p=cfg.prime, progress=_progress(args))
     payload = {"schema": SCHEMA, "config": cfg.to_dict(),
                "hilbert_quotient": {str(d): v for d, v in table.items()}}
     _emit(args, payload, ["H(%d) = %d" % (d, v) for d, v in table.items()])

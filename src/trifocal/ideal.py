@@ -61,11 +61,16 @@ class DegreeCapError(ValueError):
     pass
 
 
-def _check_cap(d, cap):
-    if d > min(cap, HARD_DEGREE_CAP):
-        raise DegreeCapError(
-            "degree %d exceeds the cap %d (ambient dimension there is %d); "
-            "raise degree_cap explicitly to opt in" % (d, cap, rep.ambient_dimension(d)))
+def _check_cap(d):
+    if d > HARD_DEGREE_CAP:
+        raise DegreeCapError("degree %d exceeds the cap %d (ambient dimension there is %d)"
+                             % (d, HARD_DEGREE_CAP, rep.ambient_dimension(d)))
+
+
+def _check_prime(p):
+    linalg._check_machine_prime(p)  # before is_prime, which trial-divides
+    if not is_prime(p):
+        raise ValueError("%d is not prime" % p)
 
 
 class GradedGeneratorSet:
@@ -218,12 +223,11 @@ def _slice_weights(gens: GradedGeneratorSet, d):
     return out
 
 
-def slice_rows_by_weight(gens: GradedGeneratorSet, d, weights=None):
+def slice_rows_by_weight(gens: GradedGeneratorSet, d, weights):
     """Monomial-times-generator rows of the degree-d slice grouped by torus
-    weight, {weight: Block}, for the requested weights (default: all)
-    whose block is nonempty."""
+    weight, {weight: Block}, for the given weights whose block is nonempty."""
     groups = {}
-    for w in _slice_weights(gens, d) if weights is None else weights:
+    for w in weights:
         rows = _block(gens, d, w, d)
         if rows:
             groups[w] = rows
@@ -259,7 +263,7 @@ def _stabiliser(group, terms):
     m0 = next(iter(f.terms))
     out = []
     for sigma in group:
-        g = permuted(f, variable_map(sigma=sigma)).terms
+        g = permuted(f, variable_map(sigma)).terms
         if g.keys() == f.terms.keys() and all(
                 g[m] * f.terms[m0] == c * g[m0] for m, c in f.terms.items()):
             out.append(sigma)
@@ -300,8 +304,7 @@ def check_witness(f: Poly):
     return f.degree(), f.weight()
 
 
-def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRIME,
-                           cap=DEFAULT_DEGREE_CAP, progress=None):
+def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRIME, progress=None):
     """Quotient dimensions in degree d of the base ideal and of each
     base+witness ideal: F_p ranks of weight blocks, one bulk elimination
     per block, folded by gens.symmetry_group(d) and by each witness's
@@ -310,10 +313,8 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
     witnesses: list of homogeneous weight-homogeneous polynomials.
     Returns (base_quotient, [witness_quotients]).
     """
-    _check_cap(d, cap)
-    linalg._check_machine_prime(p)  # before is_prime, which trial-divides
-    if not is_prime(p):
-        raise ValueError("%d is not prime" % p)
+    _check_cap(d)
+    _check_prime(p)
     group = gens.symmetry_group(d)
     base = gens._folds.get((d, group))
     if base is None:
@@ -348,16 +349,14 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
     return amb - base_dim, [amb - t for t in ext_dims]
 
 
-def ideal_dim_in_degree(gens: GradedGeneratorSet, d, p=DEFAULT_PRIME,
-                        cap=DEFAULT_DEGREE_CAP, progress=None) -> int:
+def ideal_dim_in_degree(gens: GradedGeneratorSet, d, p=DEFAULT_PRIME, progress=None) -> int:
     """Dimension over F_p of the degree-d slice of the generated ideal:
     the witness-free sweep."""
-    return rep.ambient_dimension(d) - hilbert_quotient(gens, d, p, cap, progress)
+    return rep.ambient_dimension(d) - hilbert_quotient(gens, d, p, progress)
 
 
-def hilbert_quotient(gens: GradedGeneratorSet, d, p=DEFAULT_PRIME,
-                     cap=DEFAULT_DEGREE_CAP, progress=None) -> int:
-    return hilbert_with_witnesses(gens, [], d, p=p, cap=cap, progress=progress)[0]
+def hilbert_quotient(gens: GradedGeneratorSet, d, p=DEFAULT_PRIME, progress=None) -> int:
+    return hilbert_with_witnesses(gens, [], d, p=p, progress=progress)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +406,7 @@ def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed) -> VanishingReport:
     for attempt in range(2):
         base = seed + attempt * 10_000
         pts = trifocal_points(nf, base, npts)
-        rows = linalg._integer_rows(evaluate_points(hw.basis, pts))[0]
+        rows = linalg._integer_rows(evaluate_points(hw.basis, pts))
         try:
             kernel = linalg.kernel_basis_int(
                 [{c: x for c, x in enumerate(r) if x} for r in rows], m)
@@ -454,6 +453,7 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
     isotypic label, find the vanishing hw subspace and sort its
     certificates into old (inside the lower-degree ideal slice) and new.
     Each new certificate's module is added to gens (add_module)."""
+    _check_prime(p)
     scan = DegreeScan(d)
     labels = [lab for lab in rep.all_labels(d) if rep.kronecker(*lab) > 0]
     for idx, lab in enumerate(labels):
@@ -489,7 +489,7 @@ def discover(max_degree, nf: Tensor333, seed=2024, p=DEFAULT_PRIME,
              progress=None) -> Discovery:
     """Run the minimal-generator search through max_degree, accumulating
     the generator set degree by degree."""
-    _check_cap(max_degree, HARD_DEGREE_CAP)
+    _check_cap(max_degree)
     disc = Discovery(nf, seed, p)
     for d in range(1, max_degree + 1):
         disc.scans[d] = scan_degree(d, disc.gens, nf, seed + 1000 * d, p=p, progress=progress)
@@ -513,9 +513,10 @@ def graded_nonzerodivisor_check(gens: GradedGeneratorSet, f: Poly, cap=DEFAULT_D
     """Degree-capped Hilbert-series identity: f is certified a
     non-zero-divisor up to the cap iff for all d <= cap
     H(base+f, d) = H(base, d) - H(base, d - deg f)."""
+    _check_cap(cap)
     e, _ = check_witness(f)
     H, Hf = {0: 1}, {0: 1}
     for d in range(1, cap + 1):
-        H[d], (Hf[d],) = hilbert_with_witnesses(gens, [f], d, p=p, cap=cap, progress=progress)
+        H[d], (Hf[d],) = hilbert_with_witnesses(gens, [f], d, p=p, progress=progress)
     table = {d: (H[d] - H.get(d - e, 0), Hf[d]) for d in range(1, cap + 1)}
     return NZDReport(e, table, next((d for d, (x, y) in table.items() if x != y), None))

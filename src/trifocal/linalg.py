@@ -1,21 +1,21 @@
 """Exact linear algebra over Q and F_p.
 
 Dense matrices over Q are plain lists of lists holding ints or Fractions;
-everything there is exact, nothing touches floating point.  Ranks and
-determinants clear each row's denominators and run fraction-free (Bareiss)
-elimination over Z; only the rational kernels go through a Fraction RREF.
-Over F_p there is one elimination kernel, rref_mod_p (numpy int64
-arithmetic mod a prime up to MACHINE_PRIME_BOUND): ranks, the incremental
-Echelon and the modular kernels behind the certified integer kernels are
-all read off its output.  It reduces late: k row updates keep every entry in
-(-k(p-1)^2, p), and it reduces before k(p-1)^2 + p would pass 2^62; for
-p <= 2^31 - 1 that holds at k = 1, so int64 never overflows.  machine_prime
-supplies the primes of multi-prime computations and exact evaluation.
+everything there is exact, nothing touches floating point.  There is one
+elimination over Q: ranks and kernels clear each row's denominators and run
+fraction-free (Bareiss) elimination over Z.  Determinants are 3x3 only, by
+cofactors.  Over F_p there is one elimination kernel, rref_mod_p (numpy
+int64 arithmetic mod a prime up to MACHINE_PRIME_BOUND): ranks, the
+incremental Echelon and the modular kernels behind the certified integer
+kernels are all read off its output.  It reduces late: k row updates keep
+every entry in (-k(p-1)^2, p), and it reduces before k(p-1)^2 + p would pass
+2^62; for p <= 2^31 - 1 that holds at k = 1, so int64 never overflows.
+machine_prime supplies the primes of multi-prime computations and exact
+evaluation.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
@@ -43,61 +43,32 @@ def mat_vec(m, v):
     return [sum(m[i][j] * v[j] for j in range(c)) for i in range(r)]
 
 
-def _rref(m):
-    """RREF of a Fraction copy of m. Returns (the RREF, pivot cols)."""
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = dims(a)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
 def _integer_rows(m):
     """Copy of m with each row scaled by the lcm of its denominators: an
-    integer matrix of the same rank.  Returns (rows, product of the scales)."""
-    out, scale = [], 1
+    integer matrix of the same rank and the same right kernel."""
+    out = []
     for row in m:
         if all(type(x) is int for x in row):
             out.append(list(row))
-            continue
-        den = lcm(*[x.denominator for x in row])
-        out.append([int(x * den) for x in row])
-        scale *= den
-    return out, scale
+        else:
+            den = lcm(*[x.denominator for x in row])
+            out.append([int(x * den) for x in row])
+    return out
 
 
 def _bareiss(a):
-    """Fraction-free (Bareiss) elimination of an integer matrix, in place:
-    each division by the previous pivot is exact, so every entry stays an
-    integer (a minor of the input).  Returns (rank, sign of the row
-    swaps, last pivot); the last pivot of a square matrix of full rank is
-    its determinant up to that sign."""
+    """Fraction-free (Bareiss) elimination of an integer matrix to row
+    echelon form, in place: each division by the previous pivot is exact, so
+    every entry stays an integer (a minor of the input).  Returns the rank."""
     rows, cols = dims(a)
-    r, sign, prev = 0, 1, 1
+    r, prev = 0, 1
     for c in range(cols):
         for pr in range(r, rows):
             if a[pr][c]:
                 break
         else:
             continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-            sign = -sign
+        a[r], a[pr] = a[pr], a[r]
         top = a[r]
         piv = top[c]
         for i in range(r + 1, rows):
@@ -107,45 +78,35 @@ def _bareiss(a):
         r += 1
         if r == rows:
             break
-    return r, sign, prev
+    return r
 
 
 def rank(m) -> int:
     """Rank over Q of a matrix of ints and Fractions, by Bareiss
     elimination on its row-scaled integer copy."""
-    return _bareiss(_integer_rows(m)[0])[0] if m else 0
+    return _bareiss(_integer_rows(m)) if m else 0
 
 
 def kernel_basis(m):
-    """Basis of the right null space (list of vectors); [] when full rank."""
+    """Basis of the right null space of a matrix of ints and Fractions, as
+    primitive integer vectors with a positive leading entry; [] when m has
+    full column rank.  Bareiss elimination of [m^T | I] (m row-scaled to
+    integers) leaves cols - rank rows whose m^T part is zero; the I part of
+    such a row is a combination c of the rows of I with m c = 0, and these
+    c are independent because the eliminated matrix keeps full rank."""
     rows, cols = dims(m)
-    a, pivots = _rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -a[i][f]
-        basis.append(v)
-    return basis
+    m = _integer_rows(m)
+    a = [[m[i][j] for i in range(rows)] + [int(i == j) for i in range(cols)]
+         for j in range(cols)]
+    _bareiss(a)
+    return [_primitive_int_vector(r[rows:]) for r in a if not any(r[:rows])]
 
 
 def det(m):
-    """Exact determinant: cofactors for 3x3, otherwise Bareiss elimination
-    on the row-scaled integer copy; a Fraction when entries have
-    denominators."""
-    rows, cols = dims(m)
-    if rows != cols:
-        raise ValueError("determinant of a %dx%d matrix" % (rows, cols))
-    if rows == 3:  # cofactors, exact for any entries
-        (a, b, c), (d, e, f), (g, h, i) = m
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    a, scale = _integer_rows(m)
-    r, sign, last = _bareiss(a)
-    if r < rows:
-        return 0
-    return sign * last if scale == 1 else Fraction(sign * last, scale)
+    """Exact determinant of a 3x3 matrix of ints and Fractions, by
+    cofactors; ValueError for any other shape."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,7 @@ def permuted(f: Poly, vmap) -> Poly:
     return Poly._wrap({tuple(sorted([vmap[v] for v in m])): c for m, c in f.terms.items()})
 
 
-def variable_map(sigma=((0, 1, 2),) * 3):
+def variable_map(sigma):
     """T_x -> T_y with y[a] = sigma[a][x[a]]: each factor's indices
     permuted by sigma (a Weyl group element)."""
     return tuple(var_index(*(s[i] for s, i in zip(sigma, var_ijk(v)))) for v in range(N_VARS))

@@ -184,10 +184,10 @@ def test_criterion_6_non_zero_divisors(discovery6, capsys):
 
 @pytest.mark.slow
 def test_stretch_hilbert_degree7(discovery6, capsys):
-    """Not an acceptance gate: the degree-7 quotient dimension behind the
-    explicit cap opt-in (the folded sweep ranks 153 of its 10368 weight
-    blocks, in a few seconds and about 210 MB)."""
-    value = hilbert_quotient(discovery6.gens, 7, cap=7)
+    """Not an acceptance gate: the degree-7 quotient dimension (the folded
+    sweep ranks 153 of its 10368 weight blocks, in a few seconds and about
+    210 MB)."""
+    value = hilbert_quotient(discovery6.gens, 7)
     assert value == 3942162
     with capsys.disabled():
         print("STRETCH: PASS - Hilbert quotient at degree 7 = %d" % value)

@@ -38,11 +38,9 @@ def test_hilbert_quotients_low_degrees(m3_set):
 
 def test_degree_cap_enforced(m3_set):
     with pytest.raises(DegreeCapError):
-        ideal_dim_in_degree(m3_set, 7)
-    with pytest.raises(DegreeCapError):
-        ideal_dim_in_degree(m3_set, 8, cap=8)
-    # degree 7 is reachable as an explicit opt-in
-    ideal._check_cap(7, cap=7)
+        ideal_dim_in_degree(m3_set, 8)
+    with pytest.raises(DegreeCapError):   # before any degree is ranked
+        graded_nonzerodivisor_check(m3_set, det_slice_poly("A", 1), cap=8)
 
 
 # --- the dict product-row builder, the oracle of the packed blocks ----------------
@@ -110,7 +108,8 @@ def test_weight_blocking_is_lossless(m3_set):
     """Blocked rank sum equals the rank of the unblocked matrix: all packed
     blocks of a degree stacked into one, over the union of their columns."""
     for d in (3, 4):
-        whole = sum(slice_rows_by_weight(m3_set, d).values(), ideal.Block())
+        blocks = slice_rows_by_weight(m3_set, d, ideal._slice_weights(m3_set, d))
+        whole = sum(blocks.values(), ideal.Block())
         a = whole.matrix(101)
         assert len(linalg.rref_mod_p(a, 101)[1]) == ideal_dim_in_degree(m3_set, d)
 
@@ -122,7 +121,7 @@ def test_short_side_rank_matches_row_elimination(m3_set):
     have the rank of the oracle matrix's row elimination."""
     groups, sides = dict_groups(m3_set), set()
     for d in (3, 4, 5):
-        for w, block in slice_rows_by_weight(m3_set, d).items():
+        for w, block in slice_rows_by_weight(m3_set, d, ideal._slice_weights(m3_set, d)).items():
             b = assert_same_block(block, dict_rows(groups, d, w, d))
             col_of = np.unique(block.keys, return_inverse=True)[1]
             flipped = ideal.Block(block.rows.astype(np.int64), col_of, block.coeffs, b.shape[1])
@@ -143,7 +142,7 @@ def test_packed_blocks_equal_dict_rows():
     gens.add(4, [x * x * y * y, x * y * z * z])
     groups = dict_groups(gens)
     for d in (3, 4, 5):   # at 5 every generator lies below d, and groups meet several multipliers
-        for w, block in slice_rows_by_weight(gens, d).items():
+        for w, block in slice_rows_by_weight(gens, d, ideal._slice_weights(gens, d)).items():
             assert_same_block(block, dict_rows(groups, d, w, d))
             if d < 5:
                 assert_same_block(ideal.rows_in_weight_block(gens, d, w),
@@ -330,6 +329,12 @@ def test_sweeps_reject_non_prime_modulus(p):
         graded_nonzerodivisor_check(gens, f, cap=4, p=p)
     with pytest.raises(ValueError, match="not prime"):
         ideal.hilbert_with_witnesses(gens, [f], 4, p=p)
+
+
+@pytest.mark.parametrize("p", [1, 91, 100, 2 ** 31 + 11])
+def test_discover_rejects_a_modulus_that_is_not_a_machine_prime(trifocal_nf, p):
+    with pytest.raises(ValueError, match="not prime|too large"):
+        ideal.discover(3, trifocal_nf, p=p)
 
 
 @pytest.mark.slow

