@@ -13,8 +13,8 @@ import random
 
 from . import linalg
 from .poly import evaluate_points
-from .tensor import (_LATTICE3, Tensor333, act, frank, pencil, pencil_rank,
-                     permute_factors, prank, random_group_element)
+from .tensor import (_LATTICE3, AXES, Tensor333, act, frank, pencil, permute_factors,
+                     prank, random_group_element)
 
 
 def decode_triples(codes) -> Tensor333:
@@ -138,7 +138,7 @@ def m3_vanishes(t: Tensor333, axis) -> bool:
     """Do the 10 cubics of the axis vanish at t?  They are the coefficients
     of the determinant of the axis pencil, so they do exactly when the
     pencil's rank is below 3."""
-    return pencil_rank(pencil(t, axis)) < 3
+    return prank(t)[AXES.index(axis)] < 3
 
 
 def signature(t: Tensor333, modules=None) -> Signature:

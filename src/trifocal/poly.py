@@ -50,6 +50,7 @@ from math import lcm, prod
 import numpy as np
 
 from .linalg import machine_prime
+from .scalars import exact_list
 from .tensor import Tensor333, perm_sign
 
 N_VARS = 27
@@ -189,17 +190,6 @@ PAD = N_VARS      # a 28th variable: 1, or D at a point with denominator D
 _BASE = N_VARS + 1
 
 
-def _exact(xs, what):
-    """(xs as a list, whether one is a Fraction); TypeError unless each
-    is an int or a Fraction."""
-    xs = list(xs)
-    kinds = set(map(type, xs))
-    if not kinds <= {int, Fraction}:
-        bad = next(x for x in xs if type(x) not in (int, Fraction))
-        raise TypeError("%s %r is not an int or a Fraction" % (what, bad))
-    return xs, Fraction in kinds
-
-
 def _row_codes(rows):
     """uint8 rows of variable indices padded by PAD as int32 chunk codes
     (a*28 + b)*28 + c of three variables each, the last chunk padded."""
@@ -232,7 +222,7 @@ def _pack(f: Poly):
     denominator, degree), cached on f.  Row i of codes is monomial i in
     chunk codes (_row_codes)."""
     if f._packed is None:
-        coeffs, fractions = _exact(f.terms.values(), "coefficient")
+        coeffs, fractions = exact_list(f.terms.values(), "coefficient")
         den = lcm(*(Fraction(c).denominator for c in coeffs)) if fractions else 1
         deg = max(map(len, f.terms), default=0)
         rows = np.frombuffer(b"".join([bytes(m).ljust(deg, bytes([PAD])) for m in f.terms]),
@@ -306,7 +296,7 @@ def evaluate_points(polys, points):
     idx = codes.T if cube else np.hstack(np.unravel_index(codes, (_BASE,) * 3)).T
     rows = []
     for t in points:
-        x, fractions = _exact(t.entries_flat(), "tensor entry")
+        x, fractions = exact_list(t.entries_flat(), "tensor entry")
         d = lcm(*(Fraction(e).denominator for e in x)) if fractions else 1
         rows.append([int(e * d) for e in x] + [d] if fractions else x + [1])
     scales = [y[-1] ** (3 * k) for y in rows]

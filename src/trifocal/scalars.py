@@ -27,6 +27,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def exact_list(xs, what):
+    """(xs as a list, whether one is a Fraction); TypeError unless each
+    is an int or a Fraction (a bool or a float is neither)."""
+    xs = list(xs)
+    kinds = set(map(type, xs))
+    if not kinds <= {int, Fraction}:
+        bad = next(x for x in xs if type(x) not in (int, Fraction))
+        raise TypeError("%s %r is not an int or a Fraction" % (what, bad))
+    return xs, Fraction in kinds
+
+
 def rational_reconstruction(a: int, m: int) -> Fraction | None:
     """Recover n/d = a mod m with |n|, d <= sqrt(m/2), or None.
 

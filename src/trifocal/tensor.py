@@ -6,9 +6,12 @@ labeling.  The last index plays the role of the output (third image) in
 the line-transfer picture, so the letter slices are a_ij = T[i][j][0],
 b_ij = T[i][j][1], c_ij = T[i][j][2].
 
-Both rank invariants are computed over the integers: the flattening ranks
-by fraction-free elimination (linalg.rank), the pencil ranks by exact
-numeric ranks of the pencil at 10 lattice points (see pencil_rank).
+A Tensor333 is immutable: nested tuples of ints and Fractions, 3x3x3
+(other shapes raise ValueError, other entries such as floats and bools
+TypeError).  prank and frank compute its rank invariants over the
+integers once and keep them on it: the flattening ranks by fraction-free
+elimination (linalg.rank), the pencil ranks by exact numeric ranks of the
+pencil at 10 lattice points (see pencil_rank).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import linalg
+from .scalars import exact_list
 
 AXES = ("A", "B", "C")
 
@@ -28,13 +32,19 @@ def _zero3():
 
 
 class Tensor333:
-    """Immutable-by-convention 3x3x3 array of exact scalars."""
+    """Immutable 3x3x3 array of ints and Fractions; prank and frank fill _prank, _frank."""
 
-    __slots__ = ("t",)
+    __slots__ = ("t", "_prank", "_frank")
 
     def __init__(self, entries):
-        t = [[[entries[i][j][k] for k in range(3)] for j in range(3)] for i in range(3)]
-        self.t = t
+        try:
+            t = tuple(tuple(tuple(row) for row in plane) for plane in entries)
+        except TypeError:
+            t = ()
+        if {len(t), *map(len, t), *(len(row) for plane in t for row in plane)} != {3}:
+            raise ValueError("tensor entries must be a nested 3x3x3 array")
+        exact_list((x for plane in t for row in plane for x in row), "tensor entry")
+        self.t, self._prank, self._frank = t, None, None
 
     @classmethod
     def zero(cls):
@@ -61,7 +71,7 @@ class Tensor333:
         return isinstance(other, Tensor333) and self.t == other.t
 
     def __hash__(self):
-        return hash(tuple(self.t[i][j][k] for i in range(3) for j in range(3) for k in range(3)))
+        return hash(self.t)
 
     def __add__(self, other):
         return Tensor333([[[self.t[i][j][k] + other.t[i][j][k] for k in range(3)]
@@ -115,8 +125,10 @@ def flattening(t: Tensor333, axis: str):
 
 
 def frank(t: Tensor333):
-    """Triple of flattening ranks (A, B, C directions)."""
-    return tuple(linalg.rank(flattening(t, ax)) for ax in AXES)
+    """Triple of flattening ranks (A, B, C directions), kept on t."""
+    if t._frank is None:
+        t._frank = tuple(linalg.rank(flattening(t, ax)) for ax in AXES)
+    return t._frank
 
 
 def pencil(t: Tensor333, axis: str):
@@ -150,11 +162,11 @@ def pencil_rank(slices) -> int:
     3^(3 - k) != 0 at every point.  The 10 points are unisolvent for cubics
     (Chung and Yao, SIAM J. Numer. Anal. 14(4), 1977), so a minor that
     vanishes at all of them is zero."""
-    s1, s2, s3 = slices
+    xyz = list(zip(*([x for row in s for x in row] for s in slices)))
     best = 0
     for a, b, c in _LATTICE3:
-        m = [[a * x + b * y + c * z for x, y, z in zip(r1, r2, r3)]
-             for r1, r2, r3 in zip(s1, s2, s3)]
+        v = [a * x + b * y + c * z for x, y, z in xyz]
+        m = [v[:3], v[3:6], v[6:]]
         if linalg.det(m):
             return 3
         if best < 2:
@@ -163,8 +175,10 @@ def pencil_rank(slices) -> int:
 
 
 def prank(t: Tensor333):
-    """Triple of pencil ranks (A, B, C directions)."""
-    return tuple(pencil_rank(pencil(t, ax)) for ax in AXES)
+    """Triple of pencil ranks (A, B, C directions), kept on t."""
+    if t._prank is None:
+        t._prank = tuple(pencil_rank(pencil(t, ax)) for ax in AXES)
+    return t._prank
 
 
 # --- group action ----------------------------------------------------------
@@ -200,12 +214,6 @@ def act(g, t: Tensor333, check=True) -> Tensor333:
                     if c != 0:
                         out[p][q][r] += c * abv
     return Tensor333(out)
-
-
-def contract(t: Tensor333, u, v):
-    """Bilinear contraction: w_k = sum_ij T_ijk u_i v_j."""
-    return [sum(t.t[i][j][k] * u[i] * v[j] for i in range(3) for j in range(3))
-            for k in range(3)]
 
 
 def permute_factors(t: Tensor333, times=1) -> Tensor333:

@@ -1,8 +1,10 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from trifocal import orbits
+from trifocal import orbits, tensor
 from trifocal.cameras import random_triple, trifocal_from_cameras
 from trifocal.orbits import (boundary_orbit_reps, catalog, classify_component,
                              decode_triples,
@@ -180,3 +182,26 @@ def test_boundary_reps_all_in_skew_class():
     for name, t in boundary_orbit_reps().items():
         assert prank(t) == (2, 2, 2), name
         assert all(m3_vanishes(t, ax) for ax in "ABC"), name
+
+
+def test_each_rank_is_computed_once_per_tensor(monkeypatch):
+    """is_trifocal, classify_component and signature on one camera tensor
+    share its three pencil ranks and three flattening ranks.  Every
+    trifocal module that binds pencil_rank or flattening gets the counter,
+    so a copy bound elsewhere is counted too."""
+    calls = Counter()
+    for name in ("pencil_rank", "flattening"):
+        original = getattr(tensor, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("trifocal") \
+                    and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    t = trifocal_from_cameras(random_triple(random.Random(31)))
+    assert is_trifocal(t)[0]
+    assert classify_component(t) == "Trifocal"
+    assert signature(t).prank == (3, 3, 2)
+    assert calls == {"pencil_rank": 3, "flattening": 3}

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from trifocal import linalg
-from trifocal.orbits import skew_tensor, sub_generic, trifocal_normal_form, trifocal_slices_form
+from trifocal.cameras import random_triple, trifocal_from_cameras
+from trifocal.orbits import (catalog, skew_tensor, sub_generic, trifocal_normal_form,
+                             trifocal_slices_form)
 from trifocal.poly import m3_with_x_monomials
-from trifocal.tensor import (Tensor333, act, contract, flattening, frank, pencil,
+from trifocal.tensor import (AXES, Tensor333, act, flattening, frank, pencil, pencil_rank,
                              permute_factors, prank,
                              random_group_element, random_orbit_point, slice_of,
                              tensor_from_json, tensor_to_json)
@@ -20,6 +22,12 @@ def mat_mul(a, b):
 def transpose(m):
     """Oracle: the transpose of a matrix given as a list of rows."""
     return [list(col) for col in zip(*m)]
+
+
+def contract(t, u, v):
+    """Oracle: the bilinear contraction w_k = sum_ij T_ijk u_i v_j."""
+    return [sum(t.t[i][j][k] * u[i] * v[j] for i in range(3) for j in range(3))
+            for k in range(3)]
 
 
 def test_slice_of_slices_form():
@@ -236,3 +244,68 @@ def test_json_roundtrip():
         tensor_from_json("[[1,2],[3,4]]")
     with pytest.raises(ValueError):
         tensor_from_json(tensor_to_json(t).replace("1", "1.5", 1))
+
+
+# --- immutability and the rank memo ------------------------------------------
+
+def fresh_ranks(t):
+    """Oracle: the pencil and flattening ranks of t, recomputed without its memo."""
+    return (tuple(pencil_rank(pencil(t, ax)) for ax in AXES),
+            tuple(linalg.rank(flattening(t, ax)) for ax in AXES))
+
+
+def memo_cases():
+    rng = random.Random(16)
+    cases = [nf.tensor for nf in catalog().values()]
+    cases += [trifocal_from_cameras(random_triple(rng)) for _ in range(5)]
+    cases += [Tensor333([[[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+                         for _ in range(3)]) for _ in range(5)]
+    cases.append(Tensor333([[[Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(3)]
+                             for _ in range(3)] for _ in range(3)]))
+    cases.append(random_orbit_point(trifocal_normal_form(), 16).scale(Fraction(2, 3)))
+    return cases
+
+
+def test_memoised_ranks_match_a_fresh_computation():
+    for t in memo_cases():
+        assert t._prank is None and t._frank is None
+        pr, fr = prank(t), frank(t)
+        assert prank(t) is pr is t._prank and frank(t) is fr is t._frank
+        assert (pr, fr) == fresh_ranks(Tensor333(t.t))
+
+
+def test_entries_are_immutable():
+    t = trifocal_normal_form()
+    with pytest.raises(TypeError):
+        t.t[0][0][0] = 1
+    assert hash(t) == hash(Tensor333([[list(row) for row in plane] for plane in t.t]))
+
+
+def test_derived_tensors_carry_no_memo():
+    t = trifocal_normal_form()
+    prank(t), frank(t)
+    g = random_group_element(random.Random(17))
+    for derived in (act(g, t), permute_factors(t, 1), permute_factors(t, 2),
+                    t + t, t - skew_tensor(), t.scale(2)):
+        assert derived._prank is None and derived._frank is None
+        assert (prank(derived), frank(derived)) == fresh_ranks(derived)
+
+
+def _nested(shape):
+    if not shape:
+        return 0
+    return [_nested(shape[1:]) for _ in range(shape[0])]
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 4), (4, 3, 3), (4, 3, 4), (3, 3)])
+def test_malformed_shapes_are_rejected(shape):
+    with pytest.raises(ValueError):
+        Tensor333(_nested(shape))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, "1", None, [0]])
+def test_inexact_entries_are_rejected(bad):
+    entries = _nested((3, 3, 3))
+    entries[2][1][0] = bad
+    with pytest.raises(TypeError):
+        Tensor333(entries)
