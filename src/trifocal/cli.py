@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: check, from-cameras, discover, hilbert, nzd, classify,
-catalog.  Every command is deterministic given (--prime, --seed); JSON
-reports embed the configuration and a schema tag.  Exit codes: 0 success
-(for `check`: the tensor is trifocal), 1 negative verdict or a modular
-certificate that failed to verify, 2 bad input or an exceeded degree cap.
+catalog.  Each takes only the options it reads.  `check` is an exact rank
+test and takes no prime and no seed; `discover`, `hilbert`, `nzd` and
+`classify` take --prime, --seed, --degree-cap, --progress and --json, are
+deterministic given (--prime, --seed), and their JSON reports embed that
+configuration.  Every JSON report carries a schema tag.  Exit codes: 0
+success (for `check`: the tensor is trifocal), 1 negative verdict or a
+modular certificate that failed to verify, 2 bad input or an exceeded
+degree cap.
 """
 
 from __future__ import annotations
@@ -13,50 +17,34 @@ import argparse
 import json
 import sys
 
-from . import ideal, linalg, orbits
-from .cameras import (DegenerateConfigurationError, trifocal_from_cameras,
-                      triple_from_json)
+from . import ideal, orbits
+from .cameras import trifocal_from_cameras, triple_from_json
 from .ideal import (DegreeCapError, discover, graded_nonzerodivisor_check,
                     hilbert_quotient)
 from .poly import f_determinant, parse_poly, witness_g
-from .scalars import DEFAULT_PRIME, is_prime
+from .scalars import DEFAULT_PRIME
 from .tensor import tensor_from_json, tensor_to_json
 
-SCHEMA = "trifocal-report/2"
+SCHEMA = "trifocal-report/3"
+TOP_GENERATOR_DEGREE = 6   # every minimal generator has degree <= 6
 
 
-class RunConfig:
-    def __init__(self, prime, seed, degree_cap):
-        # checked first: is_prime trial-divides, for hours on a 61-bit prime
-        if prime > linalg.MACHINE_PRIME_BOUND:
-            raise ValueError("--prime must be at most %d, got %d"
-                             % (linalg.MACHINE_PRIME_BOUND, prime))
-        if not is_prime(prime):
-            raise ValueError("--prime must be prime, got %d" % prime)
-        if not 1 <= degree_cap <= ideal.HARD_DEGREE_CAP:
-            raise ValueError("--degree-cap must be in 1..%d" % ideal.HARD_DEGREE_CAP)
-        self.prime = prime
-        self.seed = seed
-        self.degree_cap = degree_cap
-
-    def to_dict(self):
-        return {"prime": self.prime, "seed": self.seed,
-                "degree_cap": self.degree_cap}
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(args.prime, args.seed, args.degree_cap)
+def _config(args):
+    """The configuration a report embeds, once the library has accepted
+    the prime."""
+    ideal._check_prime(args.prime)
+    if not 1 <= args.degree_cap <= ideal.HARD_DEGREE_CAP:
+        raise ValueError("--degree-cap must be in 1..%d" % ideal.HARD_DEGREE_CAP)
+    return {"prime": args.prime, "seed": args.seed, "degree_cap": args.degree_cap}
 
 
 def _progress(args):
     return (lambda msg: print(msg, file=sys.stderr)) if args.progress else None
 
 
-def _discover(cfg, degree=None, progress=None):
-    """discover() on the trifocal normal form, by default through degree
-    min(cap, 6), which holds every minimal generator."""
-    return discover(min(cfg.degree_cap, 6) if degree is None else degree,
-                    orbits.trifocal_normal_form(), seed=cfg.seed, p=cfg.prime,
+def _discover(args, degree, progress):
+    """discover() on the trifocal normal form through `degree`."""
+    return discover(degree, orbits.trifocal_normal_form(), seed=args.seed, p=args.prime,
                     progress=progress)
 
 
@@ -77,11 +65,9 @@ def _read_file(path):
 
 
 def cmd_check(args) -> int:
-    cfg = _config(args)
     t = tensor_from_json(_read_file(args.tensor))
     verdict, reason = orbits.is_trifocal(t, permutation_tolerant=args.permutation_tolerant)
-    payload = {"schema": SCHEMA, "config": cfg.to_dict(),
-               "is_trifocal": verdict, "reason": reason}
+    payload = {"schema": SCHEMA, "is_trifocal": verdict, "reason": reason}
     _emit(args, payload, ["trifocal: %s" % verdict, "reason: %s" % reason])
     return 0 if verdict else 1
 
@@ -98,11 +84,12 @@ def cmd_classify(args) -> int:
     t = tensor_from_json(_read_file(args.tensor))
     modules = None
     if args.with_modules:
-        modules = _discover(cfg).modules()
+        modules = _discover(args, min(args.degree_cap, TOP_GENERATOR_DEGREE),
+                            _progress(args)).modules()
     sig = orbits.signature(t, modules=modules)
     verdict, reason = orbits.is_trifocal(t, permutation_tolerant=args.permutation_tolerant)
     component = orbits.classify_component(t)
-    payload = {"schema": SCHEMA, "config": cfg.to_dict(),
+    payload = {"schema": SCHEMA, "config": cfg,
                "signature": sig.to_dict(), "component": component,
                "is_trifocal": verdict, "reason": reason}
     _emit(args, payload, [
@@ -117,9 +104,9 @@ def cmd_classify(args) -> int:
 
 def cmd_discover(args) -> int:
     cfg = _config(args)
-    if not 1 <= args.degree <= cfg.degree_cap:
-        raise DegreeCapError("--degree must be in 1..%d (--degree-cap)" % cfg.degree_cap)
-    disc = _discover(cfg, args.degree, _progress(args))
+    if not 1 <= args.degree <= args.degree_cap:
+        raise DegreeCapError("--degree must be in 1..%d (--degree-cap)" % args.degree_cap)
+    disc = _discover(args, args.degree, _progress(args))
     inventory = []
     label_table = []
     for d in sorted(disc.scans):
@@ -131,7 +118,7 @@ def cmd_discover(args) -> int:
             label_table.append({"degree": d, "label": [list(p) for p in lab],
                                 "kronecker": kron, "hw_dim": hw_dim,
                                 "vanishing": vanishing, "new": new})
-    payload = {"schema": SCHEMA, "config": cfg.to_dict(),
+    payload = {"schema": SCHEMA, "config": cfg,
                "new_generators_by_degree": {str(d): n for d, n in disc.counts().items()},
                "modules": inventory,
                "labels": label_table}
@@ -150,11 +137,10 @@ def cmd_discover(args) -> int:
 
 def cmd_hilbert(args) -> int:
     cfg = _config(args)
-    disc = _discover(cfg)
-    table = {}
-    for d in range(1, cfg.degree_cap + 1):
-        table[d] = hilbert_quotient(disc.gens, d, p=cfg.prime, progress=_progress(args))
-    payload = {"schema": SCHEMA, "config": cfg.to_dict(),
+    gens = _discover(args, min(args.degree_cap, TOP_GENERATOR_DEGREE), None).gens
+    table = {d: hilbert_quotient(gens, d, p=args.prime, progress=_progress(args))
+             for d in range(1, args.degree_cap + 1)}
+    payload = {"schema": SCHEMA, "config": cfg,
                "hilbert_quotient": {str(d): v for d, v in table.items()}}
     _emit(args, payload, ["H(%d) = %d" % (d, v) for d, v in table.items()])
     return 0
@@ -169,9 +155,10 @@ def cmd_nzd(args) -> int:
     else:
         w = parse_poly(_read_file(args.witness))
     ideal.check_witness(w)  # before the discovery run, not after it
-    report = graded_nonzerodivisor_check(_discover(cfg).gens, w, cap=cfg.degree_cap,
-                                         p=cfg.prime, progress=_progress(args))
-    payload = {"schema": SCHEMA, "config": cfg.to_dict(),
+    gens = _discover(args, min(args.degree_cap, TOP_GENERATOR_DEGREE), None).gens
+    report = graded_nonzerodivisor_check(gens, w, cap=args.degree_cap, p=args.prime,
+                                         progress=_progress(args))
+    payload = {"schema": SCHEMA, "config": cfg,
                "witness_degree": report.witness_degree,
                "non_zero_divisor": bool(report),
                "failing_degree": report.failing_degree,
@@ -198,7 +185,8 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def _add_common(sp):
+def _add_run_options(sp):
+    """The options of the commands that run the modular sweeps."""
     sp.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     sp.add_argument("--seed", type=int, default=2024)
     sp.add_argument("--degree-cap", type=int, default=6, dest="degree_cap")
@@ -214,12 +202,11 @@ def build_parser():
     sp = sub.add_parser("check", help="rank-based trifocal membership test")
     sp.add_argument("tensor")
     sp.add_argument("--permutation-tolerant", action="store_true", dest="permutation_tolerant")
-    _add_common(sp)
+    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("from-cameras", help="tensor from a camera-triple JSON file")
     sp.add_argument("cameras")
-    _add_common(sp)
     sp.set_defaults(func=cmd_from_cameras)
 
     sp = sub.add_parser("classify", help="signature and component of a tensor")
@@ -227,27 +214,26 @@ def build_parser():
     sp.add_argument("--permutation-tolerant", action="store_true", dest="permutation_tolerant")
     sp.add_argument("--with-modules", action="store_true", dest="with_modules",
                     help="also evaluate the degree-5/6 generator modules (slow)")
-    _add_common(sp)
+    _add_run_options(sp)
     sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("discover", help="minimal-generator search by degree")
     sp.add_argument("--degree", type=int, required=True)
-    _add_common(sp)
+    _add_run_options(sp)
     sp.set_defaults(func=cmd_discover)
 
     sp = sub.add_parser("hilbert", help="quotient Hilbert function table")
-    _add_common(sp)
+    _add_run_options(sp)
     sp.set_defaults(func=cmd_hilbert)
 
     sp = sub.add_parser("nzd", help="graded non-zero-divisor check for a witness")
     sp.add_argument("--witness", default="f",
                     help="'f', 'g', or a path to a polynomial text file")
-    _add_common(sp)
+    _add_run_options(sp)
     sp.set_defaults(func=cmd_nzd)
 
     sp = sub.add_parser("catalog", help="list or emit named normal forms")
     sp.add_argument("name", nargs="?")
-    _add_common(sp)
     sp.set_defaults(func=cmd_catalog)
 
     return ap
@@ -258,8 +244,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, DegreeCapError, DegenerateConfigurationError,
-            json.JSONDecodeError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1 if isinstance(exc, ArithmeticError) else 2
 

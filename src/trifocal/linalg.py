@@ -129,7 +129,8 @@ def machine_prime(i):
 
 def _check_machine_prime(p):
     if p > MACHINE_PRIME_BOUND:
-        raise ValueError("prime %d too large for int64 elimination" % p)
+        raise ValueError("prime %d too large for int64 elimination: at most %d"
+                         % (p, MACHINE_PRIME_BOUND))
 
 
 def rref_mod_p(rows_array, p):

@@ -88,9 +88,12 @@ class Poly:
 
     def __init__(self, terms=()):
         """The sum of (monomial, coefficient) pairs (or a dict of them), like
-        terms added up and zero sums dropped."""
+        terms added up and zero sums dropped.  TypeError unless each
+        coefficient is an int or a Fraction."""
+        terms = list(terms.items() if isinstance(terms, dict) else terms)
+        exact_list((c for _, c in terms), "coefficient")
         acc = {}
-        for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
+        for mono, coeff in terms:
             mono = tuple(mono)
             acc[mono] = acc.get(mono, 0) + coeff
         self._terms, self._packed = {m: c for m, c in acc.items() if c != 0}, None
@@ -296,8 +299,9 @@ def evaluate_points(polys, points):
     idx = codes.T if cube else np.hstack(np.unravel_index(codes, (_BASE,) * 3)).T
     rows = []
     for t in points:
-        x, fractions = exact_list(t.entries_flat(), "tensor entry")
-        d = lcm(*(Fraction(e).denominator for e in x)) if fractions else 1
+        x = t.entries_flat()   # ints and Fractions: Tensor333 accepts nothing else
+        fractions = [e for e in x if type(e) is Fraction]
+        d = lcm(*(e.denominator for e in fractions))
         rows.append([int(e * d) for e in x] + [d] if fractions else x + [1])
     scales = [y[-1] ** (3 * k) for y in rows]
     # |f(D x) * D^pads| <= L1 * max|y|^(degree, or the width with pads)

@@ -4,6 +4,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 import trifocal
 from trifocal import ideal
 from trifocal.cameras import random_triple
@@ -31,8 +33,26 @@ def test_check_rejects_skew_with_reason(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["is_trifocal"] is False
     assert "P-Rank" in payload["reason"]
-    assert payload["schema"] == "trifocal-report/2"
-    assert payload["config"]["prime"] == 101
+    assert payload["schema"] == "trifocal-report/3"
+
+
+def test_check_report_carries_no_config(tmp_path, capsys):
+    # the rank test reads no prime, seed or degree cap, so it reports none
+    path = write(tmp_path, "nf.json", tensor_to_json(catalog()["trifocal"].tensor))
+    assert main(["check", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"schema": "trifocal-report/3", "is_trifocal": True,
+                       "reason": payload["reason"]}
+
+
+def test_commands_reject_options_they_do_not_read(tmp_path, capsys):
+    path = write(tmp_path, "nf.json", tensor_to_json(catalog()["trifocal"].tensor))
+    for argv in (["catalog", "--json"], ["from-cameras", path, "--prime", "7"],
+                 ["check", path, "--seed", "3"], ["check", path, "--progress"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_check_malformed_input(tmp_path, capsys):
@@ -132,6 +152,14 @@ def test_classify_with_modules_below_degree_5_reports_no_m5(tmp_path, capsys):
     assert payload["is_trifocal"] is False
 
 
+def test_classify_with_modules_progress_reports_discovery(tmp_path, capsys):
+    path = write(tmp_path, "nf.json", tensor_to_json(catalog()["trifocal"].tensor))
+    assert main(["classify", path, "--with-modules", "--degree-cap", "3", "--progress"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err and all(line.startswith("degree ") for line in err)
+    assert any(line.startswith("degree 3: label ") for line in err)
+
+
 def test_discover_degree3(capsys):
     assert main(["discover", "--degree", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -141,6 +169,15 @@ def test_discover_degree3(capsys):
     hits = [row for row in payload["labels"] if row["vanishing"]]
     assert hits == [{"degree": 3, "label": [[1, 1, 1], [1, 1, 1], [3]],
                      "kronecker": 1, "hw_dim": 1, "vanishing": 1, "new": 1}]
+
+
+def test_discover_report_keys_and_schema(capsys):
+    assert main(["discover", "--degree", "3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["schema"] == "trifocal-report/3"
+    assert set(payload) == {"schema", "config", "new_generators_by_degree",
+                            "modules", "labels"}
+    assert payload["config"] == {"prime": 101, "seed": 2024, "degree_cap": 6}
 
 
 def test_discover_deterministic(capsys):

@@ -139,6 +139,18 @@ def test_multiply():
                            tuple(2 * x for x in wc))
 
 
+def test_inexact_coefficients_are_rejected():
+    # a float was printed as an exact binary fraction and a bool as 1
+    for bad in (0.1, 2.0, True):
+        with pytest.raises(TypeError, match="coefficient"):
+            Poly({(0,): bad, (1,): 1})
+        with pytest.raises(TypeError, match="coefficient"):
+            Poly([((0,), bad), ((0,), -bad)])   # even where the sum is zero
+    with pytest.raises(TypeError, match="coefficient"):
+        parse_poly("T_1_1_1") * 0.5
+    assert Poly({(0,): Fraction(1, 2), (1,): 3}).terms == {(0,): Fraction(1, 2), (1,): 3}
+
+
 def test_evaluate_is_ring_homomorphism():
     rng = random.Random(42)
     f = f_determinant()
