@@ -90,7 +90,7 @@ class GradedGeneratorSet:
     def _file(self, degree, polys):
         # a fresh index, so a rejected generator leaves the set unchanged
         index = dict(self._tables.get(degree, (None, []))[1])
-        rows, ids, coeffs = integer_terms(polys, degree)
+        rows, ids, coeffs = integer_terms(polys)
         bounds = np.searchsorted(ids, np.arange(len(polys) + 1))
         groups = {}   # a generator's weight is that of its first term
         for i, m in enumerate(rows[bounds[:-1]].tolist()):
@@ -244,7 +244,7 @@ def _independent_of(block: Block, polys, d, weight, p):
     """For each of the degree-d polys of the weight in turn, whether it is
     independent mod p of the block's rows and of the polys before it."""
     a = (block + _block(None, d, weight, d, (
-        d, weight, integer_terms(polys, d) + (len(polys),)))).matrix(p)
+        d, weight, integer_terms(polys) + (len(polys),)))).matrix(p)
     ech = linalg.Echelon(a[:len(block)], p)
     return [ech.add(x) for x in a[len(block):]]
 
@@ -334,7 +334,7 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
     ext_dims = []
     for f, e, wf, _, wit in folds:
         # a block with witness rows trades its base rank for the joint rank
-        total, terms = base_dim, (e, wf, integer_terms([f], e) + (1,))
+        total, terms = base_dim, (e, wf, integer_terms([f]) + (1,))
         for w, n in wit.items():
             block = groups.get(w, Block()) + _block(gens, d, w, d, terms)
             total += n * (_rank(block, p) - ranks.get(_canonical(group, w), 0))

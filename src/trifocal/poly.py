@@ -16,26 +16,25 @@ to the symmetric range, with primes taken until their product exceeds
 never a wrong value.  Fraction entries are cleared by a
 common denominator D, f_e(x) = f_e(D x) / D^e on each degree-e part;
 entries and coefficients that are not ints or Fractions (floats, bools)
-raise TypeError.  A Poly never changes, so the monomials and integer
-coefficients of a polynomial are packed into numpy arrays on first use
-and kept on it (_pack): each monomial as int32 chunk codes
-(a*28 + b)*28 + c of three variable indices, padded by PAD.
+raise TypeError.
 
-The raising and lowering operators act on batches of terms (pack_terms):
-an n x width uint8 array of sorted variable indices, rows of lower degree
-padded by PAD, and per term a polynomial id and a coefficient.  A shift
+Terms have one layout: an n x width uint8 array of sorted variable
+indices, rows of lower degree padded by PAD.  A Poly never changes, so its
+monomials and integer coefficients are packed in it on first use and kept
+(_pack), the rows as wide as its degree.  The raising and lowering
+operators act on batches of terms (pack_terms): the rows of several
+packs, and per term a polynomial id and a coefficient.  A shift
 (shift_batch) replaces each matching position, re-sorts the rows and
 merges like terms by a key (mono_keys), the id above five bits per
 variable, whose order is tuple order (int64, or objects where that would
 overflow).  Coefficients are int64 while L1 * width < 2^62, so no product
 by a multiplicity and no merge overflows; objects otherwise.
 
-Packs and batches are one encoding: unpack_terms gives the Polys of an
-int64 batch only packs coded from its rows, their terms dicts built on
-first read, and pack_terms and integer_terms decode packs.  So a
-tableau polynomial, a hw-space basis vector, a vanishing certificate and
-a lowered module vector go from their batch to ideal's weight blocks and
-to evaluation without a dict; content_normalized is one batch too
+pack_terms concatenates packs and unpack_terms slices an int64 batch into
+Polys that hold only their packs, their terms dicts built on first read.
+So a tableau polynomial, a hw-space basis vector, a vanishing certificate
+and a lowered module vector go from their batch to ideal's weight blocks
+and to evaluation without a dict; content_normalized is one batch too
 (normalized).
 """
 
@@ -101,7 +100,7 @@ class Poly:
     @property
     def terms(self):
         if self._terms is None:
-            self._terms = _unpacked(_code_rows(self._packed[0]), self._packed[1])
+            self._terms = _unpacked(*self._packed[:2])
         return self._terms
 
     @classmethod
@@ -135,6 +134,7 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def scale(self, c):
+        exact_list([c], "scalar coefficient")   # True * v would be the int v
         return Poly({m: c * v for m, v in self.terms.items()})   # c = 0 adds no term
 
     def __mul__(self, other):
@@ -148,11 +148,19 @@ class Poly:
     def degree(self):
         """Common degree of the monomials; None for the zero polynomial,
         an error if the polynomial is not homogeneous."""
-        return _common(map(len, self.terms), "homogeneous")
+        rows = _pack(self)[0]
+        if (rows[:, -1:] == PAD).any():
+            raise ValueError("polynomial is not homogeneous")
+        return rows.shape[1] if len(rows) else None
 
     def weight(self):
-        """The common weight; raises if the polynomial mixes weights."""
-        return _common(map(mono_weight, self.terms), "weight-homogeneous")
+        """The common weight; None for the zero polynomial, an error if the
+        polynomial mixes weights."""
+        rows = _pack(self)[0]
+        w = np.stack([(_SLOTS[rows, a] == i).sum(axis=1) for a in range(3) for i in range(3)], 1)
+        if (w != w[:1]).any():
+            raise ValueError("polynomial is not weight-homogeneous")
+        return tuple(map(tuple, w[0].reshape(3, 3).tolist())) if len(w) else None
 
     def evaluate(self, t: Tensor333):
         return evaluate_points([self], [t])[0][0]
@@ -160,18 +168,10 @@ class Poly:
     def content_normalized(self):
         """The integer multiple with content 1 whose coefficient on the
         smallest monomial in tuple order is positive."""
-        return normalized(integer_terms([self], _pack(self)[4]), 1)[0]
+        return normalized(integer_terms([self]), 1)[0]
 
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
-
-
-def _common(xs, what):
-    """The one value of xs, None if there is none; ValueError if several."""
-    xs = set(xs)
-    if len(xs) > 1:
-        raise ValueError("polynomial is not %s" % what)
-    return xs.pop() if xs else None
 
 
 def permuted(f: Poly, vmap) -> Poly:
@@ -191,65 +191,53 @@ def variable_map(sigma):
 
 PAD = N_VARS      # a 28th variable: 1, or D at a point with denominator D
 _BASE = N_VARS + 1
+_SLOTS = np.array([var_ijk(v) for v in range(N_VARS)] + [(3, 3, 3)], np.uint8)   # PAD: none
 
 
-def _row_codes(rows):
-    """uint8 rows of variable indices padded by PAD as int32 chunk codes
-    (a*28 + b)*28 + c of three variables each, the last chunk padded."""
-    k = max(1, -(-rows.shape[1] // 3))
-    v = np.pad(rows, ((0, 0), (0, 3 * k - rows.shape[1])), constant_values=PAD)
-    return v.reshape(len(v), k, 3) @ np.array([_BASE ** 2, _BASE, 1], np.int32)
+def _padded(rows, width):
+    """rows, or rows padded by PAD to the width (np.pad takes about 5 times as long)."""
+    return rows if rows.shape[1] == width else np.hstack(
+        [rows, np.full((len(rows), width - rows.shape[1]), PAD, np.uint8)])
 
 
-def _code_rows(codes):
-    """The uint8 rows, padded by PAD, of chunk codes."""
-    v = np.stack([codes // _BASE ** 2, codes // _BASE % _BASE, codes % _BASE], axis=2)
-    return v.reshape(len(codes), 3 * codes.shape[1]).astype(np.uint8)
-
-
-def _chunks(codes, k):
-    """codes cut, or padded by chunks of three pads, to k chunks."""
-    return codes if codes.shape[1] == k else np.pad(
-        codes[:, :k], ((0, 0), (0, max(0, k - codes.shape[1]))), constant_values=_BASE ** 3 - 1)
-
-
-def _packed(codes, coeffs, den, deg):
+def _packed(rows, coeffs, den):
     """A pack (_pack).  Below 2^31 a coefficient times a residue fits int64;
     larger ones are reduced mod each prime first."""
     l1 = sum(map(abs, coeffs.tolist()))
-    return codes, coeffs.astype(np.int64 if l1 < 1 << 31 else object), l1, den, deg
+    return rows, coeffs.astype(np.int64 if l1 < 1 << 31 else object), l1, den
 
 
 def _pack(f: Poly):
-    """f's terms as (codes, integer coefficients, their L1 norm, common
-    denominator, degree), cached on f.  Row i of codes is monomial i in
-    chunk codes (_row_codes)."""
+    """f's terms as (rows, integer coefficients, their L1 norm, common
+    denominator), cached on f.  Row i of rows is monomial i padded by PAD
+    to f's degree, rows.shape[1]."""
     if f._packed is None:
         coeffs, fractions = exact_list(f.terms.values(), "coefficient")
         den = lcm(*(Fraction(c).denominator for c in coeffs)) if fractions else 1
         deg = max(map(len, f.terms), default=0)
         rows = np.frombuffer(b"".join([bytes(m).ljust(deg, bytes([PAD])) for m in f.terms]),
                              dtype=np.uint8).reshape(len(f.terms), deg)
-        f._packed = _packed(_row_codes(rows), np.array([int(c * den) for c in coeffs], dtype=object),
-                            den, deg)
+        f._packed = _packed(rows, np.array([int(c * den) for c in coeffs], dtype=object), den)
     return f._packed
 
 
 def _unpacked(rows, coeffs):
     """{monomial: coefficient} of rows padded by PAD."""
+    if not rows.shape[1]:
+        return {(): c for c in coeffs.tolist()}   # a constant, or zero
     monos = list(struct.iter_unpack("%dB" % rows.shape[1], rows.tobytes()))
     for i in np.flatnonzero(rows[:, -1] == PAD).tolist():   # below the full width
         monos[i] = monos[i][:monos[i].index(PAD)]
     return dict(zip(monos, coeffs.tolist()))
 
 
-def integer_terms(polys, degree):
-    """pack_terms of degree-`degree` polys, with the coefficients of each
-    one's integer multiple with content 1 (denominators cleared, then
-    divided by their gcd)."""
+def integer_terms(polys):
+    """pack_terms of polys, with the coefficients of each one's integer
+    multiple with content 1 (denominators cleared, then divided by their
+    gcd)."""
     rows, ids, _ = pack_terms(polys)
     coeffs = np.concatenate([np.empty(0, np.int64)] + [_pack(f)[1] for f in polys])
-    return rows[:, :degree], ids, coeffs // np.gcd.reduceat(coeffs, _run_starts(ids))[ids]
+    return rows, ids, coeffs // np.gcd.reduceat(coeffs, _run_starts(ids))[ids]
 
 
 def _primes_above(bound):
@@ -289,30 +277,37 @@ def evaluate_points(polys, points):
     out = [[0] * len(packs) for _ in points]
     if not live or not out:
         return out
-    codes, coefs, l1s, dens, degs = zip(*(packs[j] for j in live))
-    k = max(c.shape[1] for c in codes)
-    codes = np.concatenate([_chunks(c, k) for c in codes])
+    rows, coefs, l1s, dens = zip(*(packs[j] for j in live))
+    deg = max(r.shape[1] for r in rows)
+    width = max(1, deg)   # a constant is one PAD
+    rows = np.concatenate([_padded(r, width) for r in rows])
     coef = np.concatenate(coefs)
     starts = np.cumsum([0] + [len(c) for c in coefs[:-1]])
-    # one table lookup per chunk when there are more terms than products
-    cube = len(codes) > _BASE ** 3
-    idx = codes.T if cube else np.hstack(np.unravel_index(codes, (_BASE,) * 3)).T
-    rows = []
+    cube = len(rows) > _BASE ** 3
+    if cube:   # one lookup per chunk code (a*28 + b)*28 + c in a table of all 28^3 products
+        rows = _padded(rows, 3 * -(-width // 3))
+        width, idx = rows.shape[1], rows[:, 0::3].T.astype(np.int32, order="C")
+        for c in (1, 2):
+            idx *= _BASE
+            idx += rows[:, c::3].T
+    else:
+        idx = rows.T.astype(np.intp, order="C")   # take is faster on contiguous indices
+    del rows   # the residues below are the peak
+    ys = []
     for t in points:
         x = t.entries_flat()   # ints and Fractions: Tensor333 accepts nothing else
         fractions = [e for e in x if type(e) is Fraction]
         d = lcm(*(e.denominator for e in fractions))
-        rows.append([int(e * d) for e in x] + [d] if fractions else x + [1])
-    scales = [y[-1] ** (3 * k) for y in rows]
+        ys.append([int(e * d) for e in x] + [d] if fractions else x + [1])
+    scales = [y[-1] ** width for y in ys]
     # |f(D x) * D^pads| <= L1 * max|y|^(degree, or the width with pads)
-    deg = max(degs)
     primes = _primes_above(2 * max(l1s) * max(
-        max(map(abs, y)) ** (deg if y[-1] == 1 else 3 * k) for y in rows))
+        max(map(abs, y)) ** (deg if y[-1] == 1 else width) for y in ys))
     m = prod(primes)
     basis = [m // p * pow(m // p, -1, p) for p in primes]
-    step = max(1, (1 << 20) // (len(codes) * len(primes)))   # about 8 MB per int64 temporary
-    for i0 in range(0, len(rows), step):
-        res = _residues(idx, cube, coef, starts, rows[i0:i0 + step], primes)
+    step = max(1, (1 << 20) // (len(coef) * len(primes)))   # about 8 MB per int64 temporary
+    for i0 in range(0, len(ys), step):
+        res = _residues(idx, cube, coef, starts, ys[i0:i0 + step], primes)
         lifted = sum(r.astype(object) * e for r, e in zip(res, basis)) % m
         for i, vals in enumerate(np.where(lifted > m // 2, lifted - m, lifted).tolist(), i0):
             for j, g, den in zip(live, vals, dens):
@@ -362,12 +357,11 @@ def weight_space_basis(d, weight):
 
 def pack_terms(polys):
     """The terms of polys as one batch (rows, ids, coeffs), those of
-    polys[i] with id i (module docstring), decoded from their packs."""
+    polys[i] with id i (module docstring): their packs' rows, padded by PAD
+    to the largest degree."""
     packs = [_pack(f) for f in polys]
-    width = max([1] + [pk[4] for pk in packs])   # a constant is one PAD
-    k = -(-width // 3)
-    rows = _code_rows(np.concatenate([np.empty((0, k), np.int32)] + [
-        _chunks(pk[0], k) for pk in packs]))[:, :width]
+    width = max([0] + [pk[0].shape[1] for pk in packs])
+    rows = np.concatenate([np.empty((0, width), np.uint8)] + [_padded(pk[0], width) for pk in packs])
     if any(pk[3] > 1 for pk in packs) or sum(pk[2] for pk in packs) >= 1 << 62:
         coeffs = np.array([c for f in polys for c in f.terms.values()], dtype=object)
     else:
@@ -378,12 +372,13 @@ def pack_terms(polys):
 def unpack_terms(batch, n):
     """The batch as n Polys, polynomial i made of the terms with id i
     (ids ascending, as shift_batch leaves them).  Those of an int64 batch
-    hold only their packs (_pack), coded from the same rows."""
+    hold only their packs (_pack): their slices of the rows, cut to their
+    degree."""
     rows, ids, coeffs = batch
-    codes, degs = _row_codes(rows), (rows != PAD).sum(axis=1)
+    degs = (rows != PAD).sum(axis=1)
     bounds = np.searchsorted(ids, np.arange(n + 1)).tolist()
     return [Poly._wrap(_unpacked(rows[a:b], coeffs[a:b])) if coeffs.dtype == object else
-            Poly._wrap(None, _packed(codes[a:b].copy(), coeffs[a:b], 1, int(degs[a:b].max(initial=0))))
+            Poly._wrap(None, _packed(rows[a:b, :int(degs[a:b].max(initial=0))], coeffs[a:b], 1))
             for a, b in zip(bounds, bounds[1:])]
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -252,14 +253,14 @@ def _scalar_to_json(x):
 
 
 def _scalar_from_json(x):
-    """An exact scalar from a JSON integer or a "p/q" string.  Floats and
-    booleans are rejected rather than truncated or read as 0/1."""
+    """An exact scalar from a JSON integer or a "p/q" string: an optional
+    sign, ASCII digits and at most one slash.  Floats and booleans are
+    rejected rather than truncated or read as 0/1."""
     if isinstance(x, str):
         num, _, den = x.partition("/")
-        try:
-            return Fraction(int(num), int(den)) if den else Fraction(int(num))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("bad rational entry %r" % (x,)) from exc
+        if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", x) and int(den or 1):
+            return Fraction(int(num), int(den or 1))
+        raise ValueError("bad rational entry %r" % (x,))
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     raise ValueError("entries must be integers or 'p/q' strings, got %r" % (x,))

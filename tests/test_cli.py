@@ -89,6 +89,39 @@ def test_from_cameras_rejects_float_bool_and_bad_rational_entries(tmp_path, caps
         assert capsys.readouterr().err.startswith("error: ")
 
 
+LOOSE_RATIONALS = ("3/", "1_000", " 3", "3\n", "٣", "3/4/5", "1/-2", "--3", "/4", "")
+
+
+def test_check_reads_only_sign_digits_and_one_slash(tmp_path, capsys):
+    # int() would have read "3/" as 3 and "1_000" as 1000
+    entries = json.loads(tensor_to_json(catalog()["trifocal"].tensor))
+    plain = entries[0][1][2]
+    for bad in LOOSE_RATIONALS:
+        entries[0][1][2] = bad
+        path = write(tmp_path, "t.json", json.dumps(entries))
+        assert main(["check", path]) == 2, bad
+        assert "bad rational entry" in capsys.readouterr().err
+    entries[0][1][2] = "%+d/1" % plain
+    assert main(["check", write(tmp_path, "t.json", json.dumps(entries))]) == 0
+
+
+def test_from_cameras_reads_only_sign_digits_and_one_slash(tmp_path, capsys):
+    ct = random_triple(random.Random(75))
+    a1 = [list(r) for r in ct.a1.m]
+    for bad in LOOSE_RATIONALS:
+        a1[1][3] = bad
+        cams = write(tmp_path, "cams.json", json.dumps({"A1": a1, "A2": ct.a2.m, "A3": ct.a3.m}))
+        assert main(["from-cameras", cams]) == 2, bad
+        assert "bad rational entry" in capsys.readouterr().err
+    main(["from-cameras", write(tmp_path, "a.json", json.dumps(
+        {"A1": ct.a1.m, "A2": ct.a2.m, "A3": ct.a3.m}))])
+    plain = capsys.readouterr().out
+    a1[1][3] = "%+d/1" % ct.a1.m[1][3]
+    cams = write(tmp_path, "cams.json", json.dumps({"A1": a1, "A2": ct.a2.m, "A3": ct.a3.m}))
+    assert main(["from-cameras", cams]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_from_cameras_pipeline(tmp_path, capsys):
     rng = random.Random(71)
     ct = random_triple(rng)

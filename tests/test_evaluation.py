@@ -106,6 +106,32 @@ def test_empty_inputs():
     assert Poly.constant(Fraction(3, 4)).evaluate(t) == Fraction(3, 4)
 
 
+def test_cube_path_equals_oracle(monkeypatch):
+    """Above 28^3 terms the kernel looks up chunk codes of three factors in
+    a table of all 28^3 products: degrees 0-7, a constant, a polynomial
+    that is not homogeneous and Fraction coefficients, at Fraction points
+    and points near 2^70, as the oracle and as each polynomial alone."""
+    rng = random.Random(9)
+    polys = [Poly.constant(-7), Poly(), random_poly(rng, range(8), 1 << 40, nterms=6000),
+             random_poly(rng, (2, 6), 50, fractions=True, nterms=3000)] + [
+        random_poly(rng, (d,), 1 << (10 * d), nterms=min(27 ** d, 4000)) for d in range(1, 8)]
+    assert sum(map(len, polys)) > poly._BASE ** 3 > max(map(len, polys))
+    points = sample_points(11)[:6]   # the last needs 199 primes, and so would every point
+    residues, cubes = poly._residues, []
+
+    def logged(idx, cube, *args):
+        cubes.append(cube)
+        return residues(idx, cube, *args)
+
+    monkeypatch.setattr(poly, "_residues", logged)
+    got = evaluate_points(polys, points)
+    assert cubes and all(cubes)
+    del cubes[:]
+    for t, vals in zip(points, got):
+        assert vals == oracle(polys, t) == [f.evaluate(t) for f in polys]
+    assert cubes and not any(cubes)   # one polynomial alone is below 28^3 terms
+
+
 def test_prime_count_follows_the_bound(monkeypatch):
     counts = []
     primes_above = poly._primes_above

@@ -160,7 +160,7 @@ def test_packed_blocks_equal_dict_rows_on_discovery6(discovery6):
         assert_same_block(blocks[w], dict_rows(groups, 6, w, 6))
     for f in (f_determinant(), witness_g()):
         e, wf = ideal.check_witness(f)
-        witness = (e, wf, integer_terms([f], e) + (1,))
+        witness = (e, wf, integer_terms([f]) + (1,))
         wit = ideal._fold(ideal.stabiliser(ideal.WEYL, f), ideal._shifted_weights(wf, 6 - e))
         blocks = slice_rows_by_weight(gens, 6, wit)
         for w in wit:
@@ -393,6 +393,7 @@ def test_discovery_keeps_its_polynomials_packed(trifocal_nf):
     disc = ideal.discover(5, trifocal_nf, seed=2024)
     basis = [f for m in disc.modules() for f in m.basis]
     assert len(basis) == 91 and all(f._terms is None for f in basis)
+    assert all(m.hw_vector._terms is None for m in disc.modules())   # read by module_span
     # fresh hw spaces: the cached ones are read by other tests
     hws = [rep.hw_space.__wrapped__(lab) for d in range(1, 6) for lab in rep.all_labels(d)
            if rep.kronecker(*lab)]

@@ -1,9 +1,10 @@
-"""The package's optional parameters and the CLI's settable values, counted.
+"""The package's optional parameters, the CLI's settable values and the
+source lines, counted.
 
 Each parameter with a default is a setting that some caller may choose and
 that every caller has to reason about; so is each argument of a CLI
-command.  Either count may only grow with a change that raises its bound
-and says why.
+command.  The source line count is the benchmark's `lines.total`.  Each
+count may only grow with a change that raises its bound and says why.
 """
 
 import argparse
@@ -15,6 +16,7 @@ from trifocal.cli import build_parser
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trifocal"
 MAX_OPTIONS = 34
 MAX_CLI_VALUES = 30
+MAX_SOURCE_LINES = 2856
 
 
 def count_options():
@@ -41,3 +43,13 @@ def count_cli_values():
 
 def test_cli_value_count_does_not_grow():
     assert 0 < count_cli_values() <= MAX_CLI_VALUES
+
+
+def count_source_lines():
+    """Lines of every *.py file in the package, as perfbench/run.py counts
+    lines.total."""
+    return sum(len(p.read_text().splitlines()) for p in PACKAGE.rglob("*.py"))
+
+
+def test_source_line_count_does_not_grow():
+    assert 0 < count_source_lines() <= MAX_SOURCE_LINES

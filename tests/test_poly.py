@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from trifocal import linalg, rep
+from trifocal import linalg, poly, rep
 from trifocal.orbits import skew_tensor, trifocal_normal_form
 from trifocal.poly import (Poly, apply_shift, det_slice_poly, f_determinant,
                            format_poly, is_highest_weight, m3_generators,
@@ -56,6 +56,23 @@ def test_all_thirty_cubics_vanish_on_skew():
     assert all(g.evaluate(F) == 0 for g in [g for ax in "ABC" for g in m3_generators(ax)])
     F5 = skew_tensor().scale(5)
     assert all(g.evaluate(F5) == 0 for g in [g for ax in "ABC" for g in m3_generators(ax)])
+
+
+def test_degree_and_weight_read_the_pack():
+    f = f_determinant()
+    packed = poly.unpack_terms(poly.pack_terms([f, Poly.constant(2), Poly()]), 3)
+    assert [(h.degree(), h.weight()) for h in packed] == [
+        (3, ((3, 0, 0), (1, 1, 1), (1, 1, 1))), (0, ((0, 0, 0),) * 3), (None, None)]
+    assert all(h._terms is None for h in packed)   # no term dict was built
+    mixed_weight, mixed_degree = f + parse_poly("T_1_1_1^3"), f + parse_poly("T_1_1_1")
+    assert mixed_weight.degree() == 3
+    for h in (mixed_weight, mixed_degree, *poly.unpack_terms(poly.pack_terms(
+            [mixed_weight, mixed_degree]), 2)):
+        with pytest.raises(ValueError, match="not weight-homogeneous"):
+            h.weight()
+    for h in (mixed_degree, poly.unpack_terms(poly.pack_terms([mixed_degree]), 1)[0]):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            h.degree()
 
 
 def test_f_determinant_is_x1_cubed_coefficient_of_a_pencil():
@@ -146,8 +163,14 @@ def test_inexact_coefficients_are_rejected():
             Poly({(0,): bad, (1,): 1})
         with pytest.raises(TypeError, match="coefficient"):
             Poly([((0,), bad), ((0,), -bad)])   # even where the sum is zero
-    with pytest.raises(TypeError, match="coefficient"):
-        parse_poly("T_1_1_1") * 0.5
+    g = parse_poly("T_1_1_1")
+    for bad in (0.5, 2.0, True, False):   # True * c is the int c, False * c is 0
+        with pytest.raises(TypeError, match="coefficient"):
+            g * bad
+        with pytest.raises(TypeError, match="coefficient"):
+            bad * g
+        with pytest.raises(TypeError, match="coefficient"):
+            g.scale(bad)
     assert Poly({(0,): Fraction(1, 2), (1,): 3}).terms == {(0,): Fraction(1, 2), (1,): 3}
 
 

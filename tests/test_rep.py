@@ -206,6 +206,8 @@ def test_module_span_needs_highest_weight_vector():
         module_span(t111 * t222)
     with pytest.raises(ValueError):
         module_span(Poly())
+    with pytest.raises(ValueError, match="weight-homogeneous"):
+        module_span(t111 * t222 + t111 * t111)
 
 
 def test_lowering_tree_sizes():
