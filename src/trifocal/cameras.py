@@ -1,11 +1,12 @@
 """Cameras and the line-transfer construction of trifocal tensors.
 
-A camera is a full-rank 3x4 matrix with exact entries.  A triple of
-cameras produces a 3x3x3 tensor through signed 4x4 minors of the stacked
-4x9 matrix (one row from each of the first two cameras, two rows from the
-third), each expanded by Laplace along its first two rows into products
-of 2x2 minors, so integer cameras give an integer tensor with no division.
-Focal points are the signed maximal minors of a camera, made primitive.
+A camera is a full-rank 3x4 matrix of ints and Fractions (other entries
+raise TypeError).  A triple of cameras produces a 3x3x3 tensor through
+signed 4x4 minors of the stacked 4x9 matrix (one row from each of the
+first two cameras, two rows from the third), each a six-term Laplace
+expansion along its first two rows into products of 2x2 minors, so
+integer cameras give an integer tensor with no division.  Focal points
+are the signed maximal minors of a camera, made primitive.
 ``transfer_geometric`` performs the synthetic projective
 construction (back-project two image lines, intersect the planes, image
 the space line into the third view); it is the oracle that pins down the
@@ -18,6 +19,7 @@ import json
 import random
 
 from . import linalg
+from .scalars import exact_list
 from .tensor import Tensor333, _scalar_from_json
 
 
@@ -41,6 +43,7 @@ class Camera:
         if (rows, cols) != (3, 4):
             raise InvalidCameraError("camera must be 3x4, got %dx%d" % (rows, cols))
         self.m = [list(r) for r in m]
+        exact_list([x for r in self.m for x in r], "camera entry")
 
     def __eq__(self, other):
         return isinstance(other, Camera) and self.m == other.m
@@ -48,10 +51,12 @@ class Camera:
 
 def focal_point(a: Camera):
     """Kernel of the camera matrix, the center of projection in P^3: its
-    signed maximal minors, as a primitive integer vector whose first
-    nonzero entry is positive.  They are all zero exactly when the camera
-    is rank-deficient."""
-    minors = [(-1) ** j * linalg.det([r[:j] + r[j + 1:] for r in a.m]) for j in range(4)]
+    signed maximal minors (Laplace along row 1 into the 2x2 minors of rows
+    2 and 3), as a primitive integer vector whose first nonzero entry is
+    positive.  They are all zero exactly when the camera is rank-deficient."""
+    u, (m01, m02, m03, m12, m13, m23) = a.m[0], _minors2(*a.m[1:])
+    minors = [u[1] * m23 - u[2] * m13 + u[3] * m12, u[2] * m03 - u[0] * m23 - u[3] * m02,
+              u[0] * m13 - u[1] * m03 + u[3] * m01, u[1] * m02 - u[0] * m12 - u[2] * m01]
     if not any(minors):
         raise InvalidCameraError("camera is rank-deficient")
     return linalg._primitive_int_vector(minors)
@@ -96,12 +101,10 @@ def trifocal_from_cameras(ct: CameraTriple) -> Tensor333:
     for k in range(3):
         m = _minors2(*(r for c, r in enumerate(a3.m) if c != k))
         lower.append([(-1) ** k * _SIGNS[s] * m[5 - s] for s in range(6)])
-    t = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            upper = _minors2(a1.m[i], a2.m[j])
-            for k in range(3):
-                t[i][j][k] = sum(x * y for x, y in zip(upper, lower[k]))
+    t = [[[u0 * l0 + u1 * l1 + u2 * l2 + u3 * l3 + u4 * l4 + u5 * l5
+           for l0, l1, l2, l3, l4, l5 in lower]
+          for u0, u1, u2, u3, u4, u5 in (_minors2(x, y) for y in a2.m)]
+         for x in a1.m]
     out = Tensor333(t)
     if out.is_zero():
         raise DegenerateConfigurationError("camera triple produced the zero tensor")

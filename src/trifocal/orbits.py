@@ -214,12 +214,7 @@ def is_trifocal(t: Tensor333, permutation_tolerant=False):
 
 def _tensor_from_pencil_a(entries) -> Tensor333:
     """entries[j][k] = coefficient triple on (a1,a2,a3) of the pencil entry."""
-    t = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for j in range(3):
-        for k in range(3):
-            for i in range(3):
-                t[i][j][k] = entries[j][k][i]
-    return Tensor333(t)
+    return Tensor333([[[e[i] for e in row] for row in entries] for i in range(3)])
 
 
 def _is_skew_class(t: Tensor333) -> bool:
@@ -288,10 +283,8 @@ def degeneration_check(name: str) -> bool:
         target_pencil = pencil(target, "A")
         limit_pencil = pencil(limit, "A")
         # rows 1 and 2 must agree outright (no a3, untouched by the chain)
-        for j in range(2):
-            for k in range(3):
-                if any(limit_pencil[s][j][k] != target_pencil[s][j][k] for s in range(3)):
-                    return False
+        if any(lp[:2] != tp[:2] for lp, tp in zip(limit_pencil, target_pencil)):
+            return False
         # row 3: with L and T the linear forms of limit and target, setting
         # a3 = a2^2/a1 and rescaling by -a1/a2 must give T; cleared of
         # a1*a2, the cubic forms -a1*L(a1^2, a1*a2, a2^2) and a1*a2*T agree,

@@ -470,7 +470,8 @@ RAISING = tuple((ax, to, frm) for ax in "ABC" for to, frm in ((0, 1), (1, 2)))
 
 
 def is_highest_weight(f: Poly) -> bool:
-    return all(apply_shift(ax, to, frm, f).is_zero() for ax, to, frm in RAISING)
+    batch = pack_terms([f])
+    return all(len(shift_batch(ax, to, frm, batch)[0]) == 0 for ax, to, frm in RAISING)
 
 
 # ---------------------------------------------------------------------------

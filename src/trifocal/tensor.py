@@ -8,10 +8,12 @@ b_ij = T[i][j][1], c_ij = T[i][j][2].
 
 A Tensor333 is immutable: nested tuples of ints and Fractions, 3x3x3
 (other shapes raise ValueError, other entries such as floats and bools
-TypeError).  prank and frank compute its rank invariants over the
-integers once and keep them on it: the flattening ranks by fraction-free
-elimination (linalg.rank), the pencil ranks by exact numeric ranks of the
-pencil at 10 lattice points (see pencil_rank).
+TypeError), kept flat as well.  Slices, flattenings and pencils are cut
+from one fixed reordering of the flat entries per axis (an itemgetter), and
+act is three mode products on the flat entries.  prank and frank compute
+the rank invariants once and keep them on the tensor: the flattening ranks
+by fraction-free elimination (linalg.rank), the pencil ranks from the
+cofactors of the pencil at 10 lattice points (see pencil_rank).
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import json
 import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations
+from operator import itemgetter
 
 from . import linalg
 from .scalars import exact_list
@@ -28,41 +31,41 @@ from .scalars import exact_list
 AXES = ("A", "B", "C")
 
 
-def _zero3():
-    return [[[0, 0, 0] for _ in range(3)] for _ in range(3)]
-
-
 class Tensor333:
-    """Immutable 3x3x3 array of ints and Fractions; prank and frank fill _prank, _frank."""
+    """Immutable 3x3x3 array of ints and Fractions, nested (t) and flat
+    (flat, i outer, k inner); prank and frank fill _prank, _frank."""
 
-    __slots__ = ("t", "_prank", "_frank")
+    __slots__ = ("t", "flat", "_prank", "_frank")
 
     def __init__(self, entries):
         try:
-            t = tuple(tuple(tuple(row) for row in plane) for plane in entries)
+            t = tuple(tuple(map(tuple, plane)) for plane in entries)
         except TypeError:
             t = ()
-        if {len(t), *map(len, t), *(len(row) for plane in t for row in plane)} != {3}:
+        if {len(t), *map(len, t), *map(len, chain.from_iterable(t))} != {3}:
             raise ValueError("tensor entries must be a nested 3x3x3 array")
-        exact_list((x for plane in t for row in plane for x in row), "tensor entry")
-        self.t, self._prank, self._frank = t, None, None
+        flat, _ = exact_list(chain.from_iterable(chain.from_iterable(t)), "tensor entry")
+        self.t, self.flat, self._prank, self._frank = t, tuple(flat), None, None
+
+    @classmethod
+    def _from_flat(cls, flat):
+        return cls([[flat[p:p + 3] for p in range(q, q + 9, 3)] for q in (0, 9, 18)])
 
     @classmethod
     def zero(cls):
-        return cls(_zero3())
+        return cls._from_flat([0] * 27)
 
     @classmethod
     def from_terms(cls, terms):
         """Build from 1-based (coeff, i, j, k) terms."""
-        t = _zero3()
+        flat = [0] * 27
         for coeff, i, j, k in terms:
-            t[i - 1][j - 1][k - 1] += coeff
-        return cls(t)
+            flat[9 * (i - 1) + 3 * (j - 1) + k - 1] += coeff
+        return cls._from_flat(flat)
 
     @classmethod
     def rank_one(cls, u, v, w):
-        return cls([[[u[i] * v[j] * w[k] for k in range(3)] for j in range(3)]
-                    for i in range(3)])
+        return cls._from_flat([x * y * z for x in u for y in v for z in w])
 
     def __getitem__(self, ijk):
         i, j, k = ijk
@@ -75,26 +78,37 @@ class Tensor333:
         return hash(self.t)
 
     def __add__(self, other):
-        return Tensor333([[[self.t[i][j][k] + other.t[i][j][k] for k in range(3)]
-                           for j in range(3)] for i in range(3)])
+        return Tensor333._from_flat([x + y for x, y in zip(self.flat, other.flat)])
 
     def __sub__(self, other):
-        return Tensor333([[[self.t[i][j][k] - other.t[i][j][k] for k in range(3)]
-                           for j in range(3)] for i in range(3)])
+        return Tensor333._from_flat([x - y for x, y in zip(self.flat, other.flat)])
 
     def scale(self, c):
-        return Tensor333([[[c * self.t[i][j][k] for k in range(3)]
-                           for j in range(3)] for i in range(3)])
+        return Tensor333._from_flat([c * x for x in self.flat])
 
     def is_zero(self):
-        return all(self.t[i][j][k] == 0 for i in range(3) for j in range(3) for k in range(3))
+        return not any(self.flat)
 
     def entries_flat(self):
         """27 entries in T_ijk order (i outer, k inner)."""
-        return [self.t[i][j][k] for i in range(3) for j in range(3) for k in range(3)]
+        return list(self.flat)
 
     def __repr__(self):
         return "Tensor333(%r)" % (self.t,)
+
+
+# per axis, the flat positions 9i + 3j + k of its three slices, row by row
+_R3 = range(3)
+_VIEWS = {"A": itemgetter(*(9 * s + 3 * r + c for s in _R3 for r in _R3 for c in _R3)),
+          "B": itemgetter(*(9 * r + 3 * s + c for s in _R3 for r in _R3 for c in _R3)),
+          "C": itemgetter(*(9 * r + 3 * c + s for s in _R3 for r in _R3 for c in _R3))}
+
+
+def _view(t: Tensor333, axis: str):
+    """The 27 entries of t as its three axis slices, row by row."""
+    if axis not in _VIEWS:
+        raise ValueError("axis must be one of A, B, C")
+    return _VIEWS[axis](t.flat)
 
 
 def slice_of(t: Tensor333, axis: str, index: int):
@@ -102,14 +116,7 @@ def slice_of(t: Tensor333, axis: str, index: int):
     (rows i, cols k), C fixes k (rows i, cols j).  index is 1-based."""
     if index not in (1, 2, 3):
         raise ValueError("slice index must be 1..3, got %r" % (index,))
-    s = index - 1
-    if axis == "A":
-        return [[t.t[s][j][k] for k in range(3)] for j in range(3)]
-    if axis == "B":
-        return [[t.t[i][s][k] for k in range(3)] for i in range(3)]
-    if axis == "C":
-        return [[t.t[i][j][s] for j in range(3)] for i in range(3)]
-    raise ValueError("axis must be one of A, B, C")
+    return pencil(t, axis)[index - 1]
 
 
 def flattening(t: Tensor333, axis: str):
@@ -118,11 +125,8 @@ def flattening(t: Tensor333, axis: str):
     Its rank is the dimension of the span of the three slices, i.e. the
     multilinear rank of t in the chosen direction.
     """
-    rows = []
-    for s in (1, 2, 3):
-        sl = slice_of(t, axis, s)
-        rows.append([sl[r][c] for r in range(3) for c in range(3)])
-    return rows
+    v = _view(t, axis)
+    return [list(v[:9]), list(v[9:18]), list(v[18:])]
 
 
 def frank(t: Tensor333):
@@ -135,43 +139,47 @@ def frank(t: Tensor333):
 def pencil(t: Tensor333, axis: str):
     """The 3x3 matrix of linear forms x1*S1 + x2*S2 + x3*S3, returned as
     its three coefficient matrices (S1, S2, S3) = the axis slices."""
-    return [slice_of(t, axis, s) for s in (1, 2, 3)]
+    rows = list(map(list, zip(*[iter(_view(t, axis))] * 3)))
+    return [rows[:3], rows[3:6], rows[6:]]
 
 
 def perm_sign(sigma):
     """Sign of a permutation of range(n), by counting inversions."""
-    sign = 1
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if sigma[a] > sigma[b]:
-                sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in combinations(sigma, 2))
 
 
 # the points (a, b, c) with a + b + c = 3: no nonzero cubic form in three
 # variables vanishes at all of them, and x1 + x2 + x3 is 3 on each
 _LATTICE3 = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
 
+# the nine 2x2 minors of a flat 3x3 matrix m, each m[p] * m[s] - m[q] * m[r]
+_MINORS2 = [(3 * r + c, 3 * r + d, 3 * q + c, 3 * q + d)
+            for r, q in ((0, 1), (0, 2), (1, 2)) for c, d in ((0, 1), (0, 2), (1, 2))]
+
 
 def pencil_rank(slices) -> int:
     """Rank of the pencil x1*S1 + x2*S2 + x3*S3 over the rational function
     field in x1, x2, x3: the largest rank of the numeric matrices
-    a*S1 + b*S2 + c*S3 over the 10 points of _LATTICE3.
+    a*S1 + b*S2 + c*S3 over the 10 points of _LATTICE3, each read from
+    cofactors: rank 3 if the determinant is nonzero, else 2 if a 2x2 minor
+    is, else 1 if an entry is.
 
     Exact: a k x k minor of the pencil is a form of degree k <= 3, and
     times (x1 + x2 + x3)^(3 - k) it is a cubic, where that factor is
     3^(3 - k) != 0 at every point.  The 10 points are unisolvent for cubics
     (Chung and Yao, SIAM J. Numer. Anal. 14(4), 1977), so a minor that
     vanishes at all of them is zero."""
-    xyz = list(zip(*([x for row in s for x in row] for s in slices)))
+    xyz = list(zip(*map(chain.from_iterable, slices)))
     best = 0
     for a, b, c in _LATTICE3:
-        v = [a * x + b * y + c * z for x, y, z in xyz]
-        m = [v[:3], v[3:6], v[6:]]
-        if linalg.det(m):
+        m = [a * x + b * y + c * z for x, y, z in xyz]
+        m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+        if m0 * (m4 * m8 - m5 * m7) - m1 * (m3 * m8 - m5 * m6) + m2 * (m3 * m7 - m4 * m6):
             return 3
-        if best < 2:
-            best = max(best, linalg.rank(m))
+        if best < 2 and any(m[p] * m[s] - m[q] * m[r] for p, q, r, s in _MINORS2):
+            best = 2
+        elif best == 0 and any(m):
+            best = 1
     return best
 
 
@@ -184,37 +192,29 @@ def prank(t: Tensor333):
 
 # --- group action ----------------------------------------------------------
 
-def _check_invertible(g):
-    for m in g:
+def _check_group_element(g):
+    for name, m in zip(("gA", "gB", "gC"), g):
+        exact_list((x for row in m for x in row), "group element %s entry" % name)
         if linalg.det(m) == 0:
-            raise ValueError("group element has a singular factor")
+            raise ValueError("group element has a singular factor %s" % name)
+
+
+def _mode_product(m, v):
+    """The flat 3x3x3 array v times m along its last index, the new index
+    put first: entry 9n + 3a + b is sum_c m[n][c] v[9a + 3b + c]."""
+    fibres = list(zip(v[0::3], v[1::3], v[2::3]))
+    return [x * p + y * q + z * r for x, y, z in m for p, q, r in fibres]
 
 
 def act(g, t: Tensor333, check=True) -> Tensor333:
-    """Transform t by g = (gA, gB, gC): T'_pqr = sum gA[p][i] gB[q][j] gC[r][k] T_ijk."""
+    """Transform t by g = (gA, gB, gC): T'_pqr = sum gA[p][i] gB[q][j] gC[r][k] T_ijk,
+    as three mode products (Kolda and Bader, SIAM Review 51(3), 2009): k by
+    gC, then j by gB, then i by gA, 243 products in all.  With check, each
+    factor must be an invertible 3x3 matrix of ints and Fractions."""
     gA, gB, gC = g
     if check:
-        _check_invertible(g)
-    out = _zero3()
-    for i, j, k in product(range(3), repeat=3):
-        v = t.t[i][j][k]
-        if v == 0:
-            continue
-        for p in range(3):
-            a = gA[p][i]
-            if a == 0:
-                continue
-            av = a * v
-            for q in range(3):
-                b = gB[q][j]
-                if b == 0:
-                    continue
-                abv = b * av
-                for r in range(3):
-                    c = gC[r][k]
-                    if c != 0:
-                        out[p][q][r] += c * abv
-    return Tensor333(out)
+        _check_group_element(g)
+    return Tensor333._from_flat(_mode_product(gA, _mode_product(gB, _mode_product(gC, t.flat))))
 
 
 def permute_factors(t: Tensor333, times=1) -> Tensor333:

@@ -1,5 +1,7 @@
 import json
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -196,3 +198,38 @@ def test_triple_from_json():
         triple_from_json(json.dumps({"A1": ct.a1.m}))
     with pytest.raises(ValueError):
         triple_from_json(json.dumps({"A1": [[1, 2], [3, 4]], "A2": ct.a2.m, "A3": ct.a3.m}))
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, False, "1"])
+def test_inexact_camera_entries_are_rejected(bad):
+    m = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    m[2][3] = bad
+    with pytest.raises(TypeError, match="camera entry"):
+        Camera(m)
+
+
+def oracle_focal_point(m):
+    """Oracle: the signed maximal minors by cofactor determinants."""
+    return [(-1) ** j * det_cofactor([r[:j] + r[j + 1:] for r in m]) for j in range(4)]
+
+
+def test_focal_point_matches_the_cofactor_oracle():
+    rng = random.Random(32)
+    for _ in range(40):
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() < 0.5
+              else rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]
+        want = oracle_focal_point(m)
+        if not any(want):
+            continue
+        f = focal_point(Camera(m))
+        assert all(type(x) is int for x in f) and gcd(*f) == 1 and proportional(f, want)
+        assert next(x for x in f if x) > 0
+
+
+def test_fraction_cameras_give_their_tensor():
+    rng = random.Random(33)
+    ct = random_triple(rng)
+    halves = CameraTriple(*(Camera([[Fraction(x, 2) for x in row] for row in a.m])
+                            for a in ct.cameras()))
+    # one row each of A1 and A2 and two of A3 in every 4x4 minor
+    assert trifocal_from_cameras(halves) == trifocal_from_cameras(ct).scale(Fraction(1, 16))

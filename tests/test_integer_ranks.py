@@ -208,6 +208,29 @@ def test_sparse_pencil_ranks_match_and_cover_every_rank():
     assert seen == {0, 1, 2, 3}
 
 
+def test_fraction_pencils_of_every_rank_match_the_oracle():
+    """Slices A_s * B with B of rank r: the pencil (sum x_s A_s) B has rank
+    r for generic A_s.  Each rank 0-3 must turn up, and so must skew
+    pencils, whose every numeric matrix is singular."""
+    rng = random.Random(68)
+    seen = set()
+    for r in (0, 1, 2, 3) * 10:
+        left = [[rational(rng) for _ in range(r)] for _ in range(3)]
+        b = mat_mul(left, [[rational(rng) for _ in range(3)] for _ in range(r)]) if r \
+            else [[0] * 3 for _ in range(3)]
+        slices = [mat_mul([[rational(rng) for _ in range(3)] for _ in range(3)], b)
+                  for _ in range(3)]
+        got = pencil_rank(slices)
+        assert got == oracle_pencil_rank(slices)
+        seen.add(got)
+    for _ in range(10):
+        u = [rational(rng) for _ in range(3)]
+        skew = [[[0, u[s], 0], [-u[s], 0, 0], [0, 0, 0]] for s in range(3)]
+        skew[0][0][2], skew[0][2][0] = Fraction(1, 3), Fraction(-1, 3)
+        assert pencil_rank(skew) == oracle_pencil_rank(skew) == 2
+    assert seen == {0, 1, 2, 3}
+
+
 def test_rational_cameras_match_the_determinant_oracle():
     rng = random.Random(65)
     checked = 0

@@ -105,6 +105,21 @@ def test_raising_annihilates_f():
     assert is_highest_weight(witness_g())
 
 
+def test_highest_weight_test_agrees_with_apply_shift():
+    """is_highest_weight against each raising image built as a Poly: on
+    highest weight vectors, their lowering images, sums, Fraction
+    multiples and the zero image of g under a C lowering."""
+    f, g = f_determinant(), witness_g()
+    cases = [f, g, f * Fraction(2, 3), apply_shift("A", 1, 0, f), apply_shift("C", 1, 0, g),
+             f + apply_shift("A", 1, 0, f), parse_poly("T_1_1_1"), parse_poly("T_2_1_1"),
+             apply_shift("C", 2, 1, g)]
+    for h in cases:
+        want = all(apply_shift(ax, to, frm, h).is_zero() for ax, to, frm in poly.RAISING)
+        assert is_highest_weight(h) == want
+    assert [is_highest_weight(h) for h in cases] == [True, True, True, False, False, False,
+                                                     True, False, True]
+
+
 def test_lowering_single_variable():
     t111 = parse_poly("T_1_1_1")
     # lowering moves A-content from slot 1 to slot 2, raising moves it back

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -309,3 +310,113 @@ def test_inexact_entries_are_rejected(bad):
     entries[2][1][0] = bad
     with pytest.raises(TypeError):
         Tensor333(entries)
+
+
+# --- the flat kernels against the nested loops they replaced -------------------
+
+def oracle_slice_of(t, axis, index):
+    """Oracle: the nested-loop coordinate slice, index 1-based."""
+    s = index - 1
+    if axis == "A":
+        return [[t.t[s][j][k] for k in range(3)] for j in range(3)]
+    if axis == "B":
+        return [[t.t[i][s][k] for k in range(3)] for i in range(3)]
+    return [[t.t[i][j][s] for j in range(3)] for i in range(3)]
+
+
+def oracle_act(g, t):
+    """Oracle: T'_pqr = sum gA[p][i] gB[q][j] gC[r][k] T_ijk, skipping zeros."""
+    gA, gB, gC = g
+    out = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j, k in product(range(3), repeat=3):
+        v = t.t[i][j][k]
+        if v == 0:
+            continue
+        for p in range(3):
+            a = gA[p][i]
+            if a == 0:
+                continue
+            av = a * v
+            for q in range(3):
+                b = gB[q][j]
+                if b == 0:
+                    continue
+                abv = b * av
+                for r in range(3):
+                    c = gC[r][k]
+                    if c != 0:
+                        out[p][q][r] += c * abv
+    return Tensor333(out)
+
+
+def kernel_cases():
+    """Tensors of ints, Fractions and entries near 2^70, sparse and dense,
+    and the zero tensor."""
+    rng = random.Random(18)
+    big = 1 << 70
+    cases = [Tensor333.zero(), trifocal_normal_form(), skew_tensor()]
+    for _ in range(6):
+        cases.append(Tensor333([[[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
+                                for _ in range(3)]))
+        cases.append(Tensor333([[[Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                  for _ in range(3)] for _ in range(3)] for _ in range(3)]))
+        cases.append(Tensor333([[[big + rng.randint(-9, 9) if rng.random() < 0.5 else -big
+                                  for _ in range(3)] for _ in range(3)] for _ in range(3)]))
+        cases.append(Tensor333([[[rng.choice((-1, 1)) if rng.random() < 0.15 else 0
+                                  for _ in range(3)] for _ in range(3)] for _ in range(3)]))
+    return cases
+
+
+def group_cases():
+    """Group elements: dense ints, sparse (permutation-like) ints, Fractions
+    and entries near 2^70."""
+    rng = random.Random(19)
+    big = 1 << 70
+    out = []
+    for _ in range(4):
+        out.append(random_group_element(rng))
+        out.append(tuple([[rng.choice((-2, 1, 3)) if c == (r + s) % 3 else 0 for c in range(3)]
+                          for r in range(3)] for s in range(3)))
+        out.append(tuple([[Fraction(x, rng.randint(1, 7)) for x in row] for row in m]
+                         for m in random_group_element(rng)))
+        out.append(tuple([[big * x + rng.randint(-3, 3) for x in row] for row in m]
+                         for m in random_group_element(rng)))
+    return out
+
+
+def test_slices_flattenings_and_pencils_match_the_nested_loops():
+    for t in kernel_cases():
+        for ax in AXES:
+            want = [oracle_slice_of(t, ax, s) for s in (1, 2, 3)]
+            assert [slice_of(t, ax, s) for s in (1, 2, 3)] == want
+            assert pencil(t, ax) == want
+            assert flattening(t, ax) == [[x for row in sl for x in row] for sl in want]
+    with pytest.raises(ValueError):
+        flattening(Tensor333.zero(), "D")
+    with pytest.raises(ValueError):
+        pencil(Tensor333.zero(), "a")
+
+
+def test_act_matches_the_nested_loop():
+    for g in group_cases():
+        for t in kernel_cases():
+            got = act(g, t)
+            assert got == oracle_act(g, t)
+            assert all(type(x) in (int, Fraction) for x in got.flat)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, "1", None])
+def test_act_rejects_inexact_group_entries(bad):
+    g = [linalg.identity(3), linalg.identity(3), linalg.identity(3)]
+    g[1][2][0] = bad
+    with pytest.raises(TypeError, match="group element gB entry"):
+        act(g, trifocal_normal_form())
+    with pytest.raises(TypeError, match="group element gB entry"):
+        act(g, Tensor333.zero())
+
+
+def test_unchecked_act_with_float_entries_leaves_no_float_tensor():
+    g = ([[0.5, 0, 0], [0, 1, 0], [0, 0, 1]], linalg.identity(3), linalg.identity(3))
+    for t in (trifocal_normal_form(), Tensor333.zero()):
+        with pytest.raises(TypeError):
+            act(g, t, check=False)
