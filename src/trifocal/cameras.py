@@ -101,11 +101,10 @@ def trifocal_from_cameras(ct: CameraTriple) -> Tensor333:
     for k in range(3):
         m = _minors2(*(r for c, r in enumerate(a3.m) if c != k))
         lower.append([(-1) ** k * _SIGNS[s] * m[5 - s] for s in range(6)])
-    t = [[[u0 * l0 + u1 * l1 + u2 * l2 + u3 * l3 + u4 * l4 + u5 * l5
-           for l0, l1, l2, l3, l4, l5 in lower]
-          for u0, u1, u2, u3, u4, u5 in (_minors2(x, y) for y in a2.m)]
-         for x in a1.m]
-    out = Tensor333(t)
+    out = Tensor333._from_flat([u0 * l0 + u1 * l1 + u2 * l2 + u3 * l3 + u4 * l4 + u5 * l5
+                                for x in a1.m for y in a2.m
+                                for u0, u1, u2, u3, u4, u5 in [_minors2(x, y)]
+                                for l0, l1, l2, l3, l4, l5 in lower])
     if out.is_zero():
         raise DegenerateConfigurationError("camera triple produced the zero tensor")
     return out
@@ -130,9 +129,7 @@ def transfer_geometric(ct: CameraTriple, l1, l2):
     if len(ker) != 2:
         raise DegenerateTransferError("back-projected planes are dependent")
     p, q = ker
-    x = linalg.mat_vec(a3.m, p)
-    y = linalg.mat_vec(a3.m, q)
-    l3 = _cross(x, y)
+    l3 = _cross(linalg.mat_vec(a3.m, p), linalg.mat_vec(a3.m, q))
     if all(v == 0 for v in l3):
         raise DegenerateTransferError("transferred line is undefined (through the focal point)")
     return l3
@@ -167,9 +164,7 @@ def camera_from_json_obj(data) -> Camera:
 def triple_from_json(text: str) -> CameraTriple:
     data = json.loads(text)
     try:
-        a1 = camera_from_json_obj(data["A1"])
-        a2 = camera_from_json_obj(data["A2"])
-        a3 = camera_from_json_obj(data["A3"])
+        a1, a2, a3 = (camera_from_json_obj(data[k]) for k in ("A1", "A2", "A3"))
     except (KeyError, TypeError) as exc:
         raise ValueError("camera triple JSON needs keys A1, A2, A3") from exc
     return CameraTriple(a1, a2, a3)

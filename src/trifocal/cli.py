@@ -107,8 +107,7 @@ def cmd_discover(args) -> int:
     if not 1 <= args.degree <= args.degree_cap:
         raise DegreeCapError("--degree must be in 1..%d (--degree-cap)" % args.degree_cap)
     disc = _discover(args, args.degree, _progress(args))
-    inventory = []
-    label_table = []
+    inventory, label_table = [], []
     for d in sorted(disc.scans):
         scan = disc.scans[d]
         for mod in scan.modules:

@@ -215,23 +215,14 @@ def _shifted_weights(w, n):
 
 def _slice_weights(gens: GradedGeneratorSet, d):
     """Weights of the nonempty blocks of the degree-d slice."""
-    out = set()
-    for e in gens.degrees():
-        if e <= d:
-            for wg, _ in gens.weight_table(e)[1]:
-                out |= _shifted_weights(wg, d - e)
-    return out
+    return set().union(*(_shifted_weights(wg, d - e) for e in gens.degrees() if e <= d
+                         for wg, _ in gens.weight_table(e)[1]))
 
 
 def slice_rows_by_weight(gens: GradedGeneratorSet, d, weights):
     """Monomial-times-generator rows of the degree-d slice grouped by torus
     weight, {weight: Block}, for the given weights whose block is nonempty."""
-    groups = {}
-    for w in weights:
-        rows = _block(gens, d, w, d)
-        if rows:
-            groups[w] = rows
-    return groups
+    return {w: block for w in weights if (block := _block(gens, d, w, d))}
 
 
 def rows_in_weight_block(gens: GradedGeneratorSet, d, weight):

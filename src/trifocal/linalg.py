@@ -10,8 +10,10 @@ incremental Echelon and the modular kernels behind the certified integer
 kernels are all read off its output.  It reduces late: k row updates keep
 every entry in (-k(p-1)^2, p), and it reduces before k(p-1)^2 + p would pass
 2^62; for p <= 2^31 - 1 that holds at k = 1, so int64 never overflows.
-machine_prime supplies the primes of multi-prime computations and exact
-evaluation.
+It works in place on one C-ordered int64 copy of its input and updates the
+rows a pivot hits in chunks of at most _UPDATE_ENTRIES entries, so its peak
+is that copy plus two 2 MB temporaries.  machine_prime supplies the primes
+of multi-prime computations and exact evaluation.
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ def det(m):
 
 # residues below this bound multiply inside int64
 MACHINE_PRIME_BOUND = (1 << 31) - 1
+_UPDATE_ENTRIES = 1 << 18   # rref_mod_p updates the rows a pivot hits in chunks this large
 _MACHINE_PRIMES = []   # largest first, found on demand
 
 
@@ -138,9 +141,11 @@ def rref_mod_p(rows_array, p):
     nonzero rows, each with a leading 1 in a column that is zero in every
     other row, the list of those pivot columns).  Each pivot reduces its row
     and column, the rest is reduced every k updates for the largest k with
-    k(p-1)^2 + p <= 2^62; p <= 2^31 - 1 gives k >= 1, so int64 never overflows."""
+    k(p-1)^2 + p <= 2^62; p <= 2^31 - 1 gives k >= 1, so int64 never overflows.
+    The input stays unchanged (module docstring)."""
     _check_machine_prime(p)
-    a = np.ascontiguousarray(rows_array, dtype=np.int64) % p
+    a = np.array(rows_array, dtype=np.int64, order="C")   # "K" would keep a transpose's order
+    a %= p
     m, n = a.shape
     limit = ((1 << 62) - p) // (p - 1) ** 2   # 1 for p near 2^31
     pivots = []
@@ -163,13 +168,16 @@ def rref_mod_p(rows_array, p):
         col[r] = 0
         hit = np.nonzero(col)[0]
         if hit.size:
-            a[hit, c:] -= np.outer(col[hit], a[r, c:])
+            step = max(1, _UPDATE_ENTRIES // (n - c))
+            for h in range(0, hit.size, step):   # once when the update fits
+                a[hit[h:h + step], c:] -= np.outer(col[hit[h:h + step]], a[r, c:])
             k = (k + 1) % limit
             if not k:
                 a[:, c + 1:] %= p
         pivots.append(c)
         r += 1
-    return a[:r] % p, pivots
+    a[:r] %= p
+    return a[:r], pivots
 
 
 class Echelon:
@@ -203,13 +211,9 @@ class Echelon:
 
 def _primitive_int_vector(fracs):
     """Scale a rational vector to a primitive integer vector, leading > 0."""
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
+    den = lcm(*(f.denominator for f in fracs))
     ints = [int(f * den) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x != 0), 1)

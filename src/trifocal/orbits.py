@@ -110,11 +110,8 @@ class Signature:
     __slots__ = ("frank", "prank", "m3_axis_vanishing", "m5_vanishing", "m6_vanishing")
 
     def __init__(self, frank_, prank_, m3_axis_vanishing, m5_vanishing, m6_vanishing):
-        self.frank = frank_
-        self.prank = prank_
-        self.m3_axis_vanishing = m3_axis_vanishing
-        self.m5_vanishing = m5_vanishing
-        self.m6_vanishing = m6_vanishing
+        self.frank, self.prank, self.m3_axis_vanishing = frank_, prank_, m3_axis_vanishing
+        self.m5_vanishing, self.m6_vanishing = m5_vanishing, m6_vanishing
 
     def to_dict(self):
         out = {
@@ -146,8 +143,7 @@ def signature(t: Tensor333, modules=None) -> Signature:
     discovered generator modules (degree, label, basis) used to fill the
     degree-5/6 vanishing flags; m5 stays None without a degree-5 module."""
     pr = prank(t)   # an axis's cubics vanish exactly when its pencil rank is below 3
-    m5 = None
-    m6 = None
+    m5 = m6 = None
     if modules is not None:
         m6 = {}
         for mod in modules:
@@ -191,11 +187,7 @@ def is_trifocal(t: Tensor333, permutation_tolerant=False):
     can vanish at all of them without vanishing identically.
     """
     pr = prank(t)
-    if permutation_tolerant:
-        ok = sorted(pr) == [2, 3, 3]
-    else:
-        ok = pr == (3, 3, 2)
-    if not ok:
+    if not (sorted(pr) == [2, 3, 3] if permutation_tolerant else pr == (3, 3, 2)):
         if sorted(pr) == [3, 3, 3]:
             reason = "P-Rank %r: no pencil drops rank" % (pr,)
         elif sorted(pr) == [2, 3, 3]:

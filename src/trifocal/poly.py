@@ -16,7 +16,10 @@ to the symmetric range, with primes taken until their product exceeds
 never a wrong value.  Fraction entries are cleared by a
 common denominator D, f_e(x) = f_e(D x) / D^e on each degree-e part;
 entries and coefficients that are not ints or Fractions (floats, bools)
-raise TypeError.
+raise TypeError.  The polynomials go in runs of whole ones, at most
+_RUN_TERMS terms each or one larger polynomial (bounded_runs), each run
+with primes for its own bound, so the temporaries do not grow with the
+number of terms.
 
 Terms have one layout: an n x width uint8 array of sorted variable
 indices, rows of lower degree padded by PAD.  A Poly never changes, so its
@@ -44,7 +47,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import lcm, prod
+from math import inf, lcm, prod
 
 import numpy as np
 
@@ -191,6 +194,7 @@ def variable_map(sigma):
 
 PAD = N_VARS      # a 28th variable: 1, or D at a point with denominator D
 _BASE = N_VARS + 1
+_RUN_TERMS = 1 << 16   # evaluate_points' runs: above 28^3, so they take the cube path
 _SLOTS = np.array([var_ijk(v) for v in range(N_VARS)] + [(3, 3, 3)], np.uint8)   # PAD: none
 
 
@@ -269,6 +273,19 @@ def _residues(idx, cube, coef, starts, ys, primes):
     return np.add.reduceat(v, starts, axis=2) % ps
 
 
+def bounded_runs(items, sizes, limit):
+    """The items in consecutive runs (lists), each of total size at most
+    limit or a single larger item."""
+    runs, total = [], inf
+    for x, size in zip(items, sizes):
+        if total + size > limit:
+            runs.append([])
+            total = 0
+        runs[-1].append(x)
+        total += size
+    return runs
+
+
 def evaluate_points(polys, points):
     """Exact values [[f(t) for f in polys] for t in points] at Tensor333
     points: ints, or Fractions where a denominator remains."""
@@ -277,42 +294,43 @@ def evaluate_points(polys, points):
     out = [[0] * len(packs) for _ in points]
     if not live or not out:
         return out
-    rows, coefs, l1s, dens = zip(*(packs[j] for j in live))
-    deg = max(r.shape[1] for r in rows)
-    width = max(1, deg)   # a constant is one PAD
-    rows = np.concatenate([_padded(r, width) for r in rows])
-    coef = np.concatenate(coefs)
-    starts = np.cumsum([0] + [len(c) for c in coefs[:-1]])
-    cube = len(rows) > _BASE ** 3
-    if cube:   # one lookup per chunk code (a*28 + b)*28 + c in a table of all 28^3 products
-        rows = _padded(rows, 3 * -(-width // 3))
-        width, idx = rows.shape[1], rows[:, 0::3].T.astype(np.int32, order="C")
-        for c in (1, 2):
-            idx *= _BASE
-            idx += rows[:, c::3].T
-    else:
-        idx = rows.T.astype(np.intp, order="C")   # take is faster on contiguous indices
-    del rows   # the residues below are the peak
     ys = []
     for t in points:
         x = t.entries_flat()   # ints and Fractions: Tensor333 accepts nothing else
         fractions = [e for e in x if type(e) is Fraction]
         d = lcm(*(e.denominator for e in fractions))
         ys.append([int(e * d) for e in x] + [d] if fractions else x + [1])
-    scales = [y[-1] ** width for y in ys]
-    # |f(D x) * D^pads| <= L1 * max|y|^(degree, or the width with pads)
-    primes = _primes_above(2 * max(l1s) * max(
-        max(map(abs, y)) ** (deg if y[-1] == 1 else width) for y in ys))
-    m = prod(primes)
-    basis = [m // p * pow(m // p, -1, p) for p in primes]
-    step = max(1, (1 << 20) // (len(coef) * len(primes)))   # about 8 MB per int64 temporary
-    for i0 in range(0, len(ys), step):
-        res = _residues(idx, cube, coef, starts, ys[i0:i0 + step], primes)
-        lifted = sum(r.astype(object) * e for r, e in zip(res, basis)) % m
-        for i, vals in enumerate(np.where(lifted > m // 2, lifted - m, lifted).tolist(), i0):
-            for j, g, den in zip(live, vals, dens):
-                q = den * scales[i]
-                out[i][j] = g // q if g % q == 0 else Fraction(g, q)
+    for run in bounded_runs(live, [len(packs[j][1]) for j in live], _RUN_TERMS):
+        rows, coefs, l1s, dens = zip(*(packs[j] for j in run))
+        deg = max(r.shape[1] for r in rows)
+        width = max(1, deg)   # a constant is one PAD
+        rows = np.concatenate([_padded(r, width) for r in rows])
+        coef = np.concatenate(coefs)
+        starts = np.cumsum([0] + [len(c) for c in coefs[:-1]])
+        cube = len(rows) > _BASE ** 3
+        if cube:   # one lookup per chunk code (a*28 + b)*28 + c in a table of all 28^3 products
+            rows = _padded(rows, 3 * -(-width // 3))
+            width, idx = rows.shape[1], rows[:, 0::3].T.astype(np.int32, order="C")
+            for c in (1, 2):
+                idx *= _BASE
+                idx += rows[:, c::3].T
+        else:
+            idx = rows.T.astype(np.intp, order="C")   # take is faster on contiguous indices
+        del rows   # the residues below are the peak
+        scales = [y[-1] ** width for y in ys]
+        # |f(D x) * D^pads| <= L1 * max|y|^(degree, or the width with pads)
+        primes = _primes_above(2 * max(l1s) * max(
+            max(map(abs, y)) ** (deg if y[-1] == 1 else width) for y in ys))
+        m = prod(primes)
+        basis = [m // p * pow(m // p, -1, p) for p in primes]
+        step = max(1, (1 << 20) // (len(coef) * len(primes)))   # about 8 MB per int64 temporary
+        for i0 in range(0, len(ys), step):
+            res = _residues(idx, cube, coef, starts, ys[i0:i0 + step], primes)
+            lifted = sum(r.astype(object) * e for r, e in zip(res, basis)) % m
+            for i, vals in enumerate(np.where(lifted > m // 2, lifted - m, lifted).tolist(), i0):
+                for j, g, den in zip(run, vals, dens):
+                    q = den * scales[i]
+                    out[i][j] = g // q if g % q == 0 else Fraction(g, q)
     return out
 
 

@@ -23,10 +23,11 @@ the positions by g in S_d maps the triple to (gT_A, gT_B, gT_C) and fixes
 P, so one T_A suffices: T_B, T_C then run over all fillings, which Garnir
 relations reduce to standard ones.  hw_space fixes the column-reading
 T_A, runs through standard pairs (T_B, T_C) from the row-reading ones on
-(about four candidates per basis vector through degree 7), and keeps each
-one independent mod a prime p of those kept, up to the Kronecker
-coefficient k.  That is exact for any p: a k x k minor nonzero mod p is
-nonzero, and k independent vectors of a k-dimensional space are a basis.
+(about four candidates per basis vector through degree 7), expanded in runs
+of at most _RUN_TERMS raw terms, and keeps each one independent mod a prime
+p of those kept, up to the Kronecker coefficient k.  That is exact for any
+p: a k x k minor nonzero mod p is nonzero, and k independent vectors of a
+k-dimensional space are a basis.
 
 A highest weight vector h of weight (lam, mu, nu) generates a copy of
 S_lam x S_mu x S_nu.  Its basis comes from per-factor lowering-word trees:
@@ -40,9 +41,10 @@ poly.shift_batch call on all the vectors one factor's tree lowers.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import islice, permutations, product
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +54,7 @@ from .poly import LOWERING, Poly, apply_shift, var_index
 from .tensor import perm_sign
 
 MAX_DEGREE = 9  # the search bound: no new generators exist above this
+_RUN_TERMS = 1 << 16   # _tableau_polys expands its pairs in runs of this many raw terms
 
 
 class ConsistencyError(ArithmeticError):
@@ -61,15 +64,10 @@ class ConsistencyError(ArithmeticError):
 @lru_cache(maxsize=None)
 def partitions(d, max_part=None):
     """All partitions of d as weakly decreasing tuples."""
-    if max_part is None:
-        max_part = d
     if d == 0:
         return ((),)
-    out = []
-    for first in range(min(d, max_part), 0, -1):
-        for rest in partitions(d - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+    return tuple((first,) + rest for first in range(min(d, max_part or d), 0, -1)
+                 for rest in partitions(d - first, first))
 
 
 def partitions_max_parts(d, max_parts):
@@ -77,14 +75,8 @@ def partitions_max_parts(d, max_parts):
 
 
 def class_size(cls) -> int:
-    d = sum(cls)
-    z = 1
-    mult = {}
-    for part in cls:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
-        z *= part ** m * factorial(m)
-    return factorial(d) // z
+    """d! / prod over parts k of k^m * m!, m the multiplicity of k in cls."""
+    return factorial(sum(cls)) // prod(k ** m * factorial(m) for k, m in Counter(cls).items())
 
 
 @lru_cache(maxsize=None)
@@ -106,9 +98,7 @@ def mn_character(lam, cls) -> int:
         if nb < 0 or nb in bset:
             continue
         height = sum(1 for x in beta if nb < x < b)
-        newbeta = sorted((x for x in beta if x != b), reverse=True)
-        newbeta.append(nb)
-        newbeta.sort(reverse=True)
+        newbeta = sorted([x for x in beta if x != b] + [nb], reverse=True)
         newlam = tuple(x - (n - 1 - i) for i, x in enumerate(newbeta))
         newlam = tuple(x for x in newlam if x > 0)
         term = mn_character(newlam, rest)
@@ -159,7 +149,6 @@ def all_labels(d):
 
 def ambient_dimension(d) -> int:
     """dim of the degree-d coordinate ring of C^27."""
-    from math import comb
     return comb(26 + d, d)
 
 
@@ -218,14 +207,19 @@ def _column_group(word):
 
 def _tableau_polys(ta, pairs):
     """P of (T_A, T_B, T_C) for each (T_B, T_C) in pairs (module docstring)."""
-    (sa, ra), signs, rows = _column_group(ta), [], []
-    for (sb, rb), (sc, rc) in (map(_column_group, pair) for pair in pairs):
-        monos = 9 * ra[:, None, None] + 3 * rb[None, :, None] + rc[None, None, :]
-        rows.append(np.sort(monos.reshape(-1, ra.shape[1]), axis=1))
-        signs.append((sa[:, None, None] * sb[None, :, None] * sc[None, None, :]).ravel())
-    ids = np.repeat(np.arange(len(pairs)), list(map(len, signs)))
-    batch = poly.merge_terms((np.concatenate(rows), ids, np.concatenate(signs)))
-    return poly.unpack_terms(batch, len(pairs))
+    (sa, ra), out = _column_group(ta), []
+    groups = [[_column_group(t) for t in pair] for pair in pairs]
+    for run in poly.bounded_runs(groups, [len(sa) * len(b[0]) * len(c[0]) for b, c in groups],
+                                 _RUN_TERMS):
+        signs, rows = [], []
+        for (sb, rb), (sc, rc) in run:
+            monos = 9 * ra[:, None, None] + 3 * rb[None, :, None] + rc[None, None, :]
+            rows.append(np.sort(monos.reshape(-1, ra.shape[1]), axis=1))
+            signs.append((sa[:, None, None] * sb[None, :, None] * sc[None, None, :]).ravel())
+        ids = np.repeat(np.arange(len(run)), list(map(len, signs)))
+        batch = poly.merge_terms((np.concatenate(rows), ids, np.concatenate(signs)))
+        out += poly.unpack_terms(batch, len(run))
+    return out
 
 
 def _independent(polys):
@@ -285,9 +279,7 @@ def lowering_tree(lam):
         # independent, so only images of equal weight are compared
         by_weight = {}
         for parent, f in level:
-            for ax, to, frm in LOWERING:
-                if ax != "A":
-                    continue
+            for _, to, frm in LOWERING[:2]:   # the two A-lowering operators
                 img = apply_shift("A", to, frm, f)
                 if not img.is_zero():
                     by_weight.setdefault(img.weight(), []).append((parent, (to, frm), img))

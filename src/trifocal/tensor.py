@@ -49,7 +49,11 @@ class Tensor333:
 
     @classmethod
     def _from_flat(cls, flat):
-        return cls([[flat[p:p + 3] for p in range(q, q + 9, 3)] for q in (0, 9, 18)])
+        """The tensor of 27 entries, in T_ijk order, known to be exact: no checks."""
+        t = cls.__new__(cls)
+        t.flat, t._prank, t._frank = tuple(flat), None, None
+        t.t = tuple(tuple(t.flat[p:p + 3] for p in range(q, q + 9, 3)) for q in (0, 9, 18))
+        return t
 
     @classmethod
     def zero(cls):
@@ -58,13 +62,15 @@ class Tensor333:
     @classmethod
     def from_terms(cls, terms):
         """Build from 1-based (coeff, i, j, k) terms."""
-        flat = [0] * 27
+        flat, terms = [0] * 27, list(terms)
+        exact_list((term[0] for term in terms), "tensor term coefficient")
         for coeff, i, j, k in terms:
             flat[9 * (i - 1) + 3 * (j - 1) + k - 1] += coeff
         return cls._from_flat(flat)
 
     @classmethod
     def rank_one(cls, u, v, w):
+        exact_list(chain(u, v, w), "vector entry")
         return cls._from_flat([x * y * z for x in u for y in v for z in w])
 
     def __getitem__(self, ijk):
@@ -84,6 +90,7 @@ class Tensor333:
         return Tensor333._from_flat([x - y for x, y in zip(self.flat, other.flat)])
 
     def scale(self, c):
+        exact_list([c], "scalar")   # True * x would be the int x
         return Tensor333._from_flat([c * x for x in self.flat])
 
     def is_zero(self):
@@ -192,10 +199,10 @@ def prank(t: Tensor333):
 
 # --- group action ----------------------------------------------------------
 
-def _check_group_element(g):
+def _check_group_element(g, invertible):
     for name, m in zip(("gA", "gB", "gC"), g):
         exact_list((x for row in m for x in row), "group element %s entry" % name)
-        if linalg.det(m) == 0:
+        if invertible and linalg.det(m) == 0:
             raise ValueError("group element has a singular factor %s" % name)
 
 
@@ -209,11 +216,10 @@ def _mode_product(m, v):
 def act(g, t: Tensor333, check=True) -> Tensor333:
     """Transform t by g = (gA, gB, gC): T'_pqr = sum gA[p][i] gB[q][j] gC[r][k] T_ijk,
     as three mode products (Kolda and Bader, SIAM Review 51(3), 2009): k by
-    gC, then j by gB, then i by gA, 243 products in all.  With check, each
-    factor must be an invertible 3x3 matrix of ints and Fractions."""
+    gC, then j by gB, then i by gA, 243 products in all.  Each factor must be
+    a 3x3 matrix of ints and Fractions, and with check an invertible one."""
     gA, gB, gC = g
-    if check:
-        _check_group_element(g)
+    _check_group_element(g, check)
     return Tensor333._from_flat(_mode_product(gA, _mode_product(gB, _mode_product(gC, t.flat))))
 
 

@@ -132,6 +132,53 @@ def test_cube_path_equals_oracle(monkeypatch):
     assert cubes and not any(cubes)   # one polynomial alone is below 28^3 terms
 
 
+def test_runs_of_polynomials_equal_the_oracle(monkeypatch):
+    """With runs of at most 3000 terms: a polynomial above 28^3 terms (a
+    cube-path run of its own) among direct-path runs, polynomials that
+    straddle runs, zero and constant polynomials, Fraction coefficients and
+    Fraction points; each run takes primes for its own bound."""
+    monkeypatch.setattr(poly, "_RUN_TERMS", 3000)
+    rng = random.Random(12)
+    big = random_poly(rng, (5, 6, 7), 1 << 40, nterms=24000)
+    polys = [Poly(), Poly.constant(-7), random_poly(rng, (3, 4), 99, nterms=1400),
+             random_poly(rng, (2, 5), 50, fractions=True, nterms=1400), Poly(),
+             random_poly(rng, (6,), 1 << 80, nterms=2900), big, Poly.constant(Fraction(5, 3)),
+             random_poly(rng, (1, 7), 9, nterms=900), random_poly(rng, (0, 2), 9, nterms=900)]
+    assert len(big) > poly._BASE ** 3
+    points = sample_points(13)[:6]
+    residues, runs = poly._residues, []
+
+    def logged(idx, cube, coef, starts, ys, primes):
+        if not runs or runs[-1][0] is not idx:   # a run can take several calls
+            runs.append((idx, cube, len(starts), len(primes)))
+        return residues(idx, cube, coef, starts, ys, primes)
+
+    monkeypatch.setattr(poly, "_residues", logged)
+    got = evaluate_points(polys, points)
+    whole = runs[:]
+    assert [run[1:3] for run in whole] == [(False, 3), (False, 1), (True, 1), (False, 3)]
+    for t, vals in zip(points, got):
+        assert vals == oracle(polys, t)
+    for (i, j), run in zip(((0, 5), (5, 6), (6, 7), (7, 10)), whole):
+        del runs[:]   # each run alone: the same values and the primes of its own bound
+        assert evaluate_points(polys[i:j], points) == [vals[i:j] for vals in got]
+        assert [r[3] for r in runs] == [run[3]]
+
+
+def test_evaluation_peak_does_not_grow_with_the_terms(traced_peak_mb):
+    """320000 terms of 2000 polynomials at one point: runs of at most
+    _RUN_TERMS terms keep the peak under 8 MB (about 22 MB as one run)."""
+    rng = np.random.default_rng(14)
+    rows = np.sort(rng.integers(0, 27, (320000, 6)).astype(np.uint8), axis=1)
+    batch = (rows, np.sort(rng.integers(0, 2000, 320000)), rng.integers(-50, 50, 320000))
+    polys = poly.normalized(batch, 2000)
+    assert sum(len(poly._pack(f)[1]) for f in polys) > 300000
+    ones = Tensor333([[[1] * 3] * 3] * 3)
+    assert evaluate_points(polys, [ones]) == [[sum(poly._pack(f)[1].tolist()) for f in polys]]
+    peak, _ = traced_peak_mb(evaluate_points, polys, [sample_points(15)[1]])
+    assert peak < 8
+
+
 def test_prime_count_follows_the_bound(monkeypatch):
     counts = []
     primes_above = poly._primes_above

@@ -322,6 +322,78 @@ def test_rref_mod_p_is_reduced_and_matches_echelon_add():
         linalg.rref_mod_p(np.eye(2, dtype=np.int64), 2 ** 31 + 11)
 
 
+def rref_whole_updates(rows_array, p):
+    """Oracle: rref_mod_p before it reduced in place and chunked its
+    updates: a copy, a second one for % p, each pivot's hit rows updated in
+    one step, and a third copy for the returned rows."""
+    a = np.ascontiguousarray(rows_array, dtype=np.int64) % p
+    m, n = a.shape
+    limit = ((1 << 62) - p) // (p - 1) ** 2
+    pivots = []
+    r = k = 0
+    for c in range(n):
+        if r == m:
+            break
+        if k:
+            a[:, c] %= p
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i], c:] = a[[i, r], c:]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r, c:] = (a[r, c:] % p if k else a[r, c:]) * inv % p
+        col = a[:, c].copy()
+        col[r] = 0
+        hit = np.nonzero(col)[0]
+        if hit.size:
+            a[hit, c:] -= np.outer(col[hit], a[r, c:])
+            k = (k + 1) % limit
+            if not k:
+                a[:, c + 1:] %= p
+        pivots.append(c)
+        r += 1
+    return a[:r] % p, pivots
+
+
+@pytest.mark.parametrize("p", [2, 101, 32003, linalg.MACHINE_PRIME_BOUND])
+@pytest.mark.parametrize("entries", [1, 40])
+def test_chunked_updates_match_whole_updates(monkeypatch, p, entries):
+    """Updates in chunks of one row, or of 40 // (columns left) rows, give
+    the rows and pivots of the whole updates, on wide, tall and
+    rank-deficient matrices whose entries reach +-2^62, as a list, an array
+    and a transposed view; the input stays unchanged and the rows are
+    C-contiguous."""
+    monkeypatch.setattr(linalg, "_UPDATE_ENTRIES", entries)
+    rng = random.Random(p + entries)
+    near = (1 << 62) // p
+    for rows, cols, k in ((12, 40, 12), (40, 12, 12), (30, 30, 7), (25, 60, 3), (9, 9, 0)):
+        low = np.array(random_matrix(rng, rows, k, bound=p - 1), dtype=object).reshape(rows, k).dot(
+            np.array(random_matrix(rng, k, cols, bound=p - 1), dtype=object).reshape(k, cols)) % p
+        m = np.array([[x + p * rng.choice((rng.randint(-near, near), near - 1, 1 - near))
+                       for x in row] for row in low], dtype=np.int64)
+        for given in (m.tolist(), m, m.T):
+            before = np.array(given)
+            a, pivots = linalg.rref_mod_p(given, p)
+            want, want_pivots = rref_whole_updates(given, p)
+            assert pivots == want_pivots and np.array_equal(a, want) and a.flags.c_contiguous
+            assert_rref(a, pivots, np.array(given), p)
+            assert np.array_equal(np.array(given), before)
+            assert len(pivots) <= k
+
+
+def test_rref_peak_is_its_working_copy(traced_peak_mb):
+    """A 700 x 2424 matrix of rank 20, each pivot hitting every row: the
+    peak is one int64 copy and at most 8 MB of update temporaries."""
+    rng = np.random.default_rng(20)
+    p = 32003
+    m = rng.integers(0, p, (700, 20)) @ rng.integers(0, p, (20, 2424)) % p
+    peak, (a, pivots) = traced_peak_mb(linalg.rref_mod_p, m, p)
+    assert len(pivots) == 20 and a.shape == (20, 2424)
+    assert peak <= m.nbytes / 2 ** 20 + 8
+
+
 def test_kernel_basis_int_certified():
     rows = [{0: 1, 1: -2}, {1: 1, 2: -3}]
     (v,) = linalg.kernel_basis_int(rows, 3)

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import numpy as np
@@ -315,6 +315,50 @@ def test_hw_spaces_degree_7():
         assert hw.weight == tuple(rep._pad(x) for x in lab), lab
         assert rep._independent(hw.basis) == list(range(hw.dim)), lab
         assert all(f.weight() == hw.weight and is_highest_weight(f) for f in hw.basis), lab
+
+
+def oracle_tableau_polys(ta, pairs):
+    """Oracle: rep._tableau_polys as it was, every pair expanded and merged
+    in one batch."""
+    (sa, ra), signs, rows = rep._column_group(ta), [], []
+    for (sb, rb), (sc, rc) in (map(rep._column_group, pair) for pair in pairs):
+        monos = 9 * ra[:, None, None] + 3 * rb[None, :, None] + rc[None, None, :]
+        rows.append(np.sort(monos.reshape(-1, ra.shape[1]), axis=1))
+        signs.append((sa[:, None, None] * sb[None, :, None] * sc[None, None, :]).ravel())
+    ids = np.repeat(np.arange(len(pairs)), list(map(len, signs)))
+    batch = poly.merge_terms((np.concatenate(rows), ids, np.concatenate(signs)))
+    return poly.unpack_terms(batch, len(pairs))
+
+
+@pytest.mark.parametrize("run_terms", [1, 700, 1 << 16])
+def test_tableau_runs_match_one_batch(monkeypatch, run_terms):
+    """Runs of one pair, of a few pairs (700 raw terms) and of all pairs give
+    the polynomials and packs of one batch: zero ones too, at degrees 2-6."""
+    monkeypatch.setattr(rep, "_RUN_TERMS", run_terms)
+    labels = [((1, 1), (2,), (1, 1)), ((2, 1), (2, 1), (2, 1)), ((3, 2), (3, 1, 1), (2, 2, 1)),
+              ((2, 2, 1), (2, 2, 1), (2, 2, 1)), ((3, 2, 1), (2, 2, 2), (4, 1, 1))]
+    zeros = 0
+    for label in labels:
+        weight = tuple(rep._pad(lam) for lam in label)
+        ta = rep.standard_tableaux(weight[0])[-1]
+        pairs = list(product(rep.standard_tableaux(weight[1]), rep.standard_tableaux(weight[2])))
+        got, want = rep._tableau_polys(ta, pairs[:12]), oracle_tableau_polys(ta, pairs[:12])
+        assert got == want
+        for f, g in zip(got, want):
+            (r, c, l1, den), (rw, cw, l1w, denw) = poly._pack(f), poly._pack(g)
+            assert np.array_equal(r, rw) and np.array_equal(c, cw) and c.dtype == cw.dtype
+            assert (l1, den) == (l1w, denw)
+        zeros += sum(f.is_zero() for f in got)
+    assert zeros
+
+
+def test_hw_space_peak_is_one_run(traced_peak_mb):
+    """A cold hw_space of ((2,2,2),(2,2,2),(2,2,2)): pairs of 46656 raw terms
+    each, expanded one run at a time, peak under 8 MB (about 20 MB as one
+    batch)."""
+    label = ((2, 2, 2),) * 3
+    peak, hw = traced_peak_mb(rep.hw_space.__wrapped__, label)
+    assert hw == hw_space(label) and peak < 8
 
 
 def test_standard_tableaux_counts_and_order():

@@ -416,7 +416,50 @@ def test_act_rejects_inexact_group_entries(bad):
 
 
 def test_unchecked_act_with_float_entries_leaves_no_float_tensor():
-    g = ([[0.5, 0, 0], [0, 1, 0], [0, 0, 1]], linalg.identity(3), linalg.identity(3))
-    for t in (trifocal_normal_form(), Tensor333.zero()):
-        with pytest.raises(TypeError):
-            act(g, t, check=False)
+    for bad in (0.5, True):
+        g = ([[bad, 0, 0], [0, 1, 0], [0, 0, 1]], linalg.identity(3), linalg.identity(3))
+        for t in (trifocal_normal_form(), Tensor333.zero()):
+            with pytest.raises(TypeError, match="group element gA entry"):
+                act(g, t, check=False)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True])
+def test_scalars_and_vectors_are_checked_where_they_enter(bad):
+    """scale, rank_one and from_terms check what they are given, since the
+    tensors they build skip the constructor's checks."""
+    t = trifocal_normal_form()
+    with pytest.raises(TypeError):
+        t.scale(bad)
+    with pytest.raises(TypeError):
+        Tensor333.rank_one([1, 0, 2], [0, bad, 1], [1, 1, 1])
+    with pytest.raises(TypeError):
+        Tensor333.from_terms([(1, 1, 1, 1), (bad, 2, 3, 1)])
+
+
+def test_unchecked_tensors_equal_the_checked_constructor():
+    """Each tensor that _from_flat builds (zero, from_terms, rank_one, +, -,
+    scale, act, trifocal_from_cameras) equals Tensor333 of its nested
+    entries and of the nested-loop oracle, entry types included."""
+    rng = random.Random(21)
+    cases, g = kernel_cases(), group_cases()
+    built = [(Tensor333.zero(), _nested((3, 3, 3))),
+             (Tensor333.from_terms([(Fraction(1, 2), 1, 2, 3), (4, 1, 2, 3), (-1, 3, 3, 1)]),
+              [[[Fraction(9, 2) if (i, j, k) == (0, 1, 2) else -(i == j == 2 and k == 0)
+                 for k in range(3)] for j in range(3)] for i in range(3)])]
+    u, v, w = ([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)] for _ in "uvw")
+    built.append((Tensor333.rank_one(u, v, w), [[[x * y * z for z in w] for y in v] for x in u]))
+    for n, (s, t) in enumerate(zip(cases, cases[1:])):
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        built += [(s + t, [[[x + y for x, y in zip(a, b)] for a, b in zip(p, q)]
+                           for p, q in zip(s.t, t.t)]),
+                  (s - t, [[[x - y for x, y in zip(a, b)] for a, b in zip(p, q)]
+                           for p, q in zip(s.t, t.t)]),
+                  (t.scale(c), [[[c * x for x in a] for a in p] for p in t.t]),
+                  (act(g[n % len(g)], t, check=False), oracle_act(g[n % len(g)], t).t)]
+    built.append((trifocal_from_cameras(random_triple(rng)), None))
+    for t, nested in built:
+        want = Tensor333(t.t if nested is None else nested)
+        assert t == want and t.flat == want.flat and t.t == want.t
+        assert [type(x) for x in t.flat] == [type(x) for x in want.flat]
+        assert all(type(p) is tuple and all(type(r) is tuple for r in p) for p in t.t)
+        assert t._prank is None and t._frank is None
