@@ -22,16 +22,17 @@ witness f folds by G_f = {sigma in G : sigma(f) in Q^x f}, checked exactly,
 the sigma that also permute the blocks of the ideal plus (f).  Since
 rank_p(w) <= rank_Q(w) = rank_Q(sigma w), a folded total is a lower bound
 on the dimension over Q, as the unfolded sum is; for G = {id} it is that sum.
-The base fold is memoised per (degree, G) next to the base ranks, and a
-stabiliser per (G, witness terms); a fold walks each orbit once.
+The fold runs on int64 weight keys (weight_keys, _fold); only orbit
+representatives become weight tuples.  The base fold is memoised per
+(degree, G) next to the base ranks, and a stabiliser per (G, witness terms).
 
 Blocks are built from packed terms with no per-term Python.  Generators
-are filed per weight as uint8 rows of sorted variables, each generator
-as its integer multiple with content 1 (the same ideal, nothing to
-truncate mod p).  A product row is a generator's rows beside a
-multiplier, sorted; a monomial's key has five bits per variable
-(poly.mono_keys, 35 at degree 7) and the columns are np.unique of the
-keys.  Witness multiples and certificates are rows of the same blocks.
+are grouped by weight key and filed per weight as uint8 rows of sorted
+variables, each generator as its integer multiple with content 1 (the
+same ideal, nothing to truncate mod p).  A product row is a generator's
+rows beside a multiplier, sorted; a monomial's key has five bits per
+variable (poly.mono_keys, 35 at degree 7) and the columns are np.unique
+of the keys.  Witness multiples and certificates are rows of the same blocks.
 A column permutation changes no rank and no Echelon.add verdict, so
 key order serves as well as order of first appearance.
 """
@@ -44,8 +45,8 @@ from itertools import permutations, product
 import numpy as np
 
 from . import linalg, rep
-from .poly import (Poly, evaluate_points, integer_terms, mono_keys, mono_weight, normalized,
-                   pack_terms, permuted, term_matrix, variable_map, weight_space_basis)
+from .poly import (PAD, Poly, evaluate_points, integer_terms, mono_keys, normalized, pack_terms,
+                   row_weights, term_matrix, variable_map, weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, random_orbit_point
 
@@ -55,6 +56,7 @@ HARD_DEGREE_CAP = 7
 # S3^3 as (sigma_A, sigma_B, sigma_C); sigma sends T_ijk to T_sA(i)sB(j)sC(k)
 WEYL = tuple(product(permutations(range(3)), repeat=3))
 IDENTITY = (WEYL[0],)
+_SHIFTS = np.arange(32, -1, -4)   # of the nine contents of a weight key (weight_keys)
 
 
 class DegreeCapError(ValueError):
@@ -65,6 +67,19 @@ def _check_cap(d):
     if d > HARD_DEGREE_CAP:
         raise DegreeCapError("degree %d exceeds the cap %d (ambient dimension there is %d)"
                              % (d, HARD_DEGREE_CAP, rep.ambient_dimension(d)))
+
+
+def weight_keys(contents):
+    """Weights given as rows of nine contents, each as one int64 key: four
+    bits per content, the A-contents first, so key order is tuple order."""
+    contents = np.asarray(contents, np.int64).reshape(-1, 9)
+    if ((contents < 0) | (contents > 15)).any():   # it would carry into the next digit
+        raise ValueError("a weight content outside 0..15 does not fit a 4-bit digit")
+    return (contents << _SHIFTS).sum(axis=1)
+
+
+def _weights(keys):   # as triples of content triples
+    return [tuple(zip(*[iter(c)] * 3)) for c in (keys[:, None] >> _SHIFTS & 15).tolist()]
 
 
 def _check_prime(p):
@@ -92,18 +107,20 @@ class GradedGeneratorSet:
         index = dict(self._tables.get(degree, (None, []))[1])
         rows, ids, coeffs = integer_terms(polys)
         bounds = np.searchsorted(ids, np.arange(len(polys) + 1))
-        groups = {}   # a generator's weight is that of its first term
-        for i, m in enumerate(rows[bounds[:-1]].tolist()):
-            groups.setdefault(mono_weight(m), []).append(i)
-        for w, gs in groups.items():
-            take = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in gs])
+        keys = weight_keys(row_weights(rows[bounds[:-1]]))   # a generator's: its first term's
+        order = np.argsort(keys, kind="stable")   # by weight, then in order of filing
+        cuts = np.r_[np.flatnonzero(np.diff(keys[order], prepend=-1)), len(order)]
+        n = np.diff(bounds)[order]
+        ends = np.cumsum(np.r_[0, n])   # of the terms in that order
+        shift = bounds[order] - ends[:-1]
+        for w, a, b in sorted(zip(_weights(keys[order[cuts[:-1]]]), cuts, cuts[1:]),
+                              key=lambda item: order[item[1]]):   # new weights in order of filing
+            t = np.arange(ends[a], ends[b]) + np.repeat(shift[a:b], n[a:b])   # their terms
             old = index.get(w, (rows[:0], ids[:0], coeffs[:0], 0))
-            new = np.repeat(np.arange(old[3], old[3] + len(gs)), np.diff(bounds)[gs])
-            index[w] = (np.concatenate([old[0], rows[take]]), np.concatenate([old[1], new]),
-                        np.concatenate([old[2], coeffs[take]]), old[3] + len(gs))
-        items = list(index.items())
-        self._tables[degree] = (
-            np.array([sum(w, ()) for w, _ in items], dtype=np.int64).reshape(-1, 9), items)
+            new = (rows[t], old[3] + np.repeat(np.arange(b - a), n[a:b]), coeffs[t])
+            index[w] = (*map(np.concatenate, zip(old[:3], new)), old[3] + b - a)
+        self._tables[degree] = (np.array([sum(w, ()) for w in index], np.int64).reshape(-1, 9),
+                                list(index.items()))
         self.by_degree.setdefault(degree, []).extend(polys)
         self._ranks.clear()
         self._folds.clear()
@@ -201,22 +218,19 @@ def _block(gens, d, weight, top, witness=None):
 
 
 @lru_cache(maxsize=None)
-def _contents(n):
-    """Index contents (x, y, z), x + y + z = n, of one factor in degree n."""
-    return tuple((x, y, n - x - y) for x in range(n, -1, -1) for y in range(n - x, -1, -1))
-
-
-def _shifted_weights(w, n):
-    """Weights of degree-n multiples of a weight-w polynomial; every
-    content triple is the weight of some monomial."""
-    return {tuple(tuple(a + b for a, b in zip(slot, c)) for slot, c in zip(w, cs))
-            for cs in product(_contents(n), repeat=3)}
+def _shift_keys(n):
+    """Keys of the weights of the degree-n monomials: all content triples."""
+    t = np.array([(x, y, n - x - y) for x in range(n + 1) for y in range(n + 1 - x)]) @ (256, 16, 1)
+    keys = ((t[:, None, None] << 24) + (t[:, None] << 12) + t).ravel()
+    keys.flags.writeable = False
+    return keys
 
 
 def _slice_weights(gens: GradedGeneratorSet, d):
-    """Weights of the nonempty blocks of the degree-d slice."""
-    return set().union(*(_shifted_weights(wg, d - e) for e in gens.degrees() if e <= d
-                         for wg, _ in gens.weight_table(e)[1]))
+    """Keys of the weights of the degree-d slice's nonempty blocks, ascending."""
+    return np.unique(np.concatenate([np.empty(0, np.int64)] + [
+        (weight_keys(gens.weight_table(e)[0])[:, None] + _shift_keys(d - e)).ravel()
+        for e in gens.degrees() if e <= d]))
 
 
 def slice_rows_by_weight(gens: GradedGeneratorSet, d, weights):
@@ -250,36 +264,29 @@ def stabiliser(group, f: Poly):
 
 @lru_cache(maxsize=64)
 def _stabiliser(group, terms):
-    f = Poly._wrap(dict(terms))
-    m0 = next(iter(f.terms))
-    out = []
-    for sigma in group:
-        g = permuted(f, variable_map(sigma)).terms
-        if g.keys() == f.terms.keys() and all(
-                g[m] * f.terms[m0] == c * g[m0] for m, c in f.terms.items()):
-            out.append(sigma)
-    return tuple(out)
+    rows, _, coeffs = integer_terms([Poly._wrap(dict(terms))])
+
+    def image(sigma):   # sigma(f): its monomial keys in order, and their coefficients
+        keys = mono_keys(np.sort(np.array(variable_map(sigma) + (PAD,), np.uint8)[rows], axis=1))
+        at = np.argsort(keys)
+        return keys[at], coeffs[at]
+    keys, c0 = image(WEYL[0])
+    return tuple(sigma for sigma in group for k, c in [image(sigma)]
+                 if np.array_equal(k, keys) and (c * c0[0] == c0 * c[0]).all())
 
 
-def _image(sigma, w):
-    return tuple(tuple(slot[i] for i in s) for slot, s in zip(w, sigma))
-
-
-def _canonical(group, w):
-    """The largest weight in the orbit of w under WEYL (the dominant one) or
-    IDENTITY (w itself)."""
-    return tuple(tuple(sorted(slot, reverse=True)) for slot in w) if group is WEYL else w
-
-
-def _fold(group, weights):
-    """{orbit representative (_canonical): number of the weights in it}, one walk per orbit."""
-    weights, seen, reps = set(weights), set(), {}
-    for w in weights:
-        if w not in seen:
-            orbit = {_image(sigma, w) for sigma in group}
-            seen |= orbit
-            reps[max(orbit)] = len(orbit & weights)
-    return reps
+def _fold(group, keys):
+    """{orbit representative: number of the weights in it} of distinct
+    weight keys; a representative is the largest weight of its orbit."""
+    slots = (keys[:, None] >> _SHIFTS & 15).reshape(-1, 3, 3)
+    if group is WEYL:   # each slot's contents in decreasing order
+        reps = weight_keys(np.sort(slots, axis=2)[..., ::-1])
+    else:
+        reps = keys
+        for sigma in group:   # the image of w has w[a][sigma[a][i]] in slot a, place i
+            reps = np.maximum(reps, weight_keys(slots[:, [[0], [1], [2]], sigma]))
+    reps, counts = np.unique(reps, return_counts=True)
+    return dict(zip(_weights(reps), counts.tolist()))
 
 
 def _rank(block: Block, p):
@@ -313,7 +320,8 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
     folds = []  # (witness, degree, weight, stabiliser, {representative: orbit size})
     for f in witnesses:
         (e, wf), stab = check_witness(f), stabiliser(group, f)
-        folds.append((f, e, wf, stab, _fold(stab, _shifted_weights(wf, d - e)) if e <= d else {}))
+        folds.append((f, e, wf, stab, _fold(stab, weight_keys(sum(wf, ())) + _shift_keys(d - e))
+                      if e <= d else {}))
     # base block ranks are memoised on gens until it gains generators
     ranks = gens._ranks.get((d, p, group))
     memo = ranks is not None
@@ -326,9 +334,10 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
     for f, e, wf, _, wit in folds:
         # a block with witness rows trades its base rank for the joint rank
         total, terms = base_dim, (e, wf, integer_terms([f]) + (1,))
-        for w, n in wit.items():
+        for w, n in wit.items():   # the base representative of w: dominant under WEYL
+            r = tuple(tuple(sorted(slot, reverse=True)) for slot in w) if group is WEYL else w
             block = groups.get(w, Block()) + _block(gens, d, w, d, terms)
-            total += n * (_rank(block, p) - ranks.get(_canonical(group, w), 0))
+            total += n * (_rank(block, p) - ranks.get(r, 0))
         ext_dims.append(total)
     if progress:
         progress("degree %d: ranked %d of %d nonempty weight blocks%s, |G| = %d" % (

@@ -17,9 +17,9 @@ never a wrong value.  Fraction entries are cleared by a
 common denominator D, f_e(x) = f_e(D x) / D^e on each degree-e part;
 entries and coefficients that are not ints or Fractions (floats, bools)
 raise TypeError.  The polynomials go in runs of whole ones, at most
-_RUN_TERMS terms each or one larger polynomial (bounded_runs), each run
-with primes for its own bound, so the temporaries do not grow with the
-number of terms.
+_RUN_TERMS terms each or one larger polynomial (bounded_runs), so the
+temporaries do not grow with the number of terms, and each run takes its
+points in groups that need the same primes.
 
 Terms have one layout: an n x width uint8 array of sorted variable
 indices, rows of lower degree padded by PAD.  A Poly never changes, so its
@@ -72,13 +72,9 @@ def var_name(v: int) -> str:
     return "T_%d_%d_%d" % (i + 1, j + 1, k + 1)
 
 
-def mono_weight(mono):
-    """((A-content), (B-content), (C-content)) of a monomial."""
-    w = [[0, 0, 0] for _ in range(3)]
-    for v in mono:
-        for slot, i in zip(w, var_ijk(v)):
-            slot[i] += 1
-    return tuple(map(tuple, w))
+def row_weights(rows):
+    """Each row's weight as nine contents, A-contents first (PAD in none)."""
+    return np.stack([(_SLOTS[rows, a] == i).sum(axis=1) for a in range(3) for i in range(3)], 1)
 
 
 class Poly:
@@ -159,8 +155,7 @@ class Poly:
     def weight(self):
         """The common weight; None for the zero polynomial, an error if the
         polynomial mixes weights."""
-        rows = _pack(self)[0]
-        w = np.stack([(_SLOTS[rows, a] == i).sum(axis=1) for a in range(3) for i in range(3)], 1)
+        w = row_weights(_pack(self)[0])
         if (w != w[:1]).any():
             raise ValueError("polynomial is not weight-homogeneous")
         return tuple(map(tuple, w[0].reshape(3, 3).tolist())) if len(w) else None
@@ -175,12 +170,6 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
-
-
-def permuted(f: Poly, vmap) -> Poly:
-    """f with each variable v replaced by vmap[v], for a permutation vmap
-    of the 27 variables; monomials stay sorted."""
-    return Poly._wrap({tuple(sorted([vmap[v] for v in m])): c for m, c in f.terms.items()})
 
 
 def variable_map(sigma):
@@ -317,20 +306,21 @@ def evaluate_points(polys, points):
         else:
             idx = rows.T.astype(np.intp, order="C")   # take is faster on contiguous indices
         del rows   # the residues below are the peak
-        scales = [y[-1] ** width for y in ys]
-        # |f(D x) * D^pads| <= L1 * max|y|^(degree, or the width with pads)
-        primes = _primes_above(2 * max(l1s) * max(
-            max(map(abs, y)) ** (deg if y[-1] == 1 else width) for y in ys))
-        m = prod(primes)
-        basis = [m // p * pow(m // p, -1, p) for p in primes]
-        step = max(1, (1 << 20) // (len(coef) * len(primes)))   # about 8 MB per int64 temporary
-        for i0 in range(0, len(ys), step):
-            res = _residues(idx, cube, coef, starts, ys[i0:i0 + step], primes)
-            lifted = sum(r.astype(object) * e for r, e in zip(res, basis)) % m
-            for i, vals in enumerate(np.where(lifted > m // 2, lifted - m, lifted).tolist(), i0):
-                for j, g, den in zip(run, vals, dens):
-                    q = den * scales[i]
-                    out[i][j] = g // q if g % q == 0 else Fraction(g, q)
+        scales, groups = [y[-1] ** width for y in ys], {}
+        for i, y in enumerate(ys):   # |f(D x) * D^pads| <= L1 * max|y|^(degree, or the width)
+            groups.setdefault(tuple(_primes_above(2 * max(l1s) * max(map(abs, y)) ** (
+                deg if y[-1] == 1 else width))), []).append(i)
+        for primes, at in groups.items():   # the points that need the same primes
+            m = prod(primes)
+            basis = [m // p * pow(m // p, -1, p) for p in primes]
+            step = max(1, (1 << 20) // (len(coef) * len(primes)))   # 8 MB per int64 temporary
+            for chunk in (at[i0:i0 + step] for i0 in range(0, len(at), step)):
+                res = _residues(idx, cube, coef, starts, [ys[i] for i in chunk], primes)
+                lifted = sum(r.astype(object) * e for r, e in zip(res, basis)) % m
+                for i, vals in zip(chunk, np.where(lifted > m // 2, lifted - m, lifted).tolist()):
+                    for j, g, den in zip(run, vals, dens):
+                        q = den * scales[i]
+                        out[i][j] = g // q if g % q == 0 else Fraction(g, q)
     return out
 
 

@@ -116,7 +116,7 @@ def test_cube_path_equals_oracle(monkeypatch):
              random_poly(rng, (2, 6), 50, fractions=True, nterms=3000)] + [
         random_poly(rng, (d,), 1 << (10 * d), nterms=min(27 ** d, 4000)) for d in range(1, 8)]
     assert sum(map(len, polys)) > poly._BASE ** 3 > max(map(len, polys))
-    points = sample_points(11)[:6]   # the last needs 199 primes, and so would every point
+    points = sample_points(11)[:6]   # the last alone needs 199 primes and 2 s
     residues, cubes = poly._residues, []
 
     def logged(idx, cube, *args):
@@ -194,6 +194,28 @@ def test_prime_count_follows_the_bound(monkeypatch):
     assert evaluate_points(polys, [small]) == [oracle(polys, small)]
     assert evaluate_points(polys, [big]) == [oracle(polys, big)]
     assert counts[0] <= 2 < counts[1]
+
+
+def test_points_take_the_primes_of_their_own_bound(monkeypatch):
+    """A small-entry point evaluated in one call with a point near 2^70
+    gets the primes it gets alone, not the large point's."""
+    residues, calls = poly._residues, []
+
+    def logged(idx, cube, coef, starts, ys, primes):
+        calls.append((len(ys), len(primes)))
+        return residues(idx, cube, coef, starts, ys, primes)
+
+    monkeypatch.setattr(poly, "_residues", logged)
+    polys = sample_polys(5)[:4]
+    small, _, big = sample_points(6)[:3]
+    assert evaluate_points(polys, [small]) == [oracle(polys, small)]
+    assert evaluate_points(polys, [big]) == [oracle(polys, big)]
+    (_, alone), (_, large) = calls
+    assert alone < large
+    del calls[:]
+    points = [small, big, small]
+    assert evaluate_points(polys, points) == [oracle(polys, t) for t in points]
+    assert calls == [(2, alone), (1, large)]
 
 
 def test_primes_are_machine_primes():

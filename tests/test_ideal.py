@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from trifocal.ideal import (DegreeCapError, GradedGeneratorSet,
                             slice_rows_by_weight, vanishing_subspace)
 from trifocal.orbits import skew_tensor
 from trifocal.poly import (Poly, det_slice_poly, f_determinant, integer_terms, m3_generators,
-                           parse_poly, weight_space_basis, witness_g)
+                           parse_poly, var_ijk, variable_map, weight_space_basis, witness_g)
 from trifocal.tensor import random_orbit_point
 
 
@@ -96,6 +96,90 @@ def assert_same_block(block, rows, p=101):
     return b
 
 
+# --- tuple walks, the oracles of the weight-key fold, filing and stabiliser -----
+
+def tuple_contents(n):
+    """Index contents (x, y, z), x + y + z = n, of one factor in degree n."""
+    return tuple((x, y, n - x - y) for x in range(n, -1, -1) for y in range(n - x, -1, -1))
+
+
+def tuple_shifted_weights(w, n):
+    """Weights of degree-n multiples of a weight-w polynomial; every
+    content triple is the weight of some monomial."""
+    return {tuple(tuple(a + b for a, b in zip(slot, c)) for slot, c in zip(w, cs))
+            for cs in product(tuple_contents(n), repeat=3)}
+
+
+def tuple_slice_weights(gens, d):
+    """Weights of the nonempty blocks of the degree-d slice."""
+    return set().union(*(tuple_shifted_weights(wg, d - e) for e in gens.degrees() if e <= d
+                         for wg, _ in gens.weight_table(e)[1]))
+
+
+def tuple_image(sigma, w):
+    return tuple(tuple(slot[i] for i in s) for slot, s in zip(w, sigma))
+
+
+def tuple_fold(group, weights):
+    """{orbit representative: number of the weights in it}, one walk per orbit."""
+    weights, seen, reps = set(weights), set(), {}
+    for w in weights:
+        if w not in seen:
+            orbit = {tuple_image(sigma, w) for sigma in group}
+            seen |= orbit
+            reps[max(orbit)] = len(orbit & weights)
+    return reps
+
+
+def keys_of(weights):
+    return ideal.weight_keys([sum(w, ()) for w in sorted(weights)])
+
+
+def slice_weights(gens, d):
+    """The slice weights as tuples, which slice_rows_by_weight takes."""
+    return ideal._weights(ideal._slice_weights(gens, d))
+
+
+def mono_weight(mono):
+    """((A-content), (B-content), (C-content)) of a monomial."""
+    w = [[0, 0, 0] for _ in range(3)]
+    for v in mono:
+        for slot, i in zip(w, var_ijk(v)):
+            slot[i] += 1
+    return tuple(map(tuple, w))
+
+
+def file_per_generator(index, polys):
+    """GradedGeneratorSet._file's index after filing polys, the weight of
+    each generator read from its first term and its terms gathered one
+    generator at a time."""
+    index = dict(index)
+    rows, ids, coeffs = integer_terms(polys)
+    bounds = np.searchsorted(ids, np.arange(len(polys) + 1))
+    groups = {}
+    for i, m in enumerate(rows[bounds[:-1]].tolist()):
+        groups.setdefault(mono_weight(m), []).append(i)
+    for w, gs in groups.items():
+        take = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in gs])
+        old = index.get(w, (rows[:0], ids[:0], coeffs[:0], 0))
+        new = np.repeat(np.arange(old[3], old[3] + len(gs)), np.diff(bounds)[gs])
+        index[w] = (np.concatenate([old[0], rows[take]]), np.concatenate([old[1], new]),
+                    np.concatenate([old[2], coeffs[take]]), old[3] + len(gs))
+    return index
+
+
+def dict_stabiliser(group, f):
+    """The sigma in group whose permuted term dict is a multiple of f's."""
+    m0, out = next(iter(f.terms)), []
+    for sigma in group:
+        vmap = variable_map(sigma)
+        g = {tuple(sorted(vmap[v] for v in m)): c for m, c in f.terms.items()}
+        if g.keys() == f.terms.keys() and all(
+                g[m] * f.terms[m0] == c * g[m0] for m, c in f.terms.items()):
+            out.append(sigma)
+    return tuple(out)
+
+
 def minimal_generator_test(h, gens, p=101):
     """True iff h lies in the degree slice generated by the lower-degree
     part of gens, the test scan_degree makes: True means h is NOT a
@@ -108,7 +192,7 @@ def test_weight_blocking_is_lossless(m3_set):
     """Blocked rank sum equals the rank of the unblocked matrix: all packed
     blocks of a degree stacked into one, over the union of their columns."""
     for d in (3, 4):
-        blocks = slice_rows_by_weight(m3_set, d, ideal._slice_weights(m3_set, d))
+        blocks = slice_rows_by_weight(m3_set, d, slice_weights(m3_set, d))
         whole = sum(blocks.values(), ideal.Block())
         a = whole.matrix(101)
         assert len(linalg.rref_mod_p(a, 101)[1]) == ideal_dim_in_degree(m3_set, d)
@@ -121,7 +205,7 @@ def test_short_side_rank_matches_row_elimination(m3_set):
     have the rank of the oracle matrix's row elimination."""
     groups, sides = dict_groups(m3_set), set()
     for d in (3, 4, 5):
-        for w, block in slice_rows_by_weight(m3_set, d, ideal._slice_weights(m3_set, d)).items():
+        for w, block in slice_rows_by_weight(m3_set, d, slice_weights(m3_set, d)).items():
             b = assert_same_block(block, dict_rows(groups, d, w, d))
             col_of = np.unique(block.keys, return_inverse=True)[1]
             flipped = ideal.Block(block.rows.astype(np.int64), col_of, block.coeffs, b.shape[1])
@@ -142,7 +226,7 @@ def test_packed_blocks_equal_dict_rows():
     gens.add(4, [x * x * y * y, x * y * z * z])
     groups = dict_groups(gens)
     for d in (3, 4, 5):   # at 5 every generator lies below d, and groups meet several multipliers
-        for w, block in slice_rows_by_weight(gens, d, ideal._slice_weights(gens, d)).items():
+        for w, block in slice_rows_by_weight(gens, d, slice_weights(gens, d)).items():
             assert_same_block(block, dict_rows(groups, d, w, d))
             if d < 5:
                 assert_same_block(ideal.rows_in_weight_block(gens, d, w),
@@ -161,7 +245,8 @@ def test_packed_blocks_equal_dict_rows_on_discovery6(discovery6):
     for f in (f_determinant(), witness_g()):
         e, wf = ideal.check_witness(f)
         witness = (e, wf, integer_terms([f]) + (1,))
-        wit = ideal._fold(ideal.stabiliser(ideal.WEYL, f), ideal._shifted_weights(wf, 6 - e))
+        shifted = ideal.weight_keys(sum(wf, ())) + ideal._shift_keys(6 - e)
+        wit = ideal._fold(ideal.stabiliser(ideal.WEYL, f), shifted)
         blocks = slice_rows_by_weight(gens, 6, wit)
         for w in wit:
             rest = ideal._minus(w, wf)
@@ -246,22 +331,71 @@ def test_stabiliser_memo_matches_fresh_computation():
     g = Poly({**f.terms, m0: 2 * c0})
     assert ideal.stabiliser(ideal.WEYL, g) == fresh(ideal.WEYL, frozenset(g.terms.items()))
     assert len(ideal.stabiliser(ideal.WEYL, g)) < len(ideal.stabiliser(ideal.WEYL, f))
+    # the packed rows against the permuted term dicts, also for -f images and Fractions
+    x, y = parse_poly("T_1_1_1"), parse_poly("T_2_2_2")
+    for h in (f, g, witness_g(), x * x - y * y, (x * y).scale(Fraction(-2, 3)), x * x + x * y):
+        assert ideal.stabiliser(ideal.WEYL, h) == dict_stabiliser(ideal.WEYL, h)
 
 
-def test_orbit_walk_fold_matches_per_weight_fold():
-    gens = GradedGeneratorSet()
-    gens.add_module(det_slice_poly("C", 1))
+@pytest.mark.slow
+def test_orbit_walk_fold_matches_per_weight_fold(discovery6):
+    """The key fold against the tuple orbit walk on discovery6's slices of
+    degrees 1-7, under S3^3, {id} and the stabilisers of f and g, for the
+    slice and for a subset that is no union of orbits; on the subsets below
+    degree 7 the walk also against the largest image of each weight."""
+    gens = discovery6.gens
     groups = [ideal.WEYL, ideal.IDENTITY, ideal.stabiliser(ideal.WEYL, f_determinant()),
               ideal.stabiliser(ideal.WEYL, witness_g())]
-    for d in range(1, 7):
-        weights = ideal._slice_weights(gens, d)
-        for ws in (weights, set(sorted(weights)[::3])):   # and a subset, not a union of orbits
+    assert [len(g) for g in groups] == [216, 1, 72, 8]
+    for d in range(1, 8):
+        weights = tuple_slice_weights(gens, d)
+        assert ideal._weights(ideal._slice_weights(gens, d)) == sorted(weights)
+        for ws in (weights, set(sorted(weights)[::3])):
             for group in groups:
-                ref = {}
-                for w in ws:
-                    r = max(ideal._image(sigma, w) for sigma in group)
-                    ref[r] = ref.get(r, 0) + 1
-                assert ideal._fold(group, ws) == ref, (d, len(group))
+                assert ideal._fold(group, keys_of(ws)) == tuple_fold(group, ws), (d, len(group))
+        for group in groups if d < 7 else ():
+            ref = {}
+            for w in set(sorted(weights)[::3]):
+                r = max(tuple_image(sigma, w) for sigma in group)
+                ref[r] = ref.get(r, 0) + 1
+            assert tuple_fold(group, set(sorted(weights)[::3])) == ref, (d, len(group))
+
+
+@pytest.mark.slow
+def test_key_filing_matches_per_generator_filing(discovery6):
+    """_file's weight tables entry by entry against the per-generator
+    grouping, with discovery6's modules filed one at a time."""
+    gens, index = GradedGeneratorSet(), {}
+    for m in discovery6.modules():
+        gens._file(m.degree, m.basis)
+        index[m.degree] = file_per_generator(index.get(m.degree, {}), m.basis)
+        table, items = gens.weight_table(m.degree)
+        assert [w for w, _ in items] == list(index[m.degree])
+        assert table.tolist() == [list(sum(w, ())) for w in index[m.degree]]
+        for (w, got), want in zip(items, index[m.degree].values()):
+            assert got[3] == want[3] and all(np.array_equal(a, b) and a.dtype == b.dtype
+                                             for a, b in zip(got[:3], want[:3]))
+
+
+@pytest.mark.slow
+def test_degree7_base_fold_stays_small(discovery6, traced_peak_mb):
+    """The degree-7 fold of discovery6's slice weights: 153 representatives
+    of 10368 weights under 4 MB traced (the tuple walk traced about 20 MB)."""
+    gens = discovery6.gens
+    assert gens.symmetry_group(7) is ideal.WEYL
+    peak, fold = traced_peak_mb(lambda: ideal._fold(ideal.WEYL, ideal._slice_weights(gens, 7)))
+    assert (len(fold), sum(fold.values())) == (153, 10368) and peak < 4
+
+
+def test_weight_keys_are_in_tuple_order_and_reject_a_carry():
+    rng = random.Random(3)
+    weights = sorted({tuple(tuple(rng.randrange(16) for _ in range(3)) for _ in range(3))
+                      for _ in range(2000)} | {((15,) * 3,) * 3, ((0,) * 3,) * 3})
+    keys = keys_of(weights)
+    assert (np.diff(keys) > 0).all() and ideal._weights(keys) == weights
+    for bad in (16, -1):
+        with pytest.raises(ValueError, match="4-bit"):
+            ideal.weight_keys([[0] * 8 + [bad]])
 
 
 def test_base_fold_memo_is_cleared_with_the_ranks():

@@ -1,15 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from trifocal import linalg, poly, rep
 from trifocal.orbits import skew_tensor, trifocal_normal_form
 from trifocal.poly import (Poly, apply_shift, det_slice_poly, f_determinant,
                            format_poly, is_highest_weight, m3_generators,
-                           m3_with_x_monomials, mono_weight, parse_poly, permuted,
-                           var_index, variable_map,
-                           weight_space_basis, witness_g)
+                           m3_with_x_monomials, parse_poly, row_weights, var_index,
+                           variable_map, weight_space_basis, witness_g)
 from trifocal.tensor import Tensor333, random_orbit_point
 
 
@@ -88,8 +88,9 @@ def test_f_determinant_is_x1_cubed_coefficient_of_a_pencil():
 
 
 def test_weight_of_monomials():
-    m = tuple(sorted([var_index(0, 0, 0), var_index(1, 1, 1), var_index(2, 2, 2)]))
-    assert mono_weight(m) == ((1, 1, 1), (1, 1, 1), (1, 1, 1))
+    m = sorted([var_index(0, 0, 0), var_index(1, 1, 1), var_index(2, 2, 2)])
+    rows = np.array([m, [var_index(2, 0, 1), var_index(2, 1, 1), poly.PAD]], np.uint8)
+    assert row_weights(rows).tolist() == [[1, 1, 1] * 3, [0, 0, 2, 1, 1, 0, 0, 2, 0]]
 
 
 def test_weight_space_basis_examples():
@@ -228,6 +229,11 @@ def test_text_format_roundtrip():
 def test_parse_poly_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         parse_poly(text)
+
+
+def permuted(f, vmap):
+    """f with each variable v replaced by vmap[v]; monomials stay sorted."""
+    return Poly({tuple(sorted(vmap[v] for v in m)): c for m, c in f.terms.items()})
 
 
 def test_permuted_factor_map_agrees_with_permute_factors():
