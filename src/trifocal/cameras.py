@@ -145,9 +145,7 @@ def random_camera(rng: random.Random, bound=9) -> Camera:
 def random_triple(rng: random.Random, bound=9) -> CameraTriple:
     while True:
         try:
-            return CameraTriple(random_camera(rng, bound),
-                                random_camera(rng, bound),
-                                random_camera(rng, bound))
+            return CameraTriple(*(random_camera(rng, bound) for _ in range(3)))
         except DegenerateConfigurationError:
             continue
 

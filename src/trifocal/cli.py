@@ -73,9 +73,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_from_cameras(args) -> int:
-    ct = triple_from_json(_read_file(args.cameras))
-    t = trifocal_from_cameras(ct)
-    print(tensor_to_json(t))
+    print(tensor_to_json(trifocal_from_cameras(triple_from_json(_read_file(args.cameras)))))
     return 0
 
 

@@ -6,8 +6,8 @@ so each question decomposes into small independent weight blocks, and an
 exact rank over F_p per block answers it.  Exact-over-Q statements
 (vanishing certificates) are produced from integer kernels of evaluation
 matrices at integer points and re-verified at fresh points, all values
-from poly.evaluate_points (residues mod machine primes, CRT-lifted under
-an explicit bound, so exact; see the poly docstring).
+from poly.evaluate_points (residues mod 2^64 and machine primes, lifted by
+CRT under an explicit bound, so exact; see the poly docstring).
 
 The rank sweep is folded by the Weyl group S3^3 of coordinate
 permutations.  A degree whose generators all came from

@@ -13,7 +13,7 @@ every entry in (-k(p-1)^2, p), and it reduces before k(p-1)^2 + p would pass
 It works in place on one C-ordered int64 copy of its input and updates the
 rows a pivot hits in chunks of at most _UPDATE_ENTRIES entries, so its peak
 is that copy plus two 2 MB temporaries.  machine_prime supplies the primes
-of multi-prime computations and exact evaluation.
+of multi-prime computations and of exact evaluation beyond 2^64 (poly).
 """
 
 from __future__ import annotations

@@ -209,36 +209,25 @@ def _tensor_from_pencil_a(entries) -> Tensor333:
     return Tensor333([[[e[i] for e in row] for row in entries] for i in range(3)])
 
 
-def _is_skew_class(t: Tensor333) -> bool:
-    # pencil ranks (2, 2, 2) already make every axis's cubics vanish
-    return prank(t) == (2, 2, 2)
-
-
 def _family17(z) -> Tensor333:
-    e = [[(0, 0, 0), (-1, 0, 0), (0, -1, 0)],
-         [(1, 0, 0), (0, 0, 0), (0, 0, z)],
-         [(0, 1, 0), (0, 0, -z), (0, 0, 0)]]
-    return _tensor_from_pencil_a(e)
+    return _tensor_from_pencil_a([[(0, 0, 0), (-1, 0, 0), (0, -1, 0)],
+                                  [(1, 0, 0), (0, 0, 0), (0, 0, z)],
+                                  [(0, 1, 0), (0, 0, -z), (0, 0, 0)]])
 
 
 def _family18(t) -> Tensor333:
-    e = [[(0, 0, 0), (1, 0, 0), (0, 1, 0)],
-         [(-t, 0, 0), (0, 0, 0), (0, 0, t)],
-         [(0, -1, 0), (0, 0, -1), (0, 0, 0)]]
-    return _tensor_from_pencil_a(e)
+    return _tensor_from_pencil_a([[(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+                                  [(-t, 0, 0), (0, 0, 0), (0, 0, t)],
+                                  [(0, -1, 0), (0, 0, -1), (0, 0, 0)]])
 
 
-def _group17(z):
-    # A-substitution sending the skew pencil to the orbit-17 family shape
-    gA = [[0, 0, -1], [0, 1, 0], [z, 0, 0]]
-    return (gA, linalg.identity(3), linalg.identity(3))
-
-
-_GROUP18_GA = [[0, 0, 1], [0, -1, 0], [1, 0, 0]]
+def _group17(z):   # A-substitution sending the skew pencil to the orbit-17 family shape
+    return ([[0, 0, -1], [0, 1, 0], [z, 0, 0]], linalg.identity(3), linalg.identity(3))
 
 
 def _group18(t):
-    return (_GROUP18_GA, [[1, 0, 0], [0, t, 0], [0, 0, 1]], linalg.identity(3))
+    return ([[0, 0, 1], [0, -1, 0], [1, 0, 0]], [[1, 0, 0], [0, t, 0], [0, 0, 1]],
+            linalg.identity(3))
 
 
 def degeneration_check(name: str) -> bool:
@@ -253,13 +242,15 @@ def degeneration_check(name: str) -> bool:
     second row; then the documented substitution chain (set a3 = a2^2/a1
     and rescale the third row by -a1/a2) must turn L into the row-cycled
     orbit-18 representative, verified as cross-multiplied cubic-form
-    identities at the 10 points of tensor._LATTICE3.
+    identities at the 10 points of tensor._LATTICE3.  Each family member
+    must have pencil ranks (2, 2, 2), the skew class, whose cubics vanish on
+    every axis.
     """
     F = skew_tensor()
     if name == "orbit17":
         for z in (1, 2, 3):
             member = act(_group17(z), F)
-            if member != _family17(z) or not _is_skew_class(member):
+            if member != _family17(z) or prank(member) != (2, 2, 2):
                 return False
         limit = _family17(0)
         flip = (linalg.identity(3), [[-1, 0, 0], [0, 1, 0], [0, 0, 1]], linalg.identity(3))
@@ -267,7 +258,7 @@ def degeneration_check(name: str) -> bool:
     if name == "orbit18":
         for t in (1, 2, 3):
             member = act(_group18(t), F)
-            if member != _family18(t) or not _is_skew_class(member):
+            if member != _family18(t) or prank(member) != (2, 2, 2):
                 return False
         limit = _family18(0)
         cyc = (linalg.identity(3), [[0, 1, 0], [0, 0, 1], [1, 0, 0]], linalg.identity(3))
@@ -302,15 +293,9 @@ def boundary_orbit_reps():
     under 18''; this is the unique assignment under which each boundary
     representative is separated by the expected degree-6 module.
     """
-    t17 = orbit17_rep()
-    t18 = orbit18_rep()
-    return {
-        "17": t17,
-        "17'": permute_factors(t17, 1),
-        "17''": permute_factors(t17, 2),
-        "18'": t18,
-        "18''": permute_factors(t18, 1),
-    }
+    t17, t18 = orbit17_rep(), orbit18_rep()
+    return {"17": t17, "17'": permute_factors(t17, 1), "17''": permute_factors(t17, 2),
+            "18'": t18, "18''": permute_factors(t18, 1)}
 
 
 # degree-6 module label that must NOT vanish on each boundary representative

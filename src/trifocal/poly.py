@@ -10,16 +10,17 @@ The letter aliases follow a_ij = T[i][j][1], b_ij = T[i][j][2],
 c_ij = T[i][j][3] in 1-based notation.
 
 Evaluation is exact, through one kernel, evaluate_points.  Each value is
-computed modulo machine primes (linalg.machine_prime) and lifted by CRT
-to the symmetric range, with primes taken until their product exceeds
-2 * L1(f) * max|x|^deg >= 2|f(x)|: larger entries cost more primes,
-never a wrong value.  Fraction entries are cleared by a
+lifted by CRT to the symmetric range from its residues mod M = 2^64 times
+machine primes (linalg.machine_prime), primes taken only while M <= 2 *
+L1(f) * max|x|^deg, a bound on 2|f(x)|: larger entries cost more primes,
+never a wrong value.  The residue mod 2^64 is wrapping uint64 arithmetic,
+and with no prime it is the value.  Fraction entries are cleared by a
 common denominator D, f_e(x) = f_e(D x) / D^e on each degree-e part;
-entries and coefficients that are not ints or Fractions (floats, bools)
-raise TypeError.  The polynomials go in runs of whole ones, at most
-_RUN_TERMS terms each or one larger polynomial (bounded_runs), so the
-temporaries do not grow with the number of terms, and each run takes its
-points in groups that need the same primes.
+entries and coefficients other than ints and Fractions raise TypeError.
+The polynomials go in runs of whole ones of at most _RUN_TERMS terms or
+one larger polynomial (bounded_runs), so the temporaries do not grow with
+the terms, each run with its points in groups that need the same primes;
+the last call's layout serves the next call with the same packs (_runs).
 
 Terms have one layout: an n x width uint8 array of sorted variable
 indices, rows of lower degree padded by PAD.  A Poly never changes, so its
@@ -48,6 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import inf, lcm, prod
+from operator import is_
 
 import numpy as np
 
@@ -184,6 +186,8 @@ def variable_map(sigma):
 PAD = N_VARS      # a 28th variable: 1, or D at a point with denominator D
 _BASE = N_VARS + 1
 _RUN_TERMS = 1 << 16   # evaluate_points' runs: above 28^3, so they take the cube path
+_RING = 1 << 64   # the modulus of uint64 arithmetic, taken before any prime
+_LAST = [(), []]   # the packs of evaluate_points' last call and their runs (_runs)
 _SLOTS = np.array([var_ijk(v) for v in range(N_VARS)] + [(3, 3, 3)], np.uint8)   # PAD: none
 
 
@@ -242,24 +246,23 @@ def _primes_above(bound):
     return out
 
 
-def _residues(idx, cube, coef, starts, ys, primes):
-    """The values mod each prime, indexed [prime, point, polynomial].  The
-    rows of idx index each term's factors in the entries ys, or in their
-    28^3 products when cube is set."""
-    ps = np.array(primes, dtype=np.int64)[:, None, None]
-    t = (np.array(ys, dtype=object) % ps).astype(np.int64)
+def _residues(codes, cube, coef, starts, ys, q):
+    """The values mod q, indexed [point, polynomial]: mod 2^64 in wrapping
+    uint64 arithmetic or mod a machine prime in int64.  The rows of codes
+    index each term's factors in the entries ys, or in their 28^3 products
+    when cube is set."""
+    dtype = np.uint64 if q == _RING else np.int64   # uint64 * int64 would be float64
+    red = (lambda a: a) if q == _RING else (lambda a: np.remainder(a, q, out=a))
+    t = np.array([[e % q for e in y] for y in ys], dtype)
     if cube:
-        t2 = (t[..., :, None] * t[..., None, :] % ps[..., None]).reshape(*t.shape[:2], -1)
-        t = (t2[..., :, None] * t[..., None, :] % ps[..., None]).reshape(*t.shape[:2], -1)
-    if coef.dtype == object:
-        coef = (coef % ps[:, 0]).astype(np.int64)[:, None, :]
-    v = t.take(idx[0], axis=2) * coef
-    v += ps << 31   # a multiple of p that makes v >= 0: a negative remainder is slow
-    v %= ps
-    for i in idx[1:]:
-        v *= t.take(i, axis=2)
-        v %= ps
-    return np.add.reduceat(v, starts, axis=2) % ps
+        t2 = red(t[:, :, None] * t[:, None, :]).reshape(len(ys), -1)
+        t = red(t2[:, :, None] * t[:, None, :]).reshape(len(ys), -1)
+    v = red(t.take(codes[0].astype(np.intp), axis=1) * red(   # take is faster on intp
+        (coef % q if coef.dtype == object else coef).astype(dtype)))
+    for i in codes[1:]:
+        v *= t.take(i.astype(np.intp), axis=1)
+        red(v)
+    return red(np.add.reduceat(v, starts, axis=1))
 
 
 def bounded_runs(items, sizes, limit):
@@ -275,49 +278,64 @@ def bounded_runs(items, sizes, limit):
     return runs
 
 
-def evaluate_points(polys, points):
-    """Exact values [[f(t) for f in polys] for t in points] at Tensor333
-    points: ints, or Fractions where a denominator remains."""
-    packs = [_pack(f) for f in polys]
+def _runs(packs):
+    """evaluate_points' runs of the packs with terms, each (indices, codes,
+    coefficients, starts, cube, degree, width, max L1, denominators).  The
+    runs of the last call are kept with its packs (_LAST), which never
+    change, and serve the next call with the same packs."""
+    if len(_LAST[0]) == len(packs) and all(map(is_, _LAST[0], packs)):
+        return _LAST[1]
+    _LAST[:] = (), []   # one layout at a time: the old one goes before the new is built
+    runs = []
     live = [j for j, pk in enumerate(packs) if pk[2]]
-    out = [[0] * len(packs) for _ in points]
-    if not live or not out:
-        return out
-    ys = []
-    for t in points:
-        x = t.entries_flat()   # ints and Fractions: Tensor333 accepts nothing else
-        fractions = [e for e in x if type(e) is Fraction]
-        d = lcm(*(e.denominator for e in fractions))
-        ys.append([int(e * d) for e in x] + [d] if fractions else x + [1])
     for run in bounded_runs(live, [len(packs[j][1]) for j in live], _RUN_TERMS):
         rows, coefs, l1s, dens = zip(*(packs[j] for j in run))
         deg = max(r.shape[1] for r in rows)
         width = max(1, deg)   # a constant is one PAD
         rows = np.concatenate([_padded(r, width) for r in rows])
-        coef = np.concatenate(coefs)
-        starts = np.cumsum([0] + [len(c) for c in coefs[:-1]])
         cube = len(rows) > _BASE ** 3
         if cube:   # one lookup per chunk code (a*28 + b)*28 + c in a table of all 28^3 products
             rows = _padded(rows, 3 * -(-width // 3))
-            width, idx = rows.shape[1], rows[:, 0::3].T.astype(np.int32, order="C")
+            width, codes = rows.shape[1], rows[:, 0::3].T.astype(np.uint16, order="C")
             for c in (1, 2):
-                idx *= _BASE
-                idx += rows[:, c::3].T
+                codes *= _BASE
+                codes += rows[:, c::3].T
         else:
-            idx = rows.T.astype(np.intp, order="C")   # take is faster on contiguous indices
-        del rows   # the residues below are the peak
+            codes = rows.T.copy()
+        coef = np.concatenate(coefs)
+        if coef.dtype != object:   # int64 (below L1 2^31) kept in the smallest type that holds it
+            coef = coef.astype(np.min_scalar_type(-1 - int(np.abs(coef).max())))
+        runs.append((run, codes, coef, np.cumsum([0] + [len(c) for c in coefs[:-1]]), cube,
+                     deg, width, max(l1s), dens))
+    _LAST[:] = packs, runs
+    return runs
+
+
+def evaluate_points(polys, points):
+    """Exact values [[f(t) for f in polys] for t in points] at Tensor333
+    points: ints, or Fractions where a denominator remains."""
+    packs = [_pack(f) for f in polys]
+    out = [[0] * len(packs) for _ in points]
+    ds = [lcm(*(e.denominator for e in t.entries_flat() if type(e) is Fraction)) for t in points]
+    ys = [[int(e * d) for e in t.entries_flat()] + [d] for t, d in zip(points, ds)]   # D x, D
+    for run, codes, coef, starts, cube, deg, width, l1, dens in _runs(packs) if ys else ():
         scales, groups = [y[-1] ** width for y in ys], {}
         for i, y in enumerate(ys):   # |f(D x) * D^pads| <= L1 * max|y|^(degree, or the width)
-            groups.setdefault(tuple(_primes_above(2 * max(l1s) * max(map(abs, y)) ** (
-                deg if y[-1] == 1 else width))), []).append(i)
+            groups.setdefault(tuple(_primes_above(2 * l1 * max(map(abs, y)) ** (
+                deg if y[-1] == 1 else width) >> 64)), []).append(i)
         for primes, at in groups.items():   # the points that need the same primes
-            m = prod(primes)
-            basis = [m // p * pow(m // p, -1, p) for p in primes]
-            step = max(1, (1 << 20) // (len(coef) * len(primes)))   # 8 MB per int64 temporary
+            moduli = [_RING, *primes]
+            m = prod(moduli)
+            basis = [m // q * pow(m // q, -1, q) for q in moduli]
+            step = max(1, (1 << 19) // len(coef))   # 4 MB per residue temporary
             for chunk in (at[i0:i0 + step] for i0 in range(0, len(at), step)):
-                res = _residues(idx, cube, coef, starts, [ys[i] for i in chunk], primes)
-                lifted = sum(r.astype(object) * e for r, e in zip(res, basis)) % m
-                for i, vals in zip(chunk, np.where(lifted > m // 2, lifted - m, lifted).tolist()):
+                res = [_residues(codes, cube, coef, starts, [ys[i] for i in chunk], q)
+                       for q in moduli]
+                lifted = res[0].view(np.int64)   # the values themselves: below 2^63 in size
+                if primes:
+                    lifted = sum(r.astype(object) * e for r, e in zip(res, basis)) % m
+                    lifted = np.where(lifted > m // 2, lifted - m, lifted)
+                for i, vals in zip(chunk, lifted.tolist()):
                     for j, g, den in zip(run, vals, dens):
                         q = den * scales[i]
                         out[i][j] = g // q if g % q == 0 else Fraction(g, q)

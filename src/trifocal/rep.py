@@ -155,8 +155,7 @@ def ambient_dimension(d) -> int:
 def completeness_defect(d) -> int:
     """Sum of kronecker * Weyl dims minus the ambient dimension (0 iff the
     isotypic bookkeeping is consistent)."""
-    total = sum(kronecker(*lab) * label_dim(lab) for lab in all_labels(d))
-    return total - ambient_dimension(d)
+    return sum(kronecker(*lab) * label_dim(lab) for lab in all_labels(d)) - ambient_dimension(d)
 
 
 # ---------------------------------------------------------------------------

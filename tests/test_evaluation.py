@@ -1,6 +1,7 @@
 """The exact evaluation kernel (poly.evaluate_points) against the per-term
 dict loop it replaced, kept here as the oracle."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -148,10 +149,11 @@ def test_runs_of_polynomials_equal_the_oracle(monkeypatch):
     points = sample_points(13)[:6]
     residues, runs = poly._residues, []
 
-    def logged(idx, cube, coef, starts, ys, primes):
-        if not runs or runs[-1][0] is not idx:   # a run can take several calls
-            runs.append((idx, cube, len(starts), len(primes)))
-        return residues(idx, cube, coef, starts, ys, primes)
+    def logged(codes, cube, coef, starts, ys, q):
+        if not runs or runs[-1][0] is not codes:   # a run takes a call per modulus and group
+            runs.append((codes, cube, len(starts), []))
+        runs[-1][3].append(q)
+        return residues(codes, cube, coef, starts, ys, q)
 
     monkeypatch.setattr(poly, "_residues", logged)
     got = evaluate_points(polys, points)
@@ -160,26 +162,45 @@ def test_runs_of_polynomials_equal_the_oracle(monkeypatch):
     for t, vals in zip(points, got):
         assert vals == oracle(polys, t)
     for (i, j), run in zip(((0, 5), (5, 6), (6, 7), (7, 10)), whole):
-        del runs[:]   # each run alone: the same values and the primes of its own bound
+        del runs[:]   # each run alone: the same values and the moduli of its own bound
         assert evaluate_points(polys[i:j], points) == [vals[i:j] for vals in got]
         assert [r[3] for r in runs] == [run[3]]
 
 
-def test_evaluation_peak_does_not_grow_with_the_terms(traced_peak_mb):
-    """320000 terms of 2000 polynomials at one point: runs of at most
-    _RUN_TERMS terms keep the peak under 8 MB (about 22 MB as one run)."""
+def peak_polys():
+    """2000 polynomials of degree 6 with 320000 terms between them."""
     rng = np.random.default_rng(14)
     rows = np.sort(rng.integers(0, 27, (320000, 6)).astype(np.uint8), axis=1)
     batch = (rows, np.sort(rng.integers(0, 2000, 320000)), rng.integers(-50, 50, 320000))
     polys = poly.normalized(batch, 2000)
     assert sum(len(poly._pack(f)[1]) for f in polys) > 300000
+    return polys
+
+
+def test_evaluation_peak_does_not_grow_with_the_terms(traced_peak_mb):
+    """320000 terms of 2000 polynomials at one point: runs of at most
+    _RUN_TERMS terms keep the peak under 8 MB (about 22 MB as one run)."""
+    polys = peak_polys()
     ones = Tensor333([[[1] * 3] * 3] * 3)
     assert evaluate_points(polys, [ones]) == [[sum(poly._pack(f)[1].tolist()) for f in polys]]
     peak, _ = traced_peak_mb(evaluate_points, polys, [sample_points(15)[1]])
     assert peak < 8
 
 
+def test_evaluation_peak_from_a_cold_start(traced_peak_mb):
+    """The same call with no layout kept: building the runs' layout, which
+    the call then keeps, stays under the same 8 MB."""
+    polys, t = peak_polys(), sample_points(15)[1]
+    evaluate_points([Poly.constant(1)], [t])   # its one-term layout replaces the last
+    assert len(poly._LAST[0]) == 1
+    peak, got = traced_peak_mb(evaluate_points, polys, [t])
+    assert peak < 8
+    assert poly._LAST[0] == [poly._pack(f) for f in polys] and got == [oracle(polys, t)]
+
+
 def test_prime_count_follows_the_bound(monkeypatch):
+    """The primes taken beyond the 2^64 ring: none at small entries, some
+    near 2^70."""
     counts = []
     primes_above = poly._primes_above
 
@@ -193,29 +214,107 @@ def test_prime_count_follows_the_bound(monkeypatch):
     small, _, big = sample_points(4)[:3]
     assert evaluate_points(polys, [small]) == [oracle(polys, small)]
     assert evaluate_points(polys, [big]) == [oracle(polys, big)]
-    assert counts[0] <= 2 < counts[1]
+    assert counts[0] == 0 < counts[1]
 
 
 def test_points_take_the_primes_of_their_own_bound(monkeypatch):
     """A small-entry point evaluated in one call with a point near 2^70
-    gets the primes it gets alone, not the large point's."""
+    gets the moduli it gets alone, the ring and no prime, not the large
+    point's."""
     residues, calls = poly._residues, []
 
-    def logged(idx, cube, coef, starts, ys, primes):
-        calls.append((len(ys), len(primes)))
-        return residues(idx, cube, coef, starts, ys, primes)
+    def logged(codes, cube, coef, starts, ys, q):
+        calls.append((len(ys), q))
+        return residues(codes, cube, coef, starts, ys, q)
 
     monkeypatch.setattr(poly, "_residues", logged)
     polys = sample_polys(5)[:4]
     small, _, big = sample_points(6)[:3]
     assert evaluate_points(polys, [small]) == [oracle(polys, small)]
+    assert calls == [(1, poly._RING)]
+    del calls[:]
     assert evaluate_points(polys, [big]) == [oracle(polys, big)]
-    (_, alone), (_, large) = calls
-    assert alone < large
+    large = [q for _, q in calls]
+    assert calls == [(1, q) for q in large] and large[0] == poly._RING and len(large) > 1
     del calls[:]
     points = [small, big, small]
     assert evaluate_points(polys, points) == [oracle(polys, t) for t in points]
-    assert calls == [(2, alone), (1, large)]
+    assert calls == [(2, poly._RING)] + [(1, q) for q in large]
+
+
+A = 3037000499   # 2 * A^2 < 2^64 < 2 * (A + 1)^2
+X0, X1, X2 = (Poly({(v,): 1}) for v in range(3))
+FILLER = [Poly({(i, j): (-1) ** (i * j) for i in range(27) for j in range(i, 27)})
+          for _ in range(59)]   # 59 * 378 terms: with it, a run takes the cube path
+
+
+def point(entries, rest=1):
+    """A tensor with the given flat entries and rest everywhere else."""
+    return Tensor333([[[entries.get(9 * i + 3 * j + k, rest) for k in range(3)] for j in range(3)]
+                      for i in range(3)])
+
+
+RING_CASES = [   # polynomials, point, primes beyond the ring
+    ([X0 * X1, X0 * X0], point({0: A, 1: -A}), 0),
+    ([X0 * X1], point({0: A + 1, 1: -A - 1}), 1),
+    ([X0 * X1], point({0: Fraction(A, 3), 1: Fraction(-A, 3)}), 0),
+    ([X0 * X1], point({0: Fraction(A + 2, 3), 1: Fraction(A + 2, 3)}), 1),
+    ([X0], point({0: (1 << 63) - 1}), 0),
+    ([X0], point({0: 1 - (1 << 63)}), 0),
+    ([X0], point({0: -1 << 63}), 1),
+    ([Poly.constant((1 << 63) - 1), Poly.constant(1 - (1 << 63))], point({}), 0),
+    ([Poly.constant(-1 << 63)], point({}), 1),
+    ([((1 << 60) + 1) * X0 * X1 - 3 * X1 * X2], point({1: -1}), 0),   # above 2^53
+    ([3 * X0 * X1 * X2, -5 * X0 * X0 * X2], point({0: (1 << 19) + 1, 2: -(1 << 19)}), 0),
+    ([(1 << 80) * X0 - X1], point({0: 3, 1: -7}), 1),
+    ([Poly.constant((1 << 63) - 1), Poly.constant(1 - (1 << 63))] + FILLER, point({4: -1}), 0),
+    ([Poly.constant(-1 << 63)] + FILLER, point({4: -1}), 1),
+    ([((1 << 60) + 1) * X0 * X1 - 3 * X1 * X2] + FILLER, point({1: -1}, -1), 0),
+    ([Poly.constant((1 << 60) - 1), Poly.constant(1 - (1 << 60))] + FILLER,
+     point({5: Fraction(1, 2)}, -1), 0),   # D = 2: the value times D^3 sits just inside 2^63
+    ([Poly.constant(1 << 60)] + FILLER, point({5: Fraction(1, 2)}, -1), 1),
+    ([Poly.constant(-1 << 60)] + FILLER, point({5: Fraction(-1, 2)}), 1),
+    ([(1 << 80) * X0 * X1 - X1 * X2] + FILLER, point({0: 3, 1: -7}), 1),
+]
+
+
+@pytest.mark.parametrize("polys, t, primes", RING_CASES)
+def test_values_at_the_ring_boundary_equal_the_oracle(monkeypatch, polys, t, primes):
+    """Bounds just below and at or above 2^64, values at +-(2^63 - 1), at
+    -2^63 and above 2^53, object and negative coefficients, Fraction
+    points, on the direct and the cube path: the oracle's values, from the
+    ring alone below the bound and with a prime above it."""
+    residues, calls = poly._residues, []
+
+    def logged(codes, cube, coef, starts, ys, q):
+        calls.append((cube, q))
+        return residues(codes, cube, coef, starts, ys, q)
+
+    monkeypatch.setattr(poly, "_residues", logged)
+    got, want = evaluate_points(polys, [t])[0], oracle(polys, t)
+    assert got == want and all(type(v) is int for v, w in zip(got, want) if type(w) is int)
+    assert [q for _, q in calls] == [poly._RING] + [poly.machine_prime(i) for i in range(primes)]
+    assert {cube for cube, _ in calls} == {len(polys) > 1 + len(FILLER) // 2}
+    assert max(map(abs, want)) > 1 << 53
+
+
+def test_the_last_layout_serves_the_same_packs_only(monkeypatch):
+    """A, a fresh list of A's polynomials (the kept layout), B with one
+    polynomial swapped for one of the same length, then A again: the
+    oracle's values each time, one layout held, built only on a change."""
+    builds, bounded = [], poly.bounded_runs
+    monkeypatch.setattr(poly, "bounded_runs", lambda *args: builds.append(1) or bounded(*args))
+    a = FILLER[:40] + [X0 * X1 * X2, 7 * X0 * X1] + FILLER[40:]
+    b = a[:41] + [-7 * X0 * X2] + a[42:]
+    points = sample_points(16)[:2] + [sample_points(16)[5]]
+    for polys, built in ((a, 1), (list(a), 1), (b, 2), (list(a), 3)):
+        assert evaluate_points(polys, points) == [oracle(polys, t) for t in points]
+        assert len(builds) == built
+        packs, runs = poly._LAST
+        assert len(packs) == len(polys) and all(map(operator.is_, packs, map(poly._pack, polys)))
+        assert any(run[4] for run in runs)   # the cube path
+    evaluate_points([], points)   # no polynomials: no layout
+    assert poly._LAST == [[], []]
 
 
 def test_primes_are_machine_primes():
