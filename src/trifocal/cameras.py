@@ -19,8 +19,8 @@ import json
 import random
 
 from . import linalg
-from .scalars import exact_list
-from .tensor import Tensor333, _scalar_from_json
+from .scalars import exact_list, scalar_from_json
+from .tensor import Tensor333
 
 
 class InvalidCameraError(ValueError):
@@ -156,7 +156,7 @@ def camera_from_json_obj(data) -> Camera:
     if not (isinstance(data, list) and len(data) == 3
             and all(isinstance(r, list) and len(r) == 4 for r in data)):
         raise ValueError("camera JSON must be a 3x4 nested array")
-    return Camera([[_scalar_from_json(x) for x in row] for row in data])
+    return Camera([[scalar_from_json(x) for x in row] for row in data])
 
 
 def triple_from_json(text: str) -> CameraTriple:

@@ -322,13 +322,13 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
         (e, wf), stab = check_witness(f), stabiliser(group, f)
         folds.append((f, e, wf, stab, _fold(stab, weight_keys(sum(wf, ())) + _shift_keys(d - e))
                       if e <= d else {}))
+    def block(w):   # built when ranked and then dropped: the peak is the largest block
+        return slice_rows_by_weight(gens, d, (w,)).get(w, Block())
     # base block ranks are memoised on gens until it gains generators
     ranks = gens._ranks.get((d, p, group))
     memo = ranks is not None
-    groups = slice_rows_by_weight(gens, d, set(() if memo else base).union(
-        *(fd[4] for fd in folds)))
     if not memo:
-        ranks = gens._ranks[d, p, group] = {w: _rank(groups[w], p) for w in base}
+        ranks = gens._ranks[d, p, group] = {w: _rank(block(w), p) for w in base}
     base_dim = sum(n * ranks[w] for w, n in base.items())
     ext_dims = []
     for f, e, wf, _, wit in folds:
@@ -336,8 +336,7 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
         total, terms = base_dim, (e, wf, integer_terms([f]) + (1,))
         for w, n in wit.items():   # the base representative of w: dominant under WEYL
             r = tuple(tuple(sorted(slot, reverse=True)) for slot in w) if group is WEYL else w
-            block = groups.get(w, Block()) + _block(gens, d, w, d, terms)
-            total += n * (_rank(block, p) - ranks.get(r, 0))
+            total += n * (_rank(block(w) + _block(gens, d, w, d, terms), p) - ranks.get(r, 0))
         ext_dims.append(total)
     if progress:
         progress("degree %d: ranked %d of %d nonempty weight blocks%s, |G| = %d" % (

@@ -145,17 +145,15 @@ def signature(t: Tensor333, modules=None) -> Signature:
     pr = prank(t)   # an axis's cubics vanish exactly when its pencil rank is below 3
     m5 = m6 = None
     if modules is not None:
-        m6 = {}
+        m6, modules, at = {}, list(modules), 0   # one evaluation, split per module
+        values = evaluate_points([f for mod in modules for f in mod.basis], [t])[0]
         for mod in modules:
-            vanishes = not any(evaluate_points(mod.basis, [t])[0])
+            vanishes, at = not any(values[at:at + len(mod.basis)]), at + len(mod.basis)
             if mod.degree == 5:
                 m5 = vanishes if m5 is None else m5 and vanishes
             elif mod.degree == 6:
                 m6[mod.label] = vanishes
     return Signature(frank(t), pr, tuple(r < 3 for r in pr), m5, m6)
-
-
-COMPONENTS = ("Sub233", "Sub323", "Trifocal", "PRank222", "NotInVM3")
 
 
 def classify_component(t: Tensor333) -> str:

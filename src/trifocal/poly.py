@@ -6,9 +6,6 @@ dict from monomials to nonzero exact coefficients.  Every polynomial we
 care about is weight-homogeneous: the triple of index contents
 (A-content, B-content, C-content) is the same for all monomials.
 
-The letter aliases follow a_ij = T[i][j][1], b_ij = T[i][j][2],
-c_ij = T[i][j][3] in 1-based notation.
-
 Evaluation is exact, through one kernel, evaluate_points.  Each value is
 lifted by CRT to the symmetric range from its residues mod M = 2^64 times
 machine primes (linalg.machine_prime), primes taken only while M <= 2 *
@@ -40,10 +37,19 @@ So a tableau polynomial, a hw-space basis vector, a vanishing certificate
 and a lowered module vector go from their batch to ideal's weight blocks
 and to evaluation without a dict; content_normalized is one batch too
 (normalized).
+
+As text (parse_poly, format_poly) a polynomial is terms [sign] factor
+(* factor)*, the sign needed after the first; a factor is an unsigned
+rational (scalars.parse_rational) or a variable, T_i_j_k or a_ij = T_ij1,
+b_ij = T_ij2, c_ij = T_ij3 (1-based), each with an optional ^ and ASCII
+digits.  One compiled pattern (_TERM) matches term by term from the start,
+whitespace allowed between tokens and never inside one, so "1 2*a11" is
+refused, not read as 12*a11.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from fractions import Fraction
 from functools import lru_cache
@@ -54,7 +60,7 @@ from operator import is_
 import numpy as np
 
 from .linalg import machine_prime
-from .scalars import exact_list
+from .scalars import exact_list, parse_rational
 from .tensor import Tensor333, perm_sign
 
 N_VARS = 27
@@ -562,52 +568,30 @@ def format_poly(f: Poly) -> str:
     return text[2:] if text.startswith("+ ") else text
 
 
-def _parse_var(token: str) -> int:
-    bits = token.split("_")
-    if len(bits) == 4 and bits[0] == "T":
-        ijk = bits[1:]
-    elif len(token) == 3 and token[0] in "abc":
-        ijk = [token[1], token[2], str("abc".index(token[0]) + 1)]
-    else:
-        raise ValueError("bad variable %r" % token)
-    if any(x not in ("1", "2", "3") for x in ijk):
-        raise ValueError("bad variable %r" % token)
-    i, j, k = (int(x) - 1 for x in ijk)
-    return var_index(i, j, k)
+_FACTOR = r"(?:[0-9]+(?:/[0-9]+)?|T_[1-3]_[1-3]_[1-3]|[abc][1-3][1-3])(?:\s*\^\s*[0-9]+)?"
+_TERM = re.compile(r"\s*([+-]?)\s*(%s(?:\s*\*\s*%s)*)\s*" % (_FACTOR, _FACTOR))
+_NAMES = {name: v for v in range(N_VARS) for i, j, k in [var_ijk(v)]
+          for name in (var_name(v), "abc"[k] + "%d%d" % (i + 1, j + 1))}
 
 
 def parse_poly(text: str) -> Poly:
-    """Parse 'c*T_1_2_3^2*a11 - ...' (T_i_j_k or letter a/b/c names).
-
-    Coefficients are integers or p/q, exponents nonnegative integers.
-    Anything else (a negative or fractional exponent, a dangling sign or
-    operator, an unknown variable) raises ValueError.
-    """
-    chunks = "".join(text.split()).replace("-", "+-").split("+")
-    if chunks[0] == "" and len(chunks) > 1:
-        del chunks[0]  # a leading sign
-    terms = []
-    for chunk in chunks:
-        coeff = 1
-        if chunk.startswith("-"):
-            coeff = -1
-            chunk = chunk[1:]
-        if not chunk:
-            raise ValueError("empty term (dangling sign) in %r" % (text,))
-        mono = []
-        for factor in chunk.split("*"):
-            base, caret, exp = factor.partition("^")
-            if not base or (caret and not exp.isdigit()):
-                raise ValueError("bad factor %r" % (factor,))
-            e = int(exp) if caret else 1
-            num, slash, den = base.partition("/")
-            if not num.isdigit():
-                mono.extend([_parse_var(base)] * e)
-            elif slash and not (den.isdigit() and int(den)):
-                raise ValueError("bad coefficient %r" % (base,))
+    """The Poly of text such as 'c*T_1_2_3^2*a11 - ...' in the term grammar
+    (module docstring); ValueError at the first term that does not match."""
+    terms, pos = [], 0
+    while pos < len(text) or not terms:
+        m = _TERM.match(text, pos)
+        if not m or (terms and not m[1]):
+            raise ValueError("bad term at offset %d of %r" % (pos, text))
+        coeff, mono = -1 if m[1] == "-" else 1, []
+        for factor in m[2].split("*"):
+            base, _, exp = factor.partition("^")
+            base, e = base.strip(), int(exp or 1)
+            if base in _NAMES:
+                mono += [_NAMES[base]] * e
             else:
-                coeff = coeff * (Fraction(int(num), int(den)) if slash else int(num)) ** e
+                coeff *= parse_rational(base) ** e
         terms.append((sorted(mono), coeff))
+        pos = m.end()
     return Poly(terms)
 
 
@@ -616,5 +600,4 @@ def witness_g() -> Poly:
     the data file; weight ((2,2,0),(2,1,1),(2,1,1)))."""
     from importlib.resources import files
     text = files("trifocal").joinpath("data/witness_g.txt").read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    return parse_poly("".join(lines))
+    return parse_poly("\n".join(ln for ln in text.splitlines() if not ln.lstrip().startswith("#")))

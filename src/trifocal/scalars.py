@@ -1,13 +1,17 @@
 """Exact scalars: arbitrary-precision rationals and the prime-field helpers.
 
 Rationals are stdlib ``fractions.Fraction`` (always reduced, positive
-denominator).  Residues mod a prime are plain ints; the default prime is
-101 and can be overridden everywhere a prime appears.  Modular kernel
-entries, combined by CRT, come back to Q through rational_reconstruction.
+denominator).  As text, in polynomials and JSON alike, a rational is one
+token: an optional sign, ASCII digits and at most one slash before a
+nonzero denominator (parse_rational).  Residues mod a prime are plain
+ints; the default prime is 101 and can be overridden everywhere a prime
+appears.  Modular kernel entries, combined by CRT, come back to Q through
+rational_reconstruction.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -36,6 +40,26 @@ def exact_list(xs, what):
         bad = next(x for x in xs if type(x) not in (int, Fraction))
         raise TypeError("%s %r is not an int or a Fraction" % (what, bad))
     return xs, Fraction in kinds
+
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational n or n/d in text; ValueError on anything else (module
+    docstring), "1_000", " 3", "3/4/5" and "1/0" included."""
+    m = _RATIONAL.fullmatch(text)
+    if not (m and int(m[2] or 1)):
+        raise ValueError("bad rational entry %r" % (text,))
+    return Fraction(int(m[1]), int(m[2] or 1))
+
+
+def scalar_from_json(x):
+    """A JSON integer, or the rational of a JSON string (parse_rational);
+    floats and booleans are rejected, not truncated or read as 0/1."""
+    if type(x) not in (int, str):
+        raise ValueError("entries must be integers or 'p/q' strings, got %r" % (x,))
+    return parse_rational(x) if type(x) is str else x
 
 
 def rational_reconstruction(a: int, m: int) -> Fraction | None:

@@ -13,20 +13,20 @@ from one fixed reordering of the flat entries per axis (an itemgetter), and
 act is three mode products on the flat entries.  prank and frank compute
 the rank invariants once and keep them on the tensor: the flattening ranks
 by fraction-free elimination (linalg.rank), the pencil ranks from the
-cofactors of the pencil at 10 lattice points (see pencil_rank).
+cofactors of the pencil at 10 lattice points (see pencil_rank).  JSON
+entries are read by scalars.scalar_from_json: integers or rational strings.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import re
 from fractions import Fraction
 from itertools import chain, combinations
 from operator import itemgetter
 
 from . import linalg
-from .scalars import exact_list
+from .scalars import exact_list, scalar_from_json
 
 AXES = ("A", "B", "C")
 
@@ -258,20 +258,6 @@ def _scalar_to_json(x):
     return int(x)
 
 
-def _scalar_from_json(x):
-    """An exact scalar from a JSON integer or a "p/q" string: an optional
-    sign, ASCII digits and at most one slash.  Floats and booleans are
-    rejected rather than truncated or read as 0/1."""
-    if isinstance(x, str):
-        num, _, den = x.partition("/")
-        if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", x) and int(den or 1):
-            return Fraction(int(num), int(den or 1))
-        raise ValueError("bad rational entry %r" % (x,))
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    raise ValueError("entries must be integers or 'p/q' strings, got %r" % (x,))
-
-
 def tensor_to_json(t: Tensor333) -> str:
     return json.dumps([[[_scalar_to_json(t.t[i][j][k]) for k in range(3)]
                         for j in range(3)] for i in range(3)])
@@ -283,5 +269,5 @@ def tensor_from_json(text: str) -> Tensor333:
             and all(isinstance(p, list) and len(p) == 3 for p in data)
             and all(isinstance(row, list) and len(row) == 3 for p in data for row in p)):
         raise ValueError("tensor JSON must be a nested 3x3x3 array")
-    return Tensor333([[[_scalar_from_json(data[i][j][k]) for k in range(3)]
+    return Tensor333([[[scalar_from_json(data[i][j][k]) for k in range(3)]
                        for j in range(3)] for i in range(3)])

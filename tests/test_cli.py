@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,10 @@ from trifocal import ideal
 from trifocal.cameras import random_triple
 from trifocal.cli import main
 from trifocal.orbits import catalog
+from trifocal.scalars import parse_rational
 from trifocal.tensor import tensor_from_json, tensor_to_json
+
+from test_poly import JOINED
 
 
 def write(tmp_path, name, text):
@@ -90,6 +94,13 @@ def test_from_cameras_rejects_float_bool_and_bad_rational_entries(tmp_path, caps
 
 
 LOOSE_RATIONALS = ("3/", "1_000", " 3", "3\n", "٣", "3/4/5", "1/-2", "--3", "/4", "")
+
+
+def test_parse_rational_reads_only_sign_digits_and_one_slash():
+    for bad in LOOSE_RATIONALS + ("1/0", "+-3", "3 /4", "0x10", "1e3"):
+        with pytest.raises(ValueError, match="bad rational entry"):
+            parse_rational(bad)
+    assert parse_rational("-6/4") == Fraction(-3, 2) and parse_rational("+7") == 7
 
 
 def test_check_reads_only_sign_digits_and_one_slash(tmp_path, capsys):
@@ -284,6 +295,14 @@ def test_nzd_verdict_at_low_cap(capsys):
 def test_nzd_bad_witness_file(tmp_path, capsys):
     bad = write(tmp_path, "w.txt", "not ** a (poly")
     assert main(["nzd", "--witness", bad, "--degree-cap", "3"]) == 2
+
+
+def test_nzd_refuses_tokens_joined_by_whitespace(tmp_path, capsys):
+    # "1 2*a11" once read as 12*a11 and "a11^1 0" as a11^10
+    for text in JOINED:
+        bad = write(tmp_path, "w.txt", text + "\n")
+        assert main(["nzd", "--witness", bad, "--degree-cap", "3"]) == 2, text
+        assert capsys.readouterr().err.startswith("error: bad term at offset"), text
 
 
 def test_nzd_rejects_zero_and_mixed_weight_witness_before_discovery(tmp_path, capsys,

@@ -387,6 +387,17 @@ def test_degree7_base_fold_stays_small(discovery6, traced_peak_mb):
     assert (len(fold), sum(fold.values())) == (153, 10368) and peak < 4
 
 
+@pytest.mark.slow
+def test_witness_sweep_builds_each_block_when_it_ranks_it(discovery6, traced_peak_mb,
+                                                          monkeypatch):
+    """A fresh degree-6 sweep with g at p = 32003 traces about 5.9 MB; with
+    every block built before the first was ranked it traced 9.2 MB."""
+    gens = discovery6.gens
+    monkeypatch.setattr(gens, "_ranks", {})   # no memoised base ranks
+    peak, out = traced_peak_mb(ideal.hilbert_with_witnesses, gens, [witness_g()], 6, 32003)
+    assert out == (865860, [865482]) and peak < 7
+
+
 def test_weight_keys_are_in_tuple_order_and_reject_a_carry():
     rng = random.Random(3)
     weights = sorted({tuple(tuple(rng.randrange(16) for _ in range(3)) for _ in range(3))

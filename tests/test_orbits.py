@@ -4,13 +4,14 @@ from collections import Counter
 
 import pytest
 
-from trifocal import orbits, tensor
+from trifocal import ideal, orbits, poly, tensor
 from trifocal.cameras import random_triple, trifocal_from_cameras
 from trifocal.orbits import (boundary_orbit_reps, catalog, classify_component,
                              decode_triples,
                              degeneration_check, is_trifocal, m3_vanishes,
                              signature, skew_tensor, sub_generic,
                              trifocal_normal_form)
+from trifocal.poly import evaluate_points
 from trifocal.tensor import (Tensor333, act, frank, permute_factors, prank,
                              random_group_element, random_orbit_point)
 
@@ -83,6 +84,28 @@ def test_signature_without_degree5_modules_has_no_m5(discovery5):
     assert sig.m5_vanishing is None
     assert sig.m3_axis_vanishing[2] is False
     assert "m5_vanishing" not in sig.to_dict()
+
+
+def test_signature_splits_one_evaluation_per_module(discovery5, monkeypatch):
+    mods = discovery5.modules()
+    # as degree-6 modules, each module's own vanishing flag is reported
+    each = [ideal.DiscoveredModule(6, (i,), m.hw_vector, m.basis) for i, m in enumerate(mods)]
+    rng = random.Random(23)
+    points = [nf.tensor for nf in catalog().values()] + [
+        random_orbit_point(trifocal_normal_form(), 7), trifocal_from_cameras(random_triple(rng)),
+        Tensor333([[[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)] for _ in range(3)])]
+    oracle = {}
+    for t in points:
+        flags = [not any(evaluate_points(m.basis, [t])[0]) for m in mods]
+        oracle[t] = (all(v for v, m in zip(flags, mods) if m.degree == 5),
+                     {(i,): v for i, v in enumerate(flags)})
+    assert len({tuple(m6.values()) for _, m6 in oracle.values()}) > 2   # the flags differ
+    builds, bounded = [], poly.bounded_runs
+    monkeypatch.setattr(poly, "bounded_runs", lambda *args: builds.append(1) or bounded(*args))
+    for t in points:
+        assert signature(t, modules=mods).m5_vanishing == oracle[t][0]
+        assert signature(t, modules=iter(each)).m6_vanishing == oracle[t][1]
+        assert len(builds) <= 1   # both lists share their bases: one layout, kept across tensors
 
 
 def test_classification_examples():

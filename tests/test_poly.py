@@ -221,11 +221,20 @@ def test_text_format_roundtrip():
         (var_index(0, 0, 0), var_index(0, 0, 0)): 2,
         (var_index(1, 1, 1),): Fraction(-1, 2)})
     assert parse_poly("-a11 + 3 * b12^0") == Poly({(var_index(0, 0, 0),): -1, (): 3})
+    a11, b12 = (Poly({(var_index(*ijk),): 1}) for ijk in ((0, 0, 0), (0, 1, 1)))
+    assert parse_poly("a11 ^ 2") == a11 * a11
+    assert parse_poly("  2*a11\n- 1/3 * b12\n\t+ a11 ^ 2\n") == (
+        a11.scale(2) - b12.scale(Fraction(1, 3)) + a11 * a11)
+
+
+# whitespace never joins two tokens, and digits are ASCII only
+JOINED = ["1 2*a11", "a11^1 0", "1/2 0*a11", "a1 1*b22", "T_1_ 2_3", "٣*a11", "a11^٢",
+          "2 / 3*a11"]
 
 
 @pytest.mark.parametrize("text", [
     "a11^-1", "a11^1.5", "a11^", "a11 -", "- ", "a11 + - b11", "+", "",
-    "a11**b11", "2*", "1/0*a11", "T_4_1_1", "a00", "d11", "2.5*a11"])
+    "a11**b11", "2*", "1/0*a11", "T_4_1_1", "a00", "d11", "2.5*a11", *JOINED])
 def test_parse_poly_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         parse_poly(text)
