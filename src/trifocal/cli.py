@@ -119,15 +119,12 @@ def cmd_discover(args) -> int:
                "new_generators_by_degree": {str(d): n for d, n in disc.counts().items()},
                "modules": inventory,
                "labels": label_table}
-    lines = ["new generators by degree: %s" % disc.counts()]
-    for m in inventory:
-        lines.append("  degree %d  label %s  dim %d" % (m["degree"], m["label"], m["dimension"]))
-    lines.append("labels with vanishing highest weight vectors:")
-    for row in label_table:
-        if row["vanishing"]:
-            lines.append("  degree %d  label %s  kronecker %d  hw %d  vanishing %d  new %d"
-                         % (row["degree"], row["label"], row["kronecker"],
-                            row["hw_dim"], row["vanishing"], row["new"]))
+    lines = ["new generators by degree: %s" % disc.counts()] + [
+        "  degree %d  label %s  dim %d" % (m["degree"], m["label"], m["dimension"])
+        for m in inventory] + ["labels with vanishing highest weight vectors:"] + [
+        "  degree %d  label %s  kronecker %d  hw %d  vanishing %d  new %d" % (
+            r["degree"], r["label"], r["kronecker"], r["hw_dim"], r["vanishing"], r["new"])
+        for r in label_table if r["vanishing"]]
     _emit(args, payload, lines)
     return 0
 
@@ -145,12 +142,8 @@ def cmd_hilbert(args) -> int:
 
 def cmd_nzd(args) -> int:
     cfg = _config(args)
-    if args.witness == "f":
-        w = f_determinant()
-    elif args.witness == "g":
-        w = witness_g()
-    else:
-        w = parse_poly(_read_file(args.witness))
+    w = {"f": f_determinant, "g": witness_g}.get(args.witness)
+    w = w() if w else parse_poly(_read_file(args.witness))
     ideal.check_witness(w)  # before the discovery run, not after it
     gens = _discover(args, min(args.degree_cap, TOP_GENERATOR_DEGREE), None).gens
     report = graded_nonzerodivisor_check(gens, w, cap=args.degree_cap, p=args.prime,
@@ -161,11 +154,9 @@ def cmd_nzd(args) -> int:
                "failing_degree": report.failing_degree,
                "table": {str(d): {"expected": e, "actual": a}
                           for d, (e, a) in report.table.items()}}
-    lines = ["witness degree: %d" % report.witness_degree]
-    for d, (e, a) in report.table.items():
-        lines.append("  degree %d: expected %d actual %d %s"
-                     % (d, e, a, "ok" if e == a else "MISMATCH"))
-    lines.append("non-zero-divisor (up to cap): %s" % bool(report))
+    lines = ["witness degree: %d" % report.witness_degree] + [
+        "  degree %d: expected %d actual %d %s" % (d, e, a, "ok" if e == a else "MISMATCH")
+        for d, (e, a) in report.table.items()] + ["non-zero-divisor (up to cap): %s" % bool(report)]
     _emit(args, payload, lines)
     return 0 if report else 1
 

@@ -26,10 +26,12 @@ The fold runs on int64 weight keys (weight_keys, _fold); only orbit
 representatives become weight tuples.  The base fold is memoised per
 (degree, G) next to the base ranks, and a stabiliser per (G, witness terms).
 
-Blocks are built from packed terms with no per-term Python.  Generators
-are grouped by weight key and filed per weight as uint8 rows of sorted
-variables, each generator as its integer multiple with content 1 (the
-same ideal, nothing to truncate mod p).  A product row is a generator's
+Blocks are built from packed terms with no per-term Python.  Each filed
+batch (a module, or one add call) is one chunk of uint8 rows of sorted
+variables and coefficients, each generator as its integer multiple with
+content 1 (the same ideal, nothing to truncate mod p), sorted by weight
+key.  Weights index slices of the chunks, and a pack equal to its slice
+becomes it, so module bases hold terms once.  A product row is a generator's
 rows beside a multiplier, sorted; a monomial's key has five bits per
 variable (poly.mono_keys, 35 at degree 7) and the columns are np.unique
 of the keys.  Witness multiples and certificates are rows of the same blocks.
@@ -45,8 +47,8 @@ from itertools import permutations, product
 import numpy as np
 
 from . import linalg, rep
-from .poly import (PAD, Poly, evaluate_points, integer_terms, mono_keys, normalized, pack_terms,
-                   row_weights, term_matrix, variable_map, weight_space_basis)
+from .poly import (PAD, Poly, _pack, evaluate_points, integer_terms, mono_keys, normalized,
+                   pack_terms, row_weights, term_matrix, variable_map, weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, random_orbit_point
 
@@ -88,6 +90,14 @@ def _check_prime(p):
         raise ValueError("%d is not prime" % p)
 
 
+def _gathered(item):
+    """A weight_table item (weight, (rows, ids, coeffs, count)) from its
+    (weight, chunk slices): ids count the generators in order of filing."""
+    w, slices = item
+    rows, coeffs, n = map(np.concatenate, zip(*slices))
+    return w, (rows, np.repeat(np.arange(len(n)), n), coeffs, len(n))
+
+
 class GradedGeneratorSet:
     """Homogeneous, weight-homogeneous generators bucketed by degree and
     indexed by weight.  A degree is module-built while all of its
@@ -95,7 +105,7 @@ class GradedGeneratorSet:
 
     def __init__(self, by_degree=None):
         self.by_degree = {}
-        self._tables = {}   # degree -> weight_table(degree)
+        self._tables = {}   # degree -> (k x 9 weights, [(weight, chunk slices)])
         self._modules = {}  # degree -> module-built
         self._ranks = {}    # (degree, p, group) -> {representative: block rank}
         self._folds = {}    # (degree, group) -> _fold of the slice weights
@@ -103,22 +113,22 @@ class GradedGeneratorSet:
             self.add(d, polys)
 
     def _file(self, degree, polys):
-        # a fresh index, so a rejected generator leaves the set unchanged
-        index = dict(self._tables.get(degree, (None, []))[1])
-        rows, ids, coeffs = integer_terms(polys)
-        bounds = np.searchsorted(ids, np.arange(len(polys) + 1))
-        keys = weight_keys(row_weights(rows[bounds[:-1]]))   # a generator's: its first term's
-        order = np.argsort(keys, kind="stable")   # by weight, then in order of filing
+        # one chunk: generators by weight, then in order of filing (module docstring)
+        firsts = np.array([_pack(f)[0][0] for f in polys], np.uint8).reshape(len(polys), degree)
+        keys = weight_keys(row_weights(firsts))   # raises before any change to the set
+        order = np.argsort(keys, kind="stable")
+        gens = [polys[i] for i in order]
+        rows, ids, coeffs = integer_terms(gens)
+        n = np.bincount(ids, minlength=len(gens))   # terms per generator
+        ends = np.r_[0, np.cumsum(n)]
         cuts = np.r_[np.flatnonzero(np.diff(keys[order], prepend=-1)), len(order)]
-        n = np.diff(bounds)[order]
-        ends = np.cumsum(np.r_[0, n])   # of the terms in that order
-        shift = bounds[order] - ends[:-1]
+        index = dict(self._tables.get(degree, (None, []))[1])   # weight -> chunk slices
         for w, a, b in sorted(zip(_weights(keys[order[cuts[:-1]]]), cuts, cuts[1:]),
                               key=lambda item: order[item[1]]):   # new weights in order of filing
-            t = np.arange(ends[a], ends[b]) + np.repeat(shift[a:b], n[a:b])   # their terms
-            old = index.get(w, (rows[:0], ids[:0], coeffs[:0], 0))
-            new = (rows[t], old[3] + np.repeat(np.arange(b - a), n[a:b]), coeffs[t])
-            index[w] = (*map(np.concatenate, zip(old[:3], new)), old[3] + b - a)
+            index.setdefault(w, []).append((rows[ends[a]:ends[b]], coeffs[ends[a]:ends[b]], n[a:b]))
+        for f, a, b in zip(gens, ends, ends[1:]) if coeffs.dtype == np.int64 else ():
+            if f._packed[3] == 1 and np.array_equal(f._packed[1], coeffs[a:b]):   # content 1
+                f._packed = (rows[a:b], coeffs[a:b]) + f._packed[2:]
         self._tables[degree] = (np.array([sum(w, ()) for w in index], np.int64).reshape(-1, 9),
                                 list(index.items()))
         self.by_degree.setdefault(degree, []).extend(polys)
@@ -150,8 +160,10 @@ class GradedGeneratorSet:
     def weight_table(self, degree):
         """The generator weights of one degree as a k x 9 array, and the
         matching [(weight, (rows, ids, coeffs, count))] list: the terms of
-        that weight's generators (poly.integer_terms) and their number."""
-        return self._tables[degree]
+        that weight's generators (poly.integer_terms) and their number,
+        gathered from the chunks (_gathered; _block gathers only its own)."""
+        table, index = self._tables[degree]
+        return table, list(map(_gathered, index))
 
     def symmetry_group(self, d):
         """S3^3 when every degree <= d is module-built, else {id}."""
@@ -202,8 +214,8 @@ def _block(gens, d, weight, top, witness=None):
     terms): by degree, then by generator weight, multiplier and generator."""
     flat = np.array(sum(weight, ()), dtype=np.int64)
     groups = [witness] if witness else [
-        (e,) + items[i] for e in gens.degrees() if e <= min(d, top)
-        for table, items in [gens.weight_table(e)] for i in np.flatnonzero((table <= flat).all(1))]
+        (e,) + _gathered(index[i]) for e in gens.degrees() if e <= min(d, top)
+        for table, index in [gens._tables[e]] for i in np.flatnonzero((table <= flat).all(1))]
     parts, n = [(np.zeros((0, d), np.uint8), Block._none, Block._none)], 0
     for e, wg, (rows, ids, coeffs, count) in groups:
         mult = _multipliers(d - e, _minus(weight, wg))
@@ -229,7 +241,7 @@ def _shift_keys(n):
 def _slice_weights(gens: GradedGeneratorSet, d):
     """Keys of the weights of the degree-d slice's nonempty blocks, ascending."""
     return np.unique(np.concatenate([np.empty(0, np.int64)] + [
-        (weight_keys(gens.weight_table(e)[0])[:, None] + _shift_keys(d - e)).ravel()
+        (weight_keys(gens._tables[e][0])[:, None] + _shift_keys(d - e)).ravel()
         for e in gens.degrees() if e <= d]))
 
 
@@ -290,8 +302,8 @@ def _fold(group, keys):
 
 
 def _rank(block: Block, p):
-    a = block.matrix(p)   # rank A = rank A^T: eliminate the short side
-    return len(linalg.rref_mod_p(a.T if len(a) < a.shape[1] else a, p)[1])
+    a = block.matrix(p)   # rank A = rank A^T: the short side, C-ordered, reduced in place
+    return len(linalg._rref(a.T if len(a) < a.shape[1] else a, p)[1])
 
 
 def check_witness(f: Poly):
@@ -318,10 +330,11 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
     if base is None:
         base = gens._folds[d, group] = _fold(group, _slice_weights(gens, d))
     folds = []  # (witness, degree, weight, stabiliser, {representative: orbit size})
-    for f in witnesses:
-        (e, wf), stab = check_witness(f), stabiliser(group, f)
+    for f in witnesses:   # one above degree d has no rows and no stabiliser here
+        e, wf = check_witness(f)
+        stab = stabiliser(group, f) if e <= d else ()
         folds.append((f, e, wf, stab, _fold(stab, weight_keys(sum(wf, ())) + _shift_keys(d - e))
-                      if e <= d else {}))
+                      if stab else {}))
     def block(w):   # built when ranked and then dropped: the peak is the largest block
         return slice_rows_by_weight(gens, d, (w,)).get(w, Block())
     # base block ranks are memoised on gens until it gains generators

@@ -10,9 +10,10 @@ incremental Echelon and the modular kernels behind the certified integer
 kernels are all read off its output.  It reduces late: k row updates keep
 every entry in (-k(p-1)^2, p), and it reduces before k(p-1)^2 + p would pass
 2^62; for p <= 2^31 - 1 that holds at k = 1, so int64 never overflows.
-It works in place on one C-ordered int64 copy of its input and updates the
-rows a pivot hits in chunks of at most _UPDATE_ENTRIES entries, so its peak
-is that copy plus two 2 MB temporaries.  machine_prime supplies the primes
+It works in place (_rref) on one C-ordered int64 copy of its input, or on
+an array its caller fills (ideal's block ranks), and updates the rows a
+pivot hits in chunks of at most _UPDATE_ENTRIES entries, so its peak is
+that array plus two 2 MB temporaries.  machine_prime supplies the primes
 of multi-prime computations and of exact evaluation beyond 2^64 (poly).
 """
 
@@ -142,9 +143,12 @@ def rref_mod_p(rows_array, p):
     other row, the list of those pivot columns).  Each pivot reduces its row
     and column, the rest is reduced every k updates for the largest k with
     k(p-1)^2 + p <= 2^62; p <= 2^31 - 1 gives k >= 1, so int64 never overflows.
-    The input stays unchanged (module docstring)."""
+    The input stays unchanged: _rref reduces a copy (module docstring)."""
+    return _rref(np.array(rows_array, dtype=np.int64, order="C"), p)   # "K" keeps F order
+
+
+def _rref(a, p):   # rref_mod_p in place on a C-ordered int64 array
     _check_machine_prime(p)
-    a = np.array(rows_array, dtype=np.int64, order="C")   # "K" would keep a transpose's order
     a %= p
     m, n = a.shape
     limit = ((1 << 62) - p) // (p - 1) ** 2   # 1 for p near 2^31

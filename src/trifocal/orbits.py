@@ -260,9 +260,7 @@ def degeneration_check(name: str) -> bool:
                 return False
         limit = _family18(0)
         cyc = (linalg.identity(3), [[0, 1, 0], [0, 0, 1], [1, 0, 0]], linalg.identity(3))
-        target = act(cyc, orbit18_rep())
-        target_pencil = pencil(target, "A")
-        limit_pencil = pencil(limit, "A")
+        limit_pencil, target_pencil = pencil(limit, "A"), pencil(act(cyc, orbit18_rep()), "A")
         # rows 1 and 2 must agree outright (no a3, untouched by the chain)
         if any(lp[:2] != tp[:2] for lp, tp in zip(limit_pencil, target_pencil)):
             return False

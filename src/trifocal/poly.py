@@ -447,7 +447,9 @@ def mono_keys(rows, lead=None):
     """An integer key per row: five bits per variable, v + 1 or 0 for PAD,
     below the bits of lead (an int64 or object array) when given.  The
     order of the keys is tuple order: a monomial sorts before its
-    extensions."""
+    extensions.  Without lead, ValueError above 12 columns (int64 would wrap)."""
+    if lead is None and rows.shape[1] > 12:
+        raise ValueError("%d variables of five bits overflow an int64 key" % rows.shape[1])
     key = np.zeros(len(rows), np.int64) if lead is None else lead
     for col in ((rows + 1) % _BASE).T.astype(key.dtype):
         key = key << 5 | col
@@ -484,9 +486,11 @@ def normalized(batch, n):
 
 def term_matrix(keys, at, coeffs, n, p):
     """Terms as a dense n x k array mod p, one column per distinct key
-    (mono_keys) in key order: term t puts coeffs[t] at row at[t]."""
+    (mono_keys) in key order: term t puts coeffs[t] at row at[t].  Its
+    memory is C-ordered long side first, so a wide one's a.T is C-ordered."""
     cols, col_of = np.unique(keys, return_inverse=True)
-    a = np.zeros((n, len(cols)), dtype=np.int64)
+    k = len(cols)
+    a = np.zeros((n, k), np.int64) if n >= k else np.zeros((k, n), np.int64).T
     a[at, col_of] = coeffs % p
     return a
 

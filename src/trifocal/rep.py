@@ -87,9 +87,7 @@ def mn_character(lam, cls) -> int:
         raise ValueError("partition %r and class %r have different sizes" % (lam, cls))
     if not cls:
         return 1
-    ell = cls[0]
-    rest = tuple(cls[1:])
-    n = len(lam)
+    ell, rest, n = cls[0], tuple(cls[1:]), len(lam)
     beta = [lam[i] + (n - 1 - i) for i in range(n)]
     bset = set(beta)
     total = 0
@@ -101,8 +99,7 @@ def mn_character(lam, cls) -> int:
         newbeta = sorted([x for x in beta if x != b] + [nb], reverse=True)
         newlam = tuple(x - (n - 1 - i) for i, x in enumerate(newbeta))
         newlam = tuple(x for x in newlam if x > 0)
-        term = mn_character(newlam, rest)
-        total += -term if height % 2 else term
+        total += (-1) ** height * mn_character(newlam, rest)
     return total
 
 
@@ -115,10 +112,8 @@ def kronecker(lam, mu, nu) -> int:
         raise ValueError("label %r has mixed sizes" % ((lam, mu, nu),))
     if d > MAX_DEGREE:
         raise ValueError("degree %d beyond the search bound %d" % (d, MAX_DEGREE))
-    total = 0
-    for cls in partitions(d):
-        total += (class_size(cls) * mn_character(lam, cls)
-                  * mn_character(mu, cls) * mn_character(nu, cls))
+    total = sum(class_size(cls) * mn_character(lam, cls) * mn_character(mu, cls)
+                * mn_character(nu, cls) for cls in partitions(d))
     if total % factorial(d) != 0:
         raise ConsistencyError("character sum for %r is not divisible by d!" % ((lam, mu, nu),))
     val = total // factorial(d)

@@ -78,9 +78,7 @@ def rational_reconstruction(a: int, m: int) -> Fraction | None:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         s0, s1 = s1, s0 - q * s1
-    if r1 == 0 or abs(s1) > bound:
-        return None
-    if gcd(r1, s1) != 1:
+    if r1 == 0 or abs(s1) > bound or gcd(r1, s1) != 1:
         return None
     if s1 < 0:
         r1, s1 = -r1, -s1

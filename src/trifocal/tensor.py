@@ -243,17 +243,13 @@ def random_group_element(rng: random.Random, bound=5):
 
 def random_orbit_point(nf: Tensor333, seed, bound=5) -> Tensor333:
     """Deterministic pseudo-random point on the orbit of nf."""
-    rng = random.Random(seed)
-    g = random_group_element(rng, bound=bound)
-    return act(g, nf, check=False)
+    return act(random_group_element(random.Random(seed), bound=bound), nf, check=False)
 
 
 # --- (de)serialization ------------------------------------------------------
 
 def _scalar_to_json(x):
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
+    if isinstance(x, Fraction) and x.denominator != 1:
         return "%d/%d" % (x.numerator, x.denominator)
     return int(x)
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -328,6 +329,19 @@ def test_nzd_rational_witness_gives_the_integer_table(tmp_path, capsys):
         tables.append(json.loads(capsys.readouterr().out)["table"])
     assert tables[0] == tables[1]
     assert tables[1]["3"] == {"expected": 3266, "actual": 3266}
+
+
+def test_nzd_witness_above_the_cap_adds_no_rows_and_no_stabiliser(tmp_path, capsys):
+    """a11^20000 reaches no degree of the sweep, so its stabiliser, once
+    about 9 s of int64 keys that wrap above degree 12, is not computed."""
+    path = write(tmp_path, "w.txt", "a11^20000\n")
+    start = time.perf_counter()
+    assert main(["nzd", "--witness", path, "--degree-cap", "3", "--json"]) == 0
+    assert time.perf_counter() - start < 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["witness_degree"] == 20000 and payload["non_zero_divisor"] is True
+    assert {d: (r["expected"], r["actual"]) for d, r in payload["table"].items()} == {
+        "1": (27, 27), "2": (378, 378), "3": (3644, 3644)}
 
 
 def test_nzd_invalid_prime(capsys):

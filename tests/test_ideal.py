@@ -398,6 +398,96 @@ def test_witness_sweep_builds_each_block_when_it_ranks_it(discovery6, traced_pea
     assert out == (865860, [865482]) and peak < 7
 
 
+# --- the store: each filed batch one chunk, module bases views of it ------------
+
+def assert_bases_are_views_of_the_store(disc):
+    """Every module basis vector's pack is its slice of the chunk its
+    module was filed as, so its terms are held once."""
+    for m in disc.modules():
+        index = dict(disc.gens._tables[m.degree][1])
+        for f in m.basis:
+            rows, coeffs = f._packed[:2]
+            assert any(np.shares_memory(rows, r) and np.shares_memory(coeffs, c)
+                       for r, c, _ in index[f.weight()])
+
+
+@pytest.mark.slow
+def test_discovery_holds_each_term_once(trifocal_nf, traced_peak_mb):
+    """A fresh discover(6) traces about 16 MB, its module bases views of
+    its set's chunks.  With every term held a second time in per-weight
+    tables it traced 27.3 MB.  (discovery6's bases are filed again by
+    other tests, and a pack is the slice of the last set that filed it.)"""
+    peak, disc = traced_peak_mb(ideal.discover, 6, trifocal_nf, 2024)
+    assert disc.counts()[6] == 1980 and peak < 19
+    assert_bases_are_views_of_the_store(disc)
+
+
+def test_plain_generators_share_the_store_only_at_content_one():
+    """Integer generators with content 1 take their slice of the chunk as
+    their pack; a fraction and a multiple keep their own, and all three
+    are filed as the same integer terms."""
+    cubics = m3_generators("C")
+    plain, half, triple = Poly(cubics[0].terms), cubics[1].scale(Fraction(1, 2)), cubics[2].scale(3)
+    gens = GradedGeneratorSet({3: [plain, half, triple]})
+    slices = [s for _, ss in gens._tables[3][1] for s in ss]
+    for f in (plain, half, triple):
+        shared = [np.shares_memory(f._packed[0], r) and np.shares_memory(f._packed[1], c)
+                  for r, c, _ in slices]
+        assert any(shared) == (f is plain) and f._packed[3] == (2 if f is half else 1)
+    assert [f.terms for f in gens.by_degree[3]] == [cubics[0].terms, half.terms, triple.terms]
+    want = GradedGeneratorSet({3: cubics[:3]}).weight_table(3)
+    for (w, got), (v, ref) in zip(*(t[1] for t in (gens.weight_table(3), want))):
+        assert w == v and got[3] == ref[3] and all(map(np.array_equal, got[:3], ref[:3]))
+
+
+def test_rejected_generator_leaves_the_store_unchanged():
+    """A weight content above 15 does not fit weight_keys' 4-bit digit:
+    add raises, and the set, its tables and the filed packs stay as they
+    were, also for a valid generator filed in the same call."""
+    gens = GradedGeneratorSet({3: m3_generators("C")})
+    table, items = gens.weight_table(3)
+    packs = [f._packed for f in gens.by_degree[3]]
+    ok, bad = parse_poly("a11^8*b22^8"), parse_poly("a11^16")
+    assert ok.degree() == bad.degree() == 16   # both packed before they are filed
+    ok_pack = ok._packed
+    for polys in ([bad], [ok, bad]):
+        with pytest.raises(ValueError, match="4-bit"):
+            gens.add(16, polys)
+        assert list(gens.by_degree) == [3] and list(gens._tables) == [3] and gens._modules == {3: False}
+        assert all(f._packed is pk for f, pk in zip(gens.by_degree[3] + [ok], packs + [ok_pack]))
+        got_table, got_items = gens.weight_table(3)
+        assert np.array_equal(got_table, table) and len(got_items) == len(items)
+        for (w, got), (v, ref) in zip(got_items, items):
+            assert w == v and got[3] == ref[3] and all(map(np.array_equal, got[:3], ref[:3]))
+
+
+def test_block_rank_reduces_its_one_dense_array(traced_peak_mb):
+    """A wide 300 x 3000 block of rank at most 200: _rank fills its terms
+    into one C-ordered array, the 3000 x 300 transpose, and reduces it in
+    place, so it traces one int64 copy (6.9 MB) and rref's update
+    temporaries, 11.1 MB; reducing a copy of the block's matrix traced
+    17.9 MB."""
+    rng = np.random.default_rng(24)
+    base = rng.integers(-3, 4, (200, 3000)) * (rng.random((200, 3000)) < 0.05)
+    m = np.vstack([base, (rng.integers(-2, 3, (100, 200)) * (rng.random((100, 200)) < 0.05)) @ base])
+    at, cols = np.nonzero(m)
+    block = ideal.Block(7 * cols, at, m[at, cols], len(m))   # keys need only be increasing
+    for p in (101, 32003):
+        peak, rank = traced_peak_mb(ideal._rank, block, p)
+        assert rank == len(linalg.rref_mod_p(m, p)[1]) <= 200
+        assert peak < 2 * m.nbytes / 2 ** 20, peak
+
+
+def test_mono_keys_refuse_more_than_twelve_columns():
+    """Five bits per column: 12 columns fill 60 bits of an int64 key and a
+    13th would wrap, so without a lead to widen it mono_keys raises."""
+    assert poly.mono_keys(np.full((1, 12), 26, np.uint8))[0] == sum(27 << 5 * i for i in range(12))
+    with pytest.raises(ValueError, match="13 variables"):
+        poly.mono_keys(np.full((1, 13), 26, np.uint8))
+    assert poly.mono_keys(np.full((1, 13), 26, np.uint8), np.zeros(1, object))[0] == sum(
+        27 << 5 * i for i in range(13))
+
+
 def test_weight_keys_are_in_tuple_order_and_reject_a_carry():
     rng = random.Random(3)
     weights = sorted({tuple(tuple(rng.randrange(16) for _ in range(3)) for _ in range(3))
