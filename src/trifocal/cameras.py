@@ -16,7 +16,6 @@ sign convention of the minor formula.
 from __future__ import annotations
 
 import json
-import random
 
 from . import linalg
 from .scalars import exact_list, scalar_from_json
@@ -133,21 +132,6 @@ def transfer_geometric(ct: CameraTriple, l1, l2):
     if all(v == 0 for v in l3):
         raise DegenerateTransferError("transferred line is undefined (through the focal point)")
     return l3
-
-
-def random_camera(rng: random.Random, bound=9) -> Camera:
-    while True:
-        m = [[rng.randint(-bound, bound) for _ in range(4)] for _ in range(3)]
-        if linalg.rank(m) == 3:
-            return Camera(m)
-
-
-def random_triple(rng: random.Random, bound=9) -> CameraTriple:
-    while True:
-        try:
-            return CameraTriple(*(random_camera(rng, bound) for _ in range(3)))
-        except DegenerateConfigurationError:
-            continue
 
 
 # --- (de)serialization ------------------------------------------------------

@@ -27,28 +27,43 @@ representatives become weight tuples.  The base fold is memoised per
 (degree, G) next to the base ranks, and a stabiliser per (G, witness terms).
 
 Blocks are built from packed terms with no per-term Python.  Each filed
-batch (a module, or one add call) is one chunk of uint8 rows of sorted
-variables and coefficients, each generator as its integer multiple with
-content 1 (the same ideal, nothing to truncate mod p), sorted by weight
-key.  Weights index slices of the chunks, and a pack equal to its slice
-becomes it, so module bases hold terms once.  A product row is a generator's
-rows beside a multiplier, sorted; a monomial's key has five bits per
-variable (poly.mono_keys, 35 at degree 7) and the columns are np.unique
-of the keys.  Witness multiples and certificates are rows of the same blocks.
-A column permutation changes no rank and no Echelon.add verdict, so
-key order serves as well as order of first appearance.
+batch (a module, or one add call) is one read-only chunk of uint8 rows of
+sorted variables and coefficients, each generator as its integer multiple
+with content 1 (the same ideal, nothing to truncate mod p), sorted by
+weight key.  Weights index slices of the chunks, and a pack equal to its
+slice becomes it unless it is a chunk's already, so module bases hold
+terms once, in the first set that files them.  A product row is a
+generator's rows beside a multiplier, sorted; a monomial's key has five
+bits per variable (poly.mono_keys, 35 at degree 7) and the columns are
+np.unique of the keys.  Witness multiples and certificates are rows of
+the same blocks.  A column permutation changes no rank and no Echelon.add
+verdict, so key order serves as well as order of first appearance.
+
+Discovery also uses the swap tau: T_ijk -> T_jik.  It normalises GL(3)^3,
+tau(g . T) = (gB, gA, gC) . tau(T), so if sigma . nf = tau(nf) for a sigma
+in S3^3 (permutation matrices: sigma . nf has nf_x at variable_map(sigma)[x])
+then tau(V) = V for V the orbit closure of nf.  tau maps the hw vectors of
+a label (lam, mu, nu) onto those of (mu, lam, nu), the vanishing ones onto
+the vanishing ones, and a module's basis vector of lowering words (a, b, c)
+to the partner's (b, a, c) up to a scalar.  When tau maps the hw vector of
+each module below degree d to that of a module, it maps the generators
+below d onto themselves up to sign, so block w onto block tau(w) by a
+signed row and column permutation: the mod-p verdicts of a label and its
+partner agree.  scan_degree then derives the later label of each pair.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg, rep
-from .poly import (PAD, Poly, _pack, evaluate_points, integer_terms, mono_keys, normalized,
-                   pack_terms, row_weights, term_matrix, variable_map, weight_space_basis)
+from .poly import (N_VARS, PAD, Poly, _pack, evaluate_points, integer_terms, mono_keys,
+                   normalize_batch, normalized, pack_terms, row_weights, term_matrix,
+                   unpack_terms, variable_map, weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, random_orbit_point
 
@@ -107,6 +122,7 @@ class GradedGeneratorSet:
         self.by_degree = {}
         self._tables = {}   # degree -> (k x 9 weights, [(weight, chunk slices)])
         self._modules = {}  # degree -> module-built
+        self._hws = {}      # _key of each module's hw vector -> it (_swap_closed)
         self._ranks = {}    # (degree, p, group) -> {representative: block rank}
         self._folds = {}    # (degree, group) -> _fold of the slice weights
         for d, polys in (by_degree or {}).items():
@@ -119,6 +135,7 @@ class GradedGeneratorSet:
         order = np.argsort(keys, kind="stable")
         gens = [polys[i] for i in order]
         rows, ids, coeffs = integer_terms(gens)
+        rows.flags.writeable = coeffs.flags.writeable = False   # so a chunk view is known as one
         n = np.bincount(ids, minlength=len(gens))   # terms per generator
         ends = np.r_[0, np.cumsum(n)]
         cuts = np.r_[np.flatnonzero(np.diff(keys[order], prepend=-1)), len(order)]
@@ -127,11 +144,13 @@ class GradedGeneratorSet:
                               key=lambda item: order[item[1]]):   # new weights in order of filing
             index.setdefault(w, []).append((rows[ends[a]:ends[b]], coeffs[ends[a]:ends[b]], n[a:b]))
         for f, a, b in zip(gens, ends, ends[1:]) if coeffs.dtype == np.int64 else ():
-            if f._packed[3] == 1 and np.array_equal(f._packed[1], coeffs[a:b]):   # content 1
+            if f._packed[1].flags.writeable and f._packed[3] == 1 and np.array_equal(
+                    f._packed[1], coeffs[a:b]):   # content 1, and no chunk holds it yet
                 f._packed = (rows[a:b], coeffs[a:b]) + f._packed[2:]
         self._tables[degree] = (np.array([sum(w, ()) for w in index], np.int64).reshape(-1, 9),
                                 list(index.items()))
         self.by_degree.setdefault(degree, []).extend(polys)
+        self._modules.setdefault(degree, True)
         self._ranks.clear()
         self._folds.clear()
 
@@ -148,10 +167,12 @@ class GradedGeneratorSet:
     def add_module(self, hw: Poly):
         """Add the module rep.module_span(hw) of a highest weight vector
         and return its basis."""
-        basis = rep.module_span(hw)
+        return self._file_module(rep.module_span(hw))
+
+    def _file_module(self, basis):   # its content-normalized hw vector first
         # lowering operators keep each basis vector homogeneous and weight-homogeneous
-        self._file(hw.degree(), basis)
-        self._modules.setdefault(hw.degree(), True)
+        self._file(basis[0].degree(), basis)
+        self._hws[_key(basis[0])] = basis[0]
         return basis
 
     def degrees(self):
@@ -435,28 +456,51 @@ def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed) -> VanishingReport:
 # ---------------------------------------------------------------------------
 # the discovery pipeline
 
-class DiscoveredModule:
-    __slots__ = ("degree", "label", "hw_vector", "basis")
-
-    def __init__(self, degree, label, hw_vector, basis):
-        self.degree, self.label, self.hw_vector, self.basis = degree, label, hw_vector, basis
-
-    @property
-    def dim(self):
-        return len(self.basis)
+class DiscoveredModule(NamedTuple):
+    degree: int
+    label: tuple
+    hw_vector: Poly
+    basis: list
+    dim = property(lambda self: len(self.basis))
 
 
-class DegreeScan:
+class DegreeScan(NamedTuple):
     """Per-degree outcome: label rows and the new minimal generators."""
+    degree: int
+    rows: list      # (label, kronecker, hw_dim, vanishing, new_mult)
+    modules: list   # DiscoveredModule, new minimal generators only
+    new_generator_count = property(lambda self: sum(m.dim for m in self.modules))
 
-    def __init__(self, degree):
-        self.degree = degree
-        self.rows = []       # (label, kronecker, hw_dim, vanishing, new_mult)
-        self.modules = []    # DiscoveredModule, new minimal generators only
 
-    @property
-    def new_generator_count(self):
-        return sum(m.dim for m in self.modules)
+# tau: T_ijk -> T_jik on variable indices, PAD to PAD
+_TAU = np.r_[np.arange(N_VARS).reshape(3, 3, 3).transpose(1, 0, 2).ravel(), PAD].astype(np.uint8)
+
+
+def _key(f: Poly):   # the terms of a content-normalized polynomial, hashable
+    return _pack(f)[0].tobytes(), tuple(_pack(f)[1].tolist())
+
+
+def _swapped(polys):
+    """tau(f), content-normalized, for each f of polys: on their packed rows."""
+    rows, ids, coeffs = integer_terms(polys)
+    rows = np.sort(_TAU[rows], axis=1)
+    order = np.argsort(mono_keys(rows, ids))   # by polynomial, then monomial: ids stay
+    rows, coeffs = rows[order], coeffs[order]
+    return unpack_terms(normalize_batch((rows, ids, coeffs)), len(polys))
+
+
+@lru_cache(maxsize=8)
+def _swap_element(nf: Tensor333):
+    """A sigma in WEYL with sigma . nf = tau(nf), or None (module docstring)."""
+    tau_nf, flat = [nf.flat[v] for v in _TAU[:N_VARS]], list(nf.flat)
+    return next((s for s in WEYL if [tau_nf[y] for y in variable_map(s)] == flat), None)
+
+
+def _swap_closed(gens: GradedGeneratorSet, nf: Tensor333, d):
+    """Whether degree d may derive labels by tau (module docstring): _swap_element
+    exists, the degrees below d are module-built, and tau maps hw vectors to hw vectors."""
+    return (_swap_element(nf) is not None and gens.symmetry_group(d - 1) is WEYL
+            and all(_key(f) in gens._hws for f in _swapped(list(gens._hws.values()))))
 
 
 def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
@@ -464,24 +508,39 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
     """One pass of the minimal-generator search in degree d: for every
     isotypic label, find the vanishing hw subspace and sort its
     certificates into old (inside the lower-degree ideal slice) and new.
-    Each new certificate's module is added to gens (add_module)."""
+    Each new certificate's module is added to gens (add_module).  When
+    _swap_closed holds, a label whose partner (mu, lam, nu) was scanned
+    before it takes the partner's row and tau of its new modules instead."""
     _check_prime(p)
-    scan = DegreeScan(d)
+    scan, scanned = DegreeScan(d, [], []), {}   # label -> (its index, its row, its new modules)
     labels = [lab for lab in rep.all_labels(d) if rep.kronecker(*lab) > 0]
+    swap = _swap_closed(gens, nf, d)
     for idx, lab in enumerate(labels):
-        hw = rep.hw_space(lab)
-        report = vanishing_subspace(hw, nf, seed + 7919 * idx)
-        new_certs = []
-        if report.multiplicity:
-            block = rows_in_weight_block(gens, d, hw.weight)
-            new_certs = [cert for cert, new in zip(report.certificates, _independent_of(
-                block, report.certificates, d, hw.weight, p)) if new]
-        scan.rows.append((lab, rep.kronecker(*lab), hw.dim, report.multiplicity, len(new_certs)))
-        for cert in new_certs:
-            scan.modules.append(DiscoveredModule(d, lab, cert, gens.add_module(cert)))
+        partner = (lab[1], lab[0], lab[2])
+        if swap and partner in scanned:
+            src, row, mods = scanned[partner]
+            row, note = (lab,) + row[1:], " (swap of label %d)" % (src + 1)
+            # the partner's lowering words (b, a, c) are this label's (a, b, c)
+            order = np.arange(rep.label_dim(lab)).reshape(
+                [rep.weyl_dim(x) for x in partner]).transpose(1, 0, 2).ravel().tolist()
+            modules = [DiscoveredModule(d, lab, b[0], gens._file_module(b)) for m in mods
+                       for image in [_swapped(m.basis)] for b in [[image[i] for i in order]]]
+        else:
+            hw = rep.hw_space(lab)
+            report = vanishing_subspace(hw, nf, seed + 7919 * idx)
+            new_certs = []
+            if report.multiplicity:
+                block = rows_in_weight_block(gens, d, hw.weight)
+                new_certs = [cert for cert, new in zip(report.certificates, _independent_of(
+                    block, report.certificates, d, hw.weight, p)) if new]
+            row, note = (lab, rep.kronecker(*lab), hw.dim, report.multiplicity, len(new_certs)), ""
+            modules = [DiscoveredModule(d, lab, cert, gens.add_module(cert)) for cert in new_certs]
+            scanned[lab] = idx, row, modules
+        scan.rows.append(row)
+        scan.modules.extend(modules)
         if progress:
-            progress("degree %d: label %d/%d %r vanishing %d new %d"
-                     % (d, idx + 1, len(labels), lab, report.multiplicity, len(new_certs)))
+            progress("degree %d: label %d/%d %r vanishing %d new %d%s"
+                     % (d, idx + 1, len(labels), lab, row[3], row[4], note))
     return scan
 
 

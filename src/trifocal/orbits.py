@@ -126,10 +126,6 @@ class Signature:
                                    for lab, v in self.m6_vanishing.items()}
         return out
 
-    def __repr__(self):
-        return ("Signature(frank=%r, prank=%r, m3=%r, m5=%r)"
-                % (self.frank, self.prank, self.m3_axis_vanishing, self.m5_vanishing))
-
 
 def m3_vanishes(t: Tensor333, axis) -> bool:
     """Do the 10 cubics of the axis vanish at t?  They are the coefficients

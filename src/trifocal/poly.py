@@ -53,7 +53,7 @@ import re
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import inf, lcm, prod
 from operator import is_
 
@@ -238,9 +238,11 @@ def integer_terms(polys):
     """pack_terms of polys, with the coefficients of each one's integer
     multiple with content 1 (denominators cleared, then divided by their
     gcd)."""
-    rows, ids, _ = pack_terms(polys)
-    coeffs = np.concatenate([np.empty(0, np.int64)] + [_pack(f)[1] for f in polys])
-    return rows, ids, coeffs // np.gcd.reduceat(coeffs, _run_starts(ids))[ids]
+    rows, ids, coeffs = pack_terms(polys)
+    if coeffs.dtype == object or any(_pack(f)[1].dtype == object for f in polys):
+        coeffs = np.concatenate([np.empty(0, np.int64)] + [_pack(f)[1] for f in polys])
+    g = np.gcd.reduceat(coeffs, _run_starts(ids))
+    return rows, ids, coeffs if (g == 1).all() else coeffs // g[ids]
 
 
 def _primes_above(bound):
@@ -322,8 +324,8 @@ def evaluate_points(polys, points):
     points: ints, or Fractions where a denominator remains."""
     packs = [_pack(f) for f in polys]
     out = [[0] * len(packs) for _ in points]
-    ds = [lcm(*(e.denominator for e in t.entries_flat() if type(e) is Fraction)) for t in points]
-    ys = [[int(e * d) for e in t.entries_flat()] + [d] for t, d in zip(points, ds)]   # D x, D
+    ds = [lcm(*(e.denominator for e in t.flat if type(e) is Fraction)) for t in points]
+    ys = [[int(e * d) for e in t.flat] + [d] for t, d in zip(points, ds)]   # D x, D
     for run, codes, coef, starts, cube, deg, width, l1, dens in _runs(packs) if ys else ():
         scales, groups = [y[-1] ** width for y in ys], {}
         for i, y in enumerate(ys):   # |f(D x) * D^pads| <= L1 * max|y|^(degree, or the width)
@@ -397,7 +399,8 @@ def pack_terms(polys):
     if any(pk[3] > 1 for pk in packs) or sum(pk[2] for pk in packs) >= 1 << 62:
         coeffs = np.array([c for f in polys for c in f.terms.values()], dtype=object)
     else:
-        coeffs = np.concatenate([np.empty(0, np.int64)] + [pk[1] for pk in packs]).astype(np.int64)
+        coeffs = np.concatenate([np.empty(0, np.int64)] + [pk[1] for pk in packs]).astype(
+            np.int64, copy=False)
     return rows, np.repeat(np.arange(len(polys)), [len(pk[1]) for pk in packs]), coeffs
 
 
@@ -426,7 +429,7 @@ def _shift_tables(axis, to_idx, from_idx):
 
 def _run_starts(a):
     """The indices where a run of equal entries of a starts."""
-    return np.flatnonzero(np.diff(a, prepend=a[:1] - 1))
+    return np.flatnonzero(np.concatenate(([len(a) > 0], a[1:] != a[:-1])))
 
 
 def shift_batch(axis, to_idx, from_idx, batch):
@@ -450,9 +453,10 @@ def mono_keys(rows, lead=None):
     extensions.  Without lead, ValueError above 12 columns (int64 would wrap)."""
     if lead is None and rows.shape[1] > 12:
         raise ValueError("%d variables of five bits overflow an int64 key" % rows.shape[1])
-    key = np.zeros(len(rows), np.int64) if lead is None else lead
-    for col in ((rows + 1) % _BASE).T.astype(key.dtype):
-        key = key << 5 | col
+    key = np.zeros(len(rows), np.int64) if lead is None else lead.copy()
+    for col in rows.T:   # in place, one column at a time
+        key <<= 5
+        key |= (col + 1) % _BASE
     return key
 
 
@@ -513,32 +517,11 @@ def is_highest_weight(f: Poly) -> bool:
 # ---------------------------------------------------------------------------
 # the degree-3 pencil determinant coefficients
 
-_X_MONOMIALS = [(3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
-                (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3)]
-
-
 def _pencil_entry_vars(axis, r, c):
     """Variable indices of the three x-coefficients of pencil entry (r,c)."""
     if axis not in ("A", "B", "C"):
         raise ValueError("axis must be A, B or C")
     return [var_index(*((s, r, c), (r, s, c), (r, c, s))["ABC".index(axis)]) for s in range(3)]
-
-
-def m3_with_x_monomials(axis):
-    """The symbolic pencil determinant for an axis, split by x-monomial:
-    list of ((e1,e2,e3), Poly) with e the exponent of (x1,x2,x3)."""
-    buckets = {e: [] for e in _X_MONOMIALS}
-    for sigma in permutations(range(3)):
-        for s in product(range(3), repeat=3):   # s[r]: the x picked in row r
-            mono = sorted(_pencil_entry_vars(axis, r, sigma[r])[s[r]] for r in range(3))
-            buckets[tuple(map(s.count, range(3)))].append((mono, perm_sign(sigma)))
-    return [(e, Poly(buckets[e])) for e in _X_MONOMIALS]
-
-
-def m3_generators(axis):
-    """The 10 homogeneous cubics: coefficients (on x-monomials) of the
-    determinant of the axis pencil."""
-    return [p for _, p in m3_with_x_monomials(axis)]
 
 
 def det_slice_poly(axis, index):

@@ -70,10 +70,6 @@ def partitions(d, max_part=None):
                  for rest in partitions(d - first, first))
 
 
-def partitions_max_parts(d, max_parts):
-    return tuple(p for p in partitions(d) if len(p) <= max_parts)
-
-
 def class_size(cls) -> int:
     """d! / prod over parts k of k^m * m!, m the multiplicity of k in cls."""
     return factorial(sum(cls)) // prod(k ** m * factorial(m) for k, m in Counter(cls).items())
@@ -138,19 +134,13 @@ def label_dim(label) -> int:
 
 def all_labels(d):
     """All ordered triples of partitions of d with at most 3 parts."""
-    parts = partitions_max_parts(d, 3)
+    parts = [p for p in partitions(d) if len(p) <= 3]
     return [(a, b, c) for a in parts for b in parts for c in parts]
 
 
 def ambient_dimension(d) -> int:
     """dim of the degree-d coordinate ring of C^27."""
     return comb(26 + d, d)
-
-
-def completeness_defect(d) -> int:
-    """Sum of kronecker * Weyl dims minus the ambient dimension (0 iff the
-    isotypic bookkeeping is consistent)."""
-    return sum(kronecker(*lab) * label_dim(lab) for lab in all_labels(d)) - ambient_dimension(d)
 
 
 # ---------------------------------------------------------------------------

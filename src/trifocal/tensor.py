@@ -1,7 +1,7 @@
 """3x3x3 tensors over exact scalars.
 
-Index convention: ``t[i][j][k]`` with i, j, k in {0,1,2}; the public
-slice/decode helpers speak 1-based indices to match the usual T_ijk
+Index convention: ``t[i][j][k]`` with i, j, k in {0,1,2}; from_terms
+(and orbits.decode_triples) speak 1-based indices to match the usual T_ijk
 labeling.  The last index plays the role of the output (third image) in
 the line-transfer picture, so the letter slices are a_ij = T[i][j][0],
 b_ij = T[i][j][1], c_ij = T[i][j][2].
@@ -96,10 +96,6 @@ class Tensor333:
     def is_zero(self):
         return not any(self.flat)
 
-    def entries_flat(self):
-        """27 entries in T_ijk order (i outer, k inner)."""
-        return list(self.flat)
-
     def __repr__(self):
         return "Tensor333(%r)" % (self.t,)
 
@@ -116,14 +112,6 @@ def _view(t: Tensor333, axis: str):
     if axis not in _VIEWS:
         raise ValueError("axis must be one of A, B, C")
     return _VIEWS[axis](t.flat)
-
-
-def slice_of(t: Tensor333, axis: str, index: int):
-    """Coordinate slice: axis A fixes i (rows j, cols k), B fixes j
-    (rows i, cols k), C fixes k (rows i, cols j).  index is 1-based."""
-    if index not in (1, 2, 3):
-        raise ValueError("slice index must be 1..3, got %r" % (index,))
-    return pencil(t, axis)[index - 1]
 
 
 def flattening(t: Tensor333, axis: str):

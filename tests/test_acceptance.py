@@ -16,13 +16,15 @@ import pytest
 
 import trifocal
 from trifocal import ideal, orbits, rep
-from trifocal.cameras import random_triple, trifocal_from_cameras
+from trifocal.cameras import trifocal_from_cameras
 from trifocal.cli import main
 from trifocal.ideal import graded_nonzerodivisor_check, hilbert_quotient
 from trifocal.orbits import (boundary_orbit_reps, degeneration_check, is_trifocal,
                              m6_separates, skew_tensor, sub_generic)
 from trifocal.poly import f_determinant, witness_g
 from trifocal.tensor import Tensor333
+
+from helpers import completeness_defect, random_triple
 
 M6_EXPECTED = {
     ((2, 2, 2), (3, 3), (3, 3)): 100,
@@ -141,7 +143,7 @@ def test_criterion_4_vanishing_certificates(discovery6, trifocal_nf, capsys):
 def test_criterion_5_representation_cross_checks(discovery6, capsys):
     checked = 0
     for d in range(1, 6):
-        assert rep.completeness_defect(d) == 0
+        assert completeness_defect(d) == 0
         for lab in rep.all_labels(d):
             k = rep.kronecker(*lab)
             if k == 0:

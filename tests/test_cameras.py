@@ -8,11 +8,12 @@ import pytest
 from trifocal import linalg
 from trifocal.cameras import (Camera, CameraTriple, DegenerateConfigurationError,
                               DegenerateTransferError, InvalidCameraError,
-                              focal_point, random_camera, random_triple,
+                              focal_point,
                               transfer_geometric, trifocal_from_cameras,
                               triple_from_json)
 from trifocal.tensor import act, frank, prank
 
+from helpers import random_camera, random_triple
 from test_tensor import contract
 
 

@@ -10,12 +10,12 @@ import pytest
 
 import trifocal
 from trifocal import ideal
-from trifocal.cameras import random_triple
 from trifocal.cli import main
 from trifocal.orbits import catalog
 from trifocal.scalars import parse_rational
 from trifocal.tensor import tensor_from_json, tensor_to_json
 
+from helpers import random_triple
 from test_poly import JOINED
 
 
@@ -203,6 +203,18 @@ def test_classify_with_modules_progress_reports_discovery(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err and all(line.startswith("degree ") for line in err)
     assert any(line.startswith("degree 3: label ") for line in err)
+
+
+def test_discover_progress_names_the_source_of_a_swapped_label(capsys):
+    """A label whose factor-swapped partner was scanned before it is derived
+    from it, and its progress line says from which label."""
+    assert main(["discover", "--degree", "3", "--progress"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[8] == ("degree 3: label 4/11 ((2, 1), (3,), (2, 1)) vanishing 0 new 0"
+                      " (swap of label 2)")
+    assert [line.split(": label ")[1].split()[0] for line in err if "(swap of label" in line] == [
+        "3/4", "4/11", "9/11", "10/11"]
+    assert err[-1] == "degree 3: label 11/11 ((1, 1, 1), (1, 1, 1), (3,)) vanishing 1 new 1"
 
 
 def test_discover_degree3(capsys):

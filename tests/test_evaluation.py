@@ -11,16 +11,18 @@ import pytest
 from trifocal import ideal, poly, rep
 from trifocal.linalg import MACHINE_PRIME_BOUND
 from trifocal.orbits import skew_tensor
-from trifocal.poly import Poly, evaluate_points, m3_generators, witness_g
+from trifocal.poly import Poly, evaluate_points, witness_g
 from trifocal.scalars import is_prime
 from trifocal.tensor import Tensor333
+
+from helpers import m3_generators
 
 
 # --- oracle --------------------------------------------------------------------
 
 def oracle(polys, t):
     """Values of the polynomials at t, one product per term."""
-    flat = t.entries_flat()
+    flat = t.flat
     out = []
     for f in polys:
         total = 0

@@ -11,10 +11,12 @@ from trifocal.ideal import (DegreeCapError, GradedGeneratorSet,
                             graded_nonzerodivisor_check, hilbert_quotient,
                             hilbert_with_witnesses, ideal_dim_in_degree, scan_degree,
                             slice_rows_by_weight, vanishing_subspace)
-from trifocal.orbits import skew_tensor
-from trifocal.poly import (Poly, det_slice_poly, f_determinant, integer_terms, m3_generators,
-                           parse_poly, var_ijk, variable_map, weight_space_basis, witness_g)
-from trifocal.tensor import random_orbit_point
+from trifocal.orbits import catalog, skew_tensor
+from trifocal.poly import (Poly, det_slice_poly, f_determinant, integer_terms, parse_poly,
+                           var_ijk, var_index, variable_map, weight_space_basis, witness_g)
+from trifocal.tensor import Tensor333, act, random_orbit_point
+
+from helpers import m3_generators
 
 
 @pytest.fixture(scope="module")
@@ -415,8 +417,7 @@ def assert_bases_are_views_of_the_store(disc):
 def test_discovery_holds_each_term_once(trifocal_nf, traced_peak_mb):
     """A fresh discover(6) traces about 16 MB, its module bases views of
     its set's chunks.  With every term held a second time in per-weight
-    tables it traced 27.3 MB.  (discovery6's bases are filed again by
-    other tests, and a pack is the slice of the last set that filed it.)"""
+    tables it traced 27.3 MB."""
     peak, disc = traced_peak_mb(ideal.discover, 6, trifocal_nf, 2024)
     assert disc.counts()[6] == 1980 and peak < 19
     assert_bases_are_views_of_the_store(disc)
@@ -758,3 +759,109 @@ def test_discovery_stable_under_seed_and_prime(trifocal_nf):
     assert {m.label for m in disc.scans[5].modules} == {
         ((2, 2, 1), (2, 2, 1), (3, 1, 1)),
         ((2, 2, 1), (2, 2, 1), (2, 2, 1))}
+
+
+# --- labels derived from their factor-swapped partner ---------------------------
+
+def counted_vanishing(monkeypatch):
+    """Route ideal.vanishing_subspace through a counter; returns its list of labels."""
+    labels, scan = [], ideal.vanishing_subspace
+
+    def counted(hw, nf, seed):
+        labels.append(hw.label)
+        return scan(hw, nf, seed)
+    monkeypatch.setattr(ideal, "vanishing_subspace", counted)
+    return labels
+
+
+def test_swap_element_is_exact(trifocal_nf):
+    """sigma . nf = tau(nf) for the trifocal normal form with sigma the
+    transposition (1 2) in every factor, checked by tensor.act on its
+    permutation matrices; the sub233 point has no such sigma."""
+    sigma = ideal._swap_element(trifocal_nf)
+    assert sigma == ((0, 2, 1),) * 3
+    g = tuple([[int(p == s[i]) for i in range(3)] for p in range(3)] for s in sigma)
+    tau_nf = [[[trifocal_nf[j, i, k] for k in range(3)] for j in range(3)] for i in range(3)]
+    assert act(g, trifocal_nf) == Tensor333(tau_nf)
+    assert ideal._swap_element(catalog()["sub233"].tensor) is None
+
+
+def test_swapped_polynomials_are_tau_images():
+    f = f_determinant()   # weight ((3,0,0),(1,1,1),(1,1,1))
+    tau = {var_index(i, j, k): var_index(j, i, k) for i, j, k in product(range(3), repeat=3)}
+    want = Poly((sorted(tau[v] for v in mono), c) for mono, c in f.terms.items())
+    (got,) = ideal._swapped([f])
+    assert got == want.content_normalized() and got.weight() == ((1, 1, 1), (3, 0, 0), (1, 1, 1))
+
+
+def test_swap_closure_needs_module_built_tau_closed_degrees(discovery5, trifocal_nf):
+    assert ideal._swap_closed(discovery5.gens, trifocal_nf, 6)
+    assert ideal._swap_closed(GradedGeneratorSet(), trifocal_nf, 1)
+    assert not ideal._swap_closed(GradedGeneratorSet(discovery5.gens.by_degree), trifocal_nf, 6)
+    lone = GradedGeneratorSet()
+    lone.add_module(f_determinant())   # tau(f) has weight ((1,1,1),(3,0,0),(1,1,1)): no module
+    assert not ideal._swap_closed(lone, trifocal_nf, 4)
+    lone.add_module(ideal._swapped([f_determinant()])[0])
+    assert ideal._swap_closed(lone, trifocal_nf, 4)
+    assert not ideal._swap_closed(discovery5.gens, catalog()["sub233"].tensor, 6)
+
+
+def test_discovery_without_a_swap_element_scans_every_label(monkeypatch):
+    """The sub233 point has P-rank (2, 3, 3): no sigma maps it to its tau
+    image, so every label takes the full per-label path."""
+    labels = counted_vanishing(monkeypatch)
+    disc = ideal.discover(3, catalog()["sub233"].tensor, seed=2024)
+    assert labels == [row[0] for d in sorted(disc.scans) for row in disc.scans[d].rows]
+    assert len(labels) == 16
+
+
+@pytest.mark.slow
+def test_discover6_scans_175_of_280_labels(trifocal_nf, monkeypatch):
+    """105 labels are tau images of a label scanned before them in their
+    degree; without the swap all 280 were scanned."""
+    labels = counted_vanishing(monkeypatch)
+    disc = ideal.discover(6, trifocal_nf, seed=2024)
+    assert len(labels) == 175 and sum(len(s.rows) for s in disc.scans.values()) == 280
+    assert disc.counts() == {1: 0, 2: 0, 3: 10, 4: 0, 5: 81, 6: 1980}
+
+
+@pytest.mark.slow
+def test_swapped_labels_match_their_own_scan(discovery6, trifocal_nf):
+    """Oracle: every label of discover(6) whose partner came before it, run
+    through the per-label path (hw space, vanishing at its own seed,
+    independence of the lower-degree block) gives the same row and the same
+    certificates as the derived hw vectors, and each derived module equals
+    rep.module_span of its hw vector, in order."""
+    derived = 0
+    for d, scan in sorted(discovery6.scans.items()):
+        labels = [row[0] for row in scan.rows]
+        for idx, (lab, row) in enumerate(zip(labels, scan.rows)):
+            if (lab[1], lab[0], lab[2]) not in labels[:idx]:
+                continue
+            derived += 1
+            hw = rep.hw_space(lab)
+            report = vanishing_subspace(hw, trifocal_nf, 2024 + 1000 * d + 7919 * idx)
+            new = []
+            if report.multiplicity:
+                block = ideal.rows_in_weight_block(discovery6.gens, d, hw.weight)
+                new = [c for c, ok in zip(report.certificates, ideal._independent_of(
+                    block, report.certificates, d, hw.weight, 101)) if ok]
+            assert row == (lab, rep.kronecker(*lab), hw.dim, report.multiplicity, len(new))
+            mods = [m for m in scan.modules if m.label == lab]
+            assert [m.hw_vector for m in mods] == new
+            for m in mods:   # compared as packs: no term dicts on the fixture's bases
+                assert list(map(ideal._key, m.basis)) == list(map(
+                    ideal._key, rep.module_span(m.hw_vector)))
+    assert derived == 105
+
+
+@pytest.mark.slow
+def test_filing_a_discovery_again_leaves_its_store_alone(discovery6):
+    """A second set filed from discovery6's generators copies their terms
+    into chunks of its own; the bases stay views of discovery6's store, and
+    both sets give the same H(1..6)."""
+    plain = GradedGeneratorSet(discovery6.gens.by_degree)
+    assert_bases_are_views_of_the_store(discovery6)
+    for d in range(1, 7):
+        assert (ideal.hilbert_quotient(plain, d, p=101)
+                == ideal.hilbert_quotient(discovery6.gens, d, p=101))

@@ -11,9 +11,11 @@ import pytest
 
 from trifocal import ideal, linalg, orbits
 from trifocal.cameras import (Camera, CameraTriple, DegenerateConfigurationError,
-                              focal_point, random_triple, trifocal_from_cameras)
+                              focal_point, trifocal_from_cameras)
 from trifocal.tensor import (AXES, Tensor333, act, flattening, frank, pencil,
                              pencil_rank, perm_sign, prank, random_group_element)
+
+from helpers import random_triple
 
 
 # --- oracles -------------------------------------------------------------------

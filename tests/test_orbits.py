@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from trifocal import ideal, orbits, poly, tensor
-from trifocal.cameras import random_triple, trifocal_from_cameras
+from trifocal.cameras import trifocal_from_cameras
 from trifocal.orbits import (boundary_orbit_reps, catalog, classify_component,
                              decode_triples,
                              degeneration_check, is_trifocal, m3_vanishes,
@@ -14,6 +14,8 @@ from trifocal.orbits import (boundary_orbit_reps, catalog, classify_component,
 from trifocal.poly import evaluate_points
 from trifocal.tensor import (Tensor333, act, frank, permute_factors, prank,
                              random_group_element, random_orbit_point)
+
+from helpers import random_triple
 
 
 def test_decode_examples():

@@ -7,10 +7,11 @@ import pytest
 from trifocal import linalg, poly, rep
 from trifocal.orbits import skew_tensor, trifocal_normal_form
 from trifocal.poly import (Poly, apply_shift, det_slice_poly, f_determinant,
-                           format_poly, is_highest_weight, m3_generators,
-                           m3_with_x_monomials, parse_poly, row_weights, var_index,
+                           format_poly, is_highest_weight, parse_poly, row_weights, var_index,
                            variable_map, weight_space_basis, witness_g)
 from trifocal.tensor import Tensor333, random_orbit_point
+
+from helpers import m3_generators, m3_with_x_monomials
 
 
 def basis_tensor(i, j, k):

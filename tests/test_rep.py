@@ -10,7 +10,9 @@ from trifocal.poly import (RAISING, Poly, det_slice_poly, f_determinant, is_high
                            parse_poly)
 from trifocal.rep import (MAX_DEGREE, all_labels, class_size, hw_space, kronecker,
                           lowering_tree, mn_character, module_span, partitions,
-                          partitions_max_parts, weyl_dim)
+                          weyl_dim)
+
+from helpers import completeness_defect
 
 
 def cycle_type(perm):
@@ -131,7 +133,7 @@ def test_kronecker_symmetric_under_label_permutations():
 
 def test_completeness_sums():
     for d in range(1, 6):
-        assert rep.completeness_defect(d) == 0
+        assert completeness_defect(d) == 0
     assert rep.ambient_dimension(3) == 3654
     assert rep.ambient_dimension(4) == 27405
 
@@ -212,7 +214,7 @@ def test_module_span_needs_highest_weight_vector():
 
 def test_lowering_tree_sizes():
     for d in range(MAX_DEGREE + 1):
-        for lam in partitions_max_parts(d, 3):
+        for lam in [p for p in partitions(d) if len(p) <= 3]:
             tree = lowering_tree(lam)
             assert len(tree) == weyl_dim(lam), lam
             assert tree[0] == (None, None)

@@ -5,14 +5,23 @@ from itertools import product
 import pytest
 
 from trifocal import linalg
-from trifocal.cameras import random_triple, trifocal_from_cameras
+from trifocal.cameras import trifocal_from_cameras
 from trifocal.orbits import (catalog, skew_tensor, sub_generic, trifocal_normal_form,
                              trifocal_slices_form)
-from trifocal.poly import m3_with_x_monomials
 from trifocal.tensor import (AXES, Tensor333, act, flattening, frank, pencil, pencil_rank,
                              permute_factors, prank,
-                             random_group_element, random_orbit_point, slice_of,
+                             random_group_element, random_orbit_point,
                              tensor_from_json, tensor_to_json)
+
+from helpers import m3_with_x_monomials, random_triple
+
+
+def slice_of(t: Tensor333, axis: str, index: int):
+    """Coordinate slice: axis A fixes i (rows j, cols k), B fixes j
+    (rows i, cols k), C fixes k (rows i, cols j).  index is 1-based."""
+    if index not in (1, 2, 3):
+        raise ValueError("slice index must be 1..3, got %r" % (index,))
+    return pencil(t, axis)[index - 1]
 
 
 def mat_mul(a, b):
