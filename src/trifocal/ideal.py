@@ -27,17 +27,18 @@ representatives become weight tuples.  The base fold is memoised per
 (degree, G) next to the base ranks, and a stabiliser per (G, witness terms).
 
 Blocks are built from packed terms with no per-term Python.  Each filed
-batch (a module, or one add call) is one read-only chunk of uint8 rows of
-sorted variables and coefficients, each generator as its integer multiple
-with content 1 (the same ideal, nothing to truncate mod p), sorted by
-weight key.  Weights index slices of the chunks, and a pack equal to its
-slice becomes it unless it is a chunk's already, so module bases hold
-terms once, in the first set that files them.  A product row is a
-generator's rows beside a multiplier, sorted; a monomial's key has five
-bits per variable (poly.mono_keys, 35 at degree 7) and the columns are
-np.unique of the keys.  Witness multiples and certificates are rows of
-the same blocks.  A column permutation changes no rank and no Echelon.add
-verdict, so key order serves as well as order of first appearance.
+batch (a module from rep.module_span, or poly.integer_terms of one add
+call) is gathered once into one read-only chunk of uint8 rows of sorted
+variables and coefficients, each generator as its integer multiple with
+content 1 (the same ideal, nothing to truncate mod p), sorted by weight
+key, then by order of filing.  Weights index slices of the chunks, and a
+module's basis vectors are Polys on theirs, so its terms are held once.
+A product row is a generator's rows beside a multiplier, sorted; a
+monomial's key has five bits per variable (poly.mono_keys, 35 at degree
+7) and the columns are np.unique of the keys.  Witness multiples and
+certificates are rows of the same blocks.  A column permutation changes
+no rank and no Echelon.add verdict, so key order serves as well as order
+of first appearance.
 
 Discovery also uses the swap tau: T_ijk -> T_jik.  It normalises GL(3)^3,
 tau(g . T) = (gB, gA, gC) . tau(T), so if sigma . nf = tau(nf) for a sigma
@@ -61,9 +62,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, rep
-from .poly import (N_VARS, PAD, Poly, _pack, evaluate_points, integer_terms, mono_keys,
-                   normalize_batch, normalized, pack_terms, row_weights, term_matrix,
-                   unpack_terms, variable_map, weight_space_basis)
+from .poly import (N_VARS, PAD, Poly, _pack, _packed, _run_starts, evaluate_points,
+                   integer_terms, mono_keys, normalize_batch, normalized, pack_terms,
+                   row_weights, term_matrix, unpack_terms, variable_map, weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, random_orbit_point
 
@@ -128,31 +129,29 @@ class GradedGeneratorSet:
         for d, polys in (by_degree or {}).items():
             self.add(d, polys)
 
-    def _file(self, degree, polys):
-        # one chunk: generators by weight, then in order of filing (module docstring)
-        firsts = np.array([_pack(f)[0][0] for f in polys], np.uint8).reshape(len(polys), degree)
-        keys = weight_keys(row_weights(firsts))   # raises before any change to the set
-        order = np.argsort(keys, kind="stable")
-        gens = [polys[i] for i in order]
-        rows, ids, coeffs = integer_terms(gens)
-        rows.flags.writeable = coeffs.flags.writeable = False   # so a chunk view is known as one
-        n = np.bincount(ids, minlength=len(gens))   # terms per generator
-        ends = np.r_[0, np.cumsum(n)]
+    def _file(self, degree, batch):
+        # a batch of id runs (ids in filing order, runs in any order) as one chunk of Polys
+        rows, ids, coeffs = batch
+        starts = _run_starts(ids)
+        keys = weight_keys(row_weights(rows[starts]))   # raises before any change to the set
+        order = np.lexsort((ids[starts], keys))   # the runs by weight, then in order of filing
+        n, filed = np.diff(np.r_[starts, len(ids)])[order], ids[starts[order]]
+        runs = [slice(a, a + k) for a, k in zip(starts[order].tolist(), n.tolist())]
+        rows, coeffs = (np.concatenate([x[:0]] + [x[run] for run in runs]) for x in (rows, coeffs))
+        rows.flags.writeable = coeffs.flags.writeable = False
+        ends = np.r_[0, np.cumsum(n)].tolist()
         cuts = np.r_[np.flatnonzero(np.diff(keys[order], prepend=-1)), len(order)]
         index = dict(self._tables.get(degree, (None, []))[1])   # weight -> chunk slices
         for w, a, b in sorted(zip(_weights(keys[order[cuts[:-1]]]), cuts, cuts[1:]),
-                              key=lambda item: order[item[1]]):   # new weights in order of filing
+                              key=lambda item: filed[item[1]]):   # new weights in order of filing
             index.setdefault(w, []).append((rows[ends[a]:ends[b]], coeffs[ends[a]:ends[b]], n[a:b]))
-        for f, a, b in zip(gens, ends, ends[1:]) if coeffs.dtype == np.int64 else ():
-            if f._packed[1].flags.writeable and f._packed[3] == 1 and np.array_equal(
-                    f._packed[1], coeffs[a:b]):   # content 1, and no chunk holds it yet
-                f._packed = (rows[a:b], coeffs[a:b]) + f._packed[2:]
         self._tables[degree] = (np.array([sum(w, ()) for w in index], np.int64).reshape(-1, 9),
                                 list(index.items()))
-        self.by_degree.setdefault(degree, []).extend(polys)
         self._modules.setdefault(degree, True)
         self._ranks.clear()
         self._folds.clear()
+        return [Poly._wrap(None, _packed(rows[a:b], coeffs[a:b], 1)) for a, b in (
+            (ends[s], ends[s + 1]) for s in np.argsort(filed).tolist())]
 
     def add(self, degree, polys):
         """Add plain generators; their degree stops being module-built."""
@@ -161,7 +160,8 @@ class GradedGeneratorSet:
             if f.degree() != degree:
                 raise ValueError("generator of degree %s filed under %d" % (f.degree(), degree))
             f.weight()   # raises unless f is weight-homogeneous
-        self._file(degree, polys)
+        self._file(degree, integer_terms(polys))
+        self.by_degree.setdefault(degree, []).extend(polys)
         self._modules[degree] = False
 
     def add_module(self, hw: Poly):
@@ -169,9 +169,9 @@ class GradedGeneratorSet:
         and return its basis."""
         return self._file_module(rep.module_span(hw))
 
-    def _file_module(self, basis):   # its content-normalized hw vector first
-        # lowering operators keep each basis vector homogeneous and weight-homogeneous
-        self._file(basis[0].degree(), basis)
+    def _file_module(self, batch):   # a module's basis, its content-normalized hw vector id 0
+        basis = self._file(batch[0].shape[1], batch)   # lowering keeps degree and weight
+        self.by_degree.setdefault(basis[0].degree(), []).extend(basis)
         self._hws[_key(basis[0])] = basis[0]
         return basis
 
@@ -459,9 +459,9 @@ def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed) -> VanishingReport:
 class DiscoveredModule(NamedTuple):
     degree: int
     label: tuple
-    hw_vector: Poly
-    basis: list
+    basis: list   # the content-normalized hw vector first
     dim = property(lambda self: len(self.basis))
+    hw_vector = property(lambda self: self.basis[0])
 
 
 class DegreeScan(NamedTuple):
@@ -480,13 +480,13 @@ def _key(f: Poly):   # the terms of a content-normalized polynomial, hashable
     return _pack(f)[0].tobytes(), tuple(_pack(f)[1].tolist())
 
 
-def _swapped(polys):
-    """tau(f), content-normalized, for each f of polys: on their packed rows."""
-    rows, ids, coeffs = integer_terms(polys)
+def _swapped(batch):
+    """tau(f), content-normalized, for each polynomial f of an integer batch
+    with ascending ids, as a batch with the same ids."""
+    rows, ids, coeffs = batch
     rows = np.sort(_TAU[rows], axis=1)
     order = np.argsort(mono_keys(rows, ids))   # by polynomial, then monomial: ids stay
-    rows, coeffs = rows[order], coeffs[order]
-    return unpack_terms(normalize_batch((rows, ids, coeffs)), len(polys))
+    return normalize_batch((rows[order], ids, coeffs[order]))
 
 
 @lru_cache(maxsize=8)
@@ -499,8 +499,9 @@ def _swap_element(nf: Tensor333):
 def _swap_closed(gens: GradedGeneratorSet, nf: Tensor333, d):
     """Whether degree d may derive labels by tau (module docstring): _swap_element
     exists, the degrees below d are module-built, and tau maps hw vectors to hw vectors."""
-    return (_swap_element(nf) is not None and gens.symmetry_group(d - 1) is WEYL
-            and all(_key(f) in gens._hws for f in _swapped(list(gens._hws.values()))))
+    hws = list(gens._hws.values())
+    return (_swap_element(nf) is not None and gens.symmetry_group(d - 1) is WEYL and all(
+        _key(f) in gens._hws for f in unpack_terms(_swapped(pack_terms(hws)), len(hws))))
 
 
 def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
@@ -520,11 +521,10 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
         if swap and partner in scanned:
             src, row, mods = scanned[partner]
             row, note = (lab,) + row[1:], " (swap of label %d)" % (src + 1)
-            # the partner's lowering words (b, a, c) are this label's (a, b, c)
-            order = np.arange(rep.label_dim(lab)).reshape(
-                [rep.weyl_dim(x) for x in partner]).transpose(1, 0, 2).ravel().tolist()
-            modules = [DiscoveredModule(d, lab, b[0], gens._file_module(b)) for m in mods
-                       for image in [_swapped(m.basis)] for b in [[image[i] for i in order]]]
+            word = np.arange(rep.label_dim(lab)).reshape(   # the partner's words (b, a, c) are
+                [rep.weyl_dim(x) for x in lab]).transpose(1, 0, 2).ravel()   # this one's (a, b, c)
+            modules = [DiscoveredModule(d, lab, gens._file_module((rows, word[ids], coeffs)))
+                       for m in mods for rows, ids, coeffs in [_swapped(pack_terms(m.basis))]]
         else:
             hw = rep.hw_space(lab)
             report = vanishing_subspace(hw, nf, seed + 7919 * idx)
@@ -534,7 +534,7 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
                 new_certs = [cert for cert, new in zip(report.certificates, _independent_of(
                     block, report.certificates, d, hw.weight, p)) if new]
             row, note = (lab, rep.kronecker(*lab), hw.dim, report.multiplicity, len(new_certs)), ""
-            modules = [DiscoveredModule(d, lab, cert, gens.add_module(cert)) for cert in new_certs]
+            modules = [DiscoveredModule(d, lab, gens.add_module(cert)) for cert in new_certs]
             scanned[lab] = idx, row, modules
         scan.rows.append(row)
         scan.modules.extend(modules)

@@ -31,12 +31,11 @@ variable, whose order is tuple order (int64, or objects where that would
 overflow).  Coefficients are int64 while L1 * width < 2^62, so no product
 by a multiplicity and no merge overflows; objects otherwise.
 
-pack_terms concatenates packs and unpack_terms slices an int64 batch into
-Polys that hold only their packs, their terms dicts built on first read.
-So a tableau polynomial, a hw-space basis vector, a vanishing certificate
-and a lowered module vector go from their batch to ideal's weight blocks
-and to evaluation without a dict; content_normalized is one batch too
-(normalized).
+pack_terms concatenates packs and unpack_terms slices a batch into Polys;
+those of an int64 batch hold only their packs, views of the batch, their
+terms dicts built on first read.  So tableau polynomials, hw-space bases,
+certificates and modules (one batch from rep.module_span to ideal's
+store) reach the weight blocks and evaluation without a dict.
 
 As text (parse_poly, format_poly) a polynomial is terms [sign] factor
 (* factor)*, the sign needed after the first; a factor is an unsigned
@@ -204,10 +203,10 @@ def _padded(rows, width):
 
 
 def _packed(rows, coeffs, den):
-    """A pack (_pack).  Below 2^31 a coefficient times a residue fits int64;
-    larger ones are reduced mod each prime first."""
-    l1 = sum(map(abs, coeffs.tolist()))
-    return rows, coeffs.astype(np.int64 if l1 < 1 << 31 else object), l1, den
+    """A pack (_pack).  Below L1 2^31 a coefficient times a residue fits int64,
+    larger ones are reduced mod each prime first; an int64 L1 cannot wrap (module docstring)."""
+    l1 = int(np.abs(coeffs).sum()) if coeffs.dtype == np.int64 else sum(map(abs, coeffs.tolist()))
+    return rows, coeffs.astype(np.int64 if l1 < 1 << 31 else object, copy=False), l1, den
 
 
 def _pack(f: Poly):
@@ -407,8 +406,8 @@ def pack_terms(polys):
 def unpack_terms(batch, n):
     """The batch as n Polys, polynomial i made of the terms with id i
     (ids ascending, as shift_batch leaves them).  Those of an int64 batch
-    hold only their packs (_pack): their slices of the rows, cut to their
-    degree."""
+    hold only their packs (_pack): their slices of the batch, the rows cut
+    to their degree."""
     rows, ids, coeffs = batch
     degs = (rows != PAD).sum(axis=1)
     bounds = np.searchsorted(ids, np.arange(n + 1)).tolist()

@@ -36,7 +36,7 @@ w.v_lam form a basis of S_lam(C^3), found once per partition on a small
 one-factor model.  The products w_A w_B w_C h are then a basis of the
 module, so a span needs no elimination and no prime (Fulton-Harris,
 Representation Theory, Section 15).  Each tree node is one
-poly.shift_batch call on all the vectors one factor's tree lowers.
+poly.shift_batch call on the one term batch of the vectors it lowers.
 """
 
 from __future__ import annotations
@@ -279,12 +279,12 @@ def lowering_tree(lam):
 
 
 def module_span(h: Poly):
-    """Basis of the irreducible module generated by a highest weight
-    vector h of weight (lam, mu, nu): the vectors w_A w_B w_C h for the
-    lowering words of lowering_tree(lam), (mu) and (nu) acting on the
-    A, B and C factors.  Each vector is one lowering operator applied to
-    an earlier one, then content-normalized; h itself comes first.
-    """
+    """Basis of the module generated by a highest weight vector h of weight
+    (lam, mu, nu) as one integer batch: vector i is w_A w_B w_C h for the
+    i-th triple of lowering words of lowering_tree(lam), (mu) and (nu) on
+    the A, B and C factors, each one lowering of an earlier vector, then
+    content-normalized.  Vector i's terms are one run of id i, sorted by
+    monomial; the runs come in any order."""
     w = h.weight()
     if w is None:
         raise ValueError("module_span needs a nonzero highest weight vector")
@@ -293,13 +293,13 @@ def module_span(h: Poly):
         raise ValueError("module_span needs a dominant-weight vector, got weight %r" % (w,))
     if not poly.is_highest_weight(h):
         raise ValueError("module_span needs a highest weight vector")
-    basis = [h.content_normalized()]
+    batch, dims = poly.normalize_batch(poly.merge_terms(poly.integer_terms([h]))), []
     for axis, part in zip("ABC", parts):
-        tree = lowering_tree(tuple(x for x in part if x))
-        nodes = [poly.pack_terms(basis)]   # node n of the tree on every vector
-        for parent, (to, frm) in tree[1:]:
+        tree, nvec = lowering_tree(tuple(x for x in part if x)), prod(dims)
+        nodes = [batch]   # node n of the tree on every vector, as ids n * nvec + id
+        for n, (parent, (to, frm)) in enumerate(tree[1:], 1):
             nodes.append(poly.normalize_batch(poly.shift_batch(axis, to, frm, nodes[parent])))
-        # node by node, which halves the transient memory of the largest modules
-        images = [basis] + [poly.unpack_terms(b, len(basis)) for b in nodes[1:]]
-        basis = [images[n][r] for r in range(len(basis)) for n in range(len(tree))]
-    return basis
+            np.add(nodes[n][1], (n - parent) * nvec, out=nodes[n][1])
+        batch, dims = tuple(map(np.concatenate, zip(*nodes))), dims + [len(tree)]
+    rows, ids, coeffs = batch   # id (c * dims[1] + b) * dims[0] + a becomes (a, b, c)'s
+    return rows, np.arange(prod(dims)).reshape(dims).transpose(2, 1, 0).ravel()[ids], coeffs

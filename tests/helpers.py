@@ -1,10 +1,13 @@
 """Test data the package itself never builds: the pencil-determinant cubics,
-random camera triples and the isotypic dimension count."""
+random camera triples, the isotypic dimension count and module spans as
+lists of polynomials."""
 
 import random
 from itertools import permutations, product
 
-from trifocal import linalg, rep
+import numpy as np
+
+from trifocal import linalg, poly, rep
 from trifocal.cameras import Camera, CameraTriple, DegenerateConfigurationError
 from trifocal.poly import Poly, _pencil_entry_vars
 from trifocal.tensor import perm_sign
@@ -50,3 +53,10 @@ def completeness_defect(d) -> int:
     isotypic bookkeeping is consistent)."""
     return (sum(rep.kronecker(*lab) * rep.label_dim(lab) for lab in rep.all_labels(d))
             - rep.ambient_dimension(d))
+
+
+def span_polys(h):
+    """The basis rep.module_span(h) as Polys, vector i the run of id i."""
+    rows, ids, coeffs = rep.module_span(h)
+    order = np.argsort(ids, kind="stable")   # the runs by id, each run's terms kept in order
+    return poly.unpack_terms((rows[order], ids[order], coeffs[order]), int(ids.max()) + 1)

@@ -328,12 +328,12 @@ def test_primes_are_machine_primes():
 # --- the packed form ------------------------------------------------------------
 
 def test_module_span_packs_match_fresh_packs(discovery5, trifocal_nf):
-    """module_span's lowered vectors hold only the packs unpack_terms made
-    from the batch rows: the packs of the same polynomials made afresh from
-    their terms, with the same values."""
+    """A filed module_span batch gives vectors that hold only their packs,
+    slices of the filed chunk: the packs of the same polynomials made afresh
+    from their terms, with the same values."""
     points = [skew_tensor()] + ideal.trifocal_points(trifocal_nf, 77, 2)
     for m in discovery5.scans[5].modules:
-        basis = rep.module_span(m.hw_vector)
+        basis = ideal.GradedGeneratorSet()._file_module(rep.module_span(m.hw_vector))
         assert all(f._terms is None for f in basis)
         fresh = [Poly(f.terms) for f in basis]
         for a, b in zip(map(poly._pack, basis), map(poly._pack, fresh)):

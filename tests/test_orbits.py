@@ -91,7 +91,7 @@ def test_signature_without_degree5_modules_has_no_m5(discovery5):
 def test_signature_splits_one_evaluation_per_module(discovery5, monkeypatch):
     mods = discovery5.modules()
     # as degree-6 modules, each module's own vanishing flag is reported
-    each = [ideal.DiscoveredModule(6, (i,), m.hw_vector, m.basis) for i, m in enumerate(mods)]
+    each = [ideal.DiscoveredModule(6, (i,), m.basis) for i, m in enumerate(mods)]
     rng = random.Random(23)
     points = [nf.tensor for nf in catalog().values()] + [
         random_orbit_point(trifocal_normal_form(), 7), trifocal_from_cameras(random_triple(rng)),

@@ -11,7 +11,7 @@ from trifocal.poly import (Poly, apply_shift, det_slice_poly, f_determinant,
                            variable_map, weight_space_basis, witness_g)
 from trifocal.tensor import Tensor333, random_orbit_point
 
-from helpers import m3_generators, m3_with_x_monomials
+from helpers import m3_generators, m3_with_x_monomials, span_polys
 
 
 def basis_tensor(i, j, k):
@@ -151,7 +151,7 @@ def test_operators_are_derivations():
 
 
 def test_calibration_span_of_f_is_m3_of_axis_a():
-    span = rep.module_span(f_determinant().content_normalized())
+    span = span_polys(f_determinant().content_normalized())
     m3A = m3_generators("A")
     monos = sorted({m for p in span + m3A for m in p.terms})
     rows = lambda ps: [[Fraction(p.terms.get(m, 0)) for m in monos] for p in ps]
@@ -216,7 +216,7 @@ def test_witness_g_structure():
 
 def test_text_format_roundtrip():
     hw5 = rep.hw_space(((2, 2, 1), (2, 2, 1), (3, 1, 1))).basis[0]
-    for f in [f_determinant(), witness_g(), *[g for ax in "ABC" for g in m3_generators(ax)], *rep.module_span(hw5)[::9]]:
+    for f in [f_determinant(), witness_g(), *[g for ax in "ABC" for g in m3_generators(ax)], *span_polys(hw5)[::9]]:
         assert parse_poly(format_poly(f)) == f
     assert parse_poly("2*T_1_1_1^2 - 1/2*T_2_2_2") == Poly({
         (var_index(0, 0, 0), var_index(0, 0, 0)): 2,

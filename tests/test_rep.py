@@ -12,7 +12,7 @@ from trifocal.rep import (MAX_DEGREE, all_labels, class_size, hw_space, kronecke
                           lowering_tree, mn_character, module_span, partitions,
                           weyl_dim)
 
-from helpers import completeness_defect
+from helpers import completeness_defect, span_polys
 
 
 def cycle_type(perm):
@@ -189,10 +189,9 @@ def test_hw_basis_is_weight_homogeneous_and_primitive():
 
 
 def test_module_span_defining_representation():
-    span = module_span(parse_poly("T_1_1_1"))
-    assert len(span) == 27
-    monos = {m for p in span for m in p.terms}
-    assert len(monos) == 27
+    rows, ids, coeffs = module_span(parse_poly("T_1_1_1"))
+    assert sorted(ids.tolist()) == list(range(27)) and (coeffs == 1).all()   # one term each
+    assert len(np.unique(rows)) == 27
 
 
 def test_module_span_needs_dominant_weight():
@@ -253,7 +252,7 @@ def test_module_span_closed_under_operators():
     from trifocal.poly import LOWERING, RAISING, apply_shift
     from trifocal import linalg
     from fractions import Fraction
-    span = module_span(f_determinant().content_normalized())
+    span = span_polys(f_determinant().content_normalized())
     monos = sorted({m for p in span for m in p.terms})
     rows = [[Fraction(p.terms.get(m, 0)) for m in monos] for p in span]
     base_rank = linalg.rank(rows)

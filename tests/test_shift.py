@@ -19,6 +19,8 @@ from trifocal import ideal, linalg, poly, rep
 from trifocal.poly import (N_VARS, Poly, apply_shift, f_determinant, var_index, var_ijk,
                            witness_g)
 
+from helpers import span_polys
+
 SHIFTS = [(ax, to, frm) for ax in "ABC" for to, frm in permutations(range(3), 2)]
 
 
@@ -186,7 +188,7 @@ def test_normalize_batch_matches_content_normalized():
 
 
 def _same_span(h):
-    new, old = rep.module_span(h), dict_module_span(h)
+    new, old = span_polys(h), dict_module_span(h)
     assert new == old   # the same vectors in the same order
 
 
