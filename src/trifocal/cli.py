@@ -90,13 +90,15 @@ def cmd_classify(args) -> int:
     payload = {"schema": SCHEMA, "config": cfg,
                "signature": sig.to_dict(), "component": component,
                "is_trifocal": verdict, "reason": reason}
-    _emit(args, payload, [
-        "frank: %r" % (sig.frank,),
-        "prank: %r" % (sig.prank,),
-        "cubic vanishing per axis: %r" % (sig.m3_axis_vanishing,),
-        "component: %s" % component,
-        "trifocal: %s (%s)" % (verdict, reason),
-    ])
+    lines = ["frank: %r" % (sig.frank,), "prank: %r" % (sig.prank,),
+             "cubic vanishing per axis: %r" % (sig.m3_axis_vanishing,)]
+    if args.with_modules:   # None: no module of that degree was evaluated
+        m6 = sig.m6_vanishing
+        lines += ["degree-5 modules vanishing: %s" % sig.m5_vanishing] + (
+            ["degree-6 module %s vanishing: %s" % kv for kv in m6.items()] if m6
+            else ["degree-6 modules vanishing: None"])
+    _emit(args, payload, lines + ["component: %s" % component,
+                                  "trifocal: %s (%s)" % (verdict, reason)])
     return 0
 
 

@@ -137,7 +137,8 @@ def m3_vanishes(t: Tensor333, axis) -> bool:
 def signature(t: Tensor333, modules=None) -> Signature:
     """Invariant fingerprint.  modules, when given, is an iterable of
     discovered generator modules (degree, label, basis) used to fill the
-    degree-5/6 vanishing flags; m5 stays None without a degree-5 module."""
+    degree-5/6 vanishing flags, a label's m6 flag over all its modules; m5
+    and m6 stay None without a module of their degree."""
     pr = prank(t)   # an axis's cubics vanish exactly when its pencil rank is below 3
     m5 = m6 = None
     if modules is not None:
@@ -148,8 +149,8 @@ def signature(t: Tensor333, modules=None) -> Signature:
             if mod.degree == 5:
                 m5 = vanishes if m5 is None else m5 and vanishes
             elif mod.degree == 6:
-                m6[mod.label] = vanishes
-    return Signature(frank(t), pr, tuple(r < 3 for r in pr), m5, m6)
+                m6[mod.label] = m6.get(mod.label, True) and vanishes
+    return Signature(frank(t), pr, tuple(r < 3 for r in pr), m5, m6 or None)
 
 
 def classify_component(t: Tensor333) -> str:

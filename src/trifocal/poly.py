@@ -33,9 +33,9 @@ by a multiplicity and no merge overflows; objects otherwise.
 
 pack_terms concatenates packs and unpack_terms slices a batch into Polys;
 those of an int64 batch hold only their packs, views of the batch, their
-terms dicts built on first read.  So tableau polynomials, hw-space bases,
-certificates and modules (one batch from rep.module_span to ideal's
-store) reach the weight blocks and evaluation without a dict.
+terms dicts built on first read.  So hw-space bases (one batch from the
+tableau expansion), certificates and modules (one from rep.module_span to
+ideal's store) reach the weight blocks and evaluation without a dict.
 
 As text (parse_poly, format_poly) a polynomial is terms [sign] factor
 (* factor)*, the sign needed after the first; a factor is an unsigned

@@ -24,18 +24,18 @@ P, so one T_A suffices: T_B, T_C then run over all fillings, which Garnir
 relations reduce to standard ones.  hw_space fixes the column-reading
 T_A, runs through standard pairs (T_B, T_C) from the row-reading ones on
 (about four candidates per basis vector through degree 7), expanded in runs
-of at most _RUN_TERMS raw terms, and keeps each one independent mod a prime
-p of those kept, up to the Kronecker coefficient k.  That is exact for any
-p: a k x k minor nonzero mod p is nonzero, and k independent vectors of a
-k-dimensional space are a basis.
+of at most _RUN_TERMS raw terms into one term batch, and keeps each one
+independent mod a prime p of those kept, up to the Kronecker coefficient k,
+as one batch too.  That is exact for any p: a k x k minor nonzero mod p is
+nonzero, and k independent vectors of a k-dimensional space are a basis.
 
 A highest weight vector h of weight (lam, mu, nu) generates a copy of
 S_lam x S_mu x S_nu.  Its basis comes from per-factor lowering-word trees:
 words w in the two lowering operators of one gl(3) factor such that the
-w.v_lam form a basis of S_lam(C^3), found once per partition on a small
-one-factor model.  The products w_A w_B w_C h are then a basis of the
-module, so a span needs no elimination and no prime (Fulton-Harris,
-Representation Theory, Section 15).  Each tree node is one
+w.v_lam form a basis of S_lam(C^3), found once per partition on the model
+P(T, T, one row), T lam's column-reading tableau.  The products w_A w_B w_C h
+are then a basis of the module, so a span needs no elimination and no prime
+(Fulton-Harris, Representation Theory, Section 15).  Each tree node is one
 poly.shift_batch call on the one term batch of the vectors it lowers.
 """
 
@@ -50,11 +50,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, poly
-from .poly import LOWERING, Poly, apply_shift, var_index
+from .poly import LOWERING, Poly, apply_shift
 from .tensor import perm_sign
 
 MAX_DEGREE = 9  # the search bound: no new generators exist above this
-_RUN_TERMS = 1 << 16   # _tableau_polys expands its pairs in runs of this many raw terms
+_RUN_TERMS = 1 << 16   # _tableau_terms expands its pairs in runs of this many raw terms
 
 
 class ConsistencyError(ArithmeticError):
@@ -189,29 +189,28 @@ def _column_group(word):
     return np.array(signs, dtype=np.int64), np.array(rows)
 
 
-def _tableau_polys(ta, pairs):
-    """P of (T_A, T_B, T_C) for each (T_B, T_C) in pairs (module docstring)."""
-    (sa, ra), out = _column_group(ta), []
-    groups = [[_column_group(t) for t in pair] for pair in pairs]
-    for run in poly.bounded_runs(groups, [len(sa) * len(b[0]) * len(c[0]) for b, c in groups],
-                                 _RUN_TERMS):
+def _tableau_terms(ta, pairs):
+    """P of (T_A, T_B, T_C) for each (T_B, T_C) in pairs as one integer
+    batch, pair i's terms with id i, empty for no pairs (module docstring)."""
+    (sa, ra), groups = _column_group(ta), [[_column_group(t) for t in pair] for pair in pairs]
+    out = [(np.empty((0, len(ta)), np.uint8), np.empty(0, np.int64), np.empty(0, np.int64))]
+    sizes = [len(sa) * len(b[0]) * len(c[0]) for b, c in groups]
+    for run in poly.bounded_runs(enumerate(groups), sizes, _RUN_TERMS):
         signs, rows = [], []
-        for (sb, rb), (sc, rc) in run:
-            monos = 9 * ra[:, None, None] + 3 * rb[None, :, None] + rc[None, None, :]
-            rows.append(np.sort(monos.reshape(-1, ra.shape[1]), axis=1))
+        for _, ((sb, rb), (sc, rc)) in run:
             signs.append((sa[:, None, None] * sb[None, :, None] * sc[None, None, :]).ravel())
-        ids = np.repeat(np.arange(len(run)), list(map(len, signs)))
-        batch = poly.merge_terms((np.concatenate(rows), ids, np.concatenate(signs)))
-        out += poly.unpack_terms(batch, len(run))
-    return out
+            monos = 9 * ra[:, None, None] + 3 * rb[None, :, None] + rc[None, None, :]
+            rows.append(np.sort(monos.reshape(len(signs[-1]), -1), axis=1))
+        ids = np.repeat([i for i, _ in run], list(map(len, signs)))
+        out.append(poly.merge_terms((np.concatenate(rows), ids, np.concatenate(signs))))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
-def _independent(polys):
-    """The indices of the polys independent mod machine_prime(0) of the
-    ones before them, hence over Q (module docstring)."""
-    p = linalg.machine_prime(0)
-    rows, ids, coeffs = poly.pack_terms(polys)
-    a = poly.term_matrix(poly.mono_keys(rows), ids, coeffs, len(polys), p)
+def _independent(batch, n):
+    """The ids of the polynomials 0..n-1 of an integer batch independent mod
+    machine_prime(0) of the ones before them, hence over Q (module docstring)."""
+    p, (rows, ids, coeffs) = linalg.machine_prime(0), batch
+    a = poly.term_matrix(poly.mono_keys(rows), ids, coeffs, n, p)
     return linalg.rref_mod_p(a.T, p)[1]   # the pivot columns, one row per monomial
 
 
@@ -223,20 +222,17 @@ def hw_space(label) -> HWSpace:
     k, weight = kronecker(*label), tuple(_pad(lam) for lam in label)
     ta = standard_tableaux(weight[0])[-1]
     pairs = product(standard_tableaux(weight[1]), standard_tableaux(weight[2]))
-    basis, size = [], k
-    while len(basis) < k and (chunk := list(islice(pairs, size))):
-        polys = basis + _tableau_polys(ta, chunk)
-        basis, size = [polys[j] for j in _independent(polys)], 2 * size
-    if len(basis) != k:
-        raise ConsistencyError("hw space of %r has dimension %d, expected %d"
-                               % (label, len(basis), k))
-    return HWSpace(label, weight, poly.normalized(poly.pack_terms(basis), k))
-
-
-def _leading_minor(k) -> Poly:
-    """det of the top-left k x k block of the slice T[i][j][0]."""
-    return Poly((sorted(var_index(r, sigma[r], 0) for r in range(k)), perm_sign(sigma))
-                for sigma in permutations(range(k)))
+    basis, n, size = _tableau_terms(ta, []), 0, k   # the n kept vectors, ids 0..n-1
+    while n < k and (chunk := list(islice(pairs, size))):
+        rows, ids, coeffs = _tableau_terms(ta, chunk)
+        rows, ids, coeffs = map(np.concatenate, zip(basis, (rows, ids + n, coeffs)))
+        pivots = _independent((rows, ids, coeffs), n + len(chunk))
+        keep = np.isin(ids, pivots)   # pivots ascend: the kept batch stays sorted by id
+        basis = rows[keep], np.searchsorted(pivots, ids[keep]), coeffs[keep]
+        n, size = len(pivots), 2 * size
+    if n != k:
+        raise ConsistencyError("hw space of %r has dimension %d, expected %d" % (label, n, k))
+    return HWSpace(label, weight, poly.unpack_terms(poly.normalize_batch(basis), k))
 
 
 @lru_cache(maxsize=None)
@@ -246,16 +242,14 @@ def lowering_tree(lam):
 
     Returned as nodes (parent, (to, frm)): node 0 is the root (parent
     None), node n is the lowering operator (to, frm) applied to node
-    `parent` < n.  The words are found by closing the one-factor model
-    Delta_1^(l1-l2) Delta_12^(l2-l3) Delta_123^l3 (leading minors of
+    `parent` < n.  The words are found by closing the model P(T, T, one
+    row), T the column-reading tableau of lam (prod over columns of h! times
+    Delta_1^(l1-l2) Delta_12^(l2-l3) Delta_123^l3, leading minors of
     T[i][j][0]) under the two A-lowering operators, one weight at a time,
     keeping each image that is independent of the ones kept before it.
     """
-    l1, l2, l3 = _pad(lam)
-    v = Poly.constant(1)
-    for k, e in ((1, l1 - l2), (2, l2 - l3), (3, l3)):
-        for _ in range(e):
-            v = v * _leading_minor(k)
+    ta = standard_tableaux(_pad(lam))[-1]
+    v = poly.unpack_terms(_tableau_terms(ta, [(ta, (0,) * len(ta))]), 1)[0]
     nodes = [(None, None)]
     level = [(0, v)]  # (node id, model vector) of the newest nodes
     while level:
@@ -269,7 +263,7 @@ def lowering_tree(lam):
                     by_weight.setdefault(img.weight(), []).append((parent, (to, frm), img))
         level = []
         for cands in by_weight.values():
-            for j in _independent([img for _, _, img in cands]):
+            for j in _independent(poly.pack_terms([img for _, _, img in cands]), len(cands)):
                 level.append((len(nodes), cands[j][2]))
                 nodes.append(cands[j][:2])
     if len(nodes) != weyl_dim(lam):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import trifocal
-from trifocal import ideal
+from trifocal import cli, ideal
 from trifocal.cli import main
 from trifocal.orbits import catalog
 from trifocal.scalars import parse_rational
@@ -195,6 +195,28 @@ def test_classify_with_modules_below_degree_5_reports_no_m5(tmp_path, capsys):
     assert "m5_vanishing" not in payload["signature"]
     assert payload["signature"]["m3_axis_vanishing"]["C"] is False
     assert payload["is_trifocal"] is False
+
+
+def test_classify_with_modules_prints_both_verdicts(tmp_path, capsys, monkeypatch, discovery6):
+    path = write(tmp_path, "nf.json", tensor_to_json(catalog()["trifocal"].tensor))
+    monkeypatch.setattr(cli, "_discover", lambda *args: discovery6)   # the shared degree-6 run
+    assert main(["classify", path, "--with-modules"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "degree-5 modules vanishing: True" in out
+    m6 = [line for line in out if line.startswith("degree-6 module ")]
+    labels = {m.label for m in discovery6.modules() if m.degree == 6}
+    assert len(m6) == len(labels) == 9 and all(line.endswith(": True") for line in m6)
+    assert "degree-6 module ((3, 3), (3, 3), (2, 2, 2)) vanishing: True" in m6
+
+
+def test_classify_with_modules_below_degree_6_reports_no_m6(tmp_path, capsys):
+    path = write(tmp_path, "nf.json", tensor_to_json(catalog()["trifocal"].tensor))
+    assert main(["classify", path, "--with-modules", "--degree-cap", "5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[3:5] == ["degree-5 modules vanishing: True", "degree-6 modules vanishing: None"]
+    assert main(["classify", path, "--with-modules", "--degree-cap", "5", "--json"]) == 0
+    signature = json.loads(capsys.readouterr().out)["signature"]
+    assert signature["m5_vanishing"] is True and "m6_vanishing" not in signature
 
 
 def test_classify_with_modules_progress_reports_discovery(tmp_path, capsys):

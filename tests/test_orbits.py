@@ -88,6 +88,24 @@ def test_signature_without_degree5_modules_has_no_m5(discovery5):
     assert "m5_vanishing" not in sig.to_dict()
 
 
+def test_signature_without_degree6_modules_has_no_m6(discovery5):
+    sig = signature(trifocal_normal_form(), modules=discovery5.modules())
+    assert sig.m5_vanishing is True and sig.m6_vanishing is None
+    assert "m6_vanishing" not in sig.to_dict()
+
+
+def test_signature_m6_flag_covers_every_module_of_a_label(discovery5):
+    """skew_tensor() is on every cubic and off a quintic: a label with both
+    modules does not vanish, whichever comes last."""
+    t = skew_tensor()
+    picked = {m.degree: m for m in discovery5.modules()   # a cubic on t, a quintic off it
+              if any(evaluate_points(m.basis, [t])[0]) == (m.degree == 5)}
+    cubic, quintic = picked[3], picked[5]
+    for pair in ((cubic, quintic), (quintic, cubic)):
+        mods = [ideal.DiscoveredModule(6, ("x",), m.basis) for m in pair]
+        assert signature(t, modules=mods).m6_vanishing == {("x",): False}
+
+
 def test_signature_splits_one_evaluation_per_module(discovery5, monkeypatch):
     mods = discovery5.modules()
     # as degree-6 modules, each module's own vanishing flag is reported

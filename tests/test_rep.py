@@ -7,10 +7,11 @@ import pytest
 
 from trifocal import linalg, poly, rep
 from trifocal.poly import (RAISING, Poly, det_slice_poly, f_determinant, is_highest_weight,
-                           parse_poly)
+                           parse_poly, var_index)
 from trifocal.rep import (MAX_DEGREE, all_labels, class_size, hw_space, kronecker,
                           lowering_tree, mn_character, module_span, partitions,
                           weyl_dim)
+from trifocal.tensor import perm_sign
 
 from helpers import completeness_defect, span_polys
 
@@ -220,6 +221,28 @@ def test_lowering_tree_sizes():
             assert all(parent < n for n, (parent, _) in enumerate(tree) if n)
 
 
+def _leading_minor(k) -> Poly:
+    """det of the top-left k x k block of the slice T[i][j][0]."""
+    return Poly((sorted(var_index(r, sigma[r], 0) for r in range(k)), perm_sign(sigma))
+                for sigma in permutations(range(k)))
+
+
+def test_lowering_model_is_a_product_of_leading_minors():
+    """lowering_tree's model P(T, T, one row), T the column-reading tableau
+    of lam, is prod over columns of h! times Delta_1^(l1-l2) Delta_12^(l2-l3)
+    Delta_123^l3, term by term, for every partition the trees serve."""
+    for d in range(MAX_DEGREE + 1):
+        for lam in [p for p in partitions(d) if len(p) <= 3]:
+            l1, l2, l3 = rep._pad(lam)
+            want = Poly.constant(factorial(3) ** l3 * factorial(2) ** (l2 - l3))
+            for k, e in ((1, l1 - l2), (2, l2 - l3), (3, l3)):
+                for _ in range(e):
+                    want = want * _leading_minor(k)
+            ta = rep.standard_tableaux(rep._pad(lam))[-1]
+            batch = rep._tableau_terms(ta, [(ta, (0,) * d)])
+            assert poly.unpack_terms(batch, 1)[0] == want, lam
+
+
 def test_degree5_module_spans_are_bases_closed_under_operators(discovery5):
     import numpy as np
     from trifocal.poly import LOWERING, RAISING, apply_shift
@@ -314,12 +337,12 @@ def test_hw_spaces_degree_7():
         hw = hw_space(lab)
         assert hw.dim == kronecker(*lab), lab
         assert hw.weight == tuple(rep._pad(x) for x in lab), lab
-        assert rep._independent(hw.basis) == list(range(hw.dim)), lab
+        assert rep._independent(poly.pack_terms(hw.basis), hw.dim) == list(range(hw.dim)), lab
         assert all(f.weight() == hw.weight and is_highest_weight(f) for f in hw.basis), lab
 
 
-def oracle_tableau_polys(ta, pairs):
-    """Oracle: rep._tableau_polys as it was, every pair expanded and merged
+def oracle_tableau_terms(ta, pairs):
+    """Oracle: rep._tableau_terms as one run, every pair expanded and merged
     in one batch."""
     (sa, ra), signs, rows = rep._column_group(ta), [], []
     for (sb, rb), (sc, rc) in (map(rep._column_group, pair) for pair in pairs):
@@ -327,14 +350,14 @@ def oracle_tableau_polys(ta, pairs):
         rows.append(np.sort(monos.reshape(-1, ra.shape[1]), axis=1))
         signs.append((sa[:, None, None] * sb[None, :, None] * sc[None, None, :]).ravel())
     ids = np.repeat(np.arange(len(pairs)), list(map(len, signs)))
-    batch = poly.merge_terms((np.concatenate(rows), ids, np.concatenate(signs)))
-    return poly.unpack_terms(batch, len(pairs))
+    return poly.merge_terms((np.concatenate(rows), ids, np.concatenate(signs)))
 
 
 @pytest.mark.parametrize("run_terms", [1, 700, 1 << 16])
 def test_tableau_runs_match_one_batch(monkeypatch, run_terms):
     """Runs of one pair, of a few pairs (700 raw terms) and of all pairs give
-    the polynomials and packs of one batch: zero ones too, at degrees 2-6."""
+    the rows, ids and coefficients of one batch: zero polynomials (ids with
+    no term) too, at degrees 2-6."""
     monkeypatch.setattr(rep, "_RUN_TERMS", run_terms)
     labels = [((1, 1), (2,), (1, 1)), ((2, 1), (2, 1), (2, 1)), ((3, 2), (3, 1, 1), (2, 2, 1)),
               ((2, 2, 1), (2, 2, 1), (2, 2, 1)), ((3, 2, 1), (2, 2, 2), (4, 1, 1))]
@@ -343,13 +366,10 @@ def test_tableau_runs_match_one_batch(monkeypatch, run_terms):
         weight = tuple(rep._pad(lam) for lam in label)
         ta = rep.standard_tableaux(weight[0])[-1]
         pairs = list(product(rep.standard_tableaux(weight[1]), rep.standard_tableaux(weight[2])))
-        got, want = rep._tableau_polys(ta, pairs[:12]), oracle_tableau_polys(ta, pairs[:12])
-        assert got == want
-        for f, g in zip(got, want):
-            (r, c, l1, den), (rw, cw, l1w, denw) = poly._pack(f), poly._pack(g)
-            assert np.array_equal(r, rw) and np.array_equal(c, cw) and c.dtype == cw.dtype
-            assert (l1, den) == (l1w, denw)
-        zeros += sum(f.is_zero() for f in got)
+        got, want = rep._tableau_terms(ta, pairs[:12]), oracle_tableau_terms(ta, pairs[:12])
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w) and g.dtype == w.dtype, label
+        zeros += len(pairs[:12]) - len(np.unique(got[1]))
     assert zeros
 
 
