@@ -6,7 +6,7 @@ tensor coordinates, symmetric-group / GL(3) representation theory, graded
 ideal computations, and the orbit catalog with the membership test.
 """
 
-from .cameras import Camera, CameraTriple, transfer_geometric, trifocal_from_cameras
+from .cameras import Camera, CameraTriple, trifocal_from_cameras
 from .orbits import catalog, classify_component, is_trifocal, signature
 from .tensor import Tensor333, frank, prank
 
@@ -14,6 +14,5 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Camera", "CameraTriple", "Tensor333", "catalog", "classify_component",
-    "frank", "is_trifocal", "prank", "signature", "transfer_geometric",
-    "trifocal_from_cameras",
+    "frank", "is_trifocal", "prank", "signature", "trifocal_from_cameras",
 ]

@@ -1,4 +1,4 @@
-"""Cameras and the line-transfer construction of trifocal tensors.
+"""Cameras and the trifocal tensor of a camera triple.
 
 A camera is a full-rank 3x4 matrix of ints and Fractions (other entries
 raise TypeError).  A triple of cameras produces a 3x3x3 tensor through
@@ -6,11 +6,10 @@ signed 4x4 minors of the stacked 4x9 matrix (one row from each of the
 first two cameras, two rows from the third), each a six-term Laplace
 expansion along its first two rows into products of 2x2 minors, so
 integer cameras give an integer tensor with no division.  Focal points
-are the signed maximal minors of a camera, made primitive.
-``transfer_geometric`` performs the synthetic projective
-construction (back-project two image lines, intersect the planes, image
-the space line into the third view); it is the oracle that pins down the
-sign convention of the minor formula.
+are the signed maximal minors of a camera, made primitive.  The sign
+convention of the minor formula is pinned by the tests, against the
+synthetic line transfer (back-project two image lines, intersect the
+planes, image the space line into the third view) in tests/test_cameras.py.
 """
 
 from __future__ import annotations
@@ -30,10 +29,6 @@ class DegenerateConfigurationError(ValueError):
     pass
 
 
-class DegenerateTransferError(ValueError):
-    pass
-
-
 class Camera:
     __slots__ = ("m",)
 
@@ -43,9 +38,6 @@ class Camera:
             raise InvalidCameraError("camera must be 3x4, got %dx%d" % (rows, cols))
         self.m = [list(r) for r in m]
         exact_list([x for r in self.m for x in r], "camera entry")
-
-    def __eq__(self, other):
-        return isinstance(other, Camera) and self.m == other.m
 
 
 def focal_point(a: Camera):
@@ -107,31 +99,6 @@ def trifocal_from_cameras(ct: CameraTriple) -> Tensor333:
     if out.is_zero():
         raise DegenerateConfigurationError("camera triple produced the zero tensor")
     return out
-
-
-def _cross(x, y):
-    return [x[1] * y[2] - x[2] * y[1],
-            x[2] * y[0] - x[0] * y[2],
-            x[0] * y[1] - x[1] * y[0]]
-
-
-def transfer_geometric(ct: CameraTriple, l1, l2):
-    """Map a line pair (view 1, view 2) to the induced line in view 3.
-
-    Back-projected planes pi_i = Ai^T li must be independent and the
-    resulting space line must avoid the third focal point.
-    """
-    a1, a2, a3 = ct.cameras()
-    pi1 = [sum(a1.m[r][c] * l1[r] for r in range(3)) for c in range(4)]
-    pi2 = [sum(a2.m[r][c] * l2[r] for r in range(3)) for c in range(4)]
-    ker = linalg.kernel_basis([pi1, pi2])
-    if len(ker) != 2:
-        raise DegenerateTransferError("back-projected planes are dependent")
-    p, q = ker
-    l3 = _cross(linalg.mat_vec(a3.m, p), linalg.mat_vec(a3.m, q))
-    if all(v == 0 for v in l3):
-        raise DegenerateTransferError("transferred line is undefined (through the focal point)")
-    return l3
 
 
 # --- (de)serialization ------------------------------------------------------

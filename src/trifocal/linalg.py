@@ -39,13 +39,6 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_vec(m, v):
-    r, c = dims(m)
-    if len(v) != c:
-        raise ValueError("shape mismatch")
-    return [sum(m[i][j] * v[j] for j in range(c)) for i in range(r)]
-
-
 def _integer_rows(m):
     """Copy of m with each row scaled by the lcm of its denominators: an
     integer matrix of the same rank and the same right kernel."""

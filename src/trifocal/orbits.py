@@ -3,18 +3,19 @@ and the rank-based membership test for trifocal tensors.
 
 The catalog carries only representatives with an explicit construction:
 integer-triple codes, the line-transfer normal forms, the skew
-(Levi-Civita) class, two boundary orbits used in degeneration checks, and
-generic points of the three subspace varieties.
+(Levi-Civita) class, the boundary orbits 17 and 18, and generic points of
+the three subspace varieties.  The degeneration replays onto orbits 17 and
+18 and the degree-6 separation of the boundary representatives are checks
+of this catalog and of the discovered modules; they live in the tests
+(tests/helpers.py), not here.
 """
 
 from __future__ import annotations
 
 import random
 
-from . import linalg
 from .poly import evaluate_points
-from .tensor import (_LATTICE3, AXES, Tensor333, act, frank, pencil, permute_factors,
-                     prank, random_group_element)
+from .tensor import AXES, Tensor333, act, frank, prank, random_group_element
 
 
 def decode_triples(codes) -> Tensor333:
@@ -194,118 +195,3 @@ def is_trifocal(t: Tensor333, permutation_tolerant=False):
     if fr != (3, 3, 3):
         return False, "F-Rank %r: below (3,3,3)" % (fr,)
     return True, "P-Rank %r and F-Rank (3, 3, 3)" % (pr,)
-
-
-# ---------------------------------------------------------------------------
-# degeneration replays
-
-def _tensor_from_pencil_a(entries) -> Tensor333:
-    """entries[j][k] = coefficient triple on (a1,a2,a3) of the pencil entry."""
-    return Tensor333([[[e[i] for e in row] for row in entries] for i in range(3)])
-
-
-def _family17(z) -> Tensor333:
-    return _tensor_from_pencil_a([[(0, 0, 0), (-1, 0, 0), (0, -1, 0)],
-                                  [(1, 0, 0), (0, 0, 0), (0, 0, z)],
-                                  [(0, 1, 0), (0, 0, -z), (0, 0, 0)]])
-
-
-def _family18(t) -> Tensor333:
-    return _tensor_from_pencil_a([[(0, 0, 0), (1, 0, 0), (0, 1, 0)],
-                                  [(-t, 0, 0), (0, 0, 0), (0, 0, t)],
-                                  [(0, -1, 0), (0, 0, -1), (0, 0, 0)]])
-
-
-def _group17(z):   # A-substitution sending the skew pencil to the orbit-17 family shape
-    return ([[0, 0, -1], [0, 1, 0], [z, 0, 0]], linalg.identity(3), linalg.identity(3))
-
-
-def _group18(t):
-    return ([[0, 0, 1], [0, -1, 0], [1, 0, 0]], [[1, 0, 0], [0, t, 0], [0, 0, 1]],
-            linalg.identity(3))
-
-
-def degeneration_check(name: str) -> bool:
-    """Replay the explicit limit constructions landing on the boundary
-    orbits 17 and 18, each family checked at the parameters 1, 2, 3.
-
-    orbit17: the one-parameter skew family with the (2,3)/(3,2) entries
-    scaled by z; its z -> 0 limit must equal the sign-flipped orbit-17
-    representative, exactly.
-
-    orbit18: the row-scaled skew family whose t -> 0 limit L has a zero
-    second row; then the documented substitution chain (set a3 = a2^2/a1
-    and rescale the third row by -a1/a2) must turn L into the row-cycled
-    orbit-18 representative, verified as cross-multiplied cubic-form
-    identities at the 10 points of tensor._LATTICE3.  Each family member
-    must have pencil ranks (2, 2, 2), the skew class, whose cubics vanish on
-    every axis.
-    """
-    F = skew_tensor()
-    if name == "orbit17":
-        for z in (1, 2, 3):
-            member = act(_group17(z), F)
-            if member != _family17(z) or prank(member) != (2, 2, 2):
-                return False
-        limit = _family17(0)
-        flip = (linalg.identity(3), [[-1, 0, 0], [0, 1, 0], [0, 0, 1]], linalg.identity(3))
-        return limit == act(flip, orbit17_rep())
-    if name == "orbit18":
-        for t in (1, 2, 3):
-            member = act(_group18(t), F)
-            if member != _family18(t) or prank(member) != (2, 2, 2):
-                return False
-        limit = _family18(0)
-        cyc = (linalg.identity(3), [[0, 1, 0], [0, 0, 1], [1, 0, 0]], linalg.identity(3))
-        limit_pencil, target_pencil = pencil(limit, "A"), pencil(act(cyc, orbit18_rep()), "A")
-        # rows 1 and 2 must agree outright (no a3, untouched by the chain)
-        if any(lp[:2] != tp[:2] for lp, tp in zip(limit_pencil, target_pencil)):
-            return False
-        # row 3: with L and T the linear forms of limit and target, setting
-        # a3 = a2^2/a1 and rescaling by -a1/a2 must give T; cleared of
-        # a1*a2, the cubic forms -a1*L(a1^2, a1*a2, a2^2) and a1*a2*T agree,
-        # checked at the points of _LATTICE3 (unisolvent for cubics)
-        for k in range(3):
-            l1, l2, l3 = (limit_pencil[s][2][k] for s in range(3))
-            t1, t2, t3 = (target_pencil[s][2][k] for s in range(3))
-            for a1, a2, a3 in _LATTICE3:
-                if -a1 * (l1 * a1 * a1 + l2 * a1 * a2 + l3 * a2 * a2) != \
-                        a1 * a2 * (t1 * a1 + t2 * a2 + t3 * a3):
-                    return False
-        return True
-    raise ValueError("unknown degeneration target %r" % (name,))
-
-
-def boundary_orbit_reps():
-    """The boundary representatives used in the separation checks, keyed
-    by their customary primed names.
-
-    Primed versions come from the cyclic factor relabeling a -> b -> c -> a.
-    The quoted orbit-18 representative sits one permutation off the
-    table's unprimed entry, so it is filed under 18' and its cyclic image
-    under 18''; this is the unique assignment under which each boundary
-    representative is separated by the expected degree-6 module.
-    """
-    t17, t18 = orbit17_rep(), orbit18_rep()
-    return {"17": t17, "17'": permute_factors(t17, 1), "17''": permute_factors(t17, 2),
-            "18'": t18, "18''": permute_factors(t18, 1)}
-
-
-# degree-6 module label that must NOT vanish on each boundary representative
-SEPARATION_CLAIMS = {
-    "17": ((3, 3), (2, 2, 2), (4, 1, 1)),
-    "17'": ((2, 2, 2), (3, 3), (4, 1, 1)),
-    "18'": ((3, 3), (3, 3), (2, 2, 2)),
-    "18''": ((2, 2, 2), (3, 3), (3, 3)),
-}
-
-
-def m6_separates(modules, rep_name: str) -> bool:
-    """Does the claimed degree-6 module have a basis element that is
-    nonzero on the named boundary representative?"""
-    label = SEPARATION_CLAIMS[rep_name]
-    t = boundary_orbit_reps()[rep_name]
-    for mod in modules:
-        if mod.degree == 6 and mod.label == label:
-            return any(evaluate_points(mod.basis, [t])[0])
-    raise ValueError("no degree-6 module with label %r among the given modules" % (label,))

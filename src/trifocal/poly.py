@@ -43,7 +43,11 @@ rational (scalars.parse_rational) or a variable, T_i_j_k or a_ij = T_ij1,
 b_ij = T_ij2, c_ij = T_ij3 (1-based), each with an optional ^ and ASCII
 digits.  One compiled pattern (_TERM) matches term by term from the start,
 whitespace allowed between tokens and never inside one, so "1 2*a11" is
-refused, not read as 12*a11.
+refused, not read as 12*a11.  Before a term is expanded, its powers are
+counted against PARSE_BUDGET twice over the whole text: once for the
+variables, with multiplicity, and once for the bits of the numbers (e
+times the bits of the base, at least e), so a few bytes such as
+"3^100000000*a11" cannot ask for minutes or gigabytes.
 """
 
 from __future__ import annotations
@@ -560,23 +564,34 @@ _NAMES = {name: v for v in range(N_VARS) for i, j, k in [var_ijk(v)]
           for name in (var_name(v), "abc"[k] + "%d%d" % (i + 1, j + 1))}
 
 
+PARSE_BUDGET = 1 << 20   # parse_poly's variables, and its bits of numbers (module docstring)
+
+
 def parse_poly(text: str) -> Poly:
     """The Poly of text such as 'c*T_1_2_3^2*a11 - ...' in the term grammar
-    (module docstring); ValueError at the first term that does not match."""
-    terms, pos = [], 0
+    (module docstring); ValueError at the first term that does not match or
+    that passes PARSE_BUDGET."""
+    terms, pos, degrees, bits = [], 0, 0, 0
     while pos < len(text) or not terms:
         m = _TERM.match(text, pos)
         if not m or (terms and not m[1]):
             raise ValueError("bad term at offset %d of %r" % (pos, text))
-        coeff, mono = -1 if m[1] == "-" else 1, []
+        powers, numbers = [], []
         for factor in m[2].split("*"):
             base, _, exp = factor.partition("^")
             base, e = base.strip(), int(exp or 1)
             if base in _NAMES:
-                mono += [_NAMES[base]] * e
+                powers.append((_NAMES[base], e))
+                degrees += e
             else:
-                coeff *= parse_rational(base) ** e
-        terms.append((sorted(mono), coeff))
+                c = parse_rational(base)
+                numbers.append((c, e))
+                bits += e * max(1, c.numerator.bit_length(), c.denominator.bit_length())
+        if max(degrees, bits) > PARSE_BUDGET:
+            raise ValueError("term at offset %d passes %d variables or %d bits of numbers"
+                             % (pos, PARSE_BUDGET, PARSE_BUDGET))
+        terms.append((sorted(v for v, e in powers for _ in range(e)),
+                      prod(c ** e for c, e in numbers) * (-1 if m[1] == "-" else 1)))
         pos = m.end()
     return Poly(terms)
 

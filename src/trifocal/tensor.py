@@ -1,6 +1,6 @@
 """3x3x3 tensors over exact scalars.
 
-Index convention: ``t[i][j][k]`` with i, j, k in {0,1,2}; from_terms
+Index convention: ``t.t[i][j][k]`` with i, j, k in {0,1,2}; from_terms
 (and orbits.decode_triples) speak 1-based indices to match the usual T_ijk
 labeling.  The last index plays the role of the output (third image) in
 the line-transfer picture, so the letter slices are a_ij = T[i][j][0],
@@ -56,10 +56,6 @@ class Tensor333:
         return t
 
     @classmethod
-    def zero(cls):
-        return cls._from_flat([0] * 27)
-
-    @classmethod
     def from_terms(cls, terms):
         """Build from 1-based (coeff, i, j, k) terms."""
         flat, terms = [0] * 27, list(terms)
@@ -68,30 +64,11 @@ class Tensor333:
             flat[9 * (i - 1) + 3 * (j - 1) + k - 1] += coeff
         return cls._from_flat(flat)
 
-    @classmethod
-    def rank_one(cls, u, v, w):
-        exact_list(chain(u, v, w), "vector entry")
-        return cls._from_flat([x * y * z for x in u for y in v for z in w])
-
-    def __getitem__(self, ijk):
-        i, j, k = ijk
-        return self.t[i][j][k]
-
     def __eq__(self, other):
         return isinstance(other, Tensor333) and self.t == other.t
 
     def __hash__(self):
         return hash(self.t)
-
-    def __add__(self, other):
-        return Tensor333._from_flat([x + y for x, y in zip(self.flat, other.flat)])
-
-    def __sub__(self, other):
-        return Tensor333._from_flat([x - y for x, y in zip(self.flat, other.flat)])
-
-    def scale(self, c):
-        exact_list([c], "scalar")   # True * x would be the int x
-        return Tensor333._from_flat([c * x for x in self.flat])
 
     def is_zero(self):
         return not any(self.flat)
@@ -209,16 +186,6 @@ def act(g, t: Tensor333, check=True) -> Tensor333:
     gA, gB, gC = g
     _check_group_element(g, check)
     return Tensor333._from_flat(_mode_product(gA, _mode_product(gB, _mode_product(gC, t.flat))))
-
-
-def permute_factors(t: Tensor333, times=1) -> Tensor333:
-    """Cyclic relabeling of the three tensor factors (a -> b -> c -> a),
-    applied `times` times: one application sends T_ijk to position (k,i,j)."""
-    out = t
-    for _ in range(times % 3):
-        out = Tensor333([[[out.t[q][r][p] for r in range(3)] for q in range(3)]
-                         for p in range(3)])
-    return out
 
 
 def random_group_element(rng: random.Random, bound=5):

@@ -1,6 +1,8 @@
 """Test data the package itself never builds: the pencil-determinant cubics,
-random camera triples, the isotypic dimension count and module spans as
-lists of polynomials."""
+random camera triples, the isotypic dimension count, module spans as
+lists of polynomials, a few tensor and matrix operations, and the
+degeneration replays and degree-6 separation checks on the boundary
+orbits 17 and 18."""
 
 import random
 from itertools import permutations, product
@@ -9,8 +11,9 @@ import numpy as np
 
 from trifocal import linalg, poly, rep
 from trifocal.cameras import Camera, CameraTriple, DegenerateConfigurationError
-from trifocal.poly import Poly, _pencil_entry_vars
-from trifocal.tensor import perm_sign
+from trifocal.orbits import orbit17_rep, orbit18_rep, skew_tensor
+from trifocal.poly import Poly, _pencil_entry_vars, evaluate_points
+from trifocal.tensor import _LATTICE3, Tensor333, act, pencil, perm_sign, prank
 
 _X_MONOMIALS = [(3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
                 (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3)]
@@ -60,3 +63,111 @@ def span_polys(h):
     rows, ids, coeffs = rep.module_span(h)
     order = np.argsort(ids, kind="stable")   # the runs by id, each run's terms kept in order
     return poly.unpack_terms((rows[order], ids[order], coeffs[order]), int(ids.max()) + 1)
+
+
+def mat_vec(m, v):
+    """The matrix m, a list of rows, times the vector v."""
+    return [sum(x * y for x, y in zip(row, v)) for row in m]
+
+
+def scaled(t, c):
+    """The tensor c * t."""
+    return Tensor333._from_flat([c * x for x in t.flat])
+
+
+def permute_factors(t):
+    """The cyclic relabeling a -> b -> c -> a of the tensor factors: T_ijk
+    moves to position (k, i, j)."""
+    return Tensor333([[[t.t[q][r][p] for r in range(3)] for q in range(3)] for p in range(3)])
+
+
+# --- the degeneration replays onto the boundary orbits 17 and 18 ---------------
+
+I3 = linalg.identity(3)
+
+
+def from_pencil_a(entries):
+    """The tensor whose A-pencil entry (j, k) has the coefficient triple
+    entries[j][k] on (a1, a2, a3)."""
+    return Tensor333([[[e[i] for e in row] for row in entries] for i in range(3)])
+
+
+def family17(z):
+    return from_pencil_a([[(0, 0, 0), (-1, 0, 0), (0, -1, 0)],
+                          [(1, 0, 0), (0, 0, 0), (0, 0, z)],
+                          [(0, 1, 0), (0, 0, -z), (0, 0, 0)]])
+
+
+def family18(t):
+    return from_pencil_a([[(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+                          [(-t, 0, 0), (0, 0, 0), (0, 0, t)],
+                          [(0, -1, 0), (0, 0, -1), (0, 0, 0)]])
+
+
+def replay_orbit17():
+    """The skew family with its (2,3)/(3,2) entries scaled by z: at
+    z = 1, 2, 3 an A-substitution of the skew tensor, of pencil ranks
+    (2, 2, 2); its z -> 0 limit is the sign-flipped orbit-17
+    representative, exactly."""
+    for z in (1, 2, 3):
+        member = act(([[0, 0, -1], [0, 1, 0], [z, 0, 0]], I3, I3), skew_tensor())
+        if member != family17(z) or prank(member) != (2, 2, 2):
+            return False
+    return family17(0) == act((I3, [[-1, 0, 0], [0, 1, 0], [0, 0, 1]], I3), orbit17_rep())
+
+
+def replay_orbit18(rep18):
+    """The row-scaled skew family, checked as in replay_orbit17 at t = 1,
+    2, 3, whose t -> 0 limit L has a zero second row; setting
+    a3 = a2^2/a1 and rescaling the third row by -a1/a2 must turn L into the
+    row-cycled rep18, checked as cross-multiplied cubic-form identities at
+    the 10 points of _LATTICE3 (unisolvent for cubics)."""
+    for t in (1, 2, 3):
+        member = act(([[0, 0, 1], [0, -1, 0], [1, 0, 0]], [[1, 0, 0], [0, t, 0], [0, 0, 1]], I3),
+                     skew_tensor())
+        if member != family18(t) or prank(member) != (2, 2, 2):
+            return False
+    cyc = (I3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]], I3)
+    limit, target = pencil(family18(0), "A"), pencil(act(cyc, rep18), "A")
+    # rows 1 and 2 have no a3 and the chain leaves them alone
+    if any(lp[:2] != tp[:2] for lp, tp in zip(limit, target)):
+        return False
+    # row 3, cleared of a1*a2: -a1 * L(a1^2, a1*a2, a2^2) = a1*a2 * T(a1, a2, a3)
+    for k in range(3):
+        l1, l2, l3 = (limit[s][2][k] for s in range(3))
+        t1, t2, t3 = (target[s][2][k] for s in range(3))
+        for a1, a2, a3 in _LATTICE3:
+            if -a1 * (l1 * a1 * a1 + l2 * a1 * a2 + l3 * a2 * a2) != \
+                    a1 * a2 * (t1 * a1 + t2 * a2 + t3 * a3):
+                return False
+    return True
+
+
+def boundary_orbit_reps():
+    """The boundary representatives by their customary primed names.
+
+    Primed versions come from the cyclic factor relabeling a -> b -> c -> a.
+    The quoted orbit-18 representative sits one permutation off the
+    table's unprimed entry, so it is filed under 18' and its cyclic image
+    under 18''; this is the unique assignment under which each boundary
+    representative is separated by the expected degree-6 module.
+    """
+    t17, t18 = orbit17_rep(), orbit18_rep()
+    return {"17": t17, "17'": permute_factors(t17), "17''": permute_factors(permute_factors(t17)),
+            "18'": t18, "18''": permute_factors(t18)}
+
+
+# the degree-6 module label that must NOT vanish on each boundary representative
+SEPARATION_CLAIMS = {
+    "17": ((3, 3), (2, 2, 2), (4, 1, 1)),
+    "17'": ((2, 2, 2), (3, 3), (4, 1, 1)),
+    "18'": ((3, 3), (3, 3), (2, 2, 2)),
+    "18''": ((2, 2, 2), (3, 3), (3, 3)),
+}
+
+
+def m6_separates(modules, name):
+    """Is a basis element of the claimed degree-6 module nonzero on the
+    named boundary representative?"""
+    mod = next(m for m in modules if m.degree == 6 and m.label == SEPARATION_CLAIMS[name])
+    return any(evaluate_points(mod.basis, [boundary_orbit_reps()[name]])[0])

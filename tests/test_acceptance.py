@@ -19,12 +19,12 @@ from trifocal import ideal, orbits, rep
 from trifocal.cameras import trifocal_from_cameras
 from trifocal.cli import main
 from trifocal.ideal import graded_nonzerodivisor_check, hilbert_quotient
-from trifocal.orbits import (boundary_orbit_reps, degeneration_check, is_trifocal,
-                             m6_separates, skew_tensor, sub_generic)
+from trifocal.orbits import is_trifocal, orbit18_rep, skew_tensor, sub_generic
 from trifocal.poly import f_determinant, witness_g
 from trifocal.tensor import Tensor333
 
-from helpers import completeness_defect, random_triple
+from helpers import (boundary_orbit_reps, completeness_defect, m6_separates, random_triple,
+                     replay_orbit17, replay_orbit18)
 
 M6_EXPECTED = {
     ((2, 2, 2), (3, 3), (3, 3)): 100,
@@ -225,8 +225,8 @@ def test_stretch_discover_degree7(capsys):
 
 
 def test_criterion_7_degeneration_replay(capsys):
-    assert degeneration_check("orbit17") is True
-    assert degeneration_check("orbit18") is True
+    assert replay_orbit17() is True
+    assert replay_orbit18(orbit18_rep()) is True
     reps = boundary_orbit_reps()
     assert set(reps) == {"17", "17'", "17''", "18'", "18''"}
     with capsys.disabled():

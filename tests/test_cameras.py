@@ -7,19 +7,44 @@ import pytest
 
 from trifocal import linalg
 from trifocal.cameras import (Camera, CameraTriple, DegenerateConfigurationError,
-                              DegenerateTransferError, InvalidCameraError,
-                              focal_point,
-                              transfer_geometric, trifocal_from_cameras,
+                              InvalidCameraError, focal_point, trifocal_from_cameras,
                               triple_from_json)
 from trifocal.tensor import act, frank, prank
 
-from helpers import random_camera, random_triple
+from helpers import mat_vec, random_camera, random_triple, scaled
 from test_tensor import contract
 
 
 def mat_mul(a, b):
     """Oracle: the schoolbook product of two matrices given as lists of rows."""
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+class DegenerateTransferError(ValueError):
+    pass
+
+
+def cross(x, y):
+    return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+
+
+def transfer_geometric(ct, l1, l2):
+    """The oracle that pins the sign convention of trifocal_from_cameras:
+    the line of view 3 induced by a line pair of views 1 and 2, by
+    synthetic projective geometry.  The back-projected planes Ai^T li meet
+    in a space line, which camera 3 images.  DegenerateTransferError when
+    the planes are dependent or the line passes through the third focal
+    point."""
+    a1, a2, a3 = ct.cameras()
+    planes = [[sum(a.m[r][c] * line[r] for r in range(3)) for c in range(4)]
+              for a, line in ((a1, l1), (a2, l2))]
+    ker = linalg.kernel_basis(planes)
+    if len(ker) != 2:
+        raise DegenerateTransferError("back-projected planes are dependent")
+    l3 = cross(*(mat_vec(a3.m, x) for x in ker))
+    if not any(l3):
+        raise DegenerateTransferError("transferred line is undefined (through the focal point)")
+    return l3
 
 
 def proportional(u, v):
@@ -50,7 +75,7 @@ def test_focal_point_exactness_and_rank_check():
         cam = random_camera(rng)
         f = focal_point(cam)
         assert any(x != 0 for x in f)
-        assert linalg.mat_vec(cam.m, f) == [0, 0, 0]
+        assert mat_vec(cam.m, f) == [0, 0, 0]
     with pytest.raises(InvalidCameraError):
         focal_point(Camera([[1, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0]]))
 
@@ -75,8 +100,8 @@ def test_scaling_one_camera_scales_the_tensor():
     rng = random.Random(24)
     ct = random_triple(rng)
     t = trifocal_from_cameras(ct)
-    scaled = CameraTriple(Camera([[3 * x for x in row] for row in ct.a1.m]), ct.a2, ct.a3)
-    assert trifocal_from_cameras(scaled) == t.scale(3)
+    tripled = CameraTriple(Camera([[3 * x for x in row] for row in ct.a1.m]), ct.a2, ct.a3)
+    assert trifocal_from_cameras(tripled) == scaled(t, 3)
 
 
 def test_camera_side_action_matches_tensor_action():
@@ -109,7 +134,7 @@ def test_world_coordinate_change_scales_tensor():
         if dh != 0:
             break
     moved = CameraTriple(*(Camera(mat_mul(a.m, h)) for a in ct.cameras()))
-    assert trifocal_from_cameras(moved) == t.scale(dh)
+    assert trifocal_from_cameras(moved) == scaled(t, dh)
 
 
 def test_transfer_is_proportional_to_contraction():
@@ -140,11 +165,8 @@ def test_transfer_from_world_line():
     for _ in range(20):
         p = [rng.randint(-4, 4) for _ in range(4)]
         q = [rng.randint(-4, 4) for _ in range(4)]
-        x1, y1 = linalg.mat_vec(a1.m, p), linalg.mat_vec(a1.m, q)
-        x2, y2 = linalg.mat_vec(a2.m, p), linalg.mat_vec(a2.m, q)
-        cross = lambda x, y: [x[1] * y[2] - x[2] * y[1],
-                              x[2] * y[0] - x[0] * y[2],
-                              x[0] * y[1] - x[1] * y[0]]
+        x1, y1 = mat_vec(a1.m, p), mat_vec(a1.m, q)
+        x2, y2 = mat_vec(a2.m, p), mat_vec(a2.m, q)
         l1, l2 = cross(x1, y1), cross(x2, y2)
         if all(v == 0 for v in l1) or all(v == 0 for v in l2):
             continue
@@ -152,7 +174,7 @@ def test_transfer_from_world_line():
             l3 = transfer_geometric(ct, l1, l2)
         except DegenerateTransferError:
             continue
-        x3, y3 = linalg.mat_vec(a3.m, p), linalg.mat_vec(a3.m, q)
+        x3, y3 = mat_vec(a3.m, p), mat_vec(a3.m, q)
         assert proportional(l3, cross(x3, y3))
         return
     pytest.fail("no usable world line found")
@@ -233,4 +255,4 @@ def test_fraction_cameras_give_their_tensor():
     halves = CameraTriple(*(Camera([[Fraction(x, 2) for x in row] for row in a.m])
                             for a in ct.cameras()))
     # one row each of A1 and A2 and two of A3 in every 4x4 minor
-    assert trifocal_from_cameras(halves) == trifocal_from_cameras(ct).scale(Fraction(1, 16))
+    assert trifocal_from_cameras(halves) == scaled(trifocal_from_cameras(ct), Fraction(1, 16))

@@ -15,7 +15,7 @@ from trifocal.orbits import catalog
 from trifocal.scalars import parse_rational
 from trifocal.tensor import tensor_from_json, tensor_to_json
 
-from helpers import random_triple
+from helpers import random_triple, scaled
 from test_poly import JOINED
 
 
@@ -161,12 +161,12 @@ def test_from_cameras_scaled_camera_scales_tensor(tmp_path, capsys):
                  json.dumps({"A1": ct.a1.m, "A2": ct.a2.m, "A3": ct.a3.m}))
     main(["from-cameras", cams])
     t = tensor_from_json(capsys.readouterr().out)
-    scaled = write(tmp_path, "b.json",
-                   json.dumps({"A1": [[2 * x for x in r] for r in ct.a1.m],
-                               "A2": ct.a2.m, "A3": ct.a3.m}))
-    main(["from-cameras", scaled])
+    doubled = write(tmp_path, "b.json",
+                    json.dumps({"A1": [[2 * x for x in r] for r in ct.a1.m],
+                                "A2": ct.a2.m, "A3": ct.a3.m}))
+    main(["from-cameras", doubled])
     t2 = tensor_from_json(capsys.readouterr().out)
-    assert t2 == t.scale(2)
+    assert t2 == scaled(t, 2)
 
 
 def test_classify_report(tmp_path, capsys):
@@ -376,6 +376,18 @@ def test_nzd_witness_above_the_cap_adds_no_rows_and_no_stabiliser(tmp_path, caps
     assert payload["witness_degree"] == 20000 and payload["non_zero_divisor"] is True
     assert {d: (r["expected"], r["actual"]) for d, r in payload["table"].items()} == {
         "1": (27, 27), "2": (378, 378), "3": (3644, 3644)}
+
+
+@pytest.mark.parametrize("text", ["a11^1000000000\n", "3^1000000000*a11\n"],
+                         ids=["variable", "number"])
+def test_nzd_witness_with_a_huge_power_is_refused_before_it_is_expanded(tmp_path, capsys, text):
+    """A few bytes once asked for a list of 10^9 variables or for 3^(10^9):
+    parse_poly counts the powers against its budgets first."""
+    path = write(tmp_path, "w.txt", text)
+    start = time.perf_counter()
+    assert main(["nzd", "--witness", path, "--degree-cap", "3"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_nzd_invalid_prime(capsys):

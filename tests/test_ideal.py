@@ -797,7 +797,7 @@ def test_swap_element_is_exact(trifocal_nf):
     sigma = ideal._swap_element(trifocal_nf)
     assert sigma == ((0, 2, 1),) * 3
     g = tuple([[int(p == s[i]) for i in range(3)] for p in range(3)] for s in sigma)
-    tau_nf = [[[trifocal_nf[j, i, k] for k in range(3)] for j in range(3)] for i in range(3)]
+    tau_nf = [[[trifocal_nf.t[j][i][k] for k in range(3)] for j in range(3)] for i in range(3)]
     assert act(g, trifocal_nf) == Tensor333(tau_nf)
     assert ideal._swap_element(catalog()["sub233"].tensor) is None
 

@@ -15,7 +15,7 @@ from trifocal.cameras import (Camera, CameraTriple, DegenerateConfigurationError
 from trifocal.tensor import (AXES, Tensor333, act, flattening, frank, pencil,
                              pencil_rank, perm_sign, prank, random_group_element)
 
-from helpers import random_triple
+from helpers import mat_vec, random_triple, scaled
 
 
 # --- oracles -------------------------------------------------------------------
@@ -187,7 +187,7 @@ def test_ranks_and_verdicts_match_the_oracles(kind, monkeypatch):
                "random": lambda: random_tensors(rng, 20),
                "catalog": lambda: catalog_images(rng),
                "rational": lambda: [rational_tensor(rng) for _ in range(10)]
-               + [t.scale(Fraction(1, 6)) for t in camera_tensors(rng, 5)]}[kind]()
+               + [scaled(t, Fraction(1, 6)) for t in camera_tensors(rng, 5)]}[kind]()
     got = [(prank(t), frank(t), orbits.is_trifocal(t), orbits.classify_component(t))
            for t in tensors]
     monkeypatch.setattr(orbits, "prank", oracle_prank)
@@ -248,7 +248,7 @@ def test_rational_cameras_match_the_determinant_oracle():
         for cam in ct.cameras():
             f = focal_point(cam)
             assert all(isinstance(x, int) for x in f)
-            assert linalg.mat_vec(cam.m, f) == [0, 0, 0]
+            assert mat_vec(cam.m, f) == [0, 0, 0]
         checked += 1
 
 

@@ -9,6 +9,8 @@ import pytest
 from trifocal import linalg
 from trifocal.scalars import is_prime, rational_reconstruction
 
+from helpers import mat_vec
+
 
 def det_cofactor(m):
     """Independent oracle: cofactor expansion along the first row."""
@@ -124,7 +126,7 @@ def test_kernel_rank_nullity_and_exactness():
         ker = linalg.kernel_basis(m)
         assert len(ker) == 9 - r
         for v in ker:
-            assert all(x == 0 for x in linalg.mat_vec(m, v))
+            assert all(x == 0 for x in mat_vec(m, v))
 
 
 def test_kernel_basis_of_rational_matrices_is_primitive_exact_and_full():
@@ -147,7 +149,7 @@ def test_kernel_basis_of_rational_matrices_is_primitive_exact_and_full():
         assert len(fraction_rref(ker)[1]) == len(ker)
         for v in ker:
             assert all(type(x) is int for x in v)
-            assert all(x == 0 for x in linalg.mat_vec(m, v))
+            assert all(x == 0 for x in mat_vec(m, v))
             assert reduce(gcd, v) == 1 and next(x for x in v if x) > 0
 
 

@@ -6,16 +6,13 @@ import pytest
 
 from trifocal import ideal, orbits, poly, tensor
 from trifocal.cameras import trifocal_from_cameras
-from trifocal.orbits import (boundary_orbit_reps, catalog, classify_component,
-                             decode_triples,
-                             degeneration_check, is_trifocal, m3_vanishes,
-                             signature, skew_tensor, sub_generic,
+from trifocal.orbits import (catalog, classify_component, decode_triples, is_trifocal,
+                             m3_vanishes, signature, skew_tensor, sub_generic,
                              trifocal_normal_form)
 from trifocal.poly import evaluate_points
-from trifocal.tensor import (Tensor333, act, frank, permute_factors, prank,
-                             random_group_element, random_orbit_point)
+from trifocal.tensor import Tensor333, act, frank, prank, random_group_element, random_orbit_point
 
-from helpers import random_triple
+from helpers import boundary_orbit_reps, permute_factors, random_triple, replay_orbit18
 
 
 def test_decode_examples():
@@ -58,7 +55,7 @@ def test_catalog_contents_and_signatures():
 
 def test_orbit11_matches_trifocal_after_double_cycle():
     cat = catalog()
-    moved = permute_factors(cat["orbit11"].tensor, 2)
+    moved = permute_factors(permute_factors(cat["orbit11"].tensor))
     s1 = signature(moved)
     s0 = signature(cat["trifocal"].tensor)
     assert (s1.frank, s1.prank, s1.m3_axis_vanishing) == (s0.frank, s0.prank, s0.m3_axis_vanishing)
@@ -168,7 +165,7 @@ def test_is_trifocal_verdicts():
 
 
 def test_is_trifocal_permutation_tolerance():
-    t = permute_factors(trifocal_normal_form(), 1)
+    t = permute_factors(trifocal_normal_form())
     assert prank(t) != (3, 3, 2)
     ok, reason = is_trifocal(t)
     assert not ok and "wrong direction" in reason
@@ -186,28 +183,14 @@ def test_is_trifocal_randomized_variant():
             assert is_trifocal(moved)[0] is expected
 
 
-def test_degeneration_orbit17():
-    assert degeneration_check("orbit17") is True
-
-
-def test_degeneration_orbit18():
-    assert degeneration_check("orbit18") is True
-
-
-def test_degeneration_orbit18_rejects_a_perturbed_row_3(monkeypatch):
-    # the row cycle of the check makes index j = 1 of the representative
+def test_degeneration_orbit18_rejects_a_perturbed_row_3():
+    # the row cycle of the replay makes index j = 1 of the representative
     # row 3 of the target, the row compared after the substitution chain
-    rep = orbits.orbit18_rep()
-    for i in range(1, 4):
-        for k in range(1, 4):
-            bumped = rep + Tensor333.from_terms([(1, i, 1, k)])
-            monkeypatch.setattr(orbits, "orbit18_rep", lambda: bumped)
-            assert degeneration_check("orbit18") is False, (i, k)
-
-
-def test_degeneration_unknown_name():
-    with pytest.raises(ValueError):
-        degeneration_check("orbit99")
+    for i in range(3):
+        for k in range(3):
+            bumped = [[list(row) for row in plane] for plane in orbits.orbit18_rep().t]
+            bumped[i][0][k] += 1
+            assert replay_orbit18(Tensor333(bumped)) is False, (i, k)
 
 
 def test_skew_not_in_subspace_closures():

@@ -11,7 +11,7 @@ from trifocal.poly import (Poly, apply_shift, det_slice_poly, f_determinant,
                            variable_map, weight_space_basis, witness_g)
 from trifocal.tensor import Tensor333, random_orbit_point
 
-from helpers import m3_generators, m3_with_x_monomials, span_polys
+from helpers import m3_generators, m3_with_x_monomials, permute_factors, scaled, span_polys
 
 
 def basis_tensor(i, j, k):
@@ -55,7 +55,7 @@ def test_m3_vanishes_on_trifocal_points():
 def test_all_thirty_cubics_vanish_on_skew():
     F = skew_tensor()
     assert all(g.evaluate(F) == 0 for g in [g for ax in "ABC" for g in m3_generators(ax)])
-    F5 = skew_tensor().scale(5)
+    F5 = scaled(skew_tensor(), 5)
     assert all(g.evaluate(F5) == 0 for g in [g for ax in "ABC" for g in m3_generators(ax)])
 
 
@@ -257,3 +257,6 @@ def test_permuted_factor_map_agrees_with_permute_factors():
     t_swapped = Tensor333([t.t[1], t.t[0], t.t[2]])
     assert permuted(f, swap).evaluate(t) == f.evaluate(t_swapped)
     assert all(list(m) == sorted(m) for m in permuted(f, swap).terms)
+    # the cyclic factor relabeling: T_ijk -> T_jki, then the image of f at T is f(permuted T)
+    cycle = [var_index(j, k, i) for i, j, k in map(poly.var_ijk, range(27))]
+    assert permuted(f, cycle).evaluate(t) == f.evaluate(permute_factors(t))
