@@ -175,12 +175,12 @@ def is_trifocal(t: Tensor333, permutation_tolerant=False):
     permutation if permutation_tolerant) and F-Rank exactly (3,3,3).
 
     Returns (verdict, reason).  Both ranks are exact, deterministic and
-    invariant under GL(3)^3, so the test needs no random coordinate change:
-    the flattening ranks come from fraction-free integer elimination, and
-    each pencil rank is the largest numeric rank of the pencil at the 10
-    lattice points a + b + c = 3, which are unisolvent for cubics (Chung
-    and Yao, SIAM J. Numer. Anal. 14(4), 1977), so no minor of degree <= 3
-    can vanish at all of them without vanishing identically.
+    invariant under GL(3)^3, so the test needs no random coordinate change.
+    Each is the cofactor rank of one integer 3x3 matrix per axis: F F^T for
+    a flattening F, whose rank over Q is rank F, and S1 + n*S2 + n^4*S3 for
+    a pencil, where n = 36 e^3 + 1 (e the largest |entry|) exceeds every
+    coefficient of a minor of the pencil and sends its monomials to
+    distinct powers n^(b + 4c), so both have the same vanishing minors.
     """
     pr = prank(t)
     if not (sorted(pr) == [2, 3, 3] if permutation_tolerant else pr == (3, 3, 2)):

@@ -8,13 +8,14 @@ b_ij = T[i][j][1], c_ij = T[i][j][2].
 
 A Tensor333 is immutable: nested tuples of ints and Fractions, 3x3x3
 (other shapes raise ValueError, other entries such as floats and bools
-TypeError), kept flat as well.  Slices, flattenings and pencils are cut
-from one fixed reordering of the flat entries per axis (an itemgetter), and
-act is three mode products on the flat entries.  prank and frank compute
-the rank invariants once and keep them on the tensor: the flattening ranks
-by fraction-free elimination (linalg.rank), the pencil ranks from the
-cofactors of the pencil at 10 lattice points (see pencil_rank).  JSON
-entries are read by scalars.scalar_from_json: integers or rational strings.
+TypeError), kept flat as well; act is three mode products on the flat
+entries.  prank and frank keep the rank invariants on the tensor, each
+axis's rank the cofactor rank of one integer 3x3 matrix read from the
+flat entries: S1 + n*S2 + n^4*S3 for the pencil, with n = 36 e^3 + 1 past
+every coefficient of its minors, whose monomials go to distinct powers
+n^(b + 4c) (pencil_rank); the Gram matrix F F^T for the flattening F, of
+rank F over Q (flattening_rank).  JSON entries are read by
+scalars.scalar_from_json: integers or rational strings.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import json
 import random
 from fractions import Fraction
 from itertools import chain, combinations
-from operator import itemgetter
+from math import lcm
+from operator import itemgetter, mul
 
 from . import linalg
 from .scalars import exact_list, scalar_from_json
@@ -77,42 +79,11 @@ class Tensor333:
         return "Tensor333(%r)" % (self.t,)
 
 
-# per axis, the flat positions 9i + 3j + k of its three slices, row by row
+# per axis, in AXES order, the flat positions 9i + 3j + k of its slices, row by row
 _R3 = range(3)
 _VIEWS = {"A": itemgetter(*(9 * s + 3 * r + c for s in _R3 for r in _R3 for c in _R3)),
           "B": itemgetter(*(9 * r + 3 * s + c for s in _R3 for r in _R3 for c in _R3)),
           "C": itemgetter(*(9 * r + 3 * c + s for s in _R3 for r in _R3 for c in _R3))}
-
-
-def _view(t: Tensor333, axis: str):
-    """The 27 entries of t as its three axis slices, row by row."""
-    if axis not in _VIEWS:
-        raise ValueError("axis must be one of A, B, C")
-    return _VIEWS[axis](t.flat)
-
-
-def flattening(t: Tensor333, axis: str):
-    """3x9 matrix whose row s is the flattened axis-slice number s+1.
-
-    Its rank is the dimension of the span of the three slices, i.e. the
-    multilinear rank of t in the chosen direction.
-    """
-    v = _view(t, axis)
-    return [list(v[:9]), list(v[9:18]), list(v[18:])]
-
-
-def frank(t: Tensor333):
-    """Triple of flattening ranks (A, B, C directions), kept on t."""
-    if t._frank is None:
-        t._frank = tuple(linalg.rank(flattening(t, ax)) for ax in AXES)
-    return t._frank
-
-
-def pencil(t: Tensor333, axis: str):
-    """The 3x3 matrix of linear forms x1*S1 + x2*S2 + x3*S3, returned as
-    its three coefficient matrices (S1, S2, S3) = the axis slices."""
-    rows = list(map(list, zip(*[iter(_view(t, axis))] * 3)))
-    return [rows[:3], rows[3:6], rows[6:]]
 
 
 def perm_sign(sigma):
@@ -120,46 +91,73 @@ def perm_sign(sigma):
     return (-1) ** sum(a > b for a, b in combinations(sigma, 2))
 
 
-# the points (a, b, c) with a + b + c = 3: no nonzero cubic form in three
-# variables vanishes at all of them, and x1 + x2 + x3 is 3 on each
-_LATTICE3 = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+def _integral(flat):
+    """The flat entries, each A-slice times the lcm of its denominators: all
+    ints, and the same ranks, as that scaling is the action of a diagonal gA."""
+    if Fraction not in set(map(type, flat)):
+        return flat
+    out = []
+    for s in (0, 9, 18):
+        d = lcm(*(x.denominator for x in flat[s:s + 9]))
+        out += [x.numerator * (d // x.denominator) for x in flat[s:s + 9]]
+    return out
 
-# the nine 2x2 minors of a flat 3x3 matrix m, each m[p] * m[s] - m[q] * m[r]
-_MINORS2 = [(3 * r + c, 3 * r + d, 3 * q + c, 3 * q + d)
-            for r, q in ((0, 1), (0, 2), (1, 2)) for c, d in ((0, 1), (0, 2), (1, 2))]
+
+def _cofactor_rank(m) -> int:
+    """Rank of the 3x3 matrix m, flat row by row: 3 if its determinant is
+    nonzero, else 2 if one of its nine 2x2 minors is, else 1 if an entry is."""
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+    c0, c1, c2 = m4 * m8 - m5 * m7, m3 * m8 - m5 * m6, m3 * m7 - m4 * m6
+    if m0 * c0 - m1 * c1 + m2 * c2:
+        return 3
+    if (c0 or c1 or c2 or m0 * m4 - m1 * m3 or m0 * m5 - m2 * m3 or m1 * m5 - m2 * m4
+            or m0 * m7 - m1 * m6 or m0 * m8 - m2 * m6 or m1 * m8 - m2 * m7):
+        return 2
+    return 1 if any(m) else 0
 
 
-def pencil_rank(slices) -> int:
-    """Rank of the pencil x1*S1 + x2*S2 + x3*S3 over the rational function
-    field in x1, x2, x3: the largest rank of the numeric matrices
-    a*S1 + b*S2 + c*S3 over the 10 points of _LATTICE3, each read from
-    cofactors: rank 3 if the determinant is nonzero, else 2 if a 2x2 minor
-    is, else 1 if an entry is.
+def pencil_rank(v, n) -> int:
+    """Rank over Q(x1, x2, x3) of the pencil x1*S1 + x2*S2 + x3*S3 of the
+    integer slices v[:9], v[9:18], v[18:] (row by row), given n = 36 e^3 + 1
+    with e >= every |entry|: the cofactor rank of M = S1 + n*S2 + n^4*S3.
 
-    Exact: a k x k minor of the pencil is a form of degree k <= 3, and
-    times (x1 + x2 + x3)^(3 - k) it is a cubic, where that factor is
-    3^(3 - k) != 0 at every point.  The 10 points are unisolvent for cubics
-    (Chung and Yao, SIAM J. Numer. Anal. 14(4), 1977), so a minor that
-    vanishes at all of them is zero."""
-    xyz = list(zip(*map(chain.from_iterable, slices)))
-    best = 0
-    for a, b, c in _LATTICE3:
-        m = [a * x + b * y + c * z for x, y, z in xyz]
-        m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-        if m0 * (m4 * m8 - m5 * m7) - m1 * (m3 * m8 - m5 * m6) + m2 * (m3 * m7 - m4 * m6):
-            return 3
-        if best < 2 and any(m[p] * m[s] - m[q] * m[r] for p, q, r, s in _MINORS2):
-            best = 2
-        elif best == 0 and any(m):
-            best = 1
-    return best
+    Exact, by Kronecker substitution: a k x k minor of M is the pencil's
+    minor, a form of degree k <= 3, at (1, n, n^4), where x1^a x2^b x3^c
+    is n^(b + 4c), distinct for distinct (b, c) as b <= 3.  Each of its
+    coefficients sums at most k! k!/(a! b! c!) <= 36 products of k entries,
+    so its size is below n: were the one at the lowest power n^j nonzero,
+    the minor of M would not be 0 modulo n^(j + 1)."""
+    n4 = n ** 4
+    return _cofactor_rank([x + n * y + n4 * z for x, y, z in zip(v[:9], v[9:18], v[18:])])
 
 
 def prank(t: Tensor333):
-    """Triple of pencil ranks (A, B, C directions), kept on t."""
+    """Triple of pencil ranks (A, B, C directions), kept on t; one bound n."""
     if t._prank is None:
-        t._prank = tuple(pencil_rank(pencil(t, ax)) for ax in AXES)
+        flat = _integral(t.flat)
+        n = 36 * max(map(abs, flat)) ** 3 + 1
+        t._prank = tuple(pencil_rank(view(flat), n) for view in _VIEWS.values())
     return t._prank
+
+
+def flattening_rank(v) -> int:
+    """Rank of the 3x9 flattening F with rows v[:9], v[9:18], v[18:]: the
+    cofactor rank of its Gram matrix F F^T, as F F^T x = 0 gives
+    |F^T x|^2 = 0 over Q (by Cauchy-Binet, det F F^T is the sum of the
+    squared 3x3 minors of F)."""
+    r0, r1, r2 = v[:9], v[9:18], v[18:]
+    g01, g02, g12 = sum(map(mul, r0, r1)), sum(map(mul, r0, r2)), sum(map(mul, r1, r2))
+    return _cofactor_rank((sum(map(mul, r0, r0)), g01, g02,
+                           g01, sum(map(mul, r1, r1)), g12,
+                           g02, g12, sum(map(mul, r2, r2))))
+
+
+def frank(t: Tensor333):
+    """Triple of flattening ranks (A, B, C directions), kept on t."""
+    if t._frank is None:
+        flat = _integral(t.flat)
+        t._frank = tuple(flattening_rank(view(flat)) for view in _VIEWS.values())
+    return t._frank
 
 
 # --- group action ----------------------------------------------------------

@@ -1,8 +1,8 @@
 """Test data the package itself never builds: the pencil-determinant cubics,
 random camera triples, the isotypic dimension count, module spans as
-lists of polynomials, a few tensor and matrix operations, and the
-degeneration replays and degree-6 separation checks on the boundary
-orbits 17 and 18."""
+lists of polynomials, a few tensor and matrix operations (the slices of
+an axis as a pencil or a flattening among them), and the degeneration
+replays and degree-6 separation checks on the boundary orbits 17 and 18."""
 
 import random
 from itertools import permutations, product
@@ -13,7 +13,7 @@ from trifocal import linalg, poly, rep
 from trifocal.cameras import Camera, CameraTriple, DegenerateConfigurationError
 from trifocal.orbits import orbit17_rep, orbit18_rep, skew_tensor
 from trifocal.poly import Poly, _pencil_entry_vars, evaluate_points
-from trifocal.tensor import _LATTICE3, Tensor333, act, pencil, perm_sign, prank
+from trifocal.tensor import _VIEWS, Tensor333, act, perm_sign, prank
 
 _X_MONOMIALS = [(3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
                 (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3)]
@@ -70,6 +70,28 @@ def mat_vec(m, v):
     return [sum(x * y for x, y in zip(row, v)) for row in m]
 
 
+def _view(t, axis):
+    """The 27 entries of t as its three axis slices, row by row, as the
+    package's rank invariants read them."""
+    if axis not in _VIEWS:
+        raise ValueError("axis must be one of A, B, C")
+    return _VIEWS[axis](t.flat)
+
+
+def flattening(t, axis):
+    """3x9 matrix whose row s is the flattened axis-slice number s+1: its
+    rank is the multilinear rank of t in that direction."""
+    v = _view(t, axis)
+    return [list(v[:9]), list(v[9:18]), list(v[18:])]
+
+
+def pencil(t, axis):
+    """The 3x3 matrix of linear forms x1*S1 + x2*S2 + x3*S3, as its three
+    coefficient matrices (S1, S2, S3) = the axis slices."""
+    rows = list(map(list, zip(*[iter(_view(t, axis))] * 3)))
+    return [rows[:3], rows[3:6], rows[6:]]
+
+
 def scaled(t, c):
     """The tensor c * t."""
     return Tensor333._from_flat([c * x for x in t.flat])
@@ -82,6 +104,11 @@ def permute_factors(t):
 
 
 # --- the degeneration replays onto the boundary orbits 17 and 18 ---------------
+
+# the points (a, b, c) with a + b + c = 3: no nonzero cubic form in three
+# variables vanishes at all of them (Chung and Yao, SIAM J. Numer. Anal.
+# 14(4), 1977)
+_LATTICE3 = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
 
 I3 = linalg.identity(3)
 

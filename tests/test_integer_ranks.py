@@ -1,21 +1,26 @@
 """The integer kernels of the membership test against the implementations
 they replaced, kept here as oracles: the symbolic pencil rank (every minor
 expanded as a polynomial in x1, x2, x3) and the rank read off a Fraction
-RREF."""
+RREF.  Large entries, large denominators and pencils built to vanish at a
+smaller substitution test the bound behind the one-matrix pencil rank."""
 
 import random
+import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
+from math import gcd
 
 import pytest
 
 from trifocal import ideal, linalg, orbits
 from trifocal.cameras import (Camera, CameraTriple, DegenerateConfigurationError,
                               focal_point, trifocal_from_cameras)
-from trifocal.tensor import (AXES, Tensor333, act, flattening, frank, pencil,
-                             pencil_rank, perm_sign, prank, random_group_element)
+from trifocal.cli import main
+from trifocal.tensor import (AXES, Tensor333, act, frank, perm_sign, prank,
+                             random_group_element, tensor_to_json)
 
-from helpers import mat_vec, random_triple, scaled
+from helpers import (flattening, from_pencil_a, mat_vec, pencil, permute_factors,
+                     random_triple, scaled)
 
 
 # --- oracles -------------------------------------------------------------------
@@ -202,11 +207,8 @@ def test_sparse_pencil_ranks_match_and_cover_every_rank():
     seen = set()
     for _ in range(300):
         t = sparse_tensor(rng)
-        for ax in AXES:
-            slices = pencil(t, ax)
-            r = pencil_rank(slices)
-            assert r == oracle_pencil_rank(slices)
-            seen.add(r)
+        assert prank(t) == oracle_prank(t)
+        seen.update(prank(t))
     assert seen == {0, 1, 2, 3}
 
 
@@ -222,14 +224,14 @@ def test_fraction_pencils_of_every_rank_match_the_oracle():
             else [[0] * 3 for _ in range(3)]
         slices = [mat_mul([[rational(rng) for _ in range(3)] for _ in range(3)], b)
                   for _ in range(3)]
-        got = pencil_rank(slices)
+        got = prank(Tensor333(slices))[0]   # the A-slices of Tensor333(slices)
         assert got == oracle_pencil_rank(slices)
         seen.add(got)
     for _ in range(10):
         u = [rational(rng) for _ in range(3)]
         skew = [[[0, u[s], 0], [-u[s], 0, 0], [0, 0, 0]] for s in range(3)]
         skew[0][0][2], skew[0][2][0] = Fraction(1, 3), Fraction(-1, 3)
-        assert pencil_rank(skew) == oracle_pencil_rank(skew) == 2
+        assert prank(Tensor333(skew))[0] == oracle_pencil_rank(skew) == 2
     assert seen == {0, 1, 2, 3}
 
 
@@ -275,3 +277,145 @@ def test_membership_verdicts_agree_with_the_generators(discovery6):
         ok, reason = orbits.is_trifocal(t)
         assert not ok and "no pencil drops rank" in reason
         assert any(ideal.evaluate_batch(cubics, t))
+
+
+# --- sizes that stress the substitution bound n = 36 e^3 + 1 -------------------
+
+def rank_one_sum(r, draw):
+    """The sum of r tensors a (x) b (x) c, the entries of a, b, c from draw():
+    flattening and pencil ranks r for generic factors."""
+    flat = [0] * 27
+    for _ in range(r):
+        for p, (x, y, z) in enumerate(product(*([draw() for _ in range(3)] for _ in range(3)))):
+            flat[p] += x * y * z
+    return Tensor333._from_flat(flat)
+
+
+def cancelling_pencils(e):
+    """Tensors of largest entry e whose A-pencil has a nonzero determinant
+    that vanishes at a substitution (1, m, m^4) with m < 36 e^3 + 1, or at
+    (1, m, m^k) with k < 4; each also on the B and C axes.
+
+    x1 S + x2 S2 with S2 = -E_33 has determinant x1^2 (det(S) x1 - x2) when
+    the top left 2x2 minor of S is 1, so it vanishes at m = det(S): e + 1,
+    2e + 1 and g e^2 + 1 for g = 1, 4 and e below.  The determinants
+    x2^3 - x1^2 x3 and x1 x2^2 - x1^2 x3 of the last two vanish at
+    (1, m, m^3) and (1, m, m^2)."""
+    mats = [[[1, 0, 1], [0, 1, 0], [-1, 0, e]], [[1, 0, 1], [0, 1, 1], [-e, -1, e]]]
+    mats += [[[e, e - 1, 0], [1, 1, g], [0, -e, 1]] for g in sorted({1, 4, e}) if g <= e]
+    forms = [[[(x, -1 if (j, k) == (2, 2) else 0, 0) for k, x in enumerate(row)]
+              for j, row in enumerate(m)] for m in mats]
+    forms.append([[(0, 1, 0), (-1, 0, 0), (0, 0, 0)], [(0, 0, 0), (0, 1, 0), (1, 0, 0)],
+                  [(0, 0, 1), (0, 0, 0), (0, 1, 0)]])
+    forms.append([[(1, 0, 0), (0, 0, 0), (0, 0, 0)], [(0, 0, 0), (0, 1, 0), (1, 0, 0)],
+                  [(0, 0, 0), (0, 0, 1), (0, 1, 0)]])
+    out = []
+    for t in map(from_pencil_a, forms):
+        out += [t, permute_factors(t), permute_factors(permute_factors(t))]
+    return out
+
+
+def huge_tensors(rng):
+    e = 10 ** 40
+    out = [rank_one_sum(r, lambda: rng.randint(-10 ** 13, 10 ** 13))
+           for r in (0, 1, 2, 3) for _ in range(3)]
+    out += [Tensor333._from_flat([rng.choice((-e, e)) for _ in range(27)]) for _ in range(5)]
+    out += [Tensor333._from_flat([rng.randint(-e, e) for _ in range(27)]) for _ in range(5)]
+    return out + cancelling_pencils(e) + cancelling_pencils(2) + cancelling_pencils(7)
+
+
+def coprime_denominators(rng, count, top=10 ** 9):
+    out = []
+    while len(out) < count:
+        d = rng.randint(top // 2, top)
+        if all(gcd(d, x) == 1 for x in out):
+            out.append(d)
+    return out
+
+
+def rational_tensors(rng):
+    dens = coprime_denominators(rng, 27)
+    out = [rank_one_sum(r, lambda: Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.choice(dens)))
+           for r in (0, 1, 2, 3) for _ in range(3)]
+    out.append(Tensor333._from_flat([Fraction(rng.randint(1, 10 ** 9), d) for d in dens]))
+    return out + [scaled(t, Fraction(1, d)) for t, d in zip(camera_tensors(rng, 3), dens)]
+
+
+def scaled_pencils(rng):
+    """Slices A_s B with B of rank r, times 10^30: A-pencil rank r."""
+    out = []
+    for r in (0, 1, 2, 3) * 3:
+        b = mat_mul([[rational(rng) for _ in range(r)] for _ in range(3)],
+                    [[rational(rng) for _ in range(3)] for _ in range(r)]) if r \
+            else [[0] * 3 for _ in range(3)]
+        t = Tensor333([mat_mul([[rational(rng) for _ in range(3)] for _ in range(3)], b)
+                       for _ in range(3)])
+        out.append(scaled(t, 10 ** 30))
+    return out
+
+
+def one_entry_tensors(rng):
+    zero = Tensor333._from_flat([0] * 27)
+    return [zero] + [Tensor333._from_flat([0] * p + [x] + [0] * (26 - p))
+                     for p in range(27) for x in (rng.choice((-1, 1)) * 10 ** 40,
+                                                   Fraction(1, 10 ** 9 + 7))]
+
+
+LARGE = {"huge": huge_tensors, "rational": rational_tensors, "pencils": scaled_pencils,
+         "one-entry": one_entry_tensors}
+
+
+@pytest.mark.parametrize("family", sorted(LARGE))
+def test_ranks_match_the_oracles_at_large_sizes(family):
+    for t in LARGE[family](random.Random(69)):
+        assert (prank(t), frank(t)) == (oracle_prank(t), oracle_frank(t)), t
+
+
+def test_the_large_families_give_every_rank_for_both_invariants():
+    pranks, franks = set(), set()
+    for make in LARGE.values():
+        for t in make(random.Random(69)):
+            pranks.update(prank(t))
+            franks.update(frank(t))
+    assert pranks == franks == {0, 1, 2, 3}
+
+
+def large_check_input(case):
+    """A trifocal tensor with entries of about 4000 digits, below the
+    interpreter's int-string limit, or one whose 27 entries have 27
+    distinct denominators of about 90 digits."""
+    rng = random.Random(70)
+    if case == "4000 digits":
+        big = 10 ** 1330
+        g = tuple([[rng.randint(-big, big) for _ in range(3)] for _ in range(3)]
+                  for _ in range(3))
+        t = act(g, orbits.trifocal_normal_form())
+        assert 3900 < max(len(str(abs(x))) for x in t.flat) < sys.get_int_max_str_digits()
+        return t
+    d = [Fraction(1, rng.randint(10 ** 29, 10 ** 30)) for _ in range(9)]
+    g = tuple([[d[3 * f], 0, 0], [0, d[3 * f + 1], 0], [0, 0, d[3 * f + 2]]] for f in range(3))
+    t = act(g, act(random_group_element(rng), camera_tensors(rng, 1)[0]))
+    assert len({x.denominator for x in t.flat}) == 27
+    return t
+
+
+@pytest.mark.parametrize("case", ["4000 digits", "27 denominators"])
+@pytest.mark.parametrize("bump", [0, 1])
+def test_check_on_large_entries_gives_the_oracle_verdict(case, bump, tmp_path, capsys,
+                                                         monkeypatch):
+    """`trifocal check` on the JSON of a large trifocal tensor, and of the
+    same tensor with 1 added to one entry, prints the verdict and reason of
+    the oracle ranks and exits with the matching code."""
+    t = large_check_input(case)
+    if bump:
+        t = Tensor333._from_flat((t.flat[0] + 1,) + t.flat[1:])
+    path = tmp_path / "t.json"
+    path.write_text(tensor_to_json(t))
+    code = main(["check", str(path)])
+    printed = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(orbits, "prank", oracle_prank)
+    monkeypatch.setattr(orbits, "frank", oracle_frank)
+    verdict, reason = orbits.is_trifocal(t)
+    assert verdict is not bool(bump)
+    assert printed == ["trifocal: %s" % verdict, "reason: %s" % reason]
+    assert code == (0 if verdict else 1)

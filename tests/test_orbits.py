@@ -12,7 +12,7 @@ from trifocal.orbits import (catalog, classify_component, decode_triples, is_tri
 from trifocal.poly import evaluate_points
 from trifocal.tensor import Tensor333, act, frank, prank, random_group_element, random_orbit_point
 
-from helpers import boundary_orbit_reps, permute_factors, random_triple, replay_orbit18
+from helpers import boundary_orbit_reps, pencil, permute_factors, random_triple, replay_orbit18
 
 
 def test_decode_examples():
@@ -28,7 +28,6 @@ def test_decode_examples():
 
 
 def test_decode_orbit11_pencil():
-    from trifocal.tensor import pencil
     slices = pencil(decode_triples([149, 167, 248, 357]), "A")
     expected = {(0, 1): [0, 1, 0], (0, 2): [1, 0, 0],
                 (1, 0): [0, 0, 1], (2, 0): [1, 0, 0]}
@@ -213,10 +212,10 @@ def test_boundary_reps_all_in_skew_class():
 def test_each_rank_is_computed_once_per_tensor(monkeypatch):
     """is_trifocal, classify_component and signature on one camera tensor
     share its three pencil ranks and three flattening ranks.  Every
-    trifocal module that binds pencil_rank or flattening gets the counter,
-    so a copy bound elsewhere is counted too."""
+    trifocal module that binds pencil_rank or flattening_rank gets the
+    counter, so a copy bound elsewhere is counted too."""
     calls = Counter()
-    for name in ("pencil_rank", "flattening"):
+    for name in ("pencil_rank", "flattening_rank"):
         original = getattr(tensor, name)
 
         def counted(*args, _name=name, _original=original):
@@ -230,4 +229,4 @@ def test_each_rank_is_computed_once_per_tensor(monkeypatch):
     assert is_trifocal(t)[0]
     assert classify_component(t) == "Trifocal"
     assert signature(t).prank == (3, 3, 2)
-    assert calls == {"pencil_rank": 3, "flattening": 3}
+    assert calls == {"pencil_rank": 3, "flattening_rank": 3}

@@ -8,11 +8,11 @@ from trifocal import linalg
 from trifocal.cameras import trifocal_from_cameras
 from trifocal.orbits import (catalog, skew_tensor, sub_generic, trifocal_normal_form,
                              trifocal_slices_form)
-from trifocal.tensor import (AXES, Tensor333, act, flattening, frank, pencil, pencil_rank,
-                             prank, random_group_element, random_orbit_point,
-                             tensor_from_json, tensor_to_json)
+from trifocal.tensor import (AXES, Tensor333, act, frank, prank, random_group_element,
+                             random_orbit_point, tensor_from_json, tensor_to_json)
 
-from helpers import m3_with_x_monomials, mat_vec, permute_factors, random_triple, scaled
+from helpers import (flattening, m3_with_x_monomials, mat_vec, pencil, permute_factors,
+                     random_triple, scaled)
 
 ZERO = Tensor333(((0,) * 3,) * 3 for _ in range(3))
 
@@ -265,9 +265,10 @@ def test_json_roundtrip():
 # --- immutability and the rank memo ------------------------------------------
 
 def fresh_ranks(t):
-    """Oracle: the pencil and flattening ranks of t, recomputed without its memo."""
-    return (tuple(pencil_rank(pencil(t, ax)) for ax in AXES),
-            tuple(linalg.rank(flattening(t, ax)) for ax in AXES))
+    """Oracle: the pencil and flattening ranks of t, recomputed without its
+    memo: the pencil ranks on a fresh copy of t, the flattening ranks by
+    fraction-free elimination."""
+    return prank(Tensor333(t.t)), tuple(linalg.rank(flattening(t, ax)) for ax in AXES)
 
 
 def memo_cases():
