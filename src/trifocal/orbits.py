@@ -176,11 +176,11 @@ def is_trifocal(t: Tensor333, permutation_tolerant=False):
 
     Returns (verdict, reason).  Both ranks are exact, deterministic and
     invariant under GL(3)^3, so the test needs no random coordinate change.
-    Each is the cofactor rank of one integer 3x3 matrix per axis: F F^T for
-    a flattening F, whose rank over Q is rank F, and S1 + n*S2 + n^4*S3 for
-    a pencil, where n = 36 e^3 + 1 (e the largest |entry|) exceeds every
-    coefficient of a minor of the pencil and sends its monomials to
-    distinct powers n^(b + 4c), so both have the same vanishing minors.
+    A nonzero det(S1 + S2 + S3) of a pencil, or minor on columns 0, 4, 8 of
+    a flattening F, certifies rank 3.  Only a zero one falls back to the
+    cofactor rank of F F^T, of rank F over Q, or of S1 + n*S2 + n^4*S3,
+    where n = 36 e^3 + 1 (e the largest |entry|) exceeds every coefficient
+    of the pencil's minors and sends their monomials to distinct powers.
     """
     pr = prank(t)
     if not (sorted(pr) == [2, 3, 3] if permutation_tolerant else pr == (3, 3, 2)):

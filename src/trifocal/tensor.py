@@ -9,13 +9,13 @@ b_ij = T[i][j][1], c_ij = T[i][j][2].
 A Tensor333 is immutable: nested tuples of ints and Fractions, 3x3x3
 (other shapes raise ValueError, other entries such as floats and bools
 TypeError), kept flat as well; act is three mode products on the flat
-entries.  prank and frank keep the rank invariants on the tensor, each
-axis's rank the cofactor rank of one integer 3x3 matrix read from the
-flat entries: S1 + n*S2 + n^4*S3 for the pencil, with n = 36 e^3 + 1 past
-every coefficient of its minors, whose monomials go to distinct powers
-n^(b + 4c) (pencil_rank); the Gram matrix F F^T for the flattening F, of
-rank F over Q (flattening_rank).  JSON entries are read by
-scalars.scalar_from_json: integers or rational strings.
+entries.  prank and frank keep the rank invariants on the tensor; a
+nonzero small determinant certifies an axis's rank 3 (det(S1 + S2 + S3)
+in pencil_rank, the minor on columns 0, 4, 8 of the flattening F in
+flattening_rank), and only a zero one falls back to the exact cofactor
+rank of S1 + n*S2 + n^4*S3, n = 36 e^3 + 1 past every coefficient of the
+pencil's minors (Kronecker substitution), or of F F^T, of rank F over Q.
+JSON entries are read by scalars.scalar_from_json: integers or rational strings.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ def _cofactor_rank(m) -> int:
 def pencil_rank(v, n) -> int:
     """Rank over Q(x1, x2, x3) of the pencil x1*S1 + x2*S2 + x3*S3 of the
     integer slices v[:9], v[9:18], v[18:] (row by row), given n = 36 e^3 + 1
-    with e >= every |entry|: the cofactor rank of M = S1 + n*S2 + n^4*S3.
+    with e >= every |entry|: 3 if det(S1 + S2 + S3), the cubic minor at
+    (1, 1, 1), is nonzero, else the cofactor rank of M = S1 + n*S2 + n^4*S3.
 
     Exact, by Kronecker substitution: a k x k minor of M is the pencil's
     minor, a form of degree k <= 3, at (1, n, n^4), where x1^a x2^b x3^c
@@ -127,8 +128,11 @@ def pencil_rank(v, n) -> int:
     coefficients sums at most k! k!/(a! b! c!) <= 36 products of k entries,
     so its size is below n: were the one at the lowest power n^j nonzero,
     the minor of M would not be 0 modulo n^(j + 1)."""
+    s = list(zip(v[:9], v[9:18], v[18:]))
+    if _cofactor_rank([x + y + z for x, y, z in s]) == 3:
+        return 3
     n4 = n ** 4
-    return _cofactor_rank([x + n * y + n4 * z for x, y, z in zip(v[:9], v[9:18], v[18:])])
+    return _cofactor_rank([x + n * y + n4 * z for x, y, z in s])
 
 
 def prank(t: Tensor333):
@@ -141,10 +145,12 @@ def prank(t: Tensor333):
 
 
 def flattening_rank(v) -> int:
-    """Rank of the 3x9 flattening F with rows v[:9], v[9:18], v[18:]: the
-    cofactor rank of its Gram matrix F F^T, as F F^T x = 0 gives
-    |F^T x|^2 = 0 over Q (by Cauchy-Binet, det F F^T is the sum of the
-    squared 3x3 minors of F)."""
+    """Rank of the 3x9 flattening F with rows v[:9], v[9:18], v[18:]: 3 if
+    its minor on the slices' diagonals (columns 0, 4, 8) is nonzero, else
+    the cofactor rank of F F^T, as F F^T x = 0 gives |F^T x|^2 = 0 over Q
+    (by Cauchy-Binet, det F F^T is the sum of the squared 3x3 minors of F)."""
+    if _cofactor_rank(v[0:9:4] + v[9:18:4] + v[18::4]) == 3:
+        return 3
     r0, r1, r2 = v[:9], v[9:18], v[18:]
     g01, g02, g12 = sum(map(mul, r0, r1)), sum(map(mul, r0, r2)), sum(map(mul, r1, r2))
     return _cofactor_rank((sum(map(mul, r0, r0)), g01, g02,

@@ -2,7 +2,9 @@
 they replaced, kept here as oracles: the symbolic pencil rank (every minor
 expanded as a polynomial in x1, x2, x3) and the rank read off a Fraction
 RREF.  Large entries, large denominators and pencils built to vanish at a
-smaller substitution test the bound behind the one-matrix pencil rank."""
+smaller substitution test the bound behind the one-matrix pencil rank;
+tensors whose certifying determinants are zero test the exact ranks that
+those determinants skip when nonzero."""
 
 import random
 import sys
@@ -157,6 +159,14 @@ def rational(rng, bound=6):
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
+def rank_r(rng, r):
+    """A 3x3 product of 3 x r and r x 3 rational factors: rank r for generic factors."""
+    if not r:
+        return [[0] * 3 for _ in range(3)]
+    return mat_mul([[rational(rng) for _ in range(r)] for _ in range(3)],
+                   [[rational(rng) for _ in range(3)] for _ in range(r)])
+
+
 def rational_tensor(rng):
     return Tensor333([[[rational(rng) for _ in range(3)] for _ in range(3)]
                       for _ in range(3)])
@@ -219,9 +229,7 @@ def test_fraction_pencils_of_every_rank_match_the_oracle():
     rng = random.Random(68)
     seen = set()
     for r in (0, 1, 2, 3) * 10:
-        left = [[rational(rng) for _ in range(r)] for _ in range(3)]
-        b = mat_mul(left, [[rational(rng) for _ in range(3)] for _ in range(r)]) if r \
-            else [[0] * 3 for _ in range(3)]
+        b = rank_r(rng, r)
         slices = [mat_mul([[rational(rng) for _ in range(3)] for _ in range(3)], b)
                   for _ in range(3)]
         got = prank(Tensor333(slices))[0]   # the A-slices of Tensor333(slices)
@@ -294,16 +302,19 @@ def rank_one_sum(r, draw):
 def cancelling_pencils(e):
     """Tensors of largest entry e whose A-pencil has a nonzero determinant
     that vanishes at a substitution (1, m, m^4) with m < 36 e^3 + 1, or at
-    (1, m, m^k) with k < 4; each also on the B and C axes.
+    (1, m, m^k) with k < 4, and at (1, 1, 1), so that pencil_rank must
+    reach the substitution to rank it; each also on the B and C axes.
 
     x1 S + x2 S2 with S2 = -E_33 has determinant x1^2 (det(S) x1 - x2) when
-    the top left 2x2 minor of S is 1, so it vanishes at m = det(S): e + 1,
+    the top left 2x2 minor of S is 1; with the first row's x1 turned into
+    x1 - x3 (S3 = minus the first row of S) it is
+    x1 (x1 - x3) (det(S) x1 - x2), so it vanishes at m = det(S): e + 1,
     2e + 1 and g e^2 + 1 for g = 1, 4 and e below.  The determinants
     x2^3 - x1^2 x3 and x1 x2^2 - x1^2 x3 of the last two vanish at
     (1, m, m^3) and (1, m, m^2)."""
     mats = [[[1, 0, 1], [0, 1, 0], [-1, 0, e]], [[1, 0, 1], [0, 1, 1], [-e, -1, e]]]
     mats += [[[e, e - 1, 0], [1, 1, g], [0, -e, 1]] for g in sorted({1, 4, e}) if g <= e]
-    forms = [[[(x, -1 if (j, k) == (2, 2) else 0, 0) for k, x in enumerate(row)]
+    forms = [[[(x, -((j, k) == (2, 2)), -x if j == 0 else 0) for k, x in enumerate(row)]
               for j, row in enumerate(m)] for m in mats]
     forms.append([[(0, 1, 0), (-1, 0, 0), (0, 0, 0)], [(0, 0, 0), (0, 1, 0), (1, 0, 0)],
                   [(0, 0, 1), (0, 0, 0), (0, 1, 0)]])
@@ -345,9 +356,7 @@ def scaled_pencils(rng):
     """Slices A_s B with B of rank r, times 10^30: A-pencil rank r."""
     out = []
     for r in (0, 1, 2, 3) * 3:
-        b = mat_mul([[rational(rng) for _ in range(r)] for _ in range(3)],
-                    [[rational(rng) for _ in range(3)] for _ in range(r)]) if r \
-            else [[0] * 3 for _ in range(3)]
+        b = rank_r(rng, r)
         t = Tensor333([mat_mul([[rational(rng) for _ in range(3)] for _ in range(3)], b)
                        for _ in range(3)])
         out.append(scaled(t, 10 ** 30))
@@ -378,6 +387,65 @@ def test_the_large_families_give_every_rank_for_both_invariants():
             pranks.update(prank(t))
             franks.update(frank(t))
     assert pranks == franks == {0, 1, 2, 3}
+
+
+# --- zero certifying determinants: the exact ranks behind them ----------------
+
+def summed_pencil(t, axis):
+    """S1 + S2 + S3 of the axis pencil, whose nonzero determinant certifies pencil rank 3."""
+    return [[sum(x) for x in zip(*rows)] for rows in zip(*pencil(t, axis))]
+
+
+def chosen_minor(t, axis):
+    """Columns 0, 4, 8 of the axis flattening, whose nonzero determinant
+    certifies flattening rank 3."""
+    return [row[0::4] for row in flattening(t, axis)]
+
+
+def sum_zero_pencils(rng):
+    """A-slices S1, S2 and S3 = -(S1 + S2): S1 + S2 + S3 = 0, and the pencil
+    (x1 - x3) S1 + (x2 - x3) S2 has the rank of y1 S1 + y2 S2, which is 3
+    for S1 = I, S2 = diag(1, 2, 3) and r for S_s = A_s B with B of rank r."""
+    pairs = [([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, 2, 0], [0, 0, 3]])]
+    for r in (0, 1, 2, 3) * 3:
+        b = rank_r(rng, r)
+        pairs.append([mat_mul([[rational(rng) for _ in range(3)] for _ in range(3)], b)
+                      for _ in range(2)])
+    return [Tensor333([s1, s2, [[-x - y for x, y in zip(p, q)] for p, q in zip(s1, s2)]])
+            for s1, s2 in pairs]
+
+
+def dependent_columns(rng):
+    """Tensors whose A-flattening L R has rank r, column 8 of R the sum of
+    columns 0 and 4, so that the chosen minor is 0."""
+    out = []
+    for r in (0, 1, 2, 3) * 3:
+        rows = [[rational(rng) for _ in range(8)] for _ in range(r)]
+        rows = [row + [row[0] + row[4]] for row in rows]
+        f = mat_mul([[rng.randint(-5, 5) for _ in range(r)] for _ in range(3)], rows) if r \
+            else [[0] * 9 for _ in range(3)]
+        out.append(Tensor333._from_flat([x for row in f for x in row]))
+    return out
+
+
+def test_zero_certifying_determinants_fall_back_to_the_oracle_ranks():
+    """On axes whose certifying determinant is 0 the exact rank still
+    matches the oracles, and every rank 0-3 of both invariants comes out of
+    it; each cancelling pencil has such an axis, so it reaches the
+    substitution."""
+    rng = random.Random(71)
+    pranks, franks = set(), set()
+    for t in sum_zero_pencils(rng) + dependent_columns(rng):
+        assert (prank(t), frank(t)) == (oracle_prank(t), oracle_frank(t)), t
+        for ax, p, f in zip(AXES, prank(t), frank(t)):
+            if linalg.det(summed_pencil(t, ax)) == 0:
+                pranks.add(p)
+            if linalg.det(chosen_minor(t, ax)) == 0:
+                franks.add(f)
+    assert pranks == franks == {0, 1, 2, 3}
+    for e in (2, 7, 10 ** 40):
+        for t in cancelling_pencils(e):
+            assert any(linalg.det(summed_pencil(t, ax)) == 0 for ax in AXES), t
 
 
 def large_check_input(case):
