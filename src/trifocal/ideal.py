@@ -24,7 +24,17 @@ rank_p(w) <= rank_Q(w) = rank_Q(sigma w), a folded total is a lower bound
 on the dimension over Q, as the unfolded sum is; for G = {id} it is that sum.
 The fold runs on int64 weight keys (weight_keys, _fold); only orbit
 representatives become weight tuples.  The base fold is memoised per
-(degree, G) next to the base ranks, and a stabiliser per (G, witness terms).
+(degree, G), and a stabiliser per (G, witness terms), found through
+_weyl_maps, the variable map of every sigma as one cached uint8 table.
+
+Each base representative's block B_r is factored once (Factor, L sparse
+by column), memoised per (degree, p, G) for one prime at a time.  A
+witness block w maps to r = sigma(w) by the sigma in G that sorts each
+slot's contents (the identity for G = {id}): sigma of its witness rows W_w
+is forward-substituted through r's L, and only the residual is ranked, so
+B_r is neither rebuilt nor re-eliminated.  Over Q, rank [B_r; sigma W_w]
+= rank [B_w; W_w], as I_d is S3^3-stable; rank_p <= rank_Q, so each
+folded total is still a lower bound on the dimension over Q.
 
 Blocks are built from packed terms with no per-term Python.  Each filed
 batch (a module from rep.module_span, or poly.integer_terms of one add
@@ -42,7 +52,7 @@ of first appearance.
 
 Discovery also uses the swap tau: T_ijk -> T_jik.  It normalises GL(3)^3,
 tau(g . T) = (gB, gA, gC) . tau(T), so if sigma . nf = tau(nf) for a sigma
-in S3^3 (permutation matrices: sigma . nf has nf_x at variable_map(sigma)[x])
+in S3^3 (permutation matrices: sigma . nf has nf_x at the variable sigma(x))
 then tau(V) = V for V the orbit closure of nf.  tau maps the hw vectors of
 a label (lam, mu, nu) onto those of (mu, lam, nu), the vanishing ones onto
 the vanishing ones, and a module's basis vector of lowering words (a, b, c)
@@ -64,7 +74,7 @@ import numpy as np
 from . import linalg, rep
 from .poly import (N_VARS, PAD, Poly, _pack, _packed, _run_starts, evaluate_points,
                    integer_terms, mono_keys, normalize_batch, normalized, pack_terms,
-                   row_weights, term_matrix, unpack_terms, variable_map, weight_space_basis)
+                   row_weights, term_matrix, unpack_terms, var_ijk, weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, random_orbit_point
 
@@ -74,6 +84,7 @@ HARD_DEGREE_CAP = 7
 # S3^3 as (sigma_A, sigma_B, sigma_C); sigma sends T_ijk to T_sA(i)sB(j)sC(k)
 WEYL = tuple(product(permutations(range(3)), repeat=3))
 IDENTITY = (WEYL[0],)
+_WEYL_INDEX = {sigma: i for i, sigma in enumerate(WEYL)}
 _SHIFTS = np.arange(32, -1, -4)   # of the nine contents of a weight key (weight_keys)
 
 
@@ -85,6 +96,13 @@ def _check_cap(d):
     if d > HARD_DEGREE_CAP:
         raise DegreeCapError("degree %d exceeds the cap %d (ambient dimension there is %d)"
                              % (d, HARD_DEGREE_CAP, rep.ambient_dimension(d)))
+
+
+@lru_cache(maxsize=None)
+def _weyl_maps():
+    """T_x -> T_y with y[a] = sigma[a][x[a]], PAD to PAD: a uint8 row per sigma in WEYL."""
+    return np.array([[9 * a[i] + 3 * b[j] + c[k] for i, j, k in map(var_ijk, range(N_VARS))] + [PAD]
+                     for a, b, c in WEYL], np.uint8)
 
 
 def weight_keys(contents):
@@ -124,7 +142,7 @@ class GradedGeneratorSet:
         self._tables = {}   # degree -> (k x 9 weights, [(weight, chunk slices)])
         self._modules = {}  # degree -> module-built
         self._hws = {}      # _key of each module's hw vector -> it (_swap_closed)
-        self._ranks = {}    # (degree, p, group) -> {representative: block rank}
+        self._ranks = {}    # (degree, p, group) -> {representative: its block's Factor}
         self._folds = {}    # (degree, group) -> _fold of the slice weights
         for d, polys in (by_degree or {}).items():
             self.add(d, polys)
@@ -298,14 +316,13 @@ def stabiliser(group, f: Poly):
 @lru_cache(maxsize=64)
 def _stabiliser(group, terms):
     rows, _, coeffs = integer_terms([Poly._wrap(dict(terms))])
-
-    def image(sigma):   # sigma(f): its monomial keys in order, and their coefficients
-        keys = mono_keys(np.sort(np.array(variable_map(sigma) + (PAD,), np.uint8)[rows], axis=1))
-        at = np.argsort(keys)
-        return keys[at], coeffs[at]
-    keys, c0 = image(WEYL[0])
-    return tuple(sigma for sigma in group for k, c in [image(sigma)]
-                 if np.array_equal(k, keys) and (c * c0[0] == c0 * c[0]).all())
+    # f and its image under each sigma: monomial keys in order, and their coefficients
+    images = np.sort(_weyl_maps()[[0] + [_WEYL_INDEX[s] for s in group]][:, rows], axis=2)
+    keys = mono_keys(images.reshape(-1, rows.shape[1])).reshape(len(images), -1)
+    at = np.argsort(keys, axis=1)
+    keys, c = np.take_along_axis(keys, at, 1), coeffs[at]
+    same = (keys == keys[0]).all(1) & (c * c[0, 0] == c[0] * c[:, :1]).all(1)
+    return tuple(sigma for sigma, ok in zip(group, same[1:]) if ok)
 
 
 def _fold(group, keys):
@@ -322,9 +339,39 @@ def _fold(group, keys):
     return dict(zip(_weights(reps), counts.tolist()))
 
 
-def _rank(block: Block, p):
-    a = block.matrix(p)   # rank A = rank A^T: the short side, C-ordered, reduced in place
-    return len(linalg._rref(a.T if len(a) < a.shape[1] else a, p)[1])
+class Factor(NamedTuple):
+    """linalg.lu_mod_p of a block's transpose A, a row per monomial (rows
+    added to the block are columns added to A): the key of each row of P A, L."""
+    keys: np.ndarray
+    low: tuple
+    rank = property(lambda self: len(self.low[2]) - 1)
+    nbytes = property(lambda self: self.keys.nbytes + sum(x.nbytes for x in self.low))
+
+
+def _factor(block: Block, p):
+    keys = np.unique(block.keys)
+    a = np.zeros((len(keys), len(block)), np.int64)   # A, C-ordered, reduced in place
+    a[np.searchsorted(keys, block.keys), block.rows] = block.coeffs % p
+    perm, low = linalg.lu_mod_p(a, p)
+    return Factor(keys[perm], low)
+
+
+def _witness_rank(ranks, group, d, w, witness, p):
+    """(F, k): F the kept factor of w's base representative r = sigma(w)
+    (module docstring), empty if r has no rows, and k the rank that sigma of
+    w's witness rows adds to it, their monomials beyond F's as zero rows of A."""
+    e, wf, (rows, ids, coeffs) = witness
+    order = [sorted(range(3), key=lambda i: -x[i]) if group is WEYL else range(3) for x in w]
+    sigma = tuple(tuple(np.argsort(o).tolist()) for o in order)   # sigma[a][o[j]] = j
+    r, swf = (tuple(tuple(x[i] for i in o) for x, o in zip(v, order)) for v in (w, wf))
+    fac = ranks.get(r) or _factor(Block(), p)
+    block = _block(None, d, r, d, (e, swf, (np.sort(_weyl_maps()[_WEYL_INDEX[sigma]][rows], axis=1),
+                                            ids, coeffs, 1)))
+    keys = np.r_[fac.keys, np.setdiff1d(block.keys, fac.keys)]
+    at = np.argsort(keys)
+    y = np.zeros((len(keys), len(block)), np.int64)
+    y[at[np.searchsorted(keys, block.keys, sorter=at)], block.rows] = block.coeffs % p
+    return fac, linalg.extension_rank(fac.low, y, p)
 
 
 def check_witness(f: Poly):
@@ -356,28 +403,31 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
         stab = stabiliser(group, f) if e <= d else ()
         folds.append((f, e, wf, stab, _fold(stab, weight_keys(sum(wf, ())) + _shift_keys(d - e))
                       if stab else {}))
-    def block(w):   # built when ranked and then dropped: the peak is the largest block
-        return slice_rows_by_weight(gens, d, (w,)).get(w, Block())
-    # base block ranks are memoised on gens until it gains generators
+    # base block factors are memoised on gens until it gains generators, one prime at a time
     ranks = gens._ranks.get((d, p, group))
     memo = ranks is not None
     if not memo:
-        ranks = gens._ranks[d, p, group] = {w: _rank(block(w), p) for w in base}
-    base_dim = sum(n * ranks[w] for w, n in base.items())
-    ext_dims = []
+        for key in [key for key in gens._ranks if key[1] != p]:
+            del gens._ranks[key]
+        ranks = gens._ranks[d, p, group] = {   # each block built when factored, then dropped
+            w: _factor(slice_rows_by_weight(gens, d, (w,))[w], p) for w in base}
+    base_dim = sum(n * ranks[w].rank for w, n in base.items())
+    ext_dims, reduced = [], 0
     for f, e, wf, _, wit in folds:
-        # a block with witness rows trades its base rank for the joint rank
-        total, terms = base_dim, (e, wf, integer_terms([f]) + (1,))
-        for w, n in wit.items():   # the base representative of w: dominant under WEYL
-            r = tuple(tuple(sorted(slot, reverse=True)) for slot in w) if group is WEYL else w
-            total += n * (_rank(block(w) + _block(gens, d, w, d, terms), p) - ranks.get(r, 0))
+        total, witness = base_dim, (e, wf, integer_terms([f]))
+        for w, n in wit.items():   # plus the rank each block's witness rows add to its base rows
+            fac, k = _witness_rank(ranks, group, d, w, witness, p)
+            reduced += len(fac.keys) > 0
+            total += n * k
         ext_dims.append(total)
     if progress:
         progress("degree %d: ranked %d of %d nonempty weight blocks%s, |G| = %d" % (
             d, 0 if memo else len(base), sum(base.values()),
             " (%d from the memo)" % len(base) if memo else "", len(group)) + "".join(
             "; witness %d: %d of %d, |G_w| = %d" % (j + 1, len(wit), sum(wit.values()), len(stab))
-            for j, (_, _, _, stab, wit) in enumerate(folds)))
+            for j, (_, _, _, stab, wit) in enumerate(folds)) + (
+            "; %d witness blocks reduced against kept factors" % reduced if folds else "")
+            + "; kept factors %d bytes" % sum(fac.nbytes for fac in ranks.values()))
     amb = rep.ambient_dimension(d)
     return amb - base_dim, [amb - t for t in ext_dims]
 
@@ -492,8 +542,10 @@ def _swapped(batch):
 @lru_cache(maxsize=8)
 def _swap_element(nf: Tensor333):
     """A sigma in WEYL with sigma . nf = tau(nf), or None (module docstring)."""
-    tau_nf, flat = [nf.flat[v] for v in _TAU[:N_VARS]], list(nf.flat)
-    return next((s for s in WEYL if [tau_nf[y] for y in variable_map(s)] == flat), None)
+    code = {x: i for i, x in enumerate(nf.flat)}   # one integer per distinct entry
+    flat, tau_nf = (np.array([code[nf.flat[v]] for v in vs]) for vs in (range(N_VARS), _TAU[:N_VARS]))
+    hit = np.flatnonzero((tau_nf[_weyl_maps()[:, :N_VARS]] == flat).all(1))
+    return WEYL[hit[0]] if hit.size else None
 
 
 def _swap_closed(gens: GradedGeneratorSet, nf: Tensor333, d):

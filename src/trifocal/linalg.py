@@ -4,17 +4,16 @@ Dense matrices over Q are plain lists of lists holding ints or Fractions;
 everything there is exact, nothing touches floating point.  There is one
 elimination over Q: ranks and kernels clear each row's denominators and run
 fraction-free (Bareiss) elimination over Z.  Determinants are 3x3 only, by
-cofactors.  Over F_p there is one elimination kernel, rref_mod_p (numpy
-int64 arithmetic mod a prime up to MACHINE_PRIME_BOUND): ranks, the
-incremental Echelon and the modular kernels behind the certified integer
-kernels are all read off its output.  It reduces late: k row updates keep
-every entry in (-k(p-1)^2, p), and it reduces before k(p-1)^2 + p would pass
-2^62; for p <= 2^31 - 1 that holds at k = 1, so int64 never overflows.
-It works in place (_rref) on one C-ordered int64 copy of its input, or on
-an array its caller fills (ideal's block ranks), and updates the rows a
-pivot hits in chunks of at most _UPDATE_ENTRIES entries, so its peak is
-that array plus two 2 MB temporaries.  machine_prime supplies the primes
-of multi-prime computations and of exact evaluation beyond 2^64 (poly).
+cofactors.  Over F_p (numpy int64 arithmetic mod a prime up to
+MACHINE_PRIME_BOUND) there are two eliminations: rref_mod_p (Echelon, the
+modular kernels), and lu_mod_p (ideal's block factors), which keeps L for
+extension_rank.  Each reduces late: k row updates keep every entry in
+(-k(p-1)^2, p), and it reduces before k(p-1)^2 + p would pass 2^62; for
+p <= 2^31 - 1 that holds at k = 1, so int64 never overflows.  Each works in
+place (_rref on one C-ordered int64 copy of its input) and updates the rows
+a pivot hits in chunks of at most _UPDATE_ENTRIES entries, so its peak is
+that array plus two 2 MB temporaries (and L).  machine_prime supplies the
+primes of multi-prime computations and of exact evaluation beyond 2^64.
 """
 
 from __future__ import annotations
@@ -175,6 +174,64 @@ def _rref(a, p):   # rref_mod_p in place on a C-ordered int64 array
         r += 1
     a[:r] %= p
     return a[:r], pivots
+
+
+def lu_mod_p(a, p):
+    """Forward elimination mod p with partial pivoting, in place on a
+    C-ordered int64 array, as LAPACK getrf: whole rows swapped, and each
+    pivot's multipliers stored in place below it; only the rows below a
+    pivot are updated, with late reduction and chunked updates as in _rref.
+    Returns (perm, low): row j of P a is row perm[j] of a, and low = (at,
+    val, starts) holds the unit lower triangular L of P a = L U, U echelon,
+    by column: column k's nonzero multipliers val[starts[k]:starts[k + 1]],
+    in the smallest unsigned dtype holding p - 1, sit in rows at[...]."""
+    _check_machine_prime(p)
+    a %= p
+    m, n = a.shape
+    limit = ((1 << 62) - p) // (p - 1) ** 2
+    perm, pivots = np.arange(m), []
+    r = k = 0   # k: updates since every entry was last in [0, p)
+    for c in range(n):
+        if r == m:
+            break
+        if k:
+            a[r:, c] %= p
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i, hit = r + int(nz[0]), r + nz[1:]   # rows r..i-1 are zero in column c
+        if i != r:
+            a[[r, i]], perm[[r, i]] = a[[i, r]], perm[[i, r]]
+        if hit.size:
+            col = a[hit, c] = a[hit, c] * pow(int(a[r, c]), -1, p) % p   # L's column, in place
+            top, step = a[r, c + 1:] % p, max(1, _UPDATE_ENTRIES // max(1, n - c - 1))
+            for h in range(0, hit.size, step):   # once when the update fits
+                a[hit[h:h + step], c + 1:] -= np.outer(col[h:h + step], top)
+            k = (k + 1) % limit
+            if not k:
+                a[r + 1:, c + 1:] %= p
+        pivots.append(c)
+        r += 1
+    at, val, starts = [np.empty(0, np.min_scalar_type(m))], [np.empty(0, np.min_scalar_type(p - 1))], [0]
+    for j, c in enumerate(pivots):   # L's column j, in the compact dtypes
+        nz = j + 1 + np.nonzero(a[j + 1:, c])[0]
+        at.append(nz.astype(at[0].dtype))
+        val.append(a[nz, c].astype(val[0].dtype))
+        starts.append(starts[-1] + len(nz))
+    return perm, (np.concatenate(at), np.concatenate(val), np.array(starts))
+
+
+def extension_rank(low, y, p):
+    """The rank mod p that columns y (rows in P a order; those past a's: zero
+    rows of a) add to a with lu_mod_p's L: L^-1 P [a | y] = [U | L^-1 y] and
+    U is zero below its rank, so forward-substitute y and rank it there."""
+    at, val, starts = low
+    r = len(starts) - 1
+    for j in range(r):   # each row in [0, p) when it is used
+        if y[j].any():
+            rows = at[starts[j]:starts[j + 1]]
+            y[rows] = (y[rows] - np.outer(val[starts[j]:starts[j + 1]], y[j])) % p
+    return len(lu_mod_p(np.ascontiguousarray(y[r:]), p)[1][2]) - 1
 
 
 class Echelon:

@@ -183,12 +183,6 @@ class Poly:
         return "Poly(%s)" % format_poly(self)
 
 
-def variable_map(sigma):
-    """T_x -> T_y with y[a] = sigma[a][x[a]]: each factor's indices
-    permuted by sigma (a Weyl group element)."""
-    return tuple(var_index(*(s[i] for s, i in zip(sigma, var_ijk(v)))) for v in range(N_VARS))
-
-
 # ---------------------------------------------------------------------------
 # exact evaluation (see the module docstring)
 
@@ -357,36 +351,40 @@ def evaluate_points(polys, points):
 # torus weights, weight spaces
 
 def weight_space_basis(d, weight):
-    """All degree-d monomials with the given (A,B,C) index contents.
+    """All degree-d monomials with the given (A,B,C) index contents, in
+    tuple order: a slice of the degree's monomial table (_monomial_table).
 
     Monomials correspond to 3x3x3 nonnegative integer arrays whose three
     axis marginals are the content vectors.
     """
-    wa, wb, wc = weight
-    if not (sum(wa) == sum(wb) == sum(wc) == d):
+    if not (sum(weight[0]) == sum(weight[1]) == sum(weight[2]) == d):
         raise ValueError("weight %r does not sum to degree %d in every slot" % (weight, d))
-    cells = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)]
-    out = []
+    rows, keys, starts = _monomial_table(d)
+    key = int(np.dot(sum(weight, ()), (d + 1) ** np.arange(8, -1, -1)))
+    i = int(np.searchsorted(keys, key))
+    if min(map(min, weight)) < 0 or i == len(keys) or keys[i] != key:
+        return []
+    return list(map(tuple, rows[starts[i]:starts[i + 1]].tolist()))
 
-    def rec(idx, ra, rb, rc, left, acc):
-        if left == 0:
-            out.append(tuple(acc))
-            return
-        if idx == len(cells):
-            return
-        i, j, k = cells[idx]
-        cap = min(ra[i], rb[j], rc[k], left)
-        v = var_index(i, j, k)
-        for e in range(cap + 1):
-            if e:
-                ra[i] -= 1; rb[j] -= 1; rc[k] -= 1
-                acc.append(v)
-            rec(idx + 1, ra, rb, rc, left - e, acc)
-        for _ in range(cap):
-            ra[i] += 1; rb[j] += 1; rc[k] += 1
-            acc.pop()
-    rec(0, list(wa), list(wb), list(wc), d, [])
-    return sorted(out)
+
+@lru_cache(maxsize=None)
+def _monomial_table(d):
+    """The degree-d monomials as rows of sorted variables, by weight and
+    then in tuple order; the weight keys (the nine contents as base-(d + 1)
+    digits, A first), ascending; and where each weight's rows start."""
+    rows = np.zeros((1, 0), np.uint8)
+    for _ in range(d):   # each row extended by every variable from its last one on: tuple order
+        last = rows[:, -1] if rows.shape[1] else np.zeros(len(rows), np.uint8)
+        n = N_VARS - last.astype(np.int64)
+        new = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - last, n)
+        rows = np.c_[np.repeat(rows, n, axis=0), new.astype(np.uint8)]
+    digit = (d + 1) ** np.arange(8, -1, -1)
+    key = np.zeros(len(rows), np.int64)
+    for col in rows.T:
+        key += digit[_SLOTS[col, 0]] + digit[3 + _SLOTS[col, 1]] + digit[6 + _SLOTS[col, 2]]
+    order = np.argsort(key, kind="stable")
+    keys, starts = np.unique(key[order], return_index=True)
+    return rows[order], keys, np.r_[starts, len(rows)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 from trifocal import linalg, poly, rep
 from trifocal.cameras import Camera, CameraTriple, DegenerateConfigurationError
 from trifocal.orbits import orbit17_rep, orbit18_rep, skew_tensor
-from trifocal.poly import Poly, _pencil_entry_vars, evaluate_points
+from trifocal.poly import N_VARS, Poly, _pencil_entry_vars, evaluate_points, var_ijk, var_index
 from trifocal.tensor import _VIEWS, Tensor333, act, perm_sign, prank
 
 _X_MONOMIALS = [(3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
@@ -198,3 +198,9 @@ def m6_separates(modules, name):
     named boundary representative?"""
     mod = next(m for m in modules if m.degree == 6 and m.label == SEPARATION_CLAIMS[name])
     return any(evaluate_points(mod.basis, [boundary_orbit_reps()[name]])[0])
+
+
+def variable_map(sigma):
+    """T_x -> T_y with y[a] = sigma[a][x[a]]: each factor's indices
+    permuted by sigma (a Weyl group element), as a tuple walk."""
+    return tuple(var_index(*(s[i] for s, i in zip(sigma, var_ijk(v)))) for v in range(N_VARS))

@@ -313,9 +313,9 @@ def test_hilbert_low_cap(capsys):
 def test_hilbert_progress_reports_each_degree(capsys):
     assert main(["hilbert", "--degree-cap", "3", "--progress"]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert err == ["degree 1: ranked 0 of 0 nonempty weight blocks, |G| = 216",
-                   "degree 2: ranked 0 of 0 nonempty weight blocks, |G| = 216",
-                   "degree 3: ranked 3 of 10 nonempty weight blocks, |G| = 216"]
+    assert err == ["degree 1: ranked 0 of 0 nonempty weight blocks, |G| = 216; kept factors 0 bytes",
+                   "degree 2: ranked 0 of 0 nonempty weight blocks, |G| = 216; kept factors 0 bytes",
+                   "degree 3: ranked 3 of 10 nonempty weight blocks, |G| = 216; kept factors 642 bytes"]
 
 
 def test_nzd_verdict_at_low_cap(capsys):

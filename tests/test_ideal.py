@@ -14,10 +14,10 @@ from trifocal.ideal import (DegreeCapError, GradedGeneratorSet,
                             slice_rows_by_weight, vanishing_subspace)
 from trifocal.orbits import catalog, skew_tensor
 from trifocal.poly import (Poly, det_slice_poly, f_determinant, integer_terms, parse_poly,
-                           var_ijk, var_index, variable_map, weight_space_basis, witness_g)
+                           var_ijk, var_index, weight_space_basis, witness_g)
 from trifocal.tensor import Tensor333, act, random_orbit_point
 
-from helpers import m3_generators, span_polys
+from helpers import m3_generators, span_polys, variable_map
 
 
 @pytest.fixture(scope="module")
@@ -202,10 +202,11 @@ def test_weight_blocking_is_lossless(m3_set):
 
 
 def test_short_side_rank_matches_row_elimination(m3_set):
-    """_rank eliminates the short side of a block.  Every block of degrees
-    3-5 equals the oracle matrix up to a column permutation; it (all wide
-    from degree 4) and its transpose, a Block keyed by row index (all tall),
-    have the rank of the oracle matrix's row elimination."""
+    """_factor eliminates a block's transpose, whichever side is short.
+    Every block of degrees 3-5 equals the oracle matrix up to a column
+    permutation; it (all wide from degree 4) and its transpose, a Block
+    keyed by row index (all tall), have the rank of the oracle matrix's row
+    elimination."""
     groups, sides = dict_groups(m3_set), set()
     for d in (3, 4, 5):
         for w, block in slice_rows_by_weight(m3_set, d, slice_weights(m3_set, d)).items():
@@ -214,7 +215,7 @@ def test_short_side_rank_matches_row_elimination(m3_set):
             flipped = ideal.Block(block.rows.astype(np.int64), col_of, block.coeffs, b.shape[1])
             for blk, want in ((block, b), (flipped, b.T)):
                 sides.add(np.sign(len(blk) - blk.matrix(101).shape[1]))
-                assert ideal._rank(blk, 101) == len(linalg.rref_mod_p(want, 101)[1])
+                assert ideal._factor(blk, 101).rank == len(linalg.rref_mod_p(want, 101)[1])
     assert {-1, 1} <= sides   # wide and tall blocks both occur
 
 
@@ -326,6 +327,7 @@ def test_witness_stabiliser_orders():
 
 
 def test_stabiliser_memo_matches_fresh_computation():
+    assert ideal._weyl_maps().tolist() == [list(variable_map(s)) + [poly.PAD] for s in ideal.WEYL]
     fresh = ideal._stabiliser.__wrapped__
     f = f_determinant()
     assert ideal.stabiliser(ideal.WEYL, f) == fresh(ideal.WEYL, frozenset(f.terms.items()))
@@ -393,8 +395,9 @@ def test_degree7_base_fold_stays_small(discovery6, traced_peak_mb):
 @pytest.mark.slow
 def test_witness_sweep_builds_each_block_when_it_ranks_it(discovery6, traced_peak_mb,
                                                           monkeypatch):
-    """A fresh degree-6 sweep with g at p = 32003 traces about 5.9 MB; with
-    every block built before the first was ranked it traced 9.2 MB."""
+    """A fresh degree-6 sweep with g at p = 32003 traces about 3.8 MB, the
+    0.5 MB of kept factors included; with every block built before the
+    first was ranked it traced 9.2 MB."""
     gens = discovery6.gens
     monkeypatch.setattr(gens, "_ranks", {})   # no memoised base ranks
     peak, out = traced_peak_mb(ideal.hilbert_with_witnesses, gens, [witness_g()], 6, 32003)
@@ -479,19 +482,20 @@ def test_rejected_generator_leaves_the_store_unchanged():
 
 
 def test_block_rank_reduces_its_one_dense_array(traced_peak_mb):
-    """A wide 300 x 3000 block of rank at most 200: _rank fills its terms
-    into one C-ordered array, the 3000 x 300 transpose, and reduces it in
-    place, so it traces one int64 copy (6.9 MB) and rref's update
-    temporaries, 11.1 MB; reducing a copy of the block's matrix traced
-    17.9 MB."""
+    """A wide 300 x 3000 block of rank at most 200: _factor fills its terms
+    into one C-ordered array, the 3000 x 300 transpose, and factors it in
+    place, its multipliers stored in it, so it traces one int64 copy
+    (6.9 MB), the update temporaries and the kept L (1.3 MB at p = 101,
+    1.7 MB at p = 32003, as this L is dense), 12.2 and 11.1 MB; reducing a
+    copy of the block's matrix traced 17.9 MB."""
     rng = np.random.default_rng(24)
     base = rng.integers(-3, 4, (200, 3000)) * (rng.random((200, 3000)) < 0.05)
     m = np.vstack([base, (rng.integers(-2, 3, (100, 200)) * (rng.random((100, 200)) < 0.05)) @ base])
     at, cols = np.nonzero(m)
     block = ideal.Block(7 * cols, at, m[at, cols], len(m))   # keys need only be increasing
     for p in (101, 32003):
-        peak, rank = traced_peak_mb(ideal._rank, block, p)
-        assert rank == len(linalg.rref_mod_p(m, p)[1]) <= 200
+        peak, fac = traced_peak_mb(ideal._factor, block, p)
+        assert fac.rank == len(linalg.rref_mod_p(m, p)[1]) <= 200
         assert peak < 2 * m.nbytes / 2 ** 20, peak
 
 
@@ -555,15 +559,31 @@ def test_progress_counts_memoised_base_ranks():
     gens.add_module(det_slice_poly("C", 1))
     lines = []
     for _ in range(2):
-        hilbert_with_witnesses(gens, [f_determinant()], 4, progress=lines.append)
+        hilbert_with_witnesses(gens, [f_determinant()], 5, progress=lines.append)
     first, second = lines
-    assert first.startswith("degree 4: ranked ")
+    assert first.startswith("degree 5: ranked ")
     assert "from the memo" not in first and int(first.split()[3]) > 0
     ranked = int(first.split()[3])
-    assert second.startswith("degree 4: ranked 0 of ")
+    assert second.startswith("degree 5: ranked 0 of ")
     assert "(%d from the memo)" % ranked in second
-    # the witness blocks are ranked afresh in both sweeps
-    assert first.split("; ")[1] == second.split("; ")[1]
+    # both sweeps reduce the same witness blocks against the same kept factors
+    nbytes = sum(fac.nbytes for fac in gens._ranks[5, 101, ideal.WEYL].values())
+    assert first.split("; ")[1:] == second.split("; ")[1:] == [
+        "witness 1: 16 of 216, |G_w| = 72", "4 witness blocks reduced against kept factors",
+        "kept factors %d bytes" % nbytes]
+    assert nbytes > 0
+
+
+def test_factor_memo_keeps_one_prime_in_its_compact_dtype():
+    """L is kept in the smallest unsigned dtype that holds p - 1, and a
+    sweep at a new prime drops the factors of the old one."""
+    gens = GradedGeneratorSet()
+    gens.add_module(det_slice_poly("C", 1))
+    for p, dtype in ((101, np.uint8), (32003, np.uint16), (2 ** 31 - 1, np.uint32), (101, np.uint8)):
+        assert [hilbert_quotient(gens, d, p=p) for d in (3, 4)] == [3644, 27135]
+        assert set(gens._ranks) == {(3, p, ideal.WEYL), (4, p, ideal.WEYL)}
+        assert {fac.low[1].dtype for v in gens._ranks.values() for fac in v.values()} == {
+            np.dtype(dtype)}
 
 
 def test_zero_witness_rejected(m3_set):
@@ -598,6 +618,47 @@ def test_folded_sweep_matches_unfolded_on_discovery6(discovery6):
     for d in range(1, 7):
         assert (ideal.hilbert_with_witnesses(discovery6.gens, witnesses, d, p=101)
                 == ideal.hilbert_with_witnesses(plain, witnesses, d, p=101))
+
+
+def rebuilt_joint_ranks(gens, f, d, p):
+    """(kept-factor rank, rebuilt joint rank) of each witness block of f in
+    degree d: the rank of its base representative's kept factor plus the
+    rank the witness rows add to it, against the rank of the block's base
+    rows and witness rows built and eliminated anew."""
+    hilbert_with_witnesses(gens, [f], d, p=p)   # the factors of the base representatives
+    group = gens.symmetry_group(d)
+    e, wf = ideal.check_witness(f)
+    witness = (e, wf, integer_terms([f]))
+    out = []
+    for w in ideal._fold(ideal.stabiliser(group, f),
+                         ideal.weight_keys(sum(wf, ())) + ideal._shift_keys(d - e)):
+        fac, k = ideal._witness_rank(gens._ranks[d, p, group], group, d, w, witness, p)
+        joint = slice_rows_by_weight(gens, d, (w,)).get(w, ideal.Block()) + ideal._block(
+            gens, d, w, d, (e, wf, witness[2] + (1,)))
+        out.append((fac.rank + k, len(linalg.rref_mod_p(joint.matrix(p), p)[1])))
+    return out
+
+
+@pytest.mark.slow
+def test_extension_ranks_match_rebuilt_joint_ranks(discovery6, m3_set):
+    """On every witness block of f and g, at both primes, in degrees 5 and
+    6 of discovery6 (module-built, folded by S3^3) and in degrees 4 and 5
+    of the add-built cubics (group {id})."""
+    for gens, degrees in ((discovery6.gens, (5, 6)), (m3_set, (4, 5))):
+        for p in (101, 32003):
+            for f in (f_determinant(), witness_g()):
+                for d in degrees:
+                    pairs = rebuilt_joint_ranks(gens, f, d, p)
+                    assert pairs and all(a == b for a, b in pairs), (d, p, pairs)
+
+
+@pytest.mark.slow
+def test_nzd_through_degree7_on_discovery6(discovery6):
+    """Degree 7 of both identities at p = 101, as the rebuilt joint ranks
+    gave them."""
+    for f, want in ((f_determinant(), (3915027, 3915027)), (witness_g(), (3938518, 3938518))):
+        report = graded_nonzerodivisor_check(discovery6.gens, f, cap=7, p=101)
+        assert report and report.table[7] == want
 
 
 def test_two_primes_agree(m3_set):

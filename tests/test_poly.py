@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,11 @@ from trifocal import linalg, poly, rep
 from trifocal.orbits import skew_tensor, trifocal_normal_form
 from trifocal.poly import (Poly, apply_shift, det_slice_poly, f_determinant,
                            format_poly, is_highest_weight, parse_poly, row_weights, var_index,
-                           variable_map, weight_space_basis, witness_g)
+                           weight_space_basis, witness_g)
 from trifocal.tensor import Tensor333, random_orbit_point
 
-from helpers import m3_generators, m3_with_x_monomials, permute_factors, scaled, span_polys
+from helpers import (m3_generators, m3_with_x_monomials, permute_factors, scaled, span_polys,
+                     variable_map)
 
 
 def basis_tensor(i, j, k):
@@ -92,6 +94,21 @@ def test_weight_of_monomials():
     m = sorted([var_index(0, 0, 0), var_index(1, 1, 1), var_index(2, 2, 2)])
     rows = np.array([m, [var_index(2, 0, 1), var_index(2, 1, 1), poly.PAD]], np.uint8)
     assert row_weights(rows).tolist() == [[1, 1, 1] * 3, [0, 0, 2, 1, 1, 0, 0, 2, 0]]
+
+
+def test_weight_space_basis_is_each_weights_monomials_in_tuple_order():
+    """Degrees 0-4: every monomial, grouped by its weight, against the
+    table slices; a negative content has no monomials."""
+    for d in range(5):
+        want = {}
+        for m in combinations_with_replacement(range(27), d):
+            contents = [[0] * 3 for _ in range(3)]
+            for v in m:
+                for slot, i in zip(contents, poly.var_ijk(v)):
+                    slot[i] += 1
+            want.setdefault(tuple(map(tuple, contents)), []).append(m)
+        assert all(weight_space_basis(d, w) == monos for w, monos in want.items())
+    assert weight_space_basis(3, ((4, -1, 0), (1, 1, 1), (1, 1, 1))) == []
 
 
 def test_weight_space_basis_examples():
