@@ -5,15 +5,16 @@ everything there is exact, nothing touches floating point.  There is one
 elimination over Q: ranks and kernels clear each row's denominators and run
 fraction-free (Bareiss) elimination over Z.  Determinants are 3x3 only, by
 cofactors.  Over F_p (numpy int64 arithmetic mod a prime up to
-MACHINE_PRIME_BOUND) there are two eliminations: rref_mod_p (Echelon, the
-modular kernels), and lu_mod_p (ideal's block factors), which keeps L for
-extension_rank.  Each reduces late: k row updates keep every entry in
-(-k(p-1)^2, p), and it reduces before k(p-1)^2 + p would pass 2^62; for
-p <= 2^31 - 1 that holds at k = 1, so int64 never overflows.  Each works in
-place (_rref on one C-ordered int64 copy of its input) and updates the rows
-a pivot hits in chunks of at most _UPDATE_ENTRIES entries, so its peak is
-that array plus two 2 MB temporaries (and L).  machine_prime supplies the
-primes of multi-prime computations and of exact evaluation beyond 2^64.
+MACHINE_PRIME_BOUND) one forward elimination, _eliminate, works in place:
+rep takes its pivots, lu_mod_p its L (for extension_rank), Echelon its U
+with leading 1s, rref_mod_p that U reduced by one pass upward.  Both passes
+reduce late: k row updates keep every entry in (-k(p-1)^2, p), and they
+reduce before k(p-1)^2 + p would pass 2^62; for p <= 2^31 - 1 that holds at
+k = 1, so int64 never overflows.  They update the rows a pivot hits in
+chunks of at most _UPDATE_ENTRIES entries, so the peak is the array (a copy
+of the input for Echelon and rref_mod_p), two 2 MB temporaries and L.
+machine_prime supplies the primes of multi-prime computations and of exact
+evaluation beyond 2^64.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def det(m):
 
 # residues below this bound multiply inside int64
 MACHINE_PRIME_BOUND = (1 << 31) - 1
-_UPDATE_ENTRIES = 1 << 18   # rref_mod_p updates the rows a pivot hits in chunks this large
+_UPDATE_ENTRIES = 1 << 18   # each pivot updates the rows it hits in chunks this large
 _MACHINE_PRIMES = []   # largest first, found on demand
 
 
@@ -129,66 +130,17 @@ def _check_machine_prime(p):
                          % (p, MACHINE_PRIME_BOUND))
 
 
-def rref_mod_p(rows_array, p):
-    """Reduced row echelon form of an integer matrix mod p.  Returns (the
-    nonzero rows, each with a leading 1 in a column that is zero in every
-    other row, the list of those pivot columns).  Each pivot reduces its row
-    and column, the rest is reduced every k updates for the largest k with
-    k(p-1)^2 + p <= 2^62; p <= 2^31 - 1 gives k >= 1, so int64 never overflows.
-    The input stays unchanged: _rref reduces a copy (module docstring)."""
-    return _rref(np.array(rows_array, dtype=np.int64, order="C"), p)   # "K" keeps F order
-
-
-def _rref(a, p):   # rref_mod_p in place on a C-ordered int64 array
+def _eliminate(a, p):
+    """Forward elimination mod p with partial pivoting, in place on a
+    C-ordered int64 array, as LAPACK getrf: whole rows swapped, each pivot's
+    multipliers stored below it, only the rows below it updated.  Returns
+    (perm, pivots): row j of P a is row perm[j] of a, and a then holds
+    P a = L U mod p: U's row j, unreduced, in columns pivots[j].. of row j,
+    L's multipliers below each pivot, zeros elsewhere."""
     _check_machine_prime(p)
     a %= p
     m, n = a.shape
     limit = ((1 << 62) - p) // (p - 1) ** 2   # 1 for p near 2^31
-    pivots = []
-    r = k = 0   # k: updates since every entry was last in [0, p)
-    for c in range(n):
-        if r == m:
-            break
-        if k:
-            a[:, c] %= p
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        # rows r.. are zero left of c mod p, so only columns c.. change
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i], c:] = a[[i, r], c:]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r, c:] = (a[r, c:] % p if k else a[r, c:]) * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            step = max(1, _UPDATE_ENTRIES // (n - c))
-            for h in range(0, hit.size, step):   # once when the update fits
-                a[hit[h:h + step], c:] -= np.outer(col[hit[h:h + step]], a[r, c:])
-            k = (k + 1) % limit
-            if not k:
-                a[:, c + 1:] %= p
-        pivots.append(c)
-        r += 1
-    a[:r] %= p
-    return a[:r], pivots
-
-
-def lu_mod_p(a, p):
-    """Forward elimination mod p with partial pivoting, in place on a
-    C-ordered int64 array, as LAPACK getrf: whole rows swapped, and each
-    pivot's multipliers stored in place below it; only the rows below a
-    pivot are updated, with late reduction and chunked updates as in _rref.
-    Returns (perm, low): row j of P a is row perm[j] of a, and low = (at,
-    val, starts) holds the unit lower triangular L of P a = L U, U echelon,
-    by column: column k's nonzero multipliers val[starts[k]:starts[k + 1]],
-    in the smallest unsigned dtype holding p - 1, sit in rows at[...]."""
-    _check_machine_prime(p)
-    a %= p
-    m, n = a.shape
-    limit = ((1 << 62) - p) // (p - 1) ** 2
     perm, pivots = np.arange(m), []
     r = k = 0   # k: updates since every entry was last in [0, p)
     for c in range(n):
@@ -212,7 +164,53 @@ def lu_mod_p(a, p):
                 a[r + 1:, c + 1:] %= p
         pivots.append(c)
         r += 1
-    at, val, starts = [np.empty(0, np.min_scalar_type(m))], [np.empty(0, np.min_scalar_type(p - 1))], [0]
+    return perm, pivots
+
+
+def _row_echelon(rows_array, p):
+    """(U, pivots) of an integer matrix mod p: U the nonzero rows of the
+    echelon form _eliminate leaves in a copy, each scaled to a leading 1 in
+    column pivots[j], entries in [0, p); entries above pivots stay."""
+    a = np.array(rows_array, dtype=np.int64, order="C")   # "K" keeps F order
+    pivots = _eliminate(a, p)[1]
+    u = a[:len(pivots)]
+    for j, c in enumerate(pivots):
+        u[j + 1:, c] = 0   # L's multipliers
+        u[j] = u[j] % p * pow(int(u[j, c]), -1, p) % p
+    return u, pivots
+
+
+def rref_mod_p(rows_array, p):
+    """Reduced row echelon form of an integer matrix mod p: (the nonzero
+    rows, each with a leading 1 in a column zero in every other row, those
+    pivot columns).  _row_echelon's U, then one pass upward clears each
+    pivot's column above it; the input stays unchanged."""
+    a, pivots = _row_echelon(rows_array, p)
+    limit = ((1 << 62) - p) // (p - 1) ** 2
+    k = 0   # k: updates since every entry of rows above was last in [0, p)
+    for j in range(len(pivots) - 1, 0, -1):
+        c = pivots[j]   # column c of rows above j is untouched so far: in [0, p)
+        hit = np.nonzero(a[:j, c])[0]
+        if hit.size:
+            col, top = a[hit, c], a[j, c:] % p
+            step = max(1, _UPDATE_ENTRIES // (a.shape[1] - c))
+            for h in range(0, hit.size, step):   # once when the update fits
+                a[hit[h:h + step], c:] -= np.outer(col[h:h + step], top)
+            k = (k + 1) % limit
+            if not k:
+                a[:j, c + 1:] %= p
+    a %= p
+    return a, pivots
+
+
+def lu_mod_p(a, p):
+    """_eliminate in place on a C-ordered int64 array, and L from it.
+    Returns (perm, low): row j of P a is row perm[j] of a, and low = (at,
+    val, starts) holds the unit lower triangular L of P a = L U, U echelon,
+    by column: column k's nonzero multipliers val[starts[k]:starts[k + 1]],
+    in the smallest unsigned dtype holding p - 1, sit in rows at[...]."""
+    perm, pivots = _eliminate(a, p)
+    at, val, starts = [np.empty(0, np.min_scalar_type(len(a)))], [np.empty(0, np.min_scalar_type(p - 1))], [0]
     for j, c in enumerate(pivots):   # L's column j, in the compact dtypes
         nz = j + 1 + np.nonzero(a[j + 1:, c])[0]
         at.append(nz.astype(at[0].dtype))
@@ -231,7 +229,7 @@ def extension_rank(low, y, p):
         if y[j].any():
             rows = at[starts[j]:starts[j + 1]]
             y[rows] = (y[rows] - np.outer(val[starts[j]:starts[j + 1]], y[j])) % p
-    return len(lu_mod_p(np.ascontiguousarray(y[r:]), p)[1][2]) - 1
+    return len(_eliminate(np.ascontiguousarray(y[r:]), p)[1])
 
 
 class Echelon:
@@ -239,7 +237,7 @@ class Echelon:
     candidate rows."""
 
     def __init__(self, rows_array, p):
-        a, pivots = rref_mod_p(rows_array, p)
+        a, pivots = _row_echelon(rows_array, p)
         self.p = p
         self.rows = list(a)
         self.lead = {c: i for i, c in enumerate(pivots)}

@@ -211,7 +211,7 @@ def _independent(batch, n):
     machine_prime(0) of the ones before them, hence over Q (module docstring)."""
     p, (rows, ids, coeffs) = linalg.machine_prime(0), batch
     a = poly.term_matrix(poly.mono_keys(rows), ids, coeffs, n, p)
-    return linalg.rref_mod_p(a.T, p)[1]   # the pivot columns, one row per monomial
+    return linalg._eliminate(np.ascontiguousarray(a.T), p)[1]   # the pivot columns, one row per monomial
 
 
 @lru_cache(maxsize=None)

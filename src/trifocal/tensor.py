@@ -116,11 +116,11 @@ def _cofactor_rank(m) -> int:
     return 1 if any(m) else 0
 
 
-def pencil_rank(v, n) -> int:
+def pencil_rank(v) -> int:
     """Rank over Q(x1, x2, x3) of the pencil x1*S1 + x2*S2 + x3*S3 of the
-    integer slices v[:9], v[9:18], v[18:] (row by row), given n = 36 e^3 + 1
-    with e >= every |entry|: 3 if det(S1 + S2 + S3), the cubic minor at
-    (1, 1, 1), is nonzero, else the cofactor rank of M = S1 + n*S2 + n^4*S3.
+    integer slices v[:9], v[9:18], v[18:] (row by row): 3 if det(S1 + S2 +
+    S3), the cubic minor at (1, 1, 1), is nonzero, else the cofactor rank of
+    M = S1 + n*S2 + n^4*S3, n = 36 e^3 + 1 with e the largest |entry|.
 
     Exact, by Kronecker substitution: a k x k minor of M is the pencil's
     minor, a form of degree k <= 3, at (1, n, n^4), where x1^a x2^b x3^c
@@ -131,16 +131,16 @@ def pencil_rank(v, n) -> int:
     s = list(zip(v[:9], v[9:18], v[18:]))
     if _cofactor_rank([x + y + z for x, y, z in s]) == 3:
         return 3
+    n = 36 * max(map(abs, v)) ** 3 + 1
     n4 = n ** 4
     return _cofactor_rank([x + n * y + n4 * z for x, y, z in s])
 
 
 def prank(t: Tensor333):
-    """Triple of pencil ranks (A, B, C directions), kept on t; one bound n."""
+    """Triple of pencil ranks (A, B, C directions), kept on t."""
     if t._prank is None:
         flat = _integral(t.flat)
-        n = 36 * max(map(abs, flat)) ** 3 + 1
-        t._prank = tuple(pencil_rank(view(flat), n) for view in _VIEWS.values())
+        t._prank = tuple(pencil_rank(view(flat)) for view in _VIEWS.values())
     return t._prank
 
 

@@ -9,6 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from trifocal import ideal
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -38,3 +40,17 @@ def test_tracer_targets_resolve_and_uninstall_restores_them():
     finally:
         t.uninstall()
     assert _bindings() == before
+
+
+def test_discover_reaches_the_counted_linalg_targets(trifocal_nf):
+    """perfbench/tests asserts these counters are above 0 on paper6; a
+    discover(3) already calls each one."""
+    tracer = _load_tracer()
+    t = tracer.Tracer()
+    try:
+        t.install()
+        ideal.discover(3, trifocal_nf, seed=2024)
+    finally:
+        t.uninstall()
+    for key in ("linalg.Echelon.add", "linalg.rref_mod_p", "linalg.kernel_basis_int"):
+        assert t.stats[key].calls > 0, key

@@ -320,6 +320,15 @@ def test_rref_mod_p_is_reduced_and_matches_echelon_add():
             assert_rref(a, pivots, m, p)
             ech = linalg.Echelon(np.zeros((0, cols), dtype=np.int64), p)
             assert sum(ech.add(row) for row in m) == len(pivots)
+            # seeded with 2-6 rows of rank at most one less
+            n = rng.randint(2, 6)
+            b = rng.randint(1, n - 1)
+            base = np.array(random_matrix(rng, n, b), dtype=np.int64) @ np.array(
+                random_matrix(rng, b, cols), dtype=np.int64)
+            ech = linalg.Echelon(base, p)
+            ranks = [len(linalg.rref_mod_p(np.vstack([base, m[:i]]), p)[1]) for i in range(rows + 1)]
+            assert len(ech.rows) == ranks[0]
+            assert [ech.add(row) for row in m] == [y > x for x, y in zip(ranks, ranks[1:])]
     with pytest.raises(ValueError, match="too large"):
         linalg.rref_mod_p(np.eye(2, dtype=np.int64), 2 ** 31 + 11)
 
@@ -383,6 +392,37 @@ def test_chunked_updates_match_whole_updates(monkeypatch, p, entries):
             assert_rref(a, pivots, np.array(given), p)
             assert np.array_equal(np.array(given), before)
             assert len(pivots) <= k
+
+
+@pytest.mark.parametrize("p", [2, 101, PRIME_BELOW_2_30, linalg.MACHINE_PRIME_BOUND])
+@pytest.mark.parametrize("entries", [1, 40])
+def test_lu_mod_p_factors_the_permuted_matrix(monkeypatch, p, entries):
+    """lu_mod_p's L and the U it leaves in place give P a = L U mod p, and
+    _eliminate's pivots are rref_mod_p's and the every-update oracle's, on
+    wide, tall, rank-deficient, all-zero, 0-row and 0-column matrices whose
+    entries reach +-2^62, updated in chunks of one row or of 40 entries."""
+    monkeypatch.setattr(linalg, "_UPDATE_ENTRIES", entries)
+    rng = random.Random(3 * p + entries)
+    near = (1 << 62) // p
+    for rows, cols, k in ((12, 40, 12), (40, 12, 12), (30, 30, 7), (25, 60, 3), (9, 9, 0),
+                          (0, 5, 0), (5, 0, 0)):
+        low = np.array(random_matrix(rng, rows, k, bound=p - 1), dtype=object).reshape(rows, k).dot(
+            np.array(random_matrix(rng, k, cols, bound=p - 1), dtype=object).reshape(k, cols)) % p
+        m = np.array([[x + p * rng.choice((rng.randint(-near, near), near - 1, 1 - near))
+                       for x in row] for row in low], dtype=np.int64).reshape(rows, cols)
+        a = m.copy()
+        perm, (at, val, starts) = linalg.lu_mod_p(a, p)
+        pivots = rref_reduce_every_update(m, p)[1]
+        assert linalg._eliminate(m.copy(), p)[1] == linalg.rref_mod_p(m, p)[1] == pivots
+        assert sorted(perm) == list(range(rows)) and len(starts) == len(pivots) + 1
+        el, u = np.eye(rows, dtype=object), np.zeros((rows, cols), dtype=object)
+        for j, c in enumerate(pivots):
+            below = at[starts[j]:starts[j + 1]].astype(np.intp)
+            assert (below > j).all()
+            el[below, j] = val[starts[j]:starts[j + 1]].astype(object)
+            u[j, c:] = a[j, c:] % p
+            assert u[j, c]
+        assert np.array_equal(el.dot(u) % p, m[perm].astype(object) % p)
 
 
 def test_rref_peak_is_its_working_copy(traced_peak_mb):
