@@ -2,13 +2,13 @@
 
 Subcommands: check, from-cameras, discover, hilbert, nzd, classify,
 catalog.  Each takes only the options it reads.  `check` is an exact rank
-test and takes no prime and no seed; `discover`, `hilbert`, `nzd` and
-`classify` take --prime, --seed, --degree-cap, --progress and --json, are
-deterministic given (--prime, --seed), and their JSON reports embed that
-configuration.  Every JSON report carries a schema tag.  Exit codes: 0
-success (for `check`: the tensor is trifocal), 1 negative verdict or a
-modular certificate that failed to verify, 2 bad input or an exceeded
-degree cap.
+test and takes no prime; `discover`, `hilbert`, `nzd` and `classify` take
+--prime, --degree-cap, --progress and --json, and their JSON reports embed
+that configuration.  They take no seed: every discovered module is proved
+at the normal form, whatever sample points proposed it.  Every JSON report
+carries a schema tag.  Exit codes: 0 success (for `check`: the tensor is
+trifocal), 1 negative verdict or a modular certificate that failed to
+verify, 2 bad input or an exceeded degree cap.
 """
 
 from __future__ import annotations
@@ -25,17 +25,16 @@ from .poly import f_determinant, parse_poly, witness_g
 from .scalars import DEFAULT_PRIME
 from .tensor import tensor_from_json, tensor_to_json
 
-SCHEMA = "trifocal-report/3"
+SCHEMA = "trifocal-report/4"
 TOP_GENERATOR_DEGREE = 6   # every minimal generator has degree <= 6
 
 
 def _config(args):
-    """The configuration a report embeds, once the library has accepted
-    the prime."""
+    """The configuration a report embeds, once the library accepts the prime."""
     ideal._check_prime(args.prime)
     if not 1 <= args.degree_cap <= ideal.HARD_DEGREE_CAP:
         raise ValueError("--degree-cap must be in 1..%d" % ideal.HARD_DEGREE_CAP)
-    return {"prime": args.prime, "seed": args.seed, "degree_cap": args.degree_cap}
+    return {"prime": args.prime, "degree_cap": args.degree_cap}
 
 
 def _progress(args):
@@ -44,8 +43,7 @@ def _progress(args):
 
 def _discover(args, degree, progress):
     """discover() on the trifocal normal form through `degree`."""
-    return discover(degree, orbits.trifocal_normal_form(), seed=args.seed, p=args.prime,
-                    progress=progress)
+    return discover(degree, orbits.trifocal_normal_form(), p=args.prime, progress=progress)
 
 
 def _emit(args, payload, text_lines):
@@ -178,7 +176,6 @@ def cmd_catalog(args) -> int:
 def _add_run_options(sp):
     """The options of the commands that run the modular sweeps."""
     sp.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    sp.add_argument("--seed", type=int, default=2024)
     sp.add_argument("--degree-cap", type=int, default=6, dest="degree_cap")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--progress", action="store_true")

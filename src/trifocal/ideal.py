@@ -3,11 +3,11 @@
 Everything here avoids Groebner bases: the generator sets, their degree
 slices and all membership questions are homogeneous for the torus grading,
 so each question decomposes into small independent weight blocks, and an
-exact rank over F_p per block answers it.  Exact-over-Q statements
-(vanishing certificates) are produced from integer kernels of evaluation
-matrices at integer points and re-verified at fresh points, all values
-from poly.evaluate_points (residues mod 2^64 and machine primes, lifted by
-CRT under an explicit bound, so exact; see the poly docstring).
+exact rank over F_p per block answers it.  Vanishing certificates are
+integer kernels of exact values at random orbit points (poly.evaluate_points),
+each new module proved at nf: for V the closure of G . nf, G = GL(3)^3, a
+G-stable space M (rep.module_span of a certificate) vanishes on V iff it
+vanishes at nf, as p(g . nf) = (g^-1 p)(nf) with g^-1 p in M.
 
 The rank sweep is folded by the Weyl group S3^3 of coordinate
 permutations.  A degree whose generators all came from
@@ -22,10 +22,6 @@ witness f folds by G_f = {sigma in G : sigma(f) in Q^x f}, checked exactly,
 the sigma that also permute the blocks of the ideal plus (f).  Since
 rank_p(w) <= rank_Q(w) = rank_Q(sigma w), a folded total is a lower bound
 on the dimension over Q, as the unfolded sum is; for G = {id} it is that sum.
-The fold runs on int64 weight keys (weight_keys, _fold); only orbit
-representatives become weight tuples.  The base fold is memoised per
-(degree, G), and a stabiliser per (G, witness terms), found through
-_weyl_maps, the variable map of every sigma as one cached uint8 table.
 
 Each base representative's block B_r is factored once (Factor, L sparse
 by column), memoised per (degree, p, G) for one prime at a time.  A
@@ -67,6 +63,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -80,6 +77,7 @@ from .tensor import Tensor333, random_orbit_point
 
 DEFAULT_DEGREE_CAP = 6
 HARD_DEGREE_CAP = 7
+MAX_DRAWS = 8   # per label in scan_degree; discover(6) at seeds 0-29 needed at most 3
 
 # S3^3 as (sigma_A, sigma_B, sigma_C); sigma sends T_ijk to T_sA(i)sB(j)sC(k)
 WEYL = tuple(product(permutations(range(3)), repeat=3))
@@ -445,11 +443,9 @@ def hilbert_quotient(gens: GradedGeneratorSet, d, p=DEFAULT_PRIME, progress=None
 # ---------------------------------------------------------------------------
 # vanishing on the variety
 
-class VanishingReport:
-    __slots__ = ("label", "multiplicity", "certificates")
-
-    def __init__(self, label, multiplicity, certificates):
-        self.label, self.multiplicity, self.certificates = label, multiplicity, certificates
+class VanishingReport(NamedTuple):
+    multiplicity: int
+    certificates: list
 
 
 def evaluate_batch(polys, point: Tensor333):
@@ -474,33 +470,27 @@ def _combinations(kernel, polys):
 
 
 def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed) -> VanishingReport:
-    """Sub-hw-space vanishing on the orbit closure of nf.
+    """One draw: the certified integer kernel of the hw basis's values at
+    2 * dim random orbit points of nf, which holds the vanishing subspace,
+    screened at 2 * dim fresh ones; ArithmeticError if either step fails."""
+    n = 2 * hw.dim   # a label of no hw vector passes with no certificate
+    rows = linalg._integer_rows(evaluate_points(hw.basis, trifocal_points(nf, seed, n)))
+    kernel = linalg.kernel_basis_int([{c: x for c, x in enumerate(r) if x} for r in rows], hw.dim)
+    certs = _combinations(kernel, hw.basis)
+    if any(map(any, evaluate_points(certs, trifocal_points(nf, seed + n, n)))):
+        raise ArithmeticError("inconsistent vanishing kernel for label %r" % (hw.label,))
+    return VanishingReport(len(certs), certs)
 
-    Evaluates the hw basis at 2 * dim random orbit points, takes the
-    certified integer kernel of the row-scaled values, and re-verifies every
-    certificate at 2 * dim fresh points, resampling once (also when the
-    kernel does not lift: the true one is a few bits wide) before a hard
-    failure.
-    """
-    m = hw.dim
-    if m == 0:
-        return VanishingReport(hw.label, 0, [])
-    npts = 2 * m
-    for attempt in range(2):
-        base = seed + attempt * 10_000
-        pts = trifocal_points(nf, base, npts)
-        rows = linalg._integer_rows(evaluate_points(hw.basis, pts))
-        try:
-            kernel = linalg.kernel_basis_int(
-                [{c: x for c, x in enumerate(r) if x} for r in rows], m)
-        except ArithmeticError:
-            continue
-        certs = _combinations(kernel, hw.basis)
-        fresh = trifocal_points(nf, base + npts, npts)
-        if not any(map(any, evaluate_points(certs, fresh))):
-            return VanishingReport(hw.label, len(certs), certs)
-    raise ArithmeticError(
-        "inconsistent vanishing kernel for label %r after resampling" % (hw.label,))
+
+def _values_at(batch, t: Tensor333):
+    """The exact value at t of each form of an integer batch, by id, from the
+    terms inside t's support: coefficient times entries (ints or Fractions)."""
+    rows, ids, coeffs = batch
+    live = np.flatnonzero(np.array([x != 0 for x in t.flat])[rows].all(axis=1))
+    values = [0] * (int(ids.max()) + 1)
+    for row, i, c in zip(rows[live].tolist(), ids[live].tolist(), coeffs[live].tolist()):
+        values[i] += c * prod(t.flat[v] for v in row)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +546,29 @@ def _swap_closed(gens: GradedGeneratorSet, nf: Tensor333, d):
         _key(f) in gens._hws for f in unpack_terms(_swapped(pack_terms(hws)), len(hws))))
 
 
+def _new_modules(d, gens: GradedGeneratorSet, hw: rep.HWSpace, nf: Tensor333, seed, p):
+    """(draws, multiplicity, module batches of the certificates that raise the
+    rank mod p of the lower-degree rows) of the first draw k (seed + 10_000 k)
+    to pass its screen with such modules zero at nf; after MAX_DRAWS the error."""
+    for k in range(MAX_DRAWS):
+        try:
+            certs = vanishing_subspace(hw, nf, seed + 10_000 * k).certificates
+        except ArithmeticError as exc:
+            error = exc
+            continue
+        new = certs and _independent_of(rows_in_weight_block(gens, d, hw.weight), certs, d,
+                                         hw.weight, p)   # no block without certificates
+        spans = [rep.module_span(cert) for cert, ok in zip(certs, new) if ok]
+        if not any(any(_values_at(span, nf)) for span in spans):
+            return k + 1, len(certs), spans
+        error = ArithmeticError("a module of label %r does not vanish at nf" % (hw.label,))
+    raise error
+
+
 def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
                 p=DEFAULT_PRIME, progress=None) -> DegreeScan:
-    """One pass of the minimal-generator search in degree d: for every
-    isotypic label, find the vanishing hw subspace and sort its
-    certificates into old (inside the lower-degree ideal slice) and new.
-    Each new certificate's module is added to gens (add_module).  When
+    """One pass of the minimal-generator search in degree d: for label i,
+    _new_modules from seed + 7919 i, and each new module filed in gens.  When
     _swap_closed holds, a label whose partner (mu, lam, nu) was scanned
     before it takes the partner's row and tau of its new modules instead."""
     _check_prime(p)
@@ -579,14 +586,11 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
                        for m in mods for rows, ids, coeffs in [_swapped(pack_terms(m.basis))]]
         else:
             hw = rep.hw_space(lab)
-            report = vanishing_subspace(hw, nf, seed + 7919 * idx)
-            new_certs = []
-            if report.multiplicity:
-                block = rows_in_weight_block(gens, d, hw.weight)
-                new_certs = [cert for cert, new in zip(report.certificates, _independent_of(
-                    block, report.certificates, d, hw.weight, p)) if new]
-            row, note = (lab, rep.kronecker(*lab), hw.dim, report.multiplicity, len(new_certs)), ""
-            modules = [DiscoveredModule(d, lab, gens.add_module(cert)) for cert in new_certs]
+            draws, mult, spans = _new_modules(d, gens, hw, nf, seed + 7919 * idx, p)
+            row = (lab, rep.kronecker(*lab), hw.dim, mult, len(spans))
+            note = "; %d draws" % draws if draws > 1 else ""
+            modules = [DiscoveredModule(d, lab, gens._file_module(spans.pop(0)))
+                       for _ in range(len(spans))]   # each batch released once filed
             scanned[lab] = idx, row, modules
         scan.rows.append(row)
         scan.modules.extend(modules)
@@ -597,8 +601,7 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
 
 
 class Discovery:
-    def __init__(self, nf, seed, prime):
-        self.nf, self.seed, self.prime = nf, seed, prime
+    def __init__(self):
         self.scans, self.gens = {}, GradedGeneratorSet()
 
     def counts(self):
@@ -610,12 +613,12 @@ class Discovery:
 
 def discover(max_degree, nf: Tensor333, seed=2024, p=DEFAULT_PRIME,
              progress=None) -> Discovery:
-    """Run the minimal-generator search through max_degree, accumulating
-    the generator set degree by degree.  A new count is a rank gain mod p
-    over the lower-degree product rows: right over Q where p keeps their
-    rank, wrong and unflagged at a bad prime (seed 2024: 0, 54, 81 quintics at p = 2, 3, 5)."""
+    """The minimal-generator search through max_degree; the seed picks sample
+    points only, as every filed module is proved at nf.  A new count is a rank
+    gain mod p over the lower-degree product rows: right over Q where p keeps
+    their rank, wrong and unflagged at a bad prime (0, 54, 81 quintics at p = 2, 3, 5)."""
     _check_cap(max_degree)
-    disc = Discovery(nf, seed, p)
+    disc = Discovery()
     for d in range(1, max_degree + 1):
         disc.scans[d] = scan_degree(d, disc.gens, nf, seed + 1000 * d, p=p, progress=progress)
     return disc

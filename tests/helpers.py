@@ -60,7 +60,12 @@ def completeness_defect(d) -> int:
 
 def span_polys(h):
     """The basis rep.module_span(h) as Polys, vector i the run of id i."""
-    rows, ids, coeffs = rep.module_span(h)
+    return batch_polys(rep.module_span(h))
+
+
+def batch_polys(batch):
+    """A batch whose runs come in any order (rep.module_span) as Polys, by id."""
+    rows, ids, coeffs = batch
     order = np.argsort(ids, kind="stable")   # the runs by id, each run's terms kept in order
     return poly.unpack_terms((rows[order], ids[order], coeffs[order]), int(ids.max()) + 1)
 

@@ -38,22 +38,24 @@ def test_check_rejects_skew_with_reason(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["is_trifocal"] is False
     assert "P-Rank" in payload["reason"]
-    assert payload["schema"] == "trifocal-report/3"
+    assert payload["schema"] == "trifocal-report/4"
 
 
 def test_check_report_carries_no_config(tmp_path, capsys):
-    # the rank test reads no prime, seed or degree cap, so it reports none
+    # the rank test reads no prime or degree cap, so it reports none
     path = write(tmp_path, "nf.json", tensor_to_json(catalog()["trifocal"].tensor))
     assert main(["check", path, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload == {"schema": "trifocal-report/3", "is_trifocal": True,
+    assert payload == {"schema": "trifocal-report/4", "is_trifocal": True,
                        "reason": payload["reason"]}
 
 
 def test_commands_reject_options_they_do_not_read(tmp_path, capsys):
     path = write(tmp_path, "nf.json", tensor_to_json(catalog()["trifocal"].tensor))
     for argv in (["catalog", "--json"], ["from-cameras", path, "--prime", "7"],
-                 ["check", path, "--seed", "3"], ["check", path, "--progress"]):
+                 ["check", path, "--seed", "3"], ["check", path, "--progress"],
+                 ["discover", "--degree", "3", "--seed", "3"], ["hilbert", "--seed", "3"],
+                 ["nzd", "--seed", "3"], ["classify", path, "--seed", "3"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -253,10 +255,10 @@ def test_discover_degree3(capsys):
 def test_discover_report_keys_and_schema(capsys):
     assert main(["discover", "--degree", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == "trifocal-report/3"
+    assert payload["schema"] == "trifocal-report/4"
     assert set(payload) == {"schema", "config", "new_generators_by_degree",
                             "modules", "labels"}
-    assert payload["config"] == {"prime": 101, "seed": 2024, "degree_cap": 6}
+    assert payload["config"] == {"prime": 101, "degree_cap": 6}
 
 
 def test_discover_deterministic(capsys):
@@ -266,12 +268,11 @@ def test_discover_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_discover_other_seed_and_prime(capsys):
-    assert main(["discover", "--degree", "3", "--seed", "9",
-                 "--prime", "32003", "--json"]) == 0
+def test_discover_other_prime(capsys):
+    assert main(["discover", "--degree", "3", "--prime", "32003", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["new_generators_by_degree"]["3"] == 10
-    assert payload["config"] == {"prime": 32003, "seed": 9, "degree_cap": 6}
+    assert payload["config"] == {"prime": 32003, "degree_cap": 6}
 
 
 def test_discover_rejects_over_cap(capsys):

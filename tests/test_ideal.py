@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import operator
 import random
@@ -17,7 +18,7 @@ from trifocal.poly import (Poly, det_slice_poly, f_determinant, integer_terms, p
                            var_ijk, var_index, weight_space_basis, witness_g)
 from trifocal.tensor import Tensor333, act, random_orbit_point
 
-from helpers import m3_generators, span_polys, variable_map
+from helpers import batch_polys, m3_generators, variable_map
 
 
 @pytest.fixture(scope="module")
@@ -683,6 +684,9 @@ def test_vanishing_multiplicities_degree3(trifocal_nf):
 
 
 def test_vanishing_kernel_that_does_not_lift_resamples(trifocal_nf, monkeypatch):
+    """vanishing_subspace draws once and raises when its kernel does not
+    lift; scan_degree draws the label again at seed + 10_000, and re-raises
+    after MAX_DRAWS draws."""
     hw = rep.hw_space(((1, 1, 1), (1, 1, 1), (3,)))
     lift, calls = linalg.kernel_basis_int, []
 
@@ -692,12 +696,22 @@ def test_vanishing_kernel_that_does_not_lift_resamples(trifocal_nf, monkeypatch)
             raise ArithmeticError("integer kernel did not stabilize over 10 primes")
         return lift(rows, ncols)
     monkeypatch.setattr(linalg, "kernel_basis_int", fails_first)
-    assert vanishing_subspace(hw, trifocal_nf, seed=101).multiplicity == 1
-    assert len(calls) == 2
-    calls.clear()
-    monkeypatch.setattr(linalg, "kernel_basis_int", lambda r, n: fails_first(r, n, failures=2))
-    with pytest.raises(ArithmeticError, match="after resampling"):
+    with pytest.raises(ArithmeticError, match="did not stabilize"):
         vanishing_subspace(hw, trifocal_nf, seed=101)
+    calls.clear()
+    seeds, draw = [], ideal.vanishing_subspace
+    monkeypatch.setattr(ideal, "vanishing_subspace",
+                        lambda h, nf, s: seeds.append(s) or draw(h, nf, s))
+    lines = []
+    scan = scan_degree(1, GradedGeneratorSet(), trifocal_nf, seed=101, progress=lines.append)
+    assert seeds == [101, 10_101] and scan.rows == [(((1,), (1,), (1,)), 1, 1, 0, 0)]
+    assert lines == ["degree 1: label 1/1 ((1,), (1,), (1,)) vanishing 0 new 0; 2 draws"]
+    calls.clear()
+    monkeypatch.setattr(linalg, "kernel_basis_int",
+                        lambda r, n: fails_first(r, n, failures=ideal.MAX_DRAWS))
+    with pytest.raises(ArithmeticError, match="did not stabilize"):
+        scan_degree(3, GradedGeneratorSet(), trifocal_nf, seed=101)
+    assert len(calls) == ideal.MAX_DRAWS
 
 
 def test_discovery_keeps_its_polynomials_packed(trifocal_nf):
@@ -710,8 +724,9 @@ def test_discovery_keeps_its_polynomials_packed(trifocal_nf):
     # fresh hw spaces: the cached ones are read by other tests
     hws = [rep.hw_space.__wrapped__(lab) for d in range(1, 6) for lab in rep.all_labels(d)
            if rep.kronecker(*lab)]
-    for i, hw in enumerate(hws):
-        vanishing_subspace(hw, trifocal_nf, seed=500 + i)
+    for i, hw in enumerate(hws):   # a draw the screen refuses has evaluated the basis all the same
+        with contextlib.suppress(ArithmeticError):
+            vanishing_subspace(hw, trifocal_nf, seed=500 + i)
     vectors = [f for hw in hws for f in hw.basis]
     assert len(vectors) == 127 and all(f._terms is None for f in vectors)
 
@@ -838,6 +853,62 @@ def test_discovery_stable_under_seed_and_prime(trifocal_nf):
         ((2, 2, 1), (2, 2, 1), (2, 2, 1))}
 
 
+def test_discovery_is_the_same_at_seeds_whose_samples_misled_it(discovery5, trifocal_nf):
+    """Before modules were proved at nf, random orbit points proposed false
+    modules at seeds 18, 21, 29, 57 and 91, and the screen refused both
+    draws of a label at seeds 32, 47, 77 and 79.  Each now gives the rows
+    and bases of seed 2024."""
+    rows = [s.rows for _, s in sorted(discovery5.scans.items())]
+    bases = [list(map(ideal._key, m.basis)) for m in discovery5.modules()]
+    for seed in (18, 21, 29, 32, 47, 57, 77, 79, 91):
+        disc = ideal.discover(5, trifocal_nf, seed=seed)
+        assert disc.counts() == {1: 0, 2: 0, 3: 10, 4: 0, 5: 81}, seed
+        assert [s.rows for _, s in sorted(disc.scans.items())] == rows, seed
+        assert [list(map(ideal._key, m.basis)) for m in disc.modules()] == bases, seed
+
+
+def seed18_candidate(nf):
+    """hw space, scan_degree's seed and the false certificate of draw 1 of
+    the label ((4,1),(2,2,1),(3,1,1)) in discover(5, seed=18)."""
+    label = ((4, 1), (2, 2, 1), (3, 1, 1))
+    labels = [lab for lab in rep.all_labels(5) if rep.kronecker(*lab)]
+    seed, hw = 18 + 1000 * 5 + 7919 * labels.index(label), rep.hw_space(label)
+    (cert,) = vanishing_subspace(hw, nf, seed + 10_000).certificates
+    return hw, seed, cert
+
+
+def test_a_false_candidate_is_refused_at_nf(discovery5, trifocal_nf):
+    """At seed 18 the screen refuses draw 0 of ((4,1),(2,2,1),(3,1,1)), and
+    draw 1 passes it with a new certificate whose module does not vanish at
+    nf; scan_degree takes draw 2, which finds no vanishing vector, as seed
+    2024 does."""
+    hw, seed, cert = seed18_candidate(trifocal_nf)
+    with pytest.raises(ArithmeticError, match="inconsistent vanishing kernel"):
+        vanishing_subspace(hw, trifocal_nf, seed)
+    block = ideal.rows_in_weight_block(discovery5.gens, 5, hw.weight)
+    assert ideal._independent_of(block, [cert], 5, hw.weight, 101) == [True]
+    assert any(ideal._values_at(rep.module_span(cert), trifocal_nf))
+    assert ideal._new_modules(5, discovery5.gens, hw, trifocal_nf, seed, 101) == (3, 0, [])
+    assert (hw.label, 1, 1, 0, 0) in discovery5.scans[5].rows
+
+
+def test_values_at_equal_evaluate_points_on_module_batches(discovery5, trifocal_nf):
+    """_values_at reads only the terms in a point's support, with exact
+    products of its entries: the values of true and false modules at nf, at
+    the sub233 tensor and at a Fraction-scaled orbit point equal
+    poly.evaluate_points'."""
+    false = rep.module_span(seed18_candidate(trifocal_nf)[2])
+    true = [rep.module_span(m.hw_vector) for m in discovery5.modules()]
+    scaled = [x * Fraction(2, 7) for x in random_orbit_point(trifocal_nf, 3).flat]
+    points = [trifocal_nf, catalog()["sub233"].tensor, Tensor333._from_flat(scaled)]
+    for batch in [false] + true:
+        polys = batch_polys(batch)
+        for t in points:
+            assert ideal._values_at(batch, t) == poly.evaluate_points(polys, [t])[0]
+    assert any(ideal._values_at(false, trifocal_nf)) and any(ideal._values_at(false, points[2]))
+    assert not any(any(ideal._values_at(batch, points[2])) for batch in true)
+
+
 # --- labels derived from their factor-swapped partner ---------------------------
 
 def counted_vanishing(monkeypatch):
@@ -895,20 +966,21 @@ def test_discovery_without_a_swap_element_scans_every_label(monkeypatch):
 @pytest.mark.slow
 def test_discover6_scans_175_of_280_labels(trifocal_nf, monkeypatch):
     """105 labels are tau images of a label scanned before them in their
-    degree; without the swap all 280 were scanned."""
+    degree; without the swap all 280 were scanned.  A label drawn again
+    counts once."""
     labels = counted_vanishing(monkeypatch)
     disc = ideal.discover(6, trifocal_nf, seed=2024)
-    assert len(labels) == 175 and sum(len(s.rows) for s in disc.scans.values()) == 280
+    assert len(set(labels)) == 175 and sum(len(s.rows) for s in disc.scans.values()) == 280
     assert disc.counts() == {1: 0, 2: 0, 3: 10, 4: 0, 5: 81, 6: 1980}
 
 
 @pytest.mark.slow
 def test_swapped_labels_match_their_own_scan(discovery6, trifocal_nf):
     """Oracle: every label of discover(6) whose partner came before it, run
-    through the per-label path (hw space, vanishing at its own seed,
-    independence of the lower-degree block) gives the same row and the same
-    certificates as the derived hw vectors, and each derived module equals
-    rep.module_span of its hw vector, in order."""
+    through the per-label path (hw space, draws from its own seed, independence
+    of the lower-degree block, the modules' proof at nf) gives the same row,
+    and each derived module equals rep.module_span of that path's certificate,
+    in order."""
     derived = 0
     for d, scan in sorted(discovery6.scans.items()):
         labels = [row[0] for row in scan.rows]
@@ -917,18 +989,13 @@ def test_swapped_labels_match_their_own_scan(discovery6, trifocal_nf):
                 continue
             derived += 1
             hw = rep.hw_space(lab)
-            report = vanishing_subspace(hw, trifocal_nf, 2024 + 1000 * d + 7919 * idx)
-            new = []
-            if report.multiplicity:
-                block = ideal.rows_in_weight_block(discovery6.gens, d, hw.weight)
-                new = [c for c, ok in zip(report.certificates, ideal._independent_of(
-                    block, report.certificates, d, hw.weight, 101)) if ok]
-            assert row == (lab, rep.kronecker(*lab), hw.dim, report.multiplicity, len(new))
+            _, mult, spans = ideal._new_modules(d, discovery6.gens, hw, trifocal_nf,
+                                                2024 + 1000 * d + 7919 * idx, 101)
+            assert row == (lab, rep.kronecker(*lab), hw.dim, mult, len(spans))
             mods = [m for m in scan.modules if m.label == lab]
-            assert [m.hw_vector for m in mods] == new
-            for m in mods:   # compared as packs: no term dicts on the fixture's bases
-                assert list(map(ideal._key, m.basis)) == list(map(
-                    ideal._key, span_polys(m.hw_vector)))
+            assert len(mods) == len(spans)
+            for m, span in zip(mods, spans):   # as packs: no term dicts on the fixture's bases
+                assert list(map(ideal._key, m.basis)) == list(map(ideal._key, batch_polys(span)))
     assert derived == 105
 
 
