@@ -1,14 +1,13 @@
 """Cameras and the trifocal tensor of a camera triple.
 
 A camera is a full-rank 3x4 matrix of ints and Fractions (other entries
-raise TypeError).  A triple of cameras produces a 3x3x3 tensor through
-signed 4x4 minors of the stacked 4x9 matrix (one row from each of the
-first two cameras, two rows from the third), each a six-term Laplace
-expansion along its first two rows into products of 2x2 minors, so
-integer cameras give an integer tensor with no division.  Focal points
-are the signed maximal minors of a camera, made primitive.  The sign
-convention of the minor formula is pinned by the tests, against the
-synthetic line transfer (back-project two image lines, intersect the
+raise TypeError); its center, the vector of its signed maximal minors, is
+zero exactly when it is rank-deficient.  A triple of cameras gives a 3x3x3
+tensor of signed 4x4 minors of the stacked 4x9 matrix (a row of each of the
+first two cameras, two rows of the third), each a row of the first camera
+dotted with the cofactor vector of the other three rows, so integer cameras
+give an integer tensor with no division.  The sign convention is pinned by
+the synthetic line transfer (back-project two image lines, intersect the
 planes, image the space line into the third view) in tests/test_cameras.py.
 """
 
@@ -40,29 +39,42 @@ class Camera:
         exact_list([x for r in self.m for x in r], "camera entry")
 
 
+def _minors2(u, v):
+    """The 2x2 minors of the rows u, v, on columns 01, 02, 03, 12, 13, 23."""
+    (u0, u1, u2, u3), (v0, v1, v2, v3) = u, v
+    return (u0 * v1 - u1 * v0, u0 * v2 - u2 * v0, u0 * v3 - u3 * v0,
+            u1 * v2 - u2 * v1, u1 * v3 - u3 * v1, u2 * v3 - u3 * v2)
+
+
+def _cofactors(y, m):
+    """The signed maximal minors c of the 3x4 matrix M of row y over two rows
+    with 2x2 minors m, by Laplace along y: det[x; M] = x . c for every row x."""
+    (y0, y1, y2, y3), (m01, m02, m03, m12, m13, m23) = y, m
+    return (y1 * m23 - y2 * m13 + y3 * m12, y2 * m03 - y0 * m23 - y3 * m02,
+            y0 * m13 - y1 * m03 + y3 * m01, y1 * m02 - y0 * m12 - y2 * m01)
+
+
+def _center(a: Camera):
+    """The signed maximal minors of a, all zero exactly when it is rank-deficient."""
+    return _cofactors(a.m[0], _minors2(*a.m[1:]))
+
+
 def focal_point(a: Camera):
-    """Kernel of the camera matrix, the center of projection in P^3: its
-    signed maximal minors (Laplace along row 1 into the 2x2 minors of rows
-    2 and 3), as a primitive integer vector whose first nonzero entry is
-    positive.  They are all zero exactly when the camera is rank-deficient."""
-    u, (m01, m02, m03, m12, m13, m23) = a.m[0], _minors2(*a.m[1:])
-    minors = [u[1] * m23 - u[2] * m13 + u[3] * m12, u[2] * m03 - u[0] * m23 - u[3] * m02,
-              u[0] * m13 - u[1] * m03 + u[3] * m01, u[1] * m02 - u[0] * m12 - u[2] * m01]
-    if not any(minors):
+    """The center of projection of a in P^3, the kernel of its matrix, as a
+    primitive integer vector whose first nonzero entry is positive."""
+    c = _center(a)
+    if not any(c):
         raise InvalidCameraError("camera is rank-deficient")
-    return linalg._primitive_int_vector(minors)
+    return linalg._primitive_int_vector(c)
 
 
 class CameraTriple:
     def __init__(self, a1: Camera, a2: Camera, a3: Camera):
-        try:
-            centers = {tuple(focal_point(a)) for a in (a1, a2, a3)}
-        except InvalidCameraError as exc:
-            raise DegenerateConfigurationError("rank-deficient camera in triple") from exc
-        # primitive sign-fixed centers are proportional only when equal; two
-        # distinct centers f, g already make the nine camera rows span Q^4
-        # (they span the hyperplanes f-perp and g-perp)
-        if len(centers) < 3:
+        c1, c2, c3 = centers = [_center(a) for a in (a1, a2, a3)]
+        if not all(map(any, centers)):
+            raise DegenerateConfigurationError("rank-deficient camera in triple")
+        # two distinct centers f, g make the nine rows span Q^4 (f-perp + g-perp)
+        if not all(any(_minors2(u, v)) for u, v in ((c1, c2), (c1, c3), (c2, c3))):
             raise DegenerateConfigurationError("two cameras share a focal point")
         self.a1, self.a2, self.a3 = a1, a2, a3
 
@@ -70,32 +82,16 @@ class CameraTriple:
         return (self.a1, self.a2, self.a3)
 
 
-# the column pairs (p, q) of a Laplace expansion of a 4x4 determinant along
-# its first two rows, and their signs (-1)^(p + q + 1); the pair
-# complementary to _PAIRS[s] is _PAIRS[5 - s]
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_SIGNS = (1, -1, 1, 1, -1, 1)
-
-
-def _minors2(u, v):
-    """The 2x2 minors of the rows u, v, one per column pair of _PAIRS."""
-    return [u[p] * v[q] - u[q] * v[p] for p, q in _PAIRS]
-
-
 def trifocal_from_cameras(ct: CameraTriple) -> Tensor333:
-    """T_ijk = sign(k) * det of [row i of A1; row j of A2; the two rows of A3
-    complementary to k], with sign(k) = (-1)^k.  Defined up to a global
-    scale.  Each 4x4 determinant is a Laplace expansion along its first two
-    rows: sum over column pairs S of sign(S) * minor(S) * minor(complement)."""
-    a1, a2, a3 = ct.cameras()
-    lower = []
-    for k in range(3):
-        m = _minors2(*(r for c, r in enumerate(a3.m) if c != k))
-        lower.append([(-1) ** k * _SIGNS[s] * m[5 - s] for s in range(6)])
-    out = Tensor333._from_flat([u0 * l0 + u1 * l1 + u2 * l2 + u3 * l3 + u4 * l4 + u5 * l5
-                                for x in a1.m for y in a2.m
-                                for u0, u1, u2, u3, u4, u5 in [_minors2(x, y)]
-                                for l0, l1, l2, l3, l4, l5 in lower])
+    """T_ijk = (-1)^k det of [row i of A1; row j of A2; the two rows of A3
+    other than k], up to a global scale: row i of A1 dotted with the cofactor
+    vector of the other three rows, (-1)^k folded into the 2x2 minors by
+    taking A3's rows in cyclic order k + 1, k + 2.  36 + 108 + 108 products."""
+    a1, a2, a3 = (a.m for a in ct.cameras())
+    lower = [_minors2(a3[k - 2], a3[k - 1]) for k in range(3)]
+    cs = [_cofactors(y, m) for y in a2 for m in lower]
+    out = Tensor333._from_flat([x0 * c0 + x1 * c1 + x2 * c2 + x3 * c3 for x0, x1, x2, x3 in a1
+                                for c0, c1, c2, c3 in cs])
     if out.is_zero():
         raise DegenerateConfigurationError("camera triple produced the zero tensor")
     return out

@@ -70,6 +70,7 @@ def partitions(d, max_part=None):
                  for rest in partitions(d - first, first))
 
 
+@lru_cache(maxsize=None)
 def class_size(cls) -> int:
     """d! / prod over parts k of k^m * m!, m the multiplicity of k in cls."""
     return factorial(sum(cls)) // prod(k ** m * factorial(m) for k, m in Counter(cls).items())

@@ -35,9 +35,9 @@ AXES = ("A", "B", "C")
 
 class Tensor333:
     """Immutable 3x3x3 array of ints and Fractions, nested (t) and flat
-    (flat, i outer, k inner); prank and frank fill _prank, _frank."""
+    (flat, i outer, k inner); prank and frank fill _prank, _frank and _ints."""
 
-    __slots__ = ("t", "flat", "_prank", "_frank")
+    __slots__ = ("t", "flat", "_prank", "_frank", "_ints")
 
     def __init__(self, entries):
         try:
@@ -47,14 +47,15 @@ class Tensor333:
         if {len(t), *map(len, t), *map(len, chain.from_iterable(t))} != {3}:
             raise ValueError("tensor entries must be a nested 3x3x3 array")
         flat, _ = exact_list(chain.from_iterable(chain.from_iterable(t)), "tensor entry")
-        self.t, self.flat, self._prank, self._frank = t, tuple(flat), None, None
+        self.t, self.flat, self._prank, self._frank, self._ints = t, tuple(flat), None, None, None
 
     @classmethod
     def _from_flat(cls, flat):
         """The tensor of 27 entries, in T_ijk order, known to be exact: no checks."""
         t = cls.__new__(cls)
-        t.flat, t._prank, t._frank = tuple(flat), None, None
-        t.t = tuple(tuple(t.flat[p:p + 3] for p in range(q, q + 9, 3)) for q in (0, 9, 18))
+        t.flat = f = tuple(flat)
+        t._prank = t._frank = t._ints = None
+        t.t = ((f[:3], f[3:6], f[6:9]), (f[9:12], f[12:15], f[15:18]), (f[18:21], f[21:24], f[24:]))
         return t
 
     @classmethod
@@ -91,16 +92,15 @@ def perm_sign(sigma):
     return (-1) ** sum(a > b for a, b in combinations(sigma, 2))
 
 
-def _integral(flat):
-    """The flat entries, each A-slice times the lcm of its denominators: all
-    ints, and the same ranks, as that scaling is the action of a diagonal gA."""
-    if Fraction not in set(map(type, flat)):
-        return flat
-    out = []
-    for s in (0, 9, 18):
-        d = lcm(*(x.denominator for x in flat[s:s + 9]))
-        out += [x.numerator * (d // x.denominator) for x in flat[s:s + 9]]
-    return out
+def _integral(t: Tensor333):
+    """The flat entries with each A-slice times the lcm of its denominators, kept
+    on t: all ints, and the same ranks, as that is the action of a diagonal gA."""
+    if t._ints is None:
+        flat = t._ints = t.flat
+        if Fraction in set(map(type, flat)):
+            ds = [lcm(*(x.denominator for x in flat[s:s + 9])) for s in (0, 9, 18)]
+            t._ints = [x.numerator * (ds[p // 9] // x.denominator) for p, x in enumerate(flat)]
+    return t._ints
 
 
 def _cofactor_rank(m) -> int:
@@ -139,7 +139,7 @@ def pencil_rank(v) -> int:
 def prank(t: Tensor333):
     """Triple of pencil ranks (A, B, C directions), kept on t."""
     if t._prank is None:
-        flat = _integral(t.flat)
+        flat = _integral(t)
         t._prank = tuple(pencil_rank(view(flat)) for view in _VIEWS.values())
     return t._prank
 
@@ -161,7 +161,7 @@ def flattening_rank(v) -> int:
 def frank(t: Tensor333):
     """Triple of flattening ranks (A, B, C directions), kept on t."""
     if t._frank is None:
-        flat = _integral(t.flat)
+        flat = _integral(t)
         t._frank = tuple(flattening_rank(view(flat)) for view in _VIEWS.values())
     return t._frank
 

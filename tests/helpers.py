@@ -1,8 +1,9 @@
 """Test data the package itself never builds: the pencil-determinant cubics,
-random camera triples, the isotypic dimension count, module spans as
-lists of polynomials, a few tensor and matrix operations (the slices of
-an axis as a pencil or a flattening among them), and the degeneration
-replays and degree-6 separation checks on the boundary orbits 17 and 18."""
+random camera triples and their tensor by Laplace expansion, the isotypic
+dimension count, module spans as lists of polynomials, a few tensor and
+matrix operations (the slices of an axis as a pencil or a flattening among
+them), and the degeneration replays and degree-6 separation checks on the
+boundary orbits 17 and 18."""
 
 import random
 from itertools import permutations, product
@@ -49,6 +50,36 @@ def random_triple(rng: random.Random, bound=9) -> CameraTriple:
             return CameraTriple(*(random_camera(rng, bound) for _ in range(3)))
         except DegenerateConfigurationError:
             continue
+
+
+# the column pairs (p, q) of a Laplace expansion of a 4x4 determinant along
+# its first two rows, and their signs (-1)^(p + q + 1); the pair
+# complementary to _PAIRS[s] is _PAIRS[5 - s]
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_SIGNS = (1, -1, 1, 1, -1, 1)
+
+
+def _minors2(u, v):
+    """The 2x2 minors of the rows u, v, one per column pair of _PAIRS."""
+    return [u[p] * v[q] - u[q] * v[p] for p, q in _PAIRS]
+
+
+def trifocal_laplace(ct: CameraTriple) -> Tensor333:
+    """Oracle for cameras.trifocal_from_cameras: T_ijk = (-1)^k * det of
+    [row i of A1; row j of A2; the two rows of A3 other than k], each 4x4
+    determinant a Laplace expansion along its first two rows: the sum over
+    column pairs S of sign(S) * minor(S) * minor(complement).  Raises
+    DegenerateConfigurationError on the zero tensor."""
+    a1, a2, a3 = ct.cameras()
+    lower = []
+    for k in range(3):
+        m = _minors2(*(r for c, r in enumerate(a3.m) if c != k))
+        lower.append([(-1) ** k * _SIGNS[s] * m[5 - s] for s in range(6)])
+    out = Tensor333([[[sum(u * v for u, v in zip(_minors2(x, y), low)) for low in lower]
+                      for y in a2.m] for x in a1.m])
+    if out.is_zero():
+        raise DegenerateConfigurationError("camera triple produced the zero tensor")
+    return out
 
 
 def completeness_defect(d) -> int:

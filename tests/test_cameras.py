@@ -9,9 +9,9 @@ from trifocal import linalg
 from trifocal.cameras import (Camera, CameraTriple, DegenerateConfigurationError,
                               InvalidCameraError, focal_point, trifocal_from_cameras,
                               triple_from_json)
-from trifocal.tensor import act, frank, prank
+from trifocal.tensor import act, frank, prank, random_group_element
 
-from helpers import mat_vec, random_camera, random_triple, scaled
+from helpers import mat_vec, random_camera, random_triple, scaled, trifocal_laplace
 from test_tensor import contract
 
 
@@ -108,7 +108,6 @@ def test_camera_side_action_matches_tensor_action():
     rng = random.Random(25)
     ct = random_triple(rng)
     t = trifocal_from_cameras(ct)
-    from trifocal.tensor import random_group_element
     g = random_group_element(rng, bound=3)
     moved = CameraTriple(Camera(mat_mul(g[0], ct.a1.m)),
                          Camera(mat_mul(g[1], ct.a2.m)),
@@ -256,3 +255,64 @@ def test_fraction_cameras_give_their_tensor():
                             for a in ct.cameras()))
     # one row each of A1 and A2 and two of A3 in every 4x4 minor
     assert trifocal_from_cameras(halves) == scaled(trifocal_from_cameras(ct), Fraction(1, 16))
+
+
+def fraction_camera(rng):
+    while True:
+        m = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)] for _ in range(3)]
+        if linalg.rank(m) == 3:
+            return Camera(m)
+
+
+def test_cofactor_tensor_matches_the_laplace_oracle():
+    """The cofactor-vector tensor equals the Laplace-form one, entry types
+    included, on integer triples (small, sparse and beyond 2^64) and
+    Fraction triples; a triple whose tensor is zero still raises."""
+    rng = random.Random(34)
+    triples = [random_triple(rng, bound) for bound in (1, 3, 9, 10 ** 6, 10 ** 25)
+               for _ in range(48)]
+    triples += [CameraTriple(*(fraction_camera(rng) for _ in range(3))) for _ in range(40)]
+    for ct in triples:
+        got, want = trifocal_from_cameras(ct), trifocal_laplace(ct)
+        assert got == want and [type(x) for x in got.flat] == [type(x) for x in want.flat]
+    same = CameraTriple.__new__(CameraTriple)   # three copies of one camera, unchecked
+    same.a1 = same.a2 = same.a3 = ct.a1
+    for build in (trifocal_from_cameras, trifocal_laplace):
+        with pytest.raises(DegenerateConfigurationError, match="produced the zero tensor"):
+            build(same)
+
+
+def oracle_triple_message(cams):
+    """Oracle: the error CameraTriple must raise, from the set of primitive
+    focal points, or None for three distinct centers."""
+    try:
+        centers = {tuple(focal_point(a)) for a in cams}
+    except InvalidCameraError:
+        return "rank-deficient camera in triple"
+    return None if len(centers) == 3 else "two cameras share a focal point"
+
+
+def test_camera_triple_verdicts_match_the_focal_point_oracle():
+    """Each pair of cameras sharing a center (one camera scaled by -2 or
+    3/5, or moved by an invertible 3x3 matrix), a rank-deficient camera in
+    each position, and three distinct centers."""
+    rng = random.Random(35)
+    flat = Camera([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]])
+    seen = []
+    for _ in range(20):
+        base = [random_camera(rng, 5) for _ in range(3)]
+        g = random_group_element(rng, bound=3)[0]
+        cases = [base] + [base[:k] + [flat] + base[k + 1:] for k in range(3)]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            for m in ([[-2 * x for x in r] for r in base[i].m],
+                      [[Fraction(3, 5) * x for x in r] for r in base[i].m], mat_mul(g, base[i].m)):
+                cases.append(base[:j] + [Camera(m)] + base[j + 1:])
+        for cams in cases:
+            want = oracle_triple_message(cams)
+            seen.append(want)
+            if want is None:
+                assert CameraTriple(*cams).cameras() == tuple(cams)
+            else:
+                with pytest.raises(DegenerateConfigurationError, match=want):
+                    CameraTriple(*cams)
+    assert set(seen) == {None, "rank-deficient camera in triple", "two cameras share a focal point"}

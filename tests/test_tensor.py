@@ -8,7 +8,7 @@ from trifocal import linalg
 from trifocal.cameras import trifocal_from_cameras
 from trifocal.orbits import (catalog, skew_tensor, sub_generic, trifocal_normal_form,
                              trifocal_slices_form)
-from trifocal.tensor import (AXES, Tensor333, act, frank, prank, random_group_element,
+from trifocal.tensor import (AXES, Tensor333, _integral, act, frank, prank, random_group_element,
                              random_orbit_point, tensor_from_json, tensor_to_json)
 
 from helpers import (flattening, m3_with_x_monomials, mat_vec, pencil, permute_factors,
@@ -285,9 +285,10 @@ def memo_cases():
 
 def test_memoised_ranks_match_a_fresh_computation():
     for t in memo_cases():
-        assert t._prank is None and t._frank is None
+        assert t._prank is None and t._frank is None and t._ints is None
         pr, fr = prank(t), frank(t)
         assert prank(t) is pr is t._prank and frank(t) is fr is t._frank
+        assert _integral(t) is t._ints and all(type(x) is int for x in t._ints)
         assert (pr, fr) == fresh_ranks(Tensor333(t.t))
 
 
@@ -303,7 +304,7 @@ def test_derived_tensors_carry_no_memo():
     prank(t), frank(t)
     g = random_group_element(random.Random(17))
     for derived in (act(g, t), act(g, skew_tensor()), random_orbit_point(t, 17)):
-        assert derived._prank is None and derived._frank is None
+        assert derived._prank is None and derived._frank is None and derived._ints is None
         assert (prank(derived), frank(derived)) == fresh_ranks(derived)
 
 
@@ -464,3 +465,14 @@ def test_unchecked_tensors_equal_the_checked_constructor():
         assert [type(x) for x in t.flat] == [type(x) for x in want.flat]
         assert all(type(p) is tuple and all(type(r) is tuple for r in p) for p in t.t)
         assert t._prank is None and t._frank is None
+
+
+def test_from_flat_equals_the_constructor():
+    """_from_flat's nine slices give the nested entries, equality and hash
+    of Tensor333 on the same entries, for ints and Fractions."""
+    for t in kernel_cases():
+        nested = [[[t.flat[9 * i + 3 * j + k] for k in range(3)] for j in range(3)]
+                  for i in range(3)]
+        got, want = Tensor333._from_flat(list(t.flat)), Tensor333(nested)
+        assert got.t == want.t and got == want and hash(got) == hash(want)
+        assert got.flat == want.flat and type(got.flat) is tuple
