@@ -59,15 +59,6 @@ def _center(a: Camera):
     return _cofactors(a.m[0], _minors2(*a.m[1:]))
 
 
-def focal_point(a: Camera):
-    """The center of projection of a in P^3, the kernel of its matrix, as a
-    primitive integer vector whose first nonzero entry is positive."""
-    c = _center(a)
-    if not any(c):
-        raise InvalidCameraError("camera is rank-deficient")
-    return linalg._primitive_int_vector(c)
-
-
 class CameraTriple:
     def __init__(self, a1: Camera, a2: Camera, a3: Camera):
         c1, c2, c3 = centers = [_center(a) for a in (a1, a2, a3)]

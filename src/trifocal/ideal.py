@@ -7,7 +7,11 @@ exact rank over F_p per block answers it.  Vanishing certificates are
 integer kernels of exact values at random orbit points (poly.evaluate_points),
 each new module proved at nf: for V the closure of G . nf, G = GL(3)^3, a
 G-stable space M (rep.module_span of a certificate) vanishes on V iff it
-vanishes at nf, as p(g . nf) = (g^-1 p)(nf) with g^-1 p in M.
+vanishes at nf, as p(g . nf) = (g^-1 p)(nf) with g^-1 p in M.  A label of
+no vanishing vector is proved so first (_proved_zero): were h = sum c_j P_j
+zero on V, c primitive in Z^k and P_j rep.hw_pairs' k tableau polynomials,
+h(g . nf) would be zero in Z[g], so the values P_j(g . nf) mod p would meet
+M c = 0 with c nonzero mod p; M of rank k excludes every such h.
 
 The rank sweep is folded by the Weyl group S3^3 of coordinate
 permutations.  A degree whose generators all came from
@@ -73,7 +77,7 @@ from .poly import (N_VARS, PAD, Poly, _pack, _packed, _run_starts, evaluate_poin
                    integer_terms, mono_keys, normalize_batch, normalized, pack_terms,
                    row_weights, term_matrix, unpack_terms, var_ijk, weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
-from .tensor import Tensor333, random_orbit_point
+from .tensor import Tensor333, _integral, random_orbit_point
 
 DEFAULT_DEGREE_CAP = 6
 HARD_DEGREE_CAP = 7
@@ -123,8 +127,8 @@ def _check_prime(p):
 
 
 def _gathered(item):
-    """A weight_table item (weight, (rows, ids, coeffs, count)) from its
-    (weight, chunk slices): ids count the generators in order of filing."""
+    """(weight, (rows, ids, coeffs, count)) from a weight's (weight, chunk
+    slices): ids count the generators in order of filing."""
     w, slices = item
     rows, coeffs, n = map(np.concatenate, zip(*slices))
     return w, (rows, np.repeat(np.arange(len(n)), n), coeffs, len(n))
@@ -193,14 +197,6 @@ class GradedGeneratorSet:
 
     def degrees(self):
         return sorted(self.by_degree)
-
-    def weight_table(self, degree):
-        """The generator weights of one degree as a k x 9 array, and the
-        matching [(weight, (rows, ids, coeffs, count))] list: the terms of
-        that weight's generators (poly.integer_terms) and their number,
-        gathered from the chunks (_gathered; _block gathers only its own)."""
-        table, index = self._tables[degree]
-        return table, list(map(_gathered, index))
 
     def symmetry_group(self, d):
         """S3^3 when every degree <= d is module-built, else {id}."""
@@ -482,6 +478,16 @@ def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed) -> VanishingReport:
     return VanishingReport(len(certs), certs)
 
 
+def _proved_zero(label, nf: Tensor333, seed):
+    """Whether rep.hw_pairs(label)'s k tableau polynomials have values of rank k mod p at
+    k points g . nf, g from rep.residues(seed, k): then no hw vector vanishes on V (module docstring)."""
+    (ta, pairs), p = rep.hw_pairs(label), linalg.machine_prime(0)
+    x = np.array([v % p for v in _integral(nf)], np.uint64).reshape(1, 3, 3, 3)   # a diagonal gA
+    for m in rep.residues(seed, len(pairs)).astype(np.uint64).reshape(3, -1, 3, 3)[::-1]:
+        x = np.einsum("nab,nijb->naij", m, x) % p   # by gC, gB, gA: three products below 2^64
+    return len(linalg._eliminate(rep.tableau_values(ta, pairs, x.reshape(-1, 27)), p)[1]) == len(pairs)
+
+
 def _values_at(batch, t: Tensor333):
     """The exact value at t of each form of an integer batch, by id, from the
     terms inside t's support: coefficient times entries (ints or Fractions)."""
@@ -567,10 +573,10 @@ def _new_modules(d, gens: GradedGeneratorSet, hw: rep.HWSpace, nf: Tensor333, se
 
 def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
                 p=DEFAULT_PRIME, progress=None) -> DegreeScan:
-    """One pass of the minimal-generator search in degree d: for label i,
-    _new_modules from seed + 7919 i, and each new module filed in gens.  When
-    _swap_closed holds, a label whose partner (mu, lam, nu) was scanned
-    before it takes the partner's row and tau of its new modules instead."""
+    """One pass of the minimal-generator search in degree d: for label i at seed
+    s = seed + 7919 i, _proved_zero, or else _new_modules, each new module filed
+    in gens.  When _swap_closed holds, a label whose partner (mu, lam, nu) was
+    scanned before it takes the partner's row and tau of its new modules instead."""
     _check_prime(p)
     scan, scanned = DegreeScan(d, [], []), {}   # label -> (its index, its row, its new modules)
     labels = [lab for lab in rep.all_labels(d) if rep.kronecker(*lab) > 0]
@@ -585,9 +591,10 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
             modules = [DiscoveredModule(d, lab, gens._file_module((rows, word[ids], coeffs)))
                        for m in mods for rows, ids, coeffs in [_swapped(pack_terms(m.basis))]]
         else:
-            hw = rep.hw_space(lab)
-            draws, mult, spans = _new_modules(d, gens, hw, nf, seed + 7919 * idx, p)
-            row = (lab, rep.kronecker(*lab), hw.dim, mult, len(spans))
+            k, s = rep.kronecker(*lab), seed + 7919 * idx
+            draws, mult, spans = (0, 0, []) if _proved_zero(lab, nf, s) else _new_modules(
+                d, gens, rep.hw_space(lab), nf, s, p)
+            row = (lab, k, k, mult, len(spans))
             note = "; %d draws" % draws if draws > 1 else ""
             modules = [DiscoveredModule(d, lab, gens._file_module(spans.pop(0)))
                        for _ in range(len(spans))]   # each batch released once filed

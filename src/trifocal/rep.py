@@ -21,13 +21,14 @@ h, which raising operators kill: P is zero or a hw vector of weight
 (lam, mu, nu), and the standard triples span the hw space.  Relabelling
 the positions by g in S_d maps the triple to (gT_A, gT_B, gT_C) and fixes
 P, so one T_A suffices: T_B, T_C then run over all fillings, which Garnir
-relations reduce to standard ones.  hw_space fixes the column-reading
-T_A, runs through standard pairs (T_B, T_C) from the row-reading ones on
-(about four candidates per basis vector through degree 7), expanded in runs
-of at most _RUN_TERMS raw terms into one term batch, and keeps each one
-independent mod a prime p of those kept, up to the Kronecker coefficient k,
-as one batch too.  That is exact for any p: a k x k minor nonzero mod p is
-nonzero, and k independent vectors of a k-dimensional space are a basis.
+relations reduce to standard ones.  hw_pairs fixes the column-reading T_A
+and keeps each standard pair (T_B, T_C), from the row-reading ones on, whose
+values mod p = machine_prime(0) at k fixed generic points are independent of
+the kept ones', up to the Kronecker coefficient k: values are coefficients
+times an evaluation matrix, so their rank_p <= rank_p of the coefficients
+<= rank_Q, and k independent vectors of a k-dimensional space are a basis.
+tableau_values sums over C(T_A) x C(T_B); over C(T_C) each column q_0..q_(h-1)
+of T_C gives the h x h determinant of M[i, r] = T[row_A(q_i), row_B(q_i), r].
 
 A highest weight vector h of weight (lam, mu, nu) generates a copy of
 S_lam x S_mu x S_nu.  Its basis comes from per-factor lowering-word trees:
@@ -41,6 +42,7 @@ poly.shift_batch call on the one term batch of the vectors it lowers.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import islice, permutations, product
@@ -157,10 +159,7 @@ class HWSpace(NamedTuple):
     label: tuple
     weight: tuple
     basis: list
-
-    @property
-    def dim(self):
-        return len(self.basis)
+    dim = property(lambda self: len(self.basis))
 
 
 @lru_cache(maxsize=None)
@@ -175,16 +174,18 @@ def standard_tableaux(lam):
 
 
 @lru_cache(maxsize=None)
+def _columns(word):   # column c: the positions with c earlier ones in their row, top row first
+    return [[p for p, r in enumerate(word) if word[:p].count(r) == c] for c in range(word.count(0))]
+
+
+@lru_cache(maxsize=None)
 def _column_group(word):
     """(signs, rows) over the column group of the tableau with row word
     `word`: rows[n, p] is the row of sigma_n(p), signs[n] the sign of sigma_n."""
-    # column c: the positions with c earlier ones in their row, top row first
-    columns = [[p for p, r in enumerate(word) if word[:p].count(r) == c]
-               for c in range(word.count(0))]
     signs, rows = [], []
-    for perms in product(*(permutations(range(len(c))) for c in columns)):
+    for perms in product(*(permutations(range(len(c))) for c in _columns(word))):
         rows.append(np.zeros(len(word), np.uint8))
-        for c, perm in zip(columns, perms):
+        for c, perm in zip(_columns(word), perms):
             rows[-1][c] = perm
         signs.append(prod(map(perm_sign, perms)))
     return np.array(signs, dtype=np.int64), np.array(rows)
@@ -207,33 +208,52 @@ def _tableau_terms(ta, pairs):
     return tuple(map(np.concatenate, zip(*out)))
 
 
-def _independent(batch, n):
-    """The ids of the polynomials 0..n-1 of an integer batch independent mod
-    machine_prime(0) of the ones before them, hence over Q (module docstring)."""
-    p, (rows, ids, coeffs) = linalg.machine_prime(0), batch
-    a = poly.term_matrix(poly.mono_keys(rows), ids, coeffs, n, p)
-    return linalg._eliminate(np.ascontiguousarray(a.T), p)[1]   # the pivot columns, one row per monomial
+def residues(seed, n):   # n times 27 pseudo-random residues mod machine_prime(0), flat
+    return np.frombuffer(random.Random(seed).randbytes(108 * n), np.uint32) % linalg.machine_prime(0)
+
+
+def tableau_values(ta, pairs, points):
+    """P of (T_A, T_B, T_C) mod p = machine_prime(0) for each (T_B, T_C) in pairs at
+    each point (a row of 27 residues) as a points x pairs array, one determinant per
+    column of T_C (module docstring), in runs of at most _RUN_TERMS raw terms times points."""
+    p, (sa, ra), out = linalg.machine_prime(0), _column_group(ta), []
+    x = np.asarray(points, np.int64).reshape(-1, 27).T   # [variable, point]
+    sizes = [x.shape[1] * len(sa) * len(_column_group(b)[0]) * len(_column_group(c)[0]) for b, c in pairs]
+    for run in poly.bounded_runs(pairs, sizes, _RUN_TERMS):
+        (sb, rb), val = map(np.array, zip(*(_column_group(b) for b, _ in run))), 1
+        ab = (9 * ra.T[:, :, None] + 3 * rb.swapaxes(1, 2)[:, :, None]).astype(np.intp)   # [pair, q, A, B]
+        for q in map(np.array, zip(*(_columns(c) for _, c in run))):   # a column of each T_C
+            sc, rc = _column_group(tuple(range(q.shape[1])))   # S_h and its signs: Leibniz
+            m = np.take(x, ab[np.arange(len(q))[:, None], q][:, None] + rc[:, :, None, None], axis=0)
+            for i in range(1, q.shape[1]):   # m[pair, perm, i, A, B, point] = M[i, perm(i)]
+                m[:, :, 0] = m[:, :, 0] * m[:, :, i] % p
+            val = val * ((m[:, :, 0] * sc[:, None, None, None]).sum(1) % p) % p
+        out.append((val * (sa[:, None] * sb[:, None])[..., None]).sum((1, 2)) % p)
+    return np.concatenate(out).T.copy()
+
+
+@lru_cache(maxsize=None)
+def hw_pairs(label):
+    """(T_A, pairs): the column-reading T_A and the first kronecker(label) standard pairs
+    (T_B, T_C) whose values at fixed generic points are independent mod p of those before
+    them, in chunks of doubling size (module docstring); fewer raise ConsistencyError."""
+    k, p, (lam, mu, nu) = kronecker(*label), linalg.machine_prime(0), map(_pad, label)
+    ta, pairs, kept, size = standard_tableaux(lam)[-1], product(*map(standard_tableaux, (mu, nu))), [], k
+    while len(kept) < k and (chunk := list(islice(pairs, size))):   # at seed-free points
+        pivots = linalg._eliminate(tableau_values(ta, kept + chunk, residues(0, k)), p)[1]
+        kept, size = [(kept + chunk)[j] for j in pivots], 2 * size
+    if len(kept) != k:
+        raise ConsistencyError("hw space of %r has dimension %d, expected %d" % (label, len(kept), k))
+    return ta, tuple(kept)
 
 
 @lru_cache(maxsize=None)
 def hw_space(label) -> HWSpace:
-    """Highest weight space of a label from tableau polynomials, expanded in
-    chunks of doubling size (module docstring).  Fewer than kronecker(label)
-    independent ones, or more in one chunk, raise ConsistencyError."""
-    k, weight = kronecker(*label), tuple(_pad(lam) for lam in label)
-    ta = standard_tableaux(weight[0])[-1]
-    pairs = product(standard_tableaux(weight[1]), standard_tableaux(weight[2]))
-    basis, n, size = _tableau_terms(ta, []), 0, k   # the n kept vectors, ids 0..n-1
-    while n < k and (chunk := list(islice(pairs, size))):
-        rows, ids, coeffs = _tableau_terms(ta, chunk)
-        rows, ids, coeffs = map(np.concatenate, zip(basis, (rows, ids + n, coeffs)))
-        pivots = _independent((rows, ids, coeffs), n + len(chunk))
-        keep = np.isin(ids, pivots)   # pivots ascend: the kept batch stays sorted by id
-        basis = rows[keep], np.searchsorted(pivots, ids[keep]), coeffs[keep]
-        n, size = len(pivots), 2 * size
-    if n != k:
-        raise ConsistencyError("hw space of %r has dimension %d, expected %d" % (label, n, k))
-    return HWSpace(label, weight, poly.unpack_terms(poly.normalize_batch(basis), k))
+    """Highest weight space of a label: the tableau polynomials of
+    hw_pairs(label) as one content-normalized batch (module docstring)."""
+    ta, pairs = hw_pairs(label)
+    return HWSpace(label, tuple(map(_pad, label)), poly.unpack_terms(
+        poly.normalize_batch(_tableau_terms(ta, pairs)), len(pairs)))
 
 
 @lru_cache(maxsize=None)
@@ -251,7 +271,7 @@ def lowering_tree(lam):
     """
     ta = standard_tableaux(_pad(lam))[-1]
     v = poly.unpack_terms(_tableau_terms(ta, [(ta, (0,) * len(ta))]), 1)[0]
-    nodes = [(None, None)]
+    nodes, p = [(None, None)], linalg.machine_prime(0)
     level = [(0, v)]  # (node id, model vector) of the newest nodes
     while level:
         # images of one level, grouped by weight; different weights are
@@ -263,8 +283,10 @@ def lowering_tree(lam):
                 if not img.is_zero():
                     by_weight.setdefault(img.weight(), []).append((parent, (to, frm), img))
         level = []
-        for cands in by_weight.values():
-            for j in _independent(poly.pack_terms([img for _, _, img in cands]), len(cands)):
+        for cands in by_weight.values():   # each one independent mod p of those before it, so over Q
+            rows, ids, coeffs = poly.pack_terms([img for _, _, img in cands])
+            a = poly.term_matrix(poly.mono_keys(rows), ids, coeffs, len(cands), p).T   # a row per monomial
+            for j in linalg._eliminate(np.ascontiguousarray(a), p)[1]:
                 level.append((len(nodes), cands[j][2]))
                 nodes.append(cands[j][:2])
     if len(nodes) != weyl_dim(lam):

@@ -1,17 +1,19 @@
 """Test data the package itself never builds: the pencil-determinant cubics,
-random camera triples and their tensor by Laplace expansion, the isotypic
-dimension count, module spans as lists of polynomials, a few tensor and
-matrix operations (the slices of an axis as a pencil or a flattening among
-them), and the degeneration replays and degree-6 separation checks on the
-boundary orbits 17 and 18."""
+random camera triples, their tensor by Laplace expansion and a camera's
+primitive center, the isotypic dimension count, hw bases from expanded
+candidates, a degree's generators by weight, one polynomial's value and
+content-normalized form, module spans as lists of polynomials, a few tensor
+and matrix operations (the slices of an axis as
+a pencil or a flattening among them), and the degeneration replays and
+degree-6 separation checks on the boundary orbits 17 and 18."""
 
 import random
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import numpy as np
 
-from trifocal import linalg, poly, rep
-from trifocal.cameras import Camera, CameraTriple, DegenerateConfigurationError
+from trifocal import cameras, ideal, linalg, poly, rep
+from trifocal.cameras import Camera, CameraTriple, DegenerateConfigurationError, InvalidCameraError
 from trifocal.orbits import orbit17_rep, orbit18_rep, skew_tensor
 from trifocal.poly import N_VARS, Poly, _pencil_entry_vars, evaluate_points, var_ijk, var_index
 from trifocal.tensor import _VIEWS, Tensor333, act, perm_sign, prank
@@ -82,11 +84,67 @@ def trifocal_laplace(ct: CameraTriple) -> Tensor333:
     return out
 
 
+def focal_point(a: Camera):
+    """The center of projection of a in P^3, the kernel of its matrix, as a
+    primitive integer vector whose first nonzero entry is positive."""
+    c = cameras._center(a)
+    if not any(c):
+        raise InvalidCameraError("camera is rank-deficient")
+    return linalg._primitive_int_vector(c)
+
+
 def completeness_defect(d) -> int:
     """Sum of kronecker * Weyl dims minus the ambient dimension (0 iff the
     isotypic bookkeeping is consistent)."""
     return (sum(rep.kronecker(*lab) * rep.label_dim(lab) for lab in rep.all_labels(d))
             - rep.ambient_dimension(d))
+
+
+def independent_ids(batch, n):
+    """The ids of the polynomials 0..n-1 of an integer batch independent mod
+    machine_prime(0) of the ones before them, hence over Q."""
+    p, (rows, ids, coeffs) = linalg.machine_prime(0), batch
+    a = poly.term_matrix(poly.mono_keys(rows), ids, coeffs, n, p)
+    return linalg._eliminate(np.ascontiguousarray(a.T), p)[1]   # the pivot columns, one row per monomial
+
+
+def expanded_hw_basis(label):
+    """Oracle for rep.hw_space: the first kronecker(label) standard pairs whose
+    tableau polynomials, expanded in chunks of doubling size, are independent
+    mod machine_prime(0) of those kept (independent_ids), content-normalized."""
+    k, weight = rep.kronecker(*label), tuple(rep._pad(lam) for lam in label)
+    ta = rep.standard_tableaux(weight[0])[-1]
+    pairs = product(rep.standard_tableaux(weight[1]), rep.standard_tableaux(weight[2]))
+    basis, n, size = rep._tableau_terms(ta, []), 0, k   # the n kept vectors, ids 0..n-1
+    while n < k and (chunk := list(islice(pairs, size))):
+        rows, ids, coeffs = rep._tableau_terms(ta, chunk)
+        rows, ids, coeffs = map(np.concatenate, zip(basis, (rows, ids + n, coeffs)))
+        pivots = independent_ids((rows, ids, coeffs), n + len(chunk))
+        keep = np.isin(ids, pivots)   # pivots ascend: the kept batch stays sorted by id
+        basis = rows[keep], np.searchsorted(pivots, ids[keep]), coeffs[keep]
+        n, size = len(pivots), 2 * size
+    assert n == k, label
+    return poly.unpack_terms(poly.normalize_batch(basis), k)
+
+
+def weight_table(gens, degree):
+    """The generator weights of one degree of an ideal.GradedGeneratorSet as a
+    k x 9 array, and the matching [(weight, (rows, ids, coeffs, count))] list:
+    the terms of that weight's generators (poly.integer_terms) and their
+    number, gathered from the chunks (ideal._gathered)."""
+    table, index = gens._tables[degree]
+    return table, list(map(ideal._gathered, index))
+
+
+def value(f, t):
+    """f at the one point t, by poly.evaluate_points."""
+    return evaluate_points([f], [t])[0][0]
+
+
+def content_normalized(f):
+    """The integer multiple of f with content 1 whose coefficient on the
+    smallest monomial in tuple order is positive."""
+    return poly.normalized(poly.integer_terms([f]), 1)[0]
 
 
 def span_polys(h):

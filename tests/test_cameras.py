@@ -7,11 +7,10 @@ import pytest
 
 from trifocal import linalg
 from trifocal.cameras import (Camera, CameraTriple, DegenerateConfigurationError,
-                              InvalidCameraError, focal_point, trifocal_from_cameras,
-                              triple_from_json)
+                              InvalidCameraError, trifocal_from_cameras, triple_from_json)
 from trifocal.tensor import act, frank, prank, random_group_element
 
-from helpers import mat_vec, random_camera, random_triple, scaled, trifocal_laplace
+from helpers import focal_point, mat_vec, random_camera, random_triple, scaled, trifocal_laplace
 from test_tensor import contract
 
 

@@ -18,7 +18,7 @@ from trifocal.poly import (Poly, det_slice_poly, f_determinant, integer_terms, p
                            var_ijk, var_index, weight_space_basis, witness_g)
 from trifocal.tensor import Tensor333, act, random_orbit_point
 
-from helpers import batch_polys, m3_generators, variable_map
+from helpers import batch_polys, content_normalized, m3_generators, variable_map, weight_table
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +117,7 @@ def tuple_shifted_weights(w, n):
 def tuple_slice_weights(gens, d):
     """Weights of the nonempty blocks of the degree-d slice."""
     return set().union(*(tuple_shifted_weights(wg, d - e) for e in gens.degrees() if e <= d
-                         for wg, _ in gens.weight_table(e)[1]))
+                         for wg, _ in weight_table(gens, e)[1]))
 
 
 def tuple_image(sigma, w):
@@ -375,7 +375,7 @@ def test_key_filing_matches_per_generator_filing(discovery6):
     for m in discovery6.modules():
         gens._file(m.degree, integer_terms(m.basis))
         index[m.degree] = file_per_generator(index.get(m.degree, {}), m.basis)
-        table, items = gens.weight_table(m.degree)
+        table, items = weight_table(gens, m.degree)
         assert [w for w, _ in items] == list(index[m.degree])
         assert table.tolist() == [list(sum(w, ())) for w in index[m.degree]]
         for (w, got), want in zip(items, index[m.degree].values()):
@@ -437,8 +437,8 @@ def test_plain_generators_are_filed_as_the_same_integer_terms():
     gens = GradedGeneratorSet({3: [plain, half, triple]})
     assert all(map(operator.is_, gens.by_degree[3], [plain, half, triple]))
     assert [f.terms for f in gens.by_degree[3]] == [cubics[0].terms, half.terms, triple.terms]
-    want = GradedGeneratorSet({3: cubics[:3]}).weight_table(3)
-    for (w, got), (v, ref) in zip(*(t[1] for t in (gens.weight_table(3), want))):
+    want = weight_table(GradedGeneratorSet({3: cubics[:3]}), 3)
+    for (w, got), (v, ref) in zip(*(t[1] for t in (weight_table(gens, 3), want))):
         assert w == v and got[3] == ref[3] and all(map(np.array_equal, got[:3], ref[:3]))
 
 
@@ -466,7 +466,7 @@ def test_rejected_generator_leaves_the_store_unchanged():
     add raises, and the set, its tables and the filed packs stay as they
     were, also for a valid generator filed in the same call."""
     gens = GradedGeneratorSet({3: m3_generators("C")})
-    table, items = gens.weight_table(3)
+    table, items = weight_table(gens, 3)
     packs = [f._packed for f in gens.by_degree[3]]
     ok, bad = parse_poly("a11^8*b22^8"), parse_poly("a11^16")
     assert ok.degree() == bad.degree() == 16   # both packed before they are filed
@@ -476,7 +476,7 @@ def test_rejected_generator_leaves_the_store_unchanged():
             gens.add(16, polys)
         assert list(gens.by_degree) == [3] and list(gens._tables) == [3] and gens._modules == {3: False}
         assert all(f._packed is pk for f, pk in zip(gens.by_degree[3] + [ok], packs + [ok_pack]))
-        got_table, got_items = gens.weight_table(3)
+        got_table, got_items = weight_table(gens, 3)
         assert np.array_equal(got_table, table) and len(got_items) == len(items)
         for (w, got), (v, ref) in zip(got_items, items):
             assert w == v and got[3] == ref[3] and all(map(np.array_equal, got[:3], ref[:3]))
@@ -686,7 +686,8 @@ def test_vanishing_multiplicities_degree3(trifocal_nf):
 def test_vanishing_kernel_that_does_not_lift_resamples(trifocal_nf, monkeypatch):
     """vanishing_subspace draws once and raises when its kernel does not
     lift; scan_degree draws the label again at seed + 10_000, and re-raises
-    after MAX_DRAWS draws."""
+    after MAX_DRAWS draws.  At degree 3 the zero proof settles every label
+    but ((1,1,1),(1,1,1),(3,)), label 11, the only one that draws."""
     hw = rep.hw_space(((1, 1, 1), (1, 1, 1), (3,)))
     lift, calls = linalg.kernel_basis_int, []
 
@@ -703,15 +704,46 @@ def test_vanishing_kernel_that_does_not_lift_resamples(trifocal_nf, monkeypatch)
     monkeypatch.setattr(ideal, "vanishing_subspace",
                         lambda h, nf, s: seeds.append(s) or draw(h, nf, s))
     lines = []
-    scan = scan_degree(1, GradedGeneratorSet(), trifocal_nf, seed=101, progress=lines.append)
-    assert seeds == [101, 10_101] and scan.rows == [(((1,), (1,), (1,)), 1, 1, 0, 0)]
-    assert lines == ["degree 1: label 1/1 ((1,), (1,), (1,)) vanishing 0 new 0; 2 draws"]
+    scan = scan_degree(3, GradedGeneratorSet(), trifocal_nf, seed=101, progress=lines.append)
+    assert seeds == [79_291, 89_291] and scan.rows[-1] == (hw.label, 1, 1, 1, 1)   # 101 + 7919 * 10
+    assert lines[-1] == "degree 3: label 11/11 ((1, 1, 1), (1, 1, 1), (3,)) vanishing 1 new 1; 2 draws"
+    assert not any("draws" in line for line in lines[:-1])
     calls.clear()
     monkeypatch.setattr(linalg, "kernel_basis_int",
                         lambda r, n: fails_first(r, n, failures=ideal.MAX_DRAWS))
     with pytest.raises(ArithmeticError, match="did not stabilize"):
         scan_degree(3, GradedGeneratorSet(), trifocal_nf, seed=101)
     assert len(calls) == ideal.MAX_DRAWS
+
+
+@pytest.mark.parametrize("d", [5, pytest.param(6, marks=pytest.mark.slow)])
+def test_zero_proof_holds_on_exactly_the_rows_of_multiplicity_0(d, request, trifocal_nf):
+    """_proved_zero at each label's scan seed holds on exactly the rows of
+    discover(d) with vanishing multiplicity 0, labels derived by the swap
+    included: on no row with a vanishing vector, as the proof is exact."""
+    disc = request.getfixturevalue("discovery%d" % d)
+    rows = [(e, i, row) for e, scan in sorted(disc.scans.items()) for i, row in enumerate(scan.rows)]
+    proved = [row for e, i, row in rows
+              if ideal._proved_zero(row[0], trifocal_nf, 2024 + 1000 * e + 7919 * i)]
+    assert proved == [row for _, _, row in rows if row[3] == 0]
+    assert (len(rows), len(proved)) == {5: (121, 106), 6: (280, 224)}[d]
+
+
+def test_zero_proof_is_refused_where_the_cubics_vanish(trifocal_nf, monkeypatch):
+    """((1,1,1),(1,1,1),(3,)) has m = 1: its module holds the 10 cubics,
+    which vanish at the proof's mod-p orbit point, so its value has rank 0;
+    the f-determinant's label ((3,),(1,1,1),(1,1,1)) is proved at the same seed."""
+    cubics, f = ((1, 1, 1), (1, 1, 1), (3,)), ((3,), (1, 1, 1), (1, 1, 1))
+    seen, values = [], rep.tableau_values
+    rep.hw_pairs(cubics), rep.hw_pairs(f)   # picked before the proof's values are recorded
+    monkeypatch.setattr(rep, "tableau_values", lambda ta, pairs, x: seen.append(x) or values(ta, pairs, x))
+    assert not ideal._proved_zero(cubics, trifocal_nf, 35) and ideal._proved_zero(f, trifocal_nf, 35)
+    p, (x, y) = linalg.machine_prime(0), seen
+    assert x.shape == (1, 27) and (x == y).all() and x.any()
+    (vals,) = poly.evaluate_points(m3_generators("C"), [Tensor333._from_flat(x[0].tolist())])
+    assert len(vals) == 10 and all(v % p == 0 for v in vals)
+    (det,) = poly.evaluate_points([f_determinant()], [Tensor333._from_flat(x[0].tolist())])
+    assert det[0] % p
 
 
 def test_discovery_keeps_its_polynomials_packed(trifocal_nf):
@@ -911,14 +943,15 @@ def test_values_at_equal_evaluate_points_on_module_batches(discovery5, trifocal_
 
 # --- labels derived from their factor-swapped partner ---------------------------
 
-def counted_vanishing(monkeypatch):
-    """Route ideal.vanishing_subspace through a counter; returns its list of labels."""
-    labels, scan = [], ideal.vanishing_subspace
+def counted_scans(monkeypatch):
+    """Route ideal._proved_zero, where each label that takes the per-label
+    path starts, through a counter; returns its list of labels."""
+    labels, prove = [], ideal._proved_zero
 
-    def counted(hw, nf, seed):
-        labels.append(hw.label)
-        return scan(hw, nf, seed)
-    monkeypatch.setattr(ideal, "vanishing_subspace", counted)
+    def counted(label, nf, seed):
+        labels.append(label)
+        return prove(label, nf, seed)
+    monkeypatch.setattr(ideal, "_proved_zero", counted)
     return labels
 
 
@@ -939,7 +972,7 @@ def test_swapped_polynomials_are_tau_images():
     tau = {var_index(i, j, k): var_index(j, i, k) for i, j, k in product(range(3), repeat=3)}
     want = Poly((sorted(tau[v] for v in mono), c) for mono, c in f.terms.items())
     (got,) = poly.unpack_terms(ideal._swapped(poly.pack_terms([f])), 1)
-    assert got == want.content_normalized() and got.weight() == ((1, 1, 1), (3, 0, 0), (1, 1, 1))
+    assert got == content_normalized(want) and got.weight() == ((1, 1, 1), (3, 0, 0), (1, 1, 1))
 
 
 def test_swap_closure_needs_module_built_tau_closed_degrees(discovery5, trifocal_nf):
@@ -957,7 +990,7 @@ def test_swap_closure_needs_module_built_tau_closed_degrees(discovery5, trifocal
 def test_discovery_without_a_swap_element_scans_every_label(monkeypatch):
     """The sub233 point has P-rank (2, 3, 3): no sigma maps it to its tau
     image, so every label takes the full per-label path."""
-    labels = counted_vanishing(monkeypatch)
+    labels = counted_scans(monkeypatch)
     disc = ideal.discover(3, catalog()["sub233"].tensor, seed=2024)
     assert labels == [row[0] for d in sorted(disc.scans) for row in disc.scans[d].rows]
     assert len(labels) == 16
@@ -966,11 +999,10 @@ def test_discovery_without_a_swap_element_scans_every_label(monkeypatch):
 @pytest.mark.slow
 def test_discover6_scans_175_of_280_labels(trifocal_nf, monkeypatch):
     """105 labels are tau images of a label scanned before them in their
-    degree; without the swap all 280 were scanned.  A label drawn again
-    counts once."""
-    labels = counted_vanishing(monkeypatch)
+    degree; without the swap all 280 were scanned."""
+    labels = counted_scans(monkeypatch)
     disc = ideal.discover(6, trifocal_nf, seed=2024)
-    assert len(set(labels)) == 175 and sum(len(s.rows) for s in disc.scans.values()) == 280
+    assert len(labels) == len(set(labels)) == 175 and sum(len(s.rows) for s in disc.scans.values()) == 280
     assert disc.counts() == {1: 0, 2: 0, 3: 10, 4: 0, 5: 81, 6: 1980}
 
 

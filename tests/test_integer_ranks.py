@@ -16,12 +16,12 @@ import pytest
 
 from trifocal import ideal, linalg, orbits
 from trifocal.cameras import (Camera, CameraTriple, DegenerateConfigurationError,
-                              focal_point, trifocal_from_cameras)
+                              trifocal_from_cameras)
 from trifocal.cli import main
 from trifocal.tensor import (AXES, Tensor333, act, frank, perm_sign, prank,
                              random_group_element, tensor_to_json)
 
-from helpers import (flattening, from_pencil_a, mat_vec, pencil, permute_factors,
+from helpers import (flattening, focal_point, from_pencil_a, mat_vec, pencil, permute_factors,
                      random_triple, scaled)
 
 

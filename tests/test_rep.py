@@ -5,15 +5,16 @@ from math import factorial
 import numpy as np
 import pytest
 
-from trifocal import linalg, poly, rep
+from trifocal import ideal, linalg, poly, rep
 from trifocal.poly import (RAISING, Poly, det_slice_poly, f_determinant, is_highest_weight,
                            parse_poly, var_index)
 from trifocal.rep import (MAX_DEGREE, all_labels, class_size, hw_space, kronecker,
                           lowering_tree, mn_character, module_span, partitions,
                           weyl_dim)
-from trifocal.tensor import perm_sign
+from trifocal.tensor import Tensor333, perm_sign
 
-from helpers import completeness_defect, span_polys
+from helpers import (completeness_defect, content_normalized, expanded_hw_basis, independent_ids,
+                     span_polys)
 
 
 def cycle_type(perm):
@@ -158,12 +159,12 @@ def test_hw_space_degree_one():
 def test_hw_space_cubic_lines():
     hw = hw_space(((1, 1, 1), (1, 1, 1), (3,)))
     assert hw.dim == 1
-    det1 = det_slice_poly("C", 1).content_normalized()
-    assert hw.basis[0] in (det1, det1.scale(-1).content_normalized())
+    det1 = content_normalized(det_slice_poly("C", 1))
+    assert hw.basis[0] in (det1, content_normalized(det1.scale(-1)))
     hw2 = hw_space(((3,), (1, 1, 1), (1, 1, 1)))
-    f = f_determinant().content_normalized()
+    f = content_normalized(f_determinant())
     assert hw2.dim == 1
-    assert hw2.basis[0] in (f, f.scale(-1).content_normalized())
+    assert hw2.basis[0] in (f, content_normalized(f.scale(-1)))
 
 
 def test_hw_dims_match_kronecker_degree_up_to_4():
@@ -234,7 +235,7 @@ def test_lowering_model_is_a_product_of_leading_minors():
     for d in range(MAX_DEGREE + 1):
         for lam in [p for p in partitions(d) if len(p) <= 3]:
             l1, l2, l3 = rep._pad(lam)
-            want = Poly.constant(factorial(3) ** l3 * factorial(2) ** (l2 - l3))
+            want = Poly({(): factorial(3) ** l3 * factorial(2) ** (l2 - l3)})
             for k, e in ((1, l1 - l2), (2, l2 - l3), (3, l3)):
                 for _ in range(e):
                     want = want * _leading_minor(k)
@@ -275,7 +276,7 @@ def test_module_span_closed_under_operators():
     from trifocal.poly import LOWERING, RAISING, apply_shift
     from trifocal import linalg
     from fractions import Fraction
-    span = span_polys(f_determinant().content_normalized())
+    span = span_polys(content_normalized(f_determinant()))
     monos = sorted({m for p in span for m in p.terms})
     rows = [[Fraction(p.terms.get(m, 0)) for m in monos] for p in span]
     base_rank = linalg.rank(rows)
@@ -309,7 +310,7 @@ def _hw_kernel(label):
     rows.sort(key=lambda r: next(iter(r)))
     vectors = linalg.kernel_basis_int(rows, len(monomials))
     assert len(vectors) == kronecker(*label)
-    return [Poly({monomials[i]: c for i, c in enumerate(v) if c}).content_normalized()
+    return [content_normalized(Poly({monomials[i]: c for i, c in enumerate(v) if c}))
             for v in vectors]
 
 
@@ -337,7 +338,7 @@ def test_hw_spaces_degree_7():
         hw = hw_space(lab)
         assert hw.dim == kronecker(*lab), lab
         assert hw.weight == tuple(rep._pad(x) for x in lab), lab
-        assert rep._independent(poly.pack_terms(hw.basis), hw.dim) == list(range(hw.dim)), lab
+        assert independent_ids(poly.pack_terms(hw.basis), hw.dim) == list(range(hw.dim)), lab
         assert all(f.weight() == hw.weight and is_highest_weight(f) for f in hw.basis), lab
 
 
@@ -371,6 +372,49 @@ def test_tableau_runs_match_one_batch(monkeypatch, run_terms):
             assert np.array_equal(g, w) and g.dtype == w.dtype, label
         zeros += len(pairs[:12]) - len(np.unique(got[1]))
     assert zeros
+
+
+@pytest.mark.parametrize("run_terms", [1, 700, 1 << 16])
+def test_tableau_values_equal_the_expanded_polynomials(monkeypatch, run_terms):
+    """rep.tableau_values mod p equals poly.evaluate_points of the
+    _tableau_terms expansion at seeded integer points (negative entries
+    too), for C columns of heights 1, 2 and 3, zero polynomials among them,
+    in runs of one pair, of a few pairs and of all pairs."""
+    monkeypatch.setattr(rep, "_RUN_TERMS", run_terms)
+    p, rng = linalg.machine_prime(0), random.Random(35)
+    labels = [((2, 2), (2, 2), (4,)), ((1, 1), (2,), (1, 1)), ((2, 1), (2, 1), (2, 1)),
+              ((3, 2), (3, 1, 1), (2, 2, 1)), ((2, 2, 2), (2, 2, 2), (2, 2, 2)),
+              ((3, 2, 1), (2, 2, 2), (4, 1, 1)), ((3, 3, 1), (3, 2, 2), (3, 2, 2))]
+    heights, zeros = set(), 0
+    for label in labels:
+        weight = tuple(rep._pad(lam) for lam in label)
+        ta = rep.standard_tableaux(weight[0])[-1]
+        pairs = list(product(rep.standard_tableaux(weight[1]), rep.standard_tableaux(weight[2])))[:9]
+        points = [[rng.randint(-60, 60) for _ in range(27)] for _ in range(3)]
+        got = rep.tableau_values(ta, pairs, np.array(points) % p)
+        polys = poly.unpack_terms(rep._tableau_terms(ta, pairs), len(pairs))
+        want = poly.evaluate_points(polys, [Tensor333._from_flat(x) for x in points])
+        assert got.shape == (3, len(pairs)) and got.tolist() == [[v % p for v in row] for row in want]
+        heights |= {len(c) for _, tc in pairs for c in rep._columns(tc)}
+        zeros += sum(f.is_zero() for f in polys)
+    assert heights == {1, 2, 3} and zeros
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_hw_bases_equal_the_expansion_oracle(d):
+    """The pairs picked by their values at generic points are the pairs the
+    expansion of every candidate keeps: the same basis, vector for vector."""
+    for lab in all_labels(d):
+        if kronecker(*lab):
+            got, want = hw_space(lab).basis, expanded_hw_basis(lab)   # as packs: no term dicts
+            assert list(map(ideal._key, got)) == list(map(ideal._key, want)), lab
+
+
+def test_too_few_independent_pairs_raise(monkeypatch):
+    label = ((2, 2, 1), (2, 2, 1), (2, 2, 1))
+    monkeypatch.setattr(rep, "kronecker", lambda *lab: kronecker(*lab) + (lab == label))
+    with pytest.raises(rep.ConsistencyError, match="has dimension 1, expected 2"):
+        rep.hw_pairs.__wrapped__(label)
 
 
 def test_hw_space_peak_is_one_run(traced_peak_mb):
