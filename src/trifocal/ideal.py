@@ -485,7 +485,7 @@ def _proved_zero(label, nf: Tensor333, seed):
     x = np.array([v % p for v in _integral(nf)], np.uint64).reshape(1, 3, 3, 3)   # a diagonal gA
     for m in rep.residues(seed, len(pairs)).astype(np.uint64).reshape(3, -1, 3, 3)[::-1]:
         x = np.einsum("nab,nijb->naij", m, x) % p   # by gC, gB, gA: three products below 2^64
-    return len(linalg._eliminate(rep.tableau_values(ta, pairs, x.reshape(-1, 27)), p)[1]) == len(pairs)
+    return len(linalg.rref_mod_p(rep.tableau_values(ta, pairs, x.reshape(-1, 27)), p)[1]) == len(pairs)
 
 
 def _values_at(batch, t: Tensor333):

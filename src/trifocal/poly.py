@@ -64,7 +64,7 @@ import numpy as np
 
 from .linalg import machine_prime
 from .scalars import exact_list, parse_rational
-from .tensor import perm_sign
+from .tensor import Tensor333, perm_sign
 
 N_VARS = 27
 
@@ -121,6 +121,10 @@ class Poly:
         p._terms, p._packed = terms, packed
         return p
 
+    @classmethod
+    def constant(cls, c):
+        return cls({(): c})   # c = 0 adds no term
+
     def is_zero(self):
         return not self.terms
 
@@ -166,6 +170,14 @@ class Poly:
         if (w != w[:1]).any():
             raise ValueError("polynomial is not weight-homogeneous")
         return tuple(map(tuple, w[0].reshape(3, 3).tolist())) if len(w) else None
+
+    def evaluate(self, t: Tensor333):
+        return evaluate_points([self], [t])[0][0]
+
+    def content_normalized(self):
+        """The integer multiple with content 1 whose coefficient on the
+        smallest monomial in tuple order is positive."""
+        return normalized(integer_terms([self]), 1)[0]
 
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
@@ -463,8 +475,8 @@ def merge_terms(batch):
 
 
 def normalize_batch(batch):
-    """Each polynomial of an integer batch from merge_terms as its integer
-    multiple with content 1 whose first term, its smallest monomial, is positive."""
+    """Poly.content_normalized on each polynomial of an integer batch from
+    merge_terms, whose first term is its smallest monomial."""
     rows, ids, coeffs = batch
     starts = _run_starts(ids)   # a one-term reduceat is the term itself, sign and all
     g = np.abs(np.gcd.reduceat(coeffs, starts)) * np.sign(coeffs[starts])

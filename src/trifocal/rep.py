@@ -23,10 +23,11 @@ the positions by g in S_d maps the triple to (gT_A, gT_B, gT_C) and fixes
 P, so one T_A suffices: T_B, T_C then run over all fillings, which Garnir
 relations reduce to standard ones.  hw_pairs fixes the column-reading T_A
 and keeps each standard pair (T_B, T_C), from the row-reading ones on, whose
-values mod p = machine_prime(0) at k fixed generic points are independent of
-the kept ones', up to the Kronecker coefficient k: values are coefficients
+values mod p = machine_prime(0) at k + 1 fixed generic points are independent
+of the kept ones', up to the Kronecker coefficient k: values are coefficients
 times an evaluation matrix, so their rank_p <= rank_p of the coefficients
-<= rank_Q, and k independent vectors of a k-dimensional space are a basis.
+<= rank_Q, and k independent vectors of a k-dimensional space are a basis
+(k + 1 of them contradict k).
 tableau_values sums over C(T_A) x C(T_B); over C(T_C) each column q_0..q_(h-1)
 of T_C gives the h x h determinant of M[i, r] = T[row_A(q_i), row_B(q_i), r].
 
@@ -159,7 +160,10 @@ class HWSpace(NamedTuple):
     label: tuple
     weight: tuple
     basis: list
-    dim = property(lambda self: len(self.basis))
+
+    @property
+    def dim(self):
+        return len(self.basis)
 
 
 @lru_cache(maxsize=None)
@@ -235,12 +239,13 @@ def tableau_values(ta, pairs, points):
 @lru_cache(maxsize=None)
 def hw_pairs(label):
     """(T_A, pairs): the column-reading T_A and the first kronecker(label) standard pairs
-    (T_B, T_C) whose values at fixed generic points are independent mod p of those before
-    them, in chunks of doubling size (module docstring); fewer raise ConsistencyError."""
+    (T_B, T_C) whose values at k + 1 fixed generic points are independent mod p of those
+    before them, in chunks of doubling size (module docstring).  Fewer, or more in one
+    chunk, raise ConsistencyError."""
     k, p, (lam, mu, nu) = kronecker(*label), linalg.machine_prime(0), map(_pad, label)
     ta, pairs, kept, size = standard_tableaux(lam)[-1], product(*map(standard_tableaux, (mu, nu))), [], k
     while len(kept) < k and (chunk := list(islice(pairs, size))):   # at seed-free points
-        pivots = linalg._eliminate(tableau_values(ta, kept + chunk, residues(0, k)), p)[1]
+        pivots = linalg._eliminate(tableau_values(ta, kept + chunk, residues(0, k + 1)), p)[1]
         kept, size = [(kept + chunk)[j] for j in pivots], 2 * size
     if len(kept) != k:
         raise ConsistencyError("hw space of %r has dimension %d, expected %d" % (label, len(kept), k))

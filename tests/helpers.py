@@ -1,10 +1,9 @@
 """Test data the package itself never builds: the pencil-determinant cubics,
 random camera triples, their tensor by Laplace expansion and a camera's
 primitive center, the isotypic dimension count, hw bases from expanded
-candidates, a degree's generators by weight, one polynomial's value and
-content-normalized form, module spans as lists of polynomials, a few tensor
-and matrix operations (the slices of an axis as
-a pencil or a flattening among them), and the degeneration replays and
+candidates, a degree's generators by weight, module spans as lists of
+polynomials, a few tensor and matrix operations (the slices of an axis as a
+pencil or a flattening among them), and the degeneration replays and
 degree-6 separation checks on the boundary orbits 17 and 18."""
 
 import random
@@ -134,17 +133,6 @@ def weight_table(gens, degree):
     number, gathered from the chunks (ideal._gathered)."""
     table, index = gens._tables[degree]
     return table, list(map(ideal._gathered, index))
-
-
-def value(f, t):
-    """f at the one point t, by poly.evaluate_points."""
-    return evaluate_points([f], [t])[0][0]
-
-
-def content_normalized(f):
-    """The integer multiple of f with content 1 whose coefficient on the
-    smallest monomial in tuple order is positive."""
-    return poly.normalized(poly.integer_terms([f]), 1)[0]
 
 
 def span_polys(h):

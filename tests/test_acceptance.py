@@ -23,8 +23,8 @@ from trifocal.orbits import is_trifocal, orbit18_rep, skew_tensor, sub_generic
 from trifocal.poly import f_determinant, witness_g
 from trifocal.tensor import Tensor333
 
-from helpers import (boundary_orbit_reps, completeness_defect, content_normalized, m6_separates,
-                     random_triple, replay_orbit17, replay_orbit18)
+from helpers import (boundary_orbit_reps, completeness_defect, m6_separates, random_triple,
+                     replay_orbit17, replay_orbit18)
 
 M6_EXPECTED = {
     ((2, 2, 2), (3, 3), (3, 3)): 100,
@@ -159,7 +159,7 @@ def test_criterion_5_representation_cross_checks(discovery6, capsys):
     assert span_dims == [27, 54, 100, 640]
     for m in discovery6.modules():
         assert m.dim == rep.label_dim(m.label)
-    assert len(set(rep.module_span(content_normalized(f_determinant()))[1].tolist())) == 10
+    assert len(set(rep.module_span(f_determinant().content_normalized())[1].tolist())) == 10
     with capsys.disabled():
         report(5, "hw dims = Kronecker for %d labels (degrees 1-5 exhaustive + "
                   "degree-6 module labels); isotypic sums match ambient dims; "

@@ -44,14 +44,12 @@ def test_tracer_targets_resolve_and_uninstall_restores_them():
 
 def test_discover_reaches_the_counted_linalg_targets(trifocal_nf):
     """perfbench/tests asserts these counters are above 0 on paper6; a
-    discover(5) already calls each one.  Below degree 5 each label with a
-    vanishing vector has a one-dimensional hw space: its values are all
-    zero, and its kernel needs no elimination."""
+    discover(3) already calls each one."""
     tracer = _load_tracer()
     t = tracer.Tracer()
     try:
         t.install()
-        ideal.discover(5, trifocal_nf, seed=2024)
+        ideal.discover(3, trifocal_nf, seed=2024)
     finally:
         t.uninstall()
     for key in ("linalg.Echelon.add", "linalg.rref_mod_p", "linalg.kernel_basis_int"):

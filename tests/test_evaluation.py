@@ -15,7 +15,7 @@ from trifocal.poly import Poly, evaluate_points, witness_g
 from trifocal.scalars import is_prime
 from trifocal.tensor import Tensor333
 
-from helpers import m3_generators, value
+from helpers import m3_generators
 
 
 # --- oracle --------------------------------------------------------------------
@@ -52,7 +52,7 @@ def sample_polys(seed):
     rng = random.Random(seed)
     return [
         Poly(),
-        Poly({(): -7}),
+        Poly.constant(-7),
         random_poly(rng, (0, 1, 2, 3, 4), 50),          # not homogeneous
         random_poly(rng, (7,), 10),
         random_poly(rng, (6,), 1 << 80),
@@ -97,7 +97,7 @@ def test_batch_of_one_and_single_poly_agree_with_the_batch():
     got = evaluate_points(polys, points)
     for t, vals in zip(points, got):
         assert ideal.evaluate_batch(polys, t) == vals
-        assert [value(f, t) for f in polys] == vals
+        assert [f.evaluate(t) for f in polys] == vals
 
 
 def test_empty_inputs():
@@ -105,8 +105,8 @@ def test_empty_inputs():
     assert evaluate_points([], [t, t]) == [[], []]
     assert evaluate_points(sample_polys(0), []) == []
     assert ideal.evaluate_batch([Poly(), Poly()], t) == [0, 0]
-    assert value(Poly(), t) == 0
-    assert value(Poly({(): Fraction(3, 4)}), t) == Fraction(3, 4)
+    assert Poly().evaluate(t) == 0
+    assert Poly.constant(Fraction(3, 4)).evaluate(t) == Fraction(3, 4)
 
 
 def test_cube_path_equals_oracle(monkeypatch):
@@ -115,7 +115,7 @@ def test_cube_path_equals_oracle(monkeypatch):
     that is not homogeneous and Fraction coefficients, at Fraction points
     and points near 2^70, as the oracle and as each polynomial alone."""
     rng = random.Random(9)
-    polys = [Poly({(): -7}), Poly(), random_poly(rng, range(8), 1 << 40, nterms=6000),
+    polys = [Poly.constant(-7), Poly(), random_poly(rng, range(8), 1 << 40, nterms=6000),
              random_poly(rng, (2, 6), 50, fractions=True, nterms=3000)] + [
         random_poly(rng, (d,), 1 << (10 * d), nterms=min(27 ** d, 4000)) for d in range(1, 8)]
     assert sum(map(len, polys)) > poly._BASE ** 3 > max(map(len, polys))
@@ -131,7 +131,7 @@ def test_cube_path_equals_oracle(monkeypatch):
     assert cubes and all(cubes)
     del cubes[:]
     for t, vals in zip(points, got):
-        assert vals == oracle(polys, t) == [value(f, t) for f in polys]
+        assert vals == oracle(polys, t) == [f.evaluate(t) for f in polys]
     assert cubes and not any(cubes)   # one polynomial alone is below 28^3 terms
 
 
@@ -143,9 +143,9 @@ def test_runs_of_polynomials_equal_the_oracle(monkeypatch):
     monkeypatch.setattr(poly, "_RUN_TERMS", 3000)
     rng = random.Random(12)
     big = random_poly(rng, (5, 6, 7), 1 << 40, nterms=24000)
-    polys = [Poly(), Poly({(): -7}), random_poly(rng, (3, 4), 99, nterms=1400),
+    polys = [Poly(), Poly.constant(-7), random_poly(rng, (3, 4), 99, nterms=1400),
              random_poly(rng, (2, 5), 50, fractions=True, nterms=1400), Poly(),
-             random_poly(rng, (6,), 1 << 80, nterms=2900), big, Poly({(): Fraction(5, 3)}),
+             random_poly(rng, (6,), 1 << 80, nterms=2900), big, Poly.constant(Fraction(5, 3)),
              random_poly(rng, (1, 7), 9, nterms=900), random_poly(rng, (0, 2), 9, nterms=900)]
     assert len(big) > poly._BASE ** 3
     points = sample_points(13)[:6]
@@ -193,7 +193,7 @@ def test_evaluation_peak_from_a_cold_start(traced_peak_mb):
     """The same call with no layout kept: building the runs' layout, which
     the call then keeps, stays under the same 8 MB."""
     polys, t = peak_polys(), sample_points(15)[1]
-    evaluate_points([Poly({(): 1})], [t])   # its one-term layout replaces the last
+    evaluate_points([Poly.constant(1)], [t])   # its one-term layout replaces the last
     assert len(poly._LAST[0]) == 1
     peak, got = traced_peak_mb(evaluate_points, polys, [t])
     assert peak < 8
@@ -264,18 +264,18 @@ RING_CASES = [   # polynomials, point, primes beyond the ring
     ([X0], point({0: (1 << 63) - 1}), 0),
     ([X0], point({0: 1 - (1 << 63)}), 0),
     ([X0], point({0: -1 << 63}), 1),
-    ([Poly({(): (1 << 63) - 1}), Poly({(): 1 - (1 << 63)})], point({}), 0),
-    ([Poly({(): -1 << 63})], point({}), 1),
+    ([Poly.constant((1 << 63) - 1), Poly.constant(1 - (1 << 63))], point({}), 0),
+    ([Poly.constant(-1 << 63)], point({}), 1),
     ([((1 << 60) + 1) * X0 * X1 - 3 * X1 * X2], point({1: -1}), 0),   # above 2^53
     ([3 * X0 * X1 * X2, -5 * X0 * X0 * X2], point({0: (1 << 19) + 1, 2: -(1 << 19)}), 0),
     ([(1 << 80) * X0 - X1], point({0: 3, 1: -7}), 1),
-    ([Poly({(): (1 << 63) - 1}), Poly({(): 1 - (1 << 63)})] + FILLER, point({4: -1}), 0),
-    ([Poly({(): -1 << 63})] + FILLER, point({4: -1}), 1),
+    ([Poly.constant((1 << 63) - 1), Poly.constant(1 - (1 << 63))] + FILLER, point({4: -1}), 0),
+    ([Poly.constant(-1 << 63)] + FILLER, point({4: -1}), 1),
     ([((1 << 60) + 1) * X0 * X1 - 3 * X1 * X2] + FILLER, point({1: -1}, -1), 0),
-    ([Poly({(): (1 << 60) - 1}), Poly({(): 1 - (1 << 60)})] + FILLER,
+    ([Poly.constant((1 << 60) - 1), Poly.constant(1 - (1 << 60))] + FILLER,
      point({5: Fraction(1, 2)}, -1), 0),   # D = 2: the value times D^3 sits just inside 2^63
-    ([Poly({(): 1 << 60})] + FILLER, point({5: Fraction(1, 2)}, -1), 1),
-    ([Poly({(): -1 << 60})] + FILLER, point({5: Fraction(-1, 2)}), 1),
+    ([Poly.constant(1 << 60)] + FILLER, point({5: Fraction(1, 2)}, -1), 1),
+    ([Poly.constant(-1 << 60)] + FILLER, point({5: Fraction(-1, 2)}), 1),
     ([(1 << 80) * X0 * X1 - X1 * X2] + FILLER, point({0: 3, 1: -7}), 1),
 ]
 
@@ -345,7 +345,7 @@ def test_module_span_packs_match_fresh_packs(discovery5, trifocal_nf):
     m0, c0 = next(iter(f.terms.items()))
     g = f - Poly({m0: c0})
     assert m0 not in g.terms and len(g) == len(f) - 1
-    assert value(g, points[1]) == oracle([g], points[1])[0] != 0
+    assert g.evaluate(points[1]) == oracle([g], points[1])[0] != 0
 
 
 def test_floats_and_bools_are_rejected():
@@ -355,11 +355,11 @@ def test_floats_and_bools_are_rejected():
         entries = [[list(row) for row in plane] for plane in t.t]
         entries[0][0][1] = bad
         with pytest.raises(TypeError):
-            value(f, Tensor333(entries))
+            f.evaluate(Tensor333(entries))
         with pytest.raises(TypeError):
             ideal.evaluate_batch([f], Tensor333(entries))
         with pytest.raises(TypeError):   # Poly() would turn True into 1
-            value(Poly._wrap({(0,): bad, (1,): 1}), t)
+            Poly._wrap({(0,): bad, (1,): 1}).evaluate(t)
 
 
 # --- the discovered generators ---------------------------------------------------

@@ -13,8 +13,7 @@ from trifocal.rep import (MAX_DEGREE, all_labels, class_size, hw_space, kronecke
                           weyl_dim)
 from trifocal.tensor import Tensor333, perm_sign
 
-from helpers import (completeness_defect, content_normalized, expanded_hw_basis, independent_ids,
-                     span_polys)
+from helpers import completeness_defect, expanded_hw_basis, independent_ids, span_polys
 
 
 def cycle_type(perm):
@@ -159,12 +158,12 @@ def test_hw_space_degree_one():
 def test_hw_space_cubic_lines():
     hw = hw_space(((1, 1, 1), (1, 1, 1), (3,)))
     assert hw.dim == 1
-    det1 = content_normalized(det_slice_poly("C", 1))
-    assert hw.basis[0] in (det1, content_normalized(det1.scale(-1)))
+    det1 = det_slice_poly("C", 1).content_normalized()
+    assert hw.basis[0] in (det1, det1.scale(-1).content_normalized())
     hw2 = hw_space(((3,), (1, 1, 1), (1, 1, 1)))
-    f = content_normalized(f_determinant())
+    f = f_determinant().content_normalized()
     assert hw2.dim == 1
-    assert hw2.basis[0] in (f, content_normalized(f.scale(-1)))
+    assert hw2.basis[0] in (f, f.scale(-1).content_normalized())
 
 
 def test_hw_dims_match_kronecker_degree_up_to_4():
@@ -235,7 +234,7 @@ def test_lowering_model_is_a_product_of_leading_minors():
     for d in range(MAX_DEGREE + 1):
         for lam in [p for p in partitions(d) if len(p) <= 3]:
             l1, l2, l3 = rep._pad(lam)
-            want = Poly({(): factorial(3) ** l3 * factorial(2) ** (l2 - l3)})
+            want = Poly.constant(factorial(3) ** l3 * factorial(2) ** (l2 - l3))
             for k, e in ((1, l1 - l2), (2, l2 - l3), (3, l3)):
                 for _ in range(e):
                     want = want * _leading_minor(k)
@@ -276,7 +275,7 @@ def test_module_span_closed_under_operators():
     from trifocal.poly import LOWERING, RAISING, apply_shift
     from trifocal import linalg
     from fractions import Fraction
-    span = span_polys(content_normalized(f_determinant()))
+    span = span_polys(f_determinant().content_normalized())
     monos = sorted({m for p in span for m in p.terms})
     rows = [[Fraction(p.terms.get(m, 0)) for m in monos] for p in span]
     base_rank = linalg.rank(rows)
@@ -310,7 +309,7 @@ def _hw_kernel(label):
     rows.sort(key=lambda r: next(iter(r)))
     vectors = linalg.kernel_basis_int(rows, len(monomials))
     assert len(vectors) == kronecker(*label)
-    return [content_normalized(Poly({monomials[i]: c for i, c in enumerate(v) if c}))
+    return [Poly({monomials[i]: c for i, c in enumerate(v) if c}).content_normalized()
             for v in vectors]
 
 
@@ -414,6 +413,15 @@ def test_too_few_independent_pairs_raise(monkeypatch):
     label = ((2, 2, 1), (2, 2, 1), (2, 2, 1))
     monkeypatch.setattr(rep, "kronecker", lambda *lab: kronecker(*lab) + (lab == label))
     with pytest.raises(rep.ConsistencyError, match="has dimension 1, expected 2"):
+        rep.hw_pairs.__wrapped__(label)
+
+
+def test_too_many_independent_pairs_raise(monkeypatch):
+    """Values at k + 1 points catch a Kronecker coefficient one too low: the
+    second chunk of this label holds two independent pairs."""
+    label = ((2, 2, 2), (3, 2, 1), (3, 2, 1))
+    monkeypatch.setattr(rep, "kronecker", lambda *lab: kronecker(*lab) - (lab == label))
+    with pytest.raises(rep.ConsistencyError, match="has dimension 2, expected 1"):
         rep.hw_pairs.__wrapped__(label)
 
 

@@ -19,7 +19,7 @@ from trifocal import ideal, linalg, poly, rep
 from trifocal.poly import (N_VARS, Poly, apply_shift, f_determinant, var_index, var_ijk,
                            witness_g)
 
-from helpers import content_normalized, span_polys
+from helpers import span_polys
 
 SHIFTS = [(ax, to, frm) for ax in "ABC" for to, frm in permutations(range(3), 2)]
 
@@ -104,7 +104,7 @@ def _random_poly(rng, degrees, nterms, coeff):
 def _cases():
     rng = random.Random(2718)
     small = lambda r: r.randint(-9, 9)
-    cases = [Poly(), Poly({(): 5})]
+    cases = [Poly(), Poly.constant(5)]
     cases += [_random_poly(rng, [d], 30, small) for d in range(8)]
     cases += [_random_poly(rng, range(8), 60, small)]                            # mixed degrees
     # 5 * 13 bits: object keys; these two would share an int64 key
@@ -179,7 +179,7 @@ def test_normalize_batch_matches_content_normalized():
               for _ in range(3)]
     polys += [Poly({(4, 5): Fraction(-3, 4), (4,): Fraction(9, 2), (): 6})]   # not homogeneous
     for f in polys:
-        assert content_normalized(f) == dict_content_normalized(f), f
+        assert f.content_normalized() == dict_content_normalized(f), f
     integral = [f for f in polys if all(type(c) is int for c in f.terms.values())]
     for group in (integral[:2], integral[2:4], integral):   # int64 and object coefficients
         batch = poly.merge_terms(poly.pack_terms(group))
