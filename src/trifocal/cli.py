@@ -176,7 +176,7 @@ def cmd_catalog(args) -> int:
 def _add_run_options(sp):
     """The options of the commands that run the modular sweeps."""
     sp.add_argument("--prime", type=int, default=DEFAULT_PRIME)
-    sp.add_argument("--degree-cap", type=int, default=6, dest="degree_cap")
+    sp.add_argument("--degree-cap", type=int, default=ideal.DEFAULT_DEGREE_CAP, dest="degree_cap")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--progress", action="store_true")
 

@@ -15,7 +15,7 @@ M c = 0 with c nonzero mod p; M of rank k excludes every such h.
 
 The rank sweep is folded by the Weyl group S3^3 of coordinate
 permutations.  A degree whose generators all came from
-GradedGeneratorSet.add_module (rep.module_span of a highest weight vector)
+GradedGeneratorSet.add_module (a rep.module_span batch: the module of a hw vector)
 spans a GL(3)^3-stable space over Q, and so does every slice of the ideal
 above it.  Permutation matrices lie in GL(3, Q)^3 and map the weight block
 w onto the block sigma(w) (Fulton-Harris, Representation Theory, on the
@@ -41,14 +41,16 @@ batch (a module from rep.module_span, or poly.integer_terms of one add
 call) is gathered once into one read-only chunk of uint8 rows of sorted
 variables and coefficients, each generator as its integer multiple with
 content 1 (the same ideal, nothing to truncate mod p), sorted by weight
-key, then by order of filing.  Weights index slices of the chunks, and a
+key, then by order of filing.  A weight is its int key here
+(poly.weight_keys); the degree-n weights are the key column of
+poly._monomial_table(n).  Weight keys index slices of the chunks, and a
 module's basis vectors are Polys on theirs, so its terms are held once.
 A product row is a generator's rows beside a multiplier, sorted; a
 monomial's key has five bits per variable (poly.mono_keys, 35 at degree
-7) and the columns are np.unique of the keys.  Witness multiples and
-certificates are rows of the same blocks.  A column permutation changes
-no rank and no Echelon.add verdict, so key order serves as well as order
-of first appearance.
+7), and poly.term_matrix fills a block's transpose A, a row per monomial
+key.  Witness multiples and certificates are rows of the same blocks.  A
+column permutation changes no rank and no Echelon.add verdict, so key
+order serves as well as order of first appearance.
 
 Discovery also uses the swap tau: T_ijk -> T_jik.  It normalises GL(3)^3,
 tau(g . T) = (gB, gA, gC) . tau(T), so if sigma . nf = tau(nf) for a sigma
@@ -73,9 +75,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, rep
-from .poly import (N_VARS, PAD, Poly, _pack, _packed, _run_starts, evaluate_points,
-                   integer_terms, mono_keys, normalize_batch, normalized, pack_terms,
-                   row_weights, term_matrix, unpack_terms, var_ijk, weight_space_basis)
+from .poly import (N_VARS, PAD, Poly, _monomial_table, _pack, _packed, _run_starts,
+                   evaluate_points, integer_terms, key_weights, mono_keys, normalize_batch,
+                   normalized, pack_terms, row_weights, term_matrix, unpack_terms, var_ijk,
+                   weight_keys, weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, _integral, random_orbit_point
 
@@ -87,7 +90,6 @@ MAX_DRAWS = 8   # per label in scan_degree; discover(6) at seeds 0-29 needed at 
 WEYL = tuple(product(permutations(range(3)), repeat=3))
 IDENTITY = (WEYL[0],)
 _WEYL_INDEX = {sigma: i for i, sigma in enumerate(WEYL)}
-_SHIFTS = np.arange(32, -1, -4)   # of the nine contents of a weight key (weight_keys)
 
 
 class DegreeCapError(ValueError):
@@ -107,31 +109,17 @@ def _weyl_maps():
                      for a, b, c in WEYL], np.uint8)
 
 
-def weight_keys(contents):
-    """Weights given as rows of nine contents, each as one int64 key: four
-    bits per content, the A-contents first, so key order is tuple order."""
-    contents = np.asarray(contents, np.int64).reshape(-1, 9)
-    if ((contents < 0) | (contents > 15)).any():   # it would carry into the next digit
-        raise ValueError("a weight content outside 0..15 does not fit a 4-bit digit")
-    return (contents << _SHIFTS).sum(axis=1)
-
-
-def _weights(keys):   # as triples of content triples
-    return [tuple(zip(*[iter(c)] * 3)) for c in (keys[:, None] >> _SHIFTS & 15).tolist()]
-
-
 def _check_prime(p):
     linalg._check_machine_prime(p)  # before is_prime, which trial-divides
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
 
 
-def _gathered(item):
-    """(weight, (rows, ids, coeffs, count)) from a weight's (weight, chunk
-    slices): ids count the generators in order of filing."""
-    w, slices = item
+def _gathered(slices):
+    """(rows, ids, coeffs, count) of a weight's chunk slices: ids count the
+    generators in order of filing."""
     rows, coeffs, n = map(np.concatenate, zip(*slices))
-    return w, (rows, np.repeat(np.arange(len(n)), n), coeffs, len(n))
+    return rows, np.repeat(np.arange(len(n)), n), coeffs, len(n)
 
 
 class GradedGeneratorSet:
@@ -141,7 +129,7 @@ class GradedGeneratorSet:
 
     def __init__(self, by_degree=None):
         self.by_degree = {}
-        self._tables = {}   # degree -> (k x 9 weights, [(weight, chunk slices)])
+        self._tables = {}   # degree -> {weight key: chunk slices}, in order of filing
         self._modules = {}  # degree -> module-built
         self._hws = {}      # _key of each module's hw vector -> it (_swap_closed)
         self._ranks = {}    # (degree, p, group) -> {representative: its block's Factor}
@@ -161,12 +149,10 @@ class GradedGeneratorSet:
         rows.flags.writeable = coeffs.flags.writeable = False
         ends = np.r_[0, np.cumsum(n)].tolist()
         cuts = np.r_[np.flatnonzero(np.diff(keys[order], prepend=-1)), len(order)]
-        index = dict(self._tables.get(degree, (None, []))[1])   # weight -> chunk slices
-        for w, a, b in sorted(zip(_weights(keys[order[cuts[:-1]]]), cuts, cuts[1:]),
+        index = self._tables.setdefault(degree, {})
+        for w, a, b in sorted(zip(keys[order[cuts[:-1]]].tolist(), cuts, cuts[1:]),
                               key=lambda item: filed[item[1]]):   # new weights in order of filing
             index.setdefault(w, []).append((rows[ends[a]:ends[b]], coeffs[ends[a]:ends[b]], n[a:b]))
-        self._tables[degree] = (np.array([sum(w, ()) for w in index], np.int64).reshape(-1, 9),
-                                list(index.items()))
         self._modules.setdefault(degree, True)
         self._ranks.clear()
         self._folds.clear()
@@ -184,14 +170,12 @@ class GradedGeneratorSet:
         self.by_degree.setdefault(degree, []).extend(polys)
         self._modules[degree] = False
 
-    def add_module(self, hw: Poly):
-        """Add the module rep.module_span(hw) of a highest weight vector
-        and return its basis."""
-        return self._file_module(rep.module_span(hw))
-
-    def _file_module(self, batch):   # a module's basis, its content-normalized hw vector id 0
-        basis = self._file(batch[0].shape[1], batch)   # lowering keeps degree and weight
-        self.by_degree.setdefault(basis[0].degree(), []).extend(basis)
+    def add_module(self, batch):
+        """Add a module, a rep.module_span batch (its content-normalized hw
+        vector id 0), and return its basis."""
+        d = batch[0].shape[1]   # lowering keeps degree and weight
+        basis = self._file(d, batch)
+        self.by_degree.setdefault(d, []).extend(basis)
         self._hws[_key(basis[0])] = basis[0]
         return basis
 
@@ -225,33 +209,29 @@ class Block:
                      np.concatenate([self.coeffs, other.coeffs]), self.n + other.n)
 
     def matrix(self, p):
-        """The block mod p as a dense array, its columns in key order."""
-        return term_matrix(self.keys, self.rows, self.coeffs, self.n, p)
-
-
-def _minus(w, v):
-    return tuple(tuple(a - b for a, b in zip(x, y)) for x, y in zip(w, v))
+        """The block mod p as a dense array: a row per block row, a column per key."""
+        return term_matrix(self.keys, self.rows, self.coeffs, np.unique(self.keys), self.n, p).T
 
 
 # a degree-7 sweep over generators of degree >= 3 meets under 5000 keys
 @lru_cache(maxsize=8192)
-def _multipliers(n, weight):
-    """The degree-n monomials of a weight as a k x n uint8 array."""
-    basis = weight_space_basis(n, weight)
+def _multipliers(n, w):
+    """The degree-n monomials of weight key w as a k x n uint8 array."""
+    basis = weight_space_basis(n, tuple(map(tuple, key_weights(w)[0].tolist())))
     return np.array(basis, dtype=np.uint8).reshape(len(basis), n)
 
 
-def _block(gens, d, weight, top, witness=None):
-    """The Block of degree-d product rows of the given weight from the
-    generators of degree at most top, or from one witness (degree, weight,
-    terms): by degree, then by generator weight, multiplier and generator."""
-    flat = np.array(sum(weight, ()), dtype=np.int64)
+def _block(gens, d, w, top, witness=None):
+    """The Block of degree-d product rows of weight key w from the
+    generators of degree at most top, or from one witness (degree, weight
+    key, terms): by degree, then by generator weight, multiplier and generator."""
     groups = [witness] if witness else [
-        (e,) + _gathered(index[i]) for e in gens.degrees() if e <= min(d, top)
-        for table, index in [gens._tables[e]] for i in np.flatnonzero((table <= flat).all(1))]
+        (e, g, _gathered(index[g])) for e in gens.degrees() if e <= min(d, top)
+        for index in [gens._tables[e]] for keys in [np.fromiter(index, np.int64)]
+        for g in keys[(key_weights(keys) <= key_weights(w)).all((1, 2))].tolist()]
     parts, n = [(np.zeros((0, d), np.uint8), Block._none, Block._none)], 0
     for e, wg, (rows, ids, coeffs, count) in groups:
-        mult = _multipliers(d - e, _minus(weight, wg))
+        mult = _multipliers(d - e, w - wg)   # no content of wg exceeds w's: no digit borrows
         k, t = len(mult), len(rows)
         parts.append((np.concatenate([np.broadcast_to(rows, (k, t, e)), np.broadcast_to(
             mult[:, None], (k, t, d - e))], axis=2).reshape(k * t, d),
@@ -262,39 +242,30 @@ def _block(gens, d, weight, top, witness=None):
     return Block(mono_keys(rows), at, coeffs, n)
 
 
-@lru_cache(maxsize=None)
-def _shift_keys(n):
-    """Keys of the weights of the degree-n monomials: all content triples."""
-    t = np.array([(x, y, n - x - y) for x in range(n + 1) for y in range(n + 1 - x)]) @ (256, 16, 1)
-    keys = ((t[:, None, None] << 24) + (t[:, None] << 12) + t).ravel()
-    keys.flags.writeable = False
-    return keys
-
-
 def _slice_weights(gens: GradedGeneratorSet, d):
     """Keys of the weights of the degree-d slice's nonempty blocks, ascending."""
     return np.unique(np.concatenate([np.empty(0, np.int64)] + [
-        (weight_keys(gens._tables[e][0])[:, None] + _shift_keys(d - e)).ravel()
+        (np.fromiter(gens._tables[e], np.int64)[:, None] + _monomial_table(d - e)[1]).ravel()
         for e in gens.degrees() if e <= d]))
 
 
 def slice_rows_by_weight(gens: GradedGeneratorSet, d, weights):
     """Monomial-times-generator rows of the degree-d slice grouped by torus
-    weight, {weight: Block}, for the given weights whose block is nonempty."""
+    weight, {weight key: Block}, for the given keys whose block is nonempty."""
     return {w: block for w in weights if (block := _block(gens, d, w, d))}
 
 
-def rows_in_weight_block(gens: GradedGeneratorSet, d, weight):
-    """The Block of degree-d product rows with a prescribed weight from the
-    generators of degree below d."""
-    return _block(gens, d, weight, d - 1)
+def rows_in_weight_block(gens: GradedGeneratorSet, d, w):
+    """The Block of degree-d product rows with a prescribed weight key from
+    the generators of degree below d."""
+    return _block(gens, d, w, d - 1)
 
 
-def _independent_of(block: Block, polys, d, weight, p):
-    """For each of the degree-d polys of the weight in turn, whether it is
+def _independent_of(block: Block, polys, d, w, p):
+    """For each of the degree-d polys of weight key w in turn, whether it is
     independent mod p of the block's rows and of the polys before it."""
-    a = (block + _block(None, d, weight, d, (
-        d, weight, integer_terms(polys) + (len(polys),)))).matrix(p)
+    a = (block + _block(None, d, w, d, (
+        d, w, integer_terms(polys) + (len(polys),)))).matrix(p)
     ech = linalg.Echelon(a[:len(block)], p)
     return [ech.add(x) for x in a[len(block):]]
 
@@ -321,8 +292,8 @@ def _stabiliser(group, terms):
 
 def _fold(group, keys):
     """{orbit representative: number of the weights in it} of distinct
-    weight keys; a representative is the largest weight of its orbit."""
-    slots = (keys[:, None] >> _SHIFTS & 15).reshape(-1, 3, 3)
+    weight keys; a representative is the key of the largest weight of its orbit."""
+    slots = key_weights(keys)
     if group is WEYL:   # each slot's contents in decreasing order
         reps = weight_keys(np.sort(slots, axis=2)[..., ::-1])
     else:
@@ -330,7 +301,7 @@ def _fold(group, keys):
         for sigma in group:   # the image of w has w[a][sigma[a][i]] in slot a, place i
             reps = np.maximum(reps, weight_keys(slots[:, [[0], [1], [2]], sigma]))
     reps, counts = np.unique(reps, return_counts=True)
-    return dict(zip(_weights(reps), counts.tolist()))
+    return dict(zip(reps.tolist(), counts.tolist()))
 
 
 class Factor(NamedTuple):
@@ -344,8 +315,7 @@ class Factor(NamedTuple):
 
 def _factor(block: Block, p):
     keys = np.unique(block.keys)
-    a = np.zeros((len(keys), len(block)), np.int64)   # A, C-ordered, reduced in place
-    a[np.searchsorted(keys, block.keys), block.rows] = block.coeffs % p
+    a = term_matrix(block.keys, block.rows, block.coeffs, keys, len(block), p)   # A, reduced in place
     perm, low = linalg.lu_mod_p(a, p)
     return Factor(keys[perm], low)
 
@@ -355,16 +325,15 @@ def _witness_rank(ranks, group, d, w, witness, p):
     (module docstring), empty if r has no rows, and k the rank that sigma of
     w's witness rows adds to it, their monomials beyond F's as zero rows of A."""
     e, wf, (rows, ids, coeffs) = witness
-    order = [sorted(range(3), key=lambda i: -x[i]) if group is WEYL else range(3) for x in w]
+    x = key_weights(w)[0].tolist()
+    order = [sorted(range(3), key=lambda i: -c[i]) if group is WEYL else range(3) for c in x]
     sigma = tuple(tuple(np.argsort(o).tolist()) for o in order)   # sigma[a][o[j]] = j
-    r, swf = (tuple(tuple(x[i] for i in o) for x, o in zip(v, order)) for v in (w, wf))
+    r, swf = weight_keys([[c[i] for c, o in zip(v, order) for i in o] for v in (x, wf)]).tolist()
     fac = ranks.get(r) or _factor(Block(), p)
     block = _block(None, d, r, d, (e, swf, (np.sort(_weyl_maps()[_WEYL_INDEX[sigma]][rows], axis=1),
                                             ids, coeffs, 1)))
     keys = np.r_[fac.keys, np.setdiff1d(block.keys, fac.keys)]
-    at = np.argsort(keys)
-    y = np.zeros((len(keys), len(block)), np.int64)
-    y[at[np.searchsorted(keys, block.keys, sorter=at)], block.rows] = block.coeffs % p
+    y = term_matrix(block.keys, block.rows, block.coeffs, keys, len(block), p)
     return fac, linalg.extension_rank(fac.low, y, p)
 
 
@@ -373,6 +342,8 @@ def check_witness(f: Poly):
     homogeneous and weight-homogeneous."""
     if f.is_zero():
         raise ValueError("the witness is the zero polynomial")
+    if f.degree() == 0:
+        raise ValueError("the witness is the nonzero constant %s, a unit" % f.terms[()])
     return f.degree(), f.weight()
 
 
@@ -395,7 +366,7 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
     for f in witnesses:   # one above degree d has no rows and no stabiliser here
         e, wf = check_witness(f)
         stab = stabiliser(group, f) if e <= d else ()
-        folds.append((f, e, wf, stab, _fold(stab, weight_keys(sum(wf, ())) + _shift_keys(d - e))
+        folds.append((f, e, wf, stab, _fold(stab, weight_keys(wf) + _monomial_table(d - e)[1])
                       if stab else {}))
     # base block factors are memoised on gens until it gains generators, one prime at a time
     ranks = gens._ranks.get((d, p, group))
@@ -556,14 +527,15 @@ def _new_modules(d, gens: GradedGeneratorSet, hw: rep.HWSpace, nf: Tensor333, se
     """(draws, multiplicity, module batches of the certificates that raise the
     rank mod p of the lower-degree rows) of the first draw k (seed + 10_000 k)
     to pass its screen with such modules zero at nf; after MAX_DRAWS the error."""
+    w = int(weight_keys(hw.weight)[0])
     for k in range(MAX_DRAWS):
         try:
             certs = vanishing_subspace(hw, nf, seed + 10_000 * k).certificates
         except ArithmeticError as exc:
             error = exc
             continue
-        new = certs and _independent_of(rows_in_weight_block(gens, d, hw.weight), certs, d,
-                                         hw.weight, p)   # no block without certificates
+        new = certs and _independent_of(   # no block without certificates
+            rows_in_weight_block(gens, d, w), certs, d, w, p)
         spans = [rep.module_span(cert) for cert, ok in zip(certs, new) if ok]
         if not any(any(_values_at(span, nf)) for span in spans):
             return k + 1, len(certs), spans
@@ -588,7 +560,7 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
             row, note = (lab,) + row[1:], " (swap of label %d)" % (src + 1)
             word = np.arange(rep.label_dim(lab)).reshape(   # the partner's words (b, a, c) are
                 [rep.weyl_dim(x) for x in lab]).transpose(1, 0, 2).ravel()   # this one's (a, b, c)
-            modules = [DiscoveredModule(d, lab, gens._file_module((rows, word[ids], coeffs)))
+            modules = [DiscoveredModule(d, lab, gens.add_module((rows, word[ids], coeffs)))
                        for m in mods for rows, ids, coeffs in [_swapped(pack_terms(m.basis))]]
         else:
             k, s = rep.kronecker(*lab), seed + 7919 * idx
@@ -596,7 +568,7 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
                 d, gens, rep.hw_space(lab), nf, s, p)
             row = (lab, k, k, mult, len(spans))
             note = "; %d draws" % draws if draws > 1 else ""
-            modules = [DiscoveredModule(d, lab, gens._file_module(spans.pop(0)))
+            modules = [DiscoveredModule(d, lab, gens.add_module(spans.pop(0)))
                        for _ in range(len(spans))]   # each batch released once filed
             scanned[lab] = idx, row, modules
         scan.rows.append(row)

@@ -67,6 +67,7 @@ from .scalars import exact_list, parse_rational
 from .tensor import Tensor333, perm_sign
 
 N_VARS = 27
+_SHIFTS = np.arange(32, -1, -4)   # of the nine contents of a weight key (weight_keys)
 
 
 def var_index(i, j, k) -> int:
@@ -86,6 +87,21 @@ def var_name(v: int) -> str:
 def row_weights(rows):
     """Each row's weight as nine contents, A-contents first (PAD in none)."""
     return np.stack([(_SLOTS[rows, a] == i).sum(axis=1) for a in range(3) for i in range(3)], 1)
+
+
+def weight_keys(contents):
+    """Weights given as rows of nine contents (or as 3 x 3 weights), each as
+    one int64 key: four bits per content, the A-contents first, so key order
+    is tuple order and the key of a product is the sum of its factors' keys."""
+    contents = np.asarray(contents, np.int64).reshape(-1, 9)
+    if ((contents < 0) | (contents > 15)).any():   # it would carry into the next digit
+        raise ValueError("a weight content outside 0..15 does not fit a 4-bit digit")
+    return (contents << _SHIFTS).sum(axis=1)
+
+
+def key_weights(keys):
+    """The 3 x 3 contents of each weight key: weight_keys' inverse."""
+    return (np.reshape(keys, (-1, 1)) >> _SHIFTS & 15).reshape(-1, 3, 3)
 
 
 class Poly:
@@ -355,33 +371,33 @@ def weight_space_basis(d, weight):
     tuple order: a slice of the degree's monomial table (_monomial_table).
 
     Monomials correspond to 3x3x3 nonnegative integer arrays whose three
-    axis marginals are the content vectors.
+    axis marginals are the content vectors; every weight of nonnegative
+    contents that sum to d in each slot has some.
     """
     if not (sum(weight[0]) == sum(weight[1]) == sum(weight[2]) == d):
         raise ValueError("weight %r does not sum to degree %d in every slot" % (weight, d))
-    rows, keys, starts = _monomial_table(d)
-    key = int(np.dot(sum(weight, ()), (d + 1) ** np.arange(8, -1, -1)))
-    i = int(np.searchsorted(keys, key))
-    if min(map(min, weight)) < 0 or i == len(keys) or keys[i] != key:
+    if min(map(min, weight)) < 0:
         return []
+    rows, keys, starts = _monomial_table(d)
+    i = int(np.searchsorted(keys, weight_keys(weight)[0]))
     return list(map(tuple, rows[starts[i]:starts[i + 1]].tolist()))
 
 
 @lru_cache(maxsize=None)
 def _monomial_table(d):
     """The degree-d monomials as rows of sorted variables, by weight and
-    then in tuple order; the weight keys (the nine contents as base-(d + 1)
-    digits, A first), ascending; and where each weight's rows start."""
+    then in tuple order; the keys of their weights (weight_keys), ascending,
+    the one list of the degree-d weights; and where each weight's rows start."""
     rows = np.zeros((1, 0), np.uint8)
     for _ in range(d):   # each row extended by every variable from its last one on: tuple order
         last = rows[:, -1] if rows.shape[1] else np.zeros(len(rows), np.uint8)
         n = N_VARS - last.astype(np.int64)
         new = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - last, n)
         rows = np.c_[np.repeat(rows, n, axis=0), new.astype(np.uint8)]
-    digit = (d + 1) ** np.arange(8, -1, -1)
+    var_keys = weight_keys(row_weights(np.arange(N_VARS, dtype=np.uint8)[:, None]))
     key = np.zeros(len(rows), np.int64)
-    for col in rows.T:
-        key += digit[_SLOTS[col, 0]] + digit[3 + _SLOTS[col, 1]] + digit[6 + _SLOTS[col, 2]]
+    for col in rows.T:   # one column at a time: the sum of the variables' keys
+        key += var_keys[col]
     order = np.argsort(key, kind="stable")
     keys, starts = np.unique(key[order], return_index=True)
     return rows[order], keys, np.r_[starts, len(rows)]
@@ -489,14 +505,14 @@ def normalized(batch, n):
     return unpack_terms(normalize_batch(merge_terms(batch)), n)
 
 
-def term_matrix(keys, at, coeffs, n, p):
-    """Terms as a dense n x k array mod p, one column per distinct key
-    (mono_keys) in key order: term t puts coeffs[t] at row at[t].  Its
-    memory is C-ordered long side first, so a wide one's a.T is C-ordered."""
-    cols, col_of = np.unique(keys, return_inverse=True)
-    k = len(cols)
-    a = np.zeros((n, k), np.int64) if n >= k else np.zeros((k, n), np.int64).T
-    a[at, col_of] = coeffs % p
+def term_matrix(keys, at, coeffs, cols, n, p):
+    """Terms as a dense, C-ordered len(cols) x n array mod p: a row per key
+    of cols, in the order given (sorted or not; it holds every term's key),
+    and a column per row of terms.  Term t puts coeffs[t] in the row of
+    keys[t] and column at[t]."""
+    order = np.argsort(cols)
+    a = np.zeros((len(cols), n), np.int64)
+    a[order[np.searchsorted(cols, keys, sorter=order)], at] = coeffs % p
     return a
 
 

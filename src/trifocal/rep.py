@@ -252,7 +252,6 @@ def hw_pairs(label):
     return ta, tuple(kept)
 
 
-@lru_cache(maxsize=None)
 def hw_space(label) -> HWSpace:
     """Highest weight space of a label: the tableau polynomials of
     hw_pairs(label) as one content-normalized batch (module docstring)."""
@@ -290,8 +289,9 @@ def lowering_tree(lam):
         level = []
         for cands in by_weight.values():   # each one independent mod p of those before it, so over Q
             rows, ids, coeffs = poly.pack_terms([img for _, _, img in cands])
-            a = poly.term_matrix(poly.mono_keys(rows), ids, coeffs, len(cands), p).T   # a row per monomial
-            for j in linalg._eliminate(np.ascontiguousarray(a), p)[1]:
+            keys = poly.mono_keys(rows)   # a row per monomial
+            a = poly.term_matrix(keys, ids, coeffs, np.unique(keys), len(cands), p)
+            for j in linalg._eliminate(a, p)[1]:
                 level.append((len(nodes), cands[j][2]))
                 nodes.append(cands[j][:2])
     if len(nodes) != weyl_dim(lam):

@@ -200,9 +200,9 @@ def random_group_element(rng: random.Random, bound=5):
             return g
 
 
-def random_orbit_point(nf: Tensor333, seed, bound=5) -> Tensor333:
+def random_orbit_point(nf: Tensor333, seed) -> Tensor333:
     """Deterministic pseudo-random point on the orbit of nf."""
-    return act(random_group_element(random.Random(seed), bound=bound), nf, check=False)
+    return act(random_group_element(random.Random(seed)), nf, check=False)
 
 
 # --- (de)serialization ------------------------------------------------------

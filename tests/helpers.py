@@ -103,8 +103,9 @@ def independent_ids(batch, n):
     """The ids of the polynomials 0..n-1 of an integer batch independent mod
     machine_prime(0) of the ones before them, hence over Q."""
     p, (rows, ids, coeffs) = linalg.machine_prime(0), batch
-    a = poly.term_matrix(poly.mono_keys(rows), ids, coeffs, n, p)
-    return linalg._eliminate(np.ascontiguousarray(a.T), p)[1]   # the pivot columns, one row per monomial
+    keys = poly.mono_keys(rows)
+    a = poly.term_matrix(keys, ids, coeffs, np.unique(keys), n, p)
+    return linalg._eliminate(a, p)[1]   # the pivot columns, one row per monomial
 
 
 def expanded_hw_basis(label):
@@ -128,11 +129,14 @@ def expanded_hw_basis(label):
 
 def weight_table(gens, degree):
     """The generator weights of one degree of an ideal.GradedGeneratorSet as a
-    k x 9 array, and the matching [(weight, (rows, ids, coeffs, count))] list:
-    the terms of that weight's generators (poly.integer_terms) and their
-    number, gathered from the chunks (ideal._gathered)."""
-    table, index = gens._tables[degree]
-    return table, list(map(ideal._gathered, index))
+    k x 9 array, and the matching [(weight, (rows, ids, coeffs, count))] list,
+    each weight a triple of content triples: the terms of that weight's
+    generators (poly.integer_terms) and their number, gathered from the
+    chunks (ideal._gathered)."""
+    index = gens._tables[degree]
+    weights = poly.key_weights(np.fromiter(index, np.int64, len(index)))
+    return weights.reshape(-1, 9), [(tuple(map(tuple, w)), ideal._gathered(slices))
+                                    for w, slices in zip(weights.tolist(), index.values())]
 
 
 def span_polys(h):

@@ -349,6 +349,9 @@ def test_nzd_rejects_zero_and_mixed_weight_witness_before_discovery(tmp_path, ca
     zero = write(tmp_path, "zero.txt", "0\n")
     assert main(["nzd", "--witness", zero]) == 2
     assert "zero polynomial" in capsys.readouterr().err
+    constant = write(tmp_path, "constant.txt", "5\n")
+    assert main(["nzd", "--witness", constant]) == 2
+    assert "nonzero constant 5" in capsys.readouterr().err
     mixed = write(tmp_path, "mixed.txt", "T_1_1_1 + T_2_2_2\n")
     assert main(["nzd", "--witness", mixed]) == 2
     assert "weight-homogeneous" in capsys.readouterr().err

@@ -333,7 +333,7 @@ def test_module_span_packs_match_fresh_packs(discovery5, trifocal_nf):
     from their terms, with the same values."""
     points = [skew_tensor()] + ideal.trifocal_points(trifocal_nf, 77, 2)
     for m in discovery5.scans[5].modules:
-        basis = ideal.GradedGeneratorSet()._file_module(rep.module_span(m.hw_vector))
+        basis = ideal.GradedGeneratorSet().add_module(rep.module_span(m.hw_vector))
         assert all(f._terms is None for f in basis)
         fresh = [Poly(f.terms) for f in basis]
         for a, b in zip(map(poly._pack, basis), map(poly._pack, fresh)):

@@ -60,14 +60,28 @@ def dict_groups(gens):
     return out
 
 
-def dict_rows(groups, d, weight, top):
-    """Degree-d product rows {monomial: coefficient} of the weight from
+def weight_of(key):
+    """A weight key (poly.weight_keys) as a triple of content triples."""
+    return tuple(map(tuple, poly.key_weights(key)[0].tolist()))
+
+
+def key_of(weight):
+    """The weight key of a triple of content triples."""
+    return int(poly.weight_keys(weight)[0])
+
+
+def minus(w, v):
+    return tuple(tuple(a - b for a, b in zip(x, y)) for x, y in zip(w, v))
+
+
+def dict_rows(groups, d, key, top):
+    """Degree-d product rows {monomial: coefficient} of the weight key from
     generators of degree at most top: by degree, generator weight,
     multiplier, then generator."""
     rows = []
     for e in sorted(groups):
         for wg, polys in groups[e] if e <= min(d, top) else ():
-            rest = ideal._minus(weight, wg)
+            rest = minus(weight_of(key), wg)
             if min(map(min, rest)) >= 0:
                 for mult in weight_space_basis(d - e, rest):
                     rows.extend({tuple(sorted(m + mult)): c for m, c in g.terms.items()} for g in polys)
@@ -136,12 +150,7 @@ def tuple_fold(group, weights):
 
 
 def keys_of(weights):
-    return ideal.weight_keys([sum(w, ()) for w in sorted(weights)])
-
-
-def slice_weights(gens, d):
-    """The slice weights as tuples, which slice_rows_by_weight takes."""
-    return ideal._weights(ideal._slice_weights(gens, d))
+    return poly.weight_keys(sorted(weights))
 
 
 def mono_weight(mono):
@@ -188,15 +197,16 @@ def minimal_generator_test(h, gens, p=101):
     """True iff h lies in the degree slice generated by the lower-degree
     part of gens, the test scan_degree makes: True means h is NOT a
     minimal generator."""
-    block = ideal.rows_in_weight_block(gens, h.degree(), h.weight())
-    return not ideal._independent_of(block, [h], h.degree(), h.weight(), p)[0]
+    w = key_of(h.weight())
+    block = ideal.rows_in_weight_block(gens, h.degree(), w)
+    return not ideal._independent_of(block, [h], h.degree(), w, p)[0]
 
 
 def test_weight_blocking_is_lossless(m3_set):
     """Blocked rank sum equals the rank of the unblocked matrix: all packed
     blocks of a degree stacked into one, over the union of their columns."""
     for d in (3, 4):
-        blocks = slice_rows_by_weight(m3_set, d, slice_weights(m3_set, d))
+        blocks = slice_rows_by_weight(m3_set, d, ideal._slice_weights(m3_set, d))
         whole = sum(blocks.values(), ideal.Block())
         a = whole.matrix(101)
         assert len(linalg.rref_mod_p(a, 101)[1]) == ideal_dim_in_degree(m3_set, d)
@@ -210,7 +220,7 @@ def test_short_side_rank_matches_row_elimination(m3_set):
     elimination."""
     groups, sides = dict_groups(m3_set), set()
     for d in (3, 4, 5):
-        for w, block in slice_rows_by_weight(m3_set, d, slice_weights(m3_set, d)).items():
+        for w, block in slice_rows_by_weight(m3_set, d, ideal._slice_weights(m3_set, d)).items():
             b = assert_same_block(block, dict_rows(groups, d, w, d))
             col_of = np.unique(block.keys, return_inverse=True)[1]
             flipped = ideal.Block(block.rows.astype(np.int64), col_of, block.coeffs, b.shape[1])
@@ -225,13 +235,13 @@ def test_packed_blocks_equal_dict_rows():
     merge, and two plain quartics: blocks of the whole slice and strictly
     below it."""
     gens = GradedGeneratorSet()
-    gens.add_module(det_slice_poly("C", 1))
-    gens.add_module(f_determinant())
+    gens.add_module(rep.module_span(det_slice_poly("C", 1)))
+    gens.add_module(rep.module_span(f_determinant()))
     x, y, z = map(parse_poly, ("T_1_1_1", "T_2_3_1", "T_3_2_2"))
     gens.add(4, [x * x * y * y, x * y * z * z])
     groups = dict_groups(gens)
     for d in (3, 4, 5):   # at 5 every generator lies below d, and groups meet several multipliers
-        for w, block in slice_rows_by_weight(gens, d, slice_weights(gens, d)).items():
+        for w, block in slice_rows_by_weight(gens, d, ideal._slice_weights(gens, d)).items():
             assert_same_block(block, dict_rows(groups, d, w, d))
             if d < 5:
                 assert_same_block(ideal.rows_in_weight_block(gens, d, w),
@@ -249,12 +259,12 @@ def test_packed_blocks_equal_dict_rows_on_discovery6(discovery6):
         assert_same_block(blocks[w], dict_rows(groups, 6, w, 6))
     for f in (f_determinant(), witness_g()):
         e, wf = ideal.check_witness(f)
-        witness = (e, wf, integer_terms([f]) + (1,))
-        shifted = ideal.weight_keys(sum(wf, ())) + ideal._shift_keys(6 - e)
+        witness = (e, key_of(wf), integer_terms([f]) + (1,))
+        shifted = poly.weight_keys(wf) + poly._monomial_table(6 - e)[1]
         wit = ideal._fold(ideal.stabiliser(ideal.WEYL, f), shifted)
         blocks = slice_rows_by_weight(gens, 6, wit)
         for w in wit:
-            rest = ideal._minus(w, wf)
+            rest = minus(weight_of(w), wf)
             packed = blocks.get(w, ideal.Block()) + ideal._block(gens, 6, w, 6, witness)
             assert_same_block(packed, dict_rows(groups, 6, w, 6) + [
                 {tuple(sorted(m + mult)): c for m, c in f.terms.items()}
@@ -294,7 +304,7 @@ def test_module_set_matches_plain_m3_set(m3_set):
     """The module of one highest weight vector spans the 10 cubics; its
     folded sweeps give the plain set's H(1..6) and NZD values for f, g."""
     module_set = GradedGeneratorSet()
-    basis = module_set.add_module(det_slice_poly("C", 1))
+    basis = module_set.add_module(rep.module_span(det_slice_poly("C", 1)))
     assert ideal_dim_in_degree(GradedGeneratorSet({3: basis + m3_set.by_degree[3]}), 3) == 10
     assert module_set.symmetry_group(6) is ideal.WEYL
     assert m3_set.symmetry_group(6) is ideal.IDENTITY
@@ -306,7 +316,7 @@ def test_module_set_matches_plain_m3_set(m3_set):
 
 def test_plain_generator_turns_folding_off():
     gens = GradedGeneratorSet()
-    basis = gens.add_module(det_slice_poly("C", 1))
+    basis = gens.add_module(rep.module_span(det_slice_poly("C", 1)))
     x = parse_poly("T_1_1_1")
     y = parse_poly("T_2_3_1")
     gens.add(4, [x * x * y * y])
@@ -317,7 +327,7 @@ def test_plain_generator_turns_folding_off():
         assert hilbert_quotient(gens, d) == hilbert_quotient(plain, d)
     # a module added to a degree that already holds plain generators
     late = GradedGeneratorSet({2: [x * y]})
-    late.add_module(x * x)
+    late.add_module(rep.module_span(x * x))
     assert late.symmetry_group(2) is ideal.IDENTITY
 
 
@@ -355,10 +365,11 @@ def test_orbit_walk_fold_matches_per_weight_fold(discovery6):
     assert [len(g) for g in groups] == [216, 1, 72, 8]
     for d in range(1, 8):
         weights = tuple_slice_weights(gens, d)
-        assert ideal._weights(ideal._slice_weights(gens, d)) == sorted(weights)
+        assert ideal._slice_weights(gens, d).tolist() == keys_of(weights).tolist()
         for ws in (weights, set(sorted(weights)[::3])):
             for group in groups:
-                assert ideal._fold(group, keys_of(ws)) == tuple_fold(group, ws), (d, len(group))
+                fold = {weight_of(w): n for w, n in ideal._fold(group, keys_of(ws)).items()}
+                assert fold == tuple_fold(group, ws), (d, len(group))
         for group in groups if d < 7 else ():
             ref = {}
             for w in set(sorted(weights)[::3]):
@@ -411,11 +422,11 @@ def assert_bases_are_views_of_the_store(disc):
     """Every module basis vector's pack is its slice of the chunk its
     module was filed as, so its terms are held once."""
     for m in disc.modules():
-        index = dict(disc.gens._tables[m.degree][1])
+        index = disc.gens._tables[m.degree]
         for f in m.basis:
             rows, coeffs = f._packed[:2]
             assert any(np.shares_memory(rows, r) and np.shares_memory(coeffs, c)
-                       for r, c, _ in index[f.weight()])
+                       for r, c, _ in index[key_of(f.weight())])
 
 
 @pytest.mark.slow
@@ -455,14 +466,14 @@ def test_filing_takes_id_runs_in_any_order(discovery5):
     got = [in_order._file(m.degree, (rows, ids, coeffs)),
            shuffled._file(m.degree, (rows[take], ids[take], coeffs[take]))]
     assert [list(map(ideal._key, b)) for b in got] == [list(map(ideal._key, m.basis))] * 2
-    (table, index), (other, shuffled_index) = in_order._tables[5], shuffled._tables[5]
-    assert np.array_equal(table, other) and [w for w, _ in index] == [w for w, _ in shuffled_index]
-    for (_, slices), (_, ref) in zip(index, shuffled_index):
+    index, shuffled_index = in_order._tables[5], shuffled._tables[5]
+    assert list(index) == list(shuffled_index)
+    for slices, ref in zip(index.values(), shuffled_index.values()):
         assert all(np.array_equal(a, b) for s, r in zip(slices, ref) for a, b in zip(s, r))
 
 
 def test_rejected_generator_leaves_the_store_unchanged():
-    """A weight content above 15 does not fit weight_keys' 4-bit digit:
+    """A weight content above 15 does not fit poly.weight_keys' 4-bit digit:
     add raises, and the set, its tables and the filed packs stay as they
     were, also for a valid generator filed in the same call."""
     gens = GradedGeneratorSet({3: m3_generators("C")})
@@ -515,18 +526,18 @@ def test_weight_keys_are_in_tuple_order_and_reject_a_carry():
     weights = sorted({tuple(tuple(rng.randrange(16) for _ in range(3)) for _ in range(3))
                       for _ in range(2000)} | {((15,) * 3,) * 3, ((0,) * 3,) * 3})
     keys = keys_of(weights)
-    assert (np.diff(keys) > 0).all() and ideal._weights(keys) == weights
+    assert (np.diff(keys) > 0).all() and list(map(weight_of, keys)) == weights
     for bad in (16, -1):
         with pytest.raises(ValueError, match="4-bit"):
-            ideal.weight_keys([[0] * 8 + [bad]])
+            poly.weight_keys([[0] * 8 + [bad]])
 
 
 def test_base_fold_memo_is_cleared_with_the_ranks():
     gens = GradedGeneratorSet()
-    gens.add_module(det_slice_poly("C", 1))
+    gens.add_module(rep.module_span(det_slice_poly("C", 1)))
     hilbert_quotient(gens, 4)
     assert set(gens._folds) == {(4, ideal.WEYL)}
-    gens.add_module(witness_g())
+    gens.add_module(rep.module_span(witness_g()))
     assert gens._folds == {}
 
 
@@ -534,7 +545,7 @@ def test_base_rank_memo_matches_fresh_sweeps():
     def fresh(*hws):
         gens = GradedGeneratorSet()
         for h in hws:
-            gens.add_module(h)
+            gens.add_module(rep.module_span(h))
         return gens
     cubic = det_slice_poly("C", 1)
     gens = fresh(cubic)
@@ -548,7 +559,7 @@ def test_base_rank_memo_matches_fresh_sweeps():
     assert tables == [graded_nonzerodivisor_check(fresh(cubic), w, cap=5).table
                       for w in witnesses]
     # a new module keeps the group S3^3 but must not see the old ranks
-    gens.add_module(witness_g())
+    gens.add_module(rep.module_span(witness_g()))
     assert gens._ranks == {}
     assert hilbert_quotient(gens, 5) == hilbert_quotient(fresh(cubic, witness_g()), 5)
     gens.add(4, [witness_g()])
@@ -557,7 +568,7 @@ def test_base_rank_memo_matches_fresh_sweeps():
 
 def test_progress_counts_memoised_base_ranks():
     gens = GradedGeneratorSet()
-    gens.add_module(det_slice_poly("C", 1))
+    gens.add_module(rep.module_span(det_slice_poly("C", 1)))
     lines = []
     for _ in range(2):
         hilbert_with_witnesses(gens, [f_determinant()], 5, progress=lines.append)
@@ -579,7 +590,7 @@ def test_factor_memo_keeps_one_prime_in_its_compact_dtype():
     """L is kept in the smallest unsigned dtype that holds p - 1, and a
     sweep at a new prime drops the factors of the old one."""
     gens = GradedGeneratorSet()
-    gens.add_module(det_slice_poly("C", 1))
+    gens.add_module(rep.module_span(det_slice_poly("C", 1)))
     for p, dtype in ((101, np.uint8), (32003, np.uint16), (2 ** 31 - 1, np.uint32), (101, np.uint8)):
         assert [hilbert_quotient(gens, d, p=p) for d in (3, 4)] == [3644, 27135]
         assert set(gens._ranks) == {(3, p, ideal.WEYL), (4, p, ideal.WEYL)}
@@ -588,10 +599,11 @@ def test_factor_memo_keeps_one_prime_in_its_compact_dtype():
 
 
 def test_zero_witness_rejected(m3_set):
-    with pytest.raises(ValueError, match="zero"):
-        ideal.hilbert_with_witnesses(m3_set, [Poly()], 4)
-    with pytest.raises(ValueError, match="zero"):
-        graded_nonzerodivisor_check(m3_set, Poly(), cap=4)
+    for f, message in ((Poly(), "zero polynomial"), (Poly.constant(5), "nonzero constant 5")):
+        with pytest.raises(ValueError, match=message):
+            ideal.hilbert_with_witnesses(m3_set, [f], 4)
+        with pytest.raises(ValueError, match=message):
+            graded_nonzerodivisor_check(m3_set, f, cap=4)
 
 
 @pytest.mark.parametrize("p", [91, 100])
@@ -632,10 +644,10 @@ def rebuilt_joint_ranks(gens, f, d, p):
     witness = (e, wf, integer_terms([f]))
     out = []
     for w in ideal._fold(ideal.stabiliser(group, f),
-                         ideal.weight_keys(sum(wf, ())) + ideal._shift_keys(d - e)):
+                         poly.weight_keys(wf) + poly._monomial_table(d - e)[1]):
         fac, k = ideal._witness_rank(gens._ranks[d, p, group], group, d, w, witness, p)
         joint = slice_rows_by_weight(gens, d, (w,)).get(w, ideal.Block()) + ideal._block(
-            gens, d, w, d, (e, wf, witness[2] + (1,)))
+            gens, d, w, d, (e, key_of(wf), witness[2] + (1,)))
         out.append((fac.rank + k, len(linalg.rref_mod_p(joint.matrix(p), p)[1])))
     return out
 
@@ -753,8 +765,7 @@ def test_discovery_keeps_its_polynomials_packed(trifocal_nf):
     basis = [f for m in disc.modules() for f in m.basis]
     assert len(basis) == 91 and all(f._terms is None for f in basis)
     assert all(m.hw_vector._terms is None for m in disc.modules())   # read by module_span
-    # fresh hw spaces: the cached ones are read by other tests
-    hws = [rep.hw_space.__wrapped__(lab) for d in range(1, 6) for lab in rep.all_labels(d)
+    hws = [rep.hw_space(lab) for d in range(1, 6) for lab in rep.all_labels(d)
            if rep.kronecker(*lab)]
     for i, hw in enumerate(hws):   # a draw the screen refuses has evaluated the basis all the same
         with contextlib.suppress(ArithmeticError):
@@ -917,8 +928,9 @@ def test_a_false_candidate_is_refused_at_nf(discovery5, trifocal_nf):
     hw, seed, cert = seed18_candidate(trifocal_nf)
     with pytest.raises(ArithmeticError, match="inconsistent vanishing kernel"):
         vanishing_subspace(hw, trifocal_nf, seed)
-    block = ideal.rows_in_weight_block(discovery5.gens, 5, hw.weight)
-    assert ideal._independent_of(block, [cert], 5, hw.weight, 101) == [True]
+    w = key_of(hw.weight)
+    block = ideal.rows_in_weight_block(discovery5.gens, 5, w)
+    assert ideal._independent_of(block, [cert], 5, w, 101) == [True]
     assert any(ideal._values_at(rep.module_span(cert), trifocal_nf))
     assert ideal._new_modules(5, discovery5.gens, hw, trifocal_nf, seed, 101) == (3, 0, [])
     assert (hw.label, 1, 1, 0, 0) in discovery5.scans[5].rows
@@ -980,9 +992,11 @@ def test_swap_closure_needs_module_built_tau_closed_degrees(discovery5, trifocal
     assert ideal._swap_closed(GradedGeneratorSet(), trifocal_nf, 1)
     assert not ideal._swap_closed(GradedGeneratorSet(discovery5.gens.by_degree), trifocal_nf, 6)
     lone = GradedGeneratorSet()
-    lone.add_module(f_determinant())   # tau(f) has weight ((1,1,1),(3,0,0),(1,1,1)): no module
+    # tau(f) has weight ((1,1,1),(3,0,0),(1,1,1)): no module
+    lone.add_module(rep.module_span(f_determinant()))
     assert not ideal._swap_closed(lone, trifocal_nf, 4)
-    lone.add_module(poly.unpack_terms(ideal._swapped(poly.pack_terms([f_determinant()])), 1)[0])
+    tau_f = poly.unpack_terms(ideal._swapped(poly.pack_terms([f_determinant()])), 1)[0]
+    lone.add_module(rep.module_span(tau_f))
     assert ideal._swap_closed(lone, trifocal_nf, 4)
     assert not ideal._swap_closed(discovery5.gens, catalog()["sub233"].tensor, 6)
 

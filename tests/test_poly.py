@@ -111,6 +111,15 @@ def test_weight_space_basis_is_each_weights_monomials_in_tuple_order():
     assert weight_space_basis(3, ((4, -1, 0), (1, 1, 1), (1, 1, 1))) == []
 
 
+def test_term_matrix_follows_the_given_cols_order():
+    """Rows in the order of cols, unsorted; the terms of a repeated key
+    share its row, a column per row of terms; C-ordered, reduced mod p."""
+    keys, at = np.array([7, 3, 7, 9, 3]), np.array([0, 0, 1, 1, 2])
+    a = poly.term_matrix(keys, at, np.array([1, -2, 3, 104, 5]), np.array([9, 7, 3, 11]), 3, 101)
+    assert a.dtype == np.int64 and a.flags.c_contiguous
+    assert a.tolist() == [[0, 3, 0], [1, 3, 0], [99, 0, 5], [0, 0, 0]]
+
+
 def test_weight_space_basis_examples():
     basis = weight_space_basis(3, ((3, 0, 0), (1, 1, 1), (1, 1, 1)))
     assert len(basis) == 6  # the permutation monomials of the slice determinant

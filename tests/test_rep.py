@@ -430,7 +430,7 @@ def test_hw_space_peak_is_one_run(traced_peak_mb):
     each, expanded one run at a time, peak under 8 MB (about 20 MB as one
     batch)."""
     label = ((2, 2, 2),) * 3
-    peak, hw = traced_peak_mb(rep.hw_space.__wrapped__, label)
+    peak, hw = traced_peak_mb(rep.hw_space, label)
     assert hw == hw_space(label) and peak < 8
 
 
