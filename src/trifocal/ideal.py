@@ -39,12 +39,13 @@ folded total is still a lower bound on the dimension over Q.
 Blocks are built from packed terms with no per-term Python.  Each filed
 batch (a module from rep.module_span, or poly.integer_terms of one add
 call) is gathered once into one read-only chunk of uint8 rows of sorted
-variables and coefficients, each generator as its integer multiple with
-content 1 (the same ideal, nothing to truncate mod p), sorted by weight
-key, then by order of filing.  A weight is its int key here
-(poly.weight_keys); the degree-n weights are the key column of
-poly._monomial_table(n).  Weight keys index slices of the chunks, and a
-module's basis vectors are Polys on theirs, so its terms are held once.
+variables and coefficients at their narrowest width (poly.narrow), each
+generator as its integer multiple with content 1 (the same ideal, nothing
+to truncate mod p), sorted by weight key, then by order of filing.  A
+weight is its int key here (poly.weight_keys); the degree-n weights are
+the key column of poly._monomial_table(n).  Weight keys, an array per
+degree built at filing with their 3 x 3 contents, index slices of the
+chunks, and a module's basis vectors are Polys on theirs: terms held once.
 A product row is a generator's rows beside a multiplier, sorted; a
 monomial's key has five bits per variable (poly.mono_keys, 35 at degree
 7), and poly.term_matrix fills a block's transpose A, a row per monomial
@@ -75,10 +76,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, rep
-from .poly import (N_VARS, PAD, Poly, _monomial_table, _pack, _packed, _run_starts,
-                   evaluate_points, integer_terms, key_weights, mono_keys, normalize_batch,
-                   normalized, pack_terms, row_weights, term_matrix, unpack_terms, var_ijk,
-                   weight_keys, weight_space_basis)
+from .poly import (N_VARS, PAD, Poly, _RUN_TERMS, _monomial_table, _pack, _packed, _run_starts,
+                   bounded_runs, distinct, evaluate_points, integer_terms, key_weights, mono_keys,
+                   narrow, normalize_batch, normalized, pack_terms, row_weights, term_matrix,
+                   unpack_terms, var_ijk, weight_keys, weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, _integral, random_orbit_point
 
@@ -130,6 +131,7 @@ class GradedGeneratorSet:
     def __init__(self, by_degree=None):
         self.by_degree = {}
         self._tables = {}   # degree -> {weight key: chunk slices}, in order of filing
+        self._weights = {}  # degree -> the keys of _tables[degree] as an array, their 3 x 3 contents
         self._modules = {}  # degree -> module-built
         self._hws = {}      # _key of each module's hw vector -> it (_swap_closed)
         self._ranks = {}    # (degree, p, group) -> {representative: its block's Factor}
@@ -145,7 +147,7 @@ class GradedGeneratorSet:
         order = np.lexsort((ids[starts], keys))   # the runs by weight, then in order of filing
         n, filed = np.diff(np.r_[starts, len(ids)])[order], ids[starts[order]]
         runs = [slice(a, a + k) for a, k in zip(starts[order].tolist(), n.tolist())]
-        rows, coeffs = (np.concatenate([x[:0]] + [x[run] for run in runs]) for x in (rows, coeffs))
+        rows, coeffs = (np.concatenate([x[:0]] + [x[run] for run in runs]) for x in (rows, narrow(coeffs)))
         rows.flags.writeable = coeffs.flags.writeable = False
         ends = np.r_[0, np.cumsum(n)].tolist()
         cuts = np.r_[np.flatnonzero(np.diff(keys[order], prepend=-1)), len(order)]
@@ -153,6 +155,8 @@ class GradedGeneratorSet:
         for w, a, b in sorted(zip(keys[order[cuts[:-1]]].tolist(), cuts, cuts[1:]),
                               key=lambda item: filed[item[1]]):   # new weights in order of filing
             index.setdefault(w, []).append((rows[ends[a]:ends[b]], coeffs[ends[a]:ends[b]], n[a:b]))
+        weights = np.fromiter(index, np.int64, len(index))
+        self._weights[degree] = weights, key_weights(weights)
         self._modules.setdefault(degree, True)
         self._ranks.clear()
         self._folds.clear()
@@ -210,7 +214,7 @@ class Block:
 
     def matrix(self, p):
         """The block mod p as a dense array: a row per block row, a column per key."""
-        return term_matrix(self.keys, self.rows, self.coeffs, np.unique(self.keys), self.n, p).T
+        return term_matrix(self.keys, self.rows, self.coeffs, distinct(self.keys), self.n, p).T
 
 
 # a degree-7 sweep over generators of degree >= 3 meets under 5000 keys
@@ -227,9 +231,9 @@ def _block(gens, d, w, top, witness=None):
     key, terms): by degree, then by generator weight, multiplier and generator."""
     groups = [witness] if witness else [
         (e, g, _gathered(index[g])) for e in gens.degrees() if e <= min(d, top)
-        for index in [gens._tables[e]] for keys in [np.fromiter(index, np.int64)]
-        for g in keys[(key_weights(keys) <= key_weights(w)).all((1, 2))].tolist()]
-    parts, n = [(np.zeros((0, d), np.uint8), Block._none, Block._none)], 0
+        for index, (keys, slots) in [(gens._tables[e], gens._weights[e])]
+        for g in keys[(slots <= key_weights(w)).all((1, 2))].tolist()]
+    parts, n = [(np.zeros((0, d), np.uint8), Block._none, np.zeros(0, np.int8))], 0   # the chunks' width
     for e, wg, (rows, ids, coeffs, count) in groups:
         mult = _multipliers(d - e, w - wg)   # no content of wg exceeds w's: no digit borrows
         k, t = len(mult), len(rows)
@@ -244,8 +248,8 @@ def _block(gens, d, w, top, witness=None):
 
 def _slice_weights(gens: GradedGeneratorSet, d):
     """Keys of the weights of the degree-d slice's nonempty blocks, ascending."""
-    return np.unique(np.concatenate([np.empty(0, np.int64)] + [
-        (np.fromiter(gens._tables[e], np.int64)[:, None] + _monomial_table(d - e)[1]).ravel()
+    return distinct(np.concatenate([np.empty(0, np.int64)] + [
+        (gens._weights[e][0][:, None] + _monomial_table(d - e)[1]).ravel()
         for e in gens.degrees() if e <= d]))
 
 
@@ -314,7 +318,7 @@ class Factor(NamedTuple):
 
 
 def _factor(block: Block, p):
-    keys = np.unique(block.keys)
+    keys = distinct(block.keys)
     a = term_matrix(block.keys, block.rows, block.coeffs, keys, len(block), p)   # A, reduced in place
     perm, low = linalg.lu_mod_p(a, p)
     return Factor(keys[perm], low)
@@ -332,7 +336,7 @@ def _witness_rank(ranks, group, d, w, witness, p):
     fac = ranks.get(r) or _factor(Block(), p)
     block = _block(None, d, r, d, (e, swf, (np.sort(_weyl_maps()[_WEYL_INDEX[sigma]][rows], axis=1),
                                             ids, coeffs, 1)))
-    keys = np.r_[fac.keys, np.setdiff1d(block.keys, fac.keys)]
+    keys = np.r_[fac.keys, distinct(block.keys[~np.isin(block.keys, fac.keys)])]
     y = term_matrix(block.keys, block.rows, block.coeffs, keys, len(block), p)
     return fac, linalg.extension_rank(fac.low, y, p)
 
@@ -497,13 +501,21 @@ def _key(f: Poly):   # the terms of a content-normalized polynomial, hashable
     return _pack(f)[0].tobytes(), tuple(_pack(f)[1].tolist())
 
 
-def _swapped(batch):
-    """tau(f), content-normalized, for each polynomial f of an integer batch
-    with ascending ids, as a batch with the same ids."""
-    rows, ids, coeffs = batch
-    rows = np.sort(_TAU[rows], axis=1)
-    order = np.argsort(mono_keys(rows, ids))   # by polynomial, then monomial: ids stay
-    return normalize_batch((rows[order], ids, coeffs[order]))
+def _swapped(polys):
+    """tau(f), content-normalized, for each content-normalized f of polys as one
+    batch, f's terms with its id and coefficients as wide as the widest pack's,
+    filled in runs of at most poly._RUN_TERMS terms: tau keeps their number."""
+    packs = [_pack(f) for f in polys]
+    ends = np.cumsum([0] + [len(pk[1]) for pk in packs])
+    rows = np.full((ends[-1], max([0] + [pk[0].shape[1] for pk in packs])), PAD, np.uint8)
+    coeffs = np.empty(ends[-1], np.result_type(np.int8, *(pk[1].dtype for pk in packs)))
+    for run in bounded_runs(range(len(polys)), np.diff(ends), _RUN_TERMS):
+        r, ids, c = pack_terms([polys[i] for i in run])
+        r = np.sort(_TAU[r], axis=1)
+        order = np.argsort(mono_keys(r, ids))   # by polynomial, then monomial: ids stay
+        at = slice(ends[run[0]], ends[run[-1] + 1])
+        rows[at, :r.shape[1]], _, coeffs[at] = normalize_batch((r[order], ids, c[order]))
+    return rows, np.repeat(np.arange(len(polys)), np.diff(ends)), coeffs
 
 
 @lru_cache(maxsize=8)
@@ -520,7 +532,7 @@ def _swap_closed(gens: GradedGeneratorSet, nf: Tensor333, d):
     exists, the degrees below d are module-built, and tau maps hw vectors to hw vectors."""
     hws = list(gens._hws.values())
     return (_swap_element(nf) is not None and gens.symmetry_group(d - 1) is WEYL and all(
-        _key(f) in gens._hws for f in unpack_terms(_swapped(pack_terms(hws)), len(hws))))
+        _key(f) in gens._hws for f in unpack_terms(_swapped(hws), len(hws))))
 
 
 def _new_modules(d, gens: GradedGeneratorSet, hw: rep.HWSpace, nf: Tensor333, seed, p):
@@ -558,10 +570,10 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
         if swap and partner in scanned:
             src, row, mods = scanned[partner]
             row, note = (lab,) + row[1:], " (swap of label %d)" % (src + 1)
-            word = np.arange(rep.label_dim(lab)).reshape(   # the partner's words (b, a, c) are
-                [rep.weyl_dim(x) for x in lab]).transpose(1, 0, 2).ravel()   # this one's (a, b, c)
-            modules = [DiscoveredModule(d, lab, gens.add_module((rows, word[ids], coeffs)))
-                       for m in mods for rows, ids, coeffs in [_swapped(pack_terms(m.basis))]]
+            word = np.arange(rep.label_dim(lab)).reshape(   # this one's words (a, b, c) are
+                [rep.weyl_dim(x) for x in partner]).transpose(1, 0, 2).ravel()   # the partner's (b, a, c)
+            modules = [DiscoveredModule(d, lab, gens.add_module(_swapped([m.basis[i] for i in word])))
+                       for m in mods]
         else:
             k, s = rep.kronecker(*lab), seed + 7919 * idx
             draws, mult, spans = (0, 0, []) if _proved_zero(lab, nf, s) else _new_modules(

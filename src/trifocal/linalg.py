@@ -300,7 +300,7 @@ def kernel_basis_int(sparse_rows, ncols):
                     a[i, c] = v % p   # entries can exceed int64
             a, pivots = rref_mod_p(a, p)
         # free columns get the identity, pivot columns minus the RREF
-        free = np.setdiff1d(np.arange(ncols), pivots)
+        free = np.delete(np.arange(ncols), pivots)
         basis = np.zeros((len(free), ncols), dtype=np.int64)
         basis[np.arange(len(free)), free] = 1
         basis[:, pivots] = (-a[:, free] % p).T

@@ -29,7 +29,8 @@ packs, and per term a polynomial id and a coefficient.  A shift
 merges like terms by a key (mono_keys), the id above five bits per
 variable, whose order is tuple order (int64, or objects where that would
 overflow).  Coefficients are int64 while L1 * width < 2^62, so no product
-by a multiplicity and no merge overflows; objects otherwise.
+by a multiplicity and no merge overflows; objects otherwise.  Packs may
+hold any integer width below L1 2^31, widened to int64 before arithmetic.
 
 pack_terms concatenates packs and unpack_terms slices a batch into Polys;
 those of an int64 batch hold only their packs, views of the batch, their
@@ -217,10 +218,13 @@ def _padded(rows, width):
 
 
 def _packed(rows, coeffs, den):
-    """A pack (_pack).  Below L1 2^31 a coefficient times a residue fits int64,
-    larger ones are reduced mod each prime first; an int64 L1 cannot wrap (module docstring)."""
-    l1 = int(np.abs(coeffs).sum()) if coeffs.dtype == np.int64 else sum(map(abs, coeffs.tolist()))
-    return rows, coeffs.astype(np.int64 if l1 < 1 << 31 else object, copy=False), l1, den
+    """A pack (_pack): integer coefficients at their width below L1 2^31 (module docstring),
+    objects above it, reduced mod each prime first; an integer L1 cannot wrap int64."""
+    big = coeffs.dtype == object
+    l1 = sum(map(abs, coeffs.tolist())) if big else int(np.abs(coeffs, dtype=np.int64).sum())
+    if big or l1 >> 31:
+        coeffs = coeffs.astype(np.int64 if l1 < 1 << 31 else object)
+    return rows, coeffs, l1, den
 
 
 def _pack(f: Poly):
@@ -324,8 +328,7 @@ def _runs(packs):
         else:
             codes = rows.T.copy()
         coef = np.concatenate(coefs)
-        if coef.dtype != object:   # int64 (below L1 2^31) kept in the smallest type that holds it
-            coef = coef.astype(np.min_scalar_type(-1 - int(np.abs(coef).max())))
+        coef = narrow(coef)   # integers (below L1 2^31) in the smallest type that holds them
         runs.append((run, codes, coef, np.cumsum([0] + [len(c) for c in coefs[:-1]]), cube,
                      deg, width, max(l1s), dens))
     _LAST[:] = packs, runs
@@ -444,6 +447,18 @@ def _shift_tables(axis, to_idx, from_idx):
     return hit, (ijk @ (9, 3, 1)).astype(np.uint8)
 
 
+def narrow(coeffs):
+    """Integer coefficients at the narrowest signed width that holds them; objects stay."""
+    return coeffs if coeffs.dtype == object else coeffs.astype(np.min_scalar_type(
+        min(int(coeffs.min(initial=0)), -int(coeffs.max(initial=0))) - 1), copy=False)
+
+
+def distinct(a):
+    """The distinct entries of a, ascending: np.unique without its import of numpy.ma."""
+    a = np.sort(a, axis=None)
+    return a[_run_starts(a)]
+
+
 def _run_starts(a):
     """The indices where a run of equal entries of a starts."""
     return np.flatnonzero(np.concatenate(([len(a) > 0], a[1:] != a[:-1])))
@@ -485,6 +500,7 @@ def merge_terms(batch):
         ids.max(initial=0)).bit_length() < 63 else object))
     order = np.argsort(key)
     starts = _run_starts(key[order])
+    del key   # the unsorted keys go before the sums are gathered
     sums = np.add.reduceat(coeffs[order], starts)
     keep = order[starts[sums != 0]]
     return rows[keep], ids[keep], sums[sums != 0]
@@ -511,8 +527,8 @@ def term_matrix(keys, at, coeffs, cols, n, p):
     and a column per row of terms.  Term t puts coeffs[t] in the row of
     keys[t] and column at[t]."""
     order = np.argsort(cols)
-    a = np.zeros((len(cols), n), np.int64)
-    a[order[np.searchsorted(cols, keys, sorter=order)], at] = coeffs % p
+    a = np.zeros((len(cols), n), np.int64)   # % np.int64(p) widens: int8 % 32003 overflows
+    a[order[np.searchsorted(cols, keys, sorter=order)], at] = coeffs % np.int64(p)
     return a
 
 

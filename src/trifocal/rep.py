@@ -290,7 +290,7 @@ def lowering_tree(lam):
         for cands in by_weight.values():   # each one independent mod p of those before it, so over Q
             rows, ids, coeffs = poly.pack_terms([img for _, _, img in cands])
             keys = poly.mono_keys(rows)   # a row per monomial
-            a = poly.term_matrix(keys, ids, coeffs, np.unique(keys), len(cands), p)
+            a = poly.term_matrix(keys, ids, coeffs, poly.distinct(keys), len(cands), p)
             for j in linalg._eliminate(a, p)[1]:
                 level.append((len(nodes), cands[j][2]))
                 nodes.append(cands[j][:2])

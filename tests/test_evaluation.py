@@ -330,7 +330,8 @@ def test_primes_are_machine_primes():
 def test_module_span_packs_match_fresh_packs(discovery5, trifocal_nf):
     """A filed module_span batch gives vectors that hold only their packs,
     slices of the filed chunk: the packs of the same polynomials made afresh
-    from their terms, with the same values."""
+    from their terms, with the same values, their coefficients at the chunk's
+    width (int8: content-normalized, they stay within [-5, 5])."""
     points = [skew_tensor()] + ideal.trifocal_points(trifocal_nf, 77, 2)
     for m in discovery5.scans[5].modules:
         basis = ideal.GradedGeneratorSet().add_module(rep.module_span(m.hw_vector))
@@ -338,7 +339,7 @@ def test_module_span_packs_match_fresh_packs(discovery5, trifocal_nf):
         fresh = [Poly(f.terms) for f in basis]
         for a, b in zip(map(poly._pack, basis), map(poly._pack, fresh)):
             assert np.array_equal(a[0], b[0]) and a[0].dtype == b[0].dtype
-            assert np.array_equal(a[1], b[1]) and a[1].dtype == b[1].dtype and a[2:] == b[2:]
+            assert np.array_equal(a[1], b[1]) and a[1].dtype == np.int8 and a[2:] == b[2:]
         assert evaluate_points(basis, points) == evaluate_points(fresh, points) \
             == [oracle(fresh, t) for t in points]
     f = basis[-1]   # the generators vanish at orbit points; f minus a term does not

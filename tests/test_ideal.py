@@ -1,7 +1,10 @@
 import contextlib
 import hashlib
 import operator
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -14,8 +17,8 @@ from trifocal.ideal import (DegreeCapError, GradedGeneratorSet,
                             hilbert_with_witnesses, ideal_dim_in_degree, scan_degree,
                             slice_rows_by_weight, vanishing_subspace)
 from trifocal.orbits import catalog, skew_tensor
-from trifocal.poly import (Poly, det_slice_poly, f_determinant, integer_terms, parse_poly,
-                           var_ijk, var_index, weight_space_basis, witness_g)
+from trifocal.poly import (Poly, det_slice_poly, f_determinant, integer_terms, merge_terms,
+                           parse_poly, var_ijk, var_index, weight_space_basis, witness_g)
 from trifocal.tensor import Tensor333, act, random_orbit_point
 
 from helpers import batch_polys, m3_generators, variable_map, weight_table
@@ -381,7 +384,8 @@ def test_orbit_walk_fold_matches_per_weight_fold(discovery6):
 @pytest.mark.slow
 def test_key_filing_matches_per_generator_filing(discovery6):
     """_file's weight tables entry by entry against the per-generator
-    grouping, with discovery6's modules filed one at a time."""
+    grouping, with discovery6's modules filed one at a time: the same terms,
+    the coefficients held at the chunk's width, int8."""
     gens, index = GradedGeneratorSet(), {}
     for m in discovery6.modules():
         gens._file(m.degree, integer_terms(m.basis))
@@ -390,8 +394,8 @@ def test_key_filing_matches_per_generator_filing(discovery6):
         assert [w for w, _ in items] == list(index[m.degree])
         assert table.tolist() == [list(sum(w, ())) for w in index[m.degree]]
         for (w, got), want in zip(items, index[m.degree].values()):
-            assert got[3] == want[3] and all(np.array_equal(a, b) and a.dtype == b.dtype
-                                             for a, b in zip(got[:3], want[:3]))
+            assert got[3] == want[3] and all(map(np.array_equal, got[:3], want[:3]))
+            assert [a.dtype for a in got[:3]] == [want[0].dtype, want[1].dtype, np.int8]
 
 
 @pytest.mark.slow
@@ -431,12 +435,34 @@ def assert_bases_are_views_of_the_store(disc):
 
 @pytest.mark.slow
 def test_discovery_holds_each_term_once(trifocal_nf, traced_peak_mb):
-    """A fresh discover(6) traces about 15.9 MB, its module bases views of
-    its set's chunks.  With every term held a second time in per-weight
-    tables it traced 27.3 MB."""
+    """A fresh discover(6) traces about 9.8 MB, its module bases views of
+    its set's int8 chunks (15.9 MB with int64 chunks).  With every term held
+    a second time in per-weight tables it traced 27.3 MB."""
     peak, disc = traced_peak_mb(ideal.discover, 6, trifocal_nf, 2024)
     assert disc.counts()[6] == 1980 and peak < 16
     assert_bases_are_views_of_the_store(disc)
+
+
+@pytest.mark.slow
+def test_cold_discovery_peak_and_store_stay_small():
+    """A cold discover(6), in a process of its own, traces at most 11 MB at
+    its peak and holds at most 6.5 MB once it returns, every chunk int8: the
+    coefficients at their width, the partner modules derived in bounded runs
+    (15.1 and 10.0 MB with int64 chunks and full-size swaps)."""
+    code = ("import tracemalloc\n"
+            "from trifocal import ideal, orbits\n"
+            "nf = orbits.trifocal_normal_form()\n"
+            "tracemalloc.start()\n"
+            "disc = ideal.discover(6, nf, seed=2024)\n"
+            "held, peak = tracemalloc.get_traced_memory()\n"
+            "print(held / 2 ** 20, peak / 2 ** 20, sorted({str(s[1].dtype) for t in disc.gens._tables.values()\n"
+            "                                         for v in t.values() for s in v}))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ideal.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    held, peak, widths = proc.stdout.split(" ", 2)
+    assert float(peak) <= 11 and float(held) <= 6.5 and widths.strip() == "['int8']"
 
 
 def test_plain_generators_are_filed_as_the_same_integer_terms():
@@ -491,6 +517,49 @@ def test_rejected_generator_leaves_the_store_unchanged():
         assert np.array_equal(got_table, table) and len(got_items) == len(items)
         for (w, got), (v, ref) in zip(got_items, items):
             assert w == v and got[3] == ref[3] and all(map(np.array_equal, got[:3], ref[:3]))
+
+
+def width_rule_generators(c):
+    """Three degree-2 generators of two weights, c on the smallest monomial of
+    the first and the third, each of content 1 whatever c is."""
+    return [parse_poly("%d*T_1_1_1*T_1_2_2 + T_1_1_2*T_1_2_1" % c),
+            parse_poly("T_1_1_1*T_1_2_2 - 3*T_1_1_2*T_1_2_1"),
+            parse_poly("%d*T_2_1_1*T_3_2_2 + T_2_1_2*T_3_2_1 - T_2_2_1*T_3_1_2" % c)]
+
+
+@pytest.mark.parametrize("c, width", [(127, np.int8), (128, np.int16), (2 ** 40, np.int64),
+                                      (2 ** 70, object)])
+def test_chunks_hold_the_narrowest_width(c, width, monkeypatch):
+    """A chunk holds its coefficients at the narrowest signed width that holds
+    max |c|, objects past int64, and gives the same H(d) and NZD table at
+    p = 101 and 32003 as an int64 store of the same generators mod p (NumPy 2
+    raises on int8 % 32003).  Views of a narrow chunk are widened before
+    their terms are summed: B-lowering takes c*a11*b12 + a12*b11 to (c + 1)*a12*b12."""
+    polys = width_rule_generators(c)
+    views = GradedGeneratorSet()._file(2, integer_terms(polys[:1]))   # packs: objects past L1 2^31
+    assert poly._pack(views[0])[1].dtype == (width if c < 2 ** 31 else object) and views[0] == polys[0]
+    assert poly.apply_shift("B", 1, 0, views[0]) == poly.apply_shift("B", 1, 0, Poly(polys[0].terms)) \
+        == parse_poly("%d*T_1_2_1*T_1_2_2" % (c + 1))
+    assert views[0].content_normalized() == polys[0]
+    batch = poly.pack_terms(views)   # the batch dtype rule: int64 below L1 2^62, whatever the packs
+    assert batch[2].dtype == (object if c >> 62 else np.int64) and merge_terms(batch)[2].dtype == batch[2].dtype
+    assert poly.unpack_terms(ideal._swapped(views), 1) == poly.unpack_terms(ideal._swapped(polys[:1]), 1)
+    rows, ids, coeffs = integer_terms(polys)   # objects past a pack's L1 2^31: int64 as a module's
+    gens = GradedGeneratorSet()
+    gens._file(2, (rows, ids, coeffs.astype(np.int64) if c < 2 ** 63 else coeffs))
+    gens.by_degree[2], gens._modules[2] = polys, False   # as add files them
+    assert {sl[1].dtype for index in gens._tables.values() for s in index.values() for sl in s} \
+        == {np.dtype(width)}
+    for p in (101, 32003):
+        got = [hilbert_quotient(gens, d, p) for d in (2, 3)], graded_nonzerodivisor_check(
+            gens, parse_poly("T_3_3_3"), 3, p).table
+        with monkeypatch.context() as m:
+            m.setattr(ideal, "narrow", lambda coeffs: coeffs)   # every chunk as filed: int64
+            ref = GradedGeneratorSet({2: width_rule_generators(c % p)})
+            assert {sl[1].dtype for index in ref._tables.values() for s in index.values() for sl in s} \
+                == {np.dtype(np.int64)}
+            assert got == ([hilbert_quotient(ref, d, p) for d in (2, 3)], graded_nonzerodivisor_check(
+                ref, parse_poly("T_3_3_3"), 3, p).table)
 
 
 def test_block_rank_reduces_its_one_dense_array(traced_peak_mb):
@@ -983,7 +1052,7 @@ def test_swapped_polynomials_are_tau_images():
     f = f_determinant()   # weight ((3,0,0),(1,1,1),(1,1,1))
     tau = {var_index(i, j, k): var_index(j, i, k) for i, j, k in product(range(3), repeat=3)}
     want = Poly((sorted(tau[v] for v in mono), c) for mono, c in f.terms.items())
-    (got,) = poly.unpack_terms(ideal._swapped(poly.pack_terms([f])), 1)
+    (got,) = poly.unpack_terms(ideal._swapped([f]), 1)
     assert got == want.content_normalized() and got.weight() == ((1, 1, 1), (3, 0, 0), (1, 1, 1))
 
 
@@ -995,7 +1064,7 @@ def test_swap_closure_needs_module_built_tau_closed_degrees(discovery5, trifocal
     # tau(f) has weight ((1,1,1),(3,0,0),(1,1,1)): no module
     lone.add_module(rep.module_span(f_determinant()))
     assert not ideal._swap_closed(lone, trifocal_nf, 4)
-    tau_f = poly.unpack_terms(ideal._swapped(poly.pack_terms([f_determinant()])), 1)[0]
+    tau_f = poly.unpack_terms(ideal._swapped([f_determinant()]), 1)[0]
     lone.add_module(rep.module_span(tau_f))
     assert ideal._swap_closed(lone, trifocal_nf, 4)
     assert not ideal._swap_closed(discovery5.gens, catalog()["sub233"].tensor, 6)
