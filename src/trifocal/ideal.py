@@ -37,15 +37,17 @@ B_r is neither rebuilt nor re-eliminated.  Over Q, rank [B_r; sigma W_w]
 folded total is still a lower bound on the dimension over Q.
 
 Blocks are built from packed terms with no per-term Python.  Each filed
-batch (a module from rep.module_span, or poly.integer_terms of one add
-call) is gathered once into one read-only chunk of uint8 rows of sorted
+batch (a module from rep.module_span, or poly.integer_terms of the Polys of
+one add call) is gathered once into one read-only chunk of uint8 rows of sorted
 variables and coefficients at their narrowest width (poly.narrow), each
 generator as its integer multiple with content 1 (the same ideal, nothing
 to truncate mod p), sorted by weight key, then by order of filing.  A
 weight is its int key here (poly.weight_keys); the degree-n weights are
 the key column of poly._monomial_table(n).  Weight keys, an array per
 degree built at filing with their 3 x 3 contents, index slices of the
-chunks, and a module's basis vectors are Polys on theirs: terms held once.
+chunks, which a module's basis vectors view: terms held once.  From
+rep.hw_space to the store discovery passes term batches only; the set holds
+no Poly.
 A product row is a generator's rows beside a multiplier, sorted; a
 monomial's key has five bits per variable (poly.mono_keys, 35 at degree
 7), and poly.term_matrix fills a block's transpose A, a row per monomial
@@ -77,9 +79,9 @@ import numpy as np
 
 from . import linalg, rep
 from .poly import (N_VARS, PAD, Poly, _RUN_TERMS, _monomial_table, _pack, _packed, _run_starts,
-                   bounded_runs, distinct, evaluate_points, integer_terms, key_weights, mono_keys,
-                   narrow, normalize_batch, normalized, pack_terms, row_weights, term_matrix,
-                   unpack_terms, var_ijk, weight_keys, weight_space_basis)
+                   bounded_runs, distinct, evaluate_points, integer_terms, key_weights, merge_terms,
+                   mono_keys, narrow, normalize_batch, row_weights, term_matrix, unpack_terms, var_ijk,
+                   weight_keys, weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, _integral, random_orbit_point
 
@@ -125,22 +127,21 @@ def _gathered(slices):
 
 class GradedGeneratorSet:
     """Homogeneous, weight-homogeneous generators bucketed by degree and
-    indexed by weight.  A degree is module-built while all of its
-    generators came from add_module."""
+    indexed by weight, held as term chunks.  A degree is module-built while
+    all of its generators came from add_module."""
 
     def __init__(self, by_degree=None):
-        self.by_degree = {}
         self._tables = {}   # degree -> {weight key: chunk slices}, in order of filing
         self._weights = {}  # degree -> the keys of _tables[degree] as an array, their 3 x 3 contents
         self._modules = {}  # degree -> module-built
-        self._hws = {}      # _key of each module's hw vector -> it (_swap_closed)
+        self._hws = {}      # _key of each module's hw vector -> its rows and coefficients (_swap_closed)
         self._ranks = {}    # (degree, p, group) -> {representative: its block's Factor}
         self._folds = {}    # (degree, group) -> _fold of the slice weights
         for d, polys in (by_degree or {}).items():
             self.add(d, polys)
 
     def _file(self, degree, batch):
-        # a batch of id runs (ids in filing order, runs in any order) as one chunk of Polys
+        # a batch of id runs (ids in filing order, runs in any order) as one chunk, its slices by id
         rows, ids, coeffs = batch
         starts = _run_starts(ids)
         keys = weight_keys(row_weights(rows[starts]))   # raises before any change to the set
@@ -160,31 +161,27 @@ class GradedGeneratorSet:
         self._modules.setdefault(degree, True)
         self._ranks.clear()
         self._folds.clear()
-        return [Poly._wrap(None, _packed(rows[a:b], coeffs[a:b], 1)) for a, b in (
-            (ends[s], ends[s + 1]) for s in np.argsort(filed).tolist())]
+        return [(rows[a:b], coeffs[a:b]) for a, b in (ends[s:s + 2] for s in np.argsort(filed).tolist())]
 
     def add(self, degree, polys):
-        """Add plain generators; their degree stops being module-built."""
+        """Add plain generators, Polys; their degree stops being module-built."""
         polys = list(polys)
         for f in polys:
             if f.degree() != degree:
                 raise ValueError("generator of degree %s filed under %d" % (f.degree(), degree))
             f.weight()   # raises unless f is weight-homogeneous
         self._file(degree, integer_terms(polys))
-        self.by_degree.setdefault(degree, []).extend(polys)
         self._modules[degree] = False
 
     def add_module(self, batch):
         """Add a module, a rep.module_span batch (its content-normalized hw
-        vector id 0), and return its basis."""
-        d = batch[0].shape[1]   # lowering keeps degree and weight
-        basis = self._file(d, batch)
-        self.by_degree.setdefault(d, []).extend(basis)
-        self._hws[_key(basis[0])] = basis[0]
+        vector id 0), and return its basis as _file does."""
+        basis = self._file(batch[0].shape[1], batch)   # lowering keeps degree and weight
+        self._hws[_key(*basis[0])] = basis[0]
         return basis
 
     def degrees(self):
-        return sorted(self.by_degree)
+        return sorted(self._tables)
 
     def symmetry_group(self, d):
         """S3^3 when every degree <= d is module-built, else {id}."""
@@ -213,8 +210,10 @@ class Block:
                      np.concatenate([self.coeffs, other.coeffs]), self.n + other.n)
 
     def matrix(self, p):
-        """The block mod p as a dense array: a row per block row, a column per key."""
-        return term_matrix(self.keys, self.rows, self.coeffs, distinct(self.keys), self.n, p).T
+        """The block mod p as a dense C-ordered array: a row per block row, a column per key."""
+        cols = distinct(self.keys)
+        return term_matrix(self.rows, np.searchsorted(cols, self.keys), self.coeffs, np.arange(self.n),
+                           len(cols), p)
 
 
 # a degree-7 sweep over generators of degree >= 3 meets under 5000 keys
@@ -265,11 +264,11 @@ def rows_in_weight_block(gens: GradedGeneratorSet, d, w):
     return _block(gens, d, w, d - 1)
 
 
-def _independent_of(block: Block, polys, d, w, p):
-    """For each of the degree-d polys of weight key w in turn, whether it is
-    independent mod p of the block's rows and of the polys before it."""
-    a = (block + _block(None, d, w, d, (
-        d, w, integer_terms(polys) + (len(polys),)))).matrix(p)
+def _independent_of(block: Block, certs, d, w, p):
+    """For each polynomial of certs (rows, ids, coeffs, count), of degree d and
+    weight key w, in turn, whether it is independent mod p of the block's rows
+    and of those before it: one dense array of both, reduced in place."""
+    a = (block + _block(None, d, w, d, (d, w, certs))).matrix(p)
     ech = linalg.Echelon(a[:len(block)], p)
     return [ech.add(x) for x in a[len(block):]]
 
@@ -285,6 +284,7 @@ def stabiliser(group, f: Poly):
 @lru_cache(maxsize=64)
 def _stabiliser(group, terms):
     rows, _, coeffs = integer_terms([Poly._wrap(dict(terms))])
+    coeffs = coeffs.astype(object if np.abs(coeffs).max() >> 31 else coeffs.dtype)   # products of two < 2^62
     # f and its image under each sigma: monomial keys in order, and their coefficients
     images = np.sort(_weyl_maps()[[0] + [_WEYL_INDEX[s] for s in group]][:, rows], axis=2)
     keys = mono_keys(images.reshape(-1, rows.shape[1])).reshape(len(images), -1)
@@ -416,7 +416,7 @@ def hilbert_quotient(gens: GradedGeneratorSet, d, p=DEFAULT_PRIME, progress=None
 
 class VanishingReport(NamedTuple):
     multiplicity: int
-    certificates: list
+    certificates: tuple   # an integer batch, certificate i the terms of id i
 
 
 def evaluate_batch(polys, point: Tensor333):
@@ -428,16 +428,16 @@ def trifocal_points(nf: Tensor333, seed, count):
     return [random_orbit_point(nf, seed + i) for i in range(count)]
 
 
-def _combinations(kernel, polys):
-    """sum_i v[i] * polys[i], content-normalized, for each integer vector v
-    of the kernel: the terms tiled once per vector, as one batch."""
-    rows, ids, coeffs = pack_terms(polys)
-    k = np.array(kernel, dtype=object).reshape(len(kernel), len(polys))[:, ids]
+def _combinations(kernel, batch, n):
+    """sum_i v[i] f_i, content-normalized, for each integer vector v of the
+    kernel, f_i the terms of id i < n of an integer batch: the terms tiled
+    once per vector, as one batch."""
+    rows, ids, coeffs = batch
+    k = np.array(kernel, dtype=object).reshape(len(kernel), n)[:, ids]
     c = (k * coeffs).ravel()   # objects; int64 below L1 2^62, as in shift_batch
     if np.abs(c).sum() < 1 << 62:
         c = c.astype(np.int64)
-    return normalized((np.tile(rows, (len(k), 1)), np.repeat(np.arange(len(k)), len(ids)), c),
-                      len(k))
+    return normalize_batch(merge_terms((np.tile(rows, (len(k), 1)), np.arange(len(k)).repeat(len(ids)), c)))
 
 
 def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed) -> VanishingReport:
@@ -447,10 +447,10 @@ def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed) -> VanishingReport:
     n = 2 * hw.dim   # a label of no hw vector passes with no certificate
     rows = linalg._integer_rows(evaluate_points(hw.basis, trifocal_points(nf, seed, n)))
     kernel = linalg.kernel_basis_int([{c: x for c, x in enumerate(r) if x} for r in rows], hw.dim)
-    certs = _combinations(kernel, hw.basis)
-    if any(map(any, evaluate_points(certs, trifocal_points(nf, seed + n, n)))):
+    certs = _combinations(kernel, hw.terms, hw.dim)
+    if any(map(any, evaluate_points(unpack_terms(certs, len(kernel)), trifocal_points(nf, seed + n, n)))):
         raise ArithmeticError("inconsistent vanishing kernel for label %r" % (hw.label,))
-    return VanishingReport(len(certs), certs)
+    return VanishingReport(len(kernel), certs)
 
 
 def _proved_zero(label, nf: Tensor333, seed):
@@ -477,10 +477,15 @@ def _values_at(batch, t: Tensor333):
 # ---------------------------------------------------------------------------
 # the discovery pipeline
 
+def _views(terms):
+    """Polys whose packs are the given (rows, coefficients) slices."""
+    return [Poly._wrap(None, _packed(rows, coeffs, 1)) for rows, coeffs in terms]
+
+
 class DiscoveredModule(NamedTuple):
     degree: int
     label: tuple
-    basis: list   # the content-normalized hw vector first
+    basis: list   # views of the store (_views), the content-normalized hw vector first
     dim = property(lambda self: len(self.basis))
     hw_vector = property(lambda self: self.basis[0])
 
@@ -497,25 +502,26 @@ class DegreeScan(NamedTuple):
 _TAU = np.r_[np.arange(N_VARS).reshape(3, 3, 3).transpose(1, 0, 2).ravel(), PAD].astype(np.uint8)
 
 
-def _key(f: Poly):   # the terms of a content-normalized polynomial, hashable
-    return _pack(f)[0].tobytes(), tuple(_pack(f)[1].tolist())
+def _key(rows, coeffs):   # the terms of a content-normalized polynomial, hashable
+    return rows.tobytes(), tuple(coeffs.tolist())
 
 
-def _swapped(polys):
-    """tau(f), content-normalized, for each content-normalized f of polys as one
-    batch, f's terms with its id and coefficients as wide as the widest pack's,
-    filled in runs of at most poly._RUN_TERMS terms: tau keeps their number."""
-    packs = [_pack(f) for f in polys]
-    ends = np.cumsum([0] + [len(pk[1]) for pk in packs])
-    rows = np.full((ends[-1], max([0] + [pk[0].shape[1] for pk in packs])), PAD, np.uint8)
-    coeffs = np.empty(ends[-1], np.result_type(np.int8, *(pk[1].dtype for pk in packs)))
-    for run in bounded_runs(range(len(polys)), np.diff(ends), _RUN_TERMS):
-        r, ids, c = pack_terms([polys[i] for i in run])
-        r = np.sort(_TAU[r], axis=1)
-        order = np.argsort(mono_keys(r, ids))   # by polynomial, then monomial: ids stay
+def _swapped(terms):
+    """tau(f), content-normalized, for each content-normalized f of terms, its (rows,
+    coefficients) of one degree, as one batch, f's terms with its id, coefficients as
+    wide as the widest f's, filled in runs of at most poly._RUN_TERMS terms (tau
+    keeps their number), each normalized in int64."""
+    ends = np.cumsum([0] + [len(c) for _, c in terms])
+    ids = np.repeat(np.arange(len(terms)), np.diff(ends))
+    rows = np.empty((ends[-1], terms[0][0].shape[1]), np.uint8)
+    coeffs = np.empty(ends[-1], np.result_type(np.int8, *(c.dtype for _, c in terms)))
+    for run in bounded_runs(range(len(terms)), np.diff(ends), _RUN_TERMS):
         at = slice(ends[run[0]], ends[run[-1] + 1])
-        rows[at, :r.shape[1]], _, coeffs[at] = normalize_batch((r[order], ids, c[order]))
-    return rows, np.repeat(np.arange(len(polys)), np.diff(ends)), coeffs
+        r = np.sort(_TAU[np.concatenate([terms[i][0] for i in run])], axis=1)
+        c = np.concatenate([terms[i][1] for i in run]).astype(np.result_type(np.int64, coeffs))
+        order = np.argsort(mono_keys(r, ids[at]))   # by polynomial, then monomial: ids stay
+        rows[at], _, coeffs[at] = normalize_batch((r[order], ids[at], c[order]))
+    return rows, ids, coeffs
 
 
 @lru_cache(maxsize=8)
@@ -530,9 +536,8 @@ def _swap_element(nf: Tensor333):
 def _swap_closed(gens: GradedGeneratorSet, nf: Tensor333, d):
     """Whether degree d may derive labels by tau (module docstring): _swap_element
     exists, the degrees below d are module-built, and tau maps hw vectors to hw vectors."""
-    hws = list(gens._hws.values())
     return (_swap_element(nf) is not None and gens.symmetry_group(d - 1) is WEYL and all(
-        _key(f) in gens._hws for f in unpack_terms(_swapped(hws), len(hws))))
+        _key(*_swapped([hw])[::2]) in gens._hws for hw in gens._hws.values()))
 
 
 def _new_modules(d, gens: GradedGeneratorSet, hw: rep.HWSpace, nf: Tensor333, seed, p):
@@ -542,15 +547,17 @@ def _new_modules(d, gens: GradedGeneratorSet, hw: rep.HWSpace, nf: Tensor333, se
     w = int(weight_keys(hw.weight)[0])
     for k in range(MAX_DRAWS):
         try:
-            certs = vanishing_subspace(hw, nf, seed + 10_000 * k).certificates
+            mult, (rows, ids, coeffs) = vanishing_subspace(hw, nf, seed + 10_000 * k)
         except ArithmeticError as exc:
             error = exc
             continue
-        new = certs and _independent_of(   # no block without certificates
-            rows_in_weight_block(gens, d, w), certs, d, w, p)
-        spans = [rep.module_span(cert) for cert, ok in zip(certs, new) if ok]
+        new = _independent_of(   # no block without certificates
+            rows_in_weight_block(gens, d, w), (rows, ids, coeffs, mult), d, w, p) if mult else []
+        at = np.searchsorted(ids, np.arange(mult + 1)).tolist()
+        spans = [rep.module_span((rows[a:b], ids[a:b], coeffs[a:b]))
+                 for a, b, ok in zip(at, at[1:], new) if ok]
         if not any(any(_values_at(span, nf)) for span in spans):
-            return k + 1, len(certs), spans
+            return k + 1, mult, spans
         error = ArithmeticError("a module of label %r does not vanish at nf" % (hw.label,))
     raise error
 
@@ -572,15 +579,15 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
             row, note = (lab,) + row[1:], " (swap of label %d)" % (src + 1)
             word = np.arange(rep.label_dim(lab)).reshape(   # this one's words (a, b, c) are
                 [rep.weyl_dim(x) for x in partner]).transpose(1, 0, 2).ravel()   # the partner's (b, a, c)
-            modules = [DiscoveredModule(d, lab, gens.add_module(_swapped([m.basis[i] for i in word])))
-                       for m in mods]
+            modules = [DiscoveredModule(d, lab, _views(gens.add_module(_swapped(
+                [_pack(m.basis[i])[:2] for i in word])))) for m in mods]   # the partner's slices
         else:
             k, s = rep.kronecker(*lab), seed + 7919 * idx
             draws, mult, spans = (0, 0, []) if _proved_zero(lab, nf, s) else _new_modules(
                 d, gens, rep.hw_space(lab), nf, s, p)
             row = (lab, k, k, mult, len(spans))
             note = "; %d draws" % draws if draws > 1 else ""
-            modules = [DiscoveredModule(d, lab, gens.add_module(spans.pop(0)))
+            modules = [DiscoveredModule(d, lab, _views(gens.add_module(spans.pop(0))))
                        for _ in range(len(spans))]   # each batch released once filed
             scanned[lab] = idx, row, modules
         scan.rows.append(row)

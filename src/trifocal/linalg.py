@@ -12,7 +12,7 @@ reduce late: k row updates keep every entry in (-k(p-1)^2, p), and they
 reduce before k(p-1)^2 + p would pass 2^62; for p <= 2^31 - 1 that holds at
 k = 1, so int64 never overflows.  They update the rows a pivot hits in
 chunks of at most _UPDATE_ENTRIES entries, so the peak is the array (a copy
-of the input for Echelon and rref_mod_p), two 2 MB temporaries and L.
+of the input for rref_mod_p, not for Echelon), two 2 MB temporaries and L.
 machine_prime supplies the primes of multi-prime computations and of exact
 evaluation beyond 2^64.
 """
@@ -167,11 +167,10 @@ def _eliminate(a, p):
     return perm, pivots
 
 
-def _row_echelon(rows_array, p):
-    """(U, pivots) of an integer matrix mod p: U the nonzero rows of the
-    echelon form _eliminate leaves in a copy, each scaled to a leading 1 in
+def _row_echelon(a, p):
+    """(U, pivots) of a C-ordered int64 array mod p: U the nonzero rows of
+    the echelon form _eliminate leaves in it, each scaled to a leading 1 in
     column pivots[j], entries in [0, p); entries above pivots stay."""
-    a = np.array(rows_array, dtype=np.int64, order="C")   # "K" keeps F order
     pivots = _eliminate(a, p)[1]
     u = a[:len(pivots)]
     for j, c in enumerate(pivots):
@@ -185,7 +184,7 @@ def rref_mod_p(rows_array, p):
     rows, each with a leading 1 in a column zero in every other row, those
     pivot columns).  _row_echelon's U, then one pass upward clears each
     pivot's column above it; the input stays unchanged."""
-    a, pivots = _row_echelon(rows_array, p)
+    a, pivots = _row_echelon(np.array(rows_array, dtype=np.int64, order="C"), p)   # "K" keeps F order
     limit = ((1 << 62) - p) // (p - 1) ** 2
     k = 0   # k: updates since every entry of rows above was last in [0, p)
     for j in range(len(pivots) - 1, 0, -1):
@@ -233,11 +232,11 @@ def extension_rank(low, y, p):
 
 
 class Echelon:
-    """Row echelon mod p of some base rows that grows by independent
-    candidate rows."""
+    """Row echelon mod p of some base rows, a C-ordered int64 array reduced
+    in place, that grows by independent candidate rows."""
 
-    def __init__(self, rows_array, p):
-        a, pivots = _row_echelon(rows_array, p)
+    def __init__(self, a, p):
+        a, pivots = _row_echelon(a, p)
         self.p = p
         self.rows = list(a)
         self.lead = {c: i for i, c in enumerate(pivots)}

@@ -32,11 +32,11 @@ overflow).  Coefficients are int64 while L1 * width < 2^62, so no product
 by a multiplicity and no merge overflows; objects otherwise.  Packs may
 hold any integer width below L1 2^31, widened to int64 before arithmetic.
 
-pack_terms concatenates packs and unpack_terms slices a batch into Polys;
-those of an int64 batch hold only their packs, views of the batch, their
-terms dicts built on first read.  So hw-space bases (one batch from the
-tableau expansion), certificates and modules (one from rep.module_span to
-ideal's store) reach the weight blocks and evaluation without a dict.
+From rep.hw_space to ideal's store discovery passes batches, not Polys.
+pack_terms makes a batch of Polys at the edges (a witness, the generators
+of GradedGeneratorSet.add), unpack_terms slices one into Polys for
+evaluate_points: those of an int64 batch hold only their packs, views of
+the batch, their term dicts built on first read.
 
 As text (parse_poly, format_poly) a polynomial is terms [sign] factor
 (* factor)*, the sign needed after the first; a factor is an unsigned
@@ -194,7 +194,7 @@ class Poly:
     def content_normalized(self):
         """The integer multiple with content 1 whose coefficient on the
         smallest monomial in tuple order is positive."""
-        return normalized(integer_terms([self]), 1)[0]
+        return unpack_terms(normalize_batch(merge_terms(integer_terms([self]))), 1)[0]
 
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
@@ -254,9 +254,9 @@ def _unpacked(rows, coeffs):
 def integer_terms(polys):
     """pack_terms of polys, with the coefficients of each one's integer
     multiple with content 1 (denominators cleared, then divided by their
-    gcd)."""
+    gcd), as wide as pack_terms makes them, whatever width the packs hold."""
     rows, ids, coeffs = pack_terms(polys)
-    if coeffs.dtype == object or any(_pack(f)[1].dtype == object for f in polys):
+    if coeffs.dtype == object:   # the packs' integers, denominators cleared
         coeffs = np.concatenate([np.empty(0, np.int64)] + [_pack(f)[1] for f in polys])
     g = np.gcd.reduceat(coeffs, _run_starts(ids))
     return rows, ids, coeffs if (g == 1).all() else coeffs // g[ids]
@@ -515,12 +515,6 @@ def normalize_batch(batch):
     return rows, ids, coeffs // np.repeat(g, np.diff(np.r_[starts, len(ids)]))
 
 
-def normalized(batch, n):
-    """The n polynomials of an integer batch with sorted rows, each summed
-    and content-normalized: merge_terms, normalize_batch, unpack_terms."""
-    return unpack_terms(normalize_batch(merge_terms(batch)), n)
-
-
 def term_matrix(keys, at, coeffs, cols, n, p):
     """Terms as a dense, C-ordered len(cols) x n array mod p: a row per key
     of cols, in the order given (sorted or not; it holds every term's key),
@@ -542,8 +536,8 @@ LOWERING = tuple((ax, to, frm) for ax in "ABC" for to, frm in ((1, 0), (2, 1)))
 RAISING = tuple((ax, to, frm) for ax in "ABC" for to, frm in ((0, 1), (1, 2)))
 
 
-def is_highest_weight(f: Poly) -> bool:
-    batch = pack_terms([f])
+def is_highest_weight(batch) -> bool:
+    """Whether every raising operator kills each polynomial of a batch."""
     return all(len(shift_batch(ax, to, frm, batch)[0]) == 0 for ax, to, frm in RAISING)
 
 

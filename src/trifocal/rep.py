@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, poly
-from .poly import LOWERING, Poly, apply_shift
+from .poly import LOWERING, apply_shift
 from .tensor import perm_sign
 
 MAX_DEGREE = 9  # the search bound: no new generators exist above this
@@ -155,15 +155,13 @@ def _pad(lam):
 
 
 class HWSpace(NamedTuple):
-    """Integer basis of the highest weight space of one label."""
+    """Integer basis of the highest weight space of one label, one term batch."""
 
     label: tuple
     weight: tuple
-    basis: list
-
-    @property
-    def dim(self):
-        return len(self.basis)
+    terms: tuple
+    dim = property(lambda self: kronecker(*self.label))
+    basis = property(lambda self: poly.unpack_terms(self.terms, self.dim))   # Polys viewing the terms
 
 
 @lru_cache(maxsize=None)
@@ -256,8 +254,7 @@ def hw_space(label) -> HWSpace:
     """Highest weight space of a label: the tableau polynomials of
     hw_pairs(label) as one content-normalized batch (module docstring)."""
     ta, pairs = hw_pairs(label)
-    return HWSpace(label, tuple(map(_pad, label)), poly.unpack_terms(
-        poly.normalize_batch(_tableau_terms(ta, pairs)), len(pairs)))
+    return HWSpace(label, tuple(map(_pad, label)), poly.normalize_batch(_tableau_terms(ta, pairs)))
 
 
 @lru_cache(maxsize=None)
@@ -300,28 +297,30 @@ def lowering_tree(lam):
     return tuple(nodes)
 
 
-def module_span(h: Poly):
+def module_span(batch):
     """Basis of the module generated by a highest weight vector h of weight
-    (lam, mu, nu) as one integer batch: vector i is w_A w_B w_C h for the
-    i-th triple of lowering words of lowering_tree(lam), (mu) and (nu) on
-    the A, B and C factors, each one lowering of an earlier vector, then
-    content-normalized.  Vector i's terms are one run of id i, sorted by
-    monomial; the runs come in any order."""
-    w = h.weight()
-    if w is None:
-        raise ValueError("module_span needs a nonzero highest weight vector")
-    parts = tuple(tuple(sorted(c, reverse=True)) for c in w)
-    if tuple(_pad(c) for c in parts) != w:
+    (lam, mu, nu), an integer batch (ids aside), as one integer batch: vector
+    (a * dim mu + b) * dim nu + c is w_A w_B w_C h for word a, b and c of
+    lowering_tree(lam), (mu) and (nu) on the A, B and C factors, each one
+    lowering of an earlier vector, then content-normalized.  Vector i's terms
+    are one run of id i, sorted by monomial; the runs come in any order."""
+    rows, _, coeffs = batch
+    w = poly.row_weights(rows)
+    if not len(w) or (w != w[:1]).any():
+        raise ValueError("module_span needs a nonzero weight-homogeneous highest weight vector")
+    w = tuple(map(tuple, w[0].reshape(3, 3).tolist()))
+    parts = [tuple(x for x in sorted(c, reverse=True) if x) for c in w]
+    if tuple(map(_pad, parts)) != w:
         raise ValueError("module_span needs a dominant-weight vector, got weight %r" % (w,))
+    h = poly.normalize_batch(poly.merge_terms((rows, np.zeros(len(rows), np.int64), coeffs)))
     if not poly.is_highest_weight(h):
         raise ValueError("module_span needs a highest weight vector")
-    batch, dims = poly.normalize_batch(poly.merge_terms(poly.integer_terms([h]))), []
-    for axis, part in zip("ABC", parts):
-        tree, nvec = lowering_tree(tuple(x for x in part if x)), prod(dims)
-        nodes = [batch]   # node n of the tree on every vector, as ids n * nvec + id
+    trees = list(map(lowering_tree, parts))
+    for axis, tree, step in zip("ABC", trees, (len(trees[1]) * len(trees[2]), len(trees[2]), 1)):
+        nodes = [h]   # node n of the tree on every vector, its ids raised by n * step
         for n, (parent, (to, frm)) in enumerate(tree[1:], 1):
             nodes.append(poly.normalize_batch(poly.shift_batch(axis, to, frm, nodes[parent])))
-            np.add(nodes[n][1], (n - parent) * nvec, out=nodes[n][1])
-        batch, dims = tuple(map(np.concatenate, zip(*nodes))), dims + [len(tree)]
-    rows, ids, coeffs = batch   # id (c * dims[1] + b) * dims[0] + a becomes (a, b, c)'s
-    return rows, np.arange(prod(dims)).reshape(dims).transpose(2, 1, 0).ravel()[ids], coeffs
+            np.add(nodes[n][1], (n - parent) * step, out=nodes[n][1])
+        columns, nodes = [list(x) for x in zip(*nodes)], None
+        h = tuple(np.concatenate(columns.pop(0)) for _ in range(3))   # each column dropped once joined
+    return h

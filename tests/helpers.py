@@ -1,8 +1,8 @@
 """Test data the package itself never builds: the pencil-determinant cubics,
 random camera triples, their tensor by Laplace expansion and a camera's
 primitive center, the isotypic dimension count, hw bases from expanded
-candidates, a degree's generators by weight, module spans as lists of
-polynomials, a few tensor and matrix operations (the slices of an axis as a
+candidates, a degree's generators by weight, term batches of polynomials,
+module spans and discovered bases as lists of polynomials, hashable terms, a few tensor and matrix operations (the slices of an axis as a
 pencil or a flattening among them), and the degeneration replays and
 degree-6 separation checks on the boundary orbits 17 and 18."""
 
@@ -139,9 +139,29 @@ def weight_table(gens, degree):
                                     for w, slices in zip(weights.tolist(), index.values())]
 
 
+def batch_of(f):
+    """The terms of a Poly as an integer batch of one polynomial, the input
+    of rep.module_span."""
+    return poly.integer_terms([f])
+
+
 def span_polys(h):
-    """The basis rep.module_span(h) as Polys, vector i the run of id i."""
-    return batch_polys(rep.module_span(h))
+    """The basis rep.module_span of the Poly h as Polys, vector i the run of id i."""
+    return batch_polys(rep.module_span(batch_of(h)))
+
+
+def module_polys(modules):
+    """{degree: the basis vectors of the modules of that degree}, as Polys
+    in order of filing: the input of a plain GradedGeneratorSet."""
+    out = {}
+    for m in modules:
+        out.setdefault(m.degree, []).extend(m.basis)
+    return out
+
+
+def term_key(f):
+    """The hashable terms of a Poly, as ideal._key reads them from its pack."""
+    return ideal._key(*poly._pack(f)[:2])
 
 
 def batch_polys(batch):

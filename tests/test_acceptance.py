@@ -15,7 +15,7 @@ import time
 import pytest
 
 import trifocal
-from trifocal import ideal, orbits, rep
+from trifocal import ideal, orbits, poly, rep
 from trifocal.cameras import trifocal_from_cameras
 from trifocal.cli import main
 from trifocal.ideal import graded_nonzerodivisor_check, hilbert_quotient
@@ -159,7 +159,7 @@ def test_criterion_5_representation_cross_checks(discovery6, capsys):
     assert span_dims == [27, 54, 100, 640]
     for m in discovery6.modules():
         assert m.dim == rep.label_dim(m.label)
-    assert len(set(rep.module_span(f_determinant().content_normalized())[1].tolist())) == 10
+    assert len(set(rep.module_span(poly.integer_terms([f_determinant()]))[1].tolist())) == 10
     with capsys.disabled():
         report(5, "hw dims = Kronecker for %d labels (degrees 1-5 exhaustive + "
                   "degree-6 module labels); isotypic sums match ambient dims; "

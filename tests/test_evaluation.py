@@ -174,7 +174,7 @@ def peak_polys():
     rng = np.random.default_rng(14)
     rows = np.sort(rng.integers(0, 27, (320000, 6)).astype(np.uint8), axis=1)
     batch = (rows, np.sort(rng.integers(0, 2000, 320000)), rng.integers(-50, 50, 320000))
-    polys = poly.normalized(batch, 2000)
+    polys = poly.unpack_terms(poly.normalize_batch(poly.merge_terms(batch)), 2000)
     assert sum(len(poly._pack(f)[1]) for f in polys) > 300000
     return polys
 
@@ -334,7 +334,8 @@ def test_module_span_packs_match_fresh_packs(discovery5, trifocal_nf):
     width (int8: content-normalized, they stay within [-5, 5])."""
     points = [skew_tensor()] + ideal.trifocal_points(trifocal_nf, 77, 2)
     for m in discovery5.scans[5].modules:
-        basis = ideal.GradedGeneratorSet().add_module(rep.module_span(m.hw_vector))
+        basis = ideal._views(ideal.GradedGeneratorSet().add_module(rep.module_span(
+            poly.integer_terms([m.hw_vector]))))
         assert all(f._terms is None for f in basis)
         fresh = [Poly(f.terms) for f in basis]
         for a, b in zip(map(poly._pack, basis), map(poly._pack, fresh)):

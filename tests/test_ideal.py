@@ -1,6 +1,5 @@
 import contextlib
 import hashlib
-import operator
 import os
 import random
 import subprocess
@@ -21,7 +20,8 @@ from trifocal.poly import (Poly, det_slice_poly, f_determinant, integer_terms, m
                            parse_poly, var_ijk, var_index, weight_space_basis, witness_g)
 from trifocal.tensor import Tensor333, act, random_orbit_point
 
-from helpers import batch_polys, m3_generators, variable_map, weight_table
+from helpers import (batch_of, batch_polys, m3_generators, module_polys, term_key, variable_map,
+                     weight_table)
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +52,11 @@ def test_degree_cap_enforced(m3_set):
 
 # --- the dict product-row builder, the oracle of the packed blocks ----------------
 
-def dict_groups(gens):
-    """{degree: [(weight, generators)]}, weights in order of filing."""
+def dict_groups(by_degree):
+    """{degree: [(weight, generators)]} of {degree: generators}, weights in
+    order of filing."""
     out = {}
-    for e, polys in gens.by_degree.items():
+    for e, polys in by_degree.items():
         groups = {}
         for f in polys:
             groups.setdefault(f.weight(), []).append(f)
@@ -202,7 +203,7 @@ def minimal_generator_test(h, gens, p=101):
     minimal generator."""
     w = key_of(h.weight())
     block = ideal.rows_in_weight_block(gens, h.degree(), w)
-    return not ideal._independent_of(block, [h], h.degree(), w, p)[0]
+    return not ideal._independent_of(block, batch_of(h) + (1,), h.degree(), w, p)[0]
 
 
 def test_weight_blocking_is_lossless(m3_set):
@@ -221,7 +222,7 @@ def test_short_side_rank_matches_row_elimination(m3_set):
     permutation; it (all wide from degree 4) and its transpose, a Block
     keyed by row index (all tall), have the rank of the oracle matrix's row
     elimination."""
-    groups, sides = dict_groups(m3_set), set()
+    groups, sides = dict_groups({3: m3_generators("C")}), set()
     for d in (3, 4, 5):
         for w, block in slice_rows_by_weight(m3_set, d, ideal._slice_weights(m3_set, d)).items():
             b = assert_same_block(block, dict_rows(groups, d, w, d))
@@ -238,11 +239,11 @@ def test_packed_blocks_equal_dict_rows():
     merge, and two plain quartics: blocks of the whole slice and strictly
     below it."""
     gens = GradedGeneratorSet()
-    gens.add_module(rep.module_span(det_slice_poly("C", 1)))
-    gens.add_module(rep.module_span(f_determinant()))
+    cubics = [ideal._views(gens.add_module(rep.module_span(batch_of(h))))
+              for h in (det_slice_poly("C", 1), f_determinant())]
     x, y, z = map(parse_poly, ("T_1_1_1", "T_2_3_1", "T_3_2_2"))
     gens.add(4, [x * x * y * y, x * y * z * z])
-    groups = dict_groups(gens)
+    groups = dict_groups({3: cubics[0] + cubics[1], 4: [x * x * y * y, x * y * z * z]})
     for d in (3, 4, 5):   # at 5 every generator lies below d, and groups meet several multipliers
         for w, block in slice_rows_by_weight(gens, d, ideal._slice_weights(gens, d)).items():
             assert_same_block(block, dict_rows(groups, d, w, d))
@@ -255,7 +256,7 @@ def test_packed_blocks_equal_dict_rows():
 def test_packed_blocks_equal_dict_rows_on_discovery6(discovery6):
     """The degree-6 base blocks that the folded sweep ranks, and the f and
     g witness blocks, against the dict rows."""
-    gens, groups = discovery6.gens, dict_groups(discovery6.gens)
+    gens, groups = discovery6.gens, dict_groups(module_polys(discovery6.modules()))
     weights = ideal._fold(ideal.WEYL, ideal._slice_weights(gens, 6))
     blocks = slice_rows_by_weight(gens, 6, weights)
     for w in weights:
@@ -289,7 +290,7 @@ def test_mono_keys_are_in_tuple_order_without_collisions():
 def test_rational_and_non_primitive_generators_give_the_integer_ranks(m3_set):
     """Each generator is filed as its integer multiple with content 1, so
     f/2, -f/3 and 101 f span what f spans, also at p = 101."""
-    cubics = m3_set.by_degree[3]
+    cubics = m3_generators("C")
     for c in (Fraction(1, 2), Fraction(-1, 3), 101):
         scaled = GradedGeneratorSet({3: [f.scale(c) for f in cubics]})
         for d in (3, 4):
@@ -307,8 +308,8 @@ def test_module_set_matches_plain_m3_set(m3_set):
     """The module of one highest weight vector spans the 10 cubics; its
     folded sweeps give the plain set's H(1..6) and NZD values for f, g."""
     module_set = GradedGeneratorSet()
-    basis = module_set.add_module(rep.module_span(det_slice_poly("C", 1)))
-    assert ideal_dim_in_degree(GradedGeneratorSet({3: basis + m3_set.by_degree[3]}), 3) == 10
+    basis = ideal._views(module_set.add_module(rep.module_span(batch_of(det_slice_poly("C", 1)))))
+    assert ideal_dim_in_degree(GradedGeneratorSet({3: basis + m3_generators("C")}), 3) == 10
     assert module_set.symmetry_group(6) is ideal.WEYL
     assert m3_set.symmetry_group(6) is ideal.IDENTITY
     witnesses = [f_determinant(), witness_g()]
@@ -319,7 +320,7 @@ def test_module_set_matches_plain_m3_set(m3_set):
 
 def test_plain_generator_turns_folding_off():
     gens = GradedGeneratorSet()
-    basis = gens.add_module(rep.module_span(det_slice_poly("C", 1)))
+    basis = ideal._views(gens.add_module(rep.module_span(batch_of(det_slice_poly("C", 1)))))
     x = parse_poly("T_1_1_1")
     y = parse_poly("T_2_3_1")
     gens.add(4, [x * x * y * y])
@@ -330,7 +331,7 @@ def test_plain_generator_turns_folding_off():
         assert hilbert_quotient(gens, d) == hilbert_quotient(plain, d)
     # a module added to a degree that already holds plain generators
     late = GradedGeneratorSet({2: [x * y]})
-    late.add_module(rep.module_span(x * x))
+    late.add_module(rep.module_span(batch_of(x * x)))
     assert late.symmetry_group(2) is ideal.IDENTITY
 
 
@@ -354,6 +355,19 @@ def test_stabiliser_memo_matches_fresh_computation():
     x, y = parse_poly("T_1_1_1"), parse_poly("T_2_2_2")
     for h in (f, g, witness_g(), x * x - y * y, (x * y).scale(Fraction(-2, 3)), x * x + x * y):
         assert ideal.stabiliser(ideal.WEYL, h) == dict_stabiliser(ideal.WEYL, h)
+
+
+def test_stabiliser_of_wide_coefficients_is_exact():
+    """Witnesses with coefficients near 2^40, int64 terms below L1 2^62: the
+    stabiliser compares products of two of them as objects and matches the
+    exact check of whether sigma(f) is a rational multiple of f."""
+    x, y, z = map(parse_poly, ("T_1_1_1", "T_2_2_2", "T_3_3_3"))
+    big = 2 ** 40
+    for h in ((x * x + y * y).scale(big) + z * z, (x * x).scale(big + 1) + (y * y).scale(big - 1),
+              (x * y).scale(big) + z * z, (x * x - y * y).scale(3 * big) + (x * y).scale(big + 7)):
+        assert integer_terms([h])[2].dtype == np.int64
+        assert ideal.stabiliser(ideal.WEYL, h) == dict_stabiliser(ideal.WEYL, h)
+    assert len(ideal.stabiliser(ideal.WEYL, (x * x + y * y).scale(big) + z * z)) > 1
 
 
 @pytest.mark.slow
@@ -435,7 +449,7 @@ def assert_bases_are_views_of_the_store(disc):
 
 @pytest.mark.slow
 def test_discovery_holds_each_term_once(trifocal_nf, traced_peak_mb):
-    """A fresh discover(6) traces about 9.8 MB, its module bases views of
+    """A fresh discover(6) traces about 8.5 MB, its module bases views of
     its set's int8 chunks (15.9 MB with int64 chunks).  With every term held
     a second time in per-weight tables it traced 27.3 MB."""
     peak, disc = traced_peak_mb(ideal.discover, 6, trifocal_nf, 2024)
@@ -445,10 +459,11 @@ def test_discovery_holds_each_term_once(trifocal_nf, traced_peak_mb):
 
 @pytest.mark.slow
 def test_cold_discovery_peak_and_store_stay_small():
-    """A cold discover(6), in a process of its own, traces at most 11 MB at
-    its peak and holds at most 6.5 MB once it returns, every chunk int8: the
-    coefficients at their width, the partner modules derived in bounded runs
-    (15.1 and 10.0 MB with int64 chunks and full-size swaps)."""
+    """A cold discover(6), in a process of its own, traces at most 9.5 MB at
+    its peak (8.8 MB) and holds at most 6.5 MB once it returns, every chunk
+    int8: the coefficients at their width, the partner modules derived in
+    bounded runs, one dense array for the independence test (9.9 MB with
+    two; 15.1 and 10.0 MB with int64 chunks and full-size swaps)."""
     code = ("import tracemalloc\n"
             "from trifocal import ideal, orbits\n"
             "nf = orbits.trifocal_normal_form()\n"
@@ -462,18 +477,35 @@ def test_cold_discovery_peak_and_store_stay_small():
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
     held, peak, widths = proc.stdout.split(" ", 2)
-    assert float(peak) <= 11 and float(held) <= 6.5 and widths.strip() == "['int8']"
+    assert float(peak) <= 9.5 and float(held) <= 6.5 and widths.strip() == "['int8']"
+
+
+def test_the_store_holds_no_poly_and_filing_builds_none(discovery5, monkeypatch):
+    """Every table, key and memo of a discovered set holds arrays, numbers and
+    tuples, no Poly; a module is filed, and its basis returned as slices of
+    its chunk, with the name Poly gone from ideal."""
+    def polys(x):
+        if isinstance(x, dict):
+            return sum(polys(k) + polys(v) for k, v in x.items())
+        return sum(map(polys, x)) if isinstance(x, (list, tuple)) else isinstance(x, Poly)
+    hilbert_quotient(discovery5.gens, 5)   # the memos too
+    assert polys(vars(discovery5.gens)) == 0
+    gens, span = GradedGeneratorSet(), rep.module_span(batch_of(f_determinant()))
+    monkeypatch.setattr(ideal, "Poly", None)
+    basis, chunk = gens.add_module(span), next(iter(gens._tables[3].values()))[0][0]
+    assert len(basis) == 10 and polys(vars(gens)) == 0
+    assert all(np.shares_memory(rows, chunk.base) for rows, _ in basis)
 
 
 def test_plain_generators_are_filed_as_the_same_integer_terms():
-    """A generator with content 1, a fraction and a multiple of one stay
-    the caller's polynomials, and all three are filed as the same integer
-    terms."""
+    """A generator with content 1, a fraction and a multiple of one are
+    left as the caller made them, and all three are filed as the same
+    integer terms."""
     cubics = m3_generators("C")
     plain, half, triple = Poly(cubics[0].terms), cubics[1].scale(Fraction(1, 2)), cubics[2].scale(3)
+    terms = [dict(f.terms) for f in (plain, half, triple)]
     gens = GradedGeneratorSet({3: [plain, half, triple]})
-    assert all(map(operator.is_, gens.by_degree[3], [plain, half, triple]))
-    assert [f.terms for f in gens.by_degree[3]] == [cubics[0].terms, half.terms, triple.terms]
+    assert [f.terms for f in (plain, half, triple)] == terms and terms[0] == cubics[0].terms
     want = weight_table(GradedGeneratorSet({3: cubics[:3]}), 3)
     for (w, got), (v, ref) in zip(*(t[1] for t in (weight_table(gens, 3), want))):
         assert w == v and got[3] == ref[3] and all(map(np.array_equal, got[:3], ref[:3]))
@@ -491,7 +523,7 @@ def test_filing_takes_id_runs_in_any_order(discovery5):
     in_order, shuffled = GradedGeneratorSet(), GradedGeneratorSet()
     got = [in_order._file(m.degree, (rows, ids, coeffs)),
            shuffled._file(m.degree, (rows[take], ids[take], coeffs[take]))]
-    assert [list(map(ideal._key, b)) for b in got] == [list(map(ideal._key, m.basis))] * 2
+    assert [[ideal._key(*t) for t in b] for b in got] == [list(map(term_key, m.basis))] * 2
     index, shuffled_index = in_order._tables[5], shuffled._tables[5]
     assert list(index) == list(shuffled_index)
     for slices, ref in zip(index.values(), shuffled_index.values()):
@@ -504,15 +536,14 @@ def test_rejected_generator_leaves_the_store_unchanged():
     were, also for a valid generator filed in the same call."""
     gens = GradedGeneratorSet({3: m3_generators("C")})
     table, items = weight_table(gens, 3)
-    packs = [f._packed for f in gens.by_degree[3]]
     ok, bad = parse_poly("a11^8*b22^8"), parse_poly("a11^16")
     assert ok.degree() == bad.degree() == 16   # both packed before they are filed
     ok_pack = ok._packed
     for polys in ([bad], [ok, bad]):
         with pytest.raises(ValueError, match="4-bit"):
             gens.add(16, polys)
-        assert list(gens.by_degree) == [3] and list(gens._tables) == [3] and gens._modules == {3: False}
-        assert all(f._packed is pk for f, pk in zip(gens.by_degree[3] + [ok], packs + [ok_pack]))
+        assert gens.degrees() == [3] and list(gens._tables) == [3] and gens._modules == {3: False}
+        assert ok._packed is ok_pack
         got_table, got_items = weight_table(gens, 3)
         assert np.array_equal(got_table, table) and len(got_items) == len(items)
         for (w, got), (v, ref) in zip(got_items, items):
@@ -536,18 +567,18 @@ def test_chunks_hold_the_narrowest_width(c, width, monkeypatch):
     raises on int8 % 32003).  Views of a narrow chunk are widened before
     their terms are summed: B-lowering takes c*a11*b12 + a12*b11 to (c + 1)*a12*b12."""
     polys = width_rule_generators(c)
-    views = GradedGeneratorSet()._file(2, integer_terms(polys[:1]))   # packs: objects past L1 2^31
+    filed = GradedGeneratorSet()._file(2, integer_terms(polys[:1]))
+    views = ideal._views(filed)   # packs: objects past L1 2^31
     assert poly._pack(views[0])[1].dtype == (width if c < 2 ** 31 else object) and views[0] == polys[0]
     assert poly.apply_shift("B", 1, 0, views[0]) == poly.apply_shift("B", 1, 0, Poly(polys[0].terms)) \
         == parse_poly("%d*T_1_2_1*T_1_2_2" % (c + 1))
     assert views[0].content_normalized() == polys[0]
     batch = poly.pack_terms(views)   # the batch dtype rule: int64 below L1 2^62, whatever the packs
     assert batch[2].dtype == (object if c >> 62 else np.int64) and merge_terms(batch)[2].dtype == batch[2].dtype
-    assert poly.unpack_terms(ideal._swapped(views), 1) == poly.unpack_terms(ideal._swapped(polys[:1]), 1)
-    rows, ids, coeffs = integer_terms(polys)   # objects past a pack's L1 2^31: int64 as a module's
-    gens = GradedGeneratorSet()
-    gens._file(2, (rows, ids, coeffs.astype(np.int64) if c < 2 ** 63 else coeffs))
-    gens.by_degree[2], gens._modules[2] = polys, False   # as add files them
+    assert poly.unpack_terms(ideal._swapped(filed), 1) == poly.unpack_terms(
+        ideal._swapped([poly._pack(polys[0])[:2]]), 1)
+    assert integer_terms(polys)[2].dtype == (object if c >> 62 else np.int64)   # whatever the packs hold
+    gens = GradedGeneratorSet({2: polys})
     assert {sl[1].dtype for index in gens._tables.values() for s in index.values() for sl in s} \
         == {np.dtype(width)}
     for p in (101, 32003):
@@ -603,10 +634,10 @@ def test_weight_keys_are_in_tuple_order_and_reject_a_carry():
 
 def test_base_fold_memo_is_cleared_with_the_ranks():
     gens = GradedGeneratorSet()
-    gens.add_module(rep.module_span(det_slice_poly("C", 1)))
+    gens.add_module(rep.module_span(batch_of(det_slice_poly("C", 1))))
     hilbert_quotient(gens, 4)
     assert set(gens._folds) == {(4, ideal.WEYL)}
-    gens.add_module(rep.module_span(witness_g()))
+    gens.add_module(rep.module_span(batch_of(witness_g())))
     assert gens._folds == {}
 
 
@@ -614,7 +645,7 @@ def test_base_rank_memo_matches_fresh_sweeps():
     def fresh(*hws):
         gens = GradedGeneratorSet()
         for h in hws:
-            gens.add_module(rep.module_span(h))
+            gens.add_module(rep.module_span(batch_of(h)))
         return gens
     cubic = det_slice_poly("C", 1)
     gens = fresh(cubic)
@@ -628,7 +659,7 @@ def test_base_rank_memo_matches_fresh_sweeps():
     assert tables == [graded_nonzerodivisor_check(fresh(cubic), w, cap=5).table
                       for w in witnesses]
     # a new module keeps the group S3^3 but must not see the old ranks
-    gens.add_module(rep.module_span(witness_g()))
+    gens.add_module(rep.module_span(batch_of(witness_g())))
     assert gens._ranks == {}
     assert hilbert_quotient(gens, 5) == hilbert_quotient(fresh(cubic, witness_g()), 5)
     gens.add(4, [witness_g()])
@@ -637,7 +668,7 @@ def test_base_rank_memo_matches_fresh_sweeps():
 
 def test_progress_counts_memoised_base_ranks():
     gens = GradedGeneratorSet()
-    gens.add_module(rep.module_span(det_slice_poly("C", 1)))
+    gens.add_module(rep.module_span(batch_of(det_slice_poly("C", 1))))
     lines = []
     for _ in range(2):
         hilbert_with_witnesses(gens, [f_determinant()], 5, progress=lines.append)
@@ -659,7 +690,7 @@ def test_factor_memo_keeps_one_prime_in_its_compact_dtype():
     """L is kept in the smallest unsigned dtype that holds p - 1, and a
     sweep at a new prime drops the factors of the old one."""
     gens = GradedGeneratorSet()
-    gens.add_module(rep.module_span(det_slice_poly("C", 1)))
+    gens.add_module(rep.module_span(batch_of(det_slice_poly("C", 1))))
     for p, dtype in ((101, np.uint8), (32003, np.uint16), (2 ** 31 - 1, np.uint32), (101, np.uint8)):
         assert [hilbert_quotient(gens, d, p=p) for d in (3, 4)] == [3644, 27135]
         assert set(gens._ranks) == {(3, p, ideal.WEYL), (4, p, ideal.WEYL)}
@@ -693,7 +724,7 @@ def test_discover_rejects_a_modulus_that_is_not_a_machine_prime(trifocal_nf, p):
 
 @pytest.mark.slow
 def test_folded_sweep_matches_unfolded_on_discovery6(discovery6):
-    plain = GradedGeneratorSet(discovery6.gens.by_degree)
+    plain = GradedGeneratorSet(module_polys(discovery6.modules()))
     assert discovery6.gens.symmetry_group(6) is ideal.WEYL
     assert plain.symmetry_group(6) is ideal.IDENTITY
     witnesses = [f_determinant(), witness_g()]
@@ -882,7 +913,7 @@ def test_degree4_certificates_are_members(discovery5, trifocal_nf, m3_set):
             continue
         hw = rep.hw_space(lab)
         report = vanishing_subspace(hw, trifocal_nf, seed=404)
-        for cert in report.certificates:
+        for cert in poly.unpack_terms(report.certificates, report.multiplicity):
             assert minimal_generator_test(cert, m3_set) is True
             seen += 1
     assert seen >= 2
@@ -903,7 +934,7 @@ def test_module_dims_27_and_54(discovery5):
     dims = sorted(m.dim for m in discovery5.scans[5].modules)
     assert dims == [27, 54]
     for m in discovery5.scans[5].modules:
-        assert len(set(rep.module_span(m.hw_vector)[1].tolist())) == m.dim
+        assert len(set(rep.module_span(batch_of(m.hw_vector))[1].tolist())) == m.dim
 
 
 def test_m5_does_not_vanish_on_skew(discovery5):
@@ -971,12 +1002,12 @@ def test_discovery_is_the_same_at_seeds_whose_samples_misled_it(discovery5, trif
     draws of a label at seeds 32, 47, 77 and 79.  Each now gives the rows
     and bases of seed 2024."""
     rows = [s.rows for _, s in sorted(discovery5.scans.items())]
-    bases = [list(map(ideal._key, m.basis)) for m in discovery5.modules()]
+    bases = [list(map(term_key, m.basis)) for m in discovery5.modules()]
     for seed in (18, 21, 29, 32, 47, 57, 77, 79, 91):
         disc = ideal.discover(5, trifocal_nf, seed=seed)
         assert disc.counts() == {1: 0, 2: 0, 3: 10, 4: 0, 5: 81}, seed
         assert [s.rows for _, s in sorted(disc.scans.items())] == rows, seed
-        assert [list(map(ideal._key, m.basis)) for m in disc.modules()] == bases, seed
+        assert [list(map(term_key, m.basis)) for m in disc.modules()] == bases, seed
 
 
 def seed18_candidate(nf):
@@ -985,8 +1016,9 @@ def seed18_candidate(nf):
     label = ((4, 1), (2, 2, 1), (3, 1, 1))
     labels = [lab for lab in rep.all_labels(5) if rep.kronecker(*lab)]
     seed, hw = 18 + 1000 * 5 + 7919 * labels.index(label), rep.hw_space(label)
-    (cert,) = vanishing_subspace(hw, nf, seed + 10_000).certificates
-    return hw, seed, cert
+    report = vanishing_subspace(hw, nf, seed + 10_000)
+    assert report.multiplicity == 1
+    return hw, seed, report.certificates
 
 
 def test_a_false_candidate_is_refused_at_nf(discovery5, trifocal_nf):
@@ -999,7 +1031,7 @@ def test_a_false_candidate_is_refused_at_nf(discovery5, trifocal_nf):
         vanishing_subspace(hw, trifocal_nf, seed)
     w = key_of(hw.weight)
     block = ideal.rows_in_weight_block(discovery5.gens, 5, w)
-    assert ideal._independent_of(block, [cert], 5, w, 101) == [True]
+    assert ideal._independent_of(block, cert + (1,), 5, w, 101) == [True]
     assert any(ideal._values_at(rep.module_span(cert), trifocal_nf))
     assert ideal._new_modules(5, discovery5.gens, hw, trifocal_nf, seed, 101) == (3, 0, [])
     assert (hw.label, 1, 1, 0, 0) in discovery5.scans[5].rows
@@ -1011,7 +1043,7 @@ def test_values_at_equal_evaluate_points_on_module_batches(discovery5, trifocal_
     the sub233 tensor and at a Fraction-scaled orbit point equal
     poly.evaluate_points'."""
     false = rep.module_span(seed18_candidate(trifocal_nf)[2])
-    true = [rep.module_span(m.hw_vector) for m in discovery5.modules()]
+    true = [rep.module_span(batch_of(m.hw_vector)) for m in discovery5.modules()]
     scaled = [x * Fraction(2, 7) for x in random_orbit_point(trifocal_nf, 3).flat]
     points = [trifocal_nf, catalog()["sub233"].tensor, Tensor333._from_flat(scaled)]
     for batch in [false] + true:
@@ -1052,20 +1084,19 @@ def test_swapped_polynomials_are_tau_images():
     f = f_determinant()   # weight ((3,0,0),(1,1,1),(1,1,1))
     tau = {var_index(i, j, k): var_index(j, i, k) for i, j, k in product(range(3), repeat=3)}
     want = Poly((sorted(tau[v] for v in mono), c) for mono, c in f.terms.items())
-    (got,) = poly.unpack_terms(ideal._swapped([f]), 1)
+    (got,) = poly.unpack_terms(ideal._swapped([poly._pack(f)[:2]]), 1)
     assert got == want.content_normalized() and got.weight() == ((1, 1, 1), (3, 0, 0), (1, 1, 1))
 
 
 def test_swap_closure_needs_module_built_tau_closed_degrees(discovery5, trifocal_nf):
     assert ideal._swap_closed(discovery5.gens, trifocal_nf, 6)
     assert ideal._swap_closed(GradedGeneratorSet(), trifocal_nf, 1)
-    assert not ideal._swap_closed(GradedGeneratorSet(discovery5.gens.by_degree), trifocal_nf, 6)
+    assert not ideal._swap_closed(GradedGeneratorSet(module_polys(discovery5.modules())), trifocal_nf, 6)
     lone = GradedGeneratorSet()
     # tau(f) has weight ((1,1,1),(3,0,0),(1,1,1)): no module
-    lone.add_module(rep.module_span(f_determinant()))
+    lone.add_module(rep.module_span(batch_of(f_determinant())))
     assert not ideal._swap_closed(lone, trifocal_nf, 4)
-    tau_f = poly.unpack_terms(ideal._swapped([f_determinant()]), 1)[0]
-    lone.add_module(rep.module_span(tau_f))
+    lone.add_module(rep.module_span(ideal._swapped([poly._pack(f_determinant())[:2]])))
     assert ideal._swap_closed(lone, trifocal_nf, 4)
     assert not ideal._swap_closed(discovery5.gens, catalog()["sub233"].tensor, 6)
 
@@ -1110,7 +1141,7 @@ def test_swapped_labels_match_their_own_scan(discovery6, trifocal_nf):
             mods = [m for m in scan.modules if m.label == lab]
             assert len(mods) == len(spans)
             for m, span in zip(mods, spans):   # as packs: no term dicts on the fixture's bases
-                assert list(map(ideal._key, m.basis)) == list(map(ideal._key, batch_polys(span)))
+                assert list(map(term_key, m.basis)) == list(map(term_key, batch_polys(span)))
     assert derived == 105
 
 
@@ -1119,7 +1150,7 @@ def test_filing_a_discovery_again_leaves_its_store_alone(discovery6):
     """A second set filed from discovery6's generators copies their terms
     into chunks of its own; the bases stay views of discovery6's store, and
     both sets give the same H(1..6)."""
-    plain = GradedGeneratorSet(discovery6.gens.by_degree)
+    plain = GradedGeneratorSet(module_polys(discovery6.modules()))
     assert_bases_are_views_of_the_store(discovery6)
     for d in range(1, 7):
         assert (ideal.hilbert_quotient(plain, d, p=101)

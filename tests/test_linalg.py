@@ -325,7 +325,7 @@ def test_rref_mod_p_is_reduced_and_matches_echelon_add():
             b = rng.randint(1, n - 1)
             base = np.array(random_matrix(rng, n, b), dtype=np.int64) @ np.array(
                 random_matrix(rng, b, cols), dtype=np.int64)
-            ech = linalg.Echelon(base, p)
+            ech = linalg.Echelon(base.copy(), p)   # reduced in place
             ranks = [len(linalg.rref_mod_p(np.vstack([base, m[:i]]), p)[1]) for i in range(rows + 1)]
             assert len(ech.rows) == ranks[0]
             assert [ech.add(row) for row in m] == [y > x for x, y in zip(ranks, ranks[1:])]
@@ -423,6 +423,18 @@ def test_lu_mod_p_factors_the_permuted_matrix(monkeypatch, p, entries):
             u[j, c:] = a[j, c:] % p
             assert u[j, c]
         assert np.array_equal(el.dot(u) % p, m[perm].astype(object) % p)
+
+
+def test_echelon_reduces_its_array_in_place(traced_peak_mb):
+    """Echelon's base rows are views of the C-ordered array it is given,
+    reduced in place: a 600 x 2000 array of rank 20 (9.2 MB) traces only the
+    update temporaries, no second copy."""
+    rng = np.random.default_rng(21)
+    p = 32003
+    m = rng.integers(0, p, (600, 20)) @ rng.integers(0, p, (20, 2000)) % p
+    peak, ech = traced_peak_mb(linalg.Echelon, m, p)
+    assert len(ech.rows) == 20 and all(np.shares_memory(row, m) for row in ech.rows)
+    assert peak < m.nbytes / 2 ** 20, peak
 
 
 def test_rref_peak_is_its_working_copy(traced_peak_mb):

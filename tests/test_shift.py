@@ -221,7 +221,8 @@ def test_certificates_equal_the_dict_sum(trifocal_nf, monkeypatch):
             report = ideal.vanishing_subspace(hw, trifocal_nf, seed=7000 + 7919 * i)
         except ArithmeticError:   # the screen refused this draw: it returns no certificates
             continue
-        assert report.certificates == [dict_combination(v, hw.basis) for v in kernels[-1]], lab
+        certs = poly.unpack_terms(report.certificates, report.multiplicity)
+        assert certs == [dict_combination(v, hw.basis) for v in kernels[-1]], lab
         seen += report.multiplicity
     assert seen >= 3
 
@@ -232,5 +233,5 @@ def test_combinations_leave_int64_before_it_overflows():
     for kernel in ([], [[1, 2, 3]], [[2, 0, -4], [0, 1, 1 << 20]],   # int64
                    [[1 << 21, 0, 0], [0, 1 << 22, 5]],              # L1 just past 2^62
                    [[3 << 70, 1 << 64, -(1 << 80)]], [[1 << 40, -3, 1]]):
-        certs = ideal._combinations(kernel, polys)
+        certs = poly.unpack_terms(ideal._combinations(kernel, poly.pack_terms(polys), 3), len(kernel))
         assert certs == [dict_combination(v, polys) for v in kernel], kernel
