@@ -45,9 +45,9 @@ to truncate mod p), sorted by weight key, then by order of filing.  A
 weight is its int key here (poly.weight_keys); the degree-n weights are
 the key column of poly._monomial_table(n).  Weight keys, an array per
 degree built at filing with their 3 x 3 contents, index slices of the
-chunks, which a module's basis vectors view: terms held once.  From
-rep.hw_space to the store discovery passes term batches only; the set holds
-no Poly.
+chunks, which are a module's basis vectors: terms held once.  From
+rep.hw_space to the store discovery passes term batches, and evaluates
+term slices (poly.evaluate_points); the set holds no Poly.
 A product row is a generator's rows beside a multiplier, sorted; a
 monomial's key has five bits per variable (poly.mono_keys, 35 at degree
 7), and poly.term_matrix fills a block's transpose A, a row per monomial
@@ -72,15 +72,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations, product
-from math import prod
 from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg, rep
-from .poly import (N_VARS, PAD, Poly, _RUN_TERMS, _monomial_table, _pack, _packed, _run_starts,
-                   bounded_runs, distinct, evaluate_points, integer_terms, key_weights, merge_terms,
-                   mono_keys, narrow, normalize_batch, row_weights, term_matrix, unpack_terms, var_ijk,
+from .poly import (N_VARS, PAD, Poly, _RUN_TERMS, _monomial_table, _run_starts, bounded_runs,
+                   distinct, evaluate_points, integer_terms, key_weights, merge_terms, mono_keys,
+                   narrow, normalize_batch, row_weights, term_matrix, term_slices, var_ijk,
                    weight_keys, weight_space_basis)
 from .scalars import DEFAULT_PRIME, is_prime
 from .tensor import Tensor333, _integral, random_orbit_point
@@ -130,15 +129,13 @@ class GradedGeneratorSet:
     indexed by weight, held as term chunks.  A degree is module-built while
     all of its generators came from add_module."""
 
-    def __init__(self, by_degree=None):
+    def __init__(self):
         self._tables = {}   # degree -> {weight key: chunk slices}, in order of filing
         self._weights = {}  # degree -> the keys of _tables[degree] as an array, their 3 x 3 contents
         self._modules = {}  # degree -> module-built
         self._hws = {}      # _key of each module's hw vector -> its rows and coefficients (_swap_closed)
         self._ranks = {}    # (degree, p, group) -> {representative: its block's Factor}
         self._folds = {}    # (degree, group) -> _fold of the slice weights
-        for d, polys in (by_degree or {}).items():
-            self.add(d, polys)
 
     def _file(self, degree, batch):
         # a batch of id runs (ids in filing order, runs in any order) as one chunk, its slices by id
@@ -419,9 +416,9 @@ class VanishingReport(NamedTuple):
     certificates: tuple   # an integer batch, certificate i the terms of id i
 
 
-def evaluate_batch(polys, point: Tensor333):
-    """Exact values of several polynomials at one tensor (evaluate_points)."""
-    return evaluate_points(polys, [point])[0]
+def evaluate_batch(terms, point: Tensor333):
+    """Exact values of several term slices at one tensor (evaluate_points)."""
+    return evaluate_points(terms, [point])[0]
 
 
 def trifocal_points(nf: Tensor333, seed, count):
@@ -445,10 +442,10 @@ def vanishing_subspace(hw: rep.HWSpace, nf: Tensor333, seed) -> VanishingReport:
     2 * dim random orbit points of nf, which holds the vanishing subspace,
     screened at 2 * dim fresh ones; ArithmeticError if either step fails."""
     n = 2 * hw.dim   # a label of no hw vector passes with no certificate
-    rows = linalg._integer_rows(evaluate_points(hw.basis, trifocal_points(nf, seed, n)))
+    rows = linalg._integer_rows(evaluate_points(term_slices(hw.terms), trifocal_points(nf, seed, n)))
     kernel = linalg.kernel_basis_int([{c: x for c, x in enumerate(r) if x} for r in rows], hw.dim)
     certs = _combinations(kernel, hw.terms, hw.dim)
-    if any(map(any, evaluate_points(unpack_terms(certs, len(kernel)), trifocal_points(nf, seed + n, n)))):
+    if any(map(any, evaluate_points(term_slices(certs), trifocal_points(nf, seed + n, n)))):
         raise ArithmeticError("inconsistent vanishing kernel for label %r" % (hw.label,))
     return VanishingReport(len(kernel), certs)
 
@@ -463,31 +460,14 @@ def _proved_zero(label, nf: Tensor333, seed):
     return len(linalg.rref_mod_p(rep.tableau_values(ta, pairs, x.reshape(-1, 27)), p)[1]) == len(pairs)
 
 
-def _values_at(batch, t: Tensor333):
-    """The exact value at t of each form of an integer batch, by id, from the
-    terms inside t's support: coefficient times entries (ints or Fractions)."""
-    rows, ids, coeffs = batch
-    live = np.flatnonzero(np.array([x != 0 for x in t.flat])[rows].all(axis=1))
-    values = [0] * (int(ids.max()) + 1)
-    for row, i, c in zip(rows[live].tolist(), ids[live].tolist(), coeffs[live].tolist()):
-        values[i] += c * prod(t.flat[v] for v in row)
-    return values
-
-
 # ---------------------------------------------------------------------------
 # the discovery pipeline
-
-def _views(terms):
-    """Polys whose packs are the given (rows, coefficients) slices."""
-    return [Poly._wrap(None, _packed(rows, coeffs, 1)) for rows, coeffs in terms]
-
 
 class DiscoveredModule(NamedTuple):
     degree: int
     label: tuple
-    basis: list   # views of the store (_views), the content-normalized hw vector first
+    basis: list   # the store's (rows, coeffs) slices, the content-normalized hw vector first
     dim = property(lambda self: len(self.basis))
-    hw_vector = property(lambda self: self.basis[0])
 
 
 class DegreeScan(NamedTuple):
@@ -556,7 +536,7 @@ def _new_modules(d, gens: GradedGeneratorSet, hw: rep.HWSpace, nf: Tensor333, se
         at = np.searchsorted(ids, np.arange(mult + 1)).tolist()
         spans = [rep.module_span((rows[a:b], ids[a:b], coeffs[a:b]))
                  for a, b, ok in zip(at, at[1:], new) if ok]
-        if not any(any(_values_at(span, nf)) for span in spans):
+        if not any(any(evaluate_points(term_slices(span), [nf])[0]) for span in spans):
             return k + 1, mult, spans
         error = ArithmeticError("a module of label %r does not vanish at nf" % (hw.label,))
     raise error
@@ -579,15 +559,15 @@ def scan_degree(d, gens: GradedGeneratorSet, nf: Tensor333, seed,
             row, note = (lab,) + row[1:], " (swap of label %d)" % (src + 1)
             word = np.arange(rep.label_dim(lab)).reshape(   # this one's words (a, b, c) are
                 [rep.weyl_dim(x) for x in partner]).transpose(1, 0, 2).ravel()   # the partner's (b, a, c)
-            modules = [DiscoveredModule(d, lab, _views(gens.add_module(_swapped(
-                [_pack(m.basis[i])[:2] for i in word])))) for m in mods]   # the partner's slices
+            modules = [DiscoveredModule(d, lab, gens.add_module(_swapped([m.basis[i] for i in word])))
+                       for m in mods]
         else:
             k, s = rep.kronecker(*lab), seed + 7919 * idx
             draws, mult, spans = (0, 0, []) if _proved_zero(lab, nf, s) else _new_modules(
                 d, gens, rep.hw_space(lab), nf, s, p)
             row = (lab, k, k, mult, len(spans))
             note = "; %d draws" % draws if draws > 1 else ""
-            modules = [DiscoveredModule(d, lab, _views(gens.add_module(spans.pop(0))))
+            modules = [DiscoveredModule(d, lab, gens.add_module(spans.pop(0)))
                        for _ in range(len(spans))]   # each batch released once filed
             scanned[lab] = idx, row, modules
         scan.rows.append(row)

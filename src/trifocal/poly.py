@@ -13,30 +13,32 @@ L1(f) * max|x|^deg, a bound on 2|f(x)|: larger entries cost more primes,
 never a wrong value.  The residue mod 2^64 is wrapping uint64 arithmetic,
 and with no prime it is the value.  Fraction entries are cleared by a
 common denominator D, f_e(x) = f_e(D x) / D^e on each degree-e part;
-entries and coefficients other than ints and Fractions raise TypeError.
+entries other than ints and Fractions raise TypeError.
 The polynomials go in runs of whole ones of at most _RUN_TERMS terms or
 one larger polynomial (bounded_runs), so the temporaries do not grow with
 the terms, each run with its points in groups that need the same primes;
-the last call's layout serves the next call with the same packs (_runs).
+the last call's layout serves the next call with the same slices (_runs).
 
 Terms have one layout: an n x width uint8 array of sorted variable
-indices, rows of lower degree padded by PAD.  A Poly never changes, so its
-monomials and integer coefficients are packed in it on first use and kept
-(_pack), the rows as wide as its degree.  The raising and lowering
-operators act on batches of terms (pack_terms): the rows of several
-packs, and per term a polynomial id and a coefficient.  A shift
+indices, rows of lower degree padded by PAD, beside integer coefficients.
+Inside the package a polynomial is a term slice (rows, coeffs) of such a
+batch, its rows at its degree: the generator store's chunks hold them
+(ideal.GradedGeneratorSet), evaluate_points takes a list of them, and its
+layout cache (_runs) is keyed by the identity of those slice tuples.  The
+raising and lowering operators act on batches of terms: the rows of several
+slices, and per term a polynomial id and a coefficient.  A shift
 (shift_batch) replaces each matching position, re-sorts the rows and
 merges like terms by a key (mono_keys), the id above five bits per
 variable, whose order is tuple order (int64, or objects where that would
 overflow).  Coefficients are int64 while L1 * width < 2^62, so no product
-by a multiplicity and no merge overflows; objects otherwise.  Packs may
-hold any integer width below L1 2^31, widened to int64 before arithmetic.
+by a multiplicity and no merge overflows; objects otherwise.  Slices may
+hold any integer width, widened to int64 before arithmetic.
 
-From rep.hw_space to ideal's store discovery passes batches, not Polys.
-pack_terms makes a batch of Polys at the edges (a witness, the generators
-of GradedGeneratorSet.add), unpack_terms slices one into Polys for
-evaluate_points: those of an int64 batch hold only their packs, views of
-the batch, their term dicts built on first read.
+A Poly, a dict of exact terms, appears only at the edges: parse_poly and
+format_poly, the witnesses and their checks.  _pack builds its rows,
+integer coefficients and common denominator on demand; pack_terms and
+integer_terms make batches of Polys, unpack_terms turns a batch back into
+Polys.
 
 As text (parse_poly, format_poly) a polynomial is terms [sign] factor
 (* factor)*, the sign needed after the first; a factor is an unsigned
@@ -65,7 +67,7 @@ import numpy as np
 
 from .linalg import machine_prime
 from .scalars import exact_list, parse_rational
-from .tensor import Tensor333, perm_sign
+from .tensor import perm_sign
 
 N_VARS = 27
 _SHIFTS = np.arange(32, -1, -4)   # of the nine contents of a weight key (weight_keys)
@@ -106,11 +108,10 @@ def key_weights(keys):
 
 
 class Poly:
-    """Sparse exact polynomial; never stores zero coefficients, never
-    changes.  A Poly from unpack_terms holds only its pack until its terms
-    are first read."""
+    """Sparse exact polynomial, a dict of terms; never stores zero
+    coefficients, never changes."""
 
-    __slots__ = ("_terms", "_packed")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=()):
         """The sum of (monomial, coefficient) pairs (or a dict of them), like
@@ -122,25 +123,14 @@ class Poly:
         for mono, coeff in terms:
             mono = tuple(mono)
             acc[mono] = acc.get(mono, 0) + coeff
-        self._terms, self._packed = {m: c for m, c in acc.items() if c != 0}, None
-
-    @property
-    def terms(self):
-        if self._terms is None:
-            self._terms = _unpacked(*self._packed[:2])
-        return self._terms
+        self.terms = {m: c for m, c in acc.items() if c != 0}
 
     @classmethod
-    def _wrap(cls, terms, packed=None):
-        """A Poly that takes ownership of `terms` (no zero coefficients), or
-        with terms None of an integer pack (_pack)."""
+    def _wrap(cls, terms):
+        """A Poly that takes ownership of `terms` (no zero coefficients)."""
         p = cls.__new__(cls)
-        p._terms, p._packed = terms, packed
+        p.terms = terms
         return p
-
-    @classmethod
-    def constant(cls, c):
-        return cls({(): c})   # c = 0 adds no term
 
     def is_zero(self):
         return not self.terms
@@ -150,27 +140,6 @@ class Poly:
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
-
-    def __add__(self, other):
-        return Poly([*self.terms.items(), *other.terms.items()])
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __neg__(self):
-        return Poly({m: -c for m, c in self.terms.items()})
-
-    def scale(self, c):
-        exact_list([c], "scalar coefficient")   # True * v would be the int v
-        return Poly({m: c * v for m, v in self.terms.items()})   # c = 0 adds no term
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return self.scale(other)
-        return Poly((sorted(m1 + m2), c1 * c2) for m1, c1 in self.terms.items()
-                    for m2, c2 in other.terms.items())
-
-    __rmul__ = __mul__
 
     def degree(self):
         """Common degree of the monomials; None for the zero polynomial,
@@ -188,14 +157,6 @@ class Poly:
             raise ValueError("polynomial is not weight-homogeneous")
         return tuple(map(tuple, w[0].reshape(3, 3).tolist())) if len(w) else None
 
-    def evaluate(self, t: Tensor333):
-        return evaluate_points([self], [t])[0][0]
-
-    def content_normalized(self):
-        """The integer multiple with content 1 whose coefficient on the
-        smallest monomial in tuple order is positive."""
-        return unpack_terms(normalize_batch(merge_terms(integer_terms([self]))), 1)[0]
-
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
 
@@ -207,7 +168,7 @@ PAD = N_VARS      # a 28th variable: 1, or D at a point with denominator D
 _BASE = N_VARS + 1
 _RUN_TERMS = 1 << 16   # evaluate_points' runs: above 28^3, so they take the cube path
 _RING = 1 << 64   # the modulus of uint64 arithmetic, taken before any prime
-_LAST = [(), []]   # the packs of evaluate_points' last call and their runs (_runs)
+_LAST = [(), []]   # the slices of evaluate_points' last call and their runs (_runs)
 _SLOTS = np.array([var_ijk(v) for v in range(N_VARS)] + [(3, 3, 3)], np.uint8)   # PAD: none
 
 
@@ -217,28 +178,17 @@ def _padded(rows, width):
         [rows, np.full((len(rows), width - rows.shape[1]), PAD, np.uint8)])
 
 
-def _packed(rows, coeffs, den):
-    """A pack (_pack): integer coefficients at their width below L1 2^31 (module docstring),
-    objects above it, reduced mod each prime first; an integer L1 cannot wrap int64."""
-    big = coeffs.dtype == object
-    l1 = sum(map(abs, coeffs.tolist())) if big else int(np.abs(coeffs, dtype=np.int64).sum())
-    if big or l1 >> 31:
-        coeffs = coeffs.astype(np.int64 if l1 < 1 << 31 else object)
-    return rows, coeffs, l1, den
-
-
 def _pack(f: Poly):
-    """f's terms as (rows, integer coefficients, their L1 norm, common
-    denominator), cached on f.  Row i of rows is monomial i padded by PAD
-    to f's degree, rows.shape[1]."""
-    if f._packed is None:
-        coeffs, fractions = exact_list(f.terms.values(), "coefficient")
-        den = lcm(*(Fraction(c).denominator for c in coeffs)) if fractions else 1
-        deg = max(map(len, f.terms), default=0)
-        rows = np.frombuffer(b"".join([bytes(m).ljust(deg, bytes([PAD])) for m in f.terms]),
-                             dtype=np.uint8).reshape(len(f.terms), deg)
-        f._packed = _packed(rows, np.array([int(c * den) for c in coeffs], dtype=object), den)
-    return f._packed
+    """f's terms as (rows, integer coefficients, common denominator D): row i
+    is monomial i padded by PAD to f's degree, rows.shape[1], coefficient i
+    D times f's, int64 while their L1 norm is below 2^62, objects above."""
+    coeffs, fractions = exact_list(f.terms.values(), "coefficient")
+    den = lcm(*(Fraction(c).denominator for c in coeffs)) if fractions else 1
+    ints = [int(c * den) for c in coeffs]
+    deg = max(map(len, f.terms), default=0)
+    rows = np.frombuffer(b"".join([bytes(m).ljust(deg, bytes([PAD])) for m in f.terms]),
+                         dtype=np.uint8).reshape(len(ints), deg)
+    return rows, np.array(ints, np.int64 if sum(map(abs, ints)) < 1 << 62 else object), den
 
 
 def _unpacked(rows, coeffs):
@@ -251,13 +201,20 @@ def _unpacked(rows, coeffs):
     return dict(zip(monos, coeffs.tolist()))
 
 
+def _batch(packs):
+    """The rows of packs (_pack), padded by PAD to the largest degree, the
+    ids of their terms and their integer coefficients, as one batch."""
+    width = max([0] + [pk[0].shape[1] for pk in packs])
+    return (np.concatenate([np.empty((0, width), np.uint8)] + [_padded(pk[0], width) for pk in packs]),
+            np.repeat(np.arange(len(packs)), [len(pk[1]) for pk in packs]),
+            np.concatenate([np.empty(0, np.int64)] + [pk[1] for pk in packs]))
+
+
 def integer_terms(polys):
-    """pack_terms of polys, with the coefficients of each one's integer
-    multiple with content 1 (denominators cleared, then divided by their
-    gcd), as wide as pack_terms makes them, whatever width the packs hold."""
-    rows, ids, coeffs = pack_terms(polys)
-    if coeffs.dtype == object:   # the packs' integers, denominators cleared
-        coeffs = np.concatenate([np.empty(0, np.int64)] + [_pack(f)[1] for f in polys])
+    """The terms of polys as one batch (rows, ids, coeffs), those of polys[i]
+    with id i, with the coefficients of each one's integer multiple with
+    content 1 (denominators cleared, then divided by their gcd)."""
+    rows, ids, coeffs = _batch([_pack(f) for f in polys])
     g = np.gcd.reduceat(coeffs, _run_starts(ids))
     return rows, ids, coeffs if (g == 1).all() else coeffs // g[ids]
 
@@ -303,18 +260,18 @@ def bounded_runs(items, sizes, limit):
     return runs
 
 
-def _runs(packs):
-    """evaluate_points' runs of the packs with terms, each (indices, codes,
-    coefficients, starts, cube, degree, width, max L1, denominators).  The
-    runs of the last call are kept with its packs (_LAST), which never
-    change, and serve the next call with the same packs."""
-    if len(_LAST[0]) == len(packs) and all(map(is_, _LAST[0], packs)):
+def _runs(terms):
+    """evaluate_points' runs of the term slices with terms, each (indices,
+    codes, coefficients, starts, cube, degree, width, max L1).  The runs of
+    the last call are kept with its slices (_LAST), which never change, and
+    serve the next call with the same slice tuples."""
+    if len(_LAST[0]) == len(terms) and all(map(is_, _LAST[0], terms)):
         return _LAST[1]
     _LAST[:] = (), []   # one layout at a time: the old one goes before the new is built
     runs = []
-    live = [j for j, pk in enumerate(packs) if pk[2]]
-    for run in bounded_runs(live, [len(packs[j][1]) for j in live], _RUN_TERMS):
-        rows, coefs, l1s, dens = zip(*(packs[j] for j in run))
+    live = [j for j, (_, c) in enumerate(terms) if len(c)]
+    for run in bounded_runs(live, [len(terms[j][1]) for j in live], _RUN_TERMS):
+        rows, coefs = zip(*(terms[j] for j in run))
         deg = max(r.shape[1] for r in rows)
         width = max(1, deg)   # a constant is one PAD
         rows = np.concatenate([_padded(r, width) for r in rows])
@@ -327,22 +284,23 @@ def _runs(packs):
                 codes += rows[:, c::3].T
         else:
             codes = rows.T.copy()
-        coef = np.concatenate(coefs)
-        coef = narrow(coef)   # integers (below L1 2^31) in the smallest type that holds them
-        runs.append((run, codes, coef, np.cumsum([0] + [len(c) for c in coefs[:-1]]), cube,
-                     deg, width, max(l1s), dens))
-    _LAST[:] = packs, runs
+        coef, starts = np.concatenate(coefs), np.cumsum([0] + [len(c) for c in coefs[:-1]])
+        big = coef.dtype == object or max(-int(coef.min()), int(coef.max())) >> 31
+        coef = coef.astype(object if big else np.int64)   # so the L1 sums below are exact
+        runs.append((run, codes, narrow(coef), starts, cube, deg, width,
+                     int(np.add.reduceat(np.abs(coef), starts).max())))
+    _LAST[:] = terms, runs
     return runs
 
 
-def evaluate_points(polys, points):
-    """Exact values [[f(t) for f in polys] for t in points] at Tensor333
-    points: ints, or Fractions where a denominator remains."""
-    packs = [_pack(f) for f in polys]
-    out = [[0] * len(packs) for _ in points]
+def evaluate_points(terms, points):
+    """Exact values [[f(t) for f in terms] for t in points] of the term
+    slices (rows, integer coeffs) at Tensor333 points: ints, or Fractions
+    where a denominator remains."""
+    out = [[0] * len(terms) for _ in points]
     ds = [lcm(*(e.denominator for e in t.flat if type(e) is Fraction)) for t in points]
     ys = [[int(e * d) for e in t.flat] + [d] for t, d in zip(points, ds)]   # D x, D
-    for run, codes, coef, starts, cube, deg, width, l1, dens in _runs(packs) if ys else ():
+    for run, codes, coef, starts, cube, deg, width, l1 in _runs(terms) if ys else ():
         scales, groups = [y[-1] ** width for y in ys], {}
         for i, y in enumerate(ys):   # |f(D x) * D^pads| <= L1 * max|y|^(degree, or the width)
             groups.setdefault(tuple(_primes_above(2 * l1 * max(map(abs, y)) ** (
@@ -360,9 +318,8 @@ def evaluate_points(polys, points):
                     lifted = sum(r.astype(object) * e for r, e in zip(res, basis)) % m
                     lifted = np.where(lifted > m // 2, lifted - m, lifted)
                 for i, vals in zip(chunk, lifted.tolist()):
-                    for j, g, den in zip(run, vals, dens):
-                        q = den * scales[i]
-                        out[i][j] = g // q if g % q == 0 else Fraction(g, q)
+                    for j, g in zip(run, vals):
+                        out[i][j] = g // scales[i] if g % scales[i] == 0 else Fraction(g, scales[i])
     return out
 
 
@@ -411,30 +368,29 @@ def _monomial_table(d):
 
 def pack_terms(polys):
     """The terms of polys as one batch (rows, ids, coeffs), those of
-    polys[i] with id i (module docstring): their packs' rows, padded by PAD
-    to the largest degree."""
+    polys[i] with id i (module docstring): exact coefficients, int64 where
+    all are integers of L1 below 2^62, objects otherwise."""
     packs = [_pack(f) for f in polys]
-    width = max([0] + [pk[0].shape[1] for pk in packs])
-    rows = np.concatenate([np.empty((0, width), np.uint8)] + [_padded(pk[0], width) for pk in packs])
-    if any(pk[3] > 1 for pk in packs) or sum(pk[2] for pk in packs) >= 1 << 62:
+    rows, ids, coeffs = _batch(packs)
+    if any(den > 1 or c.dtype == object for _, c, den in packs) or sum(
+            int(np.abs(c).sum()) for _, c, _ in packs) >> 62:   # each below 2^62 (_pack)
         coeffs = np.array([c for f in polys for c in f.terms.values()], dtype=object)
-    else:
-        coeffs = np.concatenate([np.empty(0, np.int64)] + [pk[1] for pk in packs]).astype(
-            np.int64, copy=False)
-    return rows, np.repeat(np.arange(len(polys)), [len(pk[1]) for pk in packs]), coeffs
+    return rows, ids, coeffs
 
 
 def unpack_terms(batch, n):
-    """The batch as n Polys, polynomial i made of the terms with id i
-    (ids ascending, as shift_batch leaves them).  Those of an int64 batch
-    hold only their packs (_pack): their slices of the batch, the rows cut
-    to their degree."""
+    """The batch as n Polys, polynomial i made of the terms with id i (ids
+    ascending, as shift_batch leaves them)."""
     rows, ids, coeffs = batch
-    degs = (rows != PAD).sum(axis=1)
     bounds = np.searchsorted(ids, np.arange(n + 1)).tolist()
-    return [Poly._wrap(_unpacked(rows[a:b], coeffs[a:b])) if coeffs.dtype == object else
-            Poly._wrap(None, _packed(rows[a:b, :int(degs[a:b].max(initial=0))], coeffs[a:b], 1))
-            for a, b in zip(bounds, bounds[1:])]
+    return [Poly._wrap(_unpacked(rows[a:b], coeffs[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
+def term_slices(batch):
+    """The (rows, coeffs) slice of each run of one id in a batch, in batch order."""
+    rows, ids, coeffs = batch
+    cuts = np.r_[_run_starts(ids), len(ids)].tolist()
+    return [(rows[a:b], coeffs[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 @lru_cache(maxsize=None)
@@ -507,8 +463,8 @@ def merge_terms(batch):
 
 
 def normalize_batch(batch):
-    """Poly.content_normalized on each polynomial of an integer batch from
-    merge_terms, whose first term is its smallest monomial."""
+    """Each polynomial of an integer batch from merge_terms as its integer
+    multiple with content 1 whose first term, its smallest monomial, is positive."""
     rows, ids, coeffs = batch
     starts = _run_starts(ids)   # a one-term reduceat is the term itself, sign and all
     g = np.abs(np.gcd.reduceat(coeffs, starts)) * np.sign(coeffs[starts])
@@ -528,7 +484,8 @@ def term_matrix(keys, at, coeffs, cols, n, p):
 
 def apply_shift(axis, to_idx, from_idx, f: Poly) -> Poly:
     """The derivation sum_rest T[to,rest] * d/dT[from,rest] on poly f
-    (indices 0-based within the chosen factor)."""
+    (indices 0-based within the chosen factor): shift_batch on one Poly,
+    kept as the name the benchmark's tracer counts."""
     return unpack_terms(shift_batch(axis, to_idx, from_idx, pack_terms([f])), 1)[0]
 
 
@@ -574,10 +531,10 @@ def format_poly(f: Poly) -> str:
     parts = []
     for mono in sorted(f.terms, key=lambda m: (-len(m), m)):
         body = "*".join(var_name(v) + ("^%d" % mono.count(v) if mono.count(v) > 1 else "")
-                        for v in sorted(set(mono))) or "1"
-        c = Fraction(f.terms[mono])
-        parts.append(("- " if c < 0 else "+ ") + (body if abs(c) == 1 and mono else
-                                                   "%s*%s" % (abs(c), body)))
+                        for v in sorted(set(mono)))
+        c = abs(Fraction(f.terms[mono]))
+        parts.append(("- " if f.terms[mono] < 0 else "+ ") + (
+            str(c) if not mono else body if c == 1 else "%s*%s" % (c, body)))
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else text
 

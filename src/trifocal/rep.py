@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg, poly
-from .poly import LOWERING, apply_shift
+from .poly import LOWERING
 from .tensor import perm_sign
 
 MAX_DEGREE = 9  # the search bound: no new generators exist above this
@@ -161,7 +161,6 @@ class HWSpace(NamedTuple):
     weight: tuple
     terms: tuple
     dim = property(lambda self: kronecker(*self.label))
-    basis = property(lambda self: poly.unpack_terms(self.terms, self.dim))   # Polys viewing the terms
 
 
 @lru_cache(maxsize=None)
@@ -271,21 +270,22 @@ def lowering_tree(lam):
     keeping each image that is independent of the ones kept before it.
     """
     ta = standard_tableaux(_pad(lam))[-1]
-    v = poly.unpack_terms(_tableau_terms(ta, [(ta, (0,) * len(ta))]), 1)[0]
     nodes, p = [(None, None)], linalg.machine_prime(0)
-    level = [(0, v)]  # (node id, model vector) of the newest nodes
+    level = [(0, _tableau_terms(ta, [(ta, (0,) * len(ta))]))]  # (node id, model vector's batch)
     while level:
         # images of one level, grouped by weight; different weights are
         # independent, so only images of equal weight are compared
         by_weight = {}
-        for parent, f in level:
+        for parent, v in level:
             for _, to, frm in LOWERING[:2]:   # the two A-lowering operators
-                img = apply_shift("A", to, frm, f)
-                if not img.is_zero():
-                    by_weight.setdefault(img.weight(), []).append((parent, (to, frm), img))
+                img = poly.shift_batch("A", to, frm, v)
+                if len(img[0]):
+                    by_weight.setdefault(poly.row_weights(img[0][:1]).tobytes(), []).append(
+                        (parent, (to, frm), img))
         level = []
         for cands in by_weight.values():   # each one independent mod p of those before it, so over Q
-            rows, ids, coeffs = poly.pack_terms([img for _, _, img in cands])
+            rows, _, coeffs = map(np.concatenate, zip(*(img for _, _, img in cands)))
+            ids = np.repeat(np.arange(len(cands)), [len(img[1]) for _, _, img in cands])
             keys = poly.mono_keys(rows)   # a row per monomial
             a = poly.term_matrix(keys, ids, coeffs, poly.distinct(keys), len(cands), p)
             for j in linalg._eliminate(a, p)[1]:

@@ -1,4 +1,5 @@
-"""Test data the package itself never builds: the pencil-determinant cubics,
+"""Test data the package itself never builds: Poly arithmetic and exact
+values of Polys, term slices as Polys, the pencil-determinant cubics,
 random camera triples, their tensor by Laplace expansion and a camera's
 primitive center, the isotypic dimension count, hw bases from expanded
 candidates, a degree's generators by weight, term batches of polynomials,
@@ -7,6 +8,7 @@ pencil or a flattening among them), and the degeneration replays and
 degree-6 separation checks on the boundary orbits 17 and 18."""
 
 import random
+from fractions import Fraction
 from itertools import islice, permutations, product
 
 import numpy as np
@@ -15,7 +17,56 @@ from trifocal import cameras, ideal, linalg, poly, rep
 from trifocal.cameras import Camera, CameraTriple, DegenerateConfigurationError, InvalidCameraError
 from trifocal.orbits import orbit17_rep, orbit18_rep, skew_tensor
 from trifocal.poly import N_VARS, Poly, _pencil_entry_vars, evaluate_points, var_ijk, var_index
+from trifocal.scalars import exact_list
 from trifocal.tensor import _VIEWS, Tensor333, act, perm_sign, prank
+
+# --- Poly arithmetic and values: the package's Polys are plain term dicts -------
+
+def add(*polys):
+    """The sum of Polys."""
+    return Poly([t for f in polys for t in f.terms.items()])
+
+
+def scale(f, c):
+    """c * f for an int or Fraction c; TypeError for any other scalar, a bool too."""
+    exact_list([c], "scalar coefficient")
+    return Poly({m: c * v for m, v in f.terms.items()})
+
+
+def mul(f, g):
+    """The product of two Polys."""
+    return Poly((sorted(m1 + m2), c1 * c2) for m1, c1 in f.terms.items() for m2, c2 in g.terms.items())
+
+
+def normalized(f):
+    """The integer multiple of f with content 1 whose coefficient on its
+    smallest monomial in tuple order is positive."""
+    return poly.unpack_terms(poly.normalize_batch(poly.merge_terms(poly.integer_terms([f]))), 1)[0]
+
+
+def values(polys, points):
+    """Exact values [[f(t) for f in polys] for t in points] of Polys:
+    poly.evaluate_points of their integer multiples, divided back."""
+    packs = [poly._pack(f) for f in polys]
+    out = evaluate_points([pk[:2] for pk in packs], points)
+    return [[int(q) if q.denominator == 1 else q
+             for v, pk in zip(vals, packs) for q in [Fraction(v, pk[2])]] for vals in out]
+
+
+def evaluate(f, t):
+    """f(t) exactly."""
+    return values([f], [t])[0][0]
+
+
+def slices(polys):
+    """The (rows, integer coefficients) term slices of Polys with integer coefficients."""
+    return [poly._pack(f)[:2] for f in polys]
+
+
+def poly_of(terms):
+    """A (rows, coeffs) term slice, such as a module basis vector, as a Poly."""
+    return Poly._wrap(poly._unpacked(*terms))
+
 
 _X_MONOMIALS = [(3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1),
                 (1, 0, 2), (0, 3, 0), (0, 2, 1), (0, 1, 2), (0, 0, 3)]
@@ -145,6 +196,18 @@ def batch_of(f):
     return poly.integer_terms([f])
 
 
+def hw_polys(hw):
+    """The basis of a rep.HWSpace, its term batch, as Polys."""
+    return poly.unpack_terms(hw.terms, hw.dim)
+
+
+def hw_batch(m):
+    """The hw vector of a discovered module, its first basis slice, as an
+    int64 batch of one polynomial: the input of rep.module_span."""
+    rows, coeffs = m.basis[0]
+    return rows, np.zeros(len(rows), np.int64), coeffs.astype(np.int64)
+
+
 def span_polys(h):
     """The basis rep.module_span of the Poly h as Polys, vector i the run of id i."""
     return batch_polys(rep.module_span(batch_of(h)))
@@ -152,15 +215,23 @@ def span_polys(h):
 
 def module_polys(modules):
     """{degree: the basis vectors of the modules of that degree}, as Polys
-    in order of filing: the input of a plain GradedGeneratorSet."""
+    in order of filing: the input of plain_set."""
     out = {}
     for m in modules:
-        out.setdefault(m.degree, []).extend(m.basis)
+        out.setdefault(m.degree, []).extend(map(poly_of, m.basis))
     return out
 
 
+def plain_set(by_degree):
+    """An ideal.GradedGeneratorSet of plain generators, {degree: Polys}, filed with add."""
+    gens = ideal.GradedGeneratorSet()
+    for d, polys in by_degree.items():
+        gens.add(d, polys)
+    return gens
+
+
 def term_key(f):
-    """The hashable terms of a Poly, as ideal._key reads them from its pack."""
+    """The hashable terms of a Poly, as ideal._key reads them from a term slice."""
     return ideal._key(*poly._pack(f)[:2])
 
 

@@ -1,9 +1,13 @@
-"""The benchmark tracer's targets still name functions of the package.
+"""The benchmark tracer's targets still name functions of the package, and
+the benchmark's workloads still run on it.
 
-perfbench/tracer.py wraps the names in its TARGETS list; a renamed or
-deleted function would otherwise fail only the slower benchmark tests.
+perfbench/tracer.py wraps the names in its TARGETS list, and
+perfbench/workloads.py calls the package as its two workloads do; a renamed
+or deleted function, or a changed type in what they pass, would otherwise
+fail only the slower benchmark tests.  Both files are loaded, never changed.
 """
 
+import contextlib
 import importlib
 import importlib.util
 import sys
@@ -11,14 +15,18 @@ from pathlib import Path
 
 from trifocal import ideal
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, PERFBENCH / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracer():
+    return _load("tracer")
 
 
 def _bindings():
@@ -61,3 +69,14 @@ def test_discover_reaches_the_counted_linalg_targets(trifocal_nf):
     assert calls["linalg.Echelon.add"] > 0 and calls["linalg.rref_mod_p"] > 0
     assert 0 < t.stats["linalg.Echelon.add"].counters["accepted"] / calls["linalg.Echelon.add"] <= 1
     assert calls["linalg.rref_mod_p"] / calls["linalg.kernel_basis_int"] > 0   # primes per lift
+
+
+def test_benchmark_workloads_pass_their_checks_at_smoke_size():
+    """paper6 at degree 3 with two certify points, which hands the module
+    bases to ideal.evaluate_batch, and 40 membership inputs, each run in
+    process with a stage that times nothing: every check attempted passes."""
+    workloads = _load("workloads")
+    for workload in (workloads.Paper6(11, degree=3, points=2), workloads.Membership(11, count=40)):
+        checks = workloads.Checks()
+        workload.run(lambda name: contextlib.nullcontext(), checks, 0)
+        assert checks.attempted > 0 and checks.failed == 0, type(workload).__name__

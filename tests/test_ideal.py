@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import os
 import random
@@ -20,13 +19,13 @@ from trifocal.poly import (Poly, det_slice_poly, f_determinant, integer_terms, m
                            parse_poly, var_ijk, var_index, weight_space_basis, witness_g)
 from trifocal.tensor import Tensor333, act, random_orbit_point
 
-from helpers import (batch_of, batch_polys, m3_generators, module_polys, term_key, variable_map,
-                     weight_table)
+from helpers import (batch_of, batch_polys, hw_batch, m3_generators, module_polys, normalized,
+                     plain_set, poly_of, scale, slices, term_key, variable_map, weight_table)
 
 
 @pytest.fixture(scope="module")
 def m3_set():
-    return GradedGeneratorSet({3: m3_generators("C")})
+    return plain_set({3: m3_generators("C")})
 
 
 def test_ideal_dims_of_cubic_generators(m3_set):
@@ -239,11 +238,11 @@ def test_packed_blocks_equal_dict_rows():
     merge, and two plain quartics: blocks of the whole slice and strictly
     below it."""
     gens = GradedGeneratorSet()
-    cubics = [ideal._views(gens.add_module(rep.module_span(batch_of(h))))
+    cubics = [list(map(poly_of, gens.add_module(rep.module_span(batch_of(h)))))
               for h in (det_slice_poly("C", 1), f_determinant())]
-    x, y, z = map(parse_poly, ("T_1_1_1", "T_2_3_1", "T_3_2_2"))
-    gens.add(4, [x * x * y * y, x * y * z * z])
-    groups = dict_groups({3: cubics[0] + cubics[1], 4: [x * x * y * y, x * y * z * z]})
+    quartics = [parse_poly("T_1_1_1^2*T_2_3_1^2"), parse_poly("T_1_1_1*T_2_3_1*T_3_2_2^2")]
+    gens.add(4, quartics)
+    groups = dict_groups({3: cubics[0] + cubics[1], 4: quartics})
     for d in (3, 4, 5):   # at 5 every generator lies below d, and groups meet several multipliers
         for w, block in slice_rows_by_weight(gens, d, ideal._slice_weights(gens, d)).items():
             assert_same_block(block, dict_rows(groups, d, w, d))
@@ -292,24 +291,24 @@ def test_rational_and_non_primitive_generators_give_the_integer_ranks(m3_set):
     f/2, -f/3 and 101 f span what f spans, also at p = 101."""
     cubics = m3_generators("C")
     for c in (Fraction(1, 2), Fraction(-1, 3), 101):
-        scaled = GradedGeneratorSet({3: [f.scale(c) for f in cubics]})
+        scaled = plain_set({3: [scale(f, c) for f in cubics]})
         for d in (3, 4):
             assert hilbert_quotient(scaled, d) == hilbert_quotient(m3_set, d)
     x = parse_poly("T_1_1_1")
-    xy = x * parse_poly("T_2_2_2")   # one term: 1/2 once truncated to 0
+    xy = parse_poly("T_1_1_1*T_2_2_2")   # one term: 1/2 once truncated to 0
     for d in (3, 4):
-        assert (hilbert_with_witnesses(m3_set, [x.scale(Fraction(1, 2))], d)
+        assert (hilbert_with_witnesses(m3_set, [scale(x, Fraction(1, 2))], d)
                 == hilbert_with_witnesses(m3_set, [x], d))
-        assert (hilbert_quotient(GradedGeneratorSet({2: [xy.scale(Fraction(1, 2))]}), d)
-                == hilbert_quotient(GradedGeneratorSet({2: [xy]}), d))
+        assert (hilbert_quotient(plain_set({2: [scale(xy, Fraction(1, 2))]}), d)
+                == hilbert_quotient(plain_set({2: [xy]}), d))
 
 
 def test_module_set_matches_plain_m3_set(m3_set):
     """The module of one highest weight vector spans the 10 cubics; its
     folded sweeps give the plain set's H(1..6) and NZD values for f, g."""
     module_set = GradedGeneratorSet()
-    basis = ideal._views(module_set.add_module(rep.module_span(batch_of(det_slice_poly("C", 1)))))
-    assert ideal_dim_in_degree(GradedGeneratorSet({3: basis + m3_generators("C")}), 3) == 10
+    basis = list(map(poly_of, module_set.add_module(rep.module_span(batch_of(det_slice_poly("C", 1))))))
+    assert ideal_dim_in_degree(plain_set({3: basis + m3_generators("C")}), 3) == 10
     assert module_set.symmetry_group(6) is ideal.WEYL
     assert m3_set.symmetry_group(6) is ideal.IDENTITY
     witnesses = [f_determinant(), witness_g()]
@@ -320,18 +319,17 @@ def test_module_set_matches_plain_m3_set(m3_set):
 
 def test_plain_generator_turns_folding_off():
     gens = GradedGeneratorSet()
-    basis = ideal._views(gens.add_module(rep.module_span(batch_of(det_slice_poly("C", 1)))))
-    x = parse_poly("T_1_1_1")
-    y = parse_poly("T_2_3_1")
-    gens.add(4, [x * x * y * y])
+    basis = list(map(poly_of, gens.add_module(rep.module_span(batch_of(det_slice_poly("C", 1))))))
+    quartic = parse_poly("T_1_1_1^2*T_2_3_1^2")
+    gens.add(4, [quartic])
     assert gens.symmetry_group(3) is ideal.WEYL
     assert gens.symmetry_group(4) is ideal.IDENTITY
-    plain = GradedGeneratorSet({3: basis, 4: [x * x * y * y]})
+    plain = plain_set({3: basis, 4: [quartic]})
     for d in (4, 5):
         assert hilbert_quotient(gens, d) == hilbert_quotient(plain, d)
     # a module added to a degree that already holds plain generators
-    late = GradedGeneratorSet({2: [x * y]})
-    late.add_module(rep.module_span(batch_of(x * x)))
+    late = plain_set({2: [parse_poly("T_1_1_1*T_2_3_1")]})
+    late.add_module(rep.module_span(batch_of(parse_poly("T_1_1_1^2"))))
     assert late.symmetry_group(2) is ideal.IDENTITY
 
 
@@ -352,8 +350,7 @@ def test_stabiliser_memo_matches_fresh_computation():
     assert ideal.stabiliser(ideal.WEYL, g) == fresh(ideal.WEYL, frozenset(g.terms.items()))
     assert len(ideal.stabiliser(ideal.WEYL, g)) < len(ideal.stabiliser(ideal.WEYL, f))
     # the packed rows against the permuted term dicts, also for -f images and Fractions
-    x, y = parse_poly("T_1_1_1"), parse_poly("T_2_2_2")
-    for h in (f, g, witness_g(), x * x - y * y, (x * y).scale(Fraction(-2, 3)), x * x + x * y):
+    for h in (f, g, witness_g(), *map(parse_poly, ("a11^2 - a22^2", "-2/3*a11*a22", "a11^2 + a11*a22"))):
         assert ideal.stabiliser(ideal.WEYL, h) == dict_stabiliser(ideal.WEYL, h)
 
 
@@ -361,13 +358,14 @@ def test_stabiliser_of_wide_coefficients_is_exact():
     """Witnesses with coefficients near 2^40, int64 terms below L1 2^62: the
     stabiliser compares products of two of them as objects and matches the
     exact check of whether sigma(f) is a rational multiple of f."""
-    x, y, z = map(parse_poly, ("T_1_1_1", "T_2_2_2", "T_3_3_3"))
-    big = 2 ** 40
-    for h in ((x * x + y * y).scale(big) + z * z, (x * x).scale(big + 1) + (y * y).scale(big - 1),
-              (x * y).scale(big) + z * z, (x * x - y * y).scale(3 * big) + (x * y).scale(big + 7)):
+    b = 2 ** 40   # a11 = T_1_1_1, b22 = T_2_2_2, c33 = T_3_3_3
+    polys = [parse_poly(t % c) for t, c in (
+        ("%d*a11^2 + %d*b22^2 + c33^2", (b, b)), ("%d*a11^2 + %d*b22^2", (b + 1, b - 1)),
+        ("%d*a11*b22 + c33^2", b), ("%d*a11^2 - %d*b22^2 + %d*a11*b22", (3 * b, 3 * b, b + 7)))]
+    for h in polys:
         assert integer_terms([h])[2].dtype == np.int64
         assert ideal.stabiliser(ideal.WEYL, h) == dict_stabiliser(ideal.WEYL, h)
-    assert len(ideal.stabiliser(ideal.WEYL, (x * x + y * y).scale(big) + z * z)) > 1
+    assert len(ideal.stabiliser(ideal.WEYL, polys[0])) > 1
 
 
 @pytest.mark.slow
@@ -402,8 +400,9 @@ def test_key_filing_matches_per_generator_filing(discovery6):
     the coefficients held at the chunk's width, int8."""
     gens, index = GradedGeneratorSet(), {}
     for m in discovery6.modules():
-        gens._file(m.degree, integer_terms(m.basis))
-        index[m.degree] = file_per_generator(index.get(m.degree, {}), m.basis)
+        basis = list(map(poly_of, m.basis))
+        gens._file(m.degree, integer_terms(basis))
+        index[m.degree] = file_per_generator(index.get(m.degree, {}), basis)
         table, items = weight_table(gens, m.degree)
         assert [w for w, _ in items] == list(index[m.degree])
         assert table.tolist() == [list(sum(w, ())) for w in index[m.degree]]
@@ -434,22 +433,21 @@ def test_witness_sweep_builds_each_block_when_it_ranks_it(discovery6, traced_pea
     assert out == (865860, [865482]) and peak < 7
 
 
-# --- the store: each filed batch one chunk, module bases views of it ------------
+# --- the store: each filed batch one chunk, module bases slices of it -----------
 
 def assert_bases_are_views_of_the_store(disc):
-    """Every module basis vector's pack is its slice of the chunk its
-    module was filed as, so its terms are held once."""
+    """Every module basis vector is its term slice of the chunk its module
+    was filed as, so its terms are held once."""
     for m in disc.modules():
         index = disc.gens._tables[m.degree]
-        for f in m.basis:
-            rows, coeffs = f._packed[:2]
-            assert any(np.shares_memory(rows, r) and np.shares_memory(coeffs, c)
-                       for r, c, _ in index[key_of(f.weight())])
+        for rows, coeffs in m.basis:
+            w = int(poly.weight_keys(poly.row_weights(rows[:1]))[0])
+            assert any(np.shares_memory(rows, r) and np.shares_memory(coeffs, c) for r, c, _ in index[w])
 
 
 @pytest.mark.slow
 def test_discovery_holds_each_term_once(trifocal_nf, traced_peak_mb):
-    """A fresh discover(6) traces about 8.5 MB, its module bases views of
+    """A fresh discover(6) traces about 8.5 MB, its module bases slices of
     its set's int8 chunks (15.9 MB with int64 chunks).  With every term held
     a second time in per-weight tables it traced 27.3 MB."""
     peak, disc = traced_peak_mb(ideal.discover, 6, trifocal_nf, 2024)
@@ -460,7 +458,9 @@ def test_discovery_holds_each_term_once(trifocal_nf, traced_peak_mb):
 @pytest.mark.slow
 def test_cold_discovery_peak_and_store_stay_small():
     """A cold discover(6), in a process of its own, traces at most 9.5 MB at
-    its peak (8.8 MB) and holds at most 6.5 MB once it returns, every chunk
+    its peak (9.3 MB, in the swap of the 640-vector module while the layout
+    of the partner's proof at nf is kept; 8.8 MB with that proof outside
+    evaluate_points) and holds at most 6.5 MB once it returns, every chunk
     int8: the coefficients at their width, the partner modules derived in
     bounded runs, one dense array for the independence test (9.9 MB with
     two; 15.1 and 10.0 MB with int64 chunks and full-size swaps)."""
@@ -502,11 +502,11 @@ def test_plain_generators_are_filed_as_the_same_integer_terms():
     left as the caller made them, and all three are filed as the same
     integer terms."""
     cubics = m3_generators("C")
-    plain, half, triple = Poly(cubics[0].terms), cubics[1].scale(Fraction(1, 2)), cubics[2].scale(3)
+    plain, half, triple = Poly(cubics[0].terms), scale(cubics[1], Fraction(1, 2)), scale(cubics[2], 3)
     terms = [dict(f.terms) for f in (plain, half, triple)]
-    gens = GradedGeneratorSet({3: [plain, half, triple]})
+    gens = plain_set({3: [plain, half, triple]})
     assert [f.terms for f in (plain, half, triple)] == terms and terms[0] == cubics[0].terms
-    want = weight_table(GradedGeneratorSet({3: cubics[:3]}), 3)
+    want = weight_table(plain_set({3: cubics[:3]}), 3)
     for (w, got), (v, ref) in zip(*(t[1] for t in (weight_table(gens, 3), want))):
         assert w == v and got[3] == ref[3] and all(map(np.array_equal, got[:3], ref[:3]))
 
@@ -516,14 +516,14 @@ def test_filing_takes_id_runs_in_any_order(discovery5):
     them, files the same weight tables, chunk order and returned bases as
     the same vectors filed in id order."""
     m = max(discovery5.modules(), key=lambda m: m.dim)
-    rows, ids, coeffs = integer_terms(m.basis)
+    rows, ids, coeffs = integer_terms(list(map(poly_of, m.basis)))
     bounds = np.searchsorted(ids, np.arange(m.dim + 1))
     take = np.concatenate([np.arange(bounds[i], bounds[i + 1])
                            for i in np.random.default_rng(5).permutation(m.dim)])
     in_order, shuffled = GradedGeneratorSet(), GradedGeneratorSet()
     got = [in_order._file(m.degree, (rows, ids, coeffs)),
            shuffled._file(m.degree, (rows[take], ids[take], coeffs[take]))]
-    assert [[ideal._key(*t) for t in b] for b in got] == [list(map(term_key, m.basis))] * 2
+    assert [[ideal._key(*t) for t in b] for b in got] == [[ideal._key(*t) for t in m.basis]] * 2
     index, shuffled_index = in_order._tables[5], shuffled._tables[5]
     assert list(index) == list(shuffled_index)
     for slices, ref in zip(index.values(), shuffled_index.values()):
@@ -532,18 +532,16 @@ def test_filing_takes_id_runs_in_any_order(discovery5):
 
 def test_rejected_generator_leaves_the_store_unchanged():
     """A weight content above 15 does not fit poly.weight_keys' 4-bit digit:
-    add raises, and the set, its tables and the filed packs stay as they
-    were, also for a valid generator filed in the same call."""
-    gens = GradedGeneratorSet({3: m3_generators("C")})
+    add raises, and the set and its tables stay as they were, also for a
+    valid generator filed in the same call."""
+    gens = plain_set({3: m3_generators("C")})
     table, items = weight_table(gens, 3)
     ok, bad = parse_poly("a11^8*b22^8"), parse_poly("a11^16")
-    assert ok.degree() == bad.degree() == 16   # both packed before they are filed
-    ok_pack = ok._packed
+    assert ok.degree() == bad.degree() == 16   # both homogeneous: filing is what refuses bad
     for polys in ([bad], [ok, bad]):
         with pytest.raises(ValueError, match="4-bit"):
             gens.add(16, polys)
         assert gens.degrees() == [3] and list(gens._tables) == [3] and gens._modules == {3: False}
-        assert ok._packed is ok_pack
         got_table, got_items = weight_table(gens, 3)
         assert np.array_equal(got_table, table) and len(got_items) == len(items)
         for (w, got), (v, ref) in zip(got_items, items):
@@ -564,21 +562,19 @@ def test_chunks_hold_the_narrowest_width(c, width, monkeypatch):
     """A chunk holds its coefficients at the narrowest signed width that holds
     max |c|, objects past int64, and gives the same H(d) and NZD table at
     p = 101 and 32003 as an int64 store of the same generators mod p (NumPy 2
-    raises on int8 % 32003).  Views of a narrow chunk are widened before
-    their terms are summed: B-lowering takes c*a11*b12 + a12*b11 to (c + 1)*a12*b12."""
+    raises on int8 % 32003).  A narrow slice is widened before its terms are
+    summed: c*a11*b12 + a12*b11 is c + 1 where every entry is 1."""
     polys = width_rule_generators(c)
     filed = GradedGeneratorSet()._file(2, integer_terms(polys[:1]))
-    views = ideal._views(filed)   # packs: objects past L1 2^31
-    assert poly._pack(views[0])[1].dtype == (width if c < 2 ** 31 else object) and views[0] == polys[0]
-    assert poly.apply_shift("B", 1, 0, views[0]) == poly.apply_shift("B", 1, 0, Poly(polys[0].terms)) \
-        == parse_poly("%d*T_1_2_1*T_1_2_2" % (c + 1))
-    assert views[0].content_normalized() == polys[0]
-    batch = poly.pack_terms(views)   # the batch dtype rule: int64 below L1 2^62, whatever the packs
+    assert filed[0][1].dtype == width and poly_of(filed[0]) == normalized(polys[0]) == polys[0]
+    ones = Tensor333([[[1] * 3] * 3] * 3)
+    assert poly.evaluate_points(filed, [ones]) == [[c + 1]]
+    batch = poly.pack_terms(polys[:1])   # the batch dtype rule: int64 below L1 2^62
     assert batch[2].dtype == (object if c >> 62 else np.int64) and merge_terms(batch)[2].dtype == batch[2].dtype
     assert poly.unpack_terms(ideal._swapped(filed), 1) == poly.unpack_terms(
-        ideal._swapped([poly._pack(polys[0])[:2]]), 1)
-    assert integer_terms(polys)[2].dtype == (object if c >> 62 else np.int64)   # whatever the packs hold
-    gens = GradedGeneratorSet({2: polys})
+        ideal._swapped(slices(polys[:1])), 1)
+    assert integer_terms(polys)[2].dtype == (object if c >> 62 else np.int64)
+    gens = plain_set({2: polys})
     assert {sl[1].dtype for index in gens._tables.values() for s in index.values() for sl in s} \
         == {np.dtype(width)}
     for p in (101, 32003):
@@ -586,7 +582,7 @@ def test_chunks_hold_the_narrowest_width(c, width, monkeypatch):
             gens, parse_poly("T_3_3_3"), 3, p).table
         with monkeypatch.context() as m:
             m.setattr(ideal, "narrow", lambda coeffs: coeffs)   # every chunk as filed: int64
-            ref = GradedGeneratorSet({2: width_rule_generators(c % p)})
+            ref = plain_set({2: width_rule_generators(c % p)})
             assert {sl[1].dtype for index in ref._tables.values() for s in index.values() for sl in s} \
                 == {np.dtype(np.int64)}
             assert got == ([hilbert_quotient(ref, d, p) for d in (2, 3)], graded_nonzerodivisor_check(
@@ -699,7 +695,7 @@ def test_factor_memo_keeps_one_prime_in_its_compact_dtype():
 
 
 def test_zero_witness_rejected(m3_set):
-    for f, message in ((Poly(), "zero polynomial"), (Poly.constant(5), "nonzero constant 5")):
+    for f, message in ((Poly(), "zero polynomial"), (Poly({(): 5}), "nonzero constant 5")):
         with pytest.raises(ValueError, match=message):
             ideal.hilbert_with_witnesses(m3_set, [f], 4)
         with pytest.raises(ValueError, match=message):
@@ -708,7 +704,7 @@ def test_zero_witness_rejected(m3_set):
 
 @pytest.mark.parametrize("p", [91, 100])
 def test_sweeps_reject_non_prime_modulus(p):
-    gens = GradedGeneratorSet({3: m3_generators("A")})
+    gens = plain_set({3: m3_generators("A")})
     f = det_slice_poly("A", 1)
     with pytest.raises(ValueError, match="not prime"):
         graded_nonzerodivisor_check(gens, f, cap=4, p=p)
@@ -724,7 +720,7 @@ def test_discover_rejects_a_modulus_that_is_not_a_machine_prime(trifocal_nf, p):
 
 @pytest.mark.slow
 def test_folded_sweep_matches_unfolded_on_discovery6(discovery6):
-    plain = GradedGeneratorSet(module_polys(discovery6.modules()))
+    plain = plain_set(module_polys(discovery6.modules()))
     assert discovery6.gens.symmetry_group(6) is ideal.WEYL
     assert plain.symmetry_group(6) is ideal.IDENTITY
     witnesses = [f_determinant(), witness_g()]
@@ -852,26 +848,26 @@ def test_zero_proof_is_refused_where_the_cubics_vanish(trifocal_nf, monkeypatch)
     assert not ideal._proved_zero(cubics, trifocal_nf, 35) and ideal._proved_zero(f, trifocal_nf, 35)
     p, (x, y) = linalg.machine_prime(0), seen
     assert x.shape == (1, 27) and (x == y).all() and x.any()
-    (vals,) = poly.evaluate_points(m3_generators("C"), [Tensor333._from_flat(x[0].tolist())])
+    (vals,) = poly.evaluate_points(slices(m3_generators("C")), [Tensor333._from_flat(x[0].tolist())])
     assert len(vals) == 10 and all(v % p == 0 for v in vals)
-    (det,) = poly.evaluate_points([f_determinant()], [Tensor333._from_flat(x[0].tolist())])
+    (det,) = poly.evaluate_points(slices([f_determinant()]), [Tensor333._from_flat(x[0].tolist())])
     assert det[0] % p
 
 
-def test_discovery_keeps_its_polynomials_packed(trifocal_nf):
-    """Tableau expansion, hw-space normalisation, vanishing certificates and
-    module spans all stay on packs: no basis vector builds a term dict."""
+def test_discovery_keeps_its_polynomials_packed(trifocal_nf, monkeypatch):
+    """Tableau expansion, hw-space normalisation, vanishing certificates,
+    module spans and their proof at nf all stay on term batches and slices,
+    and no Poly is built on the way; every module basis vector is a term
+    slice that shares memory with the store chunk it was filed in."""
+    monkeypatch.setattr(poly.Poly, "__init__", None)
+    monkeypatch.setattr(poly.Poly, "_wrap", None)
     disc = ideal.discover(5, trifocal_nf, seed=2024)
-    basis = [f for m in disc.modules() for f in m.basis]
-    assert len(basis) == 91 and all(f._terms is None for f in basis)
-    assert all(m.hw_vector._terms is None for m in disc.modules())   # read by module_span
-    hws = [rep.hw_space(lab) for d in range(1, 6) for lab in rep.all_labels(d)
-           if rep.kronecker(*lab)]
-    for i, hw in enumerate(hws):   # a draw the screen refuses has evaluated the basis all the same
-        with contextlib.suppress(ArithmeticError):
-            vanishing_subspace(hw, trifocal_nf, seed=500 + i)
-    vectors = [f for hw in hws for f in hw.basis]
-    assert len(vectors) == 127 and all(f._terms is None for f in vectors)
+    basis = [t for m in disc.modules() for t in m.basis]
+    assert len(basis) == 91 and all(type(t) is tuple and len(t) == 2 for t in basis)
+    chunks = [s for index in disc.gens._tables.values() for v in index.values() for s in v]
+    assert all(any(np.shares_memory(rows, r) and np.shares_memory(coeffs, c) for r, c, _ in chunks)
+               for rows, coeffs in basis)
+    assert_bases_are_views_of_the_store(disc)
 
 
 @pytest.mark.slow
@@ -880,13 +876,13 @@ def test_discovered_bases_hash(discovery6):
     pinned by the sha256 of its sorted terms."""
     h = hashlib.sha256()
     for m in discovery6.modules():
-        for f in m.basis:
-            h.update(repr(sorted(f.terms.items())).encode())
+        for t in m.basis:
+            h.update(repr(sorted(poly_of(t).terms.items())).encode())
     assert h.hexdigest()[:16] == "1cb987188ddf877c"
 
 
 def test_certificates_vanish_exactly(discovery5, trifocal_nf):
-    certs = [m.hw_vector for m in discovery5.modules()]
+    certs = [m.basis[0] for m in discovery5.modules()]
     assert certs
     for seed in range(40):
         pt = random_orbit_point(trifocal_nf, 31_000 + seed)
@@ -900,7 +896,7 @@ def test_discovery_counts_through_degree5(discovery5):
         ((2, 2, 1), (2, 2, 1), (3, 1, 1)): 54,
         ((2, 2, 1), (2, 2, 1), (2, 2, 1)): 27,
     }
-    assert {len(m.hw_vector) for m in discovery5.scans[5].modules} == {104, 244}
+    assert {len(m.basis[0][1]) for m in discovery5.scans[5].modules} == {104, 244}
 
 
 def test_degree4_certificates_are_members(discovery5, trifocal_nf, m3_set):
@@ -927,14 +923,14 @@ def test_minimal_generator_test_trivial_cases(m3_set):
 
 def test_degree5_certificates_are_new(discovery5, m3_set):
     for m in discovery5.scans[5].modules:
-        assert minimal_generator_test(m.hw_vector, m3_set) is False
+        assert minimal_generator_test(poly_of(m.basis[0]), m3_set) is False
 
 
 def test_module_dims_27_and_54(discovery5):
     dims = sorted(m.dim for m in discovery5.scans[5].modules)
     assert dims == [27, 54]
     for m in discovery5.scans[5].modules:
-        assert len(set(rep.module_span(batch_of(m.hw_vector))[1].tolist())) == m.dim
+        assert len(set(rep.module_span(hw_batch(m))[1].tolist())) == m.dim
 
 
 def test_m5_does_not_vanish_on_skew(discovery5):
@@ -946,8 +942,7 @@ def test_m5_does_not_vanish_on_skew(discovery5):
 
 def test_toy_zero_divisor_detected():
     x = parse_poly("T_1_1_1")
-    y = parse_poly("T_2_2_2")
-    toy = GradedGeneratorSet({2: [x * y]})
+    toy = plain_set({2: [parse_poly("T_1_1_1*T_2_2_2")]})
     report = graded_nonzerodivisor_check(toy, x, cap=4)
     assert not report
     assert report.failing_degree == 2
@@ -956,20 +951,16 @@ def test_toy_zero_divisor_detected():
 
 
 def test_toy_non_zero_divisor():
-    x = parse_poly("T_1_1_1")
-    y = parse_poly("T_2_2_2")
     z = parse_poly("T_3_3_3")
-    toy = GradedGeneratorSet({2: [x * y]})
+    toy = plain_set({2: [parse_poly("T_1_1_1*T_2_2_2")]})
     report = graded_nonzerodivisor_check(toy, z, cap=4)
     assert bool(report)
     assert report.failing_degree is None
 
 
 def test_nzd_requires_weight_homogeneous():
-    x = parse_poly("T_1_1_1")
-    y = parse_poly("T_2_2_2")
     with pytest.raises(ValueError):
-        graded_nonzerodivisor_check(GradedGeneratorSet(), x + y, cap=2)
+        graded_nonzerodivisor_check(GradedGeneratorSet(), parse_poly("T_1_1_1 + T_2_2_2"), cap=2)
 
 
 def test_witnesses_are_nzd_for_partial_ideal_low_degrees(discovery5):
@@ -984,7 +975,7 @@ def test_witnesses_are_nzd_for_partial_ideal_low_degrees(discovery5):
 def test_scan_is_deterministic(trifocal_nf):
     a = scan_degree(3, GradedGeneratorSet(), trifocal_nf, seed=77)
     b = scan_degree(3, GradedGeneratorSet(), trifocal_nf, seed=77)
-    assert [m.hw_vector for m in a.modules] == [m.hw_vector for m in b.modules]
+    assert [ideal._key(*m.basis[0]) for m in a.modules] == [ideal._key(*m.basis[0]) for m in b.modules]
     assert a.rows == b.rows
 
 
@@ -1002,12 +993,12 @@ def test_discovery_is_the_same_at_seeds_whose_samples_misled_it(discovery5, trif
     draws of a label at seeds 32, 47, 77 and 79.  Each now gives the rows
     and bases of seed 2024."""
     rows = [s.rows for _, s in sorted(discovery5.scans.items())]
-    bases = [list(map(term_key, m.basis)) for m in discovery5.modules()]
+    bases = [[ideal._key(*t) for t in m.basis] for m in discovery5.modules()]
     for seed in (18, 21, 29, 32, 47, 57, 77, 79, 91):
         disc = ideal.discover(5, trifocal_nf, seed=seed)
         assert disc.counts() == {1: 0, 2: 0, 3: 10, 4: 0, 5: 81}, seed
         assert [s.rows for _, s in sorted(disc.scans.items())] == rows, seed
-        assert [list(map(term_key, m.basis)) for m in disc.modules()] == bases, seed
+        assert [[ideal._key(*t) for t in m.basis] for m in disc.modules()] == bases, seed
 
 
 def seed18_candidate(nf):
@@ -1032,26 +1023,9 @@ def test_a_false_candidate_is_refused_at_nf(discovery5, trifocal_nf):
     w = key_of(hw.weight)
     block = ideal.rows_in_weight_block(discovery5.gens, 5, w)
     assert ideal._independent_of(block, cert + (1,), 5, w, 101) == [True]
-    assert any(ideal._values_at(rep.module_span(cert), trifocal_nf))
+    assert any(poly.evaluate_points(poly.term_slices(rep.module_span(cert)), [trifocal_nf])[0])
     assert ideal._new_modules(5, discovery5.gens, hw, trifocal_nf, seed, 101) == (3, 0, [])
     assert (hw.label, 1, 1, 0, 0) in discovery5.scans[5].rows
-
-
-def test_values_at_equal_evaluate_points_on_module_batches(discovery5, trifocal_nf):
-    """_values_at reads only the terms in a point's support, with exact
-    products of its entries: the values of true and false modules at nf, at
-    the sub233 tensor and at a Fraction-scaled orbit point equal
-    poly.evaluate_points'."""
-    false = rep.module_span(seed18_candidate(trifocal_nf)[2])
-    true = [rep.module_span(batch_of(m.hw_vector)) for m in discovery5.modules()]
-    scaled = [x * Fraction(2, 7) for x in random_orbit_point(trifocal_nf, 3).flat]
-    points = [trifocal_nf, catalog()["sub233"].tensor, Tensor333._from_flat(scaled)]
-    for batch in [false] + true:
-        polys = batch_polys(batch)
-        for t in points:
-            assert ideal._values_at(batch, t) == poly.evaluate_points(polys, [t])[0]
-    assert any(ideal._values_at(false, trifocal_nf)) and any(ideal._values_at(false, points[2]))
-    assert not any(any(ideal._values_at(batch, points[2])) for batch in true)
 
 
 # --- labels derived from their factor-swapped partner ---------------------------
@@ -1084,19 +1058,19 @@ def test_swapped_polynomials_are_tau_images():
     f = f_determinant()   # weight ((3,0,0),(1,1,1),(1,1,1))
     tau = {var_index(i, j, k): var_index(j, i, k) for i, j, k in product(range(3), repeat=3)}
     want = Poly((sorted(tau[v] for v in mono), c) for mono, c in f.terms.items())
-    (got,) = poly.unpack_terms(ideal._swapped([poly._pack(f)[:2]]), 1)
-    assert got == want.content_normalized() and got.weight() == ((1, 1, 1), (3, 0, 0), (1, 1, 1))
+    (got,) = poly.unpack_terms(ideal._swapped(slices([f])), 1)
+    assert got == normalized(want) and got.weight() == ((1, 1, 1), (3, 0, 0), (1, 1, 1))
 
 
 def test_swap_closure_needs_module_built_tau_closed_degrees(discovery5, trifocal_nf):
     assert ideal._swap_closed(discovery5.gens, trifocal_nf, 6)
     assert ideal._swap_closed(GradedGeneratorSet(), trifocal_nf, 1)
-    assert not ideal._swap_closed(GradedGeneratorSet(module_polys(discovery5.modules())), trifocal_nf, 6)
+    assert not ideal._swap_closed(plain_set(module_polys(discovery5.modules())), trifocal_nf, 6)
     lone = GradedGeneratorSet()
     # tau(f) has weight ((1,1,1),(3,0,0),(1,1,1)): no module
     lone.add_module(rep.module_span(batch_of(f_determinant())))
     assert not ideal._swap_closed(lone, trifocal_nf, 4)
-    lone.add_module(rep.module_span(ideal._swapped([poly._pack(f_determinant())[:2]])))
+    lone.add_module(rep.module_span(ideal._swapped(slices([f_determinant()]))))
     assert ideal._swap_closed(lone, trifocal_nf, 4)
     assert not ideal._swap_closed(discovery5.gens, catalog()["sub233"].tensor, 6)
 
@@ -1140,17 +1114,17 @@ def test_swapped_labels_match_their_own_scan(discovery6, trifocal_nf):
             assert row == (lab, rep.kronecker(*lab), hw.dim, mult, len(spans))
             mods = [m for m in scan.modules if m.label == lab]
             assert len(mods) == len(spans)
-            for m, span in zip(mods, spans):   # as packs: no term dicts on the fixture's bases
-                assert list(map(term_key, m.basis)) == list(map(term_key, batch_polys(span)))
+            for m, span in zip(mods, spans):
+                assert [ideal._key(*t) for t in m.basis] == list(map(term_key, batch_polys(span)))
     assert derived == 105
 
 
 @pytest.mark.slow
 def test_filing_a_discovery_again_leaves_its_store_alone(discovery6):
     """A second set filed from discovery6's generators copies their terms
-    into chunks of its own; the bases stay views of discovery6's store, and
+    into chunks of its own; the bases stay slices of discovery6's store, and
     both sets give the same H(1..6)."""
-    plain = GradedGeneratorSet(module_polys(discovery6.modules()))
+    plain = plain_set(module_polys(discovery6.modules()))
     assert_bases_are_views_of_the_store(discovery6)
     for d in range(1, 7):
         assert (ideal.hilbert_quotient(plain, d, p=101)

@@ -275,7 +275,7 @@ def test_membership_verdicts_agree_with_the_generators(discovery6):
     make all 2071 generators vanish; generic tensors it rejects because
     no pencil drops rank make some cubic generator non-zero."""
     gens = [f for m in discovery6.modules() for f in m.basis]
-    cubics = [f for f in gens if f.degree() == 3]
+    cubics = [t for t in gens if t[0].shape[1] == 3]
     assert len(gens) == 2071 and len(cubics) == 10
     rng = random.Random(67)
     for t in camera_tensors(rng, 3):

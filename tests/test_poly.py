@@ -12,8 +12,8 @@ from trifocal.poly import (Poly, apply_shift, det_slice_poly, f_determinant,
                            weight_space_basis, witness_g)
 from trifocal.tensor import Tensor333, random_orbit_point
 
-from helpers import (m3_generators, m3_with_x_monomials, permute_factors, scaled, span_polys,
-                     variable_map)
+from helpers import (add, evaluate, m3_generators, m3_with_x_monomials, mul, normalized,
+                     permute_factors, scale, scaled, span_polys, variable_map)
 
 
 def basis_tensor(i, j, k):
@@ -22,8 +22,8 @@ def basis_tensor(i, j, k):
 
 def test_evaluate_single_variable():
     f = parse_poly("T_1_1_1")
-    assert f.evaluate(basis_tensor(1, 1, 1)) == 1
-    assert f.evaluate(basis_tensor(2, 1, 1)) == 0
+    assert evaluate(f, basis_tensor(1, 1, 1)) == 1
+    assert evaluate(f, basis_tensor(2, 1, 1)) == 0
 
 
 def test_m3_generators_shape():
@@ -48,26 +48,26 @@ def test_m3_weights_distinct():
 def test_m3_vanishes_on_trifocal_points():
     nf = trifocal_normal_form()
     gens = m3_generators("C")
-    assert all(g.evaluate(nf) == 0 for g in gens)
+    assert all(evaluate(g, nf) == 0 for g in gens)
     for seed in range(20):
         pt = random_orbit_point(nf, seed)
-        assert all(g.evaluate(pt) == 0 for g in gens)
+        assert all(evaluate(g, pt) == 0 for g in gens)
 
 
 def test_all_thirty_cubics_vanish_on_skew():
     F = skew_tensor()
-    assert all(g.evaluate(F) == 0 for g in [g for ax in "ABC" for g in m3_generators(ax)])
+    assert all(evaluate(g, F) == 0 for g in [g for ax in "ABC" for g in m3_generators(ax)])
     F5 = scaled(skew_tensor(), 5)
-    assert all(g.evaluate(F5) == 0 for g in [g for ax in "ABC" for g in m3_generators(ax)])
+    assert all(evaluate(g, F5) == 0 for g in [g for ax in "ABC" for g in m3_generators(ax)])
 
 
 def test_degree_and_weight_read_the_pack():
     f = f_determinant()
-    packed = poly.unpack_terms(poly.pack_terms([f, Poly.constant(2), Poly()]), 3)
+    packed = poly.unpack_terms(poly.pack_terms([f, Poly({(): 2}), Poly()]), 3)
     assert [(h.degree(), h.weight()) for h in packed] == [
         (3, ((3, 0, 0), (1, 1, 1), (1, 1, 1))), (0, ((0, 0, 0),) * 3), (None, None)]
-    assert all(h._terms is None for h in packed)   # no term dict was built
-    mixed_weight, mixed_degree = f + parse_poly("T_1_1_1^3"), f + parse_poly("T_1_1_1")
+    assert Poly.__slots__ == ("terms",)   # a Poly is its term dict and nothing else
+    mixed_weight, mixed_degree = add(f, parse_poly("T_1_1_1^3")), add(f, parse_poly("T_1_1_1"))
     assert mixed_weight.degree() == 3
     for h in (mixed_weight, mixed_degree, *poly.unpack_terms(poly.pack_terms(
             [mixed_weight, mixed_degree]), 2)):
@@ -87,7 +87,7 @@ def test_f_determinant_is_x1_cubed_coefficient_of_a_pencil():
     assert f.weight() == ((3, 0, 0), (1, 1, 1), (1, 1, 1))
     nf = trifocal_normal_form()
     # nonzero at a random orbit point certifies nonvanishing on the variety
-    assert any(f.evaluate(random_orbit_point(nf, s)) != 0 for s in range(5))
+    assert any(evaluate(f, random_orbit_point(nf, s)) != 0 for s in range(5))
 
 
 def test_weight_of_monomials():
@@ -137,8 +137,8 @@ def test_highest_weight_test_agrees_with_apply_shift():
     highest weight vectors, their lowering images, sums, Fraction
     multiples and the zero image of g under a C lowering."""
     f, g = f_determinant(), witness_g()
-    cases = [f, g, f * Fraction(2, 3), apply_shift("A", 1, 0, f), apply_shift("C", 1, 0, g),
-             f + apply_shift("A", 1, 0, f), parse_poly("T_1_1_1"), parse_poly("T_2_1_1"),
+    cases = [f, g, scale(f, Fraction(2, 3)), apply_shift("A", 1, 0, f), apply_shift("C", 1, 0, g),
+             add(f, apply_shift("A", 1, 0, f)), parse_poly("T_1_1_1"), parse_poly("T_2_1_1"),
              apply_shift("C", 2, 1, g)]
     for h in cases:
         want = all(apply_shift(ax, to, frm, h).is_zero() for ax, to, frm in poly.RAISING)
@@ -170,13 +170,13 @@ def test_operators_are_derivations():
     for ax, to, frm in (("A", 1, 0), ("B", 2, 1), ("C", 0, 1)):
         f = rand_poly(2, 4)
         g = rand_poly(3, 4)
-        lhs = apply_shift(ax, to, frm, f * g)
-        rhs = apply_shift(ax, to, frm, f) * g + f * apply_shift(ax, to, frm, g)
+        lhs = apply_shift(ax, to, frm, mul(f, g))
+        rhs = add(mul(apply_shift(ax, to, frm, f), g), mul(f, apply_shift(ax, to, frm, g)))
         assert lhs == rhs
 
 
 def test_calibration_span_of_f_is_m3_of_axis_a():
-    span = span_polys(f_determinant().content_normalized())
+    span = span_polys(normalized(f_determinant()))
     m3A = m3_generators("A")
     monos = sorted({m for p in span + m3A for m in p.terms})
     rows = lambda ps: [[Fraction(p.terms.get(m, 0)) for m in monos] for p in ps]
@@ -187,11 +187,11 @@ def test_calibration_span_of_f_is_m3_of_axis_a():
 
 def test_multiply():
     f = f_determinant()
-    one = Poly.constant(1)
-    assert f * one == f
+    one = Poly({(): 1})
+    assert mul(f, one) == f
     t = parse_poly("T_1_1_1")
-    assert t * t == Poly({(0, 0): 1}) and t * t * 3 == parse_poly("3*T_1_1_1^2")
-    f2 = f * f
+    assert mul(t, t) == Poly({(0, 0): 1}) and scale(mul(t, t), 3) == parse_poly("3*T_1_1_1^2")
+    f2 = mul(f, f)
     assert f2.degree() == 6
     wa, wb, wc = f.weight()
     assert f2.weight() == (tuple(2 * x for x in wa), tuple(2 * x for x in wb),
@@ -206,13 +206,11 @@ def test_inexact_coefficients_are_rejected():
         with pytest.raises(TypeError, match="coefficient"):
             Poly([((0,), bad), ((0,), -bad)])   # even where the sum is zero
     g = parse_poly("T_1_1_1")
-    for bad in (0.5, 2.0, True, False):   # True * c is the int c, False * c is 0
+    for bad in (0.5, 2.0, True, False):   # a wrapped dict is not checked, its pack is
         with pytest.raises(TypeError, match="coefficient"):
-            g * bad
+            poly.pack_terms([g, Poly._wrap({(0,): bad})])
         with pytest.raises(TypeError, match="coefficient"):
-            bad * g
-        with pytest.raises(TypeError, match="coefficient"):
-            g.scale(bad)
+            scale(g, bad)   # True * c would be the int c, False * c zero
     assert Poly({(0,): Fraction(1, 2), (1,): 3}).terms == {(0,): Fraction(1, 2), (1,): 3}
 
 
@@ -223,8 +221,8 @@ def test_evaluate_is_ring_homomorphism():
     for seed in range(5):
         t = Tensor333([[[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
                        for _ in range(3)])
-        assert (f * g).evaluate(t) == f.evaluate(t) * g.evaluate(t)
-        assert (f + g * g).evaluate(t) == f.evaluate(t) + g.evaluate(t) ** 2
+        assert evaluate(mul(f, g), t) == evaluate(f, t) * evaluate(g, t)
+        assert evaluate(add(f, mul(g, g)), t) == evaluate(f, t) + evaluate(g, t) ** 2
 
 
 def test_witness_g_structure():
@@ -235,12 +233,12 @@ def test_witness_g_structure():
     # g spans the full highest weight space of its label
     hw = rep.hw_space(((2, 2), (2, 1, 1), (2, 1, 1)))
     assert hw.dim == 1
-    gg = g.content_normalized()
-    assert gg == hw.basis[0] or gg == hw.basis[0].scale(-1).content_normalized()
+    (h,) = poly.unpack_terms(hw.terms, 1)
+    assert normalized(g) in (h, normalized(scale(h, -1)))
 
 
 def test_text_format_roundtrip():
-    hw5 = rep.hw_space(((2, 2, 1), (2, 2, 1), (3, 1, 1))).basis[0]
+    hw5 = poly.unpack_terms(rep.hw_space(((2, 2, 1), (2, 2, 1), (3, 1, 1))).terms, 1)[0]
     for f in [f_determinant(), witness_g(), *[g for ax in "ABC" for g in m3_generators(ax)], *span_polys(hw5)[::9]]:
         assert parse_poly(format_poly(f)) == f
     assert parse_poly("2*T_1_1_1^2 - 1/2*T_2_2_2") == Poly({
@@ -248,9 +246,11 @@ def test_text_format_roundtrip():
         (var_index(1, 1, 1),): Fraction(-1, 2)})
     assert parse_poly("-a11 + 3 * b12^0") == Poly({(var_index(0, 0, 0),): -1, (): 3})
     a11, b12 = (Poly({(var_index(*ijk),): 1}) for ijk in ((0, 0, 0), (0, 1, 1)))
-    assert parse_poly("a11 ^ 2") == a11 * a11
-    assert parse_poly("  2*a11\n- 1/3 * b12\n\t+ a11 ^ 2\n") == (
-        a11.scale(2) - b12.scale(Fraction(1, 3)) + a11 * a11)
+    assert parse_poly("a11 ^ 2") == mul(a11, a11)
+    assert parse_poly("  2*a11\n- 1/3 * b12\n\t+ a11 ^ 2\n") == add(
+        scale(a11, 2), scale(b12, Fraction(-1, 3)), mul(a11, a11))
+    for text, want in (("5", "5"), ("a11 - 3", "T_1_1_1 - 3"), ("-1", "- 1")):   # a constant alone
+        assert format_poly(parse_poly(text)) == want and parse_poly(want) == parse_poly(text)
 
 
 # whitespace never joins two tokens, and digits are ASCII only
@@ -273,15 +273,15 @@ def permuted(f, vmap):
 
 def test_permuted_factor_map_agrees_with_permute_factors():
     rng = random.Random(5)
-    f = Poly({tuple(sorted(rng.randrange(27) for _ in range(3))): rng.randint(-9, 9)
-              for _ in range(12)}) + witness_g()
+    f = add(Poly({tuple(sorted(rng.randrange(27) for _ in range(3))): rng.randint(-9, 9)
+                  for _ in range(12)}), witness_g())
     t = Tensor333([[[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)] for _ in range(3)])
     assert permuted(f, variable_map(((0, 1, 2),) * 3)) == f
     # a Weyl element: swap the first two A-indices, then sigma(f)(T) = f(T o sigma)
     swap = variable_map(((1, 0, 2), (0, 1, 2), (0, 1, 2)))
     t_swapped = Tensor333([t.t[1], t.t[0], t.t[2]])
-    assert permuted(f, swap).evaluate(t) == f.evaluate(t_swapped)
+    assert evaluate(permuted(f, swap), t) == evaluate(f, t_swapped)
     assert all(list(m) == sorted(m) for m in permuted(f, swap).terms)
     # the cyclic factor relabeling: T_ijk -> T_jki, then the image of f at T is f(permuted T)
     cycle = [var_index(j, k, i) for i, j, k in map(poly.var_ijk, range(27))]
-    assert permuted(f, cycle).evaluate(t) == f.evaluate(permute_factors(t))
+    assert evaluate(permuted(f, cycle), t) == evaluate(f, permute_factors(t))

@@ -5,7 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from trifocal import linalg, poly, rep
+from trifocal import ideal, linalg, poly, rep
 from trifocal.poly import (RAISING, Poly, det_slice_poly, f_determinant, is_highest_weight,
                            parse_poly, var_index)
 from trifocal.rep import (MAX_DEGREE, all_labels, class_size, hw_space, kronecker,
@@ -13,8 +13,8 @@ from trifocal.rep import (MAX_DEGREE, all_labels, class_size, hw_space, kronecke
                           weyl_dim)
 from trifocal.tensor import Tensor333, perm_sign
 
-from helpers import (batch_of, completeness_defect, expanded_hw_basis, independent_ids, span_polys,
-                     term_key)
+from helpers import (add, batch_of, completeness_defect, expanded_hw_basis, hw_batch, hw_polys,
+                     independent_ids, mul, normalized, poly_of, scale, slices, span_polys, term_key)
 
 
 def cycle_type(perm):
@@ -153,18 +153,18 @@ def test_weyl_dim_values():
 def test_hw_space_degree_one():
     hw = hw_space(((1,), (1,), (1,)))
     assert hw.dim == 1
-    assert hw.basis[0] == parse_poly("T_1_1_1")
+    assert hw_polys(hw) == [parse_poly("T_1_1_1")]
 
 
 def test_hw_space_cubic_lines():
     hw = hw_space(((1, 1, 1), (1, 1, 1), (3,)))
     assert hw.dim == 1
-    det1 = det_slice_poly("C", 1).content_normalized()
-    assert hw.basis[0] in (det1, det1.scale(-1).content_normalized())
+    det1 = normalized(det_slice_poly("C", 1))
+    assert hw_polys(hw)[0] in (det1, normalized(scale(det1, -1)))
     hw2 = hw_space(((3,), (1, 1, 1), (1, 1, 1)))
-    f = f_determinant().content_normalized()
+    f = normalized(f_determinant())
     assert hw2.dim == 1
-    assert hw2.basis[0] in (f, f.scale(-1).content_normalized())
+    assert hw_polys(hw2)[0] in (f, normalized(scale(f, -1)))
 
 
 def test_hw_dims_match_kronecker_degree_up_to_4():
@@ -180,7 +180,7 @@ def test_hw_dims_match_kronecker_degree_up_to_4():
 def test_hw_basis_is_weight_homogeneous_and_primitive():
     from math import gcd
     hw = hw_space(((2, 2, 1), (2, 2, 1), (2, 2, 1)))
-    for b in hw.basis:
+    for b in hw_polys(hw):
         assert b.weight() == hw.weight
         g = 0
         for c in b.terms.values():
@@ -203,14 +203,12 @@ def test_module_span_needs_dominant_weight():
 
 def test_module_span_needs_highest_weight_vector():
     # dominant weight ((1,1,0),(1,1,0),(1,1,0)), but raising T_2_2_2 is nonzero
-    t111 = parse_poly("T_1_1_1")
-    t222 = parse_poly("T_2_2_2")
     with pytest.raises(ValueError, match="highest weight"):
-        module_span(batch_of(t111 * t222))
+        module_span(batch_of(parse_poly("T_1_1_1*T_2_2_2")))
     with pytest.raises(ValueError):
         module_span(batch_of(Poly()))
     with pytest.raises(ValueError, match="weight-homogeneous"):
-        module_span(batch_of(t111 * t222 + t111 * t111))
+        module_span(batch_of(parse_poly("T_1_1_1*T_2_2_2 + T_1_1_1^2")))
 
 
 def test_lowering_tree_sizes():
@@ -235,10 +233,10 @@ def test_lowering_model_is_a_product_of_leading_minors():
     for d in range(MAX_DEGREE + 1):
         for lam in [p for p in partitions(d) if len(p) <= 3]:
             l1, l2, l3 = rep._pad(lam)
-            want = Poly.constant(factorial(3) ** l3 * factorial(2) ** (l2 - l3))
+            want = Poly({(): factorial(3) ** l3 * factorial(2) ** (l2 - l3)})
             for k, e in ((1, l1 - l2), (2, l2 - l3), (3, l3)):
                 for _ in range(e):
-                    want = want * _leading_minor(k)
+                    want = mul(want, _leading_minor(k))
             ta = rep.standard_tableaux(rep._pad(lam))[-1]
             batch = rep._tableau_terms(ta, [(ta, (0,) * d)])
             assert poly.unpack_terms(batch, 1)[0] == want, lam
@@ -251,7 +249,7 @@ def test_degree5_module_spans_are_bases_closed_under_operators(discovery5):
     modules = discovery5.scans[5].modules
     assert sorted(m.dim for m in modules) == [27, 54]
     for m in modules:
-        span = m.basis
+        span = list(map(poly_of, m.basis))
         cols = {}
         for f in span:
             for mono in f.terms:
@@ -276,7 +274,7 @@ def test_module_span_closed_under_operators():
     from trifocal.poly import LOWERING, RAISING, apply_shift
     from trifocal import linalg
     from fractions import Fraction
-    span = span_polys(f_determinant().content_normalized())
+    span = span_polys(normalized(f_determinant()))
     monos = sorted({m for p in span for m in p.terms})
     rows = [[Fraction(p.terms.get(m, 0)) for m in monos] for p in span]
     base_rank = linalg.rank(rows)
@@ -310,8 +308,7 @@ def _hw_kernel(label):
     rows.sort(key=lambda r: next(iter(r)))
     vectors = linalg.kernel_basis_int(rows, len(monomials))
     assert len(vectors) == kronecker(*label)
-    return [Poly({monomials[i]: c for i, c in enumerate(v) if c}).content_normalized()
-            for v in vectors]
+    return [normalized(Poly({monomials[i]: c for i, c in enumerate(v) if c})) for v in vectors]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
@@ -324,8 +321,8 @@ def test_hw_space_spans_oracle_kernel(d):
             continue
         hw, ref = hw_space(lab), _hw_kernel(lab)
         assert hw.label == lab and hw.dim == len(ref) == k, lab
-        monos = sorted({m for f in hw.basis + ref for m in f.terms})
-        rows = [[f.terms.get(m, 0) for m in monos] for f in hw.basis + ref]
+        monos = sorted({m for f in hw_polys(hw) + ref for m in f.terms})
+        rows = [[f.terms.get(m, 0) for m in monos] for f in hw_polys(hw) + ref]
         assert linalg.rank(rows[:k]) == linalg.rank(rows) == k, lab
 
 
@@ -339,7 +336,7 @@ def test_hw_spaces_degree_7():
         assert hw.dim == kronecker(*lab), lab
         assert hw.weight == tuple(rep._pad(x) for x in lab), lab
         assert independent_ids(hw.terms, hw.dim) == list(range(hw.dim)), lab
-        assert all(f.weight() == hw.weight for f in hw.basis) and is_highest_weight(hw.terms), lab
+        assert all(f.weight() == hw.weight for f in hw_polys(hw)) and is_highest_weight(hw.terms), lab
 
 
 def oracle_tableau_terms(ta, pairs):
@@ -393,7 +390,7 @@ def test_tableau_values_equal_the_expanded_polynomials(monkeypatch, run_terms):
         points = [[rng.randint(-60, 60) for _ in range(27)] for _ in range(3)]
         got = rep.tableau_values(ta, pairs, np.array(points) % p)
         polys = poly.unpack_terms(rep._tableau_terms(ta, pairs), len(pairs))
-        want = poly.evaluate_points(polys, [Tensor333._from_flat(x) for x in points])
+        want = poly.evaluate_points(slices(polys), [Tensor333._from_flat(x) for x in points])
         assert got.shape == (3, len(pairs)) and got.tolist() == [[v % p for v in row] for row in want]
         heights |= {len(c) for _, tc in pairs for c in rep._columns(tc)}
         zeros += sum(f.is_zero() for f in polys)
@@ -406,8 +403,8 @@ def test_hw_bases_equal_the_expansion_oracle(d):
     expansion of every candidate keeps: the same basis, vector for vector."""
     for lab in all_labels(d):
         if kronecker(*lab):
-            got, want = hw_space(lab).basis, expanded_hw_basis(lab)   # as packs: no term dicts
-            assert list(map(term_key, got)) == list(map(term_key, want)), lab
+            got, want = hw_space(lab).terms, expanded_hw_basis(lab)
+            assert [ideal._key(*t) for t in poly.term_slices(got)] == list(map(term_key, want)), lab
 
 
 def test_too_few_independent_pairs_raise(monkeypatch):
@@ -434,7 +431,7 @@ def test_module_span_peak_stays_below_two_copies(discovery6, traced_peak_mb):
     largest shift above the nodes.  With the nodes and their concatenation
     alive at once, and a relabelled copy of the ids, it traced 6.76 MB."""
     m = next(m for m in discovery6.modules() if m.label == ((3, 3), (3, 2, 1), (3, 2, 1)))
-    h = batch_of(m.hw_vector)
+    h = hw_batch(m)
     rep.module_span(h)   # the lowering trees, cached
     peak, span = traced_peak_mb(rep.module_span, h)
     assert len(span[0]) == 136056 and len(set(span[1].tolist())) == 640 and peak < 6

@@ -19,7 +19,7 @@ from trifocal import ideal, linalg, poly, rep
 from trifocal.poly import (N_VARS, Poly, apply_shift, f_determinant, var_index, var_ijk,
                            witness_g)
 
-from helpers import span_polys
+from helpers import add, hw_polys, normalized, poly_of, scale, span_polys
 
 SHIFTS = [(ax, to, frm) for ax in "ABC" for to, frm in permutations(range(3), 2)]
 
@@ -104,7 +104,7 @@ def _random_poly(rng, degrees, nterms, coeff):
 def _cases():
     rng = random.Random(2718)
     small = lambda r: r.randint(-9, 9)
-    cases = [Poly(), Poly.constant(5)]
+    cases = [Poly(), Poly({(): 5})]
     cases += [_random_poly(rng, [d], 30, small) for d in range(8)]
     cases += [_random_poly(rng, range(8), 60, small)]                            # mixed degrees
     # 5 * 13 bits: object keys; these two would share an int64 key
@@ -154,20 +154,20 @@ def test_chained_shifts_leave_int64_before_it_overflows():
 
 
 def test_unpacked_polys_pack_back_to_their_batch():
-    """unpack_terms gives an int64 batch's Polys only packs, and pack_terms
-    reads them: the batch comes back unchanged, int64 or object."""
+    """unpack_terms gives a batch's Polys, and pack_terms reads them back:
+    the batch comes back unchanged, int64 or object."""
     cases = [f for f in _cases() if f.terms]
     for group in (cases[:9], cases):
         batch = poly.pack_terms(group)
+        assert batch[2].dtype == (np.int64 if group is not cases else object)
         polys = poly.unpack_terms(batch, len(group))
-        assert all(f._terms is None for f in polys) == (batch[2].dtype != object)
         again = poly.pack_terms(polys)
         assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(batch, again))
         assert polys == group
 
 
 def test_normalize_batch_matches_content_normalized():
-    """content_normalized, and normalize_batch on a batch of several, give
+    """helpers.normalized, and normalize_batch on a batch of several, give
     the dict oracle's polynomials; the sign comes from the smallest
     monomial in tuple order, wherever it sits in the terms."""
     rng = random.Random(31)
@@ -179,7 +179,7 @@ def test_normalize_batch_matches_content_normalized():
               for _ in range(3)]
     polys += [Poly({(4, 5): Fraction(-3, 4), (4,): Fraction(9, 2), (): 6})]   # not homogeneous
     for f in polys:
-        assert f.content_normalized() == dict_content_normalized(f), f
+        assert normalized(f) == dict_content_normalized(f), f
     integral = [f for f in polys if all(type(c) is int for c in f.terms.values())]
     for group in (integral[:2], integral[2:4], integral):   # int64 and object coefficients
         batch = poly.merge_terms(poly.pack_terms(group))
@@ -202,11 +202,11 @@ def test_module_spans_match_dict_loop_on_discovery6(discovery6):
     modules = discovery6.modules()
     assert len(modules) == 12
     for m in modules:
-        _same_span(m.hw_vector)
+        _same_span(poly_of(m.basis[0]))
 
 
 def dict_combination(v, polys):
-    return dict_content_normalized(sum((f.scale(c) for c, f in zip(v, polys)), Poly()))
+    return dict_content_normalized(add(*(scale(f, c) for c, f in zip(v, polys))))
 
 
 def test_certificates_equal_the_dict_sum(trifocal_nf, monkeypatch):
@@ -222,7 +222,7 @@ def test_certificates_equal_the_dict_sum(trifocal_nf, monkeypatch):
         except ArithmeticError:   # the screen refused this draw: it returns no certificates
             continue
         certs = poly.unpack_terms(report.certificates, report.multiplicity)
-        assert certs == [dict_combination(v, hw.basis) for v in kernels[-1]], lab
+        assert certs == [dict_combination(v, hw_polys(hw)) for v in kernels[-1]], lab
         seen += report.multiplicity
     assert seen >= 3
 

@@ -11,7 +11,7 @@ from trifocal.orbits import (catalog, skew_tensor, sub_generic, trifocal_normal_
 from trifocal.tensor import (AXES, Tensor333, _integral, act, frank, prank, random_group_element,
                              random_orbit_point, tensor_from_json, tensor_to_json)
 
-from helpers import (flattening, m3_with_x_monomials, mat_vec, pencil, permute_factors,
+from helpers import (evaluate, flattening, m3_with_x_monomials, mat_vec, pencil, permute_factors,
                      random_triple, scaled)
 
 ZERO = Tensor333(((0,) * 3,) * 3 for _ in range(3))
@@ -184,7 +184,7 @@ def test_prank_c_detects_exactly_the_cubic_vanishing():
         cases.append(Tensor333([[[rng.randint(-4, 4) for _ in range(3)]
                                  for _ in range(3)] for _ in range(3)]))
     for t in cases:
-        cubics = [(e, f.evaluate(t)) for e, f in m3_with_x_monomials("C")]
+        cubics = [(e, evaluate(f, t)) for e, f in m3_with_x_monomials("C")]
         assert (prank(t)[2] < 3) == (not any(v for _, v in cubics))
         # the evaluated cubic generators are the coefficients of the pencil
         # determinant: check it at a few points x
