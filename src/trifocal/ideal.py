@@ -21,20 +21,21 @@ above it.  Permutation matrices lie in GL(3, Q)^3 and map the weight block
 w onto the block sigma(w) (Fulton-Harris, Representation Theory, on the
 Weyl group acting on weights), so rank_Q(w) = rank_Q(sigma w).  When every
 degree <= d is module-built the sweep ranks only the dominant block of
-each orbit and counts it |S3^3 . w| times; otherwise G is trivial.  A
-witness f folds by G_f = {sigma in G : sigma(f) in Q^x f}, checked exactly,
-the sigma that also permute the blocks of the ideal plus (f).  Since
-rank_p(w) <= rank_Q(w) = rank_Q(sigma w), a folded total is a lower bound
-on the dimension over Q, as the unfolded sum is; for G = {id} it is that sum.
+each orbit and counts it |S3^3 . w| times (else G = {id}); where tau
+(below) maps the ideal onto itself, G is S3^3 x| <tau>, of order 432: r and
+tau(r), its A- and B-contents swapped, count at the larger key.  A witness
+f folds by G_f = {sigma in S3^3 : sigma(f) in Q^x f}, checked exactly.
+Since rank_p(w) <= rank_Q(w) = rank_Q(g w), a folded total is a lower
+bound on the dimension over Q, as the unfolded sum is.
 
 Each base representative's block B_r is factored once (Factor, L sparse
 by column), memoised per (degree, p, G) for one prime at a time.  A
-witness block w maps to r = sigma(w) by the sigma in G that sorts each
-slot's contents (the identity for G = {id}): sigma of its witness rows W_w
-is forward-substituted through r's L, and only the residual is ranked, so
-B_r is neither rebuilt nor re-eliminated.  Over Q, rank [B_r; sigma W_w]
-= rank [B_w; W_w], as I_d is S3^3-stable; rank_p <= rank_Q, so each
-folded total is still a lower bound on the dimension over Q.
+witness block w maps onto the kept representative by g = sigma, which
+sorts each slot (the identity for G = {id}), or tau sigma: g W_w, its
+witness rows mapped, is forward-substituted through that L and only the
+residual is ranked.  Over Q, rank [B_gw; g W_w] = rank [B_w; W_w], as I_d
+is G-stable.  The rows g W_w of a degree are built once, prime-free
+(_witness_batch), and memoised until the set files again.
 
 Blocks are built from packed terms with no per-term Python.  Each filed
 batch (a module from rep.module_span, or poly.integer_terms of the Polys of
@@ -51,9 +52,9 @@ term slices (poly.evaluate_points); the set holds no Poly.
 A product row is a generator's rows beside a multiplier, sorted; a
 monomial's key has five bits per variable (poly.mono_keys, 35 at degree
 7), and poly.term_matrix fills a block's transpose A, a row per monomial
-key.  Witness multiples and certificates are rows of the same blocks.  A
-column permutation changes no rank and no Echelon.add verdict, so key
-order serves as well as order of first appearance.
+key.  Certificates are rows of the same blocks, witness multiples rows
+built alike.  A column permutation changes no rank and no Echelon.add
+verdict, so key order serves as well as order of first appearance.
 
 Discovery also uses the swap tau: T_ijk -> T_jik.  It normalises GL(3)^3,
 tau(g . T) = (gB, gA, gC) . tau(T), so if sigma . nf = tau(nf) for a sigma
@@ -62,10 +63,12 @@ then tau(V) = V for V the orbit closure of nf.  tau maps the hw vectors of
 a label (lam, mu, nu) onto those of (mu, lam, nu), the vanishing ones onto
 the vanishing ones, and a module's basis vector of lowering words (a, b, c)
 to the partner's (b, a, c) up to a scalar.  When tau maps the hw vector of
-each module below degree d to that of a module, it maps the generators
-below d onto themselves up to sign, so block w onto block tau(w) by a
-signed row and column permutation: the mod-p verdicts of a label and its
-partner agree.  scan_degree then derives the later label of each pair.
+each filed module to that of a filed module (_swap_closed), it maps each
+module onto a module, so the ideal onto itself: the sweep folds by tau,
+rank_Q(w) = rank_Q(tau w), needing no nf.  Discovery's own modules below d
+it maps up to sign, so block w onto block tau(w) by a signed row and column
+permutation: the mod-p verdicts of a label and its partner agree, and
+scan_degree derives the later label of each pair.
 """
 
 from __future__ import annotations
@@ -135,7 +138,9 @@ class GradedGeneratorSet:
         self._modules = {}  # degree -> module-built
         self._hws = {}      # _key of each module's hw vector -> its rows and coefficients (_swap_closed)
         self._ranks = {}    # (degree, p, group) -> {representative: its block's Factor}
-        self._folds = {}    # (degree, group) -> _fold of the slice weights
+        self._folds = {}    # (degree, group) -> _fold of the slice weights, by tau too where it folds
+        self._swap = None   # whether tau maps hw vectors to hw vectors (_swap_closed), once asked
+        self._batches = {}  # (degree, group, witness terms) -> _witness_batch
 
     def _file(self, degree, batch):
         # a batch of id runs (ids in filing order, runs in any order) as one chunk, its slices by id
@@ -156,8 +161,7 @@ class GradedGeneratorSet:
         weights = np.fromiter(index, np.int64, len(index))
         self._weights[degree] = weights, key_weights(weights)
         self._modules.setdefault(degree, True)
-        self._ranks.clear()
-        self._folds.clear()
+        self._ranks, self._folds, self._batches, self._swap = {}, {}, {}, None   # the memos
         return [(rows[a:b], coeffs[a:b]) for a, b in (ends[s:s + 2] for s in np.argsort(filed).tolist())]
 
     def add(self, degree, polys):
@@ -273,13 +277,9 @@ def _independent_of(block: Block, certs, d, w, p):
 # ---------------------------------------------------------------------------
 # the folded rank sweep
 
-def stabiliser(group, f: Poly):
-    """The sigma in group with sigma(f) a rational multiple of f."""
-    return _stabiliser(group, frozenset(f.terms.items()))
-
-
 @lru_cache(maxsize=64)
 def _stabiliser(group, terms):
+    """The sigma in group with sigma(f) a rational multiple of f, terms f's (monomial, coefficient) items."""
     rows, _, coeffs = integer_terms([Poly._wrap(dict(terms))])
     coeffs = coeffs.astype(object if np.abs(coeffs).max() >> 31 else coeffs.dtype)   # products of two < 2^62
     # f and its image under each sigma: monomial keys in order, and their coefficients
@@ -292,8 +292,8 @@ def _stabiliser(group, terms):
 
 
 def _fold(group, keys):
-    """{orbit representative: number of the weights in it} of distinct
-    weight keys; a representative is the key of the largest weight of its orbit."""
+    """{orbit representative: number of the weights in it} of weight keys, each
+    counted once; a representative is the key of the largest weight of its orbit."""
     slots = key_weights(keys)
     if group is WEYL:   # each slot's contents in decreasing order
         reps = weight_keys(np.sort(slots, axis=2)[..., ::-1])
@@ -305,37 +305,63 @@ def _fold(group, keys):
     return dict(zip(reps.tolist(), counts.tolist()))
 
 
+def _swap_fold(fold):
+    """An S3^3 fold by tau too: r and tau(r), r's A- and B-contents swapped, at the larger key."""
+    reps = np.fromiter(fold, np.int64, len(fold)).repeat(list(fold.values()))   # one per weight
+    return _fold(IDENTITY, np.maximum(reps, weight_keys(key_weights(reps)[:, [1, 0, 2]])))
+
+
 class Factor(NamedTuple):
-    """linalg.lu_mod_p of a block's transpose A, a row per monomial (rows
-    added to the block are columns added to A): the key of each row of P A, L."""
+    """linalg.lu_mod_p of a block's transpose A, a row per monomial (rows added to the
+    block are columns added to A): its monomial keys, ascending, their rows of P A, and L."""
     keys: np.ndarray
+    place: np.ndarray
     low: tuple
     rank = property(lambda self: len(self.low[2]) - 1)
-    nbytes = property(lambda self: self.keys.nbytes + sum(x.nbytes for x in self.low))
+    nbytes = property(lambda self: self.keys.nbytes + self.place.nbytes + sum(x.nbytes for x in self.low))
 
 
 def _factor(block: Block, p):
     keys = distinct(block.keys)
     a = term_matrix(block.keys, block.rows, block.coeffs, keys, len(block), p)   # A, reduced in place
     perm, low = linalg.lu_mod_p(a, p)
-    return Factor(keys[perm], low)
+    return Factor(keys, np.argsort(perm).astype(np.min_scalar_type(len(perm))), low)
 
 
-def _witness_rank(ranks, group, d, w, witness, p):
-    """(F, k): F the kept factor of w's base representative r = sigma(w)
-    (module docstring), empty if r has no rows, and k the rank that sigma of
-    w's witness rows adds to it, their monomials beyond F's as zero rows of A."""
-    e, wf, (rows, ids, coeffs) = witness
-    x = key_weights(w)[0].tolist()
-    order = [sorted(range(3), key=lambda i: -c[i]) if group is WEYL else range(3) for c in x]
-    sigma = tuple(tuple(np.argsort(o).tolist()) for o in order)   # sigma[a][o[j]] = j
-    r, swf = weight_keys([[c[i] for c, o in zip(v, order) for i in o] for v in (x, wf)]).tolist()
-    fac = ranks.get(r) or _factor(Block(), p)
-    block = _block(None, d, r, d, (e, swf, (np.sort(_weyl_maps()[_WEYL_INDEX[sigma]][rows], axis=1),
-                                            ids, coeffs, 1)))
-    keys = np.r_[fac.keys, distinct(block.keys[~np.isin(block.keys, fac.keys)])]
-    y = term_matrix(block.keys, block.rows, block.coeffs, keys, len(block), p)
-    return fac, linalg.extension_rank(fac.low, y, p)
+def _witness_batch(ranks, group, tau, d, witness, wit):
+    """Prime-free, per representative w of a witness fold wit: (r, rows, col, at, coeffs, size).
+    w's witness rows (witness = (degree, weight, Poly)) are mapped onto r by the sigma sorting w's
+    slots (the identity for G = {id}), or by tau sigma where the base fold kept r = tau(sigma w); a
+    term goes to row at and column col, its monomial's index in r's factor's keys, new ones after."""
+    (e, wf, f), x = witness, key_weights(np.fromiter(wit, np.int64, len(wit)))
+    (rows, _, coeffs), t = integer_terms([f]), len(f.terms)
+    order = np.argsort(-x if group is WEYL else 0 * x, axis=2, kind="stable")   # sigma[a][order[a][j]] = j
+    maps = _weyl_maps()[[_WEYL_INDEX[tuple(map(tuple, s))] for s in np.argsort(order, axis=2).tolist()]]
+    x = np.take_along_axis(x, order, 2)
+    reps, swapped = weight_keys(x).tolist(), weight_keys(x[:, [1, 0, 2]]).tolist()
+    flip = np.array([tau and r not in ranks and s in ranks for r, s in zip(reps, swapped)], bool)
+    maps[flip] = _TAU[maps[flip]]
+    mult = [_multipliers(d - e, w - int(weight_keys(wf)[0])) for w in wit]
+    n, mult = np.array([len(m) for m in mult]), np.concatenate(mult)
+    terms = np.concatenate([np.broadcast_to(rows, (len(mult), t, e)), np.broadcast_to(
+        mult[:, None], (len(mult), t, d - e))], axis=2).reshape(-1, d)
+    terms = np.sort(maps[np.repeat(np.arange(len(x)), n * t)[:, None], terms], axis=1)   # one gather
+    keys, cuts, out = mono_keys(terms), np.r_[0, np.cumsum(n * t)].tolist(), []
+    for i, r in enumerate(np.where(flip, swapped, reps).tolist()):
+        k, base = keys[cuts[i]:cuts[i + 1]], ranks[r].keys if r in ranks else Block._none
+        new = np.r_[base, -1][col := np.searchsorted(base, k)] != k   # no key is -1
+        col[new] = len(base) + np.searchsorted(extra := distinct(k[new]), k[new])
+        out.append((r, n[i], col, np.arange(n[i]).repeat(t), np.tile(coeffs, n[i]), len(base) + len(extra)))
+    return out
+
+
+def _extension_ranks(ranks, batch, p):
+    """(F, k) per _witness_batch entry: r's kept factor, empty if r has no rows, and the rank added."""
+    none = _factor(Block(), p)
+    for r, rows, col, at, coeffs, size in batch:
+        fac, y = ranks.get(r, none), np.zeros((size, rows), np.int64)   # new monomials: zero rows of A
+        y[np.r_[fac.place, len(fac.place):size][col], at] = coeffs % np.int64(p)
+        yield fac, linalg.extension_rank(fac.low, y, p)
 
 
 def check_witness(f: Poly):
@@ -343,16 +369,16 @@ def check_witness(f: Poly):
     homogeneous and weight-homogeneous."""
     if f.is_zero():
         raise ValueError("the witness is the zero polynomial")
-    if f.degree() == 0:
+    if (e := f.degree()) == 0:
         raise ValueError("the witness is the nonzero constant %s, a unit" % f.terms[()])
-    return f.degree(), f.weight()
+    return e, f.weight()
 
 
 def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRIME, progress=None):
     """Quotient dimensions in degree d of the base ideal and of each
     base+witness ideal: F_p ranks of weight blocks, one bulk elimination
-    per block, folded by gens.symmetry_group(d) and by each witness's
-    stabiliser in it (see the module docstring).
+    per block, folded by gens.symmetry_group(d), by tau too where
+    _swap_closed holds, and by each witness's stabiliser (module docstring).
 
     witnesses: list of homogeneous weight-homogeneous polynomials.
     Returns (base_quotient, [witness_quotients]).
@@ -360,15 +386,16 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
     _check_cap(d)
     _check_prime(p)
     group = gens.symmetry_group(d)
-    base = gens._folds.get((d, group))
-    if base is None:
-        base = gens._folds[d, group] = _fold(group, _slice_weights(gens, d))
-    folds = []  # (witness, degree, weight, stabiliser, {representative: orbit size})
+    tau = _swap_closed(gens, None, d + 1)   # then G is S3^3 x| <tau>
+    if (d, group) not in gens._folds:
+        gens._folds[d, group] = (_swap_fold if tau else dict)(_fold(group, _slice_weights(gens, d)))
+    base = gens._folds[d, group]
+    folds = []  # (witness, degree, weight, stabiliser, {representative: orbit size}, _batches key)
     for f in witnesses:   # one above degree d has no rows and no stabiliser here
-        e, wf = check_witness(f)
-        stab = stabiliser(group, f) if e <= d else ()
+        (e, wf), terms = check_witness(f), frozenset(f.terms.items())
+        stab = _stabiliser(group, terms) if e <= d else ()
         folds.append((f, e, wf, stab, _fold(stab, weight_keys(wf) + _monomial_table(d - e)[1])
-                      if stab else {}))
+                      if stab else {}, (d, group, terms)))
     # base block factors are memoised on gens until it gains generators, one prime at a time
     ranks = gens._ranks.get((d, p, group))
     memo = ranks is not None
@@ -378,21 +405,23 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
         ranks = gens._ranks[d, p, group] = {   # each block built when factored, then dropped
             w: _factor(slice_rows_by_weight(gens, d, (w,))[w], p) for w in base}
     base_dim = sum(n * ranks[w].rank for w, n in base.items())
-    ext_dims, reduced = [], 0
-    for f, e, wf, _, wit in folds:
-        total, witness = base_dim, (e, wf, integer_terms([f]))
-        for w, n in wit.items():   # plus the rank each block's witness rows add to its base rows
-            fac, k = _witness_rank(ranks, group, d, w, witness, p)
-            reduced += len(fac.keys) > 0
-            total += n * k
-        ext_dims.append(total)
+    ext_dims, reduced, kept = [], 0, 0
+    for f, e, wf, _, wit, key in folds:   # plus the rank each block's witness rows add to its base rows
+        kept += len(gens._batches.get(key, ()))
+        if key not in gens._batches:   # prime-free, for the next prime too
+            gens._batches[key] = _witness_batch(ranks, group, tau, d, (e, wf, f), wit) if wit else []
+        ranked = list(_extension_ranks(ranks, gens._batches[key], p))
+        reduced += sum(len(fac.keys) > 0 for fac, _ in ranked)
+        ext_dims.append(base_dim + sum(n * k for n, (_, k) in zip(wit.values(), ranked)))
     if progress:
-        progress("degree %d: ranked %d of %d nonempty weight blocks%s, |G| = %d" % (
+        progress("degree %d: ranked %d of %d nonempty weight blocks%s, G = %s, |G| = %d" % (
             d, 0 if memo else len(base), sum(base.values()),
-            " (%d from the memo)" % len(base) if memo else "", len(group)) + "".join(
+            " (%d from the memo)" % len(base) if memo else "",
+            "S3^3 and tau" if tau else "S3^3" if group is WEYL else "{id}", len(group) << tau) + "".join(
             "; witness %d: %d of %d, |G_w| = %d" % (j + 1, len(wit), sum(wit.values()), len(stab))
-            for j, (_, _, _, stab, wit) in enumerate(folds)) + (
-            "; %d witness blocks reduced against kept factors" % reduced if folds else "")
+            for j, (_, _, _, stab, wit, _) in enumerate(folds)) + (
+            "; %d witness blocks reduced against kept factors, the rows of %d from the batch memo"
+            % (reduced, kept) if folds else "")
             + "; kept factors %d bytes" % sum(fac.nbytes for fac in ranks.values()))
     amb = rep.ambient_dimension(d)
     return amb - base_dim, [amb - t for t in ext_dims]
@@ -457,7 +486,7 @@ def _proved_zero(label, nf: Tensor333, seed):
     x = np.array([v % p for v in _integral(nf)], np.uint64).reshape(1, 3, 3, 3)   # a diagonal gA
     for m in rep.residues(seed, len(pairs)).astype(np.uint64).reshape(3, -1, 3, 3)[::-1]:
         x = np.einsum("nab,nijb->naij", m, x) % p   # by gC, gB, gA: three products below 2^64
-    return len(linalg.rref_mod_p(rep.tableau_values(ta, pairs, x.reshape(-1, 27)), p)[1]) == len(pairs)
+    return len(linalg._eliminate(rep.tableau_values(ta, pairs, x.reshape(-1, 27)), p)[1]) == len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -513,11 +542,12 @@ def _swap_element(nf: Tensor333):
     return WEYL[hit[0]] if hit.size else None
 
 
-def _swap_closed(gens: GradedGeneratorSet, nf: Tensor333, d):
-    """Whether degree d may derive labels by tau (module docstring): _swap_element
-    exists, the degrees below d are module-built, and tau maps hw vectors to hw vectors."""
-    return (_swap_element(nf) is not None and gens.symmetry_group(d - 1) is WEYL and all(
-        _key(*_swapped([hw])[::2]) in gens._hws for hw in gens._hws.values()))
+def _swap_closed(gens: GradedGeneratorSet, nf, d):
+    """Whether degrees below d are module-built, tau maps hw vectors to hw vectors (memoised until filing)
+    and, given nf, _swap_element exists: degree d may derive labels, or degree d - 1 fold, by tau."""
+    if gens._swap is None:
+        gens._swap = all(_key(*_swapped([hw])[::2]) in gens._hws for hw in gens._hws.values())
+    return (nf is None or _swap_element(nf) is not None) and gens.symmetry_group(d - 1) is WEYL and gens._swap
 
 
 def _new_modules(d, gens: GradedGeneratorSet, hw: rep.HWSpace, nf: Tensor333, seed, p):

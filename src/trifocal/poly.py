@@ -17,7 +17,7 @@ entries other than ints and Fractions raise TypeError.
 The polynomials go in runs of whole ones of at most _RUN_TERMS terms or
 one larger polynomial (bounded_runs), so the temporaries do not grow with
 the terms, each run with its points in groups that need the same primes;
-the last call's layout serves the next call with the same slices (_runs).
+the last layout of read-only slices serves the next call with them (_runs).
 
 Terms have one layout: an n x width uint8 array of sorted variable
 indices, rows of lower degree padded by PAD, beside integer coefficients.
@@ -168,7 +168,7 @@ PAD = N_VARS      # a 28th variable: 1, or D at a point with denominator D
 _BASE = N_VARS + 1
 _RUN_TERMS = 1 << 16   # evaluate_points' runs: above 28^3, so they take the cube path
 _RING = 1 << 64   # the modulus of uint64 arithmetic, taken before any prime
-_LAST = [(), []]   # the slices of evaluate_points' last call and their runs (_runs)
+_LAST = [(), []]   # the read-only slices of evaluate_points' last call and their runs (_runs)
 _SLOTS = np.array([var_ijk(v) for v in range(N_VARS)] + [(3, 3, 3)], np.uint8)   # PAD: none
 
 
@@ -262,9 +262,9 @@ def bounded_runs(items, sizes, limit):
 
 def _runs(terms):
     """evaluate_points' runs of the term slices with terms, each (indices,
-    codes, coefficients, starts, cube, degree, width, max L1).  The runs of
-    the last call are kept with its slices (_LAST), which never change, and
-    serve the next call with the same slice tuples."""
+    codes, coefficients, starts, cube, degree, width, max L1).  The runs of a
+    call on read-only slices, as the store's, are kept with them (_LAST) and
+    serve the next call with the same slice tuples; others go on return."""
     if len(_LAST[0]) == len(terms) and all(map(is_, _LAST[0], terms)):
         return _LAST[1]
     _LAST[:] = (), []   # one layout at a time: the old one goes before the new is built
@@ -289,7 +289,7 @@ def _runs(terms):
         coef = coef.astype(object if big else np.int64)   # so the L1 sums below are exact
         runs.append((run, codes, narrow(coef), starts, cube, deg, width,
                      int(np.add.reduceat(np.abs(coef), starts).max())))
-    _LAST[:] = terms, runs
+    _LAST[:] = ((), []) if any(x.flags.writeable for s in terms for x in s) else (terms, runs)
     return runs
 
 

@@ -59,8 +59,12 @@ def evaluate(f, t):
 
 
 def slices(polys):
-    """The (rows, integer coefficients) term slices of Polys with integer coefficients."""
-    return [poly._pack(f)[:2] for f in polys]
+    """The (rows, integer coefficients) term slices of Polys with integer
+    coefficients, read-only as the store's are."""
+    out = [poly._pack(f)[:2] for f in polys]
+    for x in (x for s in out for x in s):
+        x.flags.writeable = False
+    return out
 
 
 def poly_of(terms):
@@ -228,6 +232,11 @@ def plain_set(by_degree):
     for d, polys in by_degree.items():
         gens.add(d, polys)
     return gens
+
+
+def stabiliser(group, f):
+    """The sigma in group with sigma(f) a rational multiple of f, as the sweep finds them."""
+    return ideal._stabiliser(group, frozenset(f.terms.items()))
 
 
 def term_key(f):

@@ -176,7 +176,9 @@ def peak_terms():
     rng = np.random.default_rng(14)
     rows = np.sort(rng.integers(0, 27, (320000, 6)).astype(np.uint8), axis=1)
     batch = (rows, np.sort(rng.integers(0, 2000, 320000)), rng.integers(-50, 50, 320000))
-    terms = term_slices(poly.normalize_batch(poly.merge_terms(batch)))
+    rows, ids, coeffs = poly.normalize_batch(poly.merge_terms(batch))
+    rows.flags.writeable = coeffs.flags.writeable = False   # as the store's chunks
+    terms = term_slices((rows, ids, coeffs))
     assert len(terms) == 2000 and sum(len(c) for _, c in terms) > 300000
     return terms
 
@@ -322,6 +324,19 @@ def test_the_last_layout_serves_the_same_packs_only(monkeypatch):
         assert any(run[4] for run in runs)   # the cube path
     evaluate_points([], points)   # no polynomials: no layout
     assert poly._LAST == [[], []]
+
+
+def test_writeable_slices_keep_no_layout():
+    """Slices that may change, such as those of a batch proved at nf in
+    discovery, serve no later call: the layout of their call is not kept,
+    and the one kept before is dropped, so neither holds their batch."""
+    polys = FILLER[:40] + [Poly({(0, 1, 2): 1})]
+    kept = slices(polys)
+    evaluate_points(kept, sample_points(16)[:1])
+    assert poly._LAST[0] is kept
+    loose = [(r.copy(), c.copy()) for r, c in kept]
+    assert evaluate_points(loose, sample_points(16)[:1]) == [oracle(polys, sample_points(16)[0])]
+    assert poly._LAST == [(), []]
 
 
 def test_primes_are_machine_primes():

@@ -20,7 +20,8 @@ from trifocal.poly import (Poly, det_slice_poly, f_determinant, integer_terms, m
 from trifocal.tensor import Tensor333, act, random_orbit_point
 
 from helpers import (batch_of, batch_polys, hw_batch, m3_generators, module_polys, normalized,
-                     plain_set, poly_of, scale, slices, term_key, variable_map, weight_table)
+                     plain_set, poly_of, scale, slices, stabiliser, term_key, variable_map,
+                     weight_table)
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +265,7 @@ def test_packed_blocks_equal_dict_rows_on_discovery6(discovery6):
         e, wf = ideal.check_witness(f)
         witness = (e, key_of(wf), integer_terms([f]) + (1,))
         shifted = poly.weight_keys(wf) + poly._monomial_table(6 - e)[1]
-        wit = ideal._fold(ideal.stabiliser(ideal.WEYL, f), shifted)
+        wit = ideal._fold(stabiliser(ideal.WEYL, f), shifted)
         blocks = slice_rows_by_weight(gens, 6, wit)
         for w in wit:
             rest = minus(weight_of(w), wf)
@@ -334,24 +335,24 @@ def test_plain_generator_turns_folding_off():
 
 
 def test_witness_stabiliser_orders():
-    assert len(ideal.stabiliser(ideal.WEYL, f_determinant())) == 72
-    assert len(ideal.stabiliser(ideal.WEYL, witness_g())) == 8
-    assert ideal.stabiliser(ideal.IDENTITY, witness_g()) == ideal.IDENTITY
+    assert len(stabiliser(ideal.WEYL, f_determinant())) == 72
+    assert len(stabiliser(ideal.WEYL, witness_g())) == 8
+    assert stabiliser(ideal.IDENTITY, witness_g()) == ideal.IDENTITY
 
 
 def test_stabiliser_memo_matches_fresh_computation():
     assert ideal._weyl_maps().tolist() == [list(variable_map(s)) + [poly.PAD] for s in ideal.WEYL]
     fresh = ideal._stabiliser.__wrapped__
     f = f_determinant()
-    assert ideal.stabiliser(ideal.WEYL, f) == fresh(ideal.WEYL, frozenset(f.terms.items()))
+    assert stabiliser(ideal.WEYL, f) == fresh(ideal.WEYL, frozenset(f.terms.items()))
     # one coefficient doubled: no longer a multiple of any image of f
     m0, c0 = next(iter(f.terms.items()))
     g = Poly({**f.terms, m0: 2 * c0})
-    assert ideal.stabiliser(ideal.WEYL, g) == fresh(ideal.WEYL, frozenset(g.terms.items()))
-    assert len(ideal.stabiliser(ideal.WEYL, g)) < len(ideal.stabiliser(ideal.WEYL, f))
+    assert stabiliser(ideal.WEYL, g) == fresh(ideal.WEYL, frozenset(g.terms.items()))
+    assert len(stabiliser(ideal.WEYL, g)) < len(stabiliser(ideal.WEYL, f))
     # the packed rows against the permuted term dicts, also for -f images and Fractions
     for h in (f, g, witness_g(), *map(parse_poly, ("a11^2 - a22^2", "-2/3*a11*a22", "a11^2 + a11*a22"))):
-        assert ideal.stabiliser(ideal.WEYL, h) == dict_stabiliser(ideal.WEYL, h)
+        assert stabiliser(ideal.WEYL, h) == dict_stabiliser(ideal.WEYL, h)
 
 
 def test_stabiliser_of_wide_coefficients_is_exact():
@@ -364,8 +365,8 @@ def test_stabiliser_of_wide_coefficients_is_exact():
         ("%d*a11*b22 + c33^2", b), ("%d*a11^2 - %d*b22^2 + %d*a11*b22", (3 * b, 3 * b, b + 7)))]
     for h in polys:
         assert integer_terms([h])[2].dtype == np.int64
-        assert ideal.stabiliser(ideal.WEYL, h) == dict_stabiliser(ideal.WEYL, h)
-    assert len(ideal.stabiliser(ideal.WEYL, polys[0])) > 1
+        assert stabiliser(ideal.WEYL, h) == dict_stabiliser(ideal.WEYL, h)
+    assert len(stabiliser(ideal.WEYL, polys[0])) > 1
 
 
 @pytest.mark.slow
@@ -375,8 +376,8 @@ def test_orbit_walk_fold_matches_per_weight_fold(discovery6):
     slice and for a subset that is no union of orbits; on the subsets below
     degree 7 the walk also against the largest image of each weight."""
     gens = discovery6.gens
-    groups = [ideal.WEYL, ideal.IDENTITY, ideal.stabiliser(ideal.WEYL, f_determinant()),
-              ideal.stabiliser(ideal.WEYL, witness_g())]
+    groups = [ideal.WEYL, ideal.IDENTITY, stabiliser(ideal.WEYL, f_determinant()),
+              stabiliser(ideal.WEYL, witness_g())]
     assert [len(g) for g in groups] == [216, 1, 72, 8]
     for d in range(1, 8):
         weights = tuple_slice_weights(gens, d)
@@ -457,10 +458,10 @@ def test_discovery_holds_each_term_once(trifocal_nf, traced_peak_mb):
 
 @pytest.mark.slow
 def test_cold_discovery_peak_and_store_stay_small():
-    """A cold discover(6), in a process of its own, traces at most 9.5 MB at
-    its peak (9.3 MB, in the swap of the 640-vector module while the layout
-    of the partner's proof at nf is kept; 8.8 MB with that proof outside
-    evaluate_points) and holds at most 6.5 MB once it returns, every chunk
+    """A cold discover(6), in a process of its own, traces at most 9.0 MB at
+    its peak (8.6 MB; 9.3 MB while evaluate_points kept the layout of the
+    partner's proof at nf, and with it the proved batch, through the swap
+    of the 640-vector module) and holds at most 6.5 MB once it returns, every chunk
     int8: the coefficients at their width, the partner modules derived in
     bounded runs, one dense array for the independence test (9.9 MB with
     two; 15.1 and 10.0 MB with int64 chunks and full-size swaps)."""
@@ -477,7 +478,7 @@ def test_cold_discovery_peak_and_store_stay_small():
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
     held, peak, widths = proc.stdout.split(" ", 2)
-    assert float(peak) <= 9.5 and float(held) <= 6.5 and widths.strip() == "['int8']"
+    assert float(peak) <= 9.0 and float(held) <= 6.5 and widths.strip() == "['int8']"
 
 
 def test_the_store_holds_no_poly_and_filing_builds_none(discovery5, monkeypatch):
@@ -629,12 +630,17 @@ def test_weight_keys_are_in_tuple_order_and_reject_a_carry():
 
 
 def test_base_fold_memo_is_cleared_with_the_ranks():
+    """The folds, the witness batches and the tau test are cleared by
+    add_module and by add, as the ranks are."""
     gens = GradedGeneratorSet()
     gens.add_module(rep.module_span(batch_of(det_slice_poly("C", 1))))
-    hilbert_quotient(gens, 4)
-    assert set(gens._folds) == {(4, ideal.WEYL)}
-    gens.add_module(rep.module_span(batch_of(witness_g())))
-    assert gens._folds == {}
+    for grow in (lambda: gens.add_module(rep.module_span(batch_of(witness_g()))),
+                 lambda: gens.add(4, [witness_g()])):
+        graded_nonzerodivisor_check(gens, f_determinant(), cap=4)
+        assert set(gens._folds) == {(d, gens.symmetry_group(d)) for d in range(1, 5)}
+        assert [key[0] for key in gens._batches] == [1, 2, 3, 4] and gens._swap is not None
+        grow()
+        assert gens._folds == gens._batches == {} and gens._swap is None
 
 
 def test_base_rank_memo_matches_fresh_sweeps():
@@ -674,11 +680,15 @@ def test_progress_counts_memoised_base_ranks():
     ranked = int(first.split()[3])
     assert second.startswith("degree 5: ranked 0 of ")
     assert "(%d from the memo)" % ranked in second
-    # both sweeps reduce the same witness blocks against the same kept factors
+    # tau maps the module's hw vector, the C-slice determinant, to itself
+    assert first.split("; ")[0].endswith(", G = S3^3 and tau, |G| = 432")
+    # both sweeps reduce the same witness blocks against the same kept factors,
+    # the second with the witness rows the first built
     nbytes = sum(fac.nbytes for fac in gens._ranks[5, 101, ideal.WEYL].values())
-    assert first.split("; ")[1:] == second.split("; ")[1:] == [
-        "witness 1: 16 of 216, |G_w| = 72", "4 witness blocks reduced against kept factors",
-        "kept factors %d bytes" % nbytes]
+    reduced = "4 witness blocks reduced against kept factors, the rows of %d from the batch memo"
+    for line, memo in ((first, 0), (second, 16)):
+        assert line.split("; ")[1:] == [
+            "witness 1: 16 of 216, |G_w| = 72", reduced % memo, "kept factors %d bytes" % nbytes]
     assert nbytes > 0
 
 
@@ -720,45 +730,70 @@ def test_discover_rejects_a_modulus_that_is_not_a_machine_prime(trifocal_nf, p):
 
 @pytest.mark.slow
 def test_folded_sweep_matches_unfolded_on_discovery6(discovery6):
+    """discovery6's sweep, folded by S3^3 and tau, against every block of
+    the same generators filed plain, at both primes."""
     plain = plain_set(module_polys(discovery6.modules()))
-    assert discovery6.gens.symmetry_group(6) is ideal.WEYL
+    assert discovery6.gens.symmetry_group(6) is ideal.WEYL and ideal._swap_closed(discovery6.gens, None, 7)
     assert plain.symmetry_group(6) is ideal.IDENTITY
     witnesses = [f_determinant(), witness_g()]
-    for d in range(1, 7):
-        assert (ideal.hilbert_with_witnesses(discovery6.gens, witnesses, d, p=101)
-                == ideal.hilbert_with_witnesses(plain, witnesses, d, p=101))
+    for p in (101, 32003):
+        for d in range(1, 7):
+            assert (ideal.hilbert_with_witnesses(discovery6.gens, witnesses, d, p=p)
+                    == ideal.hilbert_with_witnesses(plain, witnesses, d, p=p)), (p, d)
+
+
+def test_store_that_tau_does_not_close_keeps_the_s3_fold():
+    """The module of the A-slice determinant alone: tau maps it to the
+    B-slice determinant's, which is not filed, so the sweep folds by S3^3
+    only and gives the numbers of the same cubics filed plain."""
+    gens = GradedGeneratorSet()
+    plain = plain_set({3: list(map(poly_of, gens.add_module(rep.module_span(batch_of(
+        det_slice_poly("A", 1))))))})
+    assert not ideal._swap_closed(gens, None, 6) and gens.symmetry_group(5) is ideal.WEYL
+    witnesses, lines = [f_determinant(), witness_g()], []
+    for d in range(1, 6):
+        assert (hilbert_with_witnesses(gens, witnesses, d, progress=lines.append)
+                == hilbert_with_witnesses(plain, witnesses, d)), d
+    assert all(", G = S3^3, |G| = 216;" in line for line in lines)
 
 
 def rebuilt_joint_ranks(gens, f, d, p):
-    """(kept-factor rank, rebuilt joint rank) of each witness block of f in
-    degree d: the rank of its base representative's kept factor plus the
-    rank the witness rows add to it, against the rank of the block's base
-    rows and witness rows built and eliminated anew."""
+    """(kept-factor rank, rebuilt joint rank, remapped through tau) of each
+    witness block of f in degree d: the rank of its base representative's
+    kept factor plus the rank the witness rows add to it, against the rank
+    of the block's base rows and witness rows built and eliminated anew."""
     hilbert_with_witnesses(gens, [f], d, p=p)   # the factors of the base representatives
     group = gens.symmetry_group(d)
     e, wf = ideal.check_witness(f)
-    witness = (e, wf, integer_terms([f]))
+    wit = ideal._fold(stabiliser(group, f), poly.weight_keys(wf) + poly._monomial_table(d - e)[1])
+    ranks = gens._ranks[d, p, group]
+    batch = ideal._witness_batch(ranks, group, ideal._swap_closed(gens, None, d + 1), d, (e, wf, f), wit)
     out = []
-    for w in ideal._fold(ideal.stabiliser(group, f),
-                         poly.weight_keys(wf) + poly._monomial_table(d - e)[1]):
-        fac, k = ideal._witness_rank(gens._ranks[d, p, group], group, d, w, witness, p)
+    for w, (r, *_), (fac, k) in zip(wit, batch, ideal._extension_ranks(ranks, batch, p)):
         joint = slice_rows_by_weight(gens, d, (w,)).get(w, ideal.Block()) + ideal._block(
-            gens, d, w, d, (e, key_of(wf), witness[2] + (1,)))
-        out.append((fac.rank + k, len(linalg.rref_mod_p(joint.matrix(p), p)[1])))
+            gens, d, w, d, (e, key_of(wf), integer_terms([f]) + (1,)))
+        out.append((fac.rank + k, len(linalg.rref_mod_p(joint.matrix(p), p)[1]),
+                    r not in ideal._fold(group, np.array([w]))))
     return out
 
 
 @pytest.mark.slow
 def test_extension_ranks_match_rebuilt_joint_ranks(discovery6, m3_set):
-    """On every witness block of f and g, at both primes, in degrees 5 and
-    6 of discovery6 (module-built, folded by S3^3) and in degrees 4 and 5
-    of the add-built cubics (group {id})."""
+    """On every witness block of f, g and tau(f), at both primes, in degrees
+    5 and 6 of discovery6 (module-built, folded by S3^3 and tau, so some
+    blocks are reduced against the factor of tau of their S3^3
+    representative: for tau(f) in degree 6 also blocks whose witness rows
+    meet the base rows) and in degrees 4 and 5 of the add-built cubics
+    (group {id})."""
     for gens, degrees in ((discovery6.gens, (5, 6)), (m3_set, (4, 5))):
+        swapped = 0
         for p in (101, 32003):
-            for f in (f_determinant(), witness_g()):
+            for f in (f_determinant(), witness_g(), det_slice_poly("B", 1)):
                 for d in degrees:
                     pairs = rebuilt_joint_ranks(gens, f, d, p)
-                    assert pairs and all(a == b for a, b in pairs), (d, p, pairs)
+                    assert pairs and all(a == b for a, b, _ in pairs), (d, p, pairs)
+                    swapped += sum(tau for _, _, tau in pairs)
+        assert swapped > 0 if gens is discovery6.gens else swapped == 0
 
 
 @pytest.mark.slow
