@@ -52,9 +52,9 @@ term slices (poly.evaluate_points); the set holds no Poly.
 A product row is a generator's rows beside a multiplier, sorted; a
 monomial's key has five bits per variable (poly.mono_keys, 35 at degree
 7), and poly.term_matrix fills a block's transpose A, a row per monomial
-key.  Certificates are rows of the same blocks, witness multiples rows
-built alike.  A column permutation changes no rank and no Echelon.add
-verdict, so key order serves as well as order of first appearance.
+key.  Witness multiples and certificates are rows of the same blocks.  A
+column permutation changes no rank and no Echelon.add verdict, so key
+order serves as well as order of first appearance.
 
 Discovery also uses the swap tau: T_ijk -> T_jik.  It normalises GL(3)^3,
 tau(g . T) = (gB, gA, gC) . tau(T), so if sigma . nf = tau(nf) for a sigma
@@ -63,12 +63,12 @@ then tau(V) = V for V the orbit closure of nf.  tau maps the hw vectors of
 a label (lam, mu, nu) onto those of (mu, lam, nu), the vanishing ones onto
 the vanishing ones, and a module's basis vector of lowering words (a, b, c)
 to the partner's (b, a, c) up to a scalar.  When tau maps the hw vector of
-each filed module to that of a filed module (_swap_closed), it maps each
-module onto a module, so the ideal onto itself: the sweep folds by tau,
-rank_Q(w) = rank_Q(tau w), needing no nf.  Discovery's own modules below d
-it maps up to sign, so block w onto block tau(w) by a signed row and column
-permutation: the mod-p verdicts of a label and its partner agree, and
-scan_degree derives the later label of each pair.
+each filed module to that of a filed module (_hws_swap_closed), it maps the
+generators onto themselves up to scalars, so block w onto block tau(w):
+rank_Q(w) = rank_Q(tau w), and the sweep folds by tau with no nf.  When
+discovery scans degree d the scalars below d are signs, so the mod-p
+verdicts of a label and its partner agree: scan_degree derives the later
+label of each pair.
 """
 
 from __future__ import annotations
@@ -138,8 +138,7 @@ class GradedGeneratorSet:
         self._modules = {}  # degree -> module-built
         self._hws = {}      # _key of each module's hw vector -> its rows and coefficients (_swap_closed)
         self._ranks = {}    # (degree, p, group) -> {representative: its block's Factor}
-        self._folds = {}    # (degree, group) -> _fold of the slice weights, by tau too where it folds
-        self._swap = None   # whether tau maps hw vectors to hw vectors (_swap_closed), once asked
+        self._folds = {}    # (degree, group) -> (_fold of the slice weights, by tau too where it folds; whether it does)
         self._batches = {}  # (degree, group, witness terms) -> _witness_batch
 
     def _file(self, degree, batch):
@@ -161,7 +160,8 @@ class GradedGeneratorSet:
         weights = np.fromiter(index, np.int64, len(index))
         self._weights[degree] = weights, key_weights(weights)
         self._modules.setdefault(degree, True)
-        self._ranks, self._folds, self._batches, self._swap = {}, {}, {}, None   # the memos
+        for memo in (self._ranks, self._folds, self._batches):
+            memo.clear()
         return [(rows[a:b], coeffs[a:b]) for a, b in (ends[s:s + 2] for s in np.argsort(filed).tolist())]
 
     def add(self, degree, polys):
@@ -328,38 +328,42 @@ def _factor(block: Block, p):
     return Factor(keys, np.argsort(perm).astype(np.min_scalar_type(len(perm))), low)
 
 
-def _witness_batch(ranks, group, tau, d, witness, wit):
-    """Prime-free, per representative w of a witness fold wit: (r, rows, col, at, coeffs, size).
-    w's witness rows (witness = (degree, weight, Poly)) are mapped onto r by the sigma sorting w's
-    slots (the identity for G = {id}), or by tau sigma where the base fold kept r = tau(sigma w); a
-    term goes to row at and column col, its monomial's index in r's factor's keys, new ones after."""
-    (e, wf, f), x = witness, key_weights(np.fromiter(wit, np.int64, len(wit)))
-    (rows, _, coeffs), t = integer_terms([f]), len(f.terms)
-    order = np.argsort(-x if group is WEYL else 0 * x, axis=2, kind="stable")   # sigma[a][order[a][j]] = j
-    maps = _weyl_maps()[[_WEYL_INDEX[tuple(map(tuple, s))] for s in np.argsort(order, axis=2).tolist()]]
+def _witness_batch(ranks, group, tau, d, f, wit):
+    """Per representative w of the fold wit of witness f, its rows, prime-free, as (r, n,
+    col, at, coeffs, size): mapped onto the kept r by sigma or tau sigma (module docstring),
+    n rows, a term at row at and column col, its monomial's index in r's factor's keys, new
+    ones after them, size in all."""
+    rows, ids, coeffs = integer_terms([f])
+    x = key_weights(np.fromiter(wit, np.int64, len(wit)))
+    # sigma[a][order[a][j]] = j: under S3^3 each slot's contents in decreasing order
+    order = np.argsort(-x if group is WEYL else np.zeros_like(x), axis=2, kind="stable")
+    sigmas = np.argsort(order, axis=2).tolist()
+    maps = _weyl_maps()[[_WEYL_INDEX[tuple(map(tuple, sigma))] for sigma in sigmas]]
     x = np.take_along_axis(x, order, 2)
-    reps, swapped = weight_keys(x).tolist(), weight_keys(x[:, [1, 0, 2]]).tolist()
-    flip = np.array([tau and r not in ranks and s in ranks for r, s in zip(reps, swapped)], bool)
+    reps = weight_keys(x)
+    swapped = weight_keys(x[:, [1, 0, 2]])
+    flip = (swapped > reps) & tau   # where _swap_fold kept tau(r), the larger key
     maps[flip] = _TAU[maps[flip]]
-    mult = [_multipliers(d - e, w - int(weight_keys(wf)[0])) for w in wit]
-    n, mult = np.array([len(m) for m in mult]), np.concatenate(mult)
-    terms = np.concatenate([np.broadcast_to(rows, (len(mult), t, e)), np.broadcast_to(
-        mult[:, None], (len(mult), t, d - e))], axis=2).reshape(-1, d)
-    terms = np.sort(maps[np.repeat(np.arange(len(x)), n * t)[:, None], terms], axis=1)   # one gather
-    keys, cuts, out = mono_keys(terms), np.r_[0, np.cumsum(n * t)].tolist(), []
-    for i, r in enumerate(np.where(flip, swapped, reps).tolist()):
-        k, base = keys[cuts[i]:cuts[i + 1]], ranks[r].keys if r in ranks else Block._none
-        new = np.r_[base, -1][col := np.searchsorted(base, k)] != k   # no key is -1
-        col[new] = len(base) + np.searchsorted(extra := distinct(k[new]), k[new])
-        out.append((r, n[i], col, np.arange(n[i]).repeat(t), np.tile(coeffs, n[i]), len(base) + len(extra)))
+    images = np.sort(maps[:, rows], axis=2)   # f under each map, in one gather
+    out = []
+    for r, image, wg in zip(np.where(flip, swapped, reps).tolist(), images,
+                            weight_keys(row_weights(images[:, 0])).tolist()):
+        block = _block(None, d, r, d, (rows.shape[1], wg, (image, ids, coeffs, 1)))
+        base = ranks[r].keys if r in ranks else Block._none
+        col = np.searchsorted(base, block.keys)
+        new = np.r_[base, -1][col] != block.keys   # no key is -1
+        extra, index = np.unique(block.keys[new], return_inverse=True)
+        col[new] = len(base) + index
+        out.append((r, len(block), col, block.rows, block.coeffs, len(base) + len(extra)))
     return out
 
 
 def _extension_ranks(ranks, batch, p):
     """(F, k) per _witness_batch entry: r's kept factor, empty if r has no rows, and the rank added."""
     none = _factor(Block(), p)
-    for r, rows, col, at, coeffs, size in batch:
-        fac, y = ranks.get(r, none), np.zeros((size, rows), np.int64)   # new monomials: zero rows of A
+    for r, n, col, at, coeffs, size in batch:
+        fac = ranks.get(r, none)
+        y = np.zeros((size, n), np.int64)   # the new monomials: zero rows of A
         y[np.r_[fac.place, len(fac.place):size][col], at] = coeffs % np.int64(p)
         yield fac, linalg.extension_rank(fac.low, y, p)
 
@@ -369,16 +373,16 @@ def check_witness(f: Poly):
     homogeneous and weight-homogeneous."""
     if f.is_zero():
         raise ValueError("the witness is the zero polynomial")
-    if (e := f.degree()) == 0:
+    if f.degree() == 0:
         raise ValueError("the witness is the nonzero constant %s, a unit" % f.terms[()])
-    return e, f.weight()
+    return f.degree(), f.weight()
 
 
 def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRIME, progress=None):
     """Quotient dimensions in degree d of the base ideal and of each
     base+witness ideal: F_p ranks of weight blocks, one bulk elimination
-    per block, folded by gens.symmetry_group(d), by tau too where
-    _swap_closed holds, and by each witness's stabiliser (module docstring).
+    per block, folded by gens.symmetry_group(d) (and tau, where it applies)
+    and by each witness's stabiliser in it (see the module docstring).
 
     witnesses: list of homogeneous weight-homogeneous polynomials.
     Returns (base_quotient, [witness_quotients]).
@@ -386,15 +390,17 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
     _check_cap(d)
     _check_prime(p)
     group = gens.symmetry_group(d)
-    tau = _swap_closed(gens, None, d + 1)   # then G is S3^3 x| <tau>
     if (d, group) not in gens._folds:
-        gens._folds[d, group] = (_swap_fold if tau else dict)(_fold(group, _slice_weights(gens, d)))
-    base = gens._folds[d, group]
-    folds = []  # (witness, degree, weight, stabiliser, {representative: orbit size}, _batches key)
+        fold = _fold(group, _slice_weights(gens, d))
+        tau = group is WEYL and _hws_swap_closed(gens)   # then G is S3^3 x| <tau>
+        gens._folds[d, group] = (_swap_fold(fold) if tau else fold), tau
+    base, tau = gens._folds[d, group]
+    folds = []  # (witness, stabiliser, {representative: orbit size}, _batches key)
     for f in witnesses:   # one above degree d has no rows and no stabiliser here
-        (e, wf), terms = check_witness(f), frozenset(f.terms.items())
+        e, wf = check_witness(f)
+        terms = frozenset(f.terms.items())
         stab = _stabiliser(group, terms) if e <= d else ()
-        folds.append((f, e, wf, stab, _fold(stab, weight_keys(wf) + _monomial_table(d - e)[1])
+        folds.append((f, stab, _fold(stab, weight_keys(wf) + _monomial_table(d - e)[1])
                       if stab else {}, (d, group, terms)))
     # base block factors are memoised on gens until it gains generators, one prime at a time
     ranks = gens._ranks.get((d, p, group))
@@ -406,20 +412,21 @@ def hilbert_with_witnesses(gens: GradedGeneratorSet, witnesses, d, p=DEFAULT_PRI
             w: _factor(slice_rows_by_weight(gens, d, (w,))[w], p) for w in base}
     base_dim = sum(n * ranks[w].rank for w, n in base.items())
     ext_dims, reduced, kept = [], 0, 0
-    for f, e, wf, _, wit, key in folds:   # plus the rank each block's witness rows add to its base rows
+    for f, _, wit, key in folds:   # plus the rank each block's witness rows add to its base rows
         kept += len(gens._batches.get(key, ()))
         if key not in gens._batches:   # prime-free, for the next prime too
-            gens._batches[key] = _witness_batch(ranks, group, tau, d, (e, wf, f), wit) if wit else []
+            gens._batches[key] = _witness_batch(ranks, group, tau, d, f, wit) if wit else []
         ranked = list(_extension_ranks(ranks, gens._batches[key], p))
         reduced += sum(len(fac.keys) > 0 for fac, _ in ranked)
         ext_dims.append(base_dim + sum(n * k for n, (_, k) in zip(wit.values(), ranked)))
     if progress:
+        name = "S3^3 and tau" if tau else "S3^3" if group is WEYL else "{id}"
+        order = len(group) * (2 if tau else 1)
         progress("degree %d: ranked %d of %d nonempty weight blocks%s, G = %s, |G| = %d" % (
             d, 0 if memo else len(base), sum(base.values()),
-            " (%d from the memo)" % len(base) if memo else "",
-            "S3^3 and tau" if tau else "S3^3" if group is WEYL else "{id}", len(group) << tau) + "".join(
+            " (%d from the memo)" % len(base) if memo else "", name, order) + "".join(
             "; witness %d: %d of %d, |G_w| = %d" % (j + 1, len(wit), sum(wit.values()), len(stab))
-            for j, (_, _, _, stab, wit, _) in enumerate(folds)) + (
+            for j, (_, stab, wit, _) in enumerate(folds)) + (
             "; %d witness blocks reduced against kept factors, the rows of %d from the batch memo"
             % (reduced, kept) if folds else "")
             + "; kept factors %d bytes" % sum(fac.nbytes for fac in ranks.values()))
@@ -486,7 +493,7 @@ def _proved_zero(label, nf: Tensor333, seed):
     x = np.array([v % p for v in _integral(nf)], np.uint64).reshape(1, 3, 3, 3)   # a diagonal gA
     for m in rep.residues(seed, len(pairs)).astype(np.uint64).reshape(3, -1, 3, 3)[::-1]:
         x = np.einsum("nab,nijb->naij", m, x) % p   # by gC, gB, gA: three products below 2^64
-    return len(linalg._eliminate(rep.tableau_values(ta, pairs, x.reshape(-1, 27)), p)[1]) == len(pairs)
+    return len(linalg.rref_mod_p(rep.tableau_values(ta, pairs, x.reshape(-1, 27)), p)[1]) == len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +549,15 @@ def _swap_element(nf: Tensor333):
     return WEYL[hit[0]] if hit.size else None
 
 
-def _swap_closed(gens: GradedGeneratorSet, nf, d):
-    """Whether degrees below d are module-built, tau maps hw vectors to hw vectors (memoised until filing)
-    and, given nf, _swap_element exists: degree d may derive labels, or degree d - 1 fold, by tau."""
-    if gens._swap is None:
-        gens._swap = all(_key(*_swapped([hw])[::2]) in gens._hws for hw in gens._hws.values())
-    return (nf is None or _swap_element(nf) is not None) and gens.symmetry_group(d - 1) is WEYL and gens._swap
+def _hws_swap_closed(gens: GradedGeneratorSet):
+    """Whether tau maps the hw vector of each filed module to that of a filed module."""
+    return all(_key(*_swapped([hw])[::2]) in gens._hws for hw in gens._hws.values())
+
+
+def _swap_closed(gens: GradedGeneratorSet, nf: Tensor333, d):
+    """Whether degree d may derive labels by tau (module docstring): _swap_element
+    exists, the degrees below d are module-built, and tau maps hw vectors to hw vectors."""
+    return _swap_element(nf) is not None and gens.symmetry_group(d - 1) is WEYL and _hws_swap_closed(gens)
 
 
 def _new_modules(d, gens: GradedGeneratorSet, hw: rep.HWSpace, nf: Tensor333, seed, p):

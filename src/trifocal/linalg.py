@@ -221,13 +221,13 @@ def lu_mod_p(a, p):
 def extension_rank(low, y, p):
     """The rank mod p that columns y (rows in P a order; those past a's: zero
     rows of a) add to a with lu_mod_p's L: L^-1 P [a | y] = [U | L^-1 y] and
-    U is zero below its rank, so forward-substitute y, row by nonzero row, and rank it there."""
+    U is zero below its rank, so forward-substitute y and rank it there."""
     at, val, starts = low
-    r, j, live = len(starts) - 1, -1, np.r_[y.any(1), True]   # the nonzero rows, each in [0, p); a stop
-    while (j := j + 1 + int(np.argmax(live[j + 1:]))) < r:
-        s = slice(starts[j], starts[j + 1])
-        y[at[s]] = new = (y[at[s]] - np.outer(val[s], y[j])) % p
-        live[at[s]] = new.any(1)
+    r = len(starts) - 1
+    for j in range(r):   # each row in [0, p) when it is used
+        if y[j].any():
+            rows = at[starts[j]:starts[j + 1]]
+            y[rows] = (y[rows] - np.outer(val[starts[j]:starts[j + 1]], y[j])) % p
     return len(_eliminate(np.ascontiguousarray(y[r:]), p)[1])
 
 

@@ -53,14 +53,12 @@ def test_tracer_targets_resolve_and_uninstall_restores_them():
 def test_discover_reaches_the_counted_linalg_targets(trifocal_nf):
     """perfbench/tests/test_perfbench.py::test_traced_counts_repeat_at_one_seed
     asserts these counters on paper6, and tier-1 does not run it; a
-    discover(5) and H(3) reach each one.  rref_mod_p needs degree 5: its one
-    caller is kernel_basis_int, whose lifts in degrees 3 and 4 have only
-    zero rows, since discovery's zero proof ranks by forward elimination."""
+    discover(3) and its H(3) already reach each one."""
     tracer = _load_tracer()
     t = tracer.Tracer()
     try:
         t.install()
-        gens = ideal.discover(5, trifocal_nf, seed=2024).gens
+        gens = ideal.discover(3, trifocal_nf, seed=2024).gens
         ideal.hilbert_quotient(gens, 3)
     finally:
         t.uninstall()

@@ -630,17 +630,17 @@ def test_weight_keys_are_in_tuple_order_and_reject_a_carry():
 
 
 def test_base_fold_memo_is_cleared_with_the_ranks():
-    """The folds, the witness batches and the tau test are cleared by
-    add_module and by add, as the ranks are."""
+    """The folds, with their tau test, and the witness batches are cleared
+    by add_module and by add, as the ranks are."""
     gens = GradedGeneratorSet()
     gens.add_module(rep.module_span(batch_of(det_slice_poly("C", 1))))
     for grow in (lambda: gens.add_module(rep.module_span(batch_of(witness_g()))),
                  lambda: gens.add(4, [witness_g()])):
         graded_nonzerodivisor_check(gens, f_determinant(), cap=4)
         assert set(gens._folds) == {(d, gens.symmetry_group(d)) for d in range(1, 5)}
-        assert [key[0] for key in gens._batches] == [1, 2, 3, 4] and gens._swap is not None
+        assert [key[0] for key in gens._batches] == [1, 2, 3, 4]
         grow()
-        assert gens._folds == gens._batches == {} and gens._swap is None
+        assert gens._folds == gens._batches == {}
 
 
 def test_base_rank_memo_matches_fresh_sweeps():
@@ -733,7 +733,7 @@ def test_folded_sweep_matches_unfolded_on_discovery6(discovery6):
     """discovery6's sweep, folded by S3^3 and tau, against every block of
     the same generators filed plain, at both primes."""
     plain = plain_set(module_polys(discovery6.modules()))
-    assert discovery6.gens.symmetry_group(6) is ideal.WEYL and ideal._swap_closed(discovery6.gens, None, 7)
+    assert discovery6.gens.symmetry_group(6) is ideal.WEYL and ideal._hws_swap_closed(discovery6.gens)
     assert plain.symmetry_group(6) is ideal.IDENTITY
     witnesses = [f_determinant(), witness_g()]
     for p in (101, 32003):
@@ -749,7 +749,7 @@ def test_store_that_tau_does_not_close_keeps_the_s3_fold():
     gens = GradedGeneratorSet()
     plain = plain_set({3: list(map(poly_of, gens.add_module(rep.module_span(batch_of(
         det_slice_poly("A", 1))))))})
-    assert not ideal._swap_closed(gens, None, 6) and gens.symmetry_group(5) is ideal.WEYL
+    assert not ideal._hws_swap_closed(gens) and gens.symmetry_group(5) is ideal.WEYL
     witnesses, lines = [f_determinant(), witness_g()], []
     for d in range(1, 6):
         assert (hilbert_with_witnesses(gens, witnesses, d, progress=lines.append)
@@ -767,7 +767,8 @@ def rebuilt_joint_ranks(gens, f, d, p):
     e, wf = ideal.check_witness(f)
     wit = ideal._fold(stabiliser(group, f), poly.weight_keys(wf) + poly._monomial_table(d - e)[1])
     ranks = gens._ranks[d, p, group]
-    batch = ideal._witness_batch(ranks, group, ideal._swap_closed(gens, None, d + 1), d, (e, wf, f), wit)
+    tau = gens._folds[d, group][1]
+    batch = ideal._witness_batch(ranks, group, tau, d, f, wit)
     out = []
     for w, (r, *_), (fac, k) in zip(wit, batch, ideal._extension_ranks(ranks, batch, p)):
         joint = slice_rows_by_weight(gens, d, (w,)).get(w, ideal.Block()) + ideal._block(
